@@ -1,25 +1,31 @@
 """Generic constrained convex solvers with KKT diagnostics.
 
-Two entry points share one augmented-Lagrangian core:
+Two entry points, each with its own method:
 
 * :func:`minimize_smooth` - smooth convex objective under linear inequality
-  and general differentiable convex inequality constraints.
+  and general differentiable convex inequality constraints. An
+  augmented-Lagrangian loop updates multipliers and the penalty weight and
+  hands each subproblem to a limited-memory quasi-Newton solve (L-BFGS-B).
 * :func:`solve_qp` - convex quadratic objective under a variable box, one
-  linear equality and linear inequality constraints.
+  linear equality and linear inequality constraints. A dense primal-dual
+  interior-point method (Mehrotra's predictor-corrector) factors one
+  Cholesky per iteration.
 
-The outer loop updates multipliers and the penalty weight; each subproblem is
-handed to a limited-memory quasi-Newton solve (L-BFGS-B), which also absorbs
-the box in the QP case. A run reports stationarity, worst primal violation
-and worst complementary-slackness product, and only claims convergence when
-all three are inside tolerance.
+Both check their iterates with the same residual routine: stationarity,
+worst primal violation and worst complementary-slackness product. A run only
+claims convergence when all three are inside tolerance. Each
+augmented-Lagrangian outer iteration and each interior-point iteration is
+logged at DEBUG level on this module's logger.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Callable, Literal, Sequence
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize as _scipy_minimize
 
 __all__ = [
@@ -34,15 +40,21 @@ __all__ = [
     "solve_qp",
 ]
 
+_log = logging.getLogger(__name__)
+
 _RHO_INIT = 10.0
 _RHO_GROWTH = 10.0
 _RHO_MAX = 1e12
+
+_STEP_TO_BOUNDARY = 0.995
 
 
 @dataclass(frozen=True)
 class SolverSettings:
     """Stopping controls; ``max_iterations`` caps total inner iterations.
 
+    An inner iteration is one L-BFGS-B iteration in :func:`minimize_smooth`
+    and one interior-point iteration (one factorisation) in :func:`solve_qp`.
     ``feasibility_tolerance`` bounds the worst constraint violation at a
     converged point separately from the stationarity/comp-slack tolerance; it
     defaults to ``kkt_tolerance`` and can be set much tighter for problems
@@ -53,7 +65,6 @@ class SolverSettings:
     objective_tolerance: float = 1e-7
     kkt_tolerance: float = 1e-5
     feasibility_tolerance: float | None = None
-    verbosity: int = 0
 
     def __post_init__(self):
         if self.objective_tolerance <= 0 or self.kkt_tolerance <= 0:
@@ -131,6 +142,8 @@ class QuadraticProblem:
     noise). ``box`` is a (lower, upper) pair of per-variable bounds, either of
     which may be None for unbounded; ``equality`` is an (a, b) pair meaning
     a.x = b; ``linear_constraints`` are (a, b) pairs meaning a.x <= b.
+    ``initial_point``, when given, replaces the least-squares starting point
+    of the interior-point method.
     """
 
     q_matrix: np.ndarray
@@ -145,14 +158,20 @@ class QuadraticProblem:
 # problem compilation
 
 
-def _linear_block(pairs: Sequence[tuple[np.ndarray, float]], n: int) -> ConstraintBlock | None:
+def _linear_arrays(pairs: Sequence[tuple[np.ndarray, float]], n: int) -> tuple[np.ndarray, np.ndarray]:
     if not pairs:
-        return None
+        return np.zeros((0, n)), np.zeros(0)
     a = np.array([np.asarray(p[0], dtype=float) for p in pairs])
     b = np.array([float(p[1]) for p in pairs])
     if a.shape[1] != n:
         raise ValueError("linear constraint dimension mismatch")
-    return ConstraintBlock(value=lambda x: a @ x - b, jacobian=lambda x: a, size=len(pairs))
+    return a, b
+
+
+def _linear_blocks(a: np.ndarray, b: np.ndarray) -> list[ConstraintBlock]:
+    if not b.size:
+        return []
+    return [ConstraintBlock(value=lambda x: a @ x - b, jacobian=lambda x: a, size=b.size)]
 
 
 def _as_block(entry, n: int) -> ConstraintBlock:
@@ -168,26 +187,26 @@ def _as_block(entry, n: int) -> ConstraintBlock:
 
 @dataclass
 class _Compiled:
+    """A problem as the KKT residuals read it."""
+
     n: int
     objective: Callable
     gradient: Callable
     blocks: list  # inequality ConstraintBlocks
     equality: tuple[np.ndarray, float] | None
-    bounds: list | None
-    x0: np.ndarray
+    lo: np.ndarray | None  # variable box, quadratic problems only
+    hi: np.ndarray | None
+    x0: np.ndarray | None
 
 
 def _compile_smooth(problem: SmoothProblem) -> _Compiled:
     n = problem.dimension
-    blocks = []
-    lin = _linear_block(problem.linear_constraints, n)
-    if lin is not None:
-        blocks.append(lin)
+    blocks = _linear_blocks(*_linear_arrays(problem.linear_constraints, n))
     blocks.extend(_as_block(c, n) for c in problem.convex_constraints)
     x0 = np.zeros(n) if problem.initial_point is None else np.asarray(problem.initial_point, dtype=float).copy()
     if x0.shape != (n,):
         raise ValueError("initial_point dimension mismatch")
-    return _Compiled(n, problem.objective, problem.gradient, blocks, None, None, x0)
+    return _Compiled(n, problem.objective, problem.gradient, blocks, None, None, None, x0)
 
 
 def _validate_psd(q: np.ndarray) -> None:
@@ -201,7 +220,47 @@ def _validate_psd(q: np.ndarray) -> None:
         raise ValueError("Q must be positive semidefinite") from None
 
 
-def _compile_qp(problem: QuadraticProblem) -> _Compiled:
+def _opposite_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(k, 2) positions i < j of nonzero rows with (a_j, b_j) == (-a_i, -b_i).
+
+    Such a pair pins a.x to one value, so the pair has no strict interior.
+    Adding (or subtracting from) 0.0 maps -0.0 to 0.0, so equal rows have
+    equal bytes.
+    """
+    unmatched: dict = {}
+    pairs = []
+    for i in range(b.size):
+        if not np.any(a[i]):
+            continue
+        partner = unmatched.pop(((0.0 - a[i]).tobytes(), 0.0 - b[i]), None)
+        if partner is None:
+            unmatched.setdefault(((a[i] + 0.0).tobytes(), b[i] + 0.0), i)
+        else:
+            pairs.append((partner, i))
+    return np.array(pairs, dtype=int).reshape(-1, 2)
+
+
+@dataclass
+class _CompiledQP:
+    """A QP as arrays: box lo <= x <= hi, rows a.x <= b and e.x = f.
+
+    The equality rows are ``problem.equality`` (if any) followed by one row
+    per collapsed opposite pair, taken from the pair's first row.
+    """
+
+    comp: _Compiled
+    q: np.ndarray
+    c: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    rows: np.ndarray  # positions of the rows of ``a`` among the linear constraints
+    e: np.ndarray
+    f: np.ndarray
+    pairs: np.ndarray  # (k, 2) positions of the rows behind the last k equality rows
+    m: int  # number of linear constraints
+
+
+def _compile_qp(problem: QuadraticProblem) -> _CompiledQP:
     q = np.asarray(problem.q_matrix, dtype=float)
     c = np.asarray(problem.q_vector, dtype=float)
     n = c.size
@@ -211,19 +270,16 @@ def _compile_qp(problem: QuadraticProblem) -> _Compiled:
     lo, hi = problem.box
     lo = np.full(n, -np.inf) if lo is None else np.broadcast_to(np.asarray(lo, dtype=float), (n,))
     hi = np.full(n, np.inf) if hi is None else np.broadcast_to(np.asarray(hi, dtype=float), (n,))
-    bounds = list(zip(lo, hi))
-    blocks = []
-    lin = _linear_block(problem.linear_constraints, n)
-    if lin is not None:
-        blocks.append(lin)
-    if problem.initial_point is None:
-        x0 = np.clip(np.zeros(n), lo, hi)
-    else:
-        x0 = np.clip(np.asarray(problem.initial_point, dtype=float), lo, hi)
+    a, b = _linear_arrays(problem.linear_constraints, n)
+    pairs = _opposite_pairs(a, b)
+    rows = np.setdiff1d(np.arange(b.size), pairs.ravel())
+    e, f = a[pairs[:, 0]], b[pairs[:, 0]]
     equality = None
     if problem.equality is not None:
-        a, b = problem.equality
-        equality = (np.asarray(a, dtype=float), float(b))
+        eq_a, eq_b = problem.equality
+        equality = (np.asarray(eq_a, dtype=float), float(eq_b))
+        e, f = np.vstack([equality[0], e]), np.concatenate([[equality[1]], f])
+    x0 = None if problem.initial_point is None else np.clip(np.asarray(problem.initial_point, dtype=float), lo, hi)
 
     def objective(x: np.ndarray) -> float:
         return float(0.5 * x @ q @ x + c @ x)
@@ -231,14 +287,11 @@ def _compile_qp(problem: QuadraticProblem) -> _Compiled:
     def gradient(x: np.ndarray) -> np.ndarray:
         return q @ x + c
 
-    return _Compiled(n, objective, gradient, blocks, equality, bounds, x0)
+    comp = _Compiled(n, objective, gradient, _linear_blocks(a, b), equality, lo, hi, x0)
+    return _CompiledQP(comp, q, c, a[rows], b[rows], rows, e, f, pairs, b.size)
 
 
-# ---------------------------------------------------------------------------
-# augmented-Lagrangian core
-
-
-def _residuals(comp: _Compiled, x: np.ndarray, lam: list, mu: float) -> KKTResiduals:
+def _residuals(comp: _Compiled, x: np.ndarray, lam: list, mu: float | None) -> KKTResiduals:
     grad = comp.gradient(x).astype(float)
     max_violation = 0.0
     max_comp = 0.0
@@ -253,26 +306,27 @@ def _residuals(comp: _Compiled, x: np.ndarray, lam: list, mu: float) -> KKTResid
         a, b = comp.equality
         grad = grad + mu * a
         max_violation = max(max_violation, abs(float(a @ x - b)))
-    if comp.bounds is not None:
-        lo = np.array([p[0] for p in comp.bounds])
-        hi = np.array([p[1] for p in comp.bounds])
-        stationarity = float(np.max(np.abs(x - np.clip(x - grad, lo, hi)))) if x.size else 0.0
+    if comp.lo is not None:
+        stationarity = float(np.max(np.abs(x - np.clip(x - grad, comp.lo, comp.hi)))) if x.size else 0.0
     else:
         stationarity = float(np.linalg.norm(grad))
     return KKTResiduals(stationarity, max_violation, max_comp)
 
 
+# ---------------------------------------------------------------------------
+# augmented-Lagrangian core (smooth problems)
+
+
 def _solve_al(comp: _Compiled, settings: SolverSettings) -> SolverResult:
     x = comp.x0.copy()
     lam = [np.zeros(block.size) for block in comp.blocks]
-    mu = 0.0
     rho = _RHO_INIT
     used = 0
     scale0 = float(np.linalg.norm(comp.gradient(x))) + 1.0
     gtol = min(1e-2 * scale0, 1.0)
     gtol_floor = max(settings.kkt_tolerance * 5e-2, 1e-12)
     prev_violation = np.inf
-    constrained = bool(comp.blocks) or comp.equality is not None
+    constrained = bool(comp.blocks)
     if not constrained:
         gtol = gtol_floor
     stalled = 0
@@ -287,11 +341,6 @@ def _solve_al(comp: _Compiled, settings: SolverSettings) -> SolverResult:
             value += float((t @ t - lam_b @ lam_b) / (2.0 * rho))
             if np.any(active):
                 grad = grad + block.jacobian(x)[active].T @ t[active]
-        if comp.equality is not None:
-            a, b = comp.equality
-            h = float(a @ x - b)
-            value += mu * h + 0.5 * rho * h * h
-            grad = grad + (mu + rho * h) * a
         return value, grad
 
     for outer in range(200):
@@ -304,7 +353,6 @@ def _solve_al(comp: _Compiled, settings: SolverSettings) -> SolverResult:
             x,
             jac=True,
             method="L-BFGS-B",
-            bounds=comp.bounds,
             options={
                 "maxiter": budget,
                 "maxfun": 20 * budget,
@@ -318,9 +366,9 @@ def _solve_al(comp: _Compiled, settings: SolverSettings) -> SolverResult:
         x = res.x
         used += max(int(res.nit), 1)
         if not constrained:
-            kkt = _residuals(comp, x, lam, mu)
+            kkt = _residuals(comp, x, lam, None)
             status = "converged" if kkt.within(settings) else "max_iter"
-            return SolverResult(x, comp.objective(x), status, kkt, used, {"inequality": []})
+            return SolverResult(x, comp.objective(x), status, kkt, used, _named_multipliers(lam))
 
         violation = 0.0
         for i, block in enumerate(comp.blocks):
@@ -328,20 +376,14 @@ def _solve_al(comp: _Compiled, settings: SolverSettings) -> SolverResult:
             lam[i] = np.maximum(0.0, lam[i] + rho * g)
             if g.size:
                 violation = max(violation, float(np.max(np.maximum(g, 0.0))))
-        if comp.equality is not None:
-            a, b = comp.equality
-            h = float(a @ x - b)
-            mu += rho * h
-            violation = max(violation, abs(h))
 
-        kkt = _residuals(comp, x, lam, mu)
-        if settings.verbosity:
-            print(
-                f"[al] outer={outer} rho={rho:.1e} viol={kkt.max_violation:.2e} "
-                f"stat={kkt.stationarity_norm:.2e} comp={kkt.max_comp_slack:.2e} obj={comp.objective(x):.10g}"
-            )
+        kkt = _residuals(comp, x, lam, None)
+        _log.debug(
+            "al outer=%d rho=%.1e viol=%.2e stat=%.2e comp=%.2e",
+            outer, rho, kkt.max_violation, kkt.stationarity_norm, kkt.max_comp_slack,
+        )
         if kkt.within(settings):
-            return SolverResult(x, comp.objective(x), "converged", kkt, used, _named_multipliers(comp, lam, mu))
+            return SolverResult(x, comp.objective(x), "converged", kkt, used, _named_multipliers(lam))
         # multiplier updates alone contract the violation once rho is large
         # enough; grow rho only when that contraction stalls, since extreme
         # penalties make the multiplier estimates noise-dominated
@@ -353,9 +395,7 @@ def _solve_al(comp: _Compiled, settings: SolverSettings) -> SolverResult:
         # exhausted and the violation is macroscopic, not merely above the
         # (possibly very tight) feasibility tolerance
         if rho >= _RHO_MAX and kkt.max_violation > max(1e3 * settings.feas_tol, 1e-6):
-            return SolverResult(
-                x, comp.objective(x), "infeasible", kkt, used, _named_multipliers(comp, lam, mu)
-            )
+            return SolverResult(x, comp.objective(x), "infeasible", kkt, used, _named_multipliers(lam))
         # quasi-Newton at its floating-point floor and multipliers stable:
         # further outer iterations cannot improve the iterate
         if gtol <= gtol_floor and np.array_equal(x, x_before) and violation <= settings.feas_tol:
@@ -365,16 +405,184 @@ def _solve_al(comp: _Compiled, settings: SolverSettings) -> SolverResult:
         else:
             stalled = 0
 
-    kkt = _residuals(comp, x, lam, mu)
+    kkt = _residuals(comp, x, lam, None)
     status = "converged" if kkt.within(settings) else "max_iter"
-    return SolverResult(x, comp.objective(x), status, kkt, used, _named_multipliers(comp, lam, mu))
+    return SolverResult(x, comp.objective(x), status, kkt, used, _named_multipliers(lam))
 
 
-def _named_multipliers(comp: _Compiled, lam: list, mu: float) -> dict:
+def _named_multipliers(lam: list, mu: float | None = None) -> dict:
     out = {"inequality": [l.copy() for l in lam]}
-    if comp.equality is not None:
+    if mu is not None:
         out["equality"] = mu
     return out
+
+
+# ---------------------------------------------------------------------------
+# primal-dual interior-point core (quadratic problems)
+#
+# All inequalities are written as G x + s = h with slacks s >= 0 and
+# multipliers z >= 0: the rows of G are -I on the finite lower bounds, +I on
+# the finite upper bounds and the rows a of the kept inequalities. Each
+# iteration solves the Newton system of the perturbed KKT conditions
+#
+#     Q dx + G'dz + E'dy = -r_d        G dx + ds = -r_p
+#     E dx              = -r_e        Z ds + S dz = -r_c
+#
+# by eliminating ds and dz, which leaves H = Q + G'(Z/S)G with the few
+# equality rows E handled through the Schur complement E H^-1 E'.
+
+
+def _cholesky(matrix: np.ndarray):
+    """Cholesky factor of a symmetric PSD matrix, with a small diagonal shift if singular."""
+    scale = max(float(np.max(np.abs(np.diag(matrix)), initial=0.0)), 1.0)
+    shift = 0.0
+    for _ in range(8):
+        try:
+            return cho_factor(matrix + shift * np.eye(matrix.shape[0]) if shift else matrix, lower=True)
+        except np.linalg.LinAlgError:
+            shift = 100.0 * shift if shift else 1e-12 * scale
+    raise np.linalg.LinAlgError("interior-point system is not positive semidefinite")
+
+
+class _Inequalities:
+    """The map x -> G x and its transpose for the box rows and the kept rows."""
+
+    def __init__(self, qp: _CompiledQP):
+        self.lower = np.flatnonzero(np.isfinite(qp.comp.lo))
+        self.upper = np.flatnonzero(np.isfinite(qp.comp.hi))
+        self.a = qp.a
+        self.h = np.concatenate([-qp.comp.lo[self.lower], qp.comp.hi[self.upper], qp.b])
+        self.split = (self.lower.size, self.lower.size + self.upper.size)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return np.concatenate([-x[self.lower], x[self.upper], self.a @ x])
+
+    def transpose(self, v: np.ndarray) -> np.ndarray:
+        v_lo, v_hi, v_a = np.split(v, self.split)
+        out = self.a.T @ v_a
+        out[self.lower] -= v_lo
+        out[self.upper] += v_hi
+        return out
+
+    def weighted_gram(self, d: np.ndarray) -> np.ndarray:
+        """G' diag(d) G."""
+        d_lo, d_hi, d_a = np.split(d, self.split)
+        out = (self.a.T * d_a) @ self.a
+        out[self.lower, self.lower] += d_lo
+        out[self.upper, self.upper] += d_hi
+        return out
+
+
+class _NewtonSystem:
+    """One factorisation of [H E'; E 0], solved for several right-hand sides."""
+
+    def __init__(self, h_matrix: np.ndarray, e: np.ndarray):
+        self.factor = _cholesky(h_matrix)
+        self.e = e
+        if e.shape[0]:
+            self.h_inv_et = cho_solve(self.factor, e.T)
+            self.schur = _cholesky(e @ self.h_inv_et)
+
+    def solve(self, rhs: np.ndarray, r_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(dx, dy) with H dx + E'dy = rhs and E dx = -r_e."""
+        u = cho_solve(self.factor, rhs)
+        if not self.e.shape[0]:
+            return u, np.zeros(0)
+        dy = cho_solve(self.schur, self.e @ u + r_e)
+        return u - self.h_inv_et @ dy, dy
+
+
+def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest t with v + t dv >= 0 (infinite when no entry decreases)."""
+    falling = dv < 0
+    return float(np.min(-v[falling] / dv[falling])) if np.any(falling) else np.inf
+
+
+def _shift_positive(v: np.ndarray) -> np.ndarray:
+    """``v`` if it is strictly positive, else ``v`` shifted so its minimum is 1."""
+    return v if v.size == 0 or v.min() > 0 else v + (1.0 - v.min())
+
+
+def _qp_multipliers(qp: _CompiledQP, z: np.ndarray, y: np.ndarray) -> tuple[list, float | None]:
+    """Map interior-point multipliers back to the problem's own constraint rows.
+
+    The multiplier y of a collapsed pair's equality becomes (max(y, 0),
+    max(-y, 0)) on its two rows (a, b) and (-a, -b).
+    """
+    lam = np.zeros(qp.m)
+    lam[qp.rows] = z[z.size - qp.rows.size :]
+    y_pairs = y[y.size - len(qp.pairs) :]
+    lam[qp.pairs[:, 0]] = np.maximum(y_pairs, 0.0)
+    lam[qp.pairs[:, 1]] = np.maximum(-y_pairs, 0.0)
+    mu = float(y[0]) if qp.comp.equality is not None else None
+    return ([lam] if qp.m else []), mu
+
+
+def _solve_ipm(qp: _CompiledQP, settings: SolverSettings) -> SolverResult:
+    comp = qp.comp
+    g = _Inequalities(qp)
+    e, f = qp.e, qp.f
+    n_ineq = g.h.size
+
+    # start: the least-squares point of CVXOPT's coneqp, i.e. the Newton
+    # system with unit slack weights, then slacks and multipliers shifted
+    # to be strictly positive
+    start = _NewtonSystem(qp.q + g.weighted_gram(np.ones(n_ineq)), e)
+    x, y = start.solve(-qp.c + g.transpose(g.h), -f)
+    if comp.x0 is not None:
+        x = comp.x0.copy()
+    s = _shift_positive(g.h - g.apply(x))
+    z = _shift_positive(g.apply(x) - g.h)
+    start_size = 1.0 + max(float(np.max(z, initial=0.0)), float(np.max(np.abs(y), initial=0.0)))
+
+    status = "max_iter"
+    previous_primal = np.inf
+    iteration = 0
+    while True:
+        r_d = qp.q @ x + qp.c + g.transpose(z) + e.T @ y
+        r_p = g.apply(x) + s - g.h
+        r_e = e @ x - f
+        mu_gap = float(s @ z) / n_ineq if n_ineq else 0.0
+
+        point = np.clip(x, comp.lo, comp.hi)
+        lam, mu_eq = _qp_multipliers(qp, z, y)
+        kkt = _residuals(comp, point, lam, mu_eq)
+        _log.debug(
+            "ipm iter=%d mu=%.2e viol=%.2e stat=%.2e comp=%.2e",
+            iteration, mu_gap, kkt.max_violation, kkt.stationarity_norm, kkt.max_comp_slack,
+        )
+        if kkt.within(settings):
+            status = "converged"
+            break
+        # an infeasible problem shows as a primal residual that stops
+        # shrinking while the multipliers run off along a certificate ray
+        primal = max(float(np.max(np.abs(r_p), initial=0.0)), float(np.max(np.abs(r_e), initial=0.0)))
+        multiplier_size = max(float(np.max(z, initial=0.0)), float(np.max(np.abs(y), initial=0.0)))
+        if primal > settings.feas_tol and primal > 0.9 * previous_primal and multiplier_size > 1e8 * start_size:
+            status = "infeasible"
+            break
+        previous_primal = primal
+        if iteration >= settings.max_iterations:
+            break
+        iteration += 1
+
+        system = _NewtonSystem(qp.q + g.weighted_gram(z / s), e)
+
+        def direction(r_c: np.ndarray):
+            dx, dy = system.solve(-r_d + g.transpose((r_c - z * r_p) / s), r_e)
+            ds = -r_p - g.apply(dx)
+            return dx, ds, (-r_c - z * ds) / s, dy
+
+        # predictor: the pure Newton (affine-scaling) step
+        _, ds_aff, dz_aff, _ = direction(s * z)
+        step = min(1.0, _max_step(s, ds_aff), _max_step(z, dz_aff))
+        sigma = (float((s + step * ds_aff) @ (z + step * dz_aff)) / n_ineq / mu_gap) ** 3 if n_ineq else 0.0
+        # corrector: centring plus the second-order term of the predictor
+        dx, ds, dz, dy = direction(s * z + ds_aff * dz_aff - sigma * mu_gap)
+        step = min(1.0, _STEP_TO_BOUNDARY * min(_max_step(s, ds), _max_step(z, dz)))
+        x, s, z, y = x + step * dx, s + step * ds, z + step * dz, y + step * dy
+
+    return SolverResult(point, comp.objective(point), status, kkt, iteration, _named_multipliers(lam, mu_eq))
 
 
 # ---------------------------------------------------------------------------
@@ -392,17 +600,26 @@ def minimize_smooth(problem: SmoothProblem, settings: SolverSettings | None = No
 
 
 def solve_qp(problem: QuadraticProblem, settings: SolverSettings | None = None) -> SolverResult:
-    """KKT-certified solve of a convex box/equality/inequality QP."""
+    """KKT-certified solve of a convex box/equality/inequality QP.
+
+    Deterministic given identical inputs. The returned point lies in the box;
+    ``status`` is ``"converged"`` when the KKT residuals are inside the
+    configured tolerances, ``"infeasible"`` when the primal residual stalls
+    while the multipliers diverge, and ``"max_iter"`` when the iteration
+    budget ran out first.
+    """
     settings = settings or SolverSettings()
-    return _solve_al(_compile_qp(problem), settings)
+    return _solve_ipm(_compile_qp(problem), settings)
 
 
 def kkt_residuals(problem, point, multipliers) -> KKTResiduals:
     """Evaluate KKT residuals of (point, multipliers) for a given problem.
 
-    ``multipliers`` maps "inequality" to a flat vector ordered as linear
-    constraints first, then convex constraints / blocks, and optionally
-    "equality" to a scalar. Inequality multipliers must be non-negative.
+    ``multipliers`` maps "inequality" to the multipliers ordered as linear
+    constraints first, then convex constraints / blocks, either as one flat
+    vector or as one vector per block (the layout of
+    ``SolverResult.multipliers``), and optionally "equality" to a scalar.
+    Inequality multipliers must be non-negative.
     Stationarity is the norm of the Lagrangian gradient (projected onto the
     box for quadratic problems); the violation and complementary-slackness
     entries are worst-case over all constraints.
@@ -410,11 +627,12 @@ def kkt_residuals(problem, point, multipliers) -> KKTResiduals:
     if isinstance(problem, SmoothProblem):
         comp = _compile_smooth(problem)
     elif isinstance(problem, QuadraticProblem):
-        comp = _compile_qp(problem)
+        comp = _compile_qp(problem).comp
     else:
         raise TypeError("problem must be SmoothProblem or QuadraticProblem")
     x = np.asarray(point, dtype=float)
-    flat = np.atleast_1d(np.asarray(multipliers.get("inequality", []), dtype=float))
+    parts = [np.ravel(np.asarray(p, dtype=float)) for p in multipliers.get("inequality", [])]
+    flat = np.concatenate(parts) if parts else np.zeros(0)
     if np.any(flat < 0):
         raise ValueError("inequality multipliers must be non-negative")
     total = sum(block.size for block in comp.blocks)

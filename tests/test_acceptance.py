@@ -545,6 +545,8 @@ class TestC10KernelBehavior:
         acc_fair = float(np.mean(predict(constrained, ds.features) == ds.labels))
         linear = fit_logreg(ds, FitSpec(mode="unconstrained"))
         acc_linear = float(np.mean(predict(linear, ds.features) == ds.labels))
+        assert unconstrained.training_meta["status"] == "converged"
+        assert constrained.training_meta["status"] == "converged"
         assert p_fair >= 90.0
         assert p_fair > p_unc
         assert acc_fair > acc_linear

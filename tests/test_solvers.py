@@ -1,3 +1,6 @@
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
@@ -104,6 +107,19 @@ class TestMinimizeSmooth:
         assert result.status in ("max_iter", "converged")  # tiny problems may finish in 2 steps
         assert result.iterations <= 4
 
+    def test_logs_outer_iterations(self, caplog):
+        f, g = quadratic_bowl([2.0, 0.0])
+        problem = SmoothProblem(
+            dimension=2,
+            objective=f,
+            gradient=g,
+            linear_constraints=[(np.array([1.0, 0.0]), 1.0)],
+        )
+        with caplog.at_level(logging.DEBUG, logger="fairclf.solvers"):
+            minimize_smooth(problem, TIGHT)
+        assert caplog.records
+        assert all("rho=" in r.getMessage() and "viol=" in r.getMessage() for r in caplog.records)
+
     def test_deterministic_bitwise(self):
         ds, w = random_instance(5, n=30)
 
@@ -180,6 +196,9 @@ class TestSolveQp:
         result = solve_qp(problem, TIGHT)
         assert result.status == "converged"
         np.testing.assert_allclose(result.point, 1.0, atol=1e-7)
+        started = solve_qp(dataclasses.replace(problem, initial_point=np.full(4, 9.0)), TIGHT)
+        assert started.status == "converged"
+        np.testing.assert_allclose(started.point, 1.0, atol=1e-7)
 
     def test_symmetric_pair_with_equality(self):
         problem = QuadraticProblem(
@@ -211,6 +230,78 @@ class TestSolveQp:
         )
         assert result.objective_value == pytest.approx(ref_value, abs=1e-5)
         np.testing.assert_allclose(result.point, ref_alpha, atol=1e-4)
+
+    def test_opposite_pair_matches_equality_reference(self):
+        # a c=0 covariance bound arrives as the rows (a, 0) and (-a, 0); the
+        # solution must match the same QP with a.x = 0 as its equality
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(4, 4))
+        q = m @ m.T + 0.1 * np.eye(4)
+        c = rng.normal(size=4)
+        a = rng.normal(size=4)
+        a /= np.linalg.norm(a)
+        problem = QuadraticProblem(
+            q_matrix=q,
+            q_vector=c,
+            box=(np.zeros(4), np.full(4, 2.0)),
+            linear_constraints=[(a, 0.0), (-a, 0.0)],
+        )
+        result = solve_qp(problem, SolverSettings(kkt_tolerance=1e-8, feasibility_tolerance=1e-10))
+        assert result.status == "converged"
+        ref_value, ref_x = qp_box_equality_reference(q, c, np.zeros(4), np.full(4, 2.0), equality=(a, 0.0))
+        assert result.objective_value == pytest.approx(ref_value, abs=1e-7)
+        np.testing.assert_allclose(result.point, ref_x, atol=1e-6)
+        (pair,) = result.multipliers["inequality"]
+        assert pair.shape == (2,) and np.all(pair >= 0) and min(pair) == 0.0
+
+    def test_infeasible_rows_detected(self):
+        # the box [0, 1]^2 and the row x1 + x2 <= -1 have no common point
+        problem = QuadraticProblem(
+            q_matrix=np.eye(2),
+            q_vector=-np.ones(2),
+            box=(np.zeros(2), np.ones(2)),
+            linear_constraints=[(np.array([1.0, 1.0]), -1.0)],
+        )
+        result = solve_qp(problem, TIGHT)
+        assert result.status == "infeasible"
+        assert result.kkt.max_violation > 0.5
+
+    def test_max_iteration_budget(self):
+        problem = QuadraticProblem(
+            q_matrix=np.eye(3),
+            q_vector=-np.array([3.0, 1.0, -2.0]),
+            box=(np.zeros(3), np.ones(3)),
+            equality=(np.ones(3), 1.5),
+        )
+        result = solve_qp(problem, SolverSettings(max_iterations=1, kkt_tolerance=1e-10))
+        assert result.status == "max_iter"
+        assert result.iterations <= 1
+
+    def test_multipliers_reproduce_certificate(self):
+        rng = np.random.default_rng(8)
+        m = rng.normal(size=(5, 5))
+        problem = QuadraticProblem(
+            q_matrix=m @ m.T,
+            q_vector=rng.normal(size=5),
+            box=(np.full(5, -1.0), np.ones(5)),
+            equality=(np.ones(5), 0.5),
+            linear_constraints=[(rng.normal(size=5), 0.2), (rng.normal(size=5), 0.1)],
+        )
+        result = solve_qp(problem, TIGHT)
+        assert result.status == "converged"
+        assert kkt_residuals(problem, result.point, result.multipliers) == result.kkt
+
+    def test_logs_one_record_per_iteration(self, caplog):
+        problem = QuadraticProblem(
+            q_matrix=np.eye(4),
+            q_vector=-np.ones(4),
+            box=(np.zeros(4), np.full(4, 0.5)),
+        )
+        with caplog.at_level(logging.DEBUG, logger="fairclf.solvers"):
+            result = solve_qp(problem, TIGHT)
+        # one record per iterate checked: the start and each iteration's result
+        assert len(caplog.records) == result.iterations + 1
+        assert all("mu=" in r.getMessage() and "stat=" in r.getMessage() for r in caplog.records)
 
     def test_rejects_non_psd(self):
         with pytest.raises(ValueError, match="semidefinite"):
