@@ -10,6 +10,7 @@ from .models import (
     KernelSpec,
     LinearModel,
     decision_values,
+    fit,
     fit_kernel_svm_fair,
     fit_linear_svm_fair,
     fit_logreg,
@@ -17,6 +18,7 @@ from .models import (
     fit_logreg_fairness_max,
     fit_logreg_fine_grained,
     predict,
+    protected_rows,
 )
 from .solvers import (
     QuadraticProblem,
@@ -50,6 +52,7 @@ __all__ = [
     "cv_score",
     "decision_values",
     "encode_sensitive",
+    "fit",
     "fit_kernel_svm_fair",
     "fit_linear_svm_fair",
     "fit_logreg",
@@ -62,6 +65,7 @@ __all__ = [
     "minimize_smooth",
     "p_percent_rule",
     "predict",
+    "protected_rows",
     "solve_qp",
     "split",
 ]

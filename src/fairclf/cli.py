@@ -30,15 +30,11 @@ from .models import (
     FitSpec,
     KernelSpec,
     decision_values,
-    fit_kernel_svm_fair,
-    fit_linear_svm_fair,
-    fit_logreg,
-    fit_logreg_fair,
-    fit_logreg_fairness_max,
-    fit_logreg_fine_grained,
+    fit,
     model_from_dict,
     model_to_dict,
     predict,
+    protected_rows,
 )
 from .sweep import ExperimentConfig, emit_results, run_sweep
 from .synth import SynthConfig, generate
@@ -115,46 +111,26 @@ def _cmd_train(args) -> int:
         dataset = append_bias(dataset)
     kernel = KernelSpec(kind=args.kernel, rbf_gamma=args.rbf_gamma)
     mode = args.mode
-    kwargs: dict = {"mode": mode, "l2_penalty": args.l2}
-    if mode == "fairness_constrained":
-        if args.c is None:
-            raise SystemExit("--c is required for fairness_constrained")
-        kwargs["covariance_thresholds"] = args.c if len(args.c) > 1 else args.c[0]
-    elif mode == "accuracy_constrained":
-        if args.gamma is None:
-            raise SystemExit("--gamma is required for accuracy_constrained")
-        kwargs["gamma"] = args.gamma
-    elif mode == "fine_grained":
-        if args.gamma is None:
-            raise SystemExit("--gamma is required for fine_grained")
+    if mode == "fairness_constrained" and args.c is None:
+        raise SystemExit("--c is required for fairness_constrained")
+    if mode in ("accuracy_constrained", "fine_grained") and args.gamma is None:
+        raise SystemExit(f"--gamma is required for {mode}")
+    if args.classifier != "logreg" and mode not in ("unconstrained", "fairness_constrained"):
+        raise SystemExit(f"{args.classifier} supports unconstrained and fairness_constrained modes")
 
     if args.classifier == "logreg":
-        if mode == "unconstrained":
-            model = fit_logreg(dataset, FitSpec(**kwargs))
-        elif mode == "fairness_constrained":
-            model = fit_logreg_fair(dataset, FitSpec(**kwargs))
-        elif mode == "accuracy_constrained":
-            model = fit_logreg_fairness_max(dataset, FitSpec(**kwargs))
-        else:
-            base = fit_logreg(dataset, FitSpec(mode="unconstrained", l2_penalty=args.l2))
-            positive = decision_values(base, dataset.features) >= 0
-            in_group = dataset.sensitive[:, 0] == args.protect_group
-            spec = FitSpec(
-                mode="fine_grained",
-                per_point_gammas=np.full(dataset.n, args.gamma),
-                protected_index_set=np.flatnonzero(positive & in_group),
-                l2_penalty=args.l2,
-            )
-            model = fit_logreg_fine_grained(dataset, spec)
+        fields: dict = {"l2_penalty": args.l2}
     else:
-        if mode not in ("unconstrained", "fairness_constrained"):
-            raise SystemExit(f"{args.classifier} supports unconstrained and fairness_constrained modes")
-        kwargs["svm_cost"] = args.svm_cost
-        if args.classifier == "kernel_svm":
-            kwargs["kernel"] = kernel
-            model = fit_kernel_svm_fair(dataset, FitSpec(**kwargs))
-        else:
-            model = fit_linear_svm_fair(dataset, FitSpec(**kwargs))
+        fields = {"svm_cost": args.svm_cost, "kernel": kernel}
+    if mode == "fairness_constrained":
+        fields["covariance_thresholds"] = args.c if len(args.c) > 1 else args.c[0]
+    elif mode == "accuracy_constrained":
+        fields["gamma"] = args.gamma
+    elif mode == "fine_grained":
+        baseline = fit(dataset, args.classifier, FitSpec(mode="unconstrained", **fields))
+        fields["per_point_gammas"] = np.full(dataset.n, args.gamma)
+        fields["protected_index_set"] = protected_rows(baseline, dataset, args.protect_group)
+    model = fit(dataset, args.classifier, FitSpec(mode=mode, **fields))
 
     Path(args.out).write_text(json.dumps(model_to_dict(model), indent=2) + "\n")
     report = run_audit(decision_values(model, dataset.features), dataset)

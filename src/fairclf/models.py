@@ -31,6 +31,7 @@ from scipy.special import expit
 from .data import Dataset
 from .solvers import (
     ConstraintBlock,
+    KKTResiduals,
     QuadraticProblem,
     SmoothProblem,
     SolverResult,
@@ -45,6 +46,7 @@ __all__ = [
     "KernelSpec",
     "LinearModel",
     "decision_values",
+    "fit",
     "fit_kernel_svm_fair",
     "fit_linear_svm_fair",
     "fit_logreg",
@@ -54,6 +56,7 @@ __all__ = [
     "model_from_dict",
     "model_to_dict",
     "predict",
+    "protected_rows",
 ]
 
 Mode = Literal["unconstrained", "fairness_constrained", "accuracy_constrained", "fine_grained"]
@@ -378,11 +381,6 @@ def fit_logreg_fair(train: Dataset, spec: FitSpec, settings: SolverSettings | No
     return LinearModel(theta=result.point, training_meta=meta)
 
 
-def _unconstrained_reference(train: Dataset, spec: FitSpec, settings: SolverSettings) -> LinearModel:
-    base_spec = FitSpec(mode="unconstrained", l2_penalty=spec.l2_penalty)
-    return fit_logreg(train, base_spec, settings)
-
-
 def _covariance_objective_problem(
     train: Dataset,
     extra_blocks: list,
@@ -424,7 +422,7 @@ def fit_logreg_fairness_max(train: Dataset, spec: FitSpec, settings: SolverSetti
         raise ValueError("fit_logreg_fairness_max requires mode 'accuracy_constrained'")
     _require_bias(train, "fit_logreg_fairness_max")
     settings = settings or _default_settings(feasibility_tolerance=3e-9)
-    base = _unconstrained_reference(train, spec, _default_settings())
+    base = fit_logreg(train, FitSpec(mode="unconstrained", l2_penalty=spec.l2_penalty), _default_settings())
     ridge = base.training_meta["l2_penalty"]
     loss_star = base.training_meta["objective"]
     # microscopic headroom keeps the budget set full-dimensional at gamma = 0
@@ -450,21 +448,19 @@ def fit_logreg_fairness_max(train: Dataset, spec: FitSpec, settings: SolverSetti
     zero_theta = np.zeros(train.n_features)
     zero_loss = logistic_loss(zero_theta, features, labels, ridge)
     if zero_loss <= budget:
-        w = covariance_vectors(train)
-        meta = {
-            "mode": "accuracy_constrained",
-            "converged": True,
-            "status": "converged",
-            "objective": 0.0,
-            "iterations": 0,
-            "kkt": {"stationarity_norm": 0.0, "max_violation": 0.0, "max_comp_slack": 0.0},
-            "gamma": spec.gamma,
-            "l2_penalty": ridge,
-            "loss_star": loss_star,
-            "loss": zero_loss,
-            "covariance": (w @ zero_theta).tolist(),
-            "closed_form": True,
-        }
+        exact = SolverResult(
+            point=zero_theta, objective_value=0.0, status="converged", kkt=KKTResiduals(0.0, 0.0, 0.0), iterations=0
+        )
+        meta = _meta(
+            "accuracy_constrained",
+            exact,
+            gamma=spec.gamma,
+            l2_penalty=ridge,
+            loss_star=loss_star,
+            loss=zero_loss,
+            covariance=(covariance_vectors(train) @ zero_theta).tolist(),
+            closed_form=True,
+        )
         return LinearModel(theta=zero_theta, training_meta=meta)
 
     block = ConstraintBlock(value=loss_block, jacobian=loss_jac, size=1)
@@ -507,7 +503,7 @@ def fit_logreg_fine_grained(train: Dataset, spec: FitSpec, settings: SolverSetti
     if protected.size and (protected.min() < 0 or protected.max() >= train.n):
         raise ValueError("protected_index_set out of range")
 
-    base = _unconstrained_reference(train, spec, _default_settings())
+    base = fit_logreg(train, FitSpec(mode="unconstrained", l2_penalty=spec.l2_penalty), _default_settings())
     features, labels = train.features, train.labels
     loss_star_i = per_point_logistic_loss(base.theta, features, labels)
 
@@ -576,6 +572,17 @@ def _squared_hinge(theta, features, labels, svm_cost) -> tuple[float, np.ndarray
     return value, grad
 
 
+def _svm_thresholds(train: Dataset, spec: FitSpec, op: str) -> np.ndarray:
+    """Covariance thresholds of an SVM fit: the spec's c, or inf when unconstrained."""
+    if spec.mode not in ("unconstrained", "fairness_constrained"):
+        raise ValueError(f"{op} supports the unconstrained and fairness_constrained modes")
+    if spec.svm_cost is None:
+        raise ValueError(f"{op} requires svm_cost")
+    if spec.mode == "unconstrained":
+        return np.full(train.n_sensitive, np.inf)
+    return spec.thresholds_for(train.n_sensitive)
+
+
 def fit_linear_svm_fair(train: Dataset, spec: FitSpec, settings: SolverSettings | None = None) -> LinearModel:
     """Linear soft-margin SVM under covariance bounds.
 
@@ -585,19 +592,12 @@ def fit_linear_svm_fair(train: Dataset, spec: FitSpec, settings: SolverSettings 
     quadratic program in (theta, xi); in both cases the reported slack values
     are max(0, 1 - y m) at the solution.
     """
-    if spec.mode not in ("unconstrained", "fairness_constrained"):
-        raise ValueError("fit_linear_svm_fair supports the unconstrained and fairness_constrained modes")
+    c = _svm_thresholds(train, spec, "fit_linear_svm_fair")
     _require_bias(train, "fit_linear_svm_fair")
-    if spec.svm_cost is None:
-        raise ValueError("linear SVM requires svm_cost")
     settings = settings or _default_settings()
     features, labels = train.features, train.labels
     n, d = features.shape
     w = covariance_vectors(train)
-    if spec.mode == "fairness_constrained":
-        c = spec.thresholds_for(train.n_sensitive)
-    else:
-        c = np.full(train.n_sensitive, np.inf)
 
     if spec.svm_hinge == "squared":
         rows = _covariance_rows(w, c)
@@ -665,13 +665,8 @@ def fit_kernel_svm_fair(train: Dataset, spec: FitSpec, settings: SolverSettings 
     signed distance over the training rows. A Gram matrix that fails the
     positive-semidefiniteness check is rejected.
     """
-    if spec.mode not in ("unconstrained", "fairness_constrained"):
-        raise ValueError("fit_kernel_svm_fair supports the unconstrained and fairness_constrained modes")
-    if spec.svm_cost is None:
-        raise ValueError("kernel SVM requires svm_cost")
-    settings = settings or SolverSettings(
-        max_iterations=50_000, objective_tolerance=1e-7, kkt_tolerance=1e-6, feasibility_tolerance=1e-10
-    )
+    c = _svm_thresholds(train, spec, "fit_kernel_svm_fair")
+    settings = settings or _default_settings(max_iterations=50_000, feasibility_tolerance=1e-10)
     features, labels = train.features, train.labels
     n = train.n
     kernel = resolve_kernel(spec.kernel, features)
@@ -681,26 +676,15 @@ def fit_kernel_svm_fair(train: Dataset, spec: FitSpec, settings: SolverSettings 
     q_matrix = (labels[:, None] * labels[None, :]) * (gram + np.eye(n) / spec.svm_cost) / n
     q_vector = -np.ones(n) / n
 
-    if spec.mode == "fairness_constrained":
-        c = spec.thresholds_for(train.n_sensitive)
-    else:
-        c = np.full(train.n_sensitive, np.inf)
     centered = train.sensitive - train.sensitive.mean(axis=0, keepdims=True)
     cov_rows = (gram @ centered / n).T * labels[None, :]  # row k: cov_k = row . alpha
-    rows = []
-    for k in range(train.n_sensitive):
-        if not np.isfinite(c[k]):
-            continue
-        rows.append((cov_rows[k], float(c[k])))
-        rows.append((-cov_rows[k], float(c[k])))
-    rows = _normalized_rows(rows)
 
     problem = QuadraticProblem(
         q_matrix=q_matrix,
         q_vector=q_vector,
         box=(np.zeros(n), np.full(n, float(spec.svm_cost))),
         equality=(labels / math.sqrt(n), 0.0),
-        linear_constraints=rows,
+        linear_constraints=_covariance_rows(cov_rows, c),
     )
     result = solve_qp(problem, settings)
     alphas = np.clip(result.point, 0.0, spec.svm_cost)
@@ -731,6 +715,39 @@ def fit_kernel_svm_fair(train: Dataset, spec: FitSpec, settings: SolverSettings 
         svm_cost=spec.svm_cost,
         training_meta=meta,
     )
+
+
+# ---------------------------------------------------------------------------
+# dispatch
+
+# logistic fit per mode, by name
+_LOGREG_FITS = {
+    "unconstrained": "fit_logreg",
+    "fairness_constrained": "fit_logreg_fair",
+    "accuracy_constrained": "fit_logreg_fairness_max",
+    "fine_grained": "fit_logreg_fine_grained",
+}
+
+
+def fit(train: Dataset, classifier: str, spec: FitSpec, settings: SolverSettings | None = None):
+    """Fit ``classifier`` (logreg, linear_svm or kernel_svm) in ``spec.mode``.
+
+    Calls the public fit function of the pair, looked up by name at call time
+    so that a rebinding of that name is the one called.
+    """
+    if classifier == "logreg":
+        name = _LOGREG_FITS[spec.mode]
+    elif classifier in ("linear_svm", "kernel_svm"):
+        name = f"fit_{classifier}_fair"
+    else:
+        raise ValueError(f"unknown classifier {classifier!r}")
+    return globals()[name](train, spec, settings)
+
+
+def protected_rows(baseline: LinearModel | KernelModel, train: Dataset, group: int) -> np.ndarray:
+    """Rows of ``group`` (first sensitive column) that ``baseline`` classifies as positive."""
+    positive = decision_values(baseline, train.features) >= 0
+    return np.flatnonzero(positive & (train.sensitive[:, 0] == group))
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,14 @@ grid cell: either covariance thresholds c = a * c* (or explicit threshold
 vectors) or loss-budget factors gamma. Accuracy is reported on the held-out
 rows, constraint satisfaction and the fairness audit on the training rows as
 well, and the relative loss of a fairness sweep is normalized between the
-baseline loss and the loss of the fully constrained (c = 0) fit.
+baseline loss and the loss of the fully constrained (c = 0) fit. That fit is
+made once per repeat; a grid cell whose thresholds are all zero reuses it.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,20 +24,11 @@ import numpy as np
 from .data import Dataset, SplitPlan, append_bias, read_dataset_csv, split, standardize_columns
 from .ingest import load_adult, load_bank
 from .metrics import FairnessReport, audit
-from .models import (
-    FitSpec,
-    KernelSpec,
-    decision_values,
-    fit_kernel_svm_fair,
-    fit_linear_svm_fair,
-    fit_logreg,
-    fit_logreg_fair,
-    fit_logreg_fairness_max,
-    fit_logreg_fine_grained,
-    predict,
-)
+from .models import FitSpec, KernelSpec, decision_values, fit, predict, protected_rows
 
 __all__ = ["CellResult", "ExperimentConfig", "SweepResult", "run_sweep", "emit_results"]
+
+log = logging.getLogger(__name__)
 
 Classifier = Literal["logreg", "linear_svm", "kernel_svm"]
 SweepMode = Literal["fairness_constrained", "accuracy_constrained", "fine_grained"]
@@ -137,46 +130,6 @@ def load_dataset(source: dict) -> Dataset:
     raise ValueError(f"unknown dataset kind {kind!r}")
 
 
-def _fit_unconstrained(config: ExperimentConfig, train: Dataset):
-    if config.classifier == "logreg":
-        return fit_logreg(train, FitSpec(mode="unconstrained", l2_penalty=config.l2_penalty))
-    spec = FitSpec(mode="unconstrained", svm_cost=config.svm_cost, l2_penalty=0.0, kernel=config.kernel)
-    if config.classifier == "linear_svm":
-        return fit_linear_svm_fair(train, spec)
-    return fit_kernel_svm_fair(train, spec)
-
-
-def _fit_fair(config: ExperimentConfig, train: Dataset, thresholds: np.ndarray):
-    if config.classifier == "logreg":
-        spec = FitSpec(mode="fairness_constrained", covariance_thresholds=thresholds, l2_penalty=config.l2_penalty)
-        return fit_logreg_fair(train, spec)
-    spec = FitSpec(
-        mode="fairness_constrained",
-        covariance_thresholds=thresholds,
-        svm_cost=config.svm_cost,
-        kernel=config.kernel,
-    )
-    if config.classifier == "linear_svm":
-        return fit_linear_svm_fair(train, spec)
-    return fit_kernel_svm_fair(train, spec)
-
-
-def _fit_gamma(config: ExperimentConfig, train: Dataset, gamma: float, baseline):
-    if config.mode == "accuracy_constrained":
-        spec = FitSpec(mode="accuracy_constrained", gamma=gamma, l2_penalty=config.l2_penalty)
-        return fit_logreg_fairness_max(train, spec)
-    base_positive = decision_values(baseline, train.features) >= 0
-    in_group = train.sensitive[:, 0] == config.protect_group
-    protected = np.flatnonzero(base_positive & in_group)
-    spec = FitSpec(
-        mode="fine_grained",
-        per_point_gammas=np.full(train.n, gamma),
-        protected_index_set=protected,
-        l2_penalty=config.l2_penalty,
-    )
-    return fit_logreg_fine_grained(train, spec)
-
-
 def _accuracy(model, dataset: Dataset) -> float:
     return float(np.mean(predict(model, dataset.features) == dataset.labels))
 
@@ -187,22 +140,32 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     grid = config.grid
     cells: list[CellResult] = []
     baselines: list[dict] = []
+    if config.classifier == "logreg":
+        fields: dict = {"l2_penalty": config.l2_penalty}
+    else:
+        fields = {"svm_cost": config.svm_cost, "kernel": config.kernel}
 
     for repeat in range(config.split.repeats):
         train, test = split(dataset, config.split, repeat)
         train, test = standardize_columns(train, test)
-        baseline = _fit_unconstrained(config, train)
+        baseline = fit(train, config.classifier, FitSpec(mode="unconstrained", **fields))
         base_train_report = audit(decision_values(baseline, train.features), train)
         c_star = np.array([abs(base_train_report.covariance_per_column[name]) for name in train.sensitive_names])
         loss_star = float(baseline.training_meta["objective"])
+        if config.mode == "fine_grained":
+            protected = protected_rows(baseline, train, config.protect_group)
 
-        loss_zero = None
+        loss_zero = zero_fit = zero_error = None
         if config.mode == "fairness_constrained":
+            start = time.perf_counter()
             try:
-                zero_fit = _fit_fair(config, train, np.zeros(train.n_sensitive))
+                zero_spec = FitSpec(mode=config.mode, covariance_thresholds=np.zeros(train.n_sensitive), **fields)
+                zero_fit = fit(train, config.classifier, zero_spec)
                 loss_zero = float(zero_fit.training_meta["objective"])
-            except Exception:
-                loss_zero = None
+            except Exception as exc:
+                zero_error = exc
+                log.warning("repeat %d: the c=0 fit failed, relative losses are nan: %s", repeat, exc)
+            zero_seconds = time.perf_counter() - start
         baselines.append(
             {
                 "repeat": repeat,
@@ -221,14 +184,22 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
             try:
                 if config.mode == "fairness_constrained":
                     thresholds = np.asarray(params["c"], dtype=float) if "c" in params else params["a"] * c_star
-                    model = _fit_fair(config, train, thresholds)
+                    spec = FitSpec(mode=config.mode, covariance_thresholds=thresholds, **fields)
+                elif config.mode == "accuracy_constrained":
+                    spec = FitSpec(mode=config.mode, gamma=params["gamma"], **fields)
                 else:
-                    model = _fit_gamma(config, train, params["gamma"], baseline)
-                train_loss = float(
-                    model.training_meta.get("loss", model.training_meta["objective"])
-                    if config.mode == "accuracy_constrained"
-                    else model.training_meta["objective"]
-                )
+                    gammas = np.full(train.n, params["gamma"])
+                    spec = FitSpec(mode=config.mode, per_point_gammas=gammas, protected_index_set=protected, **fields)
+                if config.mode == "fairness_constrained" and not np.any(spec.thresholds_for(train.n_sensitive)):
+                    # the all-zero cell is this repeat's c=0 fit, and its time counts here
+                    start -= zero_seconds
+                    if zero_error is not None:
+                        raise zero_error
+                    model = zero_fit
+                else:
+                    model = fit(train, config.classifier, spec)
+                meta = model.training_meta
+                train_loss = float(meta["loss"] if config.mode == "accuracy_constrained" else meta["objective"])
                 if config.mode != "fairness_constrained" or loss_zero is None:
                     relative = float("nan")
                 elif loss_zero > loss_star + 1e-12:
@@ -240,7 +211,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
                         cell_index=cell_index,
                         repeat=repeat,
                         params=params,
-                        status=model.training_meta["status"],
+                        status=meta["status"],
                         train_accuracy=_accuracy(model, train),
                         test_accuracy=_accuracy(model, test),
                         train_loss=train_loss,

@@ -2,9 +2,23 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from fairclf.cli import cli_main
+from fairclf.data import append_bias, read_dataset_csv
+from fairclf.models import (
+    FitSpec,
+    KernelSpec,
+    decision_values,
+    fit_kernel_svm_fair,
+    fit_linear_svm_fair,
+    fit_logreg,
+    fit_logreg_fair,
+    fit_logreg_fairness_max,
+    fit_logreg_fine_grained,
+    model_to_dict,
+)
 
 from test_ingest import BANK_HEADER, BANK_ROWS, adult_rows, write_adult_fixture
 
@@ -95,6 +109,72 @@ class TestTrainAndAudit:
     def test_missing_required_flag(self, synth_csv, tmp_path, capsys):
         code = cli_main(["train", "--data", str(synth_csv), "--mode", "fairness_constrained", "--out", str(tmp_path / "m.json")])
         assert code != 0
+
+
+def direct_fit(dataset, classifier, mode):
+    """The model ``train`` should save, fitted by calling the public fit function directly."""
+    if classifier != "logreg":
+        thresholds = {"covariance_thresholds": 0.1} if mode == "fairness_constrained" else {}
+        if classifier == "linear_svm":
+            return fit_linear_svm_fair(dataset, FitSpec(mode=mode, svm_cost=1.0, **thresholds))
+        return fit_kernel_svm_fair(dataset, FitSpec(mode=mode, svm_cost=1.0, kernel=KernelSpec(kind="rbf"), **thresholds))
+    if mode == "unconstrained":
+        return fit_logreg(dataset, FitSpec(mode=mode))
+    if mode == "fairness_constrained":
+        return fit_logreg_fair(dataset, FitSpec(mode=mode, covariance_thresholds=0.1))
+    if mode == "accuracy_constrained":
+        return fit_logreg_fairness_max(dataset, FitSpec(mode=mode, gamma=0.5))
+    base = fit_logreg(dataset, FitSpec(mode="unconstrained"))
+    protected = np.flatnonzero((decision_values(base, dataset.features) >= 0) & (dataset.sensitive[:, 0] == 1))
+    spec = FitSpec(mode=mode, per_point_gammas=np.full(dataset.n, 0.5), protected_index_set=protected)
+    return fit_logreg_fine_grained(dataset, spec)
+
+
+MODE_FLAGS = {
+    "unconstrained": [],
+    "fairness_constrained": ["--c", "0.1"],
+    "accuracy_constrained": ["--gamma", "0.5"],
+    "fine_grained": ["--gamma", "0.5"],
+}
+
+TRAIN_PAIRS = [("logreg", mode) for mode in MODE_FLAGS] + [
+    (classifier, mode)
+    for classifier in ("linear_svm", "kernel_svm")
+    for mode in ("unconstrained", "fairness_constrained")
+]
+
+
+class TestTrainDispatch:
+    @pytest.mark.parametrize("classifier,mode", TRAIN_PAIRS)
+    def test_saved_model_equals_direct_fit(self, synth_csv, tmp_path, capsys, classifier, mode):
+        model_path = tmp_path / "model.json"
+        argv = ["train", "--data", str(synth_csv), "--classifier", classifier, "--mode", mode]
+        code = cli_main(argv + MODE_FLAGS[mode] + ["--out", str(model_path)])
+        assert code == 0, capsys.readouterr().err
+        expected = model_to_dict(direct_fit(append_bias(read_dataset_csv(synth_csv)), classifier, mode))
+        assert json.loads(model_path.read_text()) == json.loads(json.dumps(expected))
+
+    @pytest.mark.parametrize("classifier", ["linear_svm", "kernel_svm"])
+    @pytest.mark.parametrize("mode", ["accuracy_constrained", "fine_grained"])
+    def test_svm_gamma_mode_is_usage_error(self, synth_csv, tmp_path, capsys, classifier, mode):
+        argv = ["train", "--data", str(synth_csv), "--classifier", classifier, "--mode", mode, "--gamma", "0.5"]
+        code = cli_main(argv + ["--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"{classifier} supports unconstrained and fairness_constrained modes"
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize(
+        "mode,message",
+        [
+            ("fairness_constrained", "--c is required for fairness_constrained"),
+            ("accuracy_constrained", "--gamma is required for accuracy_constrained"),
+            ("fine_grained", "--gamma is required for fine_grained"),
+        ],
+    )
+    def test_missing_threshold_is_usage_error(self, synth_csv, tmp_path, capsys, mode, message):
+        code = cli_main(["train", "--data", str(synth_csv), "--mode", mode, "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == message
 
 
 class TestSweepCommand:

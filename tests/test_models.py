@@ -10,6 +10,7 @@ from fairclf.models import (
     LinearModel,
     covariance_vectors,
     decision_values,
+    fit,
     fit_kernel_svm_fair,
     fit_linear_svm_fair,
     fit_logreg,
@@ -22,6 +23,7 @@ from fairclf.models import (
     model_to_dict,
     per_point_logistic_loss,
     predict,
+    protected_rows,
 )
 from fairclf.synth import SynthConfig, gen_linear_synthetic
 
@@ -426,6 +428,41 @@ class TestKernelSvm:
                 kernel=KernelSpec(kind="linear"),
                 svm_cost=2.0,
             )
+
+
+class TestFitDispatch:
+    def test_unknown_classifier(self):
+        with pytest.raises(ValueError, match="unknown classifier"):
+            fit(two_point_dataset(), "forest", FitSpec(mode="unconstrained"))
+
+    def test_svm_rejects_gamma_modes(self):
+        spec = FitSpec(mode="accuracy_constrained", gamma=0.1, svm_cost=1.0)
+        for classifier in ("linear_svm", "kernel_svm"):
+            with pytest.raises(ValueError, match="supports the unconstrained and fairness_constrained"):
+                fit(two_point_dataset(), classifier, spec)
+
+    def test_looks_up_the_fit_at_call_time(self, monkeypatch):
+        import fairclf.models
+
+        calls = []
+        monkeypatch.setattr(fairclf.models, "fit_logreg_fair", lambda *args: calls.append(args) or "model")
+        spec = FitSpec(mode="fairness_constrained", covariance_thresholds=0.0)
+        ds = two_point_dataset()
+        assert fit(ds, "logreg", spec) == "model"
+        assert calls == [(ds, spec, None)]
+
+    def test_protected_rows(self):
+        ds = Dataset(
+            features=np.array([[1.0, 1.0], [-1.0, 1.0], [2.0, 1.0], [-2.0, 1.0]]),
+            labels=np.array([1.0, -1.0, 1.0, -1.0]),
+            sensitive=np.array([[1.0], [1.0], [0.0], [0.0]]),
+            sensitive_names=("z",),
+            feature_names=("x1", "bias"),
+            has_bias_column=True,
+        )
+        baseline = LinearModel(theta=np.array([1.0, 0.0]))
+        np.testing.assert_array_equal(protected_rows(baseline, ds, 1), [0])
+        np.testing.assert_array_equal(protected_rows(baseline, ds, 0), [2])
 
 
 class TestPrediction:

@@ -1,4 +1,6 @@
 import json
+import logging
+import time
 
 import numpy as np
 import pytest
@@ -93,6 +95,55 @@ class TestRunSweep:
         assert cell.train_loss == pytest.approx(direct.training_meta["objective"], rel=1e-9)
         direct_report = audit(decision_values(direct, train.features), train)
         assert cell.train_report.p_percent["z"] == pytest.approx(direct_report.p_percent["z"])
+
+    def test_one_c0_fit_per_repeat(self, monkeypatch):
+        import fairclf.models
+
+        calls = []
+        original = fairclf.models.minimize_smooth
+
+        def counting(problem, settings=None):
+            calls.append(problem)
+            return original(problem, settings)
+
+        monkeypatch.setattr(fairclf.models, "minimize_smooth", counting)
+        config = fairness_config()
+        run_sweep(config)
+        assert len(calls) == config.split.repeats * (1 + len(config.grid)) == 8
+
+    def test_zero_cell_is_the_c0_fit(self, result):
+        for repeat, baseline in enumerate(result.baselines):
+            cell = next(c for c in result.cells if c.params == {"a": 0.0} and c.repeat == repeat)
+            assert cell.train_loss == baseline["loss_zero"]
+            assert cell.relative_loss == 1.0
+
+    def test_failed_c0_fit_is_logged(self, monkeypatch, caplog):
+        import fairclf.models
+
+        original = fairclf.models.fit_logreg_fair
+
+        def failing_at_zero(train, spec, settings=None):
+            if not np.any(spec.thresholds_for(train.n_sensitive)):
+                time.sleep(0.05)
+                raise RuntimeError("no c=0 fit today")
+            return original(train, spec, settings)
+
+        monkeypatch.setattr(fairclf.models, "fit_logreg_fair", failing_at_zero)
+        with caplog.at_level(logging.WARNING, logger="fairclf.sweep"):
+            result = run_sweep(fairness_config())
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert [r.name for r in warnings] == ["fairclf.sweep", "fairclf.sweep"]
+        for repeat, record in enumerate(warnings):
+            assert f"repeat {repeat}" in record.getMessage()
+            assert "no c=0 fit today" in record.getMessage()
+        assert all(b["loss_zero"] is None for b in result.baselines)
+        for cell in result.cells:
+            if cell.params == {"a": 0.0}:
+                assert cell.status == "error: no c=0 fit today"
+                assert cell.wall_time >= 0.05  # the failed c=0 fit's time counts in the a=0 cell
+            else:
+                assert not cell.status.startswith("error")
+                assert np.isnan(cell.relative_loss)
 
     def test_failed_cell_recorded_not_fatal(self):
         config = fairness_config(a_factors=None, c_values=((0.5,), (-1.0,)))
