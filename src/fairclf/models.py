@@ -36,7 +36,10 @@ from .solvers import (
     SmoothProblem,
     SolverResult,
     SolverSettings,
+    WeightedRows,
+    matvec,
     minimize_smooth,
+    rmatvec,
     solve_qp,
 )
 
@@ -187,26 +190,55 @@ def _log1pexp(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def logistic_loss(theta: np.ndarray, features: np.ndarray, labels: np.ndarray, l2_penalty: float = 0.0) -> float:
-    """Negative log-likelihood of ±1 labels, plus l2_penalty * ||theta||^2."""
-    margins = labels * (features @ theta)
-    value = float(np.sum(_log1pexp(-margins)))
+def _loss_at(theta, scores, labels, l2_penalty: float) -> float:
+    """Logistic loss from the scores X @ theta."""
+    value = float(np.sum(_log1pexp(-(labels * scores))))
     if l2_penalty:
         value += l2_penalty * float(theta @ theta)
     return value
 
 
-def logistic_loss_gradient(theta, features, labels, l2_penalty: float = 0.0) -> np.ndarray:
-    s = expit(-labels * (features @ theta))
-    grad = -(features.T @ (labels * s))
+def _gradient_at(theta, scores, features, labels, l2_penalty: float) -> np.ndarray:
+    """Logistic loss gradient from the scores X @ theta."""
+    s = expit(-labels * scores)
+    grad = -rmatvec(features, labels * s)
     if l2_penalty:
         grad = grad + 2.0 * l2_penalty * theta
     return grad
 
 
+def logistic_loss(theta: np.ndarray, features: np.ndarray, labels: np.ndarray, l2_penalty: float = 0.0) -> float:
+    """Negative log-likelihood of ±1 labels, plus l2_penalty * ||theta||^2."""
+    return _loss_at(theta, matvec(features, theta), labels, l2_penalty)
+
+
+def logistic_loss_gradient(theta, features, labels, l2_penalty: float = 0.0) -> np.ndarray:
+    return _gradient_at(theta, matvec(features, theta), features, labels, l2_penalty)
+
+
 def per_point_logistic_loss(theta, features, labels) -> np.ndarray:
     """Vector of per-row negative log-likelihoods."""
-    return _log1pexp(-(labels * (features @ theta)))
+    return _log1pexp(-(labels * matvec(features, theta)))
+
+
+def _at_last_point(fn):
+    """``fn`` of one float vector, reusing its result while called again at the same point.
+
+    The solver asks for a value and a gradient at the same point, so the two
+    share one pass over the rows instead of making one each. Points are
+    compared by their bytes, which costs less than the d=3 products it
+    saves. The result is shared, so callers must not modify it.
+    """
+    key, result = None, None
+
+    def cached(x: np.ndarray):
+        nonlocal key, result
+        x_key = x.tobytes()
+        if x_key != key:
+            key, result = x_key, fn(x)
+        return result
+
+    return cached
 
 
 def covariance_vectors(dataset: Dataset) -> np.ndarray:
@@ -315,12 +347,13 @@ def _fit_logreg_core(features, labels, l2_penalty, settings, constraints=None) -
     # independent of the row count; reported objectives are totals
     n, d = features.shape
     inv_n = 1.0 / n
+    scores = _at_last_point(lambda theta: matvec(features, theta))
 
     def objective(theta):
-        return logistic_loss(theta, features, labels, l2_penalty) * inv_n
+        return _loss_at(theta, scores(theta), labels, l2_penalty) * inv_n
 
     def gradient(theta):
-        return logistic_loss_gradient(theta, features, labels, l2_penalty) * inv_n
+        return _gradient_at(theta, scores(theta), features, labels, l2_penalty) * inv_n
 
     problem = SmoothProblem(
         dimension=d,
@@ -429,17 +462,17 @@ def fit_logreg_fairness_max(train: Dataset, spec: FitSpec, settings: SolverSetti
     # while staying far inside the documented (1 + 1e-8) budget factor
     budget = max((1.0 + spec.gamma) * loss_star, 1e-12) * (1.0 + 5e-9)
     features, labels = train.features, train.labels
+    d = features.shape[1]
+    scores = _at_last_point(lambda v: matvec(features, v[:d]))
 
     def loss_block(v: np.ndarray) -> np.ndarray:
         # normalized so the feasibility tolerance bounds the relative
         # exceedance of the loss budget
-        theta = v[:features.shape[1]]
-        return np.array([logistic_loss(theta, features, labels, ridge) / budget - 1.0])
+        return np.array([_loss_at(v[:d], scores(v), labels, ridge) / budget - 1.0])
 
     def loss_jac(v: np.ndarray) -> np.ndarray:
-        theta = v[:features.shape[1]]
-        g = logistic_loss_gradient(theta, features, labels, ridge) / budget
-        return np.concatenate([g, np.zeros(v.size - g.size)])[None, :]
+        g = _gradient_at(v[:d], scores(v), features, labels, ridge) / budget
+        return np.concatenate([g, np.zeros(v.size - d)])[None, :]
 
     # once the budget admits the all-zero boundary, that boundary is an exact
     # optimum (its covariance is identically zero in every column), so the
@@ -481,6 +514,24 @@ def fit_logreg_fairness_max(train: Dataset, spec: FitSpec, settings: SolverSetti
     return LinearModel(theta=theta, training_meta=meta)
 
 
+def _point_loss_block(features, labels, bounds, scales, width: int) -> ConstraintBlock:
+    """Per-row budgets (loss_i(theta) - bounds_i) / scales_i <= 0 over ``width`` variables (theta, t).
+
+    The Jacobian is diag(-y sigma(-y X theta) / scales) [X, 0] as an
+    operator, so no n x width matrix is formed.
+    """
+    d = features.shape[1]
+    scores = _at_last_point(lambda v: matvec(features, v[:d]))
+
+    def value(v: np.ndarray) -> np.ndarray:
+        return (_log1pexp(-(labels * scores(v))) - bounds) / scales
+
+    def jacobian(v: np.ndarray) -> WeightedRows:
+        return WeightedRows(features, -labels * expit(-labels * scores(v)) / scales, width)
+
+    return ConstraintBlock(value=value, jacobian=jacobian, size=labels.size)
+
+
 def fit_logreg_fine_grained(train: Dataset, spec: FitSpec, settings: SolverSettings | None = None) -> LinearModel:
     """Minimize summed |covariance| under per-point loss budgets (mode ``fine_grained``).
 
@@ -516,7 +567,6 @@ def fit_logreg_fine_grained(train: Dataset, spec: FitSpec, settings: SolverSetti
     bounds = (1.0 + gammas[idx]) * loss_star_i[idx] + 2e-10
     scales = np.clip(bounds, 1e-3, 5.0)
 
-    d = features.shape[1]
     extra_rows = []
     for i in protected:
         a = np.concatenate([-features[i], np.zeros(train.n_sensitive)])
@@ -525,20 +575,8 @@ def fit_logreg_fine_grained(train: Dataset, spec: FitSpec, settings: SolverSetti
 
     blocks = []
     if idx.size:
-        sub_x = features[idx]
-        sub_y = labels[idx]
-
-        def point_values(v: np.ndarray) -> np.ndarray:
-            theta = v[:d]
-            return (per_point_logistic_loss(theta, sub_x, sub_y) - bounds) / scales
-
-        def point_jacobian(v: np.ndarray) -> np.ndarray:
-            theta = v[:d]
-            s = expit(-sub_y * (sub_x @ theta))
-            jac_theta = -(sub_y * s / scales)[:, None] * sub_x
-            return np.hstack([jac_theta, np.zeros((idx.size, v.size - d))])
-
-        blocks.append(ConstraintBlock(value=point_values, jacobian=point_jacobian, size=idx.size))
+        width = train.n_features + train.n_sensitive
+        blocks.append(_point_loss_block(features[idx], labels[idx], bounds, scales, width))
 
     problem, d, w = _covariance_objective_problem(train, blocks, extra_rows, theta_start=np.asarray(base.theta))
     result = minimize_smooth(problem, settings)
@@ -565,10 +603,10 @@ def hinge_objective(theta, features, labels, svm_cost) -> float:
 
 
 def _squared_hinge(theta, features, labels, svm_cost) -> tuple[float, np.ndarray]:
-    margins = labels * (features @ theta)
+    margins = labels * matvec(features, theta)
     gap = np.maximum(0.0, 1.0 - margins)
     value = float(theta @ theta + svm_cost * (gap @ gap))
-    grad = 2.0 * theta - 2.0 * svm_cost * (features.T @ (labels * gap))
+    grad = 2.0 * theta - 2.0 * svm_cost * rmatvec(features, labels * gap)
     return value, grad
 
 
@@ -602,10 +640,11 @@ def fit_linear_svm_fair(train: Dataset, spec: FitSpec, settings: SolverSettings 
     if spec.svm_hinge == "squared":
         rows = _covariance_rows(w, c)
         inv_n = 1.0 / n  # mean scale keeps the stationarity tolerance row-count-free
+        hinge = _at_last_point(lambda t: _squared_hinge(t, features, labels, spec.svm_cost))
         problem = SmoothProblem(
             dimension=d,
-            objective=lambda t: _squared_hinge(t, features, labels, spec.svm_cost)[0] * inv_n,
-            gradient=lambda t: _squared_hinge(t, features, labels, spec.svm_cost)[1] * inv_n,
+            objective=lambda t: hinge(t)[0] * inv_n,
+            gradient=lambda t: hinge(t)[1] * inv_n,
             linear_constraints=rows,
             initial_point=np.zeros(d),
         )

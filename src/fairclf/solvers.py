@@ -16,6 +16,12 @@ worst primal violation and worst complementary-slackness product. A run only
 claims convergence when all three are inside tolerance. Each
 augmented-Lagrangian outer iteration and each interior-point iteration is
 logged at DEBUG level on this module's logger.
+
+numpy and scipy each link their own BLAS, each with its own thread pool, and
+L-BFGS-B runs on scipy's. Products with an n-row operand inside
+:func:`minimize_smooth`'s loop therefore go through :func:`matvec`,
+:func:`rmatvec` and :func:`dot`, which call scipy's BLAS, so that a fit wakes
+one pool instead of two that fight over the cores.
 """
 
 from __future__ import annotations
@@ -26,7 +32,9 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import ddot, dgemv
 from scipy.optimize import minimize as _scipy_minimize
+from scipy.sparse.linalg import LinearOperator
 
 __all__ = [
     "ConstraintBlock",
@@ -35,8 +43,12 @@ __all__ = [
     "SmoothProblem",
     "SolverResult",
     "SolverSettings",
+    "WeightedRows",
+    "dot",
     "kkt_residuals",
+    "matvec",
     "minimize_smooth",
+    "rmatvec",
     "solve_qp",
 ]
 
@@ -107,9 +119,14 @@ class SolverResult:
 class ConstraintBlock:
     """Vectorized inequality block g(x) <= 0 with m rows.
 
-    ``value`` maps x to a length-m vector, ``jacobian`` to an (m, n) matrix.
-    Scalar constraints are the m=1 case; grouping related constraints into one
-    block keeps the per-iteration cost at a few matrix products.
+    ``value`` maps x to a length-m vector, ``jacobian`` to the (m, n)
+    Jacobian, either as an array or as a ``scipy.sparse.linalg.LinearOperator``
+    (such as :class:`WeightedRows`). The solver only ever forms
+    ``jacobian(x).T @ lam`` (``rmatvec`` for an operator), so an operator
+    needs only its transpose product and the m x n matrix is never
+    materialised. Scalar constraints are the m=1 case; grouping related
+    constraints into one block keeps the per-iteration cost at a few matrix
+    products.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -155,6 +172,81 @@ class QuadraticProblem:
 
 
 # ---------------------------------------------------------------------------
+# products on scipy's BLAS
+
+
+def _blas_layout(a: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """(f, trans) with f Fortran-ordered and ``a`` equal to f.T if trans else f.
+
+    A C-ordered matrix is passed as its transposed view, so dgemv copies
+    nothing. None when ``a`` is empty, not float64 or in neither order.
+    """
+    if a.dtype != np.float64 or a.size == 0:
+        return None
+    if a.flags.f_contiguous:
+        return a, 0
+    if a.flags.c_contiguous:
+        return a.T, 1
+    return None
+
+
+def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a @ x`` on scipy's BLAS (on numpy's for a layout dgemv would copy)."""
+    layout = _blas_layout(a)
+    if layout is None:
+        return a @ x
+    f, trans = layout
+    return dgemv(1.0, f, x, trans=trans)
+
+
+def rmatvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``a.T @ v`` on scipy's BLAS (on numpy's for a layout dgemv would copy)."""
+    layout = _blas_layout(a)
+    if layout is None:
+        return a.T @ v
+    f, trans = layout
+    return dgemv(1.0, f, v, trans=1 - trans)
+
+
+def dot(u: np.ndarray, v: np.ndarray) -> float:
+    """``u @ v`` of two float vectors on scipy's BLAS."""
+    return float(ddot(u, v)) if u.size else 0.0
+
+
+class WeightedRows(LinearOperator):
+    """J = diag(weights) [rows, 0]: dense rows scaled per row and padded with zero columns.
+
+    ``weights`` None means all ones; ``width`` (default ``rows.shape[1]``) is
+    the number of columns of J, the trailing ones zero. Both products run
+    through :func:`matvec` and :func:`rmatvec`.
+    """
+
+    def __init__(self, rows: np.ndarray, weights: np.ndarray | None = None, width: int | None = None):
+        super().__init__(np.float64, (rows.shape[0], rows.shape[1] if width is None else width))
+        self.rows = rows
+        self.weights = weights
+
+    def _matvec(self, x: np.ndarray) -> np.ndarray:
+        y = matvec(self.rows, x[: self.rows.shape[1]])
+        return y if self.weights is None else self.weights * y
+
+    def _rmatvec(self, v: np.ndarray) -> np.ndarray:
+        out = rmatvec(self.rows, v if self.weights is None else self.weights * v)
+        pad = self.shape[1] - out.size
+        return np.concatenate([out, np.zeros(pad)]) if pad else out
+
+
+def _transpose_product(jac, v: np.ndarray) -> np.ndarray:
+    """J.T @ v for a Jacobian given as an array or as a LinearOperator.
+
+    An operator's ``rmatvec`` is that product without building the
+    transposed operator, whose dispatch cost more than the d=3 sweeps'
+    products (about a quarter of their solve time).
+    """
+    return jac.rmatvec(v) if isinstance(jac, LinearOperator) else jac.T @ v
+
+
+# ---------------------------------------------------------------------------
 # problem compilation
 
 
@@ -171,7 +263,8 @@ def _linear_arrays(pairs: Sequence[tuple[np.ndarray, float]], n: int) -> tuple[n
 def _linear_blocks(a: np.ndarray, b: np.ndarray) -> list[ConstraintBlock]:
     if not b.size:
         return []
-    return [ConstraintBlock(value=lambda x: a @ x - b, jacobian=lambda x: a, size=b.size)]
+    jac = WeightedRows(a)
+    return [ConstraintBlock(value=lambda x: matvec(a, x) - b, jacobian=lambda x: jac, size=b.size)]
 
 
 def _as_block(entry, n: int) -> ConstraintBlock:
@@ -298,7 +391,7 @@ def _residuals(comp: _Compiled, x: np.ndarray, lam: list, mu: float | None) -> K
     for block, lam_b in zip(comp.blocks, lam):
         g = block.value(x)
         if lam_b.size:
-            grad = grad + block.jacobian(x).T @ lam_b
+            grad = grad + _transpose_product(block.jacobian(x), lam_b)
             max_comp = max(max_comp, float(np.max(np.abs(lam_b * g))))
         if g.size:
             max_violation = max(max_violation, float(np.max(np.maximum(g, 0.0))))
@@ -337,10 +430,9 @@ def _solve_al(comp: _Compiled, settings: SolverSettings) -> SolverResult:
         for block, lam_b in zip(comp.blocks, lam):
             g = block.value(x)
             t = np.maximum(0.0, lam_b + rho * g)
-            active = t > 0
-            value += float((t @ t - lam_b @ lam_b) / (2.0 * rho))
-            if np.any(active):
-                grad = grad + block.jacobian(x)[active].T @ t[active]
+            value += (dot(t, t) - dot(lam_b, lam_b)) / (2.0 * rho)
+            if t.any():
+                grad = grad + _transpose_product(block.jacobian(x), t)
         return value, grad
 
     for outer in range(200):

@@ -27,6 +27,18 @@ def finite_difference_gradient(f, x: np.ndarray, step: float = 1e-6) -> np.ndarr
     return grad
 
 
+def fine_grained_jacobian(v, features, labels, scales, width) -> np.ndarray:
+    """Dense Jacobian in (theta, t) of the per-point budgets (loss_i(theta) - bound_i) / scale_i.
+
+    Row i is -(y_i sigma(-y_i x_i.theta) / scale_i) x_i, padded with zeros
+    for the trailing epigraph variables t.
+    """
+    d = features.shape[1]
+    sigma = 1.0 / (1.0 + np.exp(labels * (features @ v[:d])))
+    jac_theta = -(labels * sigma / scales)[:, None] * features
+    return np.hstack([jac_theta, np.zeros((labels.size, width - d))])
+
+
 def logistic_objective(theta: np.ndarray, features: np.ndarray, labels: np.ndarray, l2: float) -> float:
     margins = labels * (features @ theta)
     return float(np.sum(np.logaddexp(0.0, -margins)) + l2 * theta @ theta)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from fairclf.data import Dataset, append_bias
 from fairclf.metrics import audit
 from fairclf.models import (
     FitSpec,
+    _point_loss_block,
     KernelModel,
     KernelSpec,
     LinearModel,
@@ -30,6 +33,7 @@ from fairclf.synth import SynthConfig, gen_linear_synthetic
 from conftest import random_instance
 from oracles import (
     active_set_svm,
+    fine_grained_jacobian,
     finite_difference_gradient,
     grid_logistic_fair,
     hinge_objective,
@@ -296,6 +300,60 @@ class TestFineGrained:
                     protected_index_set=[ds.n + 3],
                 ),
             )
+
+
+def wide_dataset(n: int, d: int, seed: int) -> Dataset:
+    """Gaussian features plus bias; z follows x0, the label mostly x1..x5."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    z = (rng.random(n) < 1.0 / (1.0 + np.exp(-2.0 * x[:, 0]))).astype(float)
+    score = x[:, 1:6] @ rng.normal(size=5) + 0.3 * x[:, 0]
+    labels = np.where(rng.random(n) < 1.0 / (1.0 + np.exp(-score)), 1.0, -1.0)
+    ds = Dataset(
+        features=x,
+        labels=labels,
+        sensitive=z[:, None],
+        sensitive_names=("z",),
+        feature_names=tuple(f"x{j}" for j in range(d)),
+    )
+    return append_bias(ds)
+
+
+class TestPointLossBlock:
+    def test_transpose_product_matches_dense_jacobian(self):
+        rng = np.random.default_rng(8)
+        n, d, width = 200, 7, 9
+        features = rng.normal(size=(n, d))
+        labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        bounds = rng.uniform(0.2, 3.0, size=n)
+        scales = np.clip(bounds, 1e-3, 5.0)
+        block = _point_loss_block(features, labels, bounds, scales, width)
+        for _ in range(5):
+            v, lam = rng.normal(size=width), rng.random(n)
+            dense = fine_grained_jacobian(v, features, labels, scales, width)
+            jac = block.jacobian(v)
+            got = jac.T @ lam
+            np.testing.assert_allclose(got, dense.T @ lam, rtol=1e-10, atol=1e-12)
+            assert np.all(got[d:] == 0.0)
+            np.testing.assert_allclose(jac @ v, dense @ v, rtol=1e-10, atol=1e-12)
+
+    def test_fine_grained_fit_forms_no_dense_jacobian(self):
+        # an n x (d+K) Jacobian per evaluation took the parent's peak to 3.1x X
+        ds = wide_dataset(3000, 60, seed=12)
+        base = fit_logreg(ds, FitSpec(mode="unconstrained"))
+        spec = FitSpec(
+            mode="fine_grained",
+            per_point_gammas=np.full(ds.n, 3.0),
+            protected_index_set=protected_rows(base, ds, group=1),
+        )
+        tracemalloc.start()
+        try:
+            model = fit_logreg_fine_grained(ds, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.training_meta["status"] == "converged"
+        assert peak < 2.0 * ds.features.nbytes
 
 
 class TestLinearSvm:

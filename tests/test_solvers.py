@@ -1,16 +1,21 @@
 import dataclasses
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import aslinearoperator
 
 from fairclf.solvers import (
     ConstraintBlock,
     QuadraticProblem,
     SmoothProblem,
     SolverSettings,
+    dot,
     kkt_residuals,
+    matvec,
     minimize_smooth,
+    rmatvec,
     solve_qp,
 )
 
@@ -184,6 +189,94 @@ class TestMinimizeSmooth:
         problem = SmoothProblem(dimension=2, objective=f, gradient=g, convex_constraints=[block])
         result = minimize_smooth(problem, TIGHT)
         np.testing.assert_allclose(result.point, [1.0, 0.0], atol=1e-6)
+
+
+class TestOperatorJacobian:
+    """A block's ``jacobian`` may return an array or a LinearOperator wrapping it."""
+
+    @staticmethod
+    def ball_problem(as_operator: bool) -> SmoothProblem:
+        # six balls that all contain the origin, a halfspace, and a bowl
+        # centred outside their intersection, so the constraints bind
+        rng = np.random.default_rng(21)
+        centers = rng.normal(size=(6, 3))
+        radii = np.linalg.norm(centers, axis=1) + 0.5
+
+        def jacobian(x):
+            jac = 2.0 * (x - centers)
+            return aslinearoperator(jac) if as_operator else jac
+
+        block = ConstraintBlock(
+            value=lambda x: np.sum((x - centers) ** 2, axis=1) - radii**2,
+            jacobian=jacobian,
+            size=6,
+        )
+        f, g = quadratic_bowl([4.0, -3.0, 2.0])
+        return SmoothProblem(
+            dimension=3,
+            objective=f,
+            gradient=g,
+            linear_constraints=[(np.array([1.0, 1.0, 1.0]), 0.5)],
+            convex_constraints=[block],
+        )
+
+    def test_minimize_smooth_agrees(self):
+        dense = minimize_smooth(self.ball_problem(False), TIGHT)
+        operator = minimize_smooth(self.ball_problem(True), TIGHT)
+        assert dense.status == operator.status == "converged"
+        np.testing.assert_allclose(operator.point, dense.point, rtol=0, atol=1e-8)
+        assert np.max(dense.multipliers["inequality"][1]) > 1e-3  # the block binds
+
+    def test_kkt_residuals_agree(self):
+        result = minimize_smooth(self.ball_problem(False), TIGHT)
+        dense = kkt_residuals(self.ball_problem(False), result.point, result.multipliers)
+        operator = kkt_residuals(self.ball_problem(True), result.point, result.multipliers)
+        assert dense.within(TIGHT) and operator.within(TIGHT)
+        np.testing.assert_allclose(
+            [operator.stationarity_norm, operator.max_violation, operator.max_comp_slack],
+            [dense.stationarity_norm, dense.max_violation, dense.max_comp_slack],
+            rtol=1e-8,
+            atol=1e-14,
+        )
+
+
+def _layouts() -> dict:
+    rng = np.random.default_rng(3)
+    # non-negative entries, so no sum cancels and rtol alone is a fair test
+    x = rng.random((300, 40))
+    frozen = x.copy()
+    frozen.setflags(write=False)  # Dataset features are read-only
+    return {
+        "C": frozen,
+        "F": np.asfortranarray(x),
+        "row_subset": x[rng.permutation(300)[:120]],
+        "zero_rows": np.zeros((0, 40)),
+    }
+
+
+class TestBlasHelpers:
+    @pytest.mark.parametrize("layout", ["C", "F", "row_subset", "zero_rows"])
+    def test_match_numpy(self, layout):
+        a = _layouts()[layout]
+        rng = np.random.default_rng(4)
+        theta, v = rng.random(a.shape[1]), rng.random(a.shape[0])
+        for got, want in ((matvec(a, theta), a @ theta), (rmatvec(a, v), a.T @ v)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert dot(v, v) == pytest.approx(float(v @ v), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "row_subset"])
+    def test_no_copy_of_the_matrix(self, layout):
+        a = _layouts()[layout]
+        theta, v = np.ones(a.shape[1]), np.ones(a.shape[0])
+        tracemalloc.start()
+        try:
+            matvec(a, theta)
+            rmatvec(a, v)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes / 4
 
 
 class TestSolveQp:

@@ -217,3 +217,21 @@ class TestEmitResults:
         empty = SweepResult(config=config, sensitive_names=("z",), cells=[], baselines=[])
         with pytest.raises(ValueError, match="empty"):
             emit_results(empty, "/tmp/should-not-exist")
+
+
+def test_fine_grained_sweep_certifies_every_positive_gamma():
+    # the synthetic script's fine-grained sweep at its default seed; the
+    # gamma=2 cell of the second repeat only certifies when the
+    # augmented-Lagrangian value keeps its precision at rho ~ 1e6
+    config = ExperimentConfig(
+        dataset={"kind": "synthetic", "variant": "linear", "phi": float(np.pi / 4), "n": 4000, "seed": 1},
+        classifier="logreg",
+        mode="fine_grained",
+        split=SplitPlan(train_fraction=0.7, repeats=2, seed=1),
+        gammas=(0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0),
+        protect_group=1,
+    )
+    cells = run_sweep(config).cells
+    assert len(cells) == 7 * 2
+    uncertified = [(c.repeat, c.params) for c in cells if c.params["gamma"] > 0 and c.status != "converged"]
+    assert not uncertified
