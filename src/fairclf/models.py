@@ -85,8 +85,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "rbf"):
             raise ValueError("kernel kind must be 'linear' or 'rbf'")
-        if self.rbf_gamma is not None and self.rbf_gamma <= 0:
-            raise ValueError("rbf_gamma must be positive")
+        if self.rbf_gamma is not None and not 0 < self.rbf_gamma < math.inf:
+            raise ValueError("rbf_gamma must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -111,10 +111,11 @@ class FitSpec:
     def __post_init__(self):
         if self.mode not in ("unconstrained", "fairness_constrained", "accuracy_constrained", "fine_grained"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.l2_penalty < 0:
-            raise ValueError("l2_penalty must be >= 0")
-        if self.svm_cost is not None and self.svm_cost <= 0:
-            raise ValueError("svm_cost must be positive")
+        # each range test is written so that NaN fails it
+        if not 0 <= self.l2_penalty < math.inf:
+            raise ValueError("l2_penalty must be finite and >= 0")
+        if self.svm_cost is not None and not 0 < self.svm_cost < math.inf:
+            raise ValueError("svm_cost must be positive and finite")
         need = {
             "fairness_constrained": ("covariance_thresholds",),
             "accuracy_constrained": ("gamma",),
@@ -128,8 +129,11 @@ class FitSpec:
                 raise ValueError(f"mode {self.mode!r} requires {name}")
             if name not in need and value is not None:
                 raise ValueError(f"{name} is not used by mode {self.mode!r}")
-        if self.gamma is not None and self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+        if self.gamma is not None and not 0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be finite and >= 0")
+        # infinity drops a row's budget; NaN means nothing
+        if self.per_point_gammas is not None and not np.all(np.asarray(self.per_point_gammas, dtype=float) >= 0):
+            raise ValueError("per_point_gammas must be >= 0 (or inf), not NaN")
 
     def thresholds_for(self, n_sensitive: int) -> np.ndarray:
         c = np.broadcast_to(np.asarray(self.covariance_thresholds, dtype=float), (n_sensitive,)).copy()
@@ -283,7 +287,7 @@ def _require_bias(train: Dataset, op: str) -> None:
 
 
 def _default_settings(**overrides) -> SolverSettings:
-    base = dict(max_iterations=10_000, objective_tolerance=1e-7, kkt_tolerance=1e-6, feasibility_tolerance=1e-8)
+    base = dict(max_iterations=10_000, kkt_tolerance=1e-6, feasibility_tolerance=1e-8)
     base.update(overrides)
     return SolverSettings(**base)
 
@@ -305,37 +309,57 @@ def _meta(mode: str, result: SolverResult, **extra) -> dict:
     return meta
 
 
-def _normalized_rows(rows: list[tuple[np.ndarray, float]]) -> list[tuple[np.ndarray, float]]:
-    out = []
-    for a, b in rows:
-        r = float(np.linalg.norm(a))
-        r = r if r > 0 else 1.0
-        out.append((a / r, b / r))
-    return out
+def _unit_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The constraints A x <= b with each row of A, and its entry of b, divided by the row's norm.
+
+    Each norm is ``np.linalg.norm`` of the row alone: ``norm(axis=1)``
+    differs from it in the last bit on some rows, and the solvers' iterates
+    follow those bits. A row of zeros is left as it is.
+    """
+    r = np.array([np.linalg.norm(row) for row in a])
+    r[r == 0] = 1.0
+    return a / r[:, None], b / r
 
 
-def _covariance_rows(w: np.ndarray, c: np.ndarray, n_extra: int = 0) -> list[tuple[np.ndarray, float]]:
-    """Linear rows encoding |W theta| <= c, padded with n_extra zero columns."""
-    rows = []
-    for k in range(w.shape[0]):
-        if not np.isfinite(c[k]):
-            continue
-        a = np.concatenate([w[k], np.zeros(n_extra)])
-        rows.append((a, float(c[k])))
-        rows.append((-a, float(c[k])))
-    return _normalized_rows(rows)
+def _interleave(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The rows first[0], second[0], first[1], second[1], ..."""
+    return np.stack([first, second], axis=1).reshape(-1, first.shape[1])
 
 
-def _epigraph_rows(w: np.ndarray) -> list[tuple[np.ndarray, float]]:
-    """Rows encoding |W theta| <= t in stacked (theta, t) variables."""
-    n_k, d = w.shape
-    rows = []
-    for k in range(n_k):
-        e = np.zeros(n_k)
-        e[k] = 1.0
-        rows.append((np.concatenate([w[k], -e]), 0.0))
-        rows.append((np.concatenate([-w[k], -e]), 0.0))
-    return _normalized_rows(rows)
+def _padded(w: np.ndarray, n_extra: int) -> np.ndarray:
+    return np.hstack([w, np.zeros((w.shape[0], n_extra))])
+
+
+def _covariance_rows(w: np.ndarray, c: np.ndarray, n_extra: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(A, b) encoding |W theta| <= c for the finite c_k, padded with n_extra zero columns.
+
+    Column k gives the rows +w_k and -w_k, in that order.
+    """
+    finite = np.isfinite(c)
+    a = _padded(w[finite], n_extra)
+    return _unit_rows(_interleave(a, -a), np.repeat(c[finite], 2))
+
+
+def _covariance_split(w: np.ndarray, c: np.ndarray, n_extra: int = 0) -> tuple[tuple, np.ndarray]:
+    """|W theta| <= c as ((A, b), E) for the QPs: c_k > 0 rows in A x <= b, c_k = 0 rows in E x = 0.
+
+    A row of zeros holds at every point (a constant sensitive column gives
+    one), so a c_k = 0 row of zeros is left out; in E it would make the
+    equality system singular.
+    """
+    zero = (c == 0) & np.any(w != 0, axis=1)
+    e, _ = _unit_rows(_padded(w[zero], n_extra), np.zeros(np.count_nonzero(zero)))
+    return _covariance_rows(w[c > 0], c[c > 0], n_extra), e
+
+
+def _epigraph_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A, b) encoding |W theta| <= t in stacked (theta, t) variables.
+
+    Column k gives the rows (w_k, -e_k) and (-w_k, -e_k), in that order.
+    """
+    minus_t = -np.eye(w.shape[0])
+    a = _interleave(np.hstack([w, minus_t]), np.hstack([-w, minus_t]))
+    return _unit_rows(a, np.zeros(a.shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +383,7 @@ def _fit_logreg_core(features, labels, l2_penalty, settings, constraints=None) -
         dimension=d,
         objective=objective,
         gradient=gradient,
-        linear_constraints=constraints or (),
+        linear_constraints=constraints,
         initial_point=np.zeros(d),
     )
     return minimize_smooth(problem, settings)
@@ -417,11 +441,12 @@ def fit_logreg_fair(train: Dataset, spec: FitSpec, settings: SolverSettings | No
 def _covariance_objective_problem(
     train: Dataset,
     extra_blocks: list,
-    extra_rows: list,
+    extra_rows: tuple[np.ndarray, np.ndarray] | None,
     theta_start: np.ndarray,
 ) -> tuple[SmoothProblem, int, np.ndarray]:
     """Epigraph problem: minimize sum_k t_k over (theta, t) with |cov_k| <= t_k.
 
+    ``extra_rows`` are linear rows (A, b) placed after the epigraph rows.
     Warm-started at the supplied theta (the unconstrained optimum, which is
     feasible for the loss budgets) with the epigraph variables strictly above
     the initial absolute covariances.
@@ -429,7 +454,9 @@ def _covariance_objective_problem(
     d = train.n_features
     n_k = train.n_sensitive
     w = covariance_vectors(train)
-    rows = _epigraph_rows(w) + extra_rows
+    rows = _epigraph_rows(w)
+    if extra_rows is not None:
+        rows = (np.vstack([rows[0], extra_rows[0]]), np.concatenate([rows[1], extra_rows[1]]))
     grad_obj = np.concatenate([np.zeros(d), np.ones(n_k)])
     start = np.concatenate([theta_start, np.abs(w @ theta_start) + 1e-6])
 
@@ -497,7 +524,7 @@ def fit_logreg_fairness_max(train: Dataset, spec: FitSpec, settings: SolverSetti
         return LinearModel(theta=zero_theta, training_meta=meta)
 
     block = ConstraintBlock(value=loss_block, jacobian=loss_jac, size=1)
-    problem, d, w = _covariance_objective_problem(train, [block], [], theta_start=np.asarray(base.theta))
+    problem, d, w = _covariance_objective_problem(train, [block], None, theta_start=np.asarray(base.theta))
     result = minimize_smooth(problem, settings)
     theta = result.point[:d]
     meta = _meta(
@@ -548,8 +575,6 @@ def fit_logreg_fine_grained(train: Dataset, spec: FitSpec, settings: SolverSetti
     gammas = np.asarray(spec.per_point_gammas, dtype=float)
     if gammas.shape != (train.n,):
         raise ValueError("per_point_gammas must have one entry per training row")
-    if np.any(gammas < 0):
-        raise ValueError("per_point_gammas must be >= 0")
     protected = np.asarray(sorted(set(int(i) for i in spec.protected_index_set)), dtype=int)
     if protected.size and (protected.min() < 0 or protected.max() >= train.n):
         raise ValueError("protected_index_set out of range")
@@ -567,18 +592,17 @@ def fit_logreg_fine_grained(train: Dataset, spec: FitSpec, settings: SolverSetti
     bounds = (1.0 + gammas[idx]) * loss_star_i[idx] + 2e-10
     scales = np.clip(bounds, 1e-3, 5.0)
 
-    extra_rows = []
-    for i in protected:
-        a = np.concatenate([-features[i], np.zeros(train.n_sensitive)])
-        extra_rows.append((a, -_NOFLIP_MARGIN))
-    extra_rows = _normalized_rows(extra_rows)
+    # -x_i . theta <= -margin for each protected row i
+    noflip_rows = _unit_rows(
+        _padded(-features[protected], train.n_sensitive), np.full(protected.size, -_NOFLIP_MARGIN)
+    )
 
     blocks = []
     if idx.size:
         width = train.n_features + train.n_sensitive
         blocks.append(_point_loss_block(features[idx], labels[idx], bounds, scales, width))
 
-    problem, d, w = _covariance_objective_problem(train, blocks, extra_rows, theta_start=np.asarray(base.theta))
+    problem, d, w = _covariance_objective_problem(train, blocks, noflip_rows, theta_start=np.asarray(base.theta))
     result = minimize_smooth(problem, settings)
     theta = result.point[:d]
     meta = _meta(
@@ -638,14 +662,13 @@ def fit_linear_svm_fair(train: Dataset, spec: FitSpec, settings: SolverSettings 
     w = covariance_vectors(train)
 
     if spec.svm_hinge == "squared":
-        rows = _covariance_rows(w, c)
         inv_n = 1.0 / n  # mean scale keeps the stationarity tolerance row-count-free
         hinge = _at_last_point(lambda t: _squared_hinge(t, features, labels, spec.svm_cost))
         problem = SmoothProblem(
             dimension=d,
             objective=lambda t: hinge(t)[0] * inv_n,
             gradient=lambda t: hinge(t)[1] * inv_n,
-            linear_constraints=rows,
+            linear_constraints=_covariance_rows(w, c),
             initial_point=np.zeros(d),
         )
         result = minimize_smooth(problem, settings)
@@ -658,18 +681,18 @@ def fit_linear_svm_fair(train: Dataset, spec: FitSpec, settings: SolverSettings 
         q_matrix[:d, :d] = 2.0 * np.eye(d) / n
         q_vector = np.concatenate([np.zeros(d), np.full(n, float(spec.svm_cost) / n)])
         lower = np.concatenate([np.full(d, -np.inf), np.zeros(n)])
-        rows = []
-        for i in range(n):
-            a = np.zeros(dim)
-            a[:d] = -labels[i] * features[i]
-            a[d + i] = -1.0
-            rows.append((a, -1.0))
-        rows = _normalized_rows(rows) + _covariance_rows(w, c, n_extra=n)
+        # margin rows -y_i x_i . theta - xi_i <= -1, then the covariance rows
+        margin = np.zeros((n, dim))
+        margin[:, :d] = -labels[:, None] * features
+        margin[np.arange(n), d + np.arange(n)] = -1.0
+        margin_a, margin_b = _unit_rows(margin, np.full(n, -1.0))
+        (cov_a, cov_b), cov_e = _covariance_split(w, c, n_extra=n)
         problem = QuadraticProblem(
             q_matrix=q_matrix,
             q_vector=q_vector,
             box=(lower, None),
-            linear_constraints=rows,
+            equality=(cov_e, np.zeros(cov_e.shape[0])),
+            linear_constraints=(np.vstack([margin_a, cov_a]), np.concatenate([margin_b, cov_b])),
         )
         result = solve_qp(problem, settings)
         theta = result.point[:d]
@@ -718,12 +741,14 @@ def fit_kernel_svm_fair(train: Dataset, spec: FitSpec, settings: SolverSettings 
     centered = train.sensitive - train.sensitive.mean(axis=0, keepdims=True)
     cov_rows = (gram @ centered / n).T * labels[None, :]  # row k: cov_k = row . alpha
 
+    # sum(alpha * y) = 0 and the c_k = 0 bounds are the equalities
+    (cov_a, cov_b), cov_e = _covariance_split(cov_rows, c)
     problem = QuadraticProblem(
         q_matrix=q_matrix,
         q_vector=q_vector,
         box=(np.zeros(n), np.full(n, float(spec.svm_cost))),
-        equality=(labels / math.sqrt(n), 0.0),
-        linear_constraints=_covariance_rows(cov_rows, c),
+        equality=(np.vstack([labels / math.sqrt(n), cov_e]), np.zeros(1 + cov_e.shape[0])),
+        linear_constraints=(cov_a, cov_b),
     )
     result = solve_qp(problem, settings)
     alphas = np.clip(result.point, 0.0, spec.svm_cost)

@@ -3,13 +3,18 @@
 Two entry points, each with its own method:
 
 * :func:`minimize_smooth` - smooth convex objective under linear inequality
-  and general differentiable convex inequality constraints. An
-  augmented-Lagrangian loop updates multipliers and the penalty weight and
-  hands each subproblem to a limited-memory quasi-Newton solve (L-BFGS-B).
-* :func:`solve_qp` - convex quadratic objective under a variable box, one
-  linear equality and linear inequality constraints. A dense primal-dual
+  constraints A x <= b and differentiable convex inequality blocks
+  g(x) <= 0. An augmented-Lagrangian loop updates multipliers and the
+  penalty weight and hands each subproblem to a limited-memory quasi-Newton
+  solve (L-BFGS-B).
+* :func:`solve_qp` - convex quadratic objective under a variable box, linear
+  equalities E x = f and linear inequalities A x <= b. A dense primal-dual
   interior-point method (Mehrotra's predictor-corrector) factors one
   Cholesky per iteration.
+
+Linear constraints are handed over as matrices, one row per constraint. The
+caller decides which bounds are equalities and puts their rows in E; the
+solvers take every row of A as an inequality.
 
 Both check their iterates with the same residual routine: stationarity,
 worst primal violation and worst complementary-slackness product. A run only
@@ -74,15 +79,14 @@ class SolverSettings:
     """
 
     max_iterations: int = 10_000
-    objective_tolerance: float = 1e-7
     kkt_tolerance: float = 1e-5
     feasibility_tolerance: float | None = None
 
     def __post_init__(self):
-        if self.objective_tolerance <= 0 or self.kkt_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.feasibility_tolerance is not None and self.feasibility_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
+        for tolerance in (self.kkt_tolerance, self.feasibility_tolerance):
+            # written so that NaN fails too
+            if tolerance is not None and not 0 < tolerance < np.inf:
+                raise ValueError("tolerances must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -117,16 +121,16 @@ class SolverResult:
 
 @dataclass(frozen=True)
 class ConstraintBlock:
-    """Vectorized inequality block g(x) <= 0 with m rows.
+    """Vectorized convex inequality block g(x) <= 0 with m rows.
 
-    ``value`` maps x to a length-m vector, ``jacobian`` to the (m, n)
-    Jacobian, either as an array or as a ``scipy.sparse.linalg.LinearOperator``
-    (such as :class:`WeightedRows`). The solver only ever forms
-    ``jacobian(x).T @ lam`` (``rmatvec`` for an operator), so an operator
-    needs only its transpose product and the m x n matrix is never
-    materialised. Scalar constraints are the m=1 case; grouping related
-    constraints into one block keeps the per-iteration cost at a few matrix
-    products.
+    The one form of a nonlinear constraint. ``value`` maps x to a length-m
+    vector, ``jacobian`` to the (m, n) Jacobian, either as an array or as a
+    ``scipy.sparse.linalg.LinearOperator`` (such as :class:`WeightedRows`).
+    The solver only ever forms ``jacobian(x).T @ lam`` (``rmatvec`` for an
+    operator), so an operator needs only its transpose product and the m x n
+    matrix is never materialised. Scalar constraints are the m=1 case;
+    grouping related constraints into one block keeps the per-iteration cost
+    at a few matrix products.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -138,36 +142,38 @@ class ConstraintBlock:
 class SmoothProblem:
     """Differentiable convex objective with linear and convex inequality constraints.
 
-    ``linear_constraints`` holds (a, b) pairs meaning a.x <= b.
-    ``convex_constraints`` accepts either (value_fn, gradient_fn) pairs for
-    scalar constraints g(x) <= 0 or :class:`ConstraintBlock` instances.
+    ``linear_constraints`` is an (A, b) pair meaning A x <= b, with A of shape
+    (m, dimension) and b of length m (a 1-D A is one row), or None.
+    ``convex_constraints`` are :class:`ConstraintBlock` instances. There is
+    no equality form: a bound a.x = 0 is passed as the rows a and -a.
     """
 
     dimension: int
     objective: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
-    linear_constraints: Sequence[tuple[np.ndarray, float]] = ()
-    convex_constraints: Sequence = ()
+    linear_constraints: tuple[np.ndarray, np.ndarray] | None = None
+    convex_constraints: Sequence[ConstraintBlock] = ()
     initial_point: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class QuadraticProblem:
-    """Convex QP: minimize 0.5 x'Qx + q.x over a box with optional equality.
+    """Convex QP: minimize 0.5 x'Qx + q.x over a box with optional equalities.
 
     Q must be symmetric positive semidefinite (validated up to numerical
     noise). ``box`` is a (lower, upper) pair of per-variable bounds, either of
-    which may be None for unbounded; ``equality`` is an (a, b) pair meaning
-    a.x = b; ``linear_constraints`` are (a, b) pairs meaning a.x <= b.
-    ``initial_point``, when given, replaces the least-squares starting point
-    of the interior-point method.
+    which may be None for unbounded; ``equality`` is an (E, f) pair meaning
+    E x = f, with any number of rows (a 1-D E and a scalar f are one row);
+    ``linear_constraints`` is an (A, b) pair meaning A x <= b. Either may be
+    None. ``initial_point``, when given, replaces the least-squares starting
+    point of the interior-point method.
     """
 
     q_matrix: np.ndarray
     q_vector: np.ndarray
     box: tuple[np.ndarray | None, np.ndarray | None] = (None, None)
-    equality: tuple[np.ndarray, float] | None = None
-    linear_constraints: Sequence[tuple[np.ndarray, float]] = ()
+    equality: tuple[np.ndarray, np.ndarray | float] | None = None
+    linear_constraints: tuple[np.ndarray, np.ndarray] | None = None
     initial_point: np.ndarray | None = None
 
 
@@ -250,13 +256,14 @@ def _transpose_product(jac, v: np.ndarray) -> np.ndarray:
 # problem compilation
 
 
-def _linear_arrays(pairs: Sequence[tuple[np.ndarray, float]], n: int) -> tuple[np.ndarray, np.ndarray]:
-    if not pairs:
+def _linear_arrays(rows: tuple | None, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """An (A, b) pair as float arrays of shapes (m, n) and (m,); None is m = 0."""
+    if rows is None:
         return np.zeros((0, n)), np.zeros(0)
-    a = np.array([np.asarray(p[0], dtype=float) for p in pairs])
-    b = np.array([float(p[1]) for p in pairs])
-    if a.shape[1] != n:
-        raise ValueError("linear constraint dimension mismatch")
+    a = np.atleast_2d(np.asarray(rows[0], dtype=float))
+    b = np.atleast_1d(np.asarray(rows[1], dtype=float))
+    if b.ndim != 1 or a.shape != (b.size, n):
+        raise ValueError(f"linear constraint shapes {a.shape} and {b.shape} do not match dimension {n}")
     return a, b
 
 
@@ -267,17 +274,6 @@ def _linear_blocks(a: np.ndarray, b: np.ndarray) -> list[ConstraintBlock]:
     return [ConstraintBlock(value=lambda x: matvec(a, x) - b, jacobian=lambda x: jac, size=b.size)]
 
 
-def _as_block(entry, n: int) -> ConstraintBlock:
-    if isinstance(entry, ConstraintBlock):
-        return entry
-    value_fn, grad_fn = entry
-    return ConstraintBlock(
-        value=lambda x, f=value_fn: np.atleast_1d(np.asarray(f(x), dtype=float)),
-        jacobian=lambda x, g=grad_fn: np.atleast_2d(np.asarray(g(x), dtype=float)),
-        size=1,
-    )
-
-
 @dataclass
 class _Compiled:
     """A problem as the KKT residuals read it."""
@@ -286,7 +282,7 @@ class _Compiled:
     objective: Callable
     gradient: Callable
     blocks: list  # inequality ConstraintBlocks
-    equality: tuple[np.ndarray, float] | None
+    equality: tuple[np.ndarray, np.ndarray] | None  # (E, f), quadratic problems only (maybe no rows)
     lo: np.ndarray | None  # variable box, quadratic problems only
     hi: np.ndarray | None
     x0: np.ndarray | None
@@ -295,7 +291,10 @@ class _Compiled:
 def _compile_smooth(problem: SmoothProblem) -> _Compiled:
     n = problem.dimension
     blocks = _linear_blocks(*_linear_arrays(problem.linear_constraints, n))
-    blocks.extend(_as_block(c, n) for c in problem.convex_constraints)
+    for block in problem.convex_constraints:
+        if not isinstance(block, ConstraintBlock):
+            raise TypeError("convex constraints must be ConstraintBlock instances")
+        blocks.append(block)
     x0 = np.zeros(n) if problem.initial_point is None else np.asarray(problem.initial_point, dtype=float).copy()
     if x0.shape != (n,):
         raise ValueError("initial_point dimension mismatch")
@@ -313,44 +312,15 @@ def _validate_psd(q: np.ndarray) -> None:
         raise ValueError("Q must be positive semidefinite") from None
 
 
-def _opposite_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(k, 2) positions i < j of nonzero rows with (a_j, b_j) == (-a_i, -b_i).
-
-    Such a pair pins a.x to one value, so the pair has no strict interior.
-    Adding (or subtracting from) 0.0 maps -0.0 to 0.0, so equal rows have
-    equal bytes.
-    """
-    unmatched: dict = {}
-    pairs = []
-    for i in range(b.size):
-        if not np.any(a[i]):
-            continue
-        partner = unmatched.pop(((0.0 - a[i]).tobytes(), 0.0 - b[i]), None)
-        if partner is None:
-            unmatched.setdefault(((a[i] + 0.0).tobytes(), b[i] + 0.0), i)
-        else:
-            pairs.append((partner, i))
-    return np.array(pairs, dtype=int).reshape(-1, 2)
-
-
 @dataclass
 class _CompiledQP:
-    """A QP as arrays: box lo <= x <= hi, rows a.x <= b and e.x = f.
-
-    The equality rows are ``problem.equality`` (if any) followed by one row
-    per collapsed opposite pair, taken from the pair's first row.
-    """
+    """A QP as arrays: box lo <= x <= hi and rows a x <= b, with E x = f in ``comp.equality``."""
 
     comp: _Compiled
     q: np.ndarray
     c: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    rows: np.ndarray  # positions of the rows of ``a`` among the linear constraints
-    e: np.ndarray
-    f: np.ndarray
-    pairs: np.ndarray  # (k, 2) positions of the rows behind the last k equality rows
-    m: int  # number of linear constraints
 
 
 def _compile_qp(problem: QuadraticProblem) -> _CompiledQP:
@@ -364,14 +334,7 @@ def _compile_qp(problem: QuadraticProblem) -> _CompiledQP:
     lo = np.full(n, -np.inf) if lo is None else np.broadcast_to(np.asarray(lo, dtype=float), (n,))
     hi = np.full(n, np.inf) if hi is None else np.broadcast_to(np.asarray(hi, dtype=float), (n,))
     a, b = _linear_arrays(problem.linear_constraints, n)
-    pairs = _opposite_pairs(a, b)
-    rows = np.setdiff1d(np.arange(b.size), pairs.ravel())
-    e, f = a[pairs[:, 0]], b[pairs[:, 0]]
-    equality = None
-    if problem.equality is not None:
-        eq_a, eq_b = problem.equality
-        equality = (np.asarray(eq_a, dtype=float), float(eq_b))
-        e, f = np.vstack([equality[0], e]), np.concatenate([[equality[1]], f])
+    equality = _linear_arrays(problem.equality, n)
     x0 = None if problem.initial_point is None else np.clip(np.asarray(problem.initial_point, dtype=float), lo, hi)
 
     def objective(x: np.ndarray) -> float:
@@ -381,10 +344,10 @@ def _compile_qp(problem: QuadraticProblem) -> _CompiledQP:
         return q @ x + c
 
     comp = _Compiled(n, objective, gradient, _linear_blocks(a, b), equality, lo, hi, x0)
-    return _CompiledQP(comp, q, c, a[rows], b[rows], rows, e, f, pairs, b.size)
+    return _CompiledQP(comp, q, c, a, b)
 
 
-def _residuals(comp: _Compiled, x: np.ndarray, lam: list, mu: float | None) -> KKTResiduals:
+def _residuals(comp: _Compiled, x: np.ndarray, lam: list, mu: np.ndarray | None) -> KKTResiduals:
     grad = comp.gradient(x).astype(float)
     max_violation = 0.0
     max_comp = 0.0
@@ -396,9 +359,9 @@ def _residuals(comp: _Compiled, x: np.ndarray, lam: list, mu: float | None) -> K
         if g.size:
             max_violation = max(max_violation, float(np.max(np.maximum(g, 0.0))))
     if comp.equality is not None:
-        a, b = comp.equality
-        grad = grad + mu * a
-        max_violation = max(max_violation, abs(float(a @ x - b)))
+        e, f = comp.equality
+        grad = grad + e.T @ mu
+        max_violation = max(max_violation, float(np.max(np.abs(e @ x - f), initial=0.0)))
     if comp.lo is not None:
         stationarity = float(np.max(np.abs(x - np.clip(x - grad, comp.lo, comp.hi)))) if x.size else 0.0
     else:
@@ -448,9 +411,9 @@ def _solve_al(comp: _Compiled, settings: SolverSettings) -> SolverResult:
             options={
                 "maxiter": budget,
                 "maxfun": 20 * budget,
-                # inner relative-progress cutoff scales with the requested
-                # objective tolerance; the gradient test is the real stop
-                "ftol": max(settings.objective_tolerance * 1e-9, 1e-16),
+                # relative-progress cutoff at the floating-point floor: the
+                # gradient test is the real stop
+                "ftol": 1e-16,
                 "gtol": max(gtol, gtol_floor),
                 "maxcor": 20,
             },
@@ -502,10 +465,10 @@ def _solve_al(comp: _Compiled, settings: SolverSettings) -> SolverResult:
     return SolverResult(x, comp.objective(x), status, kkt, used, _named_multipliers(lam))
 
 
-def _named_multipliers(lam: list, mu: float | None = None) -> dict:
+def _named_multipliers(lam: list, mu: np.ndarray | None = None) -> dict:
     out = {"inequality": [l.copy() for l in lam]}
     if mu is not None:
-        out["equality"] = mu
+        out["equality"] = mu.copy()
     return out
 
 
@@ -514,8 +477,8 @@ def _named_multipliers(lam: list, mu: float | None = None) -> dict:
 #
 # All inequalities are written as G x + s = h with slacks s >= 0 and
 # multipliers z >= 0: the rows of G are -I on the finite lower bounds, +I on
-# the finite upper bounds and the rows a of the kept inequalities. Each
-# iteration solves the Newton system of the perturbed KKT conditions
+# the finite upper bounds and the rows of A, in that order. Each iteration
+# solves the Newton system of the perturbed KKT conditions
 #
 #     Q dx + G'dz + E'dy = -r_d        G dx + ds = -r_p
 #     E dx              = -r_e        Z ds + S dz = -r_c
@@ -537,7 +500,7 @@ def _cholesky(matrix: np.ndarray):
 
 
 class _Inequalities:
-    """The map x -> G x and its transpose for the box rows and the kept rows."""
+    """The map x -> G x and its transpose for the box rows and the rows of A."""
 
     def __init__(self, qp: _CompiledQP):
         self.lower = np.flatnonzero(np.isfinite(qp.comp.lo))
@@ -595,25 +558,10 @@ def _shift_positive(v: np.ndarray) -> np.ndarray:
     return v if v.size == 0 or v.min() > 0 else v + (1.0 - v.min())
 
 
-def _qp_multipliers(qp: _CompiledQP, z: np.ndarray, y: np.ndarray) -> tuple[list, float | None]:
-    """Map interior-point multipliers back to the problem's own constraint rows.
-
-    The multiplier y of a collapsed pair's equality becomes (max(y, 0),
-    max(-y, 0)) on its two rows (a, b) and (-a, -b).
-    """
-    lam = np.zeros(qp.m)
-    lam[qp.rows] = z[z.size - qp.rows.size :]
-    y_pairs = y[y.size - len(qp.pairs) :]
-    lam[qp.pairs[:, 0]] = np.maximum(y_pairs, 0.0)
-    lam[qp.pairs[:, 1]] = np.maximum(-y_pairs, 0.0)
-    mu = float(y[0]) if qp.comp.equality is not None else None
-    return ([lam] if qp.m else []), mu
-
-
 def _solve_ipm(qp: _CompiledQP, settings: SolverSettings) -> SolverResult:
     comp = qp.comp
     g = _Inequalities(qp)
-    e, f = qp.e, qp.f
+    e, f = comp.equality
     n_ineq = g.h.size
 
     # start: the least-squares point of CVXOPT's coneqp, i.e. the Newton
@@ -637,8 +585,8 @@ def _solve_ipm(qp: _CompiledQP, settings: SolverSettings) -> SolverResult:
         mu_gap = float(s @ z) / n_ineq if n_ineq else 0.0
 
         point = np.clip(x, comp.lo, comp.hi)
-        lam, mu_eq = _qp_multipliers(qp, z, y)
-        kkt = _residuals(comp, point, lam, mu_eq)
+        lam = [z[z.size - qp.b.size :]] if qp.b.size else []
+        kkt = _residuals(comp, point, lam, y)
         _log.debug(
             "ipm iter=%d mu=%.2e viol=%.2e stat=%.2e comp=%.2e",
             iteration, mu_gap, kkt.max_violation, kkt.stationarity_norm, kkt.max_comp_slack,
@@ -674,7 +622,7 @@ def _solve_ipm(qp: _CompiledQP, settings: SolverSettings) -> SolverResult:
         step = min(1.0, _STEP_TO_BOUNDARY * min(_max_step(s, ds), _max_step(z, dz)))
         x, s, z, y = x + step * dx, s + step * ds, z + step * dz, y + step * dy
 
-    return SolverResult(point, comp.objective(point), status, kkt, iteration, _named_multipliers(lam, mu_eq))
+    return SolverResult(point, comp.objective(point), status, kkt, iteration, _named_multipliers(lam, y))
 
 
 # ---------------------------------------------------------------------------
@@ -707,11 +655,12 @@ def solve_qp(problem: QuadraticProblem, settings: SolverSettings | None = None) 
 def kkt_residuals(problem, point, multipliers) -> KKTResiduals:
     """Evaluate KKT residuals of (point, multipliers) for a given problem.
 
-    ``multipliers`` maps "inequality" to the multipliers ordered as linear
-    constraints first, then convex constraints / blocks, either as one flat
-    vector or as one vector per block (the layout of
-    ``SolverResult.multipliers``), and optionally "equality" to a scalar.
-    Inequality multipliers must be non-negative.
+    ``multipliers`` maps "inequality" to the multipliers ordered as the rows
+    of A first, then the convex constraint blocks, either as one flat vector
+    or as one vector per block (the layout of ``SolverResult.multipliers``),
+    and, for a quadratic problem, "equality" to a vector with one entry per
+    row of E (zeros when absent). Inequality multipliers must be
+    non-negative.
     Stationarity is the norm of the Lagrangian gradient (projected onto the
     box for quadratic problems); the violation and complementary-slackness
     entries are worst-case over all constraints.
@@ -735,5 +684,10 @@ def kkt_residuals(problem, point, multipliers) -> KKTResiduals:
     for block in comp.blocks:
         lam.append(flat[pos : pos + block.size])
         pos += block.size
-    mu = float(multipliers.get("equality", 0.0))
+    mu = None
+    if comp.equality is not None:
+        rows = comp.equality[1].size
+        mu = np.atleast_1d(np.asarray(multipliers.get("equality", np.zeros(rows)), dtype=float))
+        if mu.shape != (rows,):
+            raise ValueError(f"expected {rows} equality multipliers, got {mu.size}")
     return _residuals(comp, x, lam, mu)

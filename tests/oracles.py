@@ -180,50 +180,45 @@ def active_set_svm(features, labels, svm_cost, w=None, c=np.inf) -> tuple[float,
     return best
 
 
-def qp_box_equality_reference(q_matrix, q_vector, lower, upper, equality=None) -> tuple[float, np.ndarray]:
-    """Exhaustive active-set solve of a small box QP with optional equality.
+def qp_box_equality_reference(q_matrix, q_vector, lower, upper, equality=None, with_multipliers=False):
+    """Exhaustive active-set solve of a small box QP with optional equalities E x = f.
 
-    Each variable is free, at its lower bound or at its upper bound; the
-    resulting equality-constrained systems are solved and screened by the KKT
-    sign conditions.
+    ``equality`` is an (E, f) pair with any number of rows; a 1-D E with a
+    scalar f is one row. Each variable is free, at its lower bound or at its
+    upper bound; the resulting equality-constrained KKT systems are solved and
+    screened by the KKT sign conditions. Returns (value, x), plus the
+    multipliers of the rows of E when ``with_multipliers`` is set.
     """
     q_matrix = np.asarray(q_matrix, dtype=float)
     q_vector = np.asarray(q_vector, dtype=float)
     n = q_vector.size
-    best = (np.inf, None)
+    if equality is None:
+        e, f = np.zeros((0, n)), np.zeros(0)
+    else:
+        e = np.atleast_2d(np.asarray(equality[0], dtype=float))
+        f = np.atleast_1d(np.asarray(equality[1], dtype=float))
+    m = f.size
+    best = (np.inf, None, None)
     for states in itertools.product((0, 1, 2), repeat=n):
         free = [i for i in range(n) if states[i] == 0]
         fixed = np.array([lower[i] if states[i] == 1 else (upper[i] if states[i] == 2 else 0.0) for i in range(n)])
-        has_eq = equality is not None
-        size = len(free) + (1 if has_eq else 0)
-        if size == 0:
-            x = fixed
-        else:
-            a = np.zeros((size, size))
-            b = np.zeros(size)
-            for r, i in enumerate(free):
-                a[r, : len(free)] = q_matrix[i, free]
-                b[r] = -q_vector[i] - q_matrix[i] @ fixed
-                if has_eq:
-                    a[r, -1] = equality[0][i]
-            if has_eq:
-                a[-1, : len(free)] = equality[0][free]
-                b[-1] = equality[1] - equality[0] @ fixed
+        k = len(free)
+        x, mu = fixed, np.zeros(m)
+        if k + m:
+            # [Q_ff E_f'; E_f 0] [x_f; mu] = [-q_f - Q_f. x_fixed; f - E x_fixed]
+            a = np.zeros((k + m, k + m))
+            a[:k, :k] = q_matrix[np.ix_(free, free)]
+            a[:k, k:] = e[:, free].T
+            a[k:, :k] = e[:, free]
+            b = np.concatenate([-q_vector[free] - q_matrix[free] @ fixed, f - e @ fixed])
             try:
                 sol = np.linalg.solve(a, b)
             except np.linalg.LinAlgError:
                 continue
             x = fixed.copy()
-            x[free] = sol[: len(free)]
-        grad = q_matrix @ x + q_vector
-        if has_eq:
-            if len(free) == 0:
-                if abs(equality[0] @ x - equality[1]) > 1e-9:
-                    continue
-                mu = 0.0
-            else:
-                mu = sol[-1]
-            grad = grad + mu * equality[0]
+            x[free] = sol[:k]
+            mu = sol[k:]
+        grad = q_matrix @ x + q_vector + e.T @ mu
         ok = True
         for i in range(n):
             if states[i] == 0 and not (lower[i] - 1e-9 <= x[i] <= upper[i] + 1e-9):
@@ -238,5 +233,15 @@ def qp_box_equality_reference(q_matrix, q_vector, lower, upper, equality=None) -
             continue
         value = float(0.5 * x @ q_matrix @ x + q_vector @ x)
         if value < best[0]:
-            best = (value, x)
-    return best
+            best = (value, x, mu)
+    return best if with_multipliers else best[:2]
+
+
+def unit_rows_reference(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Stack (a, b) constraint rows one at a time, each divided by ``np.linalg.norm(a)`` (1 for zeros)."""
+    scaled = []
+    for a, b in rows:
+        r = float(np.linalg.norm(a))
+        r = r if r > 0 else 1.0
+        scaled.append((a / r, b / r))
+    return np.array([a for a, _ in scaled]), np.array([b for _, b in scaled])

@@ -110,6 +110,13 @@ class TestTrainAndAudit:
         code = cli_main(["train", "--data", str(synth_csv), "--mode", "fairness_constrained", "--out", str(tmp_path / "m.json")])
         assert code != 0
 
+    def test_nan_gamma_fails(self, synth_csv, tmp_path, capsys):
+        argv = ["train", "--data", str(synth_csv), "--mode", "accuracy_constrained", "--gamma", "nan"]
+        code = cli_main(argv + ["--out", str(tmp_path / "m.json")])
+        assert code != 0
+        assert "gamma" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
 
 def direct_fit(dataset, classifier, mode):
     """The model ``train`` should save, fitted by calling the public fit function directly."""

@@ -7,6 +7,9 @@ from fairclf.data import Dataset, append_bias
 from fairclf.metrics import audit
 from fairclf.models import (
     FitSpec,
+    _covariance_rows,
+    _covariance_split,
+    _epigraph_rows,
     _point_loss_block,
     KernelModel,
     KernelSpec,
@@ -28,7 +31,7 @@ from fairclf.models import (
     predict,
     protected_rows,
 )
-from fairclf.synth import SynthConfig, gen_linear_synthetic
+from fairclf.synth import SynthConfig, gen_linear_synthetic, gen_nonlinear_synthetic
 
 from conftest import random_instance
 from oracles import (
@@ -38,6 +41,7 @@ from oracles import (
     grid_logistic_fair,
     hinge_objective,
     logistic_objective,
+    unit_rows_reference,
 )
 
 
@@ -74,9 +78,36 @@ class TestFitSpecValidation:
         with pytest.raises(ValueError):
             spec.thresholds_for(1)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"mode": "accuracy_constrained", "gamma": float("nan")},
+            {"mode": "accuracy_constrained", "gamma": float("inf")},
+            {"mode": "unconstrained", "svm_cost": float("nan")},
+            {"mode": "unconstrained", "svm_cost": float("inf")},
+            {"mode": "unconstrained", "l2_penalty": float("nan")},
+            {"mode": "unconstrained", "l2_penalty": float("inf")},
+            {"mode": "fine_grained", "per_point_gammas": [0.5, float("nan")], "protected_index_set": []},
+        ],
+    )
+    def test_malformed_numbers_rejected(self, fields):
+        with pytest.raises(ValueError):
+            FitSpec(**fields)
+
+    def test_infinity_kept_where_it_has_a_meaning(self):
+        # an infinite per-point gamma drops that row's budget, an infinite
+        # threshold drops that column's bound
+        FitSpec(mode="fine_grained", per_point_gammas=[0.5, float("inf")], protected_index_set=[])
+        spec = FitSpec(mode="fairness_constrained", covariance_thresholds=[0.1, float("inf")])
+        assert np.isinf(spec.thresholds_for(2)[1])
+        with pytest.raises(ValueError):
+            FitSpec(mode="fairness_constrained", covariance_thresholds=float("nan")).thresholds_for(1)
+
     def test_kernel_spec_validation(self):
         with pytest.raises(ValueError):
             KernelSpec(kind="poly")
+        with pytest.raises(ValueError):
+            KernelSpec(kind="rbf", rbf_gamma=float("nan"))
         with pytest.raises(ValueError):
             KernelSpec(kind="rbf", rbf_gamma=0.0)
 
@@ -412,6 +443,91 @@ class TestLinearSvm:
         assert abs(float(w @ model.theta)) <= 1e-5
         report = audit(decision_values(model, ds.features), ds)
         assert report.p_percent["z"] >= 95.0
+
+
+class TestConstraintRows:
+    """The fits' constraint matrices equal a row-by-row construction bit for bit.
+
+    The solvers' iterates follow the last bits of the rows, so a change in
+    how the rows are scaled or ordered changes the fitted models.
+    """
+
+    def test_covariance_rows(self):
+        rng = np.random.default_rng(12)
+        w = rng.normal(size=(4, 37))
+        w[3] = 0.0  # a constant sensitive column
+        c = np.array([0.0, 0.3, np.inf, 0.0])
+        for n_extra in (0, 5):
+            rows = []
+            for k in (0, 1, 3):
+                a = np.concatenate([w[k], np.zeros(n_extra)])
+                rows += [(a, c[k]), (-a, c[k])]
+            want_a, want_b = unit_rows_reference(rows)
+            got_a, got_b = _covariance_rows(w, c, n_extra)
+            assert got_a.tobytes() == want_a.tobytes() and got_b.tobytes() == want_b.tobytes()
+            # c > 0 rows stay inequalities; the c = 0 row of zeros is left out of E
+            (ineq_a, ineq_b), e = _covariance_split(w, c, n_extra)
+            assert ineq_a.tobytes() == want_a[2:4].tobytes() and ineq_b.tobytes() == want_b[2:4].tobytes()
+            assert e.tobytes() == want_a[:1].tobytes()
+
+    def test_epigraph_rows(self):
+        w = np.random.default_rng(13).normal(size=(3, 9))
+        rows = []
+        for k in range(3):
+            t = np.zeros(3)
+            t[k] = 1.0
+            rows += [(np.concatenate([w[k], -t]), 0.0), (np.concatenate([-w[k], -t]), 0.0)]
+        want_a, want_b = unit_rows_reference(rows)
+        got_a, got_b = _epigraph_rows(w)
+        assert got_a.tobytes() == want_a.tobytes() and got_b.tobytes() == want_b.tobytes()
+
+
+def two_column_datasets() -> tuple[Dataset, Dataset]:
+    """Nonlinear synthetic rows with two sensitive columns: z and a noisy copy, or z and a constant."""
+    base = gen_nonlinear_synthetic(SynthConfig(n=300, phi=np.pi / 4, seed=7, variant="nonlinear"))
+    z = base.sensitive[:, 0]
+    z2 = (np.random.default_rng(0).random(base.n) < 0.3 + 0.4 * z).astype(float)
+
+    def with_columns(second: np.ndarray, name: str) -> Dataset:
+        return append_bias(
+            Dataset(base.features, base.labels, np.column_stack([z, second]), ("z", name), base.feature_names)
+        )
+
+    return with_columns(z2, "z2"), with_columns(np.ones(base.n), "one")
+
+
+SVM_FITS = {
+    "exact_hinge": (fit_linear_svm_fair, {"svm_cost": 1.0, "svm_hinge": "exact"}),
+    "rbf_kernel": (fit_kernel_svm_fair, {"svm_cost": 10.0, "kernel": KernelSpec(kind="rbf", rbf_gamma=0.5)}),
+}
+
+
+class TestTwoColumnThresholds:
+    """QP fits with K = 2: a c_k = 0 column is an equality, a c_k > 0 column a pair of inequalities."""
+
+    @staticmethod
+    def check(model, c):
+        meta = model.training_meta
+        assert meta["converged"], meta["status"]
+        assert np.all(np.abs(meta["covariance"]) <= np.asarray(c) + 1e-8)
+
+    @pytest.mark.parametrize("name", sorted(SVM_FITS))
+    def test_zero_and_binding_thresholds(self, name):
+        fit_fn, options = SVM_FITS[name]
+        two, _ = two_column_datasets()
+        free = fit_fn(two, FitSpec(mode="unconstrained", **options))
+        c = [0.0, 0.5 * abs(free.training_meta["covariance"][1])]
+        model = fit_fn(two, FitSpec(mode="fairness_constrained", covariance_thresholds=c, **options))
+        self.check(model, c)
+        assert abs(model.training_meta["covariance"][1]) == pytest.approx(c[1], rel=1e-6)  # the c_1 row binds
+
+    @pytest.mark.parametrize("name", sorted(SVM_FITS))
+    def test_constant_column_at_zero(self, name):
+        # the constant column's covariance row is all zeros and holds everywhere
+        fit_fn, options = SVM_FITS[name]
+        _, constant = two_column_datasets()
+        model = fit_fn(constant, FitSpec(mode="fairness_constrained", covariance_thresholds=[0.0, 0.0], **options))
+        self.check(model, [0.0, 0.0])
 
 
 class TestKernelSvm:

@@ -38,6 +38,23 @@ def quadratic_bowl(center):
     )
 
 
+class TestSolverSettings:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"kkt_tolerance": float("nan")},
+            {"kkt_tolerance": float("inf")},
+            {"kkt_tolerance": 0.0},
+            {"feasibility_tolerance": float("nan")},
+            {"feasibility_tolerance": -1e-9},
+            {"max_iterations": 0},
+        ],
+    )
+    def test_malformed_settings_rejected(self, fields):
+        with pytest.raises(ValueError):
+            SolverSettings(**fields)
+
+
 class TestMinimizeSmooth:
     def test_unconstrained_identity(self):
         f, g = quadratic_bowl([0.0, 0.0])
@@ -55,7 +72,7 @@ class TestMinimizeSmooth:
             dimension=2,
             objective=f,
             gradient=g,
-            linear_constraints=[(np.array([1.0, 0.0]), 1.0)],
+            linear_constraints=(np.array([[1.0, 0.0]]), np.array([1.0])),
         )
         result = minimize_smooth(problem, TIGHT)
         assert result.status == "converged"
@@ -81,7 +98,7 @@ class TestMinimizeSmooth:
             dimension=2,
             objective=objective,
             gradient=gradient,
-            linear_constraints=[(w / norm, c / norm), (-w / norm, c / norm)],
+            linear_constraints=(np.array([w, -w]) / norm, np.full(2, c / norm)),
         )
         result = minimize_smooth(problem, SolverSettings(kkt_tolerance=1e-8, feasibility_tolerance=1e-10))
         assert result.status == "converged"
@@ -95,7 +112,7 @@ class TestMinimizeSmooth:
             dimension=1,
             objective=f,
             gradient=g,
-            linear_constraints=[(np.array([1.0]), -1.0), (np.array([-1.0]), -1.0)],
+            linear_constraints=(np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0])),
         )
         result = minimize_smooth(problem, SolverSettings(kkt_tolerance=1e-6))
         assert result.status == "infeasible"
@@ -106,7 +123,7 @@ class TestMinimizeSmooth:
             dimension=2,
             objective=f,
             gradient=g,
-            linear_constraints=[(np.array([1.0, 0.0]), 1.0)],
+            linear_constraints=(np.array([[1.0, 0.0]]), np.array([1.0])),
         )
         result = minimize_smooth(problem, SolverSettings(max_iterations=2, kkt_tolerance=1e-10))
         assert result.status in ("max_iter", "converged")  # tiny problems may finish in 2 steps
@@ -118,7 +135,7 @@ class TestMinimizeSmooth:
             dimension=2,
             objective=f,
             gradient=g,
-            linear_constraints=[(np.array([1.0, 0.0]), 1.0)],
+            linear_constraints=(np.array([[1.0, 0.0]]), np.array([1.0])),
         )
         with caplog.at_level(logging.DEBUG, logger="fairclf.solvers"):
             minimize_smooth(problem, TIGHT)
@@ -140,7 +157,7 @@ class TestMinimizeSmooth:
             dimension=2,
             objective=objective,
             gradient=gradient,
-            linear_constraints=[(w, 0.05)],
+            linear_constraints=(w, 0.05),
         )
         first = minimize_smooth(problem, TIGHT)
         second = minimize_smooth(problem, TIGHT)
@@ -166,7 +183,7 @@ class TestMinimizeSmooth:
             dimension=2,
             objective=objective,
             gradient=gradient,
-            linear_constraints=[(w, c), (-w, c)],
+            linear_constraints=(np.array([w, -w]), np.array([c, c])),
         )
         result = minimize_smooth(problem, TIGHT)
         assert result.status == "converged"
@@ -216,7 +233,7 @@ class TestOperatorJacobian:
             dimension=3,
             objective=f,
             gradient=g,
-            linear_constraints=[(np.array([1.0, 1.0, 1.0]), 0.5)],
+            linear_constraints=(np.array([[1.0, 1.0, 1.0]]), np.array([0.5])),
             convex_constraints=[block],
         )
 
@@ -324,28 +341,58 @@ class TestSolveQp:
         assert result.objective_value == pytest.approx(ref_value, abs=1e-5)
         np.testing.assert_allclose(result.point, ref_alpha, atol=1e-4)
 
-    def test_opposite_pair_matches_equality_reference(self):
-        # a c=0 covariance bound arrives as the rows (a, 0) and (-a, 0); the
-        # solution must match the same QP with a.x = 0 as its equality
+    def test_two_row_equality_matches_reference(self):
+        # sum(x) = s and a.x = 0, the shape of a kernel dual with one c=0
+        # covariance bound, against the exhaustive active-set reference
         rng = np.random.default_rng(5)
         m = rng.normal(size=(4, 4))
         q = m @ m.T + 0.1 * np.eye(4)
         c = rng.normal(size=4)
         a = rng.normal(size=4)
         a /= np.linalg.norm(a)
-        problem = QuadraticProblem(
-            q_matrix=q,
-            q_vector=c,
-            box=(np.zeros(4), np.full(4, 2.0)),
-            linear_constraints=[(a, 0.0), (-a, 0.0)],
-        )
+        e, f = np.array([np.ones(4), a]), np.array([1.5, 0.0])
+        problem = QuadraticProblem(q_matrix=q, q_vector=c, box=(np.zeros(4), np.full(4, 2.0)), equality=(e, f))
         result = solve_qp(problem, SolverSettings(kkt_tolerance=1e-8, feasibility_tolerance=1e-10))
         assert result.status == "converged"
-        ref_value, ref_x = qp_box_equality_reference(q, c, np.zeros(4), np.full(4, 2.0), equality=(a, 0.0))
+        ref_value, ref_x, ref_mu = qp_box_equality_reference(
+            q, c, np.zeros(4), np.full(4, 2.0), equality=(e, f), with_multipliers=True
+        )
         assert result.objective_value == pytest.approx(ref_value, abs=1e-7)
         np.testing.assert_allclose(result.point, ref_x, atol=1e-6)
-        (pair,) = result.multipliers["inequality"]
-        assert pair.shape == (2,) and np.all(pair >= 0) and min(pair) == 0.0
+        np.testing.assert_allclose(e @ result.point, f, atol=1e-10)
+        assert result.multipliers["equality"].shape == (2,)
+        np.testing.assert_allclose(result.multipliers["equality"], ref_mu, atol=1e-5)
+        assert result.multipliers["inequality"] == []
+
+    def test_one_dimensional_equality_is_one_row(self):
+        q, c = np.eye(3), -np.array([3.0, 1.0, -2.0])
+        box = (np.zeros(3), np.ones(3))
+        vector = solve_qp(QuadraticProblem(q_matrix=q, q_vector=c, box=box, equality=(np.ones(3), 1.5)), TIGHT)
+        matrix = solve_qp(
+            QuadraticProblem(q_matrix=q, q_vector=c, box=box, equality=(np.ones((1, 3)), np.array([1.5]))), TIGHT
+        )
+        assert vector.status == matrix.status == "converged"
+        assert np.array_equal(vector.point, matrix.point)
+        assert vector.multipliers["equality"].shape == (1,)
+
+    def test_rejects_mismatched_constraint_shapes(self):
+        with pytest.raises(ValueError, match="shapes"):
+            solve_qp(
+                QuadraticProblem(q_matrix=np.eye(2), q_vector=np.zeros(2), equality=(np.ones((2, 2)), np.zeros(3)))
+            )
+        f, g = quadratic_bowl([0.0, 0.0])
+        with pytest.raises(ValueError, match="shapes"):
+            minimize_smooth(
+                SmoothProblem(dimension=2, objective=f, gradient=g, linear_constraints=(np.ones((1, 3)), np.ones(1)))
+            )
+
+    def test_rejects_constraint_that_is_not_a_block(self):
+        f, g = quadratic_bowl([0.0, 0.0])
+        problem = SmoothProblem(
+            dimension=2, objective=f, gradient=g, convex_constraints=[(lambda x: x[0], lambda x: np.array([1.0, 0.0]))]
+        )
+        with pytest.raises(TypeError, match="ConstraintBlock"):
+            minimize_smooth(problem)
 
     def test_infeasible_rows_detected(self):
         # the box [0, 1]^2 and the row x1 + x2 <= -1 have no common point
@@ -353,7 +400,7 @@ class TestSolveQp:
             q_matrix=np.eye(2),
             q_vector=-np.ones(2),
             box=(np.zeros(2), np.ones(2)),
-            linear_constraints=[(np.array([1.0, 1.0]), -1.0)],
+            linear_constraints=(np.array([[1.0, 1.0]]), np.array([-1.0])),
         )
         result = solve_qp(problem, TIGHT)
         assert result.status == "infeasible"
@@ -378,7 +425,7 @@ class TestSolveQp:
             q_vector=rng.normal(size=5),
             box=(np.full(5, -1.0), np.ones(5)),
             equality=(np.ones(5), 0.5),
-            linear_constraints=[(rng.normal(size=5), 0.2), (rng.normal(size=5), 0.1)],
+            linear_constraints=(np.array([rng.normal(size=5), rng.normal(size=5)]), np.array([0.2, 0.1])),
         )
         result = solve_qp(problem, TIGHT)
         assert result.status == "converged"
@@ -435,7 +482,7 @@ class TestKktResiduals:
             dimension=2,
             objective=f,
             gradient=g,
-            linear_constraints=[(np.array([1.0, 0.0]), 1.0)],
+            linear_constraints=(np.array([[1.0, 0.0]]), np.array([1.0])),
         )
         res = kkt_residuals(problem, np.array([1.0, 0.0]), {"inequality": [2.0]})
         assert res.stationarity_norm == pytest.approx(0.0, abs=1e-12)
@@ -448,7 +495,7 @@ class TestKktResiduals:
             dimension=2,
             objective=f,
             gradient=g,
-            linear_constraints=[(np.array([1.0, 0.0]), 1.0)],
+            linear_constraints=(np.array([[1.0, 0.0]]), np.array([1.0])),
         )
         res = kkt_residuals(problem, np.array([0.2, 0.5]), {"inequality": [0.3]})
         assert res.stationarity_norm > 0.1
@@ -456,10 +503,25 @@ class TestKktResiduals:
     def test_negative_multiplier_rejected(self):
         f, g = quadratic_bowl([0.0, 0.0])
         problem = SmoothProblem(
-            dimension=2, objective=f, gradient=g, linear_constraints=[(np.array([1.0, 0.0]), 1.0)]
+            dimension=2, objective=f, gradient=g, linear_constraints=(np.array([[1.0, 0.0]]), np.array([1.0]))
         )
         with pytest.raises(ValueError, match="non-negative"):
             kkt_residuals(problem, np.zeros(2), {"inequality": [-0.5]})
+
+    def test_equality_multipliers_are_a_vector(self):
+        # min 0.5|x|^2 - x1 subject to x1 + x2 = 1 and x1 - x2 = 0: x = (1/2, 1/2)
+        problem = QuadraticProblem(
+            q_matrix=np.eye(2),
+            q_vector=np.array([-1.0, 0.0]),
+            equality=(np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([1.0, 0.0])),
+        )
+        point = np.array([0.5, 0.5])
+        res = kkt_residuals(problem, point, {"equality": np.array([0.0, 0.5])})
+        assert res.stationarity_norm == pytest.approx(0.0, abs=1e-15)
+        assert res.max_violation == 0.0
+        assert kkt_residuals(problem, point, {"equality": np.zeros(2)}).stationarity_norm > 0.1
+        with pytest.raises(ValueError, match="equality multipliers"):
+            kkt_residuals(problem, point, {"equality": 0.5})
 
 
 class TestGradientOracleConsistency:
