@@ -21,7 +21,10 @@ attributes never participate in decisions.
 
 from __future__ import annotations
 
+import copy
+import logging
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Literal, Sequence
 
@@ -61,6 +64,8 @@ __all__ = [
     "predict",
     "protected_rows",
 ]
+
+_log = logging.getLogger(__name__)
 
 Mode = Literal["unconstrained", "fairness_constrained", "accuracy_constrained", "fine_grained"]
 
@@ -187,11 +192,8 @@ class KernelModel:
 
 
 def _log1pexp(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    pos = t > 0
-    out[pos] = t[pos] + np.log1p(np.exp(-t[pos]))
-    out[~pos] = np.log1p(np.exp(t[~pos]))
-    return out
+    """log(1 + e^t) without overflow: max(t, 0) + log1p(e^-|t|), in one pass with no masks."""
+    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
 
 def _loss_at(theta, scores, labels, l2_penalty: float) -> float:
@@ -389,17 +391,40 @@ def _fit_logreg_core(features, labels, l2_penalty, settings, constraints=None) -
     return minimize_smooth(problem, settings)
 
 
+# the last unconstrained fit: (weak reference to its training set, spec, settings, model)
+_last_fit: tuple | None = None
+
+
+def _handed_out(model: LinearModel) -> LinearModel:
+    """A copy of ``model`` whose ``training_meta`` a caller may change freely."""
+    return replace(model, training_meta=copy.deepcopy(model.training_meta))
+
+
 def fit_logreg(train: Dataset, spec: FitSpec, settings: SolverSettings | None = None) -> LinearModel:
     """Unconstrained logistic regression (mode ``unconstrained``).
 
     Perfectly separable data makes the unpenalized problem unbounded; that
     case is detected by the optimum collapsing to (numerically) zero loss and
     resolved by refitting with a tiny ridge, recorded in ``training_meta``.
+
+    The last fit is remembered: a call on the same ``Dataset`` object with an
+    equal spec and equal settings (after defaulting) returns its optimum
+    without solving again. A ``Dataset`` is frozen and its arrays are
+    read-only, so the same object means the same rows. The training set is
+    held by a weak reference and is not kept alive by the memo. This is how
+    the gamma-mode fits, which start from the unconstrained optimum, reuse
+    the baseline that a sweep or a caller has just fitted.
     """
+    global _last_fit
     if spec.mode != "unconstrained":
         raise ValueError("fit_logreg requires mode 'unconstrained'")
     _require_bias(train, "fit_logreg")
     settings = settings or _default_settings()
+    if _last_fit is not None:
+        train_ref, last_spec, last_settings, model = _last_fit
+        if train_ref() is train and last_spec == spec and last_settings == settings:
+            _log.debug("fit_logreg: reusing the optimum fitted last on this training set")
+            return _handed_out(model)
     ridge = spec.l2_penalty
     result = _fit_logreg_core(train.features, train.labels, ridge, settings)
     auto_ridge = False
@@ -414,7 +439,9 @@ def fit_logreg(train: Dataset, spec: FitSpec, settings: SolverSettings | None = 
         auto_ridge=auto_ridge,
         objective=logistic_loss(result.point, train.features, train.labels, ridge),
     )
-    return LinearModel(theta=result.point, training_meta=meta)
+    model = LinearModel(theta=result.point, training_meta=meta)
+    _last_fit = (weakref.ref(train), spec, settings, model)
+    return _handed_out(model)
 
 
 def fit_logreg_fair(train: Dataset, spec: FitSpec, settings: SolverSettings | None = None) -> LinearModel:
@@ -474,9 +501,18 @@ def _covariance_objective_problem(
 def fit_logreg_fairness_max(train: Dataset, spec: FitSpec, settings: SolverSettings | None = None) -> LinearModel:
     """Minimize summed |covariance| under a total-loss budget (mode ``accuracy_constrained``).
 
-    The unconstrained optimum is fitted first; the budget is
-    (1 + gamma) times its loss. The absolute values are handled by an
-    epigraph reformulation, keeping the problem smooth.
+    The unconstrained optimum theta* is fitted first (or taken from
+    :func:`fit_logreg`'s memo); the budget is L(theta) <= (1 + gamma) L*
+    with L* = L(theta*), with no headroom, so a converged fit certifies that
+    budget. The absolute values are handled by an epigraph reformulation,
+    keeping the problem smooth.
+
+    At gamma = 0 the result is theta* itself, without a solve, marked
+    ``closed_form``. This is exact: the feasible points are the minimizers
+    of L. The log-loss is strictly convex in the scores X theta, so all
+    minimizers share X theta, and the covariances W theta depend on theta
+    only through X theta. Every feasible point has the same objective, so
+    theta* is optimal, and its status is that of the unconstrained fit.
     """
     if spec.mode != "accuracy_constrained":
         raise ValueError("fit_logreg_fairness_max requires mode 'accuracy_constrained'")
@@ -485,10 +521,38 @@ def fit_logreg_fairness_max(train: Dataset, spec: FitSpec, settings: SolverSetti
     base = fit_logreg(train, FitSpec(mode="unconstrained", l2_penalty=spec.l2_penalty), _default_settings())
     ridge = base.training_meta["l2_penalty"]
     loss_star = base.training_meta["objective"]
-    # microscopic headroom keeps the budget set full-dimensional at gamma = 0
-    # while staying far inside the documented (1 + 1e-8) budget factor
-    budget = max((1.0 + spec.gamma) * loss_star, 1e-12) * (1.0 + 5e-9)
+    budget = max((1.0 + spec.gamma) * loss_star, 1e-12)
     features, labels = train.features, train.labels
+
+    def closed_form(theta: np.ndarray, loss: float, status: str, kkt: KKTResiduals) -> LinearModel:
+        w = covariance_vectors(train)
+        objective = float(np.sum(np.abs(w @ theta)))
+        exact = SolverResult(point=theta, objective_value=objective, status=status, kkt=kkt, iterations=0)
+        meta = _meta(
+            "accuracy_constrained",
+            exact,
+            gamma=spec.gamma,
+            l2_penalty=ridge,
+            loss_star=loss_star,
+            loss=loss,
+            covariance=(w @ theta).tolist(),
+            closed_form=True,
+        )
+        return LinearModel(theta=theta, training_meta=meta)
+
+    # once the budget admits the all-zero boundary, that boundary is an exact
+    # optimum (its covariance is identically zero in every column), so the
+    # numerical solve is skipped; every row then sits on the positive side of
+    # the tie and both groups share the same positive rate
+    zero_theta = np.zeros(train.n_features)
+    zero_loss = logistic_loss(zero_theta, features, labels, ridge)
+    if zero_loss <= budget:
+        return closed_form(zero_theta, zero_loss, "converged", KKTResiduals(0.0, 0.0, 0.0))
+    if spec.gamma == 0.0:
+        kkt = base.training_meta["kkt"]
+        residuals = KKTResiduals(kkt["stationarity_norm"], kkt["max_violation"], kkt["max_comp_slack"])
+        return closed_form(np.asarray(base.theta), loss_star, base.training_meta["status"], residuals)
+
     d = features.shape[1]
     scores = _at_last_point(lambda v: matvec(features, v[:d]))
 
@@ -500,28 +564,6 @@ def fit_logreg_fairness_max(train: Dataset, spec: FitSpec, settings: SolverSetti
     def loss_jac(v: np.ndarray) -> np.ndarray:
         g = _gradient_at(v[:d], scores(v), features, labels, ridge) / budget
         return np.concatenate([g, np.zeros(v.size - d)])[None, :]
-
-    # once the budget admits the all-zero boundary, that boundary is an exact
-    # optimum (its covariance is identically zero in every column), so the
-    # numerical solve is skipped; every row then sits on the positive side of
-    # the tie and both groups share the same positive rate
-    zero_theta = np.zeros(train.n_features)
-    zero_loss = logistic_loss(zero_theta, features, labels, ridge)
-    if zero_loss <= budget:
-        exact = SolverResult(
-            point=zero_theta, objective_value=0.0, status="converged", kkt=KKTResiduals(0.0, 0.0, 0.0), iterations=0
-        )
-        meta = _meta(
-            "accuracy_constrained",
-            exact,
-            gamma=spec.gamma,
-            l2_penalty=ridge,
-            loss_star=loss_star,
-            loss=zero_loss,
-            covariance=(covariance_vectors(train) @ zero_theta).tolist(),
-            closed_form=True,
-        )
-        return LinearModel(theta=zero_theta, training_meta=meta)
 
     block = ConstraintBlock(value=loss_block, jacobian=loss_jac, size=1)
     problem, d, w = _covariance_objective_problem(train, [block], None, theta_start=np.asarray(base.theta))

@@ -52,3 +52,18 @@ def random_instance(seed: int, n: int = 40, min_w: float = 0.25):
         if abs(w[0]) >= min_w:
             return ds, w
         seed += 10_000
+
+
+def count_smooth_solves(monkeypatch) -> list:
+    """Record each problem that fairclf.models hands to minimize_smooth from now on."""
+    import fairclf.models
+
+    calls = []
+    original = fairclf.models.minimize_smooth
+
+    def counting(problem, settings=None):
+        calls.append(problem)
+        return original(problem, settings)
+
+    monkeypatch.setattr(fairclf.models, "minimize_smooth", counting)
+    return calls

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fairclf.models import (
     _covariance_rows,
     _covariance_split,
     _epigraph_rows,
+    _log1pexp,
     _point_loss_block,
     KernelModel,
     KernelSpec,
@@ -31,9 +33,10 @@ from fairclf.models import (
     predict,
     protected_rows,
 )
+from fairclf.solvers import SolverSettings
 from fairclf.synth import SynthConfig, gen_linear_synthetic, gen_nonlinear_synthetic
 
-from conftest import random_instance
+from conftest import count_smooth_solves, random_instance
 from oracles import (
     active_set_svm,
     fine_grained_jacobian,
@@ -133,6 +136,76 @@ class TestGradients:
         per_point = per_point_logistic_loss(theta, ds.features, ds.labels)
         total = logistic_loss(theta, ds.features, ds.labels)
         assert per_point.sum() == pytest.approx(total)
+
+
+class TestLog1pExp:
+    def test_bitwise_equal_to_two_branch_formula(self):
+        def two_branch(t):
+            out = np.empty_like(t)
+            pos = t > 0
+            out[pos] = t[pos] + np.log1p(np.exp(-t[pos]))
+            out[~pos] = np.log1p(np.exp(t[~pos]))
+            return out
+
+        edges = np.array([0.0, 5e-324, 1e-300, 709.0, 745.0, 1e308])
+        edges = np.concatenate([edges, -edges, [np.inf, -np.inf]])
+        draw = np.random.default_rng(0).normal(scale=30.0, size=100_000)
+        for t in (edges, draw):
+            np.testing.assert_array_equal(_log1pexp(t).view(np.int64), two_branch(t).view(np.int64))
+
+
+class TestBaselineMemo:
+    def test_gamma_fit_reuses_the_baseline(self, monkeypatch):
+        ds, _ = random_instance(10, n=80)
+        fit_logreg(ds, FitSpec(mode="unconstrained"))
+        calls = count_smooth_solves(monkeypatch)
+        model = fit_logreg_fairness_max(ds, FitSpec(mode="accuracy_constrained", gamma=0.5))
+        assert len(calls) == 1
+        assert not model.training_meta["closed_form"]
+
+    def test_other_inputs_refit(self, monkeypatch):
+        ds, _ = random_instance(10, n=80)
+        spec = FitSpec(mode="unconstrained")
+        first = fit_logreg(ds, spec)
+        calls = count_smooth_solves(monkeypatch)
+        copy = replace(ds)  # equal rows, another object
+        for train, other_spec, settings in (
+            (copy, spec, None),
+            (ds, FitSpec(mode="unconstrained", l2_penalty=1e-3), None),
+            (ds, spec, SolverSettings(kkt_tolerance=1e-7, feasibility_tolerance=1e-8)),
+        ):
+            fit_logreg(ds, spec)  # the memo holds (ds, spec) again
+            before = len(calls)
+            fit_logreg(train, other_spec, settings)
+            assert len(calls) == before + 1
+        np.testing.assert_array_equal(fit_logreg(copy, spec).theta, first.theta)
+
+    def test_hit_is_not_changed_by_caller_edits(self, monkeypatch):
+        ds, _ = random_instance(11, n=60)
+        spec = FitSpec(mode="unconstrained")
+        first = fit_logreg(ds, spec)
+        expected = {**first.training_meta, "kkt": dict(first.training_meta["kkt"])}
+        first.training_meta["objective"] = -1.0
+        first.training_meta["kkt"]["stationarity_norm"] = -1.0
+        calls = count_smooth_solves(monkeypatch)
+        second = fit_logreg(ds, spec)
+        assert not calls
+        assert second.training_meta == expected
+        second.training_meta["status"] = "edited"
+        assert fit_logreg(ds, spec).training_meta == expected
+
+    def test_gamma_zero_is_the_baseline(self, monkeypatch):
+        ds, _ = random_instance(10, n=80)
+        base = fit_logreg(ds, FitSpec(mode="unconstrained"))
+        calls = count_smooth_solves(monkeypatch)
+        model = fit_logreg_fairness_max(ds, FitSpec(mode="accuracy_constrained", gamma=0.0))
+        assert not calls
+        meta = model.training_meta
+        np.testing.assert_array_equal(model.theta.view(np.int64), base.theta.view(np.int64))
+        assert meta["closed_form"]
+        assert meta["loss"] == meta["loss_star"] == base.training_meta["objective"]
+        assert meta["status"] == base.training_meta["status"]
+        assert meta["objective"] == float(np.sum(np.abs(covariance_vectors(ds) @ base.theta)))
 
 
 class TestFitLogreg:

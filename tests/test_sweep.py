@@ -10,6 +10,8 @@ from fairclf.metrics import audit
 from fairclf.models import FitSpec, decision_values, fit_logreg_fair
 from fairclf.sweep import ExperimentConfig, SweepResult, emit_results, run_sweep
 
+from conftest import count_smooth_solves
+
 SYNTH = {"kind": "synthetic", "variant": "linear", "phi": float(np.pi / 4), "n": 600, "seed": 4}
 
 
@@ -97,16 +99,7 @@ class TestRunSweep:
         assert cell.train_report.p_percent["z"] == pytest.approx(direct_report.p_percent["z"])
 
     def test_one_c0_fit_per_repeat(self, monkeypatch):
-        import fairclf.models
-
-        calls = []
-        original = fairclf.models.minimize_smooth
-
-        def counting(problem, settings=None):
-            calls.append(problem)
-            return original(problem, settings)
-
-        monkeypatch.setattr(fairclf.models, "minimize_smooth", counting)
+        calls = count_smooth_solves(monkeypatch)
         config = fairness_config()
         run_sweep(config)
         assert len(calls) == config.split.repeats * (1 + len(config.grid)) == 8
@@ -165,6 +158,19 @@ class TestRunSweep:
         baseline = result.baselines[0]
         zero_cell = next(c for c in result.cells if c.cell_index == 0)
         assert zero_cell.train_loss <= baseline["loss_star"] * (1 + 1e-6)
+
+    def test_gamma_sweep_fits_the_baseline_once(self, monkeypatch):
+        calls = count_smooth_solves(monkeypatch)
+        config = fairness_config(
+            mode="accuracy_constrained",
+            a_factors=None,
+            gammas=(0.0, 0.5),
+            split=SplitPlan(train_fraction=0.7, repeats=1, seed=3),
+        )
+        result = run_sweep(config)
+        assert len(calls) == 2  # the baseline and gamma = 0.5; gamma = 0 is the baseline
+        zero_cell = next(c for c in result.cells if c.cell_index == 0)
+        assert zero_cell.train_loss == result.baselines[0]["loss_star"]
 
     def test_fine_grained_sweep(self):
         config = fairness_config(
