@@ -10,7 +10,10 @@ Two entry points, each with its own method:
 * :func:`solve_qp` - convex quadratic objective under a variable box, linear
   equalities E x = f and linear inequalities A x <= b. A dense primal-dual
   interior-point method (Mehrotra's predictor-corrector) factors one
-  Cholesky per iteration.
+  Cholesky per iteration. Slack columns - variables that Q couples to no
+  other variable, E leaves out and one row of A alone uses, such as the xi
+  of an exact-hinge SVM - are eliminated from each Newton system through
+  their diagonal block, so only the remaining columns are factored.
 
 Linear constraints are handed over as matrices, one row per constraint. The
 caller decides which bounds are equalities and puts their rows in E; the
@@ -301,26 +304,59 @@ def _compile_smooth(problem: SmoothProblem) -> _Compiled:
     return _Compiled(n, problem.objective, problem.gradient, blocks, None, None, None, x0)
 
 
-def _validate_psd(q: np.ndarray) -> None:
+def _slack_columns(q: np.ndarray, a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The slack columns of a QP and the row of A each one uses.
+
+    Column j qualifies when Q has no off-diagonal entry in its row or column,
+    E is zero in it and A has exactly one nonzero in it, in a row that no
+    earlier qualifying column uses (see the interior-point comment below).
+    """
+    free = ~np.any(e != 0, axis=0) & (np.count_nonzero(a, axis=0) == 1)
+    if not free.any():
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+    coupled = q != 0
+    np.fill_diagonal(coupled, False)
+    cols = np.flatnonzero(free & ~coupled.any(axis=0) & ~coupled.any(axis=1))
+    rows, first = np.unique(np.argmax(a[:, cols] != 0, axis=0), return_index=True)
+    return cols[first], rows
+
+
+def _validate_psd(q: np.ndarray, slack: np.ndarray, keep: np.ndarray) -> None:
+    """Reject a Q that is not symmetric or not PSD up to a relative jitter of 1e-10.
+
+    Slack columns have no off-diagonal entries, so Q is block-diagonal in
+    (kept, slack) order: Q_RR is checked by Cholesky and each slack diagonal
+    entry against the jitter, which is the same test on the whole matrix.
+    """
     scale = max(float(np.abs(q).max()), 1.0)
     if not np.allclose(q, q.T, atol=1e-10 * scale):
         raise ValueError("Q must be symmetric")
     jitter = 1e-10 * scale
+    if np.any(np.diag(q)[slack] + jitter <= 0):
+        raise ValueError("Q must be positive semidefinite")
+    q_keep = q[np.ix_(keep, keep)] if slack.size else q
     try:
-        np.linalg.cholesky(q + jitter * np.eye(q.shape[0]))
+        np.linalg.cholesky(q_keep + jitter * np.eye(keep.size))
     except np.linalg.LinAlgError:
         raise ValueError("Q must be positive semidefinite") from None
 
 
 @dataclass
 class _CompiledQP:
-    """A QP as arrays: box lo <= x <= hi and rows a x <= b, with E x = f in ``comp.equality``."""
+    """A QP as arrays: box lo <= x <= hi and rows a x <= b, with E x = f in ``comp.equality``.
+
+    ``slack`` are the slack columns, ``slack_rows`` the row of A each one
+    uses and ``keep`` the other columns, ascending.
+    """
 
     comp: _Compiled
     q: np.ndarray
     c: np.ndarray
     a: np.ndarray
     b: np.ndarray
+    slack: np.ndarray
+    slack_rows: np.ndarray
+    keep: np.ndarray
 
 
 def _compile_qp(problem: QuadraticProblem) -> _CompiledQP:
@@ -329,12 +365,14 @@ def _compile_qp(problem: QuadraticProblem) -> _CompiledQP:
     n = c.size
     if q.shape != (n, n):
         raise ValueError("Q and q dimensions disagree")
-    _validate_psd(q)
     lo, hi = problem.box
     lo = np.full(n, -np.inf) if lo is None else np.broadcast_to(np.asarray(lo, dtype=float), (n,))
     hi = np.full(n, np.inf) if hi is None else np.broadcast_to(np.asarray(hi, dtype=float), (n,))
     a, b = _linear_arrays(problem.linear_constraints, n)
     equality = _linear_arrays(problem.equality, n)
+    slack, slack_rows = _slack_columns(q, a, equality[0])
+    keep = np.setdiff1d(np.arange(n), slack)
+    _validate_psd(q, slack, keep)
     x0 = None if problem.initial_point is None else np.clip(np.asarray(problem.initial_point, dtype=float), lo, hi)
 
     def objective(x: np.ndarray) -> float:
@@ -344,7 +382,7 @@ def _compile_qp(problem: QuadraticProblem) -> _CompiledQP:
         return q @ x + c
 
     comp = _Compiled(n, objective, gradient, _linear_blocks(a, b), equality, lo, hi, x0)
-    return _CompiledQP(comp, q, c, a, b)
+    return _CompiledQP(comp, q, c, a, b, slack, slack_rows, keep)
 
 
 def _residuals(comp: _Compiled, x: np.ndarray, lam: list, mu: np.ndarray | None) -> KKTResiduals:
@@ -485,6 +523,25 @@ def _named_multipliers(lam: list, mu: np.ndarray | None = None) -> dict:
 #
 # by eliminating ds and dz, which leaves H = Q + G'(Z/S)G with the few
 # equality rows E handled through the Schur complement E H^-1 E'.
+#
+# H is then reduced once more. A slack column j (found by _slack_columns) has
+# no off-diagonal entry in Q, none in E and one nonzero a_rj in A, in a row
+# r = r(j) of its own. With box weight b_j (the Z/S entries of its bound
+# rows) and row weight d_r, its block of H is the scalar
+#
+#     h_j = Q_jj + b_j + d_r a_rj^2,
+#
+# and its only coupling is d_r a_rj times row r of A on the kept columns R.
+# Eliminating every slack column leaves
+#
+#     H_R = Q_RR + box_R + A_R' diag(w) A_R,   w_r = d_r (Q_jj + b_j) / h_j
+#
+# on the paired rows and w_r = d_r elsewhere (this form of the Schur
+# complement d_r - d_r^2 a_rj^2 / h_j does not cancel). E touches only R, so
+# [H_R E_R'; E_R 0] is solved as before and the slack steps follow by
+# back-substitution. Without slack columns R is every column and this is the
+# plain system, computed in the same order. An exact-hinge SVM in (theta, xi)
+# factors a d x d matrix instead of a (d + n) x (d + n) one.
 
 
 def _cholesky(matrix: np.ndarray):
@@ -500,7 +557,8 @@ def _cholesky(matrix: np.ndarray):
 
 
 class _Inequalities:
-    """The map x -> G x and its transpose for the box rows and the rows of A."""
+    """The map x -> G x and its transpose for the box rows and the rows of A,
+    and the blocks of Q, A and E on the kept and the slack columns."""
 
     def __init__(self, qp: _CompiledQP):
         self.lower = np.flatnonzero(np.isfinite(qp.comp.lo))
@@ -508,6 +566,16 @@ class _Inequalities:
         self.a = qp.a
         self.h = np.concatenate([-qp.comp.lo[self.lower], qp.comp.hi[self.upper], qp.b])
         self.split = (self.lower.size, self.lower.size + self.upper.size)
+
+        e = qp.comp.equality[0]
+        self.n, self.keep, self.slack, self.rows = qp.comp.n, qp.keep, qp.slack, qp.slack_rows
+        self.coef = qp.a[self.rows, self.slack]  # a_rj
+        self.q_slack = np.diag(qp.q)[self.slack]
+        if self.slack.size:
+            self.q_keep, self.a_keep, self.e_keep = qp.q[np.ix_(qp.keep, qp.keep)], qp.a[:, qp.keep], e[:, qp.keep]
+        else:  # the arrays themselves, so the products are those of the plain system
+            self.q_keep, self.a_keep, self.e_keep = qp.q, qp.a, e
+        self.a_paired = self.a_keep[self.rows]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return np.concatenate([-x[self.lower], x[self.upper], self.a @ x])
@@ -519,32 +587,51 @@ class _Inequalities:
         out[self.upper] += v_hi
         return out
 
-    def weighted_gram(self, d: np.ndarray) -> np.ndarray:
-        """G' diag(d) G."""
-        d_lo, d_hi, d_a = np.split(d, self.split)
-        out = (self.a.T * d_a) @ self.a
-        out[self.lower, self.lower] += d_lo
-        out[self.upper, self.upper] += d_hi
-        return out
-
 
 class _NewtonSystem:
-    """One factorisation of [H E'; E 0], solved for several right-hand sides."""
+    """One factorisation of [H E'; E 0], H = Q + G' diag(d) G, solved for several right-hand sides.
 
-    def __init__(self, h_matrix: np.ndarray, e: np.ndarray):
-        self.factor = _cholesky(h_matrix)
-        self.e = e
-        if e.shape[0]:
-            self.h_inv_et = cho_solve(self.factor, e.T)
-            self.schur = _cholesky(e @ self.h_inv_et)
+    The slack columns are eliminated first, as the comment above describes,
+    so only H_R and the Schur complement of the E rows are factored.
+    """
+
+    def __init__(self, g: _Inequalities, d: np.ndarray):
+        self.g = g
+        d_lo, d_hi, d_a = np.split(d, g.split)
+        lo, hi = np.zeros(g.n), np.zeros(g.n)
+        lo[g.lower] = d_lo
+        hi[g.upper] = d_hi
+        d_paired = d_a[g.rows]
+        own = g.q_slack + lo[g.slack] + hi[g.slack]  # Q_jj + b_j
+        self.h = own + d_paired * g.coef**2
+        self.coupling = d_paired * g.coef
+        w = d_a.copy()
+        w[g.rows] = d_paired * own / self.h
+        reduced = (g.a_keep.T * w) @ g.a_keep
+        # lower then upper weights, one at a time: a two-sided column gets
+        # the sums of the plain system
+        diagonal = np.diag_indices(g.keep.size)
+        reduced[diagonal] += lo[g.keep]
+        reduced[diagonal] += hi[g.keep]
+        self.factor = _cholesky(g.q_keep + reduced)
+        self.e = g.e_keep
+        if self.e.shape[0]:
+            self.h_inv_et = cho_solve(self.factor, self.e.T)
+            self.schur = _cholesky(self.e @ self.h_inv_et)
 
     def solve(self, rhs: np.ndarray, r_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(dx, dy) with H dx + E'dy = rhs and E dx = -r_e."""
-        u = cho_solve(self.factor, rhs)
-        if not self.e.shape[0]:
-            return u, np.zeros(0)
-        dy = cho_solve(self.schur, self.e @ u + r_e)
-        return u - self.h_inv_et @ dy, dy
+        g = self.g
+        t = rhs[g.slack] / self.h
+        u = cho_solve(self.factor, rhs[g.keep] - g.a_paired.T @ (self.coupling * t))
+        dy = np.zeros(0)
+        if self.e.shape[0]:
+            dy = cho_solve(self.schur, self.e @ u + r_e)
+            u = u - self.h_inv_et @ dy
+        dx = np.empty(g.n)
+        dx[g.keep] = u
+        dx[g.slack] = t - self.coupling / self.h * (g.a_paired @ u)
+        return dx, dy
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
@@ -567,7 +654,7 @@ def _solve_ipm(qp: _CompiledQP, settings: SolverSettings) -> SolverResult:
     # start: the least-squares point of CVXOPT's coneqp, i.e. the Newton
     # system with unit slack weights, then slacks and multipliers shifted
     # to be strictly positive
-    start = _NewtonSystem(qp.q + g.weighted_gram(np.ones(n_ineq)), e)
+    start = _NewtonSystem(g, np.ones(n_ineq))
     x, y = start.solve(-qp.c + g.transpose(g.h), -f)
     if comp.x0 is not None:
         x = comp.x0.copy()
@@ -606,7 +693,7 @@ def _solve_ipm(qp: _CompiledQP, settings: SolverSettings) -> SolverResult:
             break
         iteration += 1
 
-        system = _NewtonSystem(qp.q + g.weighted_gram(z / s), e)
+        system = _NewtonSystem(g, z / s)
 
         def direction(r_c: np.ndarray):
             dx, dy = system.solve(-r_d + g.transpose((r_c - z * r_p) / s), r_e)

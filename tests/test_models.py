@@ -25,6 +25,7 @@ from fairclf.models import (
     fit_logreg_fair,
     fit_logreg_fairness_max,
     fit_logreg_fine_grained,
+    gram_matrix,
     logistic_loss,
     logistic_loss_gradient,
     model_from_dict,
@@ -505,6 +506,31 @@ class TestLinearSvm:
             achieved = hinge_objective(np.asarray(model.theta), ds.features, ds.labels, 1.0)
             assert achieved == pytest.approx(oracle_value, abs=1e-5)
 
+    def test_exact_hinge_factors_only_theta_sized_matrices(self, monkeypatch):
+        # the xi columns are eliminated: no Newton matrix grows with n
+        import fairclf.solvers
+
+        sizes = []
+        cholesky = fairclf.solvers._cholesky
+        monkeypatch.setattr(fairclf.solvers, "_cholesky", lambda m: sizes.append(m.shape[0]) or cholesky(m))
+        ds = append_bias(gen_linear_synthetic(SynthConfig(n=400, phi=np.pi / 4, seed=1)))
+        for spec in (
+            FitSpec(mode="unconstrained", svm_cost=1.0, svm_hinge="exact"),
+            FitSpec(mode="fairness_constrained", covariance_thresholds=0.0, svm_cost=1.0, svm_hinge="exact"),
+        ):
+            sizes.clear()
+            model = fit_linear_svm_fair(ds, spec)
+            assert model.training_meta["status"] == "converged"
+            assert sizes and max(sizes) <= ds.features.shape[1]
+
+        small, w = random_instance(17, n=8, min_w=0.2)
+        sizes.clear()
+        spec = FitSpec(mode="fairness_constrained", covariance_thresholds=0.05, svm_cost=1.0, svm_hinge="exact")
+        model = fit_linear_svm_fair(small, spec)
+        assert max(sizes) <= small.features.shape[1]
+        oracle_value, _ = active_set_svm(small.features, small.labels, 1.0, w=w, c=0.05)
+        assert model.training_meta["objective"] == pytest.approx(oracle_value, abs=1e-5)
+
     def test_zero_threshold_covariance_and_rule(self):
         from fairclf.metrics import audit
 
@@ -643,7 +669,7 @@ class TestKernelSvm:
         dual = fit_kernel_svm_fair(
             ds, FitSpec(mode="unconstrained", svm_cost=5.0, kernel=KernelSpec(kind="linear"))
         )
-        theta = ds.features.T @ (dual.alphas * ds.labels)
+        theta = dual.support_points.T @ (dual.alphas * dual.support_labels)
         linear = LinearModel(theta=theta)
         np.testing.assert_allclose(
             decision_values(dual, ds.features), decision_values(linear, ds.features), atol=1e-8
@@ -665,6 +691,36 @@ class TestKernelSvm:
         assert np.all(model.alphas >= 0.0)
         assert np.all(model.alphas <= 3.0)
         assert abs(float(model.alphas @ model.support_labels)) <= 1e-8
+
+    def test_stores_only_support_vectors(self, monkeypatch):
+        # the benchmark's C10 shape at 600 rows: about a quarter of the rows have alpha > 0
+        import json
+
+        import fairclf.models
+
+        results = []
+        solve = fairclf.models.solve_qp
+        monkeypatch.setattr(fairclf.models, "solve_qp", lambda *args: results.append(solve(*args)) or results[-1])
+        ds = append_bias(gen_nonlinear_synthetic(SynthConfig(n=600, phi=np.pi / 4, seed=1, variant="nonlinear")))
+        kernel = KernelSpec(kind="rbf", rbf_gamma=0.04)
+        model = fit_kernel_svm_fair(ds, FitSpec(mode="unconstrained", svm_cost=100.0, kernel=kernel))
+        full = np.clip(results[0].point, 0.0, 100.0)
+        support = full > 1e-8 * 100.0
+        assert np.all(model.alphas > 0.0)
+        assert model.alphas.size == np.count_nonzero(support) < ds.n / 2
+        np.testing.assert_array_equal(model.support_points, ds.features[support])
+        np.testing.assert_array_equal(model.support_labels, ds.labels[support])
+
+        scoring = append_bias(gen_nonlinear_synthetic(SynthConfig(n=2000, phi=np.pi / 4, seed=9, variant="nonlinear")))
+        # the expansion over all 600 training rows
+        reference = gram_matrix(kernel, scoring.features, ds.features) @ (full * ds.labels)
+        values = decision_values(model, scoring.features)
+        assert np.max(np.abs(values - reference)) <= 1e-7 * np.mean(np.abs(reference))
+
+        back = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+        np.testing.assert_array_equal(back.alphas, model.alphas)
+        np.testing.assert_array_equal(back.support_points, model.support_points)
+        np.testing.assert_array_equal(decision_values(back, scoring.features), values)
 
     def test_model_invariant_enforced(self):
         with pytest.raises(ValueError, match="sum"):

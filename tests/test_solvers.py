@@ -4,8 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 from scipy.sparse.linalg import aslinearoperator
 
+from fairclf import solvers
 from fairclf.solvers import (
     ConstraintBlock,
     QuadraticProblem,
@@ -465,6 +467,146 @@ class TestSolveQp:
         b = solve_qp(problem, TIGHT)
         assert np.array_equal(a.point, b.point)
         assert a.iterations == b.iterations
+
+
+class TestSlackElimination:
+    """The Newton systems of ``solve_qp`` with the slack columns eliminated."""
+
+    @staticmethod
+    def slack_problem(seed: int) -> tuple[QuadraticProblem, np.ndarray]:
+        """A QP on 4 coupled columns and 7 slack-shaped ones, and the 6 of those that are slack columns.
+
+        Slack-shaped columns 4..9 each own one row of A; column 10 shares
+        column 9's row, so only the first of the two is eliminated. The box
+        is two-sided, one-sided or absent per column, E has two rows over the
+        coupled columns and A two more rows over them; x = 0 is strictly
+        feasible.
+        """
+        rng = np.random.default_rng(seed)
+        kept, shaped = 4, 7
+        n = kept + shaped
+        m = rng.normal(size=(kept, kept))
+        q = np.zeros((n, n))
+        q[:kept, :kept] = m @ m.T + 0.1 * np.eye(kept)
+        q[kept:, kept:] = np.diag(np.where(rng.random(shaped) < 0.5, 0.0, rng.random(shaped)))
+        a = np.zeros((shaped + 1, n))
+        a[:, :kept] = rng.normal(size=(shaped + 1, kept))
+        own = np.arange(shaped - 1)
+        a[own, kept + own] = rng.choice([-1.0, 1.0], own.size) * rng.uniform(0.5, 2.0, own.size)
+        a[shaped - 2, n - 1] = 0.7  # column 10 in column 9's row
+        lower = np.where(rng.random(n) < 0.7, -rng.random(n) - 0.5, -np.inf)
+        upper = np.where(rng.random(n) < 0.5, rng.random(n) + 0.5, np.inf)
+        e = np.zeros((2, n))
+        e[:, :kept] = rng.normal(size=(2, kept))
+        problem = QuadraticProblem(
+            q_matrix=q,
+            q_vector=rng.normal(size=n),
+            box=(lower, upper),
+            equality=(e, np.zeros(2)),
+            linear_constraints=(a, rng.uniform(0.1, 1.0, shaped + 1)),
+        )
+        return problem, kept + own
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_reduced_solve_matches_full_kkt(self, seed):
+        problem, expected = self.slack_problem(seed)
+        qp = solvers._compile_qp(problem)
+        np.testing.assert_array_equal(np.sort(qp.slack), expected)
+        g = solvers._Inequalities(qp)
+        rng = np.random.default_rng(100 + seed)
+        d = rng.uniform(0.1, 10.0, g.h.size)
+        rhs, r_e = rng.normal(size=qp.comp.n), rng.normal(size=2)
+        dx, dy = solvers._NewtonSystem(g, d).solve(rhs, r_e)
+
+        # the full system: H = Q + G' diag(d) G with G = [-I_lower; I_upper; A]
+        identity = np.eye(qp.comp.n)
+        rows = np.vstack([-identity[g.lower], identity[g.upper], qp.a])
+        h = qp.q + rows.T @ (d[:, None] * rows)
+        e = qp.comp.equality[0]
+        kkt = np.block([[h, e.T], [e, np.zeros((2, 2))]])
+        full = np.linalg.solve(kkt, np.concatenate([rhs, -r_e]))
+        np.testing.assert_allclose(np.concatenate([dx, dy]), full, rtol=1e-10, atol=1e-10)
+
+    def test_solution_matches_the_problem_without_slack_structure(self):
+        # the same QP with a 1e-300 coupling in Q, which no arithmetic sees but
+        # which disqualifies every slack column
+        problem, _ = self.slack_problem(7)
+        reduced = solve_qp(problem, TIGHT)
+        q = problem.q_matrix.copy()
+        q[4:, 0] = q[0, 4:] = 1e-300
+        plain = solve_qp(dataclasses.replace(problem, q_matrix=q), TIGHT)
+        assert solvers._compile_qp(dataclasses.replace(problem, q_matrix=q)).slack.size == 0
+        assert reduced.status == plain.status == "converged"
+        assert reduced.iterations == plain.iterations
+        np.testing.assert_allclose(reduced.point, plain.point, atol=1e-9)
+
+    @pytest.mark.parametrize("thresholds", [0.0, 0.05])
+    def test_kernel_dual_keeps_the_plain_iterates(self, monkeypatch, thresholds):
+        import fairclf.models
+        from fairclf.models import FitSpec, KernelSpec, fit_kernel_svm_fair
+
+        problems = []
+        monkeypatch.setattr(fairclf.models, "solve_qp", lambda p, s=None: problems.append((p, s)) or solve_qp(p, s))
+        ds, _ = random_instance(21, n=30)
+        spec = FitSpec(
+            mode="fairness_constrained", covariance_thresholds=thresholds, svm_cost=3.0, kernel=KernelSpec(kind="rbf")
+        )
+        fit_kernel_svm_fair(ds, spec)
+        problem, settings = problems[0]
+        assert solvers._compile_qp(problem).slack.size == 0
+
+        class PlainNewtonSystem:
+            """H = Q + G' diag(d) G formed whole, in the order of the unreduced method."""
+
+            def __init__(self, g, d):
+                d_lo, d_hi, d_a = np.split(d, g.split)
+                gram = (g.a.T * d_a) @ g.a
+                gram[g.lower, g.lower] += d_lo
+                gram[g.upper, g.upper] += d_hi
+                self.factor = solvers._cholesky(problem.q_matrix + gram)
+                self.e = solvers._linear_arrays(problem.equality, g.n)[0]
+                self.h_inv_et = cho_solve(self.factor, self.e.T)
+                self.schur = solvers._cholesky(self.e @ self.h_inv_et)
+
+            def solve(self, rhs, r_e):
+                u = cho_solve(self.factor, rhs)
+                dy = cho_solve(self.schur, self.e @ u + r_e)
+                return u - self.h_inv_et @ dy, dy
+
+        reduced = solve_qp(problem, settings)
+        monkeypatch.setattr(solvers, "_NewtonSystem", PlainNewtonSystem)
+        plain = solve_qp(problem, settings)
+        assert reduced.iterations == plain.iterations
+        assert np.array_equal(reduced.point, plain.point)
+        assert np.array_equal(reduced.multipliers["equality"], plain.multipliers["equality"])
+
+    def test_every_column_a_slack_column(self):
+        # minimize |x|^2 / 2 - 2 sum(x) over x >= 0 and x <= b: nothing is left to factor
+        problem = QuadraticProblem(
+            q_matrix=np.eye(3),
+            q_vector=np.full(3, -2.0),
+            box=(np.zeros(3), None),
+            linear_constraints=(np.eye(3), np.array([0.5, 1.0, 3.0])),
+        )
+        assert solvers._compile_qp(problem).keep.size == 0
+        result = solve_qp(problem, TIGHT)
+        assert result.status == "converged"
+        np.testing.assert_allclose(result.point, [0.5, 1.0, 2.0], atol=1e-7)
+
+    def test_psd_check_reads_both_blocks(self):
+        problem, _ = self.slack_problem(3)
+        q = problem.q_matrix.copy()
+        q[6, 6] = -1e-3  # a slack column's diagonal entry
+        with pytest.raises(ValueError, match="semidefinite"):
+            solve_qp(dataclasses.replace(problem, q_matrix=q))
+        q = problem.q_matrix.copy()
+        q[0, 0] = -10.0  # the coupled block
+        with pytest.raises(ValueError, match="semidefinite"):
+            solve_qp(dataclasses.replace(problem, q_matrix=q))
+        q = problem.q_matrix.copy()
+        q[0, 1] += 1e-3
+        with pytest.raises(ValueError, match="symmetric"):
+            solve_qp(dataclasses.replace(problem, q_matrix=q))
 
 
 class TestKktResiduals:
