@@ -12,7 +12,12 @@ kernel SVM:
   unconstrained optimum.
 * ``fine_grained`` - minimize the summed absolute boundary covariance subject
   to per-point loss budgets and hard "stay on the positive side" constraints
-  for a chosen set of rows.
+  for a chosen set of rows. The per-point loss log(1 + e^-m) is strictly
+  decreasing in the margin m = y x.theta, so the budget loss <= b holds
+  exactly when y x.theta >= -log(expm1(b)), and each budget is passed to the
+  solver as that linear row, next to the stay-positive rows
+  x.theta >= 1e-8. Each budget b carries 2e-10 of headroom above
+  (1 + gamma) times the unconstrained loss of its row.
 
 Models expose signed distances through :func:`decision_values` and ±1 labels
 through :func:`predict`; neither reads the sensitive block, so the sensitive
@@ -39,7 +44,6 @@ from .solvers import (
     SmoothProblem,
     SolverResult,
     SolverSettings,
-    WeightedRows,
     matvec,
     minimize_smooth,
     rmatvec,
@@ -359,14 +363,17 @@ def _covariance_split(w: np.ndarray, c: np.ndarray, n_extra: int = 0) -> tuple[t
     return _covariance_rows(w[c > 0], c[c > 0], n_extra), e
 
 
-def _epigraph_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(A, b) encoding |W theta| <= t in stacked (theta, t) variables.
+def _epigraph_rows(w: np.ndarray, n_extra: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(A, b) encoding |W theta| <= t in stacked (theta, t) variables, then n_extra rows of zeros.
 
-    Column k gives the rows (w_k, -e_k) and (-w_k, -e_k), in that order.
+    Column k gives the rows (w_k, -e_k) and (-w_k, -e_k), in that order. The
+    trailing rows are for the caller to fill in place, so a fit with more
+    rows allocates its constraint matrix once.
     """
     minus_t = -np.eye(w.shape[0])
     a = _interleave(np.hstack([w, minus_t]), np.hstack([-w, minus_t]))
-    return _unit_rows(a, np.zeros(a.shape[0]))
+    a, _ = _unit_rows(a, np.zeros(a.shape[0]))
+    return np.pad(a, ((0, n_extra), (0, 0))), np.zeros(a.shape[0] + n_extra)
 
 
 # ---------------------------------------------------------------------------
@@ -471,36 +478,30 @@ def fit_logreg_fair(train: Dataset, spec: FitSpec, settings: SolverSettings | No
 
 
 def _covariance_objective_problem(
-    train: Dataset,
-    extra_blocks: list,
-    extra_rows: tuple[np.ndarray, np.ndarray] | None,
+    w: np.ndarray,
+    rows: tuple[np.ndarray, np.ndarray],
+    blocks: list,
     theta_start: np.ndarray,
-) -> tuple[SmoothProblem, int, np.ndarray]:
+) -> SmoothProblem:
     """Epigraph problem: minimize sum_k t_k over (theta, t) with |cov_k| <= t_k.
 
-    ``extra_rows`` are linear rows (A, b) placed after the epigraph rows.
-    Warm-started at the supplied theta (the unconstrained optimum, which is
-    feasible for the loss budgets) with the epigraph variables strictly above
-    the initial absolute covariances.
+    ``rows`` are the linear rows (A, b), starting with :func:`_epigraph_rows`
+    of W. Warm-started at the supplied theta (the unconstrained optimum,
+    which is feasible for the loss budgets) with the epigraph variables
+    strictly above the initial absolute covariances.
     """
-    d = train.n_features
-    n_k = train.n_sensitive
-    w = covariance_vectors(train)
-    rows = _epigraph_rows(w)
-    if extra_rows is not None:
-        rows = (np.vstack([rows[0], extra_rows[0]]), np.concatenate([rows[1], extra_rows[1]]))
+    d = theta_start.size
+    n_k = w.shape[0]
     grad_obj = np.concatenate([np.zeros(d), np.ones(n_k)])
     start = np.concatenate([theta_start, np.abs(w @ theta_start) + 1e-6])
-
-    problem = SmoothProblem(
+    return SmoothProblem(
         dimension=d + n_k,
         objective=lambda v: float(grad_obj @ v),
         gradient=lambda v: grad_obj,
         linear_constraints=rows,
-        convex_constraints=extra_blocks,
+        convex_constraints=blocks,
         initial_point=start,
     )
-    return problem, d, w
 
 
 def fit_logreg_fairness_max(train: Dataset, spec: FitSpec, settings: SolverSettings | None = None) -> LinearModel:
@@ -571,7 +572,8 @@ def fit_logreg_fairness_max(train: Dataset, spec: FitSpec, settings: SolverSetti
         return np.concatenate([g, np.zeros(v.size - d)])[None, :]
 
     block = ConstraintBlock(value=loss_block, jacobian=loss_jac, size=1)
-    problem, d, w = _covariance_objective_problem(train, [block], None, theta_start=np.asarray(base.theta))
+    w = covariance_vectors(train)
+    problem = _covariance_objective_problem(w, _epigraph_rows(w), [block], theta_start=np.asarray(base.theta))
     result = minimize_smooth(problem, settings)
     theta = result.point[:d]
     meta = _meta(
@@ -588,22 +590,42 @@ def fit_logreg_fairness_max(train: Dataset, spec: FitSpec, settings: SolverSetti
     return LinearModel(theta=theta, training_meta=meta)
 
 
-def _point_loss_block(features, labels, bounds, scales, width: int) -> ConstraintBlock:
-    """Per-row budgets (loss_i(theta) - bounds_i) / scales_i <= 0 over ``width`` variables (theta, t).
+def _margin_bound(budget: np.ndarray) -> np.ndarray:
+    """The least margin m with log(1 + e^-m) <= budget, for budget > 0: m = -log(expm1(budget)).
 
-    The Jacobian is diag(-y sigma(-y X theta) / scales) [X, 0] as an
-    operator, so no n x width matrix is formed.
+    Evaluated as -b - log(-expm1(-b)), the same number since
+    expm1(b) = -e^b expm1(-b). expm1 keeps the digits of a small b, and for
+    a large b this form stays finite where expm1(b) overflows (past
+    b ~ 710) and the naive bound is -inf.
     """
+    return -budget - np.log(-np.expm1(-budget))
+
+
+# rows filled per chunk of the fine-grained constraint matrix: the chunk's
+# gathered features are the only temporary copy of X
+_ROW_CHUNK = 1024
+
+
+def _margin_rows(w, features, rows, signs, margins) -> tuple[np.ndarray, np.ndarray]:
+    """(A, b): the epigraph rows of W, then s_i x_i . theta >= m_i for each listed row i.
+
+    Each margin row is -s_i x_i / ||x_i|| . theta <= -m_i / ||x_i||, divided
+    by the norm as :func:`_unit_rows` divides. The matrix is allocated once
+    and its feature block filled and scaled in place, a chunk of rows at a
+    time.
+    """
+    a, b = _epigraph_rows(w, n_extra=rows.size)
+    top = b.size - rows.size
     d = features.shape[1]
-    scores = _at_last_point(lambda v: matvec(features, v[:d]))
-
-    def value(v: np.ndarray) -> np.ndarray:
-        return (_log1pexp(-(labels * scores(v))) - bounds) / scales
-
-    def jacobian(v: np.ndarray) -> WeightedRows:
-        return WeightedRows(features, -labels * expit(-labels * scores(v)) / scales, width)
-
-    return ConstraintBlock(value=value, jacobian=jacobian, size=labels.size)
+    for start in range(0, rows.size, _ROW_CHUNK):
+        stop = min(start + _ROW_CHUNK, rows.size)
+        block = a[top + start : top + stop, :d]
+        block[...] = features[rows[start:stop]]
+        norms = np.sqrt(np.einsum("ij,ij->i", block, block))
+        block /= norms[:, None]
+        block *= -signs[start:stop, None]
+        b[top + start : top + stop] = -margins[start:stop] / norms
+    return a, b
 
 
 def fit_logreg_fine_grained(train: Dataset, spec: FitSpec, settings: SolverSettings | None = None) -> LinearModel:
@@ -614,11 +636,22 @@ def fit_logreg_fine_grained(train: Dataset, spec: FitSpec, settings: SolverSetti
     unconstrained model); every other row i keeps its loss within
     (1 + gamma_i) of its unconstrained per-point loss. A gamma of infinity
     drops that row's constraint.
+
+    The problem solved, over (theta, t), is: minimize sum_k t_k subject to
+    |cov_k(theta)| <= t_k, x_i . theta >= 1e-8 for each protected row, and
+    y_i x_i . theta >= m(b_i) for each budgeted row, with the budget
+    b_i = (1 + gamma_i) loss_i(theta*) + 2e-10 and m(b) = -log(expm1(b)).
+    The loss log(1 + e^-m) of a row with margin m = y_i x_i . theta is
+    strictly decreasing in m and equals b at m(b), so the margin row holds
+    exactly when loss_i(theta) <= b_i: the rows are the loss budgets, and a
+    ``converged`` status certifies them. The 2e-10 of headroom keeps theta*,
+    the starting point, strictly inside every budget, so that at gamma = 0
+    the budget set still has an interior around it.
     """
     if spec.mode != "fine_grained":
         raise ValueError("fit_logreg_fine_grained requires mode 'fine_grained'")
     _require_bias(train, "fit_logreg_fine_grained")
-    settings = settings or _default_settings(feasibility_tolerance=1e-10, max_iterations=20_000)
+    settings = settings or _default_settings(feasibility_tolerance=1e-10)
     gammas = np.asarray(spec.per_point_gammas, dtype=float)
     if gammas.shape != (train.n,):
         raise ValueError("per_point_gammas must have one entry per training row")
@@ -630,28 +663,18 @@ def fit_logreg_fine_grained(train: Dataset, spec: FitSpec, settings: SolverSetti
     features, labels = train.features, train.labels
     loss_star_i = per_point_logistic_loss(base.theta, features, labels)
 
-    is_protected = np.zeros(train.n, dtype=bool)
-    is_protected[protected] = True
-    budgeted = ~is_protected & np.isfinite(gammas)
-    idx = np.flatnonzero(budgeted)
-    # additive headroom well below the 1e-9 per-point slack keeps the
-    # gamma = 0 budget set full-dimensional around the unconstrained optimum
-    bounds = (1.0 + gammas[idx]) * loss_star_i[idx] + 2e-10
-    scales = np.clip(bounds, 1e-3, 5.0)
+    # the protected rows, then the budgeted rows, each as s_i x_i . theta >= m_i
+    budgeted = np.setdiff1d(np.flatnonzero(np.isfinite(gammas)), protected)
+    rows = np.concatenate([protected, budgeted])
+    signs = np.concatenate([np.ones(protected.size), labels[budgeted]])
+    bounds = (1.0 + gammas[budgeted]) * loss_star_i[budgeted] + 2e-10
+    margins = np.concatenate([np.full(protected.size, _NOFLIP_MARGIN), _margin_bound(bounds)])
 
-    # -x_i . theta <= -margin for each protected row i
-    noflip_rows = _unit_rows(
-        _padded(-features[protected], train.n_sensitive), np.full(protected.size, -_NOFLIP_MARGIN)
-    )
-
-    blocks = []
-    if idx.size:
-        width = train.n_features + train.n_sensitive
-        blocks.append(_point_loss_block(features[idx], labels[idx], bounds, scales, width))
-
-    problem, d, w = _covariance_objective_problem(train, blocks, noflip_rows, theta_start=np.asarray(base.theta))
+    w = covariance_vectors(train)
+    constraints = _margin_rows(w, features, rows, signs, margins)
+    problem = _covariance_objective_problem(w, constraints, [], theta_start=np.asarray(base.theta))
     result = minimize_smooth(problem, settings)
-    theta = result.point[:d]
+    theta = result.point[: train.n_features]
     meta = _meta(
         "fine_grained",
         result,

@@ -51,7 +51,6 @@ __all__ = [
     "SmoothProblem",
     "SolverResult",
     "SolverSettings",
-    "WeightedRows",
     "dot",
     "kkt_residuals",
     "matvec",
@@ -128,12 +127,12 @@ class ConstraintBlock:
 
     The one form of a nonlinear constraint. ``value`` maps x to a length-m
     vector, ``jacobian`` to the (m, n) Jacobian, either as an array or as a
-    ``scipy.sparse.linalg.LinearOperator`` (such as :class:`WeightedRows`).
-    The solver only ever forms ``jacobian(x).T @ lam`` (``rmatvec`` for an
-    operator), so an operator needs only its transpose product and the m x n
-    matrix is never materialised. Scalar constraints are the m=1 case;
-    grouping related constraints into one block keeps the per-iteration cost
-    at a few matrix products.
+    ``scipy.sparse.linalg.LinearOperator``. The solver only ever forms
+    ``jacobian(x).T @ lam`` (``rmatvec`` for an operator), so an operator
+    needs only its transpose product and the m x n matrix is never
+    materialised. Scalar constraints are the m=1 case; grouping related
+    constraints into one block keeps the per-iteration cost at a few matrix
+    products.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -168,8 +167,7 @@ class QuadraticProblem:
     which may be None for unbounded; ``equality`` is an (E, f) pair meaning
     E x = f, with any number of rows (a 1-D E and a scalar f are one row);
     ``linear_constraints`` is an (A, b) pair meaning A x <= b. Either may be
-    None. ``initial_point``, when given, replaces the least-squares starting
-    point of the interior-point method.
+    None.
     """
 
     q_matrix: np.ndarray
@@ -177,7 +175,6 @@ class QuadraticProblem:
     box: tuple[np.ndarray | None, np.ndarray | None] = (None, None)
     equality: tuple[np.ndarray, np.ndarray | float] | None = None
     linear_constraints: tuple[np.ndarray, np.ndarray] | None = None
-    initial_point: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -222,37 +219,14 @@ def dot(u: np.ndarray, v: np.ndarray) -> float:
     return float(ddot(u, v)) if u.size else 0.0
 
 
-class WeightedRows(LinearOperator):
-    """J = diag(weights) [rows, 0]: dense rows scaled per row and padded with zero columns.
-
-    ``weights`` None means all ones; ``width`` (default ``rows.shape[1]``) is
-    the number of columns of J, the trailing ones zero. Both products run
-    through :func:`matvec` and :func:`rmatvec`.
-    """
-
-    def __init__(self, rows: np.ndarray, weights: np.ndarray | None = None, width: int | None = None):
-        super().__init__(np.float64, (rows.shape[0], rows.shape[1] if width is None else width))
-        self.rows = rows
-        self.weights = weights
-
-    def _matvec(self, x: np.ndarray) -> np.ndarray:
-        y = matvec(self.rows, x[: self.rows.shape[1]])
-        return y if self.weights is None else self.weights * y
-
-    def _rmatvec(self, v: np.ndarray) -> np.ndarray:
-        out = rmatvec(self.rows, v if self.weights is None else self.weights * v)
-        pad = self.shape[1] - out.size
-        return np.concatenate([out, np.zeros(pad)]) if pad else out
-
-
 def _transpose_product(jac, v: np.ndarray) -> np.ndarray:
-    """J.T @ v for a Jacobian given as an array or as a LinearOperator.
+    """J.T @ v for a Jacobian given as an array (on scipy's BLAS) or as a LinearOperator.
 
     An operator's ``rmatvec`` is that product without building the
     transposed operator, whose dispatch cost more than the d=3 sweeps'
     products (about a quarter of their solve time).
     """
-    return jac.rmatvec(v) if isinstance(jac, LinearOperator) else jac.T @ v
+    return jac.rmatvec(v) if isinstance(jac, LinearOperator) else rmatvec(jac, v)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +247,7 @@ def _linear_arrays(rows: tuple | None, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _linear_blocks(a: np.ndarray, b: np.ndarray) -> list[ConstraintBlock]:
     if not b.size:
         return []
-    jac = WeightedRows(a)
-    return [ConstraintBlock(value=lambda x: matvec(a, x) - b, jacobian=lambda x: jac, size=b.size)]
+    return [ConstraintBlock(value=lambda x: matvec(a, x) - b, jacobian=lambda x: a, size=b.size)]
 
 
 @dataclass
@@ -288,7 +261,7 @@ class _Compiled:
     equality: tuple[np.ndarray, np.ndarray] | None  # (E, f), quadratic problems only (maybe no rows)
     lo: np.ndarray | None  # variable box, quadratic problems only
     hi: np.ndarray | None
-    x0: np.ndarray | None
+    x0: np.ndarray | None  # smooth problems only
 
 
 def _compile_smooth(problem: SmoothProblem) -> _Compiled:
@@ -373,7 +346,6 @@ def _compile_qp(problem: QuadraticProblem) -> _CompiledQP:
     slack, slack_rows = _slack_columns(q, a, equality[0])
     keep = np.setdiff1d(np.arange(n), slack)
     _validate_psd(q, slack, keep)
-    x0 = None if problem.initial_point is None else np.clip(np.asarray(problem.initial_point, dtype=float), lo, hi)
 
     def objective(x: np.ndarray) -> float:
         return float(0.5 * x @ q @ x + c @ x)
@@ -381,7 +353,7 @@ def _compile_qp(problem: QuadraticProblem) -> _CompiledQP:
     def gradient(x: np.ndarray) -> np.ndarray:
         return q @ x + c
 
-    comp = _Compiled(n, objective, gradient, _linear_blocks(a, b), equality, lo, hi, x0)
+    comp = _Compiled(n, objective, gradient, _linear_blocks(a, b), equality, lo, hi, None)
     return _CompiledQP(comp, q, c, a, b, slack, slack_rows, keep)
 
 
@@ -656,8 +628,6 @@ def _solve_ipm(qp: _CompiledQP, settings: SolverSettings) -> SolverResult:
     # to be strictly positive
     start = _NewtonSystem(g, np.ones(n_ineq))
     x, y = start.solve(-qp.c + g.transpose(g.h), -f)
-    if comp.x0 is not None:
-        x = comp.x0.copy()
     s = _shift_positive(g.h - g.apply(x))
     z = _shift_positive(g.apply(x) - g.h)
     start_size = 1.0 + max(float(np.max(z, initial=0.0)), float(np.max(np.abs(y), initial=0.0)))

@@ -436,6 +436,14 @@ class TestC07OracleEquivalence:
         assert elapsed < 300.0
         _pass(7, f"25 instances x (c=0, c=0.1) within 1e-4 of the dense feasible grid (worst {worst:.1e}, {elapsed:.0f}s)")
 
+    def test_grid_bisection_matches_every_point(self):
+        # the oracle's line bisection against its every-point enumeration
+        ds, w, fits = _oracle_instances(1)[0]
+        for c in fits:
+            fast = grid_logistic_fair(ds.features, ds.labels, 1e-3, w, c)
+            brute = grid_logistic_fair(ds.features, ds.labels, 1e-3, w, c, brute_force=True)
+            assert fast == pytest.approx(brute, rel=0.0, abs=1e-12)
+
     def test_fair_svm_against_active_set(self):
         checked = 0
         worst = 0.0

@@ -308,9 +308,6 @@ class TestSolveQp:
         result = solve_qp(problem, TIGHT)
         assert result.status == "converged"
         np.testing.assert_allclose(result.point, 1.0, atol=1e-7)
-        started = solve_qp(dataclasses.replace(problem, initial_point=np.full(4, 9.0)), TIGHT)
-        assert started.status == "converged"
-        np.testing.assert_allclose(started.point, 1.0, atol=1e-7)
 
     def test_symmetric_pair_with_equality(self):
         problem = QuadraticProblem(

@@ -1,6 +1,7 @@
 """Source checks that keep the library's conventions."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -18,3 +19,12 @@ def test_library_logs_instead_of_printing(path):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
     ]
     assert not calls, f"{path.name} calls print on lines {calls}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_exported_names_exist(path):
+    # a deleted name must not linger in a module's __all__
+    name = "fairclf" if path.stem == "__init__" else f"fairclf.{path.stem}"
+    module = importlib.import_module(name)
+    missing = [export for export in getattr(module, "__all__", ()) if not hasattr(module, export)]
+    assert not missing, f"{name}.__all__ names {missing}, which it does not define"
