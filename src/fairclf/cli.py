@@ -6,7 +6,9 @@ Subcommands:
 * ``ingest`` - load a UCI file and print the ingest report as JSON.
 * ``train``  - fit one model on a dataset CSV, write the model JSON, print the
                training audit.
-* ``sweep``  - run a sweep described by a JSON config and emit result files.
+* ``sweep``  - run a sweep described by a JSON config and emit result files;
+               a sweep with cells that are not KKT-certified or that failed
+               says how many on stderr.
 * ``audit``  - score a dataset CSV with a saved model (or a file of
                precomputed distances) and print the fairness report.
 
@@ -186,6 +188,9 @@ def _cmd_sweep(args) -> int:
     written = emit_results(result, out)
     for p in written:
         print(f"wrote {p}")
+    not_certified = result.cells_uncertified + result.cells_failed
+    if not_certified:
+        print(f"{not_certified} of {len(result.cells)} cells not certified", file=sys.stderr)
     return 0
 
 

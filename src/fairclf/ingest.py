@@ -84,7 +84,12 @@ def _group_stats(names_values: dict[str, list[str]], labels: np.ndarray) -> dict
 def _assemble_features(
     numeric: dict[str, list[float]], categorical: dict[str, list[str]]
 ) -> tuple[np.ndarray, tuple[str, ...], tuple[int, ...]]:
-    """Standardized numeric columns, then one-hot blocks, in declaration order."""
+    """Standardized numeric columns, then one-hot blocks, in declaration order.
+
+    A column's one-hot block has one column per distinct value, in
+    ``sorted`` order. Each row's value is looked up once in a dict of those
+    columns, instead of comparing the whole column with every value.
+    """
     blocks: list[np.ndarray] = []
     names: list[str] = []
     for column, values in numeric.items():
@@ -96,10 +101,10 @@ def _assemble_features(
     scale_columns = tuple(range(len(numeric)))
     for column, values in categorical.items():
         distinct = sorted(set(values))
-        arr = np.asarray(values)
+        index = {val: j for j, val in enumerate(distinct)}
+        codes = np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))
         onehot = np.zeros((len(values), len(distinct)))
-        for j, val in enumerate(distinct):
-            onehot[:, j] = arr == val
+        onehot[np.arange(len(values)), codes] = 1.0
         blocks.append(onehot)
         names.extend(f"{column}={val}" for val in distinct)
     return np.hstack(blocks), tuple(names), scale_columns

@@ -352,7 +352,7 @@ def _covariance_rows(w: np.ndarray, c: np.ndarray, n_extra: int = 0) -> tuple[np
 
 
 def _covariance_split(w: np.ndarray, c: np.ndarray, n_extra: int = 0) -> tuple[tuple, np.ndarray]:
-    """|W theta| <= c as ((A, b), E) for the QPs: c_k > 0 rows in A x <= b, c_k = 0 rows in E x = 0.
+    """|W theta| <= c as ((A, b), E): c_k > 0 rows in A x <= b, c_k = 0 rows in E x = 0.
 
     A row of zeros holds at every point (a constant sensitive column gives
     one), so a c_k = 0 row of zeros is left out; in E it would make the
@@ -380,7 +380,7 @@ def _epigraph_rows(w: np.ndarray, n_extra: int = 0) -> tuple[np.ndarray, np.ndar
 # logistic regression fits
 
 
-def _fit_logreg_core(features, labels, l2_penalty, settings, constraints=None) -> SolverResult:
+def _fit_logreg_core(features, labels, l2_penalty, settings, constraints=None, equality=None) -> SolverResult:
     # optimized on mean-loss scale so the stationarity tolerance is
     # independent of the row count; reported objectives are totals
     n, d = features.shape
@@ -397,6 +397,7 @@ def _fit_logreg_core(features, labels, l2_penalty, settings, constraints=None) -
         dimension=d,
         objective=objective,
         gradient=gradient,
+        equality=equality,
         linear_constraints=constraints,
         initial_point=np.zeros(d),
     )
@@ -457,15 +458,23 @@ def fit_logreg(train: Dataset, spec: FitSpec, settings: SolverSettings | None = 
 
 
 def fit_logreg_fair(train: Dataset, spec: FitSpec, settings: SolverSettings | None = None) -> LinearModel:
-    """Logistic regression under |covariance_k| <= c_k (mode ``fairness_constrained``)."""
+    """Logistic regression under |covariance_k| <= c_k (mode ``fairness_constrained``).
+
+    A c_k > 0 column gives the inequality rows w_k . theta <= c_k and
+    -w_k . theta <= c_k; a c_k = 0 column gives the equality w_k . theta = 0,
+    which the solver eliminates exactly, so such a covariance is zero to
+    rounding. With every c_k = 0 the fit is one quasi-Newton run on the null
+    space of W.
+    """
     if spec.mode != "fairness_constrained":
         raise ValueError("fit_logreg_fair requires mode 'fairness_constrained'")
     _require_bias(train, "fit_logreg_fair")
     settings = settings or _default_settings()
     c = spec.thresholds_for(train.n_sensitive)
     w = covariance_vectors(train)
-    rows = _covariance_rows(w, c)
-    result = _fit_logreg_core(train.features, train.labels, spec.l2_penalty, settings, constraints=rows)
+    rows, e = _covariance_split(w, c)
+    equality = (e, np.zeros(e.shape[0]))
+    result = _fit_logreg_core(train.features, train.labels, spec.l2_penalty, settings, rows, equality)
     meta = _meta(
         "fairness_constrained",
         result,
@@ -655,7 +664,8 @@ def fit_logreg_fine_grained(train: Dataset, spec: FitSpec, settings: SolverSetti
     gammas = np.asarray(spec.per_point_gammas, dtype=float)
     if gammas.shape != (train.n,):
         raise ValueError("per_point_gammas must have one entry per training row")
-    protected = np.asarray(sorted(set(int(i) for i in spec.protected_index_set)), dtype=int)
+    index = spec.protected_index_set
+    protected = np.unique(np.asarray(list(index) if isinstance(index, (set, frozenset)) else index).astype(int))
     if protected.size and (protected.min() < 0 or protected.max() >= train.n):
         raise ValueError("protected_index_set out of range")
 
@@ -719,10 +729,12 @@ def fit_linear_svm_fair(train: Dataset, spec: FitSpec, settings: SolverSettings 
     """Linear soft-margin SVM under covariance bounds.
 
     The default route minimizes the smooth squared-hinge surrogate
-    ||theta||^2 + C * sum max(0, 1 - y m)^2 with the covariance rows as
-    linear constraints. ``svm_hinge="exact"`` instead solves the exact-hinge
-    quadratic program in (theta, xi); in both cases the reported slack values
-    are max(0, 1 - y m) at the solution.
+    ||theta||^2 + C * sum max(0, 1 - y m)^2 with the covariance bounds as
+    linear rows: a c_k > 0 column as two inequalities, a c_k = 0 column as
+    an equality that the solver eliminates. ``svm_hinge="exact"`` instead
+    solves the exact-hinge quadratic program in (theta, xi), with the same
+    split of the rows; in both cases the reported slack values are
+    max(0, 1 - y m) at the solution.
 
     In the exact-hinge program each xi_i is a slack column of
     :func:`~fairclf.solvers.solve_qp`, so an interior-point iteration factors
@@ -740,11 +752,13 @@ def fit_linear_svm_fair(train: Dataset, spec: FitSpec, settings: SolverSettings 
     if spec.svm_hinge == "squared":
         inv_n = 1.0 / n  # mean scale keeps the stationarity tolerance row-count-free
         hinge = _at_last_point(lambda t: _squared_hinge(t, features, labels, spec.svm_cost))
+        rows, e = _covariance_split(w, c)
         problem = SmoothProblem(
             dimension=d,
             objective=lambda t: hinge(t)[0] * inv_n,
             gradient=lambda t: hinge(t)[1] * inv_n,
-            linear_constraints=_covariance_rows(w, c),
+            equality=(e, np.zeros(e.shape[0])),
+            linear_constraints=rows,
             initial_point=np.zeros(d),
         )
         result = minimize_smooth(problem, settings)

@@ -2,11 +2,15 @@
 
 Two entry points, each with its own method:
 
-* :func:`minimize_smooth` - smooth convex objective under linear inequality
-  constraints A x <= b and differentiable convex inequality blocks
-  g(x) <= 0. An augmented-Lagrangian loop updates multipliers and the
-  penalty weight and hands each subproblem to a limited-memory quasi-Newton
-  solve (L-BFGS-B).
+* :func:`minimize_smooth` - smooth convex objective under linear equalities
+  E x = f, linear inequality constraints A x <= b and differentiable convex
+  inequality blocks g(x) <= 0. The equalities are eliminated exactly: with
+  x_p a point of E x = f and N an orthonormal basis of the null space of E,
+  both from one SVD of E, the solve runs over phi in x = x_p + N phi. An
+  augmented-Lagrangian loop then handles the inequalities, updating
+  multipliers and the penalty weight and handing each subproblem to a
+  limited-memory quasi-Newton solve (L-BFGS-B). Without inequalities that is
+  a single L-BFGS-B run.
 * :func:`solve_qp` - convex quadratic objective under a variable box, linear
   equalities E x = f and linear inequalities A x <= b. A dense primal-dual
   interior-point method (Mehrotra's predictor-corrector) factors one
@@ -17,7 +21,8 @@ Two entry points, each with its own method:
 
 Linear constraints are handed over as matrices, one row per constraint. The
 caller decides which bounds are equalities and puts their rows in E; the
-solvers take every row of A as an inequality.
+solvers take every row of A as an inequality. E may repeat a row or have
+rows that depend on others: both solvers reduce it by its numerical rank.
 
 Both check their iterates with the same residual routine: stationarity,
 worst primal violation and worst complementary-slackness product. A run only
@@ -142,17 +147,21 @@ class ConstraintBlock:
 
 @dataclass(frozen=True)
 class SmoothProblem:
-    """Differentiable convex objective with linear and convex inequality constraints.
+    """Differentiable convex objective with linear equalities and linear and convex inequalities.
 
-    ``linear_constraints`` is an (A, b) pair meaning A x <= b, with A of shape
-    (m, dimension) and b of length m (a 1-D A is one row), or None.
-    ``convex_constraints`` are :class:`ConstraintBlock` instances. There is
-    no equality form: a bound a.x = 0 is passed as the rows a and -a.
+    ``equality`` is an (E, f) pair meaning E x = f, with any number of rows (a
+    1-D E and a scalar f are one row), or None; an E with no rows is the same
+    as None. ``linear_constraints`` is an (A, b) pair meaning A x <= b, with A
+    of shape (m, dimension) and b of length m (a 1-D A is one row), or None.
+    ``convex_constraints`` are :class:`ConstraintBlock` instances. The
+    objective and the blocks are only evaluated on points that satisfy E x = f
+    to rounding.
     """
 
     dimension: int
     objective: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
+    equality: tuple[np.ndarray, np.ndarray | float] | None = None
     linear_constraints: tuple[np.ndarray, np.ndarray] | None = None
     convex_constraints: Sequence[ConstraintBlock] = ()
     initial_point: np.ndarray | None = None
@@ -258,7 +267,7 @@ class _Compiled:
     objective: Callable
     gradient: Callable
     blocks: list  # inequality ConstraintBlocks
-    equality: tuple[np.ndarray, np.ndarray] | None  # (E, f), quadratic problems only (maybe no rows)
+    equality: tuple[np.ndarray, np.ndarray] | None  # (E, f); a QP's may have no rows, a smooth problem's has some
     lo: np.ndarray | None  # variable box, quadratic problems only
     hi: np.ndarray | None
     x0: np.ndarray | None  # smooth problems only
@@ -274,7 +283,8 @@ def _compile_smooth(problem: SmoothProblem) -> _Compiled:
     x0 = np.zeros(n) if problem.initial_point is None else np.asarray(problem.initial_point, dtype=float).copy()
     if x0.shape != (n,):
         raise ValueError("initial_point dimension mismatch")
-    return _Compiled(n, problem.objective, problem.gradient, blocks, None, None, None, x0)
+    e, f = _linear_arrays(problem.equality, n)
+    return _Compiled(n, problem.objective, problem.gradient, blocks, (e, f) if f.size else None, None, None, x0)
 
 
 def _slack_columns(q: np.ndarray, a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -357,14 +367,22 @@ def _compile_qp(problem: QuadraticProblem) -> _CompiledQP:
     return _CompiledQP(comp, q, c, a, b, slack, slack_rows, keep)
 
 
-def _residuals(comp: _Compiled, x: np.ndarray, lam: list, mu: np.ndarray | None) -> KKTResiduals:
+def _inequality_gradient(comp: _Compiled, x: np.ndarray, lam: list) -> np.ndarray:
+    """The gradient of the objective plus J'lam summed over the inequality blocks."""
     grad = comp.gradient(x).astype(float)
+    for block, lam_b in zip(comp.blocks, lam):
+        if lam_b.size:
+            grad = grad + _transpose_product(block.jacobian(x), lam_b)
+    return grad
+
+
+def _residuals(comp: _Compiled, x: np.ndarray, lam: list, mu: np.ndarray | None) -> KKTResiduals:
+    grad = _inequality_gradient(comp, x, lam)
     max_violation = 0.0
     max_comp = 0.0
     for block, lam_b in zip(comp.blocks, lam):
         g = block.value(x)
         if lam_b.size:
-            grad = grad + _transpose_product(block.jacobian(x), lam_b)
             max_comp = max(max_comp, float(np.max(np.abs(lam_b * g))))
         if g.size:
             max_violation = max(max_violation, float(np.max(np.maximum(g, 0.0))))
@@ -480,6 +498,78 @@ def _named_multipliers(lam: list, mu: np.ndarray | None = None) -> dict:
     if mu is not None:
         out["equality"] = mu.copy()
     return out
+
+
+# ---------------------------------------------------------------------------
+# equality elimination (smooth problems)
+#
+# With the SVD E = U S V' and r the numerical rank of E, the points of
+# E x = f are x = x_p + N phi, where x_p = V_r S_r^-1 U_r' f is the
+# least-norm solution and N = V[:, r:] is an orthonormal basis of null(E)
+# (Nocedal & Wright, Numerical Optimization, sec. 15.3). The augmented
+# Lagrangian runs on phi, with the objective f(x_p + N phi), its gradient
+# N' grad f, the linear rows (A N, b - A x_p) and each convex block composed
+# with x_p + N phi. At the returned x the equality multiplier is the
+# least-squares one, mu = -(E E')^+ E (grad f + J'lam) = -U_r S_r^-1 V_r' (...).
+# The full Lagrangian gradient is then N N' (grad f + J'lam), whose norm is
+# the reduced stationarity because N is orthonormal, so the residuals of the
+# full problem certify the result.
+
+
+def _restricted(block: ConstraintBlock, lift: Callable, basis: np.ndarray) -> ConstraintBlock:
+    """``block`` as a function of phi, with x = lift(phi) and Jacobian J N."""
+
+    def jacobian(phi: np.ndarray) -> LinearOperator:
+        jac = block.jacobian(lift(phi))
+        return LinearOperator(
+            (block.size, basis.shape[1]),
+            matvec=lambda u: jac @ (basis @ u),
+            rmatvec=lambda v: basis.T @ _transpose_product(jac, v),
+            dtype=float,
+        )
+
+    return ConstraintBlock(value=lambda phi: block.value(lift(phi)), jacobian=jacobian, size=block.size)
+
+
+def _solve_eliminated(problem: SmoothProblem, comp: _Compiled, settings: SolverSettings) -> SolverResult:
+    e, f = comp.equality
+    u, s, vt = np.linalg.svd(e)
+    rank = int(np.count_nonzero(s > s[0] * max(e.shape) * np.finfo(float).eps))
+    u_r, s_r, v_r, basis = u[:, :rank], s[:rank], vt[:rank].T, vt[rank:].T
+    x_p = v_r @ ((u_r.T @ f) / s_r)
+    _log.debug("equality rows=%d rank=%d: solving over a %d-dimensional null space", f.size, rank, basis.shape[1])
+    if float(np.max(np.abs(e @ x_p - f))) > settings.feas_tol:
+        # x_p is the least-squares point: no point meets E x = f
+        lam = [np.zeros(block.size) for block in comp.blocks]
+        mu = np.zeros(f.size)
+        kkt = _residuals(comp, x_p, lam, mu)
+        return SolverResult(x_p, comp.objective(x_p), "infeasible", kkt, 0, _named_multipliers(lam, mu))
+
+    def lift(phi: np.ndarray) -> np.ndarray:
+        return x_p + basis @ phi
+
+    a, b = _linear_arrays(problem.linear_constraints, comp.n)
+    blocks = _linear_blocks(a @ basis, b - a @ x_p)
+    blocks += [_restricted(block, lift, basis) for block in problem.convex_constraints]
+    reduced = _Compiled(
+        basis.shape[1],
+        lambda phi: comp.objective(lift(phi)),
+        lambda phi: basis.T @ comp.gradient(lift(phi)),
+        blocks,
+        None,
+        None,
+        None,
+        basis.T @ (comp.x0 - x_p),
+    )
+    result = _solve_al(reduced, settings)
+    x = lift(result.point)
+    lam = result.multipliers["inequality"]
+    mu = -(u_r @ ((v_r.T @ _inequality_gradient(comp, x, lam)) / s_r))
+    kkt = _residuals(comp, x, lam, mu)
+    status = result.status
+    if status != "infeasible":
+        status = "converged" if kkt.within(settings) else "max_iter"
+    return SolverResult(x, comp.objective(x), status, kkt, result.iterations, _named_multipliers(lam, mu))
 
 
 # ---------------------------------------------------------------------------
@@ -690,10 +780,17 @@ def minimize_smooth(problem: SmoothProblem, settings: SolverSettings | None = No
     """Minimize a smooth convex objective under the problem's constraints.
 
     Deterministic given identical inputs. ``status == "converged"`` certifies
-    that all KKT residuals are inside the configured tolerances.
+    that all KKT residuals of the problem as stated, equalities included, are
+    inside the configured tolerances. ``"infeasible"`` means that no point
+    meets E x = f to the feasibility tolerance, or that the inequalities
+    stayed violated at the largest penalty weight. A problem without equality
+    rows goes to the augmented-Lagrangian loop as it is.
     """
     settings = settings or SolverSettings()
-    return _solve_al(_compile_smooth(problem), settings)
+    comp = _compile_smooth(problem)
+    if comp.equality is None:
+        return _solve_al(comp, settings)
+    return _solve_eliminated(problem, comp, settings)
 
 
 def solve_qp(problem: QuadraticProblem, settings: SolverSettings | None = None) -> SolverResult:
@@ -715,9 +812,8 @@ def kkt_residuals(problem, point, multipliers) -> KKTResiduals:
     ``multipliers`` maps "inequality" to the multipliers ordered as the rows
     of A first, then the convex constraint blocks, either as one flat vector
     or as one vector per block (the layout of ``SolverResult.multipliers``),
-    and, for a quadratic problem, "equality" to a vector with one entry per
-    row of E (zeros when absent). Inequality multipliers must be
-    non-negative.
+    and "equality" to a vector with one entry per row of E (zeros when
+    absent). Inequality multipliers must be non-negative.
     Stationarity is the norm of the Lagrangian gradient (projected onto the
     box for quadratic problems); the violation and complementary-slackness
     entries are worst-case over all constraints.

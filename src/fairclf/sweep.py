@@ -104,6 +104,16 @@ class SweepResult:
     cells: list[CellResult]
     baselines: list[dict] = field(default_factory=list)
 
+    @property
+    def cells_failed(self) -> int:
+        """Cells whose fit or audit raised."""
+        return sum(cell.train_report is None for cell in self.cells)
+
+    @property
+    def cells_uncertified(self) -> int:
+        """Cells whose fit returned without a KKT certificate (``max_iter`` or ``infeasible``)."""
+        return sum(cell.train_report is not None and cell.status != "converged" for cell in self.cells)
+
 
 def load_dataset(source: dict) -> Dataset:
     """Materialize the dataset described by a config source block."""
@@ -294,7 +304,8 @@ def emit_results(result: SweepResult, path) -> list[Path]:
 
     The flat CSV has one row per (grid point, repeat) and is byte-identical
     across reruns of the same config (wall times are kept out of it; they land
-    in the JSON summary). Returns the written paths.
+    in the JSON summary, with the counts of uncertified and failed cells).
+    Returns the written paths.
     """
     if not result.cells:
         raise ValueError("refusing to emit an empty sweep")
@@ -372,6 +383,8 @@ def _summarize(result: SweepResult) -> dict:
         "svm_cost": result.config.svm_cost,
         "sensitive_names": list(names),
         "cells": per_cell,
+        "cells_uncertified": result.cells_uncertified,
+        "cells_failed": result.cells_failed,
         "baselines": baselines,
     }
 

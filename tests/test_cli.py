@@ -205,6 +205,41 @@ class TestSweepCommand:
         assert (out_dir / "summary.json").exists()
         lines = (out_dir / "results.csv").read_text().strip().splitlines()
         assert len(lines) == 3
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert (summary["cells_uncertified"], summary["cells_failed"]) == (0, 0)
+        assert "not certified" not in capsys.readouterr().err
+
+    def test_uncertified_and_failed_cells_are_counted(self, tmp_path, capsys, monkeypatch):
+        import fairclf.models
+        from fairclf.solvers import SolverSettings
+
+        original = fairclf.models.fit_logreg_fair
+
+        def forced(train, spec, settings=None):
+            c = spec.thresholds_for(train.n_sensitive)
+            if not np.any(c):
+                return original(train, spec, settings)
+            if c[0] < 1e-3:
+                raise RuntimeError("forced failure")
+            return original(train, spec, SolverSettings(max_iterations=1))
+
+        monkeypatch.setattr(fairclf.models, "fit_logreg_fair", forced)
+        payload = self.config_payload(tmp_path)
+        payload["a_factors"] = [1.0, 1e-6, 0.0]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        assert cli_main(["sweep", "--config", str(config)]) == 0
+        out_dir = tmp_path / "results"
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert (summary["cells_uncertified"], summary["cells_failed"]) == (1, 1)
+        assert capsys.readouterr().err.strip().splitlines() == ["2 of 3 cells not certified"]
+        rows = (out_dir / "results.csv").read_text().splitlines()
+        assert not any("cells_" in name for name in rows[0].split(","))
+        assert [row.split(",")[rows[0].split(",").index("status")].split(":")[0] for row in rows[1:]] == [
+            "max_iter",
+            "error",
+            "converged",
+        ]
 
     def test_flag_overrides_output(self, tmp_path):
         config = tmp_path / "config.json"

@@ -10,6 +10,7 @@ the acceptance suite and run when the real files are present.
 import numpy as np
 import pytest
 
+from fairclf import ingest
 from fairclf.ingest import load_adult, load_bank
 
 ADULT_ROW = (
@@ -174,3 +175,58 @@ class TestLoadBank:
         _, report = load_bank(bank_file)
         payload = json.loads(json.dumps(report.to_json_dict()))
         assert payload["rows_kept"] == 5
+
+
+def per_value_features(numeric, categorical):
+    """The one-hot assembly as one comparison of the whole column per distinct value."""
+    blocks, names = [], []
+    for column, values in numeric.items():
+        arr = np.asarray(values, dtype=float)
+        sd = arr.std()
+        blocks.append(((arr - arr.mean()) / (sd if sd > 0 else 1.0)).reshape(-1, 1))
+        names.append(column)
+    for column, values in categorical.items():
+        distinct = sorted(set(values))
+        arr = np.asarray(values)
+        onehot = np.zeros((len(values), len(distinct)))
+        for j, val in enumerate(distinct):
+            onehot[:, j] = arr == val
+        blocks.append(onehot)
+        names.extend(f"{column}={val}" for val in distinct)
+    return np.hstack(blocks), tuple(names), tuple(range(len(numeric)))
+
+
+class TestOneHotAssembly:
+    """The loaders' features equal the per-value one-hot form byte for byte."""
+
+    @staticmethod
+    def assert_same_as_per_value(monkeypatch, load):
+        fast = load()[0]
+        monkeypatch.setattr(ingest, "_assemble_features", per_value_features)
+        slow = load()[0]
+        assert fast.features.tobytes() == slow.features.tobytes()
+        assert fast.feature_names == slow.feature_names
+
+    def test_adult(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        # values whose sorted order differs from first appearance and from case-folded order
+        works = ["State-gov", "Private", "b-gov", "B-gov", "10", "9", "Self-emp"]
+        rows = [
+            ADULT_ROW.format(
+                age=int(rng.integers(17, 90)),
+                work=works[rng.integers(len(works))],
+                race=["White", "Black", "Other"][rng.integers(3)],
+                sex=["Male", "Female"][rng.integers(2)],
+                hours=int(rng.integers(1, 99)),
+                label=[">50K", "<=50K."][rng.integers(2)],
+            )
+            for _ in range(300)
+        ]
+        path = tmp_path / "adult.all"
+        write_adult_fixture(path, adult_rows() + rows)
+        for choice in ("gender", "race", "gender+race"):
+            self.assert_same_as_per_value(monkeypatch, lambda: load_adult(path, choice))
+            monkeypatch.undo()
+
+    def test_bank(self, bank_file, monkeypatch):
+        self.assert_same_as_per_value(monkeypatch, lambda: load_bank(bank_file))

@@ -1,3 +1,4 @@
+import logging
 import tracemalloc
 from dataclasses import replace
 
@@ -426,15 +427,32 @@ class TestFineGrained:
                 ds,
                 FitSpec(mode="fine_grained", per_point_gammas=np.zeros(3), protected_index_set=[]),
             )
-        with pytest.raises(ValueError, match="out of range"):
-            fit_logreg_fine_grained(
-                ds,
-                FitSpec(
-                    mode="fine_grained",
-                    per_point_gammas=np.zeros(ds.n),
-                    protected_index_set=[ds.n + 3],
-                ),
-            )
+        for bad in ([ds.n + 3], [2, -1], np.array([ds.n])):
+            with pytest.raises(ValueError, match="out of range"):
+                fit_logreg_fine_grained(
+                    ds,
+                    FitSpec(mode="fine_grained", per_point_gammas=np.zeros(ds.n), protected_index_set=bad),
+                )
+
+    def test_protected_set_forms_agree(self):
+        # a sorted array, an unsorted list with repeats and a Python set are
+        # the same protected rows; an empty list and an empty array are none
+        ds = append_bias(gen_linear_synthetic(SynthConfig(n=400, phi=np.pi / 4, seed=9)))
+        base = fit_logreg(ds, FitSpec(mode="unconstrained"))
+        rows = protected_rows(base, ds, group=1)[::3]
+        shuffled = list(np.random.default_rng(9).permutation(rows)) + [int(rows[0]), int(rows[-1])]
+
+        def fitted(index):
+            spec = FitSpec(mode="fine_grained", per_point_gammas=np.full(ds.n, 1.0), protected_index_set=index)
+            model = fit_logreg_fine_grained(ds, spec)
+            return model.theta.tobytes(), model.training_meta["n_protected"]
+
+        want = fitted(rows)
+        assert want[1] == rows.size
+        assert fitted(shuffled) == want
+        assert fitted({int(i) for i in rows}) == want
+        assert fitted([]) == fitted(np.array([], dtype=int))
+        assert fitted([])[1] == 0
 
 
 def wide_dataset(n: int, d: int, seed: int) -> Dataset:
@@ -594,6 +612,40 @@ class TestConstraintRows:
         assert got_a.tobytes() == want_a.tobytes() and got_b.tobytes() == want_b.tobytes()
 
 
+def race_dataset(n: int = 1500, seed: int = 3) -> Dataset:
+    """Five features plus bias with a five-category one-hot sensitive block that x0 predicts."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 5))
+    race = np.clip(np.floor(1.5 * x[:, 0] + rng.normal(size=n) + 2.5), 0, 4).astype(int)
+    score = x[:, 1:4] @ np.array([1.0, -0.7, 0.5]) + 0.8 * x[:, 0]
+    labels = np.where(rng.random(n) < 1.0 / (1.0 + np.exp(-score)), 1.0, -1.0)
+    return append_bias(
+        Dataset(
+            features=x,
+            labels=labels,
+            sensitive=np.eye(5)[race],
+            sensitive_names=tuple(f"race={k}" for k in range(5)),
+            feature_names=tuple(f"x{j}" for j in range(5)),
+        )
+    )
+
+
+class TestRankDeficientEqualities:
+    def test_race_one_hot_at_zero(self, caplog):
+        # the centred one-hot columns sum to zero, so the five rows of W have rank 4
+        ds = race_dataset()
+        w = covariance_vectors(ds)
+        assert np.linalg.matrix_rank(w) == 4
+        with caplog.at_level(logging.DEBUG, logger="fairclf.solvers"):
+            model = fit_logreg_fair(ds, FitSpec(mode="fairness_constrained", covariance_thresholds=0.0))
+        assert "equality rows=5 rank=4" in caplog.text
+        meta = model.training_meta
+        assert meta["converged"], meta["status"]
+        assert np.max(np.abs(w @ model.theta)) <= 1e-12
+        free = fit_logreg(ds, FitSpec(mode="unconstrained"))
+        assert np.max(np.abs(w @ free.theta)) > 1e-2  # the bound changes the fit
+
+
 def two_column_datasets() -> tuple[Dataset, Dataset]:
     """Nonlinear synthetic rows with two sensitive columns: z and a noisy copy, or z and a constant."""
     base = gen_nonlinear_synthetic(SynthConfig(n=300, phi=np.pi / 4, seed=7, variant="nonlinear"))
@@ -615,7 +667,7 @@ SVM_FITS = {
 
 
 class TestTwoColumnThresholds:
-    """QP fits with K = 2: a c_k = 0 column is an equality, a c_k > 0 column a pair of inequalities."""
+    """Fits with K = 2: a c_k = 0 column is an equality, a c_k > 0 column a pair of inequalities."""
 
     @staticmethod
     def check(model, c):
@@ -632,6 +684,37 @@ class TestTwoColumnThresholds:
         model = fit_fn(two, FitSpec(mode="fairness_constrained", covariance_thresholds=c, **options))
         self.check(model, c)
         assert abs(model.training_meta["covariance"][1]) == pytest.approx(c[1], rel=1e-6)  # the c_1 row binds
+
+    @pytest.mark.parametrize("c1, binds", [(0.1, False), (0.002, True)])
+    def test_logistic_equality_with_inequalities(self, c1, binds):
+        # c_0 = 0 is eliminated exactly; c_1 stays two inequality rows. With
+        # c_0 = 0 alone, |cov_1| is about 0.0044, so 0.1 is slack and 0.002 binds
+        two, _ = two_column_datasets()
+        model = fit_logreg_fair(two, FitSpec(mode="fairness_constrained", covariance_thresholds=[0.0, c1]))
+        self.check(model, [0.0, c1])
+        cov = model.training_meta["covariance"]
+        assert abs(cov[0]) <= 1e-12
+        if binds:
+            assert abs(cov[1]) == pytest.approx(c1, rel=1e-6)
+        else:
+            assert abs(cov[1]) < 0.5 * c1
+
+    def test_squared_hinge(self):
+        # the smooth SVM route: c_0 = 0 is eliminated exactly, and the c_1
+        # rows bind to the augmented Lagrangian's feasibility tolerance
+        two, constant = two_column_datasets()
+        free = fit_linear_svm_fair(two, FitSpec(mode="unconstrained", svm_cost=1.0))
+        c = [0.0, 0.5 * abs(free.training_meta["covariance"][1])]
+        model = fit_linear_svm_fair(two, FitSpec(mode="fairness_constrained", covariance_thresholds=c, svm_cost=1.0))
+        self.check(model, c)
+        cov = model.training_meta["covariance"]
+        assert abs(cov[0]) <= 1e-12
+        assert abs(cov[1]) == pytest.approx(c[1], abs=1e-8)
+        model = fit_linear_svm_fair(
+            constant, FitSpec(mode="fairness_constrained", covariance_thresholds=[0.0, 0.0], svm_cost=1.0)
+        )
+        self.check(model, [0.0, 0.0])
+        assert abs(model.training_meta["covariance"][0]) <= 1e-12
 
     @pytest.mark.parametrize("name", sorted(SVM_FITS))
     def test_constant_column_at_zero(self, name):

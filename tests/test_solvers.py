@@ -298,6 +298,113 @@ class TestBlasHelpers:
         assert peak < a.nbytes / 4
 
 
+class TestEqualityRows:
+    """minimize_smooth with E x = f, eliminated on the null space of E."""
+
+    @staticmethod
+    def quadratic(n: int, seed: int):
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(n, n))
+        q = m @ m.T + n * np.eye(n)
+        c = rng.normal(size=n)
+        return q, c, (lambda x: float(0.5 * x @ q @ x + c @ x)), (lambda x: q @ x + c)
+
+    def test_quadratic_matches_reference(self):
+        q, c, f, g = self.quadratic(4, seed=31)
+        e = np.random.default_rng(32).normal(size=(2, 4))
+        rhs = np.array([0.7, -1.2])
+        problem = SmoothProblem(dimension=4, objective=f, gradient=g, equality=(e, rhs))
+        result = minimize_smooth(problem, TIGHT)
+        assert result.status == "converged"
+        with np.errstate(all="ignore"):  # the reference also tries the infinite bounds
+            _, ref_x, ref_mu = qp_box_equality_reference(
+                q, c, np.full(4, -np.inf), np.full(4, np.inf), equality=(e, rhs), with_multipliers=True
+            )
+        np.testing.assert_allclose(result.point, ref_x, atol=1e-7)
+        assert result.multipliers["equality"].shape == (2,)
+        np.testing.assert_allclose(result.multipliers["equality"], ref_mu, atol=1e-6)
+        assert np.max(np.abs(e @ result.point - rhs)) <= 1e-14
+
+    def test_kkt_residuals_round_trip(self):
+        _, _, f, g = self.quadratic(3, seed=33)
+        problem = SmoothProblem(
+            dimension=3,
+            objective=f,
+            gradient=g,
+            equality=(np.array([1.0, 1.0, 1.0]), 1.0),
+            linear_constraints=(np.array([[1.0, 0.0, 0.0]]), np.array([-0.5])),
+        )
+        result = minimize_smooth(problem, TIGHT)
+        assert result.status == "converged"
+        assert result.multipliers["inequality"][0][0] > 1e-3  # the inequality binds
+        res = kkt_residuals(problem, result.point, result.multipliers)
+        assert res.within(TIGHT)
+        assert res == result.kkt
+        no_mu = kkt_residuals(problem, result.point, {"inequality": result.multipliers["inequality"]})
+        assert no_mu.stationarity_norm > 1e-3
+        with pytest.raises(ValueError, match="equality multipliers"):
+            kkt_residuals(problem, result.point, {**result.multipliers, "equality": np.zeros(2)})
+
+    def test_duplicate_rows_reduce_by_rank(self, caplog):
+        q, c, f, g = self.quadratic(4, seed=34)
+        e = np.array([[1.0, 2.0, 0.0, -1.0], [0.0, 1.0, 1.0, 0.0]])
+        rhs = np.array([0.5, -0.25])
+        repeated = (np.vstack([e, e[0], 3.0 * e[1]]), np.concatenate([rhs, [rhs[0], 3.0 * rhs[1]]]))
+        plain = minimize_smooth(SmoothProblem(dimension=4, objective=f, gradient=g, equality=(e, rhs)), TIGHT)
+        with caplog.at_level(logging.DEBUG, logger="fairclf.solvers"):
+            result = minimize_smooth(SmoothProblem(dimension=4, objective=f, gradient=g, equality=repeated), TIGHT)
+        assert "equality rows=4 rank=2" in caplog.text
+        assert result.status == "converged"
+        np.testing.assert_allclose(result.point, plain.point, atol=1e-9)
+        assert np.max(np.abs(repeated[0] @ result.point - repeated[1])) <= 1e-12
+        assert result.multipliers["equality"].shape == (4,)
+        # the least-norm multipliers split the plain ones over the copies, in
+        # proportion to each copy's scale
+        mu = result.multipliers["equality"]
+        np.testing.assert_allclose(repeated[0].T @ mu, e.T @ plain.multipliers["equality"], atol=1e-6)
+        np.testing.assert_allclose([mu[2], mu[3]], [mu[0], 3.0 * mu[1]], rtol=1e-9)
+
+    def test_fully_determined(self):
+        _, _, f, g = self.quadratic(2, seed=35)
+        problem = SmoothProblem(dimension=2, objective=f, gradient=g, equality=(np.eye(2), np.array([1.0, -2.0])))
+        result = minimize_smooth(problem, TIGHT)
+        assert result.status == "converged"
+        np.testing.assert_allclose(result.point, [1.0, -2.0], atol=1e-15)
+
+    def test_inconsistent_rows_are_infeasible(self):
+        _, _, f, g = self.quadratic(3, seed=36)
+        e = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
+        problem = SmoothProblem(dimension=3, objective=f, gradient=g, equality=(e, np.array([1.0, 1.0])))
+        result = minimize_smooth(problem, TIGHT)
+        assert result.status == "infeasible"
+        assert result.kkt.max_violation > 0.1
+
+    def test_no_rows_is_no_equality(self):
+        f, g = quadratic_bowl([2.0, 1.0, -1.0])
+        rows = (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]), np.array([1.0, 0.5]))
+        base = dict(dimension=3, objective=f, gradient=g, linear_constraints=rows)
+        none = minimize_smooth(SmoothProblem(**base), TIGHT)
+        empty = minimize_smooth(SmoothProblem(**base, equality=(np.zeros((0, 3)), np.zeros(0))), TIGHT)
+        assert np.array_equal(none.point, empty.point)
+        assert none.status == empty.status and none.iterations == empty.iterations
+        assert "equality" not in empty.multipliers
+
+    def test_convex_block_on_the_null_space(self):
+        # the ball problem restricted to the plane x0 = x1, with array and operator Jacobians
+        results = []
+        for as_operator in (False, True):
+            problem = dataclasses.replace(
+                TestOperatorJacobian.ball_problem(as_operator), equality=(np.array([1.0, -1.0, 0.0]), 0.0)
+            )
+            result = minimize_smooth(problem, TIGHT)
+            assert result.status == "converged"
+            assert abs(result.point[0] - result.point[1]) <= 1e-15
+            assert kkt_residuals(problem, result.point, result.multipliers).within(TIGHT)
+            results.append(result)
+        assert np.max(results[0].multipliers["inequality"][1]) > 1e-3  # the block binds
+        np.testing.assert_allclose(results[1].point, results[0].point, rtol=0, atol=1e-8)
+
+
 class TestSolveQp:
     def test_separable_box(self):
         problem = QuadraticProblem(
