@@ -18,6 +18,7 @@ __all__ = [
     "Dataset",
     "SplitPlan",
     "append_bias",
+    "category_codes",
     "encode_sensitive",
     "split",
     "standardize_columns",
@@ -143,6 +144,18 @@ def append_bias(dataset: Dataset) -> Dataset:
     )
 
 
+def category_codes(values) -> tuple[np.ndarray, list]:
+    """Integer codes of a column of strings, and its distinct values in ``sorted`` order.
+
+    ``distinct[codes[i]] == values[i]``. Each row's value is looked up once
+    in a dict of the distinct values, so no pass compares the whole column
+    with each value.
+    """
+    distinct = sorted(set(values))
+    index = {val: j for j, val in enumerate(distinct)}
+    return np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values)), distinct
+
+
 def encode_sensitive(
     raw, name: str, positive_value=None
 ) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -155,8 +168,7 @@ def encode_sensitive(
     ``"name=value"`` so the mapping is recorded. A constant column is
     rejected: its covariance with anything is identically zero.
     """
-    values = [str(v) for v in raw]
-    distinct = sorted(set(values))
+    codes, distinct = category_codes([str(v) for v in raw])
     if len(distinct) < 2:
         raise ValueError(f"sensitive column {name!r} is constant; encoding would be vacuous")
     if len(distinct) == 2:
@@ -166,15 +178,12 @@ def encode_sensitive(
                 raise ValueError(f"positive_value {pos!r} not among values {distinct}")
         else:
             pos = distinct[1]
-        column = np.array([1.0 if v == pos else 0.0 for v in values])
-        return column.reshape(-1, 1), (f"{name}={pos}",)
+        return (codes == distinct.index(pos)).astype(float).reshape(-1, 1), (f"{name}={pos}",)
     if positive_value is not None:
         raise ValueError("positive_value only applies to binary attributes")
-    columns = np.zeros((len(values), len(distinct)))
-    for j, val in enumerate(distinct):
-        columns[:, j] = [1.0 if v == val else 0.0 for v in values]
-    names = tuple(f"{name}={val}" for val in distinct)
-    return columns, names
+    columns = np.zeros((codes.size, len(distinct)))
+    columns[np.arange(codes.size), codes] = 1.0
+    return columns, tuple(f"{name}={val}" for val in distinct)
 
 
 def split(dataset: Dataset, plan: SplitPlan, repeat_index: int) -> tuple[Dataset, Dataset]:

@@ -8,9 +8,14 @@ containing a ``?`` field is dropped as missing). The Bank loader reads the
 semicolon-separated ``bank-additional-full.csv`` with quoted fields and keeps
 every row.
 
-Both loaders return a ready-to-train :class:`~fairclf.data.Dataset` - label,
-sensitive block, one-hot categoricals, standardized numerics, bias column -
-plus an :class:`IngestReport` with the row and per-group counts.
+Each loader keeps only its own parsing: the line or ``csv`` rules, the label
+tokens and the sensitive attribute. Both then share one pipeline from string
+columns to a ready-to-train :class:`~fairclf.data.Dataset` - label, sensitive
+block, standardized numerics, one-hot categoricals, bias column - plus an
+:class:`IngestReport` with the row and per-group counts. Every categorical
+column is coded once by :func:`~fairclf.data.category_codes`, the string
+columns are released once coded, and the n x (d + 1) feature matrix is
+allocated once and filled in place, bias column included.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, append_bias, encode_sensitive
+from .data import BIAS_NAME, Dataset, category_codes, encode_sensitive
 
 __all__ = ["IngestReport", "load_adult", "load_bank"]
 
@@ -66,48 +71,79 @@ class IngestReport:
         }
 
 
-def _group_stats(names_values: dict[str, list[str]], labels: np.ndarray) -> dict[str, dict[str, int]]:
+def _group_stats(groups: dict, labels: np.ndarray) -> dict[str, dict[str, int]]:
+    positive = labels == 1
     stats: dict[str, dict[str, int]] = {}
-    for column, values in names_values.items():
-        arr = np.asarray(values)
-        for value in sorted(set(values)):
-            mask = arr == value
-            positive = int(np.sum(labels[mask] == 1))
-            stats[f"{column}={value}"] = {
-                "total": int(mask.sum()),
-                "positive": positive,
-                "negative": int(mask.sum()) - positive,
-            }
+    for column, values in groups.items():
+        codes, distinct = category_codes(values)
+        totals = np.bincount(codes, minlength=len(distinct))
+        positives = np.bincount(codes[positive], minlength=len(distinct))
+        for value, total, pos in zip(distinct, totals.tolist(), positives.tolist()):
+            stats[f"{column}={value}"] = {"total": total, "positive": pos, "negative": total - pos}
     return stats
 
 
-def _assemble_features(
-    numeric: dict[str, list[float]], categorical: dict[str, list[str]]
-) -> tuple[np.ndarray, tuple[str, ...], tuple[int, ...]]:
-    """Standardized numeric columns, then one-hot blocks, in declaration order.
+def _labels(path, tokens, positive: str, negative: str) -> np.ndarray:
+    """+1 for the ``positive`` token and -1 for the ``negative`` one; any other token is an error."""
+    sign = {positive: 1.0, negative: -1.0}
+    try:
+        return np.fromiter(map(sign.__getitem__, tokens), dtype=float, count=len(tokens))
+    except KeyError as exc:
+        raise ValueError(f"{path}: unknown label token {exc.args[0]!r}") from None
 
-    A column's one-hot block has one column per distinct value, in
-    ``sorted`` order. Each row's value is looked up once in a dict of those
-    columns, instead of comparing the whole column with every value.
+
+def _dataset(
+    columns: dict,
+    numeric: list[str],
+    labels: np.ndarray,
+    sensitive: np.ndarray,
+    sensitive_names: tuple[str, ...],
+    groups: dict,
+    rows_dropped: int,
+) -> tuple[Dataset, IngestReport]:
+    """The one pipeline from string columns to a ``Dataset`` with its bias column, and the report.
+
+    ``columns`` holds the feature columns in declaration order and is
+    emptied: the ``numeric`` ones become standardized columns, in that order,
+    and the rest one-hot blocks with one column per distinct value in
+    ``sorted`` order. Every column is coded before the matrix is allocated,
+    so its strings are released first. ``groups`` are the columns whose
+    per-value counts the report carries.
     """
-    blocks: list[np.ndarray] = []
-    names: list[str] = []
-    for column, values in numeric.items():
-        arr = np.asarray(values, dtype=float)
+    report = IngestReport(
+        rows_read=labels.size + rows_dropped,
+        rows_dropped_missing=rows_dropped,
+        rows_kept=labels.size,
+        label_positive=int(np.sum(labels == 1)),
+        label_negative=int(np.sum(labels == -1)),
+        group_stats=_group_stats(groups, labels),
+    )
+    numbers = [np.fromiter(map(float, columns.pop(c)), dtype=float, count=labels.size) for c in numeric]
+    coded = [(c, *category_codes(columns.pop(c))) for c in list(columns)]
+    names = list(numeric)
+    names += [f"{c}={val}" for c, _, distinct in coded for val in distinct]
+    names.append(BIAS_NAME)
+
+    features = np.zeros((labels.size, len(names)))
+    for j, arr in enumerate(numbers):
         sd = arr.std()
-        arr = (arr - arr.mean()) / (sd if sd > 0 else 1.0)
-        blocks.append(arr.reshape(-1, 1))
-        names.append(column)
-    scale_columns = tuple(range(len(numeric)))
-    for column, values in categorical.items():
-        distinct = sorted(set(values))
-        index = {val: j for j, val in enumerate(distinct)}
-        codes = np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))
-        onehot = np.zeros((len(values), len(distinct)))
-        onehot[np.arange(len(values)), codes] = 1.0
-        blocks.append(onehot)
-        names.extend(f"{column}={val}" for val in distinct)
-    return np.hstack(blocks), tuple(names), scale_columns
+        features[:, j] = (arr - arr.mean()) / (sd if sd > 0 else 1.0)
+    offset = len(numbers)
+    rows = np.arange(labels.size)
+    for _, codes, distinct in coded:
+        features[rows, offset + codes] = 1.0
+        offset += len(distinct)
+    features[:, -1] = 1.0
+    dataset = Dataset(
+        features=features,
+        labels=labels,
+        sensitive=sensitive,
+        sensitive_names=sensitive_names,
+        feature_names=tuple(names),
+        has_bias_column=True,
+        scale_columns=tuple(range(len(numbers))),
+    )
+    return dataset, report
 
 
 def load_adult(path, sensitive_choice: str = "gender") -> tuple[Dataset, IngestReport]:
@@ -136,52 +172,22 @@ def load_adult(path, sensitive_choice: str = "gender") -> tuple[Dataset, IngestR
             rows.append(fields)
     if not rows:
         raise ValueError(f"{path}: no usable rows")
+    columns = dict(zip(ADULT_COLUMNS, zip(*rows)))
+    del rows
 
-    by_column = {name: [row[i] for row in rows] for i, name in enumerate(ADULT_COLUMNS)}
-    labels = np.empty(len(rows))
-    for i, token in enumerate(by_column["income"]):
-        token = token.rstrip(".")
-        if token == ">50K":
-            labels[i] = 1.0
-        elif token == "<=50K":
-            labels[i] = -1.0
-        else:
-            raise ValueError(f"{path}: unknown label token {token!r}")
-
-    sensitive_sources = {"gender": ["sex"], "race": ["race"], "gender+race": ["sex", "race"]}[sensitive_choice]
-    sensitive_blocks = []
-    sensitive_names: list[str] = []
-    for source in sensitive_sources:
-        block, names = encode_sensitive(by_column[source], source)
-        sensitive_blocks.append(block)
-        sensitive_names.extend(names)
-
-    numeric = {c: [float(v) for v in by_column[c]] for c in ADULT_NUMERIC}
-    categorical = {
-        c: by_column[c]
-        for c in ADULT_COLUMNS
-        if c not in ADULT_NUMERIC and c != "income" and c not in sensitive_sources
-    }
-    features, feature_names, scale_columns = _assemble_features(numeric, categorical)
-
-    dataset = Dataset(
-        features=features,
-        labels=labels,
-        sensitive=np.hstack(sensitive_blocks),
-        sensitive_names=tuple(sensitive_names),
-        feature_names=feature_names,
-        scale_columns=scale_columns,
+    labels = _labels(path, [token.rstrip(".") for token in columns.pop("income")], ">50K", "<=50K")
+    groups = {"sex": columns["sex"], "race": columns["race"]}
+    sources = {"gender": ["sex"], "race": ["race"], "gender+race": ["sex", "race"]}[sensitive_choice]
+    blocks = [encode_sensitive(columns.pop(source), source) for source in sources]
+    return _dataset(
+        columns,
+        ADULT_NUMERIC,
+        labels,
+        np.hstack([block for block, _ in blocks]),
+        sum((names for _, names in blocks), ()),
+        groups,
+        dropped,
     )
-    dataset = append_bias(dataset)
-    report = IngestReport(
-        rows_read=len(rows) + dropped,
-        rows_dropped_missing=dropped,
-        rows_kept=len(rows),
-        label_positive=int(np.sum(labels == 1)),
-        label_negative=int(np.sum(labels == -1)),
-        group_stats=_group_stats({"sex": by_column["sex"], "race": by_column["race"]}, labels),
-    )
-    return dataset, report
 
 
 def load_bank(path) -> tuple[Dataset, IngestReport]:
@@ -205,44 +211,21 @@ def load_bank(path) -> tuple[Dataset, IngestReport]:
             rows.append([f.strip().strip('"') for f in fields])
     if not rows:
         raise ValueError(f"{path}: no usable rows")
+    columns = dict(zip(header, zip(*rows)))
+    del rows
 
-    by_column = {name: [row[i] for row in rows] for i, name in enumerate(header)}
-    labels = np.empty(len(rows))
-    for i, token in enumerate(by_column[BANK_LABEL]):
-        if token == "yes":
-            labels[i] = 1.0
-        elif token == "no":
-            labels[i] = -1.0
-        else:
-            raise ValueError(f"{path}: unknown label token {token!r}")
-
+    labels = _labels(path, columns.pop(BANK_LABEL), "yes", "no")
     try:
-        ages = np.array([float(v) for v in by_column["age"]])
+        ages = np.array([float(v) for v in columns.pop("age")])
     except ValueError as exc:
         raise ValueError(f"{path}: non-numeric age field: {exc}") from None
-    z = ((ages >= 25) & (ages <= 60)).astype(float)
-
-    numeric = {c: [float(v) for v in by_column[c]] for c in BANK_NUMERIC if c in header and c != "age"}
-    categorical = {c: by_column[c] for c in header if c not in BANK_NUMERIC and c != BANK_LABEL}
-    features, feature_names, scale_columns = _assemble_features(numeric, categorical)
-
-    dataset = Dataset(
-        features=features,
-        labels=labels,
-        sensitive=z.reshape(-1, 1),
-        sensitive_names=(BANK_AGE_NAME,),
-        feature_names=feature_names,
-        scale_columns=scale_columns,
+    in_group = (ages >= 25) & (ages <= 60)
+    return _dataset(
+        columns,
+        [c for c in BANK_NUMERIC if c in columns],
+        labels,
+        in_group.astype(float).reshape(-1, 1),
+        (BANK_AGE_NAME,),
+        {"age": ["25-60" if g else "other" for g in in_group]},
+        0,
     )
-    dataset = append_bias(dataset)
-    in_group = z == 1
-    group_values = np.where(in_group, "25-60", "other")
-    report = IngestReport(
-        rows_read=len(rows),
-        rows_dropped_missing=0,
-        rows_kept=len(rows),
-        label_positive=int(np.sum(labels == 1)),
-        label_negative=int(np.sum(labels == -1)),
-        group_stats=_group_stats({"age": list(group_values)}, labels),
-    )
-    return dataset, report

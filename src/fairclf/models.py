@@ -380,26 +380,33 @@ def _epigraph_rows(w: np.ndarray, n_extra: int = 0) -> tuple[np.ndarray, np.ndar
 # logistic regression fits
 
 
-def _fit_logreg_core(features, labels, l2_penalty, settings, constraints=None, equality=None) -> SolverResult:
-    # optimized on mean-loss scale so the stationarity tolerance is
-    # independent of the row count; reported objectives are totals
+def _mean_loss_problem(features, value_at, gradient_at, constraints=None, equality=None) -> SmoothProblem:
+    """A loss of (theta, scores X @ theta) as a ``SmoothProblem`` divided by n, started at theta = 0.
+
+    ``value_at`` and ``gradient_at`` share one product X @ theta per point.
+    The mean scale makes the stationarity tolerance independent of the row
+    count; reported objectives are totals.
+    """
     n, d = features.shape
     inv_n = 1.0 / n
     scores = _at_last_point(lambda theta: matvec(features, theta))
-
-    def objective(theta):
-        return _loss_at(theta, scores(theta), labels, l2_penalty) * inv_n
-
-    def gradient(theta):
-        return _gradient_at(theta, scores(theta), features, labels, l2_penalty) * inv_n
-
-    problem = SmoothProblem(
+    return SmoothProblem(
         dimension=d,
-        objective=objective,
-        gradient=gradient,
+        objective=lambda theta: value_at(theta, scores(theta)) * inv_n,
+        gradient=lambda theta: gradient_at(theta, scores(theta)) * inv_n,
         equality=equality,
         linear_constraints=constraints,
         initial_point=np.zeros(d),
+    )
+
+
+def _fit_logreg_core(features, labels, l2_penalty, settings, constraints=None, equality=None) -> SolverResult:
+    problem = _mean_loss_problem(
+        features,
+        lambda theta, scores: _loss_at(theta, scores, labels, l2_penalty),
+        lambda theta, scores: _gradient_at(theta, scores, features, labels, l2_penalty),
+        constraints,
+        equality,
     )
     return minimize_smooth(problem, settings)
 
@@ -706,12 +713,15 @@ def hinge_objective(theta, features, labels, svm_cost) -> float:
     return float(theta @ theta + svm_cost * slack.sum())
 
 
-def _squared_hinge(theta, features, labels, svm_cost) -> tuple[float, np.ndarray]:
-    margins = labels * matvec(features, theta)
-    gap = np.maximum(0.0, 1.0 - margins)
-    value = float(theta @ theta + svm_cost * (gap @ gap))
-    grad = 2.0 * theta - 2.0 * svm_cost * rmatvec(features, labels * gap)
-    return value, grad
+def _squared_hinge_at(theta, scores, labels, svm_cost) -> float:
+    """Squared-hinge objective ||theta||^2 + C * sum max(0, 1 - y m)^2 from the scores m = X @ theta."""
+    gap = np.maximum(0.0, 1.0 - labels * scores)
+    return float(theta @ theta + svm_cost * (gap @ gap))
+
+
+def _squared_hinge_gradient_at(theta, scores, features, labels, svm_cost) -> np.ndarray:
+    gap = np.maximum(0.0, 1.0 - labels * scores)
+    return 2.0 * theta - 2.0 * svm_cost * rmatvec(features, labels * gap)
 
 
 def _svm_thresholds(train: Dataset, spec: FitSpec, op: str) -> np.ndarray:
@@ -750,16 +760,13 @@ def fit_linear_svm_fair(train: Dataset, spec: FitSpec, settings: SolverSettings 
     w = covariance_vectors(train)
 
     if spec.svm_hinge == "squared":
-        inv_n = 1.0 / n  # mean scale keeps the stationarity tolerance row-count-free
-        hinge = _at_last_point(lambda t: _squared_hinge(t, features, labels, spec.svm_cost))
         rows, e = _covariance_split(w, c)
-        problem = SmoothProblem(
-            dimension=d,
-            objective=lambda t: hinge(t)[0] * inv_n,
-            gradient=lambda t: hinge(t)[1] * inv_n,
-            equality=(e, np.zeros(e.shape[0])),
-            linear_constraints=rows,
-            initial_point=np.zeros(d),
+        problem = _mean_loss_problem(
+            features,
+            lambda t, scores: _squared_hinge_at(t, scores, labels, spec.svm_cost),
+            lambda t, scores: _squared_hinge_gradient_at(t, scores, features, labels, spec.svm_cost),
+            rows,
+            (e, np.zeros(e.shape[0])),
         )
         result = minimize_smooth(problem, settings)
         theta = result.point
@@ -789,7 +796,7 @@ def fit_linear_svm_fair(train: Dataset, spec: FitSpec, settings: SolverSettings 
 
     slack = np.maximum(0.0, 1.0 - labels * (features @ theta))
     primal = (
-        _squared_hinge(theta, features, labels, spec.svm_cost)[0]
+        _squared_hinge_at(theta, matvec(features, theta), labels, spec.svm_cost)
         if spec.svm_hinge == "squared"
         else hinge_objective(theta, features, labels, spec.svm_cost)
     )

@@ -47,7 +47,6 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import ddot, dgemv
 from scipy.optimize import minimize as _scipy_minimize
-from scipy.sparse.linalg import LinearOperator
 
 __all__ = [
     "ConstraintBlock",
@@ -131,13 +130,10 @@ class ConstraintBlock:
     """Vectorized convex inequality block g(x) <= 0 with m rows.
 
     The one form of a nonlinear constraint. ``value`` maps x to a length-m
-    vector, ``jacobian`` to the (m, n) Jacobian, either as an array or as a
-    ``scipy.sparse.linalg.LinearOperator``. The solver only ever forms
-    ``jacobian(x).T @ lam`` (``rmatvec`` for an operator), so an operator
-    needs only its transpose product and the m x n matrix is never
-    materialised. Scalar constraints are the m=1 case; grouping related
-    constraints into one block keeps the per-iteration cost at a few matrix
-    products.
+    vector, ``jacobian`` to the (m, n) Jacobian as an array. The solver only
+    ever forms ``jacobian(x).T @ lam``, with :func:`rmatvec`. Scalar
+    constraints are the m=1 case; grouping related constraints into one block
+    keeps the per-iteration cost at a few matrix products.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -226,16 +222,6 @@ def rmatvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 def dot(u: np.ndarray, v: np.ndarray) -> float:
     """``u @ v`` of two float vectors on scipy's BLAS."""
     return float(ddot(u, v)) if u.size else 0.0
-
-
-def _transpose_product(jac, v: np.ndarray) -> np.ndarray:
-    """J.T @ v for a Jacobian given as an array (on scipy's BLAS) or as a LinearOperator.
-
-    An operator's ``rmatvec`` is that product without building the
-    transposed operator, whose dispatch cost more than the d=3 sweeps'
-    products (about a quarter of their solve time).
-    """
-    return jac.rmatvec(v) if isinstance(jac, LinearOperator) else rmatvec(jac, v)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +358,7 @@ def _inequality_gradient(comp: _Compiled, x: np.ndarray, lam: list) -> np.ndarra
     grad = comp.gradient(x).astype(float)
     for block, lam_b in zip(comp.blocks, lam):
         if lam_b.size:
-            grad = grad + _transpose_product(block.jacobian(x), lam_b)
+            grad = grad + rmatvec(block.jacobian(x), lam_b)
     return grad
 
 
@@ -423,7 +409,7 @@ def _solve_al(comp: _Compiled, settings: SolverSettings) -> SolverResult:
             t = np.maximum(0.0, lam_b + rho * g)
             value += (dot(t, t) - dot(lam_b, lam_b)) / (2.0 * rho)
             if t.any():
-                grad = grad + _transpose_product(block.jacobian(x), t)
+                grad = grad + rmatvec(block.jacobian(x), t)
         return value, grad
 
     for outer in range(200):
@@ -517,18 +503,16 @@ def _named_multipliers(lam: list, mu: np.ndarray | None = None) -> dict:
 
 
 def _restricted(block: ConstraintBlock, lift: Callable, basis: np.ndarray) -> ConstraintBlock:
-    """``block`` as a function of phi, with x = lift(phi) and Jacobian J N."""
+    """``block`` as a function of phi, with x = lift(phi) and Jacobian J N.
 
-    def jacobian(phi: np.ndarray) -> LinearOperator:
-        jac = block.jacobian(lift(phi))
-        return LinearOperator(
-            (block.size, basis.shape[1]),
-            matvec=lambda u: jac @ (basis @ u),
-            rmatvec=lambda v: basis.T @ _transpose_product(jac, v),
-            dtype=float,
-        )
-
-    return ConstraintBlock(value=lambda phi: block.value(lift(phi)), jacobian=jacobian, size=block.size)
+    J N is returned as the transposed view of N'J', the product that the
+    solver applies to the multipliers.
+    """
+    return ConstraintBlock(
+        value=lambda phi: block.value(lift(phi)),
+        jacobian=lambda phi: (basis.T @ block.jacobian(lift(phi)).T).T,
+        size=block.size,
+    )
 
 
 def _solve_eliminated(problem: SmoothProblem, comp: _Compiled, settings: SolverSettings) -> SolverResult:

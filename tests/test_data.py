@@ -14,6 +14,8 @@ from fairclf.data import (
     write_dataset_csv,
 )
 
+from test_ingest import loop_encode_sensitive
+
 
 def make_dataset(n=6, d=2, seed=0, **kwargs):
     rng = np.random.default_rng(seed)
@@ -131,6 +133,31 @@ class TestEncodeSensitive:
     def test_constant_column_rejected(self):
         with pytest.raises(ValueError, match="constant"):
             encode_sensitive(["a", "a", "a"], "attr")
+
+    def test_explicit_positive_value_must_fit_the_column(self):
+        column, names = encode_sensitive([2, 10, 10], "grade", positive_value=10)
+        np.testing.assert_array_equal(column[:, 0], [0.0, 1.0, 1.0])
+        assert names == ("grade=10",)
+        with pytest.raises(ValueError, match="not among values"):
+            encode_sensitive(["F", "M"], "sex", positive_value="X")
+        with pytest.raises(ValueError, match="only applies to binary"):
+            encode_sensitive(["a", "b", "c"], "attr", positive_value="a")
+
+    @pytest.mark.parametrize(
+        "values, positive_value",
+        [
+            (["F", "M", "F", "M", "M"], None),
+            (["F", "M", "F", "M", "M"], "F"),
+            (["b", "B", "a", "10", "9", "b"], None),
+            ([3, 1, 2, 1, 3, 3], None),
+        ],
+    )
+    def test_equals_loop_form(self, values, positive_value):
+        fast = encode_sensitive(values, "attr", positive_value)
+        slow = loop_encode_sensitive(values, "attr", positive_value)
+        assert fast[0].dtype == slow[0].dtype and fast[0].shape == slow[0].shape
+        assert fast[0].tobytes() == slow[0].tobytes()
+        assert fast[1] == slow[1]
 
     def test_label_stable(self):
         values = ["b", "c", "a", "b"]

@@ -7,11 +7,14 @@ fields. Count assertions against the published full-file statistics live in
 the acceptance suite and run when the real files are present.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fairclf import ingest
-from fairclf.ingest import load_adult, load_bank
+from fairclf.data import Dataset, append_bias
+from fairclf.ingest import IngestReport, load_adult, load_bank
 
 ADULT_ROW = (
     "{age}, {work}, 77516, Bachelors, 13, Never-married, Adm-clerical,"
@@ -177,6 +180,61 @@ class TestLoadBank:
         assert payload["rows_kept"] == 5
 
 
+# ---------------------------------------------------------------------------
+# an independent reference for the loaders' shared pipeline: every categorical
+# column compared with each of its values, blocks stacked, then append_bias
+
+
+def loop_encode_sensitive(raw, name, positive_value=None):
+    """``encode_sensitive`` as one pass over the rows per distinct value."""
+    values = [str(v) for v in raw]
+    distinct = sorted(set(values))
+    if len(distinct) < 2:
+        raise ValueError(f"sensitive column {name!r} is constant; encoding would be vacuous")
+    if len(distinct) == 2:
+        if positive_value is not None:
+            pos = str(positive_value)
+            if pos not in distinct:
+                raise ValueError(f"positive_value {pos!r} not among values {distinct}")
+        else:
+            pos = distinct[1]
+        column = np.array([1.0 if v == pos else 0.0 for v in values])
+        return column.reshape(-1, 1), (f"{name}={pos}",)
+    if positive_value is not None:
+        raise ValueError("positive_value only applies to binary attributes")
+    columns = np.zeros((len(values), len(distinct)))
+    for j, val in enumerate(distinct):
+        columns[:, j] = [1.0 if v == val else 0.0 for v in values]
+    return columns, tuple(f"{name}={val}" for val in distinct)
+
+
+def loop_labels(path, tokens, positive, negative):
+    labels = np.empty(len(tokens))
+    for i, token in enumerate(tokens):
+        if token == positive:
+            labels[i] = 1.0
+        elif token == negative:
+            labels[i] = -1.0
+        else:
+            raise ValueError(f"{path}: unknown label token {token!r}")
+    return labels
+
+
+def loop_group_stats(groups, labels):
+    stats = {}
+    for column, values in groups.items():
+        arr = np.asarray(values)
+        for value in sorted(set(values)):
+            mask = arr == value
+            positive = int(np.sum(labels[mask] == 1))
+            stats[f"{column}={value}"] = {
+                "total": int(mask.sum()),
+                "positive": positive,
+                "negative": int(mask.sum()) - positive,
+            }
+    return stats
+
+
 def per_value_features(numeric, categorical):
     """The one-hot assembly as one comparison of the whole column per distinct value."""
     blocks, names = [], []
@@ -196,37 +254,145 @@ def per_value_features(numeric, categorical):
     return np.hstack(blocks), tuple(names), tuple(range(len(numeric)))
 
 
+def reference_dataset(columns, numeric, labels, sensitive, sensitive_names, groups, rows_dropped):
+    """``ingest._dataset`` as stacked blocks, a ``Dataset`` without bias, then ``append_bias``."""
+    numbers = {c: [float(v) for v in columns[c]] for c in numeric}
+    categorical = {c: values for c, values in columns.items() if c not in numeric}
+    features, names, scale_columns = per_value_features(numbers, categorical)
+    dataset = Dataset(
+        features=features,
+        labels=labels,
+        sensitive=sensitive,
+        sensitive_names=sensitive_names,
+        feature_names=names,
+        scale_columns=scale_columns,
+    )
+    report = IngestReport(
+        rows_read=len(labels) + rows_dropped,
+        rows_dropped_missing=rows_dropped,
+        rows_kept=len(labels),
+        label_positive=int(np.sum(labels == 1)),
+        label_negative=int(np.sum(labels == -1)),
+        group_stats=loop_group_stats(groups, labels),
+    )
+    return append_bias(dataset), report
+
+
+def random_adult_file(path, rows: int, seed: int):
+    """The fixture rows plus random ones whose values sort differently from
+    their first appearance and from case-folded order."""
+    rng = np.random.default_rng(seed)
+    works = ["State-gov", "Private", "b-gov", "B-gov", "10", "9", "Self-emp"]
+    lines = [
+        ADULT_ROW.format(
+            age=int(rng.integers(17, 90)),
+            work=works[rng.integers(len(works))],
+            race=["White", "Black", "Other", "black"][rng.integers(4)],
+            sex=["Male", "Female"][rng.integers(2)],
+            hours=int(rng.integers(1, 99)),
+            label=[">50K", "<=50K."][rng.integers(2)],
+        )
+        for _ in range(rows)
+    ]
+    write_adult_fixture(path, adult_rows() + lines)
+
+
 class TestOneHotAssembly:
-    """The loaders' features equal the per-value one-hot form byte for byte."""
+    """The loaders' output equals the stacked per-value reference byte for byte."""
 
     @staticmethod
-    def assert_same_as_per_value(monkeypatch, load):
-        fast = load()[0]
-        monkeypatch.setattr(ingest, "_assemble_features", per_value_features)
-        slow = load()[0]
-        assert fast.features.tobytes() == slow.features.tobytes()
-        assert fast.feature_names == slow.feature_names
+    def assert_same_as_reference(monkeypatch, load):
+        fast, fast_report = load()
+        monkeypatch.setattr(ingest, "_dataset", reference_dataset)
+        monkeypatch.setattr(ingest, "_labels", loop_labels)
+        monkeypatch.setattr(ingest, "encode_sensitive", loop_encode_sensitive)
+        slow, slow_report = load()
+        monkeypatch.undo()
+        for name in ("features", "labels", "sensitive"):
+            a, b = getattr(fast, name), getattr(slow, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.flags.c_contiguous == b.flags.c_contiguous, name
+            assert a.tobytes() == b.tobytes(), name
+        for name in ("feature_names", "sensitive_names", "scale_columns", "has_bias_column"):
+            assert getattr(fast, name) == getattr(slow, name), name
+        assert fast_report.to_json_dict() == slow_report.to_json_dict()
 
     def test_adult(self, tmp_path, monkeypatch):
-        rng = np.random.default_rng(5)
-        # values whose sorted order differs from first appearance and from case-folded order
-        works = ["State-gov", "Private", "b-gov", "B-gov", "10", "9", "Self-emp"]
-        rows = [
-            ADULT_ROW.format(
-                age=int(rng.integers(17, 90)),
-                work=works[rng.integers(len(works))],
-                race=["White", "Black", "Other"][rng.integers(3)],
-                sex=["Male", "Female"][rng.integers(2)],
-                hours=int(rng.integers(1, 99)),
-                label=[">50K", "<=50K."][rng.integers(2)],
-            )
-            for _ in range(300)
-        ]
         path = tmp_path / "adult.all"
-        write_adult_fixture(path, adult_rows() + rows)
+        random_adult_file(path, 300, seed=5)
         for choice in ("gender", "race", "gender+race"):
-            self.assert_same_as_per_value(monkeypatch, lambda: load_adult(path, choice))
-            monkeypatch.undo()
+            self.assert_same_as_reference(monkeypatch, lambda: load_adult(path, choice))
 
-    def test_bank(self, bank_file, monkeypatch):
-        self.assert_same_as_per_value(monkeypatch, lambda: load_bank(bank_file))
+    def test_bank(self, bank_file, tmp_path, monkeypatch):
+        self.assert_same_as_reference(monkeypatch, lambda: load_bank(bank_file))
+        rng = np.random.default_rng(6)
+        jobs = ["technician", "Services", "admin.", "b", "B", "10", "9"]
+        rows = [
+            f'{int(rng.integers(18, 90))};"{jobs[rng.integers(len(jobs))]}";'
+            f'"{["single", "married", "Divorced"][rng.integers(3)]}";{int(rng.integers(1, 900))};'
+            f'{int(rng.integers(1, 9))};"{["yes", "no"][rng.integers(2)]}"'
+            for _ in range(200)
+        ]
+        path = tmp_path / "bank.csv"
+        path.write_text("\n".join([BANK_HEADER] + rows) + "\n")
+        self.assert_same_as_reference(monkeypatch, lambda: load_bank(path))
+
+
+# the census file's category lists (UCI Adult), for a fixture of its shape
+WORKCLASS = [
+    "Private", "Self-emp-not-inc", "Self-emp-inc", "Federal-gov",
+    "Local-gov", "State-gov", "Without-pay", "Never-worked",
+]
+EDUCATION = [
+    "Preschool", "1st-4th", "5th-6th", "7th-8th", "9th", "10th", "11th", "12th",
+    "HS-grad", "Some-college", "Assoc-voc", "Assoc-acdm", "Bachelors",
+    "Masters", "Prof-school", "Doctorate",
+]
+MARITAL = [
+    "Married-civ-spouse", "Divorced", "Never-married", "Separated", "Widowed",
+    "Married-spouse-absent", "Married-AF-spouse",
+]
+OCCUPATION = [
+    "Tech-support", "Craft-repair", "Other-service", "Sales", "Exec-managerial",
+    "Prof-specialty", "Handlers-cleaners", "Machine-op-inspct", "Adm-clerical",
+    "Farming-fishing", "Transport-moving", "Priv-house-serv", "Protective-serv",
+    "Armed-Forces",
+]
+RELATIONSHIP = ["Wife", "Own-child", "Husband", "Not-in-family", "Other-relative", "Unmarried"]
+RACE = ["White", "Asian-Pac-Islander", "Amer-Indian-Eskimo", "Other", "Black"]
+COUNTRY = [
+    "United-States", "Cambodia", "England", "Puerto-Rico", "Canada", "Germany",
+    "Outlying-US(Guam-USVI-etc)", "India", "Japan", "Greece", "South", "China",
+    "Cuba", "Iran", "Honduras", "Philippines", "Italy", "Poland", "Jamaica",
+    "Vietnam", "Mexico", "Portugal", "Ireland", "France", "Dominican-Republic",
+    "Laos", "Ecuador", "Taiwan", "Haiti", "Columbia", "Hungary", "Guatemala",
+    "Nicaragua", "Scotland", "Thailand", "Yugoslavia", "El-Salvador",
+    "Trinadad&Tobago", "Peru", "Hong", "Holand-Netherlands",
+]
+
+
+def test_adult_ingest_peak_memory(tmp_path):
+    # every category present gives the census file's d = 104 with sex
+    # sensitive; the matrix is built once, so the loader's traced peak stays
+    # within a small multiple of the matrix it returns
+    rng = np.random.default_rng(7)
+    lines = []
+    for i in range(4000):
+        edu = int(rng.integers(len(EDUCATION)))
+        lines.append(
+            f"{rng.integers(17, 91)}, {rng.choice(WORKCLASS)}, {rng.integers(10_000, 900_000)}, "
+            f"{EDUCATION[edu]}, {edu + 1}, {rng.choice(MARITAL)}, {rng.choice(OCCUPATION)}, "
+            f"{rng.choice(RELATIONSHIP)}, {rng.choice(RACE)}, {rng.choice(['Male', 'Female'])}, "
+            f"{rng.integers(0, 5000)}, {rng.integers(0, 2000)}, {rng.integers(1, 100)}, "
+            f"{COUNTRY[i % len(COUNTRY)]}, {rng.choice(['>50K', '<=50K.'])}"
+        )
+    path = tmp_path / "adult.all"
+    write_adult_fixture(path, lines)
+    tracemalloc.start()
+    try:
+        dataset, _ = load_adult(path, "gender")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dataset.features.shape == (4000, 104)
+    assert peak <= 3.5 * dataset.features.nbytes
