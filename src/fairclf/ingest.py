@@ -200,8 +200,9 @@ def load_bank(path) -> tuple[Dataset, IngestReport]:
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh, delimiter=";", quotechar='"')
         header = [h.strip().strip('"') for h in next(reader)]
-        if BANK_LABEL not in header:
-            raise ValueError(f"{path}: no '{BANK_LABEL}' column in header")
+        for column in (BANK_LABEL, "age"):
+            if column not in header:
+                raise ValueError(f"{path}: no '{column}' column in header")
         rows = []
         for lineno, fields in enumerate(reader, start=2):
             if not fields:

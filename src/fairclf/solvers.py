@@ -12,12 +12,17 @@ Two entry points, each with its own method:
   limited-memory quasi-Newton solve (L-BFGS-B). Without inequalities that is
   a single L-BFGS-B run.
 * :func:`solve_qp` - convex quadratic objective under a variable box, linear
-  equalities E x = f and linear inequalities A x <= b. A dense primal-dual
-  interior-point method (Mehrotra's predictor-corrector) factors one
-  Cholesky per iteration. Slack columns - variables that Q couples to no
+  equalities E x = f and linear inequalities A x <= b. A primal-dual
+  interior-point method (Mehrotra's predictor-corrector) solves one Newton
+  system per iteration. Slack columns - variables that Q couples to no
   other variable, E leaves out and one row of A alone uses, such as the xi
   of an exact-hinge SVM - are eliminated from each Newton system through
-  their diagonal block, so only the remaining columns are factored.
+  their diagonal block. The remaining columns are factored by a dense
+  Cholesky, or, when the problem carries a factor Q ~ diag(delta) + V V'
+  (a kernel dual's low-rank Gram), the Newton matrix is diagonal plus low
+  rank and is solved by Sherman-Morrison-Woodbury through one small
+  Cholesky (Fine & Scheinberg 2001; Ferris & Munson 2002). The factor only
+  steers the steps: residuals and the certificate use Q itself.
 
 Linear constraints are handed over as matrices, one row per constraint. The
 caller decides which bounds are equalities and puts their rows in E; the
@@ -31,10 +36,12 @@ augmented-Lagrangian outer iteration and each interior-point iteration is
 logged at DEBUG level on this module's logger.
 
 numpy and scipy each link their own BLAS, each with its own thread pool, and
-L-BFGS-B runs on scipy's. Products with an n-row operand inside
-:func:`minimize_smooth`'s loop therefore go through :func:`matvec`,
-:func:`rmatvec` and :func:`dot`, which call scipy's BLAS, so that a fit wakes
-one pool instead of two that fight over the cores.
+L-BFGS-B and the Cholesky factorisations run on scipy's. Products with an
+n-row operand inside :func:`minimize_smooth`'s loop and throughout
+:func:`solve_qp` therefore go through :func:`matvec`, :func:`rmatvec` and
+:func:`dot`, which call scipy's BLAS, and the positive-semidefiniteness check
+factors on scipy's LAPACK, so that a fit wakes one pool instead of two that
+fight over the cores.
 """
 
 from __future__ import annotations
@@ -45,7 +52,8 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.blas import ddot, dgemv
+from scipy.linalg.blas import ddot, dgemm, dgemv, dsyrk
+from scipy.linalg.lapack import dpotrf
 from scipy.optimize import minimize as _scipy_minimize
 
 __all__ = [
@@ -173,6 +181,15 @@ class QuadraticProblem:
     E x = f, with any number of rows (a 1-D E and a scalar f are one row);
     ``linear_constraints`` is an (A, b) pair meaning A x <= b. Either may be
     None.
+
+    ``q_factor`` is an optional (delta, V) pair meaning Q ~ diag(delta) + V V',
+    with delta positive (a vector, or a scalar for every variable) and V of
+    shape (dimension, r). It is structure, like ``equality``: the
+    interior-point method then solves each Newton system through the
+    diagonal-plus-rank-r model instead of factoring Q's dense block. It only
+    steers the steps. The objective, the residuals and the convergence
+    certificate use ``q_matrix``, and ``q_matrix`` is validated as without a
+    factor, so a poor factor costs iterations, not correctness.
     """
 
     q_matrix: np.ndarray
@@ -180,6 +197,7 @@ class QuadraticProblem:
     box: tuple[np.ndarray | None, np.ndarray | None] = (None, None)
     equality: tuple[np.ndarray, np.ndarray | float] | None = None
     linear_constraints: tuple[np.ndarray, np.ndarray] | None = None
+    q_factor: tuple[np.ndarray | float, np.ndarray] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +312,9 @@ def _validate_psd(q: np.ndarray, slack: np.ndarray, keep: np.ndarray) -> None:
     """Reject a Q that is not symmetric or not PSD up to a relative jitter of 1e-10.
 
     Slack columns have no off-diagonal entries, so Q is block-diagonal in
-    (kept, slack) order: Q_RR is checked by Cholesky and each slack diagonal
-    entry against the jitter, which is the same test on the whole matrix.
+    (kept, slack) order: Q_RR is checked by Cholesky (on scipy's LAPACK, in
+    place on one copy) and each slack diagonal entry against the jitter,
+    which is the same test on the whole matrix.
     """
     scale = max(float(np.abs(q).max()), 1.0)
     if not np.allclose(q, q.T, atol=1e-10 * scale):
@@ -303,11 +322,25 @@ def _validate_psd(q: np.ndarray, slack: np.ndarray, keep: np.ndarray) -> None:
     jitter = 1e-10 * scale
     if np.any(np.diag(q)[slack] + jitter <= 0):
         raise ValueError("Q must be positive semidefinite")
-    q_keep = q[np.ix_(keep, keep)] if slack.size else q
-    try:
-        np.linalg.cholesky(q_keep + jitter * np.eye(keep.size))
-    except np.linalg.LinAlgError:
-        raise ValueError("Q must be positive semidefinite") from None
+    shifted = q[np.ix_(keep, keep)] if slack.size else q.copy()
+    shifted[np.diag_indices(keep.size)] += jitter
+    # the transposed view is Fortran-ordered, so dpotrf factors it in place
+    if keep.size and dpotrf(shifted.T, lower=1, clean=0, overwrite_a=1)[1] != 0:
+        raise ValueError("Q must be positive semidefinite")
+
+
+def _q_factor(problem: QuadraticProblem, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The problem's (delta, V) as arrays of shapes (n,) and (n, r), or None."""
+    if problem.q_factor is None:
+        return None
+    delta = np.broadcast_to(np.asarray(problem.q_factor[0], dtype=float), (n,))
+    v = np.asarray(problem.q_factor[1], dtype=float)
+    if v.ndim != 2 or v.shape[0] != n:
+        raise ValueError(f"q_factor V of shape {v.shape} does not have {n} rows")
+    # written so that NaN fails too
+    if not (np.all((delta > 0) & (delta < np.inf)) and np.isfinite(v).all()):
+        raise ValueError("q_factor needs a positive finite delta and a finite V")
+    return delta, v
 
 
 @dataclass
@@ -315,7 +348,8 @@ class _CompiledQP:
     """A QP as arrays: box lo <= x <= hi and rows a x <= b, with E x = f in ``comp.equality``.
 
     ``slack`` are the slack columns, ``slack_rows`` the row of A each one
-    uses and ``keep`` the other columns, ascending.
+    uses and ``keep`` the other columns, ascending. ``factor`` is the
+    problem's (delta, V), or None.
     """
 
     comp: _Compiled
@@ -326,6 +360,7 @@ class _CompiledQP:
     slack: np.ndarray
     slack_rows: np.ndarray
     keep: np.ndarray
+    factor: tuple[np.ndarray, np.ndarray] | None
 
 
 def _compile_qp(problem: QuadraticProblem) -> _CompiledQP:
@@ -339,18 +374,22 @@ def _compile_qp(problem: QuadraticProblem) -> _CompiledQP:
     hi = np.full(n, np.inf) if hi is None else np.broadcast_to(np.asarray(hi, dtype=float), (n,))
     a, b = _linear_arrays(problem.linear_constraints, n)
     equality = _linear_arrays(problem.equality, n)
-    slack, slack_rows = _slack_columns(q, a, equality[0])
+    factor = _q_factor(problem, n)
+    if factor is None:
+        slack, slack_rows = _slack_columns(q, a, equality[0])
+    else:  # the factored Newton system keeps every column
+        slack, slack_rows = np.zeros(0, dtype=int), np.zeros(0, dtype=int)
     keep = np.setdiff1d(np.arange(n), slack)
     _validate_psd(q, slack, keep)
 
     def objective(x: np.ndarray) -> float:
-        return float(0.5 * x @ q @ x + c @ x)
+        return 0.5 * dot(x, matvec(q, x)) + dot(c, x)
 
     def gradient(x: np.ndarray) -> np.ndarray:
-        return q @ x + c
+        return matvec(q, x) + c
 
     comp = _Compiled(n, objective, gradient, _linear_blocks(a, b), equality, lo, hi, None)
-    return _CompiledQP(comp, q, c, a, b, slack, slack_rows, keep)
+    return _CompiledQP(comp, q, c, a, b, slack, slack_rows, keep, factor)
 
 
 def _inequality_gradient(comp: _Compiled, x: np.ndarray, lam: list) -> np.ndarray:
@@ -374,8 +413,8 @@ def _residuals(comp: _Compiled, x: np.ndarray, lam: list, mu: np.ndarray | None)
             max_violation = max(max_violation, float(np.max(np.maximum(g, 0.0))))
     if comp.equality is not None:
         e, f = comp.equality
-        grad = grad + e.T @ mu
-        max_violation = max(max_violation, float(np.max(np.abs(e @ x - f), initial=0.0)))
+        grad = grad + rmatvec(e, mu)
+        max_violation = max(max_violation, float(np.max(np.abs(matvec(e, x) - f), initial=0.0)))
     if comp.lo is not None:
         stationarity = float(np.max(np.abs(x - np.clip(x - grad, comp.lo, comp.hi)))) if x.size else 0.0
     else:
@@ -588,6 +627,29 @@ def _solve_eliminated(problem: SmoothProblem, comp: _Compiled, settings: SolverS
 # back-substitution. Without slack columns R is every column and this is the
 # plain system, computed in the same order. An exact-hinge SVM in (theta, xi)
 # factors a d x d matrix instead of a (d + n) x (d + n) one.
+#
+# With a factor Q ~ diag(delta) + V V' (r columns) slack columns are not
+# sought, and the Newton matrix is read as
+#
+#     H = B + A' diag(w) A,   B = D + V V',   D = diag(delta + box weights).
+#
+# With S = D^-1/2 V, B is solved by Sherman-Morrison-Woodbury,
+#
+#     B^-1 = D^-1/2 (I - S (I + S'S)^-1 S') D^-1/2,
+#
+# through the r x r core I + S'S, formed with dsyrk. D is positive because
+# delta is, so the core's eigenvalues are at least 1. The m rows of A and
+# the rows of E enter together, as the rows C = [A; E] of one bordered
+# system whose Schur complement is C B^-1 C' + diag(1/w, 0). Each iteration
+# then costs O(n r^2) instead of a dense O(n^3) Cholesky (Fine & Scheinberg,
+# JMLR 2, 2001; Ferris & Munson, SIAM J. Optim. 13, 2002). Putting the rows
+# of A into the low-rank part instead, next to V, is the same matrix, but
+# once a row binds its weight w reaches 1e10 and more and the steps lose
+# their accuracy; the bordered form keeps such a row like an equality row.
+# Even so, the range-space solve above loses digits as the weights spread,
+# so every solve takes one step of iterative refinement against the model
+# H. Only the steps use the model: r_d and the residuals are evaluated with
+# Q itself.
 
 
 def _cholesky(matrix: np.ndarray):
@@ -617,6 +679,7 @@ class _Inequalities:
         self.n, self.keep, self.slack, self.rows = qp.comp.n, qp.keep, qp.slack, qp.slack_rows
         self.coef = qp.a[self.rows, self.slack]  # a_rj
         self.q_slack = np.diag(qp.q)[self.slack]
+        self.factor = qp.factor  # (delta, V) or None; with a factor there are no slack columns
         if self.slack.size:
             self.q_keep, self.a_keep, self.e_keep = qp.q[np.ix_(qp.keep, qp.keep)], qp.a[:, qp.keep], e[:, qp.keep]
         else:  # the arrays themselves, so the products are those of the plain system
@@ -624,11 +687,11 @@ class _Inequalities:
         self.a_paired = self.a_keep[self.rows]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return np.concatenate([-x[self.lower], x[self.upper], self.a @ x])
+        return np.concatenate([-x[self.lower], x[self.upper], matvec(self.a, x)])
 
     def transpose(self, v: np.ndarray) -> np.ndarray:
         v_lo, v_hi, v_a = np.split(v, self.split)
-        out = self.a.T @ v_a
+        out = rmatvec(self.a, v_a)
         out[self.lower] -= v_lo
         out[self.upper] += v_hi
         return out
@@ -663,21 +726,73 @@ class _NewtonSystem:
         self.e = g.e_keep
         if self.e.shape[0]:
             self.h_inv_et = cho_solve(self.factor, self.e.T)
-            self.schur = _cholesky(self.e @ self.h_inv_et)
+            self.schur = _cholesky(dgemm(1.0, self.e.T, self.h_inv_et, trans_a=1))  # E H^-1 E'
 
     def solve(self, rhs: np.ndarray, r_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(dx, dy) with H dx + E'dy = rhs and E dx = -r_e."""
         g = self.g
         t = rhs[g.slack] / self.h
-        u = cho_solve(self.factor, rhs[g.keep] - g.a_paired.T @ (self.coupling * t))
+        u = cho_solve(self.factor, rhs[g.keep] - rmatvec(g.a_paired, self.coupling * t))
         dy = np.zeros(0)
         if self.e.shape[0]:
-            dy = cho_solve(self.schur, self.e @ u + r_e)
-            u = u - self.h_inv_et @ dy
+            dy = cho_solve(self.schur, matvec(self.e, u) + r_e)
+            u = u - matvec(self.h_inv_et, dy)
         dx = np.empty(g.n)
         dx[g.keep] = u
-        dx[g.slack] = t - self.coupling / self.h * (g.a_paired @ u)
+        dx[g.slack] = t - self.coupling / self.h * matvec(g.a_paired, u)
         return dx, dy
+
+
+class _FactoredNewtonSystem:
+    """The Newton system of a QP that carries a factor of Q, as the comment above describes.
+
+    B = D + V V' is solved by Woodbury through the r x r core, and the rows
+    of A and E together through one Schur complement C B^-1 C' + diag(1/w, 0)
+    with C = [A; E]. Each solve takes one step of iterative refinement on
+    the model system.
+    """
+
+    def __init__(self, g: _Inequalities, d: np.ndarray):
+        d_lo, d_hi, self.w = np.split(d, g.split)
+        self.diagonal = g.factor[0].copy()  # D
+        self.diagonal[g.lower] += d_lo
+        self.diagonal[g.upper] += d_hi
+        self.v, self.a, self.e = g.factor[1], g.a, g.e_keep
+        self.root = 1.0 / np.sqrt(self.diagonal)  # D^-1/2
+        self.scaled = np.multiply(self.v, self.root[:, None], out=np.empty(self.v.shape, order="F"))  # S
+        core = dsyrk(1.0, self.scaled, trans=1, lower=1) if self.v.shape[1] else np.zeros((0, 0))
+        core[np.diag_indices(core.shape[0])] += 1.0
+        self.core = _cholesky(core)
+        self.rows = np.vstack([self.a, self.e])  # C
+        if self.rows.shape[0]:
+            self.b_inv_ct = np.column_stack([self._solve_b(row) for row in self.rows])
+            schur = dgemm(1.0, self.rows.T, self.b_inv_ct, trans_a=1)
+            schur[np.diag_indices(self.w.size)] += 1.0 / self.w
+            self.schur = _cholesky(schur)
+
+    def _solve_b(self, b: np.ndarray) -> np.ndarray:
+        """B^-1 b = D^-1/2 (I - S (I + S'S)^-1 S') D^-1/2 b."""
+        t = self.root * b
+        return self.root * (t - matvec(self.scaled, cho_solve(self.core, rmatvec(self.scaled, t))))
+
+    def _solve_once(self, rhs: np.ndarray, r_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        u = self._solve_b(rhs)
+        if not self.rows.shape[0]:
+            return u, np.zeros(0)
+        shift = matvec(self.rows, u)
+        shift[self.w.size :] += r_e
+        multipliers = cho_solve(self.schur, shift)  # (W A dx, dy)
+        return u - matvec(self.b_inv_ct, multipliers), multipliers[self.w.size :]
+
+    def solve(self, rhs: np.ndarray, r_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(dx, dy) with H dx + E'dy = rhs and E dx = -r_e, H = B + A' diag(w) A."""
+        dx, dy = self._solve_once(rhs, r_e)
+        # refinement: a row whose weight w has grown large leaves the
+        # range-space solve above inaccurate, and one correction by the
+        # residual of the model system restores the step
+        h_dx = self.diagonal * dx + matvec(self.v, rmatvec(self.v, dx)) + rmatvec(self.a, self.w * matvec(self.a, dx))
+        ddx, ddy = self._solve_once(rhs - h_dx - rmatvec(self.e, dy), r_e + matvec(self.e, dx))
+        return dx + ddx, dy + ddy
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
@@ -700,20 +815,26 @@ def _solve_ipm(qp: _CompiledQP, settings: SolverSettings) -> SolverResult:
     # start: the least-squares point of CVXOPT's coneqp, i.e. the Newton
     # system with unit slack weights, then slacks and multipliers shifted
     # to be strictly positive
-    start = _NewtonSystem(g, np.ones(n_ineq))
+    newton_system = _NewtonSystem if qp.factor is None else _FactoredNewtonSystem
+    start = newton_system(g, np.ones(n_ineq))
     x, y = start.solve(-qp.c + g.transpose(g.h), -f)
     s = _shift_positive(g.h - g.apply(x))
     z = _shift_positive(g.apply(x) - g.h)
     start_size = 1.0 + max(float(np.max(z, initial=0.0)), float(np.max(np.abs(y), initial=0.0)))
+    if qp.factor is not None:
+        delta, v = qp.factor
+        flat = v.ravel()
+        residual = float(np.trace(qp.q)) - float(delta.sum()) - dot(flat, flat)
+        _log.debug("q_factor rank=%d residual trace=%.3e", v.shape[1], residual)
 
     status = "max_iter"
     previous_primal = np.inf
     iteration = 0
     while True:
-        r_d = qp.q @ x + qp.c + g.transpose(z) + e.T @ y
+        r_d = matvec(qp.q, x) + qp.c + g.transpose(z) + rmatvec(e, y)
         r_p = g.apply(x) + s - g.h
-        r_e = e @ x - f
-        mu_gap = float(s @ z) / n_ineq if n_ineq else 0.0
+        r_e = matvec(e, x) - f
+        mu_gap = dot(s, z) / n_ineq if n_ineq else 0.0
 
         point = np.clip(x, comp.lo, comp.hi)
         lam = [z[z.size - qp.b.size :]] if qp.b.size else []
@@ -737,7 +858,7 @@ def _solve_ipm(qp: _CompiledQP, settings: SolverSettings) -> SolverResult:
             break
         iteration += 1
 
-        system = _NewtonSystem(g, z / s)
+        system = newton_system(g, z / s)
 
         def direction(r_c: np.ndarray):
             dx, dy = system.solve(-r_d + g.transpose((r_c - z * r_p) / s), r_e)
@@ -747,7 +868,7 @@ def _solve_ipm(qp: _CompiledQP, settings: SolverSettings) -> SolverResult:
         # predictor: the pure Newton (affine-scaling) step
         _, ds_aff, dz_aff, _ = direction(s * z)
         step = min(1.0, _max_step(s, ds_aff), _max_step(z, dz_aff))
-        sigma = (float((s + step * ds_aff) @ (z + step * dz_aff)) / n_ineq / mu_gap) ** 3 if n_ineq else 0.0
+        sigma = (dot(s + step * ds_aff, z + step * dz_aff) / n_ineq / mu_gap) ** 3 if n_ineq else 0.0
         # corrector: centring plus the second-order term of the predictor
         dx, ds, dz, dy = direction(s * z + ds_aff * dz_aff - sigma * mu_gap)
         step = min(1.0, _STEP_TO_BOUNDARY * min(_max_step(s, ds), _max_step(z, dz)))

@@ -68,6 +68,15 @@ class TestIngestCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["group_stats"]["age=25-60"]["total"] == 3
 
+    def test_bank_without_age_names_file_and_column(self, tmp_path, capsys):
+        path = tmp_path / "bank.csv"
+        path.write_text('"job";"marital";"y"\n"admin.";"married";"no"\n"services";"single";"yes"\n')
+        code = cli_main(["ingest", "--bank", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "'age'" in err
+
     def test_missing_file(self, capsys):
         code = cli_main(["ingest", "--adult", "/nonexistent/adult.all"])
         assert code == 1

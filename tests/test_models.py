@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fairclf import models
 from fairclf.data import Dataset, append_bias
 from fairclf.metrics import audit
 from fairclf.models import (
@@ -723,6 +724,46 @@ class TestTwoColumnThresholds:
         _, constant = two_column_datasets()
         model = fit_fn(constant, FitSpec(mode="fairness_constrained", covariance_thresholds=[0.0, 0.0], **options))
         self.check(model, [0.0, 0.0])
+
+
+class TestGramFactor:
+    """The pivoted incomplete Cholesky that gives the kernel dual its factor."""
+
+    @staticmethod
+    def rbf_gram(n: int) -> np.ndarray:
+        ds = append_bias(gen_nonlinear_synthetic(SynthConfig(n=n, phi=np.pi / 4, seed=1, variant="nonlinear")))
+        return gram_matrix(KernelSpec(kind="rbf", rbf_gamma=0.04), ds.features, ds.features)
+
+    def test_rbf_residual_trace_within_tolerance(self):
+        gram = self.rbf_gram(400)
+        factor = models._gram_factor(gram)
+        residual = gram - factor @ factor.T
+        assert factor.shape[0] == 400
+        assert factor.shape[1] < 400
+        assert 0 <= np.trace(residual) <= models._GRAM_FACTOR_TOLERANCE * np.trace(gram)
+        # the residual of a pivoted Cholesky is PSD, so its entries are bounded by its trace
+        assert np.abs(residual).max() <= models._GRAM_FACTOR_TOLERANCE * np.trace(gram)
+
+    def test_linear_kernel_is_exact_at_its_rank(self):
+        features = np.random.default_rng(3).normal(size=(150, 3))
+        gram = gram_matrix(KernelSpec(kind="linear"), features, features)
+        factor = models._gram_factor(gram)
+        assert factor.shape == (150, 3)
+        np.testing.assert_allclose(factor @ factor.T, gram, rtol=0, atol=1e-10)
+
+    def test_zero_gram_has_rank_zero(self):
+        assert models._gram_factor(np.zeros((5, 5))).shape == (5, 0)
+
+    def test_allocates_no_square_array(self):
+        gram = self.rbf_gram(1500)
+        tracemalloc.start()
+        try:
+            factor = models._gram_factor(gram)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * gram.nbytes
+        assert peak < 4 * factor.nbytes
 
 
 class TestKernelSvm:

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve
+from scipy.linalg.blas import dgemm
 
 from fairclf import solvers
 from fairclf.solvers import (
@@ -644,7 +645,9 @@ class TestSlackElimination:
         )
         fit_kernel_svm_fair(ds, spec)
         problem, settings = problems[0]
-        assert solvers._compile_qp(problem).slack.size == 0
+        assert problem.q_factor is not None
+        dense = dataclasses.replace(problem, q_factor=None)
+        assert solvers._compile_qp(dense).slack.size == 0
 
         class PlainNewtonSystem:
             """H = Q + G' diag(d) G formed whole, in the order of the unreduced method."""
@@ -657,19 +660,25 @@ class TestSlackElimination:
                 self.factor = solvers._cholesky(problem.q_matrix + gram)
                 self.e = solvers._linear_arrays(problem.equality, g.n)[0]
                 self.h_inv_et = cho_solve(self.factor, self.e.T)
-                self.schur = solvers._cholesky(self.e @ self.h_inv_et)
+                self.schur = solvers._cholesky(dgemm(1.0, self.e.T, self.h_inv_et, trans_a=1))
 
             def solve(self, rhs, r_e):
                 u = cho_solve(self.factor, rhs)
-                dy = cho_solve(self.schur, self.e @ u + r_e)
-                return u - self.h_inv_et @ dy, dy
+                dy = cho_solve(self.schur, matvec(self.e, u) + r_e)
+                return u - matvec(self.h_inv_et, dy), dy
 
-        reduced = solve_qp(problem, settings)
+        reduced = solve_qp(dense, settings)
+        factored = solve_qp(problem, settings)
         monkeypatch.setattr(solvers, "_NewtonSystem", PlainNewtonSystem)
-        plain = solve_qp(problem, settings)
+        plain = solve_qp(dense, settings)
+        # the dense path: slack elimination leaves the plain iterates bit for bit
         assert reduced.iterations == plain.iterations
         assert np.array_equal(reduced.point, plain.point)
         assert np.array_equal(reduced.multipliers["equality"], plain.multipliers["equality"])
+        # the factored path: Woodbury steps on a model of Q, certified on Q itself
+        assert factored.status == plain.status == "converged"
+        assert factored.iterations == plain.iterations
+        np.testing.assert_allclose(factored.point, plain.point, rtol=0, atol=1e-9)
 
     def test_every_column_a_slack_column(self):
         # minimize |x|^2 / 2 - 2 sum(x) over x >= 0 and x <= b: nothing is left to factor
@@ -698,6 +707,100 @@ class TestSlackElimination:
         q[0, 1] += 1e-3
         with pytest.raises(ValueError, match="symmetric"):
             solve_qp(dataclasses.replace(problem, q_matrix=q))
+
+
+class TestFactoredNewton:
+    """``solve_qp`` with a ``q_factor``: Newton steps by Woodbury through diag(delta) + V V'."""
+
+    @staticmethod
+    def kernel_dual(seed: int, n: int = 60) -> QuadraticProblem:
+        """A kernel-SVM-dual-shaped QP carrying its exact factor.
+
+        Q = diag(1/(C n)) + V V' with V = diag(y) F / sqrt(n) for an n x 6
+        feature map F, over the box [0, C]. sum(alpha y) = 0 and one c = 0
+        covariance row are equalities; two covariance rows bounded by
+        c = 2e-4 on both sides are inequalities. alpha = 0 is feasible.
+        """
+        rng = np.random.default_rng(seed)
+        cost = 2.0
+        labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        features = rng.normal(size=(n, 6))
+        features[:, 0] += labels
+        v = features * (labels / np.sqrt(n))[:, None]
+        delta = np.full(n, 1.0 / (cost * n))
+        centered = (rng.random((n, 3)) < 1.0 / (1.0 + np.exp(-2.0 * labels[:, None]))).astype(float)
+        centered -= centered.mean(axis=0)
+        cov = ((features @ features.T) @ centered / n).T * labels
+        cov /= np.linalg.norm(cov, axis=1, keepdims=True)
+        return QuadraticProblem(
+            q_matrix=np.diag(delta) + v @ v.T,
+            q_vector=-np.ones(n) / n,
+            box=(np.zeros(n), np.full(n, cost)),
+            equality=(np.vstack([labels / np.sqrt(n), cov[0]]), np.zeros(2)),
+            linear_constraints=(np.vstack([cov[1:], -cov[1:]]), np.full(4, 2e-4)),
+            q_factor=(delta, v),
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_dense_solve(self, seed):
+        problem = self.kernel_dual(seed)
+        factored = solve_qp(problem, TIGHT)
+        dense = solve_qp(dataclasses.replace(problem, q_factor=None), TIGHT)
+        assert factored.status == dense.status == "converged"
+        assert factored.iterations == dense.iterations
+        np.testing.assert_allclose(factored.point, dense.point, rtol=0, atol=1e-9)
+        assert np.max(problem.linear_constraints[0] @ dense.point) > 2e-4 - 1e-9  # a c > 0 row binds
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_poor_factor_certifies_only_the_exact_problem(self, seed):
+        problem = self.kernel_dual(seed)
+        delta, v = problem.q_factor
+        settings = SolverSettings(max_iterations=200, kkt_tolerance=1e-7, feasibility_tolerance=1e-9)
+        result = solve_qp(dataclasses.replace(problem, q_factor=(delta, v[:, :1])), settings)
+        exact = kkt_residuals(dataclasses.replace(problem, q_factor=None), result.point, result.multipliers)
+        if result.status == "converged":
+            assert exact.within(settings)
+        else:
+            assert result.status == "max_iter"
+            assert not exact.within(settings)
+
+    def test_rank_zero_factor_is_the_diagonal(self):
+        problem = self.kernel_dual(2)
+        delta = problem.q_factor[0]
+        diagonal = dataclasses.replace(problem, q_matrix=np.diag(delta), q_factor=(delta, np.zeros((delta.size, 0))))
+        factored = solve_qp(diagonal, TIGHT)
+        dense = solve_qp(dataclasses.replace(diagonal, q_factor=None), TIGHT)
+        assert factored.status == dense.status == "converged"
+        np.testing.assert_allclose(factored.point, dense.point, rtol=0, atol=1e-9)
+
+    def test_indefinite_q_rejected_despite_a_psd_factor(self):
+        problem = self.kernel_dual(0)
+        q = problem.q_matrix.copy()
+        q[0, 0] = -1.0
+        with pytest.raises(ValueError, match="semidefinite"):
+            solve_qp(dataclasses.replace(problem, q_matrix=q))
+
+    @pytest.mark.parametrize(
+        "factor",
+        [(0.0, "v"), (-1.0, "v"), (np.nan, "v"), (1.0, "short"), (1.0, "nan")],
+        ids=["zero-delta", "negative-delta", "nan-delta", "short-v", "nan-v"],
+    )
+    def test_malformed_factor_rejected(self, factor):
+        problem = self.kernel_dual(0)
+        v = problem.q_factor[1]
+        v = {"v": v, "short": v[1:], "nan": np.where(np.arange(v.size).reshape(v.shape) == 3, np.nan, v)}[factor[1]]
+        with pytest.raises(ValueError, match="q_factor"):
+            solve_qp(dataclasses.replace(problem, q_factor=(factor[0], v)))
+
+    def test_logs_rank_and_residual_trace_once(self, caplog):
+        problem = self.kernel_dual(1)
+        with caplog.at_level(logging.DEBUG, logger="fairclf.solvers"):
+            solve_qp(problem, TIGHT)
+        records = [r.getMessage() for r in caplog.records if r.getMessage().startswith("q_factor")]
+        assert len(records) == 1
+        rank, trace = records[0].removeprefix("q_factor rank=").split(" residual trace=")
+        assert int(rank) == 6
+        assert abs(float(trace)) < 1e-12
 
 
 class TestKktResiduals:
