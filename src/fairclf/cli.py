@@ -25,20 +25,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import SplitPlan, append_bias, read_dataset_csv, write_dataset_csv
+from .data import append_bias, read_dataset_csv, write_dataset_csv
 from .ingest import load_adult, load_bank
 from .metrics import audit as run_audit
-from .models import (
-    FitSpec,
-    KernelSpec,
-    decision_values,
-    fit,
-    model_from_dict,
-    model_to_dict,
-    predict,
-    protected_rows,
-)
-from .sweep import ExperimentConfig, emit_results, run_sweep
+from .models import KernelSpec, decision_values, fit, model_from_dict, model_to_dict, predict, protected_rows
+from .sweep import config_from_json, emit_results, grid_spec, run_sweep
 from .synth import SynthConfig, generate
 
 __all__ = ["cli_main", "main"]
@@ -120,19 +111,14 @@ def _cmd_train(args) -> int:
     if args.classifier != "logreg" and mode not in ("unconstrained", "fairness_constrained"):
         raise SystemExit(f"{args.classifier} supports unconstrained and fairness_constrained modes")
 
-    if args.classifier == "logreg":
-        fields: dict = {"l2_penalty": args.l2}
-    else:
-        fields = {"svm_cost": args.svm_cost, "kernel": kernel}
+    settings = {"l2_penalty": args.l2, "svm_cost": args.svm_cost, "kernel": kernel}
+    value = args.gamma
     if mode == "fairness_constrained":
-        fields["covariance_thresholds"] = args.c if len(args.c) > 1 else args.c[0]
-    elif mode == "accuracy_constrained":
-        fields["gamma"] = args.gamma
+        value = args.c if len(args.c) > 1 else args.c[0]
     elif mode == "fine_grained":
-        baseline = fit(dataset, args.classifier, FitSpec(mode="unconstrained", **fields))
-        fields["per_point_gammas"] = np.full(dataset.n, args.gamma)
-        fields["protected_index_set"] = protected_rows(baseline, dataset, args.protect_group)
-    model = fit(dataset, args.classifier, FitSpec(mode=mode, **fields))
+        baseline = fit(dataset, args.classifier, grid_spec(args.classifier, "unconstrained", **settings))
+        settings.update(protected=protected_rows(baseline, dataset, args.protect_group), n_rows=dataset.n)
+    model = fit(dataset, args.classifier, grid_spec(args.classifier, mode, value, **settings))
 
     Path(args.out).write_text(json.dumps(model_to_dict(model), indent=2) + "\n")
     report = run_audit(decision_values(model, dataset.features), dataset)
@@ -147,35 +133,9 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _config_from_json(payload: dict) -> ExperimentConfig:
-    split_cfg = payload.get("split", {})
-    plan = SplitPlan(
-        train_fraction=float(split_cfg.get("train_fraction", 0.7)),
-        repeats=int(split_cfg.get("repeats", 1)),
-        seed=int(split_cfg.get("seed", 0)),
-    )
-    kernel = None
-    if "kernel" in payload:
-        kernel = KernelSpec(kind=payload["kernel"].get("kind", "rbf"), rbf_gamma=payload["kernel"].get("rbf_gamma"))
-    return ExperimentConfig(
-        dataset=payload["dataset"],
-        classifier=payload["classifier"],
-        mode=payload["mode"],
-        split=plan,
-        a_factors=tuple(payload["a_factors"]) if payload.get("a_factors") else None,
-        c_values=tuple(tuple(np.atleast_1d(c)) for c in payload["c_values"]) if payload.get("c_values") else None,
-        gammas=tuple(payload["gammas"]) if payload.get("gammas") else None,
-        svm_cost=float(payload.get("svm_cost", 1.0)),
-        kernel=kernel,
-        l2_penalty=float(payload.get("l2_penalty", 0.0)),
-        protect_group=int(payload.get("protect_group", 1)),
-        output=payload.get("output"),
-    )
-
-
 def _cmd_sweep(args) -> int:
     payload = json.loads(Path(args.config).read_text())
-    config = _config_from_json(payload)
+    config = config_from_json(payload)
     if args.seed is not None:
         dataset = dict(config.dataset)
         if dataset.get("kind") == "synthetic":

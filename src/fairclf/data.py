@@ -115,7 +115,7 @@ class Dataset:
 class SplitPlan:
     """Repeated train/test split description: fraction, repeat count, seed."""
 
-    train_fraction: float
+    train_fraction: float = 0.7
     repeats: int = 1
     seed: int = 0
 

@@ -16,8 +16,8 @@ kernel SVM:
   decreasing in the margin m = y x.theta, so the budget loss <= b holds
   exactly when y x.theta >= -log(expm1(b)), and each budget is passed to the
   solver as that linear row, next to the stay-positive rows
-  x.theta >= 1e-8. Each budget b carries 2e-10 of headroom above
-  (1 + gamma) times the unconstrained loss of its row.
+  x.theta >= 1e-8. Each budget b is exactly (1 + gamma) times the
+  unconstrained loss of its row.
 
 Models expose signed distances through :func:`decision_values` and ±1 labels
 through :func:`predict`; neither reads the sensitive block, so the sensitive
@@ -692,13 +692,11 @@ def fit_logreg_fine_grained(train: Dataset, spec: FitSpec, settings: SolverSetti
     The problem solved, over (theta, t), is: minimize sum_k t_k subject to
     |cov_k(theta)| <= t_k, x_i . theta >= 1e-8 for each protected row, and
     y_i x_i . theta >= m(b_i) for each budgeted row, with the budget
-    b_i = (1 + gamma_i) loss_i(theta*) + 2e-10 and m(b) = -log(expm1(b)).
+    b_i = (1 + gamma_i) loss_i(theta*) and m(b) = -log(expm1(b)).
     The loss log(1 + e^-m) of a row with margin m = y_i x_i . theta is
     strictly decreasing in m and equals b at m(b), so the margin row holds
     exactly when loss_i(theta) <= b_i: the rows are the loss budgets, and a
-    ``converged`` status certifies them. The 2e-10 of headroom keeps theta*,
-    the starting point, strictly inside every budget, so that at gamma = 0
-    the budget set still has an interior around it.
+    ``converged`` status certifies them.
     """
     if spec.mode != "fine_grained":
         raise ValueError("fit_logreg_fine_grained requires mode 'fine_grained'")
@@ -720,7 +718,7 @@ def fit_logreg_fine_grained(train: Dataset, spec: FitSpec, settings: SolverSetti
     budgeted = np.setdiff1d(np.flatnonzero(np.isfinite(gammas)), protected)
     rows = np.concatenate([protected, budgeted])
     signs = np.concatenate([np.ones(protected.size), labels[budgeted]])
-    bounds = (1.0 + gammas[budgeted]) * loss_star_i[budgeted] + 2e-10
+    bounds = (1.0 + gammas[budgeted]) * loss_star_i[budgeted]
     margins = np.concatenate([np.full(protected.size, _NOFLIP_MARGIN), _margin_bound(bounds)])
 
     w = covariance_vectors(train)

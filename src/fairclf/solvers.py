@@ -4,9 +4,10 @@ Two entry points, each with its own method:
 
 * :func:`minimize_smooth` - smooth convex objective under linear equalities
   E x = f, linear inequality constraints A x <= b and differentiable convex
-  inequality blocks g(x) <= 0. The equalities are eliminated exactly: with
-  x_p a point of E x = f and N an orthonormal basis of the null space of E,
-  both from one SVD of E, the solve runs over phi in x = x_p + N phi. An
+  inequality blocks g(x) <= 0, but not equalities and convex blocks
+  together. The equalities are eliminated exactly: with x_p a point of
+  E x = f and N an orthonormal basis of the null space of E, both from one
+  SVD of E, the solve runs over phi in x = x_p + N phi. An
   augmented-Lagrangian loop then handles the inequalities, updating
   multipliers and the penalty weight and handing each subproblem to a
   limited-memory quasi-Newton solve (L-BFGS-B). Without inequalities that is
@@ -157,9 +158,9 @@ class SmoothProblem:
     1-D E and a scalar f are one row), or None; an E with no rows is the same
     as None. ``linear_constraints`` is an (A, b) pair meaning A x <= b, with A
     of shape (m, dimension) and b of length m (a 1-D A is one row), or None.
-    ``convex_constraints`` are :class:`ConstraintBlock` instances. The
-    objective and the blocks are only evaluated on points that satisfy E x = f
-    to rounding.
+    ``convex_constraints`` are :class:`ConstraintBlock` instances; a problem
+    with equality rows may not have any. The objective is only evaluated on
+    points that satisfy E x = f to rounding.
     """
 
     dimension: int
@@ -533,25 +534,12 @@ def _named_multipliers(lam: list, mu: np.ndarray | None = None) -> dict:
 # least-norm solution and N = V[:, r:] is an orthonormal basis of null(E)
 # (Nocedal & Wright, Numerical Optimization, sec. 15.3). The augmented
 # Lagrangian runs on phi, with the objective f(x_p + N phi), its gradient
-# N' grad f, the linear rows (A N, b - A x_p) and each convex block composed
-# with x_p + N phi. At the returned x the equality multiplier is the
-# least-squares one, mu = -(E E')^+ E (grad f + J'lam) = -U_r S_r^-1 V_r' (...).
+# N' grad f and the linear rows (A N, b - A x_p). At the returned x the
+# equality multiplier is the least-squares one,
+# mu = -(E E')^+ E (grad f + J'lam) = -U_r S_r^-1 V_r' (...).
 # The full Lagrangian gradient is then N N' (grad f + J'lam), whose norm is
 # the reduced stationarity because N is orthonormal, so the residuals of the
 # full problem certify the result.
-
-
-def _restricted(block: ConstraintBlock, lift: Callable, basis: np.ndarray) -> ConstraintBlock:
-    """``block`` as a function of phi, with x = lift(phi) and Jacobian J N.
-
-    J N is returned as the transposed view of N'J', the product that the
-    solver applies to the multipliers.
-    """
-    return ConstraintBlock(
-        value=lambda phi: block.value(lift(phi)),
-        jacobian=lambda phi: (basis.T @ block.jacobian(lift(phi)).T).T,
-        size=block.size,
-    )
 
 
 def _solve_eliminated(problem: SmoothProblem, comp: _Compiled, settings: SolverSettings) -> SolverResult:
@@ -572,13 +560,11 @@ def _solve_eliminated(problem: SmoothProblem, comp: _Compiled, settings: SolverS
         return x_p + basis @ phi
 
     a, b = _linear_arrays(problem.linear_constraints, comp.n)
-    blocks = _linear_blocks(a @ basis, b - a @ x_p)
-    blocks += [_restricted(block, lift, basis) for block in problem.convex_constraints]
     reduced = _Compiled(
         basis.shape[1],
         lambda phi: comp.objective(lift(phi)),
         lambda phi: basis.T @ comp.gradient(lift(phi)),
-        blocks,
+        _linear_blocks(a @ basis, b - a @ x_p),
         None,
         None,
         None,
@@ -889,12 +875,15 @@ def minimize_smooth(problem: SmoothProblem, settings: SolverSettings | None = No
     inside the configured tolerances. ``"infeasible"`` means that no point
     meets E x = f to the feasibility tolerance, or that the inequalities
     stayed violated at the largest penalty weight. A problem without equality
-    rows goes to the augmented-Lagrangian loop as it is.
+    rows goes to the augmented-Lagrangian loop as it is; a problem with
+    equality rows and convex constraint blocks raises ValueError.
     """
     settings = settings or SolverSettings()
     comp = _compile_smooth(problem)
     if comp.equality is None:
         return _solve_al(comp, settings)
+    if problem.convex_constraints:
+        raise ValueError("minimize_smooth does not take equality rows together with convex constraint blocks")
     return _solve_eliminated(problem, comp, settings)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Literal
 
@@ -24,9 +24,9 @@ import numpy as np
 from .data import Dataset, SplitPlan, append_bias, read_dataset_csv, split, standardize_columns
 from .ingest import load_adult, load_bank
 from .metrics import FairnessReport, audit
-from .models import FitSpec, KernelSpec, decision_values, fit, predict, protected_rows
+from .models import FitSpec, KernelModel, KernelSpec, LinearModel, decision_values, fit, protected_rows
 
-__all__ = ["CellResult", "ExperimentConfig", "SweepResult", "run_sweep", "emit_results"]
+__all__ = ["CellResult", "ExperimentConfig", "SweepResult", "config_from_json", "emit_results", "grid_spec", "run_sweep"]
 
 log = logging.getLogger(__name__)
 
@@ -140,113 +140,161 @@ def load_dataset(source: dict) -> Dataset:
     raise ValueError(f"unknown dataset kind {kind!r}")
 
 
-def _accuracy(model, dataset: Dataset) -> float:
-    return float(np.mean(predict(model, dataset.features) == dataset.labels))
+def config_from_json(payload: dict) -> ExperimentConfig:
+    """The ExperimentConfig that a JSON sweep document describes.
+
+    The document's keys are the field names of :class:`ExperimentConfig`;
+    ``split`` and ``kernel`` are objects whose keys are the fields of
+    :class:`SplitPlan` and :class:`KernelSpec`. An absent key takes that
+    class's default. A key that names no field raises ValueError, so a
+    misspelt setting fails instead of being dropped.
+    """
+    unknown = sorted(set(payload) - {f.name for f in fields(ExperimentConfig)})
+    if unknown:
+        raise ValueError(f"unknown sweep config key(s): {', '.join(map(repr, unknown))}")
+    document = dict(payload, split=SplitPlan(**payload.get("split", {})))
+    document.update({key: tuple(payload[key]) for key in ("a_factors", "c_values", "gammas") if payload.get(key)})
+    if "kernel" in payload:
+        document["kernel"] = KernelSpec(**payload["kernel"])
+    return ExperimentConfig(**document)
+
+
+def grid_spec(classifier, mode, value=None, *, l2_penalty, svm_cost, kernel, protected=None, n_rows=0) -> FitSpec:
+    """The FitSpec of one fit: ``mode`` at the grid value ``value``.
+
+    ``value`` is the covariance threshold (or vector of thresholds) of a
+    fairness-constrained fit and the loss-budget factor gamma of the two
+    gamma modes; a fine-grained fit gives every one of its ``n_rows`` rows
+    that gamma and keeps the ``protected`` rows positive. A logreg fit takes
+    ``l2_penalty``, an SVM ``svm_cost`` and ``kernel``.
+    """
+    spec = {"l2_penalty": l2_penalty} if classifier == "logreg" else {"svm_cost": svm_cost, "kernel": kernel}
+    if mode == "fairness_constrained":
+        spec["covariance_thresholds"] = value
+    elif mode == "accuracy_constrained":
+        spec["gamma"] = value
+    elif mode == "fine_grained":
+        spec.update(per_point_gammas=np.full(n_rows, value), protected_index_set=protected)
+    return FitSpec(mode=mode, **spec)
+
+
+@dataclass(frozen=True)
+class _Outcome:
+    """One fit attempt: the model, or the exception that stopped it, and the seconds it took."""
+
+    model: LinearModel | KernelModel | None
+    error: Exception | None
+    seconds: float
+
+
+def _fit_or_reuse(config: ExperimentConfig, train: Dataset, mode, value=None, protected=None, zero=None) -> _Outcome:
+    """Fit ``mode`` at ``value``; all-zero covariance thresholds take the repeat's c=0 outcome ``zero``."""
+    start = time.perf_counter()
+    try:
+        settings = {"l2_penalty": config.l2_penalty, "svm_cost": config.svm_cost, "kernel": config.kernel}
+        spec = grid_spec(config.classifier, mode, value, protected=protected, n_rows=train.n, **settings)
+        if zero is not None and not np.any(spec.thresholds_for(train.n_sensitive)):
+            return zero
+        return _Outcome(fit(train, config.classifier, spec), None, time.perf_counter() - start)
+    except Exception as exc:  # failed fits are recorded, not fatal
+        return _Outcome(None, exc, time.perf_counter() - start)
+
+
+def _score(model, *splits: Dataset) -> list:
+    """(sign-rule accuracy, fairness audit) of each split, from one decision_values call per split."""
+    scores = []
+    for rows in splits:
+        distances = decision_values(model, rows.features)
+        scores.append((float(np.mean(np.where(distances >= 0, 1, -1) == rows.labels)), audit(distances, rows)))
+    return scores
+
+
+def _record(mode, cell_index, params, outcome: _Outcome, train, test, baseline: dict) -> CellResult:
+    """The result row of one cell of ``baseline``'s repeat; a fit or audit that raised leaves nan fields."""
+    start = time.perf_counter()
+    error = outcome.error
+    if error is None:
+        try:
+            meta = outcome.model.training_meta
+            (train_accuracy, train_report), (test_accuracy, test_report) = _score(outcome.model, train, test)
+            train_loss = float(meta["loss" if mode == "accuracy_constrained" else "objective"])
+            loss_star, loss_zero = baseline["loss_star"], baseline["loss_zero"]
+            if mode != "fairness_constrained" or loss_zero is None:
+                relative = float("nan")
+            elif loss_zero > loss_star + 1e-12:
+                relative = (train_loss - loss_star) / (loss_zero - loss_star)
+            else:
+                relative = 0.0  # no fairness/accuracy conflict on this split
+            status = meta["status"]
+        except Exception as exc:
+            error = exc
+    if error is not None:
+        status = f"error: {error}"
+        train_accuracy = test_accuracy = train_loss = relative = float("nan")
+        train_report = test_report = None
+    return CellResult(
+        cell_index=cell_index,
+        repeat=baseline["repeat"],
+        params=params,
+        status=status,
+        train_accuracy=train_accuracy,
+        test_accuracy=test_accuracy,
+        train_loss=train_loss,
+        relative_loss=float(relative),
+        train_report=train_report,
+        test_report=test_report,
+        wall_time=outcome.seconds + time.perf_counter() - start,
+    )
 
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
-    """Run the full grid x repeats matrix; per-cell failures do not abort the sweep."""
+    """Run the full grid x repeats matrix; per-cell failures do not abort the sweep.
+
+    Every model - each repeat's baseline, its c=0 fit and each grid cell -
+    is fitted (or, for the all-zero cell, reused) by one step and scored by
+    one decision_values call per split. A baseline that fails stops the sweep.
+    """
     dataset = load_dataset(config.dataset)
-    grid = config.grid
     cells: list[CellResult] = []
     baselines: list[dict] = []
-    if config.classifier == "logreg":
-        fields: dict = {"l2_penalty": config.l2_penalty}
-    else:
-        fields = {"svm_cost": config.svm_cost, "kernel": config.kernel}
-
     for repeat in range(config.split.repeats):
         train, test = split(dataset, config.split, repeat)
         train, test = standardize_columns(train, test)
-        baseline = fit(train, config.classifier, FitSpec(mode="unconstrained", **fields))
-        base_train_report = audit(decision_values(baseline, train.features), train)
-        c_star = np.array([abs(base_train_report.covariance_per_column[name]) for name in train.sensitive_names])
-        loss_star = float(baseline.training_meta["objective"])
-        if config.mode == "fine_grained":
-            protected = protected_rows(baseline, train, config.protect_group)
+        baseline = _fit_or_reuse(config, train, "unconstrained")
+        if baseline.error is not None:
+            raise baseline.error  # without c* and L* no cell of the repeat has a meaning
+        (train_accuracy, train_report), (test_accuracy, test_report) = _score(baseline.model, train, test)
+        c_star = np.array([abs(train_report.covariance_per_column[name]) for name in train.sensitive_names])
+        loss_star = float(baseline.model.training_meta["objective"])
+        protected = protected_rows(baseline.model, train, config.protect_group) if config.mode == "fine_grained" else None
 
-        loss_zero = zero_fit = zero_error = None
+        zero = loss_zero = None
         if config.mode == "fairness_constrained":
-            start = time.perf_counter()
-            try:
-                zero_spec = FitSpec(mode=config.mode, covariance_thresholds=np.zeros(train.n_sensitive), **fields)
-                zero_fit = fit(train, config.classifier, zero_spec)
-                loss_zero = float(zero_fit.training_meta["objective"])
-            except Exception as exc:
-                zero_error = exc
-                log.warning("repeat %d: the c=0 fit failed, relative losses are nan: %s", repeat, exc)
-            zero_seconds = time.perf_counter() - start
+            zero = _fit_or_reuse(config, train, config.mode, np.zeros(train.n_sensitive))
+            if zero.error is None:
+                loss_zero = float(zero.model.training_meta["objective"])
+            else:
+                log.warning("repeat %d: the c=0 fit failed, relative losses are nan: %s", repeat, zero.error)
         baselines.append(
             {
                 "repeat": repeat,
                 "c_star": c_star.tolist(),
                 "loss_star": loss_star,
                 "loss_zero": loss_zero,
-                "train_accuracy": _accuracy(baseline, train),
-                "test_accuracy": _accuracy(baseline, test),
-                "train_report": base_train_report,
-                "test_report": audit(decision_values(baseline, test.features), test),
+                "train_accuracy": train_accuracy,
+                "test_accuracy": test_accuracy,
+                "train_report": train_report,
+                "test_report": test_report,
             }
         )
 
-        for cell_index, params in enumerate(grid):
-            start = time.perf_counter()
-            try:
-                if config.mode == "fairness_constrained":
-                    thresholds = np.asarray(params["c"], dtype=float) if "c" in params else params["a"] * c_star
-                    spec = FitSpec(mode=config.mode, covariance_thresholds=thresholds, **fields)
-                elif config.mode == "accuracy_constrained":
-                    spec = FitSpec(mode=config.mode, gamma=params["gamma"], **fields)
-                else:
-                    gammas = np.full(train.n, params["gamma"])
-                    spec = FitSpec(mode=config.mode, per_point_gammas=gammas, protected_index_set=protected, **fields)
-                if config.mode == "fairness_constrained" and not np.any(spec.thresholds_for(train.n_sensitive)):
-                    # the all-zero cell is this repeat's c=0 fit, and its time counts here
-                    start -= zero_seconds
-                    if zero_error is not None:
-                        raise zero_error
-                    model = zero_fit
-                else:
-                    model = fit(train, config.classifier, spec)
-                meta = model.training_meta
-                train_loss = float(meta["loss"] if config.mode == "accuracy_constrained" else meta["objective"])
-                if config.mode != "fairness_constrained" or loss_zero is None:
-                    relative = float("nan")
-                elif loss_zero > loss_star + 1e-12:
-                    relative = (train_loss - loss_star) / (loss_zero - loss_star)
-                else:
-                    relative = 0.0  # no fairness/accuracy conflict on this split
-                cells.append(
-                    CellResult(
-                        cell_index=cell_index,
-                        repeat=repeat,
-                        params=params,
-                        status=meta["status"],
-                        train_accuracy=_accuracy(model, train),
-                        test_accuracy=_accuracy(model, test),
-                        train_loss=train_loss,
-                        relative_loss=float(relative),
-                        train_report=audit(decision_values(model, train.features), train),
-                        test_report=audit(decision_values(model, test.features), test),
-                        wall_time=time.perf_counter() - start,
-                    )
-                )
-            except Exception as exc:  # failed cells are recorded, not fatal
-                cells.append(
-                    CellResult(
-                        cell_index=cell_index,
-                        repeat=repeat,
-                        params=params,
-                        status=f"error: {exc}",
-                        train_accuracy=float("nan"),
-                        test_accuracy=float("nan"),
-                        train_loss=float("nan"),
-                        relative_loss=float("nan"),
-                        train_report=None,
-                        test_report=None,
-                        wall_time=time.perf_counter() - start,
-                    )
-                )
+        for cell_index, params in enumerate(config.grid):
+            if "gamma" in params:
+                value = params["gamma"]
+            else:
+                value = np.asarray(params["c"], dtype=float) if "c" in params else params["a"] * c_star
+            outcome = _fit_or_reuse(config, train, config.mode, value, protected, zero)
+            cells.append(_record(config.mode, cell_index, params, outcome, train, test, baselines[-1]))
     return SweepResult(config=config, sensitive_names=dataset.sensitive_names, cells=cells, baselines=baselines)
 
 

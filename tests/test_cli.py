@@ -250,6 +250,36 @@ class TestSweepCommand:
             "converged",
         ]
 
+    def test_config_keys_reach_the_fits(self, tmp_path, monkeypatch):
+        import fairclf.models
+
+        specs = []
+        original = fairclf.models.fit_logreg_fair
+
+        def recording(train, spec, settings=None):
+            specs.append(spec)
+            return original(train, spec, settings)
+
+        monkeypatch.setattr(fairclf.models, "fit_logreg_fair", recording)
+        payload = self.config_payload(tmp_path)
+        payload["l2_penalty"] = 0.1
+        del payload["split"]["train_fraction"]  # an absent key takes SplitPlan's default
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        assert cli_main(["sweep", "--config", str(config)]) == 0
+        assert specs and all(spec.l2_penalty == 0.1 for spec in specs)
+        lines = (tmp_path / "results" / "results.csv").read_text().strip().splitlines()
+        assert len(lines) == 3
+
+    def test_unknown_config_key_fails(self, tmp_path, capsys):
+        payload = self.config_payload(tmp_path)
+        payload["l2"] = 0.1
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        assert cli_main(["sweep", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.strip() == "error: unknown sweep config key(s): 'l2'"
+        assert not (tmp_path / "results").exists()
+
     def test_flag_overrides_output(self, tmp_path):
         config = tmp_path / "config.json"
         payload = self.config_payload(tmp_path)

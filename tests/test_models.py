@@ -403,9 +403,9 @@ class TestFineGrained:
     def test_mixed_budgets_hold_in_loss_form(self):
         # per-row gamma 0, finite or infinite, and some protected rows: the
         # margin rows must keep each budget as a bound on the row's loss. The
-        # gamma = 0 rows leave a budget set about 1e-10 wide, which the
-        # solver need not certify, so the status is not asserted; the
-        # budgets must hold either way.
+        # gamma = 0 rows leave no interior around theta*, which the solver
+        # need not certify, so the status is not asserted; the budgets must
+        # hold either way.
         ds = append_bias(gen_linear_synthetic(SynthConfig(n=1200, phi=np.pi / 4, seed=7)))
         base = fit_logreg(ds, FitSpec(mode="unconstrained"))
         protected = protected_rows(base, ds, group=1)[::2]
@@ -416,7 +416,7 @@ class TestFineGrained:
         loss_i = per_point_logistic_loss(np.asarray(model.theta), ds.features, ds.labels)
         budgeted = np.isfinite(gammas)
         budgeted[protected] = False
-        excess = loss_i[budgeted] - ((1.0 + gammas[budgeted]) * loss_star_i[budgeted] + 2e-10)
+        excess = loss_i[budgeted] - (1.0 + gammas[budgeted]) * loss_star_i[budgeted]
         assert np.all(excess <= 1e-9)
         assert np.max(excess) > -1e-9  # some budget binds
         assert np.all(decision_values(model, ds.features)[protected] >= 0)

@@ -383,14 +383,12 @@ class TestEqualityRows:
         assert none.status == empty.status and none.iterations == empty.iterations
         assert "equality" not in empty.multipliers
 
-    def test_convex_block_on_the_null_space(self):
-        # the ball problem restricted to the plane x0 = x1
+    def test_convex_block_with_equality_rows_is_rejected(self):
+        # the ball problem restricted to the plane x0 = x1: no fit poses a
+        # convex block together with equality rows, and the solver refuses it
         problem = dataclasses.replace(TestArrayJacobian.ball_problem(), equality=(np.array([1.0, -1.0, 0.0]), 0.0))
-        result = minimize_smooth(problem, TIGHT)
-        assert result.status == "converged"
-        assert abs(result.point[0] - result.point[1]) <= 1e-15
-        assert kkt_residuals(problem, result.point, result.multipliers).within(TIGHT)
-        assert np.max(result.multipliers["inequality"][1]) > 1e-3  # the block binds
+        with pytest.raises(ValueError, match="equality rows together with convex constraint blocks"):
+            minimize_smooth(problem, TIGHT)
 
 
 class TestSolveQp:

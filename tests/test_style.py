@@ -28,3 +28,24 @@ def test_exported_names_exist(path):
     module = importlib.import_module(name)
     missing = [export for export in getattr(module, "__all__", ()) if not hasattr(module, export)]
     assert not missing, f"{name}.__all__ names {missing}, which it does not define"
+
+
+def test_private_helpers_are_used():
+    # a module-level _helper that no code in the package names is dead
+    defined, used = [], set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined += [
+            f"{path.name}:{node.name}"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = [name for name in defined if name.split(":")[1] not in used]
+    assert not unused, f"defined but never referenced: {unused}"

@@ -138,6 +138,29 @@ class TestRunSweep:
                 assert not cell.status.startswith("error")
                 assert np.isnan(cell.relative_loss)
 
+    def test_each_model_is_scored_once_per_split(self, monkeypatch):
+        import fairclf.models
+        import fairclf.sweep
+
+        scored = []
+        original = fairclf.models.decision_values
+
+        def counting(model, features):
+            scored.append((model, len(features)))
+            return original(model, features)
+
+        for module in (fairclf.models, fairclf.sweep):
+            monkeypatch.setattr(module, "decision_values", counting)
+        config = fairness_config()
+        run_sweep(config)
+        per_model = {}
+        for model, rows in scored:
+            per_model.setdefault(id(model), []).append(rows)
+        # a baseline and one model per grid cell in each repeat; the a=0
+        # cell's model is the c=0 fit, scored once as that cell
+        assert len(per_model) == config.split.repeats * (1 + len(config.grid))
+        assert all(sorted(rows) == [180, 420] for rows in per_model.values())
+
     def test_failed_cell_recorded_not_fatal(self):
         config = fairness_config(a_factors=None, c_values=((0.5,), (-1.0,)))
         result = run_sweep(config)
