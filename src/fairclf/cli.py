@@ -5,7 +5,8 @@ Subcommands:
 * ``gen``    - write a synthetic dataset to CSV.
 * ``ingest`` - load a UCI file and print the ingest report as JSON.
 * ``train``  - fit one model on a dataset CSV, write the model JSON, print the
-               training audit.
+               training audit; a fit that is not KKT-certified says so on
+               stderr.
 * ``sweep``  - run a sweep described by a JSON config and emit result files;
                a sweep with cells that are not KKT-certified or that failed
                says how many on stderr.
@@ -28,7 +29,7 @@ import numpy as np
 from .data import append_bias, read_dataset_csv, write_dataset_csv
 from .ingest import load_adult, load_bank
 from .metrics import audit as run_audit
-from .models import KernelSpec, decision_values, fit, model_from_dict, model_to_dict, predict, protected_rows
+from .models import KernelSpec, decision_values, fit, model_from_dict, model_to_dict, protected_rows
 from .sweep import config_from_json, emit_results, grid_spec, run_sweep
 from .synth import SynthConfig, generate
 
@@ -121,8 +122,9 @@ def _cmd_train(args) -> int:
     model = fit(dataset, args.classifier, grid_spec(args.classifier, mode, value, **settings))
 
     Path(args.out).write_text(json.dumps(model_to_dict(model), indent=2) + "\n")
-    report = run_audit(decision_values(model, dataset.features), dataset)
-    accuracy = float(np.mean(predict(model, dataset.features) == dataset.labels))
+    distances = decision_values(model, dataset.features)
+    report = run_audit(distances, dataset)
+    accuracy = float(np.mean(np.where(distances >= 0, 1, -1) == dataset.labels))  # the sign rule of predict
     print(
         json.dumps(
             {"model": args.out, "train_accuracy": accuracy, "train_audit": report.to_json_dict()},
@@ -130,6 +132,9 @@ def _cmd_train(args) -> int:
             sort_keys=True,
         )
     )
+    status = model.training_meta["status"]
+    if status != "converged":
+        print(f"fit not certified: status {status}", file=sys.stderr)
     return 0
 
 

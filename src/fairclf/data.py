@@ -30,9 +30,18 @@ BIAS_NAME = "bias"
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
+    """``a`` itself if it owns its data and is read-only, else a read-only copy."""
+    if a.flags.owndata and not a.flags.writeable:
+        return a
     out = np.array(a)
     out.setflags(write=False)
     return out
+
+
+def _handed_over(a: np.ndarray) -> np.ndarray:
+    """A fresh array marked read-only, so that :class:`Dataset` keeps it without a copy."""
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -43,6 +52,14 @@ class Dataset:
     re-standardize with training-split statistics (numeric columns of real
     datasets); it is empty for synthetic data, whose raw coordinates are
     meaningful as-is.
+
+    The arrays are read-only and owned by the dataset. An array handed in
+    that owns its data and is already read-only is kept as it is, without a
+    copy; any other array, such as a caller's writable one or a view, is
+    copied, so later writes to the caller's array do not reach the dataset.
+    The library's own constructors (:meth:`rows`, :func:`append_bias`,
+    :func:`standardize_columns`, the loaders) hand over fresh arrays marked
+    read-only, so each of them makes one new matrix.
     """
 
     features: np.ndarray
@@ -105,9 +122,9 @@ class Dataset:
         """Dataset restricted to the given row indices, metadata preserved."""
         return replace(
             self,
-            features=self.features[index],
-            labels=self.labels[index],
-            sensitive=self.sensitive[index],
+            features=_handed_over(self.features[index]),
+            labels=_handed_over(self.labels[index]),
+            sensitive=_handed_over(self.sensitive[index]),
         )
 
 
@@ -138,7 +155,7 @@ def append_bias(dataset: Dataset) -> Dataset:
     ones = np.ones((dataset.n, 1))
     return replace(
         dataset,
-        features=np.hstack([dataset.features, ones]),
+        features=_handed_over(np.hstack([dataset.features, ones])),
         feature_names=dataset.feature_names + (BIAS_NAME,),
         has_bias_column=True,
     )
@@ -221,7 +238,7 @@ def standardize_columns(
     def apply(ds: Dataset) -> Dataset:
         feats = ds.features.copy()
         feats[:, cols] = (feats[:, cols] - mu) / sd
-        return replace(ds, features=feats)
+        return replace(ds, features=_handed_over(feats))
 
     return apply(train), (apply(test) if test is not None else None)
 

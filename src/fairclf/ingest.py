@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import BIAS_NAME, Dataset, category_codes, encode_sensitive
+from .data import BIAS_NAME, Dataset, _handed_over, category_codes, encode_sensitive
 
 __all__ = ["IngestReport", "load_adult", "load_bank"]
 
@@ -135,9 +135,9 @@ def _dataset(
         offset += len(distinct)
     features[:, -1] = 1.0
     dataset = Dataset(
-        features=features,
-        labels=labels,
-        sensitive=sensitive,
+        features=_handed_over(features),
+        labels=_handed_over(labels),
+        sensitive=_handed_over(sensitive),
         sensitive_names=sensitive_names,
         feature_names=tuple(names),
         has_bias_column=True,

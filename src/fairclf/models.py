@@ -34,6 +34,7 @@ from dataclasses import dataclass, field, replace
 from typing import Literal, Sequence
 
 import numpy as np
+from scipy.linalg import null_space
 from scipy.special import expit
 
 from .data import Dataset
@@ -769,6 +770,39 @@ def _svm_thresholds(train: Dataset, spec: FitSpec, op: str) -> np.ndarray:
     return spec.thresholds_for(train.n_sensitive)
 
 
+def _exact_hinge(features, labels, w, c, svm_cost, settings) -> tuple[np.ndarray, SolverResult]:
+    """theta of the exact-hinge program with its covariance bounds, solved as its Lagrangian dual.
+
+    The program, on mean scale, is: minimize (||theta||^2 + C sum xi) / n
+    over (theta, xi) with xi >= 0, xi_i >= 1 - y_i x_i . theta, A theta <= b
+    (the c_k > 0 rows) and E theta = 0 (the c_k = 0 rows). With N an
+    orthonormal basis of the null space of E, theta = N phi, and its dual in
+    lambda = (alpha, nu) is
+
+        minimize 0.5 lambda' V V' lambda - sum(alpha) + b . nu
+        over 0 <= alpha <= C / n and nu >= 0,
+
+    with V = sqrt(n / 2) [diag(y) X; -A] N and theta = sqrt(n / 2) N V' lambda.
+    No dual variable is free, so the exact factor (0, V) serves as the
+    problem's ``q_factor``: every Newton step is a Woodbury solve through an
+    r x r core, r <= d.
+    """
+    n, d = features.shape
+    (cov_a, cov_b), cov_e = _covariance_split(w, c)
+    basis = null_space(cov_e) if cov_e.shape[0] else np.eye(d)
+    scale = math.sqrt(n / 2.0)
+    v = (np.vstack([labels[:, None] * features, -cov_a]) @ basis) * scale
+    m = cov_b.size
+    problem = QuadraticProblem(
+        q_matrix=v @ v.T,
+        q_vector=np.concatenate([np.full(n, -1.0), cov_b]),
+        box=(np.zeros(n + m), np.concatenate([np.full(n, svm_cost / n), np.full(m, np.inf)])),
+        q_factor=(0.0, v),
+    )
+    result = solve_qp(problem, settings)
+    return scale * (basis @ rmatvec(v, result.point)), result
+
+
 def fit_linear_svm_fair(train: Dataset, spec: FitSpec, settings: SolverSettings | None = None) -> LinearModel:
     """Linear soft-margin SVM under covariance bounds.
 
@@ -776,21 +810,18 @@ def fit_linear_svm_fair(train: Dataset, spec: FitSpec, settings: SolverSettings 
     ||theta||^2 + C * sum max(0, 1 - y m)^2 with the covariance bounds as
     linear rows: a c_k > 0 column as two inequalities, a c_k = 0 column as
     an equality that the solver eliminates. ``svm_hinge="exact"`` instead
-    solves the exact-hinge quadratic program in (theta, xi), with the same
-    split of the rows; in both cases the reported slack values are
-    max(0, 1 - y m) at the solution.
-
-    In the exact-hinge program each xi_i is a slack column of
-    :func:`~fairclf.solvers.solve_qp`, so an interior-point iteration factors
-    a d x d matrix. Building the program and the products with its dense
-    (n + K) x (d + n) constraint matrix and (d + n) x (d + n) Q still cost
-    O(n^2) time and memory per iteration.
+    solves the exact-hinge program ||theta||^2 + C * sum xi under the margin
+    rows y_i x_i . theta >= 1 - xi_i, xi >= 0, and the same covariance
+    bounds, through its Lagrangian dual (see :func:`_exact_hinge`). In both
+    cases ``objective`` in ``training_meta`` is the primal value at theta
+    and the reported slack values are max(0, 1 - y m) at the solution; for
+    the exact hinge, ``status``, ``iterations`` and ``kkt`` are those of
+    the dual.
     """
     c = _svm_thresholds(train, spec, "fit_linear_svm_fair")
     _require_bias(train, "fit_linear_svm_fair")
     settings = settings or _default_settings()
     features, labels = train.features, train.labels
-    n, d = features.shape
     w = covariance_vectors(train)
 
     if spec.svm_hinge == "squared":
@@ -805,28 +836,7 @@ def fit_linear_svm_fair(train: Dataset, spec: FitSpec, settings: SolverSettings 
         result = minimize_smooth(problem, settings)
         theta = result.point
     else:
-        # exact hinge: variables (theta, xi), objective ||theta||^2 + C sum xi,
-        # solved on mean scale (the 1/n leaves the minimizer unchanged)
-        dim = d + n
-        q_matrix = np.zeros((dim, dim))
-        q_matrix[:d, :d] = 2.0 * np.eye(d) / n
-        q_vector = np.concatenate([np.zeros(d), np.full(n, float(spec.svm_cost) / n)])
-        lower = np.concatenate([np.full(d, -np.inf), np.zeros(n)])
-        # margin rows -y_i x_i . theta - xi_i <= -1, then the covariance rows
-        margin = np.zeros((n, dim))
-        margin[:, :d] = -labels[:, None] * features
-        margin[np.arange(n), d + np.arange(n)] = -1.0
-        margin_a, margin_b = _unit_rows(margin, np.full(n, -1.0))
-        (cov_a, cov_b), cov_e = _covariance_split(w, c, n_extra=n)
-        problem = QuadraticProblem(
-            q_matrix=q_matrix,
-            q_vector=q_vector,
-            box=(lower, None),
-            equality=(cov_e, np.zeros(cov_e.shape[0])),
-            linear_constraints=(np.vstack([margin_a, cov_a]), np.concatenate([margin_b, cov_b])),
-        )
-        result = solve_qp(problem, settings)
-        theta = result.point[:d]
+        theta, result = _exact_hinge(features, labels, w, c, spec.svm_cost, settings)
 
     slack = np.maximum(0.0, 1.0 - labels * (features @ theta))
     primal = (

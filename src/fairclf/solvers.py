@@ -15,15 +15,13 @@ Two entry points, each with its own method:
 * :func:`solve_qp` - convex quadratic objective under a variable box, linear
   equalities E x = f and linear inequalities A x <= b. A primal-dual
   interior-point method (Mehrotra's predictor-corrector) solves one Newton
-  system per iteration. Slack columns - variables that Q couples to no
-  other variable, E leaves out and one row of A alone uses, such as the xi
-  of an exact-hinge SVM - are eliminated from each Newton system through
-  their diagonal block. The remaining columns are factored by a dense
-  Cholesky, or, when the problem carries a factor Q ~ diag(delta) + V V'
-  (a kernel dual's low-rank Gram), the Newton matrix is diagonal plus low
-  rank and is solved by Sherman-Morrison-Woodbury through one small
-  Cholesky (Fine & Scheinberg 2001; Ferris & Munson 2002). The factor only
-  steers the steps: residuals and the certificate use Q itself.
+  system per iteration, factored by a dense Cholesky. When the problem
+  carries a factor Q ~ diag(delta) + V V' (a kernel dual's low-rank Gram,
+  or the exact-hinge SVM dual, whose Q is exactly V V'), the Newton matrix
+  is diagonal plus low rank and is solved by Sherman-Morrison-Woodbury
+  through one small Cholesky (Fine & Scheinberg 2001; Ferris & Munson
+  2002). The factor only steers the steps: residuals and the certificate
+  use Q itself.
 
 Linear constraints are handed over as matrices, one row per constraint. The
 caller decides which bounds are equalities and puts their rows in E; the
@@ -79,6 +77,7 @@ _RHO_GROWTH = 10.0
 _RHO_MAX = 1e12
 
 _STEP_TO_BOUNDARY = 0.995
+_SYMMETRY_TILE = 128  # side of the tiles of Q compared with their mirror tiles
 
 
 @dataclass(frozen=True)
@@ -184,13 +183,15 @@ class QuadraticProblem:
     None.
 
     ``q_factor`` is an optional (delta, V) pair meaning Q ~ diag(delta) + V V',
-    with delta positive (a vector, or a scalar for every variable) and V of
-    shape (dimension, r). It is structure, like ``equality``: the
-    interior-point method then solves each Newton system through the
-    diagonal-plus-rank-r model instead of factoring Q's dense block. It only
-    steers the steps. The objective, the residuals and the convergence
-    certificate use ``q_matrix``, and ``q_matrix`` is validated as without a
-    factor, so a poor factor costs iterations, not correctness.
+    with delta non-negative (a vector, or a scalar for every variable) and V
+    of shape (dimension, r). delta may be zero only on a variable with a
+    finite bound; a zero delta anywhere else raises ValueError. It is
+    structure, like ``equality``: the interior-point method then solves each
+    Newton system through the diagonal-plus-rank-r model instead of
+    factoring Q. It only steers the steps. The objective, the residuals and
+    the convergence certificate use ``q_matrix``, and ``q_matrix`` is
+    validated as without a factor, so a poor factor costs iterations, not
+    correctness.
     """
 
     q_matrix: np.ndarray
@@ -292,55 +293,47 @@ def _compile_smooth(problem: SmoothProblem) -> _Compiled:
     return _Compiled(n, problem.objective, problem.gradient, blocks, (e, f) if f.size else None, None, None, x0)
 
 
-def _slack_columns(q: np.ndarray, a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The slack columns of a QP and the row of A each one uses.
-
-    Column j qualifies when Q has no off-diagonal entry in its row or column,
-    E is zero in it and A has exactly one nonzero in it, in a row that no
-    earlier qualifying column uses (see the interior-point comment below).
-    """
-    free = ~np.any(e != 0, axis=0) & (np.count_nonzero(a, axis=0) == 1)
-    if not free.any():
-        return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
-    coupled = q != 0
-    np.fill_diagonal(coupled, False)
-    cols = np.flatnonzero(free & ~coupled.any(axis=0) & ~coupled.any(axis=1))
-    rows, first = np.unique(np.argmax(a[:, cols] != 0, axis=0), return_index=True)
-    return cols[first], rows
-
-
-def _validate_psd(q: np.ndarray, slack: np.ndarray, keep: np.ndarray) -> None:
+def _validate_psd(q: np.ndarray) -> None:
     """Reject a Q that is not symmetric or not PSD up to a relative jitter of 1e-10.
 
-    Slack columns have no off-diagonal entries, so Q is block-diagonal in
-    (kept, slack) order: Q_RR is checked by Cholesky (on scipy's LAPACK, in
-    place on one copy) and each slack diagonal entry against the jitter,
-    which is the same test on the whole matrix.
+    Symmetry is compared one square tile against its mirror tile at a time,
+    so no temporary is larger than a tile and the transposed reads stay in
+    cache; positive semidefiniteness by a Cholesky of Q + jitter I on
+    scipy's LAPACK, in place on one copy.
     """
-    scale = max(float(np.abs(q).max()), 1.0)
-    if not np.allclose(q, q.T, atol=1e-10 * scale):
-        raise ValueError("Q must be symmetric")
+    scale = max(float(q.max(initial=0.0)), -float(q.min(initial=0.0)), 1.0)
     jitter = 1e-10 * scale
-    if np.any(np.diag(q)[slack] + jitter <= 0):
-        raise ValueError("Q must be positive semidefinite")
-    shifted = q[np.ix_(keep, keep)] if slack.size else q.copy()
-    shifted[np.diag_indices(keep.size)] += jitter
+    tiles = range(0, q.shape[0], _SYMMETRY_TILE)
+    for i in tiles:
+        for j in tiles:
+            mirror = q[j : j + _SYMMETRY_TILE, i : i + _SYMMETRY_TILE].T
+            if not np.allclose(q[i : i + _SYMMETRY_TILE, j : j + _SYMMETRY_TILE], mirror, atol=jitter):
+                raise ValueError("Q must be symmetric")
+    shifted = q.copy()
+    shifted[np.diag_indices(q.shape[0])] += jitter
     # the transposed view is Fortran-ordered, so dpotrf factors it in place
-    if keep.size and dpotrf(shifted.T, lower=1, clean=0, overwrite_a=1)[1] != 0:
+    if q.size and dpotrf(shifted.T, lower=1, clean=0, overwrite_a=1)[1] != 0:
         raise ValueError("Q must be positive semidefinite")
 
 
-def _q_factor(problem: QuadraticProblem, n: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The problem's (delta, V) as arrays of shapes (n,) and (n, r), or None."""
+def _q_factor(problem: QuadraticProblem, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The problem's (delta, V) as arrays of shapes (n,) and (n, r), or None.
+
+    delta may be zero on a variable with a finite bound: the Newton matrix's
+    diagonal there is the bound's weight z/s, which stays positive.
+    """
     if problem.q_factor is None:
         return None
+    n = lo.size
     delta = np.broadcast_to(np.asarray(problem.q_factor[0], dtype=float), (n,))
     v = np.asarray(problem.q_factor[1], dtype=float)
     if v.ndim != 2 or v.shape[0] != n:
         raise ValueError(f"q_factor V of shape {v.shape} does not have {n} rows")
     # written so that NaN fails too
-    if not (np.all((delta > 0) & (delta < np.inf)) and np.isfinite(v).all()):
-        raise ValueError("q_factor needs a positive finite delta and a finite V")
+    if not (np.all((delta >= 0) & (delta < np.inf)) and np.isfinite(v).all()):
+        raise ValueError("q_factor needs a non-negative finite delta and a finite V")
+    if np.any((delta == 0) & ~(np.isfinite(lo) | np.isfinite(hi))):
+        raise ValueError("q_factor delta is zero on a variable without a finite bound")
     return delta, v
 
 
@@ -348,9 +341,7 @@ def _q_factor(problem: QuadraticProblem, n: int) -> tuple[np.ndarray, np.ndarray
 class _CompiledQP:
     """A QP as arrays: box lo <= x <= hi and rows a x <= b, with E x = f in ``comp.equality``.
 
-    ``slack`` are the slack columns, ``slack_rows`` the row of A each one
-    uses and ``keep`` the other columns, ascending. ``factor`` is the
-    problem's (delta, V), or None.
+    ``factor`` is the problem's (delta, V), or None.
     """
 
     comp: _Compiled
@@ -358,9 +349,6 @@ class _CompiledQP:
     c: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    slack: np.ndarray
-    slack_rows: np.ndarray
-    keep: np.ndarray
     factor: tuple[np.ndarray, np.ndarray] | None
 
 
@@ -374,14 +362,8 @@ def _compile_qp(problem: QuadraticProblem) -> _CompiledQP:
     lo = np.full(n, -np.inf) if lo is None else np.broadcast_to(np.asarray(lo, dtype=float), (n,))
     hi = np.full(n, np.inf) if hi is None else np.broadcast_to(np.asarray(hi, dtype=float), (n,))
     a, b = _linear_arrays(problem.linear_constraints, n)
-    equality = _linear_arrays(problem.equality, n)
-    factor = _q_factor(problem, n)
-    if factor is None:
-        slack, slack_rows = _slack_columns(q, a, equality[0])
-    else:  # the factored Newton system keeps every column
-        slack, slack_rows = np.zeros(0, dtype=int), np.zeros(0, dtype=int)
-    keep = np.setdiff1d(np.arange(n), slack)
-    _validate_psd(q, slack, keep)
+    factor = _q_factor(problem, lo, hi)
+    _validate_psd(q)
 
     def objective(x: np.ndarray) -> float:
         return 0.5 * dot(x, matvec(q, x)) + dot(c, x)
@@ -389,8 +371,9 @@ def _compile_qp(problem: QuadraticProblem) -> _CompiledQP:
     def gradient(x: np.ndarray) -> np.ndarray:
         return matvec(q, x) + c
 
+    equality = _linear_arrays(problem.equality, n)
     comp = _Compiled(n, objective, gradient, _linear_blocks(a, b), equality, lo, hi, None)
-    return _CompiledQP(comp, q, c, a, b, slack, slack_rows, keep, factor)
+    return _CompiledQP(comp, q, c, a, b, factor)
 
 
 def _inequality_gradient(comp: _Compiled, x: np.ndarray, lam: list) -> np.ndarray:
@@ -593,29 +576,11 @@ def _solve_eliminated(problem: SmoothProblem, comp: _Compiled, settings: SolverS
 #     E dx              = -r_e        Z ds + S dz = -r_c
 #
 # by eliminating ds and dz, which leaves H = Q + G'(Z/S)G with the few
-# equality rows E handled through the Schur complement E H^-1 E'.
+# equality rows E handled through the Schur complement E H^-1 E'. Without a
+# factor of Q, H is formed and factored by a dense Cholesky.
 #
-# H is then reduced once more. A slack column j (found by _slack_columns) has
-# no off-diagonal entry in Q, none in E and one nonzero a_rj in A, in a row
-# r = r(j) of its own. With box weight b_j (the Z/S entries of its bound
-# rows) and row weight d_r, its block of H is the scalar
-#
-#     h_j = Q_jj + b_j + d_r a_rj^2,
-#
-# and its only coupling is d_r a_rj times row r of A on the kept columns R.
-# Eliminating every slack column leaves
-#
-#     H_R = Q_RR + box_R + A_R' diag(w) A_R,   w_r = d_r (Q_jj + b_j) / h_j
-#
-# on the paired rows and w_r = d_r elsewhere (this form of the Schur
-# complement d_r - d_r^2 a_rj^2 / h_j does not cancel). E touches only R, so
-# [H_R E_R'; E_R 0] is solved as before and the slack steps follow by
-# back-substitution. Without slack columns R is every column and this is the
-# plain system, computed in the same order. An exact-hinge SVM in (theta, xi)
-# factors a d x d matrix instead of a (d + n) x (d + n) one.
-#
-# With a factor Q ~ diag(delta) + V V' (r columns) slack columns are not
-# sought, and the Newton matrix is read as
+# With a factor Q ~ diag(delta) + V V' (r columns) the Newton matrix is read
+# as
 #
 #     H = B + A' diag(w) A,   B = D + V V',   D = diag(delta + box weights).
 #
@@ -623,8 +588,9 @@ def _solve_eliminated(problem: SmoothProblem, comp: _Compiled, settings: SolverS
 #
 #     B^-1 = D^-1/2 (I - S (I + S'S)^-1 S') D^-1/2,
 #
-# through the r x r core I + S'S, formed with dsyrk. D is positive because
-# delta is, so the core's eigenvalues are at least 1. The m rows of A and
+# through the r x r core I + S'S, formed with dsyrk. D is positive, because
+# a variable with delta = 0 has a finite bound and so a positive weight z/s,
+# and the core's eigenvalues are at least 1. The m rows of A and
 # the rows of E enter together, as the rows C = [A; E] of one bordered
 # system whose Schur complement is C B^-1 C' + diag(1/w, 0). Each iteration
 # then costs O(n r^2) instead of a dense O(n^3) Cholesky (Fine & Scheinberg,
@@ -651,8 +617,7 @@ def _cholesky(matrix: np.ndarray):
 
 
 class _Inequalities:
-    """The map x -> G x and its transpose for the box rows and the rows of A,
-    and the blocks of Q, A and E on the kept and the slack columns."""
+    """The map x -> G x and its transpose for the box rows and the rows of A, with the QP's arrays."""
 
     def __init__(self, qp: _CompiledQP):
         self.lower = np.flatnonzero(np.isfinite(qp.comp.lo))
@@ -660,17 +625,7 @@ class _Inequalities:
         self.a = qp.a
         self.h = np.concatenate([-qp.comp.lo[self.lower], qp.comp.hi[self.upper], qp.b])
         self.split = (self.lower.size, self.lower.size + self.upper.size)
-
-        e = qp.comp.equality[0]
-        self.n, self.keep, self.slack, self.rows = qp.comp.n, qp.keep, qp.slack, qp.slack_rows
-        self.coef = qp.a[self.rows, self.slack]  # a_rj
-        self.q_slack = np.diag(qp.q)[self.slack]
-        self.factor = qp.factor  # (delta, V) or None; with a factor there are no slack columns
-        if self.slack.size:
-            self.q_keep, self.a_keep, self.e_keep = qp.q[np.ix_(qp.keep, qp.keep)], qp.a[:, qp.keep], e[:, qp.keep]
-        else:  # the arrays themselves, so the products are those of the plain system
-            self.q_keep, self.a_keep, self.e_keep = qp.q, qp.a, e
-        self.a_paired = self.a_keep[self.rows]
+        self.q, self.e, self.factor = qp.q, qp.comp.equality[0], qp.factor  # factor: (delta, V) or None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return np.concatenate([-x[self.lower], x[self.upper], matvec(self.a, x)])
@@ -684,48 +639,27 @@ class _Inequalities:
 
 
 class _NewtonSystem:
-    """One factorisation of [H E'; E 0], H = Q + G' diag(d) G, solved for several right-hand sides.
-
-    The slack columns are eliminated first, as the comment above describes,
-    so only H_R and the Schur complement of the E rows are factored.
-    """
+    """One factorisation of [H E'; E 0], H = Q + G' diag(d) G, solved for several right-hand sides."""
 
     def __init__(self, g: _Inequalities, d: np.ndarray):
-        self.g = g
         d_lo, d_hi, d_a = np.split(d, g.split)
-        lo, hi = np.zeros(g.n), np.zeros(g.n)
-        lo[g.lower] = d_lo
-        hi[g.upper] = d_hi
-        d_paired = d_a[g.rows]
-        own = g.q_slack + lo[g.slack] + hi[g.slack]  # Q_jj + b_j
-        self.h = own + d_paired * g.coef**2
-        self.coupling = d_paired * g.coef
-        w = d_a.copy()
-        w[g.rows] = d_paired * own / self.h
-        reduced = (g.a_keep.T * w) @ g.a_keep
-        # lower then upper weights, one at a time: a two-sided column gets
-        # the sums of the plain system
-        diagonal = np.diag_indices(g.keep.size)
-        reduced[diagonal] += lo[g.keep]
-        reduced[diagonal] += hi[g.keep]
-        self.factor = _cholesky(g.q_keep + reduced)
-        self.e = g.e_keep
+        weighted = (g.a.T * d_a) @ g.a
+        # lower then upper weights, one at a time: a two-sided column gets both
+        weighted[g.lower, g.lower] += d_lo
+        weighted[g.upper, g.upper] += d_hi
+        self.factor = _cholesky(g.q + weighted)
+        self.e = g.e
         if self.e.shape[0]:
             self.h_inv_et = cho_solve(self.factor, self.e.T)
             self.schur = _cholesky(dgemm(1.0, self.e.T, self.h_inv_et, trans_a=1))  # E H^-1 E'
 
     def solve(self, rhs: np.ndarray, r_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(dx, dy) with H dx + E'dy = rhs and E dx = -r_e."""
-        g = self.g
-        t = rhs[g.slack] / self.h
-        u = cho_solve(self.factor, rhs[g.keep] - rmatvec(g.a_paired, self.coupling * t))
+        dx = cho_solve(self.factor, rhs)
         dy = np.zeros(0)
         if self.e.shape[0]:
-            dy = cho_solve(self.schur, matvec(self.e, u) + r_e)
-            u = u - matvec(self.h_inv_et, dy)
-        dx = np.empty(g.n)
-        dx[g.keep] = u
-        dx[g.slack] = t - self.coupling / self.h * matvec(g.a_paired, u)
+            dy = cho_solve(self.schur, matvec(self.e, dx) + r_e)
+            dx = dx - matvec(self.h_inv_et, dy)
         return dx, dy
 
 
@@ -743,7 +677,7 @@ class _FactoredNewtonSystem:
         self.diagonal = g.factor[0].copy()  # D
         self.diagonal[g.lower] += d_lo
         self.diagonal[g.upper] += d_hi
-        self.v, self.a, self.e = g.factor[1], g.a, g.e_keep
+        self.v, self.a, self.e = g.factor[1], g.a, g.e
         self.root = 1.0 / np.sqrt(self.diagonal)  # D^-1/2
         self.scaled = np.multiply(self.v, self.root[:, None], out=np.empty(self.v.shape, order="F"))  # S
         core = dsyrk(1.0, self.scaled, trans=1, lower=1) if self.v.shape[1] else np.zeros((0, 0))

@@ -6,7 +6,11 @@ grid enumeration (in exact-feasible coordinates) for the constrained logistic
 fits, and exhaustive active-set enumeration for the small hinge-loss SVM
 programs. The feasible grid's minimum is found line by line through the
 convexity of the sampled losses; its every-point enumeration is kept and the
-two are checked against each other.
+two are checked against each other. The one exception is the exact-hinge
+primal in (theta, xi), which goes through ``solve_qp``'s dense Newton path:
+the library fits the exact hinge through its dual on the factored path, so
+the two share the interior-point loop but neither the program nor the
+Newton solve.
 """
 
 from __future__ import annotations
@@ -212,6 +216,46 @@ def active_set_svm(features, labels, svm_cost, w=None, c=np.inf) -> tuple[float,
             if value < best[0]:
                 best = (value, theta)
     return best
+
+
+def exact_hinge_primal(features, labels, sensitive, svm_cost, c) -> np.ndarray:
+    """theta of the exact-hinge program in (theta, xi), solved by ``solve_qp`` without a factor.
+
+    minimize (||theta||^2 + C sum xi) / n over xi >= 0 and
+    y_i x_i . theta >= 1 - xi_i, with |w_k . theta| <= c_k for w_k the
+    boundary-covariance vector of sensitive column k: an infinite c_k gives
+    no row, c_k > 0 two inequality rows and c_k = 0 one equality row (a row
+    of zeros is left out). The Newton matrix is (d + n) x (d + n), so this is
+    for small n only.
+    """
+    from fairclf.solvers import QuadraticProblem, SolverSettings, solve_qp
+
+    features = np.asarray(features, dtype=float)
+    labels = np.asarray(labels, dtype=float)
+    n, d = features.shape
+    centered = sensitive - sensitive.mean(axis=0)
+    w = centered.T @ features / n
+    c = np.broadcast_to(np.asarray(c, dtype=float), (w.shape[0],))
+    q_matrix = np.zeros((d + n, d + n))
+    q_matrix[:d, :d] = 2.0 * np.eye(d) / n
+    rows = [np.hstack([-labels[:, None] * features, -np.eye(n)])]
+    bounds = [np.full(n, -1.0)]
+    for k in np.flatnonzero((c > 0) & np.isfinite(c)):
+        rows.append(np.concatenate([w[k], np.zeros(n)]) * np.array([[1.0], [-1.0]]))
+        bounds.append(np.full(2, c[k]))
+    zero = np.flatnonzero((c == 0) & np.any(w != 0, axis=1))
+    result = solve_qp(
+        QuadraticProblem(
+            q_matrix=q_matrix,
+            q_vector=np.concatenate([np.zeros(d), np.full(n, svm_cost / n)]),
+            box=(np.concatenate([np.full(d, -np.inf), np.zeros(n)]), None),
+            equality=(np.hstack([w[zero], np.zeros((zero.size, n))]), np.zeros(zero.size)),
+            linear_constraints=(np.vstack(rows), np.concatenate(bounds)),
+        ),
+        SolverSettings(max_iterations=200, kkt_tolerance=1e-10, feasibility_tolerance=1e-12),
+    )
+    assert result.status == "converged", result.status
+    return result.point[:d]
 
 
 def qp_box_equality_reference(q_matrix, q_vector, lower, upper, equality=None, with_multipliers=False):

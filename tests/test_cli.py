@@ -17,7 +17,9 @@ from fairclf.models import (
     fit_logreg_fair,
     fit_logreg_fairness_max,
     fit_logreg_fine_grained,
+    model_from_dict,
     model_to_dict,
+    predict,
 )
 
 from test_ingest import BANK_HEADER, BANK_ROWS, adult_rows, write_adult_fixture
@@ -114,6 +116,38 @@ class TestTrainAndAudit:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert "p_percent" in payload
+
+    def test_scores_once_and_flags_an_uncertified_fit(self, synth_csv, tmp_path, capsys, monkeypatch):
+        import fairclf.cli
+        import fairclf.models
+        from fairclf.solvers import SolverSettings
+
+        calls = []
+        original = fairclf.models.decision_values
+
+        def counted(model, features):
+            calls.append(features.shape)
+            return original(model, features)
+
+        def one_step(train, spec, settings=None):
+            return fit_logreg(train, spec, SolverSettings(max_iterations=1))
+
+        monkeypatch.setattr(fairclf.models, "decision_values", counted)
+        monkeypatch.setattr(fairclf.cli, "decision_values", counted)
+        model_path = tmp_path / "m.json"
+        dataset = append_bias(read_dataset_csv(synth_csv))
+        argv = ["train", "--data", str(synth_csv), "--out", str(model_path)]
+        for forced, err in ((False, []), (True, ["fit not certified: status max_iter"])):
+            if forced:
+                monkeypatch.setattr(fairclf.models, "fit_logreg", one_step)
+            calls.clear()
+            assert cli_main(argv) == 0
+            captured = capsys.readouterr()
+            assert len(calls) == 1  # the audit's distances also give the accuracy
+            assert captured.err.splitlines() == err
+            model = model_from_dict(json.loads(model_path.read_text()))
+            accuracy = float(np.mean(predict(model, dataset.features) == dataset.labels))
+            assert json.loads(captured.out)["train_accuracy"] == accuracy
 
     def test_missing_required_flag(self, synth_csv, tmp_path, capsys):
         code = cli_main(["train", "--data", str(synth_csv), "--mode", "fairness_constrained", "--out", str(tmp_path / "m.json")])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,6 +80,53 @@ class TestDatasetValidation:
         ds = make_dataset()
         with pytest.raises(ValueError):
             ds.features[0, 0] = 99.0
+
+
+class TestOwnedArrays:
+    """A Dataset holds read-only arrays of its own; the library's constructors make one copy each."""
+
+    @staticmethod
+    def arrays(n=6):
+        rng = np.random.default_rng(1)
+        return rng.normal(size=(n, 2)), np.resize([1.0, -1.0], n), np.resize([0.0, 1.0], (n, 1))
+
+    def test_caller_writes_do_not_reach_the_dataset(self):
+        features, labels, sensitive = self.arrays()
+        view = features[:]
+        view.setflags(write=False)  # read-only, but not the owner of its data
+        for given in (features, view):
+            ds = Dataset(given, labels, sensitive, ("z",), ("x0", "x1"))
+            kept = ds.features.copy(), ds.labels.copy(), ds.sensitive.copy()
+            features[0, 0] += 1.0
+            labels[0] = -labels[0]
+            sensitive[0, 0] = 1.0 - sensitive[0, 0]
+            for got, want in zip((ds.features, ds.labels, ds.sensitive), kept):
+                np.testing.assert_array_equal(got, want)
+
+    def test_owned_readonly_array_is_kept(self):
+        features, labels, sensitive = self.arrays()
+        features.setflags(write=False)
+        assert Dataset(features, labels, sensitive, ("z",), ("x0", "x1")).features is features
+
+    def test_rows_and_standardize_return_fresh_readonly_arrays(self):
+        ds = make_dataset(n=4000, d=50, seed=4, scale_columns=(0, 1))
+        index = np.arange(0, ds.n, 2)
+        tracemalloc.start()
+        try:
+            sub = ds.rows(index)
+            held, rows_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            scaled, _ = standardize_columns(sub)
+            scaled_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        pairs = [(sub.features, ds.features), (sub.labels, ds.labels), (sub.sensitive, ds.sensitive)]
+        for got, source in pairs + [(scaled.features, sub.features)]:
+            assert not got.flags.writeable
+            assert not np.shares_memory(got, source)
+        # one new matrix each, not a second copy of it
+        assert rows_peak < 1.5 * sub.features.nbytes
+        assert scaled_peak < 1.5 * sub.features.nbytes
 
 
 class TestAppendBias:

@@ -36,12 +36,13 @@ from fairclf.models import (
     predict,
     protected_rows,
 )
-from fairclf.solvers import SolverSettings
+from fairclf.solvers import SolverSettings, solve_qp
 from fairclf.synth import SynthConfig, gen_linear_synthetic, gen_nonlinear_synthetic
 
 from conftest import count_smooth_solves, random_instance
 from oracles import (
     active_set_svm,
+    exact_hinge_primal,
     finite_difference_gradient,
     grid_logistic_fair,
     hinge_objective,
@@ -574,6 +575,39 @@ class TestLinearSvm:
         assert abs(float(w @ model.theta)) <= 1e-5
         report = audit(decision_values(model, ds.features), ds)
         assert report.p_percent["z"] >= 95.0
+
+
+class TestExactHingeDual:
+    """The exact hinge, fitted through its dual, against the (theta, xi) primal of ``oracles.exact_hinge_primal``."""
+
+    @staticmethod
+    def check(ds, spec, c, monkeypatch):
+        duals = []
+        monkeypatch.setattr(models, "solve_qp", lambda p, s=None: duals.append(solve_qp(p, s)) or duals[-1])
+        model = fit_linear_svm_fair(ds, spec)
+        assert model.training_meta["status"] == "converged"
+        theta = exact_hinge_primal(ds.features, ds.labels, ds.sensitive, spec.svm_cost, c)
+        np.testing.assert_allclose(model.theta, theta, rtol=0, atol=1e-6)
+        # the dual minimizes the negated dual function of the mean-scaled primal
+        primal = model.training_meta["objective"] / ds.n
+        assert abs(primal + duals[0].objective_value) <= 1e-6 * primal
+
+    @pytest.mark.parametrize("n", [60, 400])
+    @pytest.mark.parametrize("c", [np.inf, 0.0, 0.05])
+    def test_matches_the_primal(self, n, c, monkeypatch):
+        ds = append_bias(gen_linear_synthetic(SynthConfig(n=n, phi=np.pi / 4, seed=1)))
+        if np.isfinite(c):
+            spec = FitSpec(mode="fairness_constrained", covariance_thresholds=c, svm_cost=1.0, svm_hinge="exact")
+        else:
+            spec = FitSpec(mode="unconstrained", svm_cost=1.0, svm_hinge="exact")
+        self.check(ds, spec, c, monkeypatch)
+
+    def test_two_columns(self, monkeypatch):
+        two, _ = two_column_datasets()
+        free = fit_linear_svm_fair(two, FitSpec(mode="unconstrained", svm_cost=1.0, svm_hinge="exact"))
+        c = [0.0, 0.5 * abs(free.training_meta["covariance"][1])]
+        spec = FitSpec(mode="fairness_constrained", covariance_thresholds=c, svm_cost=1.0, svm_hinge="exact")
+        self.check(two, spec, c, monkeypatch)
 
 
 class TestConstraintRows:

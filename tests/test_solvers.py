@@ -4,8 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
-from scipy.linalg.blas import dgemm
 
 from fairclf import solvers
 from fairclf.solvers import (
@@ -560,17 +558,16 @@ class TestSolveQp:
 
 
 class TestSlackElimination:
-    """The Newton systems of ``solve_qp`` with the slack columns eliminated."""
+    """QPs shaped like slack-column programs, solved by the plain Newton system."""
 
     @staticmethod
-    def slack_problem(seed: int) -> tuple[QuadraticProblem, np.ndarray]:
-        """A QP on 4 coupled columns and 7 slack-shaped ones, and the 6 of those that are slack columns.
+    def slack_problem(seed: int) -> QuadraticProblem:
+        """A QP on 4 coupled columns and 7 slack-shaped ones.
 
-        Slack-shaped columns 4..9 each own one row of A; column 10 shares
-        column 9's row, so only the first of the two is eliminated. The box
-        is two-sided, one-sided or absent per column, E has two rows over the
-        coupled columns and A two more rows over them; x = 0 is strictly
-        feasible.
+        Slack-shaped columns 4..9 each own one row of A, and column 10 shares
+        column 9's row. The box is two-sided, one-sided or absent per column,
+        E has two rows over the coupled columns and A two more rows over
+        them; x = 0 is strictly feasible.
         """
         rng = np.random.default_rng(seed)
         kept, shaped = 4, 7
@@ -588,47 +585,13 @@ class TestSlackElimination:
         upper = np.where(rng.random(n) < 0.5, rng.random(n) + 0.5, np.inf)
         e = np.zeros((2, n))
         e[:, :kept] = rng.normal(size=(2, kept))
-        problem = QuadraticProblem(
+        return QuadraticProblem(
             q_matrix=q,
             q_vector=rng.normal(size=n),
             box=(lower, upper),
             equality=(e, np.zeros(2)),
             linear_constraints=(a, rng.uniform(0.1, 1.0, shaped + 1)),
         )
-        return problem, kept + own
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_reduced_solve_matches_full_kkt(self, seed):
-        problem, expected = self.slack_problem(seed)
-        qp = solvers._compile_qp(problem)
-        np.testing.assert_array_equal(np.sort(qp.slack), expected)
-        g = solvers._Inequalities(qp)
-        rng = np.random.default_rng(100 + seed)
-        d = rng.uniform(0.1, 10.0, g.h.size)
-        rhs, r_e = rng.normal(size=qp.comp.n), rng.normal(size=2)
-        dx, dy = solvers._NewtonSystem(g, d).solve(rhs, r_e)
-
-        # the full system: H = Q + G' diag(d) G with G = [-I_lower; I_upper; A]
-        identity = np.eye(qp.comp.n)
-        rows = np.vstack([-identity[g.lower], identity[g.upper], qp.a])
-        h = qp.q + rows.T @ (d[:, None] * rows)
-        e = qp.comp.equality[0]
-        kkt = np.block([[h, e.T], [e, np.zeros((2, 2))]])
-        full = np.linalg.solve(kkt, np.concatenate([rhs, -r_e]))
-        np.testing.assert_allclose(np.concatenate([dx, dy]), full, rtol=1e-10, atol=1e-10)
-
-    def test_solution_matches_the_problem_without_slack_structure(self):
-        # the same QP with a 1e-300 coupling in Q, which no arithmetic sees but
-        # which disqualifies every slack column
-        problem, _ = self.slack_problem(7)
-        reduced = solve_qp(problem, TIGHT)
-        q = problem.q_matrix.copy()
-        q[4:, 0] = q[0, 4:] = 1e-300
-        plain = solve_qp(dataclasses.replace(problem, q_matrix=q), TIGHT)
-        assert solvers._compile_qp(dataclasses.replace(problem, q_matrix=q)).slack.size == 0
-        assert reduced.status == plain.status == "converged"
-        assert reduced.iterations == plain.iterations
-        np.testing.assert_allclose(reduced.point, plain.point, atol=1e-9)
 
     @pytest.mark.parametrize("thresholds", [0.0, 0.05])
     def test_kernel_dual_keeps_the_plain_iterates(self, monkeypatch, thresholds):
@@ -644,57 +607,29 @@ class TestSlackElimination:
         fit_kernel_svm_fair(ds, spec)
         problem, settings = problems[0]
         assert problem.q_factor is not None
-        dense = dataclasses.replace(problem, q_factor=None)
-        assert solvers._compile_qp(dense).slack.size == 0
-
-        class PlainNewtonSystem:
-            """H = Q + G' diag(d) G formed whole, in the order of the unreduced method."""
-
-            def __init__(self, g, d):
-                d_lo, d_hi, d_a = np.split(d, g.split)
-                gram = (g.a.T * d_a) @ g.a
-                gram[g.lower, g.lower] += d_lo
-                gram[g.upper, g.upper] += d_hi
-                self.factor = solvers._cholesky(problem.q_matrix + gram)
-                self.e = solvers._linear_arrays(problem.equality, g.n)[0]
-                self.h_inv_et = cho_solve(self.factor, self.e.T)
-                self.schur = solvers._cholesky(dgemm(1.0, self.e.T, self.h_inv_et, trans_a=1))
-
-            def solve(self, rhs, r_e):
-                u = cho_solve(self.factor, rhs)
-                dy = cho_solve(self.schur, matvec(self.e, u) + r_e)
-                return u - matvec(self.h_inv_et, dy), dy
-
-        reduced = solve_qp(dense, settings)
         factored = solve_qp(problem, settings)
-        monkeypatch.setattr(solvers, "_NewtonSystem", PlainNewtonSystem)
-        plain = solve_qp(dense, settings)
-        # the dense path: slack elimination leaves the plain iterates bit for bit
-        assert reduced.iterations == plain.iterations
-        assert np.array_equal(reduced.point, plain.point)
-        assert np.array_equal(reduced.multipliers["equality"], plain.multipliers["equality"])
-        # the factored path: Woodbury steps on a model of Q, certified on Q itself
+        plain = solve_qp(dataclasses.replace(problem, q_factor=None), settings)
+        # Woodbury steps on a model of Q, certified on Q itself
         assert factored.status == plain.status == "converged"
         assert factored.iterations == plain.iterations
         np.testing.assert_allclose(factored.point, plain.point, rtol=0, atol=1e-9)
 
     def test_every_column_a_slack_column(self):
-        # minimize |x|^2 / 2 - 2 sum(x) over x >= 0 and x <= b: nothing is left to factor
+        # minimize |x|^2 / 2 - 2 sum(x) over x >= 0 and x <= b
         problem = QuadraticProblem(
             q_matrix=np.eye(3),
             q_vector=np.full(3, -2.0),
             box=(np.zeros(3), None),
             linear_constraints=(np.eye(3), np.array([0.5, 1.0, 3.0])),
         )
-        assert solvers._compile_qp(problem).keep.size == 0
         result = solve_qp(problem, TIGHT)
         assert result.status == "converged"
         np.testing.assert_allclose(result.point, [0.5, 1.0, 2.0], atol=1e-7)
 
     def test_psd_check_reads_both_blocks(self):
-        problem, _ = self.slack_problem(3)
+        problem = self.slack_problem(3)
         q = problem.q_matrix.copy()
-        q[6, 6] = -1e-3  # a slack column's diagonal entry
+        q[6, 6] = -1e-3  # a slack-shaped column's diagonal entry
         with pytest.raises(ValueError, match="semidefinite"):
             solve_qp(dataclasses.replace(problem, q_matrix=q))
         q = problem.q_matrix.copy()
@@ -705,6 +640,17 @@ class TestSlackElimination:
         q[0, 1] += 1e-3
         with pytest.raises(ValueError, match="symmetric"):
             solve_qp(dataclasses.replace(problem, q_matrix=q))
+
+    def test_symmetry_checked_past_the_first_tile(self):
+        # the check compares 128 x 128 tiles; these asymmetries lie in later ones
+        n = 600
+        m = np.random.default_rng(5).normal(size=(n, 3))
+        q = m @ m.T
+        for i, j in ((300, 2), (599, 598), (10, 520)):
+            asymmetric = q.copy()
+            asymmetric[i, j] += 1e-3
+            with pytest.raises(ValueError, match="symmetric"):
+                solve_qp(QuadraticProblem(q_matrix=asymmetric, q_vector=np.zeros(n)))
 
 
 class TestFactoredNewton:
@@ -784,11 +730,26 @@ class TestFactoredNewton:
         ids=["zero-delta", "negative-delta", "nan-delta", "short-v", "nan-v"],
     )
     def test_malformed_factor_rejected(self, factor):
+        # variable 0 has no finite bound, so a zero delta on it is malformed
         problem = self.kernel_dual(0)
+        lower, upper = problem.box
+        lower, upper = lower.copy(), upper.copy()
+        lower[0], upper[0] = -np.inf, np.inf
+        problem = dataclasses.replace(problem, box=(lower, upper))
         v = problem.q_factor[1]
         v = {"v": v, "short": v[1:], "nan": np.where(np.arange(v.size).reshape(v.shape) == 3, np.nan, v)}[factor[1]]
         with pytest.raises(ValueError, match="q_factor"):
             solve_qp(dataclasses.replace(problem, q_factor=(factor[0], v)))
+
+    def test_zero_delta_on_bounded_variables(self):
+        # Q = V V' exactly, every variable boxed: D is the box weights alone
+        problem = self.kernel_dual(3)
+        v = problem.q_factor[1]
+        exact = dataclasses.replace(problem, q_matrix=v @ v.T, q_factor=(0.0, v))
+        factored = solve_qp(exact, TIGHT)
+        dense = solve_qp(dataclasses.replace(exact, q_factor=None), TIGHT)
+        assert factored.status == dense.status == "converged"
+        np.testing.assert_allclose(factored.point, dense.point, rtol=0, atol=1e-7)
 
     def test_logs_rank_and_residual_trace_once(self, caplog):
         problem = self.kernel_dual(1)
