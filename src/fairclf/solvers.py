@@ -15,13 +15,14 @@ Two entry points, each with its own method:
 * :func:`solve_qp` - convex quadratic objective under a variable box, linear
   equalities E x = f and linear inequalities A x <= b. A primal-dual
   interior-point method (Mehrotra's predictor-corrector) solves one Newton
-  system per iteration, factored by a dense Cholesky. When the problem
-  carries a factor Q ~ diag(delta) + V V' (a kernel dual's low-rank Gram,
-  or the exact-hinge SVM dual, whose Q is exactly V V'), the Newton matrix
-  is diagonal plus low rank and is solved by Sherman-Morrison-Woodbury
-  through one small Cholesky (Fine & Scheinberg 2001; Ferris & Munson
-  2002). The factor only steers the steps: residuals and the certificate
-  use Q itself.
+  system per iteration. Q is given either as a dense matrix, and the Newton
+  system is then factored by a dense Cholesky, or only by its factor
+  Q = diag(delta) + V V' (a kernel dual's low-rank Gram, or the exact-hinge
+  SVM dual, whose Q is V V'). The Newton matrix is then diagonal plus low
+  rank and is solved by Sherman-Morrison-Woodbury through one small Cholesky
+  (Fine & Scheinberg 2001; Ferris & Munson 2002), and every product with Q,
+  in the objective, the residuals and the certificate, is
+  delta * x + V (V' x), in O(n r). No n x n matrix is formed.
 
 Linear constraints are handed over as matrices, one row per constraint. The
 caller decides which bounds are equalities and puts their rows in E; the
@@ -39,8 +40,8 @@ L-BFGS-B and the Cholesky factorisations run on scipy's. Products with an
 n-row operand inside :func:`minimize_smooth`'s loop and throughout
 :func:`solve_qp` therefore go through :func:`matvec`, :func:`rmatvec` and
 :func:`dot`, which call scipy's BLAS, and the positive-semidefiniteness check
-factors on scipy's LAPACK, so that a fit wakes one pool instead of two that
-fight over the cores.
+factors a dense Q on scipy's LAPACK, so that a fit wakes one pool instead of
+two that fight over the cores.
 """
 
 from __future__ import annotations
@@ -171,35 +172,38 @@ class SmoothProblem:
     initial_point: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class QuadraticProblem:
     """Convex QP: minimize 0.5 x'Qx + q.x over a box with optional equalities.
 
-    Q must be symmetric positive semidefinite (validated up to numerical
-    noise). ``box`` is a (lower, upper) pair of per-variable bounds, either of
-    which may be None for unbounded; ``equality`` is an (E, f) pair meaning
+    Q is given as exactly one of two things; giving both, or neither, raises
+    ValueError.
+
+    * ``q_matrix``, a dense (dimension, dimension) matrix. It must be
+      symmetric positive semidefinite, validated up to numerical noise, and
+      each Newton system is factored by a dense Cholesky.
+    * ``q_factor``, a (delta, V) pair that *is* Q = diag(delta) + V V', with
+      delta non-negative and finite (a vector, or a scalar for every
+      variable) and V a finite array of shape (dimension, r). Q is then PSD
+      by construction and is never formed: the objective, the residuals and
+      the convergence certificate read it through delta * x + V (V' x), and
+      each Newton system is solved through the diagonal-plus-rank-r form by
+      Woodbury. delta may be zero only on a variable with a finite bound; a
+      zero delta anywhere else raises ValueError.
+
+    ``box`` is a (lower, upper) pair of per-variable bounds, either of which
+    may be None for unbounded; ``equality`` is an (E, f) pair meaning
     E x = f, with any number of rows (a 1-D E and a scalar f are one row);
     ``linear_constraints`` is an (A, b) pair meaning A x <= b. Either may be
     None.
-
-    ``q_factor`` is an optional (delta, V) pair meaning Q ~ diag(delta) + V V',
-    with delta non-negative (a vector, or a scalar for every variable) and V
-    of shape (dimension, r). delta may be zero only on a variable with a
-    finite bound; a zero delta anywhere else raises ValueError. It is
-    structure, like ``equality``: the interior-point method then solves each
-    Newton system through the diagonal-plus-rank-r model instead of
-    factoring Q. It only steers the steps. The objective, the residuals and
-    the convergence certificate use ``q_matrix``, and ``q_matrix`` is
-    validated as without a factor, so a poor factor costs iterations, not
-    correctness.
     """
 
-    q_matrix: np.ndarray
     q_vector: np.ndarray
+    q_matrix: np.ndarray | None = None
+    q_factor: tuple[np.ndarray | float, np.ndarray] | None = None
     box: tuple[np.ndarray | None, np.ndarray | None] = (None, None)
     equality: tuple[np.ndarray, np.ndarray | float] | None = None
     linear_constraints: tuple[np.ndarray, np.ndarray] | None = None
-    q_factor: tuple[np.ndarray | float, np.ndarray] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +320,12 @@ def _validate_psd(q: np.ndarray) -> None:
         raise ValueError("Q must be positive semidefinite")
 
 
-def _q_factor(problem: QuadraticProblem, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The problem's (delta, V) as arrays of shapes (n,) and (n, r), or None.
+def _q_factor(problem: QuadraticProblem, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The problem's (delta, V) as arrays of shapes (n,) and (n, r).
 
     delta may be zero on a variable with a finite bound: the Newton matrix's
     diagonal there is the bound's weight z/s, which stays positive.
     """
-    if problem.q_factor is None:
-        return None
     n = lo.size
     delta = np.broadcast_to(np.asarray(problem.q_factor[0], dtype=float), (n,))
     v = np.asarray(problem.q_factor[1], dtype=float)
@@ -341,39 +343,53 @@ def _q_factor(problem: QuadraticProblem, lo: np.ndarray, hi: np.ndarray) -> tupl
 class _CompiledQP:
     """A QP as arrays: box lo <= x <= hi and rows a x <= b, with E x = f in ``comp.equality``.
 
-    ``factor`` is the problem's (delta, V), or None.
+    Q is the dense ``q`` when ``factor`` is None and diag(delta) + V V' for
+    ``factor = (delta, V)`` otherwise; ``comp.gradient`` is x -> Q x + c
+    either way.
     """
 
     comp: _Compiled
-    q: np.ndarray
+    q: np.ndarray | None
+    factor: tuple[np.ndarray, np.ndarray] | None
     c: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    factor: tuple[np.ndarray, np.ndarray] | None
 
 
 def _compile_qp(problem: QuadraticProblem) -> _CompiledQP:
-    q = np.asarray(problem.q_matrix, dtype=float)
+    if (problem.q_matrix is None) == (problem.q_factor is None):
+        raise ValueError("a QuadraticProblem takes exactly one of q_matrix and q_factor")
     c = np.asarray(problem.q_vector, dtype=float)
     n = c.size
-    if q.shape != (n, n):
-        raise ValueError("Q and q dimensions disagree")
     lo, hi = problem.box
     lo = np.full(n, -np.inf) if lo is None else np.broadcast_to(np.asarray(lo, dtype=float), (n,))
     hi = np.full(n, np.inf) if hi is None else np.broadcast_to(np.asarray(hi, dtype=float), (n,))
     a, b = _linear_arrays(problem.linear_constraints, n)
-    factor = _q_factor(problem, lo, hi)
-    _validate_psd(q)
+    q, factor = None, None
+    if problem.q_matrix is not None:
+        q = np.asarray(problem.q_matrix, dtype=float)
+        if q.shape != (n, n):
+            raise ValueError("Q and q dimensions disagree")
+        _validate_psd(q)
+
+        def q_times(x: np.ndarray) -> np.ndarray:
+            return matvec(q, x)
+
+    else:
+        delta, v = factor = _q_factor(problem, lo, hi)
+
+        def q_times(x: np.ndarray) -> np.ndarray:
+            return delta * x + matvec(v, rmatvec(v, x))
 
     def objective(x: np.ndarray) -> float:
-        return 0.5 * dot(x, matvec(q, x)) + dot(c, x)
+        return 0.5 * dot(x, q_times(x)) + dot(c, x)
 
     def gradient(x: np.ndarray) -> np.ndarray:
-        return matvec(q, x) + c
+        return q_times(x) + c
 
     equality = _linear_arrays(problem.equality, n)
     comp = _Compiled(n, objective, gradient, _linear_blocks(a, b), equality, lo, hi, None)
-    return _CompiledQP(comp, q, c, a, b, factor)
+    return _CompiledQP(comp, q, factor, c, a, b)
 
 
 def _inequality_gradient(comp: _Compiled, x: np.ndarray, lam: list) -> np.ndarray:
@@ -576,11 +592,11 @@ def _solve_eliminated(problem: SmoothProblem, comp: _Compiled, settings: SolverS
 #     E dx              = -r_e        Z ds + S dz = -r_c
 #
 # by eliminating ds and dz, which leaves H = Q + G'(Z/S)G with the few
-# equality rows E handled through the Schur complement E H^-1 E'. Without a
-# factor of Q, H is formed and factored by a dense Cholesky.
+# equality rows E handled through the Schur complement E H^-1 E'. With a
+# dense Q, H is formed and factored by a dense Cholesky.
 #
-# With a factor Q ~ diag(delta) + V V' (r columns) the Newton matrix is read
-# as
+# With Q given by its factor, Q = diag(delta) + V V' (r columns), the Newton
+# matrix is read as
 #
 #     H = B + A' diag(w) A,   B = D + V V',   D = diag(delta + box weights).
 #
@@ -599,9 +615,9 @@ def _solve_eliminated(problem: SmoothProblem, comp: _Compiled, settings: SolverS
 # once a row binds its weight w reaches 1e10 and more and the steps lose
 # their accuracy; the bordered form keeps such a row like an equality row.
 # Even so, the range-space solve above loses digits as the weights spread,
-# so every solve takes one step of iterative refinement against the model
-# H. Only the steps use the model: r_d and the residuals are evaluated with
-# Q itself.
+# so every solve takes one step of iterative refinement against H. The
+# factor is Q itself, so r_d, the residuals and the certificate read it too,
+# through delta * x + V (V' x).
 
 
 def _cholesky(matrix: np.ndarray):
@@ -625,7 +641,7 @@ class _Inequalities:
         self.a = qp.a
         self.h = np.concatenate([-qp.comp.lo[self.lower], qp.comp.hi[self.upper], qp.b])
         self.split = (self.lower.size, self.lower.size + self.upper.size)
-        self.q, self.e, self.factor = qp.q, qp.comp.equality[0], qp.factor  # factor: (delta, V) or None
+        self.q, self.e, self.factor = qp.q, qp.comp.equality[0], qp.factor  # dense Q or its (delta, V)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return np.concatenate([-x[self.lower], x[self.upper], matvec(self.a, x)])
@@ -736,22 +752,16 @@ def _solve_ipm(qp: _CompiledQP, settings: SolverSettings) -> SolverResult:
     # system with unit slack weights, then slacks and multipliers shifted
     # to be strictly positive
     newton_system = _NewtonSystem if qp.factor is None else _FactoredNewtonSystem
-    start = newton_system(g, np.ones(n_ineq))
-    x, y = start.solve(-qp.c + g.transpose(g.h), -f)
+    x, y = newton_system(g, np.ones(n_ineq)).solve(-qp.c + g.transpose(g.h), -f)
     s = _shift_positive(g.h - g.apply(x))
     z = _shift_positive(g.apply(x) - g.h)
     start_size = 1.0 + max(float(np.max(z, initial=0.0)), float(np.max(np.abs(y), initial=0.0)))
-    if qp.factor is not None:
-        delta, v = qp.factor
-        flat = v.ravel()
-        residual = float(np.trace(qp.q)) - float(delta.sum()) - dot(flat, flat)
-        _log.debug("q_factor rank=%d residual trace=%.3e", v.shape[1], residual)
 
     status = "max_iter"
     previous_primal = np.inf
     iteration = 0
     while True:
-        r_d = matvec(qp.q, x) + qp.c + g.transpose(z) + rmatvec(e, y)
+        r_d = comp.gradient(x) + g.transpose(z) + rmatvec(e, y)
         r_p = g.apply(x) + s - g.h
         r_e = matvec(e, x) - f
         mu_gap = dot(s, z) / n_ineq if n_ineq else 0.0

@@ -6,11 +6,11 @@ grid enumeration (in exact-feasible coordinates) for the constrained logistic
 fits, and exhaustive active-set enumeration for the small hinge-loss SVM
 programs. The feasible grid's minimum is found line by line through the
 convexity of the sampled losses; its every-point enumeration is kept and the
-two are checked against each other. The one exception is the exact-hinge
-primal in (theta, xi), which goes through ``solve_qp``'s dense Newton path:
-the library fits the exact hinge through its dual on the factored path, so
-the two share the interior-point loop but neither the program nor the
-Newton solve.
+two are checked against each other. The two exceptions go through
+``solve_qp``'s dense Newton path: the exact-hinge primal in (theta, xi), and
+the RBF kernel dual with its exact Q built from the full Gram. The library
+fits both SVMs through duals given only by a factor of Q, so each pair shares
+the interior-point loop but neither the Q nor the Newton solve.
 """
 
 from __future__ import annotations
@@ -256,6 +256,48 @@ def exact_hinge_primal(features, labels, sensitive, svm_cost, c) -> np.ndarray:
     )
     assert result.status == "converged", result.status
     return result.point[:d]
+
+
+def rbf_kernel_dual_reference(features, labels, sensitive, rbf_gamma, svm_cost, c):
+    """The RBF kernel-SVM dual with its exact dense Q, and its ``solve_qp`` result on the dense path.
+
+    Q = yy' * (K + I/C) / n with K the full Gram exp(-gamma ||x_i - x_j||^2),
+    over 0 <= alpha <= C. The equality rows are sum(alpha y) / sqrt(n) = 0
+    and then, for each c_k = 0, the covariance row cov_k . alpha = 0 with
+    cov_k = y * (K (z_k - mean z_k)) / n divided by its norm; a c_k > 0 gives
+    the rows +cov_k and -cov_k, each divided by its norm, with the bound c_k
+    divided by the same norm. These are the rows of ``fit_kernel_svm_fair``
+    in its order, so its multipliers apply. Returns (problem, result).
+    """
+    from fairclf.solvers import QuadraticProblem, SolverSettings, solve_qp
+
+    features = np.asarray(features, dtype=float)
+    labels = np.asarray(labels, dtype=float)
+    n = labels.size
+    gram = np.exp(-rbf_gamma * ((features[:, None, :] - features[None, :, :]) ** 2).sum(axis=2))
+    q_matrix = np.outer(labels, labels) * (gram + np.eye(n) / svm_cost) / n
+    centered = sensitive - sensitive.mean(axis=0)
+    cov = (gram @ centered / n).T * labels
+    c = np.broadcast_to(np.asarray(c, dtype=float), (cov.shape[0],))
+    equality = [labels / np.sqrt(n)]
+    rows, bounds = [], []
+    for k in range(cov.shape[0]):
+        norm = float(np.linalg.norm(cov[k]))
+        if c[k] == 0 and norm > 0:
+            equality.append(cov[k] / norm)
+        elif 0 < c[k] < np.inf:
+            rows += [cov[k] / norm, -cov[k] / norm]
+            bounds += [c[k] / norm] * 2
+    problem = QuadraticProblem(
+        q_matrix=q_matrix,
+        q_vector=-np.ones(n) / n,
+        box=(np.zeros(n), np.full(n, float(svm_cost))),
+        equality=(np.array(equality), np.zeros(len(equality))),
+        linear_constraints=(np.array(rows).reshape(-1, n), np.array(bounds)),
+    )
+    result = solve_qp(problem, SolverSettings(max_iterations=200, kkt_tolerance=1e-10, feasibility_tolerance=1e-12))
+    assert result.status == "converged", result.status
+    return problem, result
 
 
 def qp_box_equality_reference(q_matrix, q_vector, lower, upper, equality=None, with_multipliers=False):

@@ -36,7 +36,7 @@ from fairclf.models import (
     predict,
     protected_rows,
 )
-from fairclf.solvers import SolverSettings, solve_qp
+from fairclf.solvers import SolverSettings, kkt_residuals, solve_qp
 from fairclf.synth import SynthConfig, gen_linear_synthetic, gen_nonlinear_synthetic
 
 from conftest import count_smooth_solves, random_instance
@@ -47,6 +47,7 @@ from oracles import (
     grid_logistic_fair,
     hinge_objective,
     logistic_objective,
+    rbf_kernel_dual_reference,
     unit_rows_reference,
 )
 
@@ -622,18 +623,16 @@ class TestConstraintRows:
         w = rng.normal(size=(4, 37))
         w[3] = 0.0  # a constant sensitive column
         c = np.array([0.0, 0.3, np.inf, 0.0])
-        for n_extra in (0, 5):
-            rows = []
-            for k in (0, 1, 3):
-                a = np.concatenate([w[k], np.zeros(n_extra)])
-                rows += [(a, c[k]), (-a, c[k])]
-            want_a, want_b = unit_rows_reference(rows)
-            got_a, got_b = _covariance_rows(w, c, n_extra)
-            assert got_a.tobytes() == want_a.tobytes() and got_b.tobytes() == want_b.tobytes()
-            # c > 0 rows stay inequalities; the c = 0 row of zeros is left out of E
-            (ineq_a, ineq_b), e = _covariance_split(w, c, n_extra)
-            assert ineq_a.tobytes() == want_a[2:4].tobytes() and ineq_b.tobytes() == want_b[2:4].tobytes()
-            assert e.tobytes() == want_a[:1].tobytes()
+        rows = []
+        for k in (0, 1, 3):
+            rows += [(w[k], c[k]), (-w[k], c[k])]
+        want_a, want_b = unit_rows_reference(rows)
+        got_a, got_b = _covariance_rows(w, c)
+        assert got_a.tobytes() == want_a.tobytes() and got_b.tobytes() == want_b.tobytes()
+        # c > 0 rows stay inequalities; the c = 0 row of zeros is left out of E
+        (ineq_a, ineq_b), e = _covariance_split(w, c)
+        assert ineq_a.tobytes() == want_a[2:4].tobytes() and ineq_b.tobytes() == want_b[2:4].tobytes()
+        assert e.tobytes() == want_a[:1].tobytes()
 
     def test_epigraph_rows(self):
         w = np.random.default_rng(13).normal(size=(3, 9))
@@ -760,17 +759,32 @@ class TestTwoColumnThresholds:
         self.check(model, [0.0, 0.0])
 
 
-class TestGramFactor:
-    """The pivoted incomplete Cholesky that gives the kernel dual its factor."""
+C10_KERNEL = KernelSpec(kind="rbf", rbf_gamma=0.04)
 
-    @staticmethod
-    def rbf_gram(n: int) -> np.ndarray:
-        ds = append_bias(gen_nonlinear_synthetic(SynthConfig(n=n, phi=np.pi / 4, seed=1, variant="nonlinear")))
-        return gram_matrix(KernelSpec(kind="rbf", rbf_gamma=0.04), ds.features, ds.features)
+
+def c10_rows(n: int, seed: int = 1) -> Dataset:
+    """Rows of the C10 shape: the nonlinear synthetic generator with the bias column appended."""
+    return append_bias(gen_nonlinear_synthetic(SynthConfig(n=n, phi=np.pi / 4, seed=seed, variant="nonlinear")))
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes tracemalloc saw allocated while fn ran)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+class TestGramFactor:
+    """The pivoted incomplete Cholesky that gives the kernel dual its factor, built from kernel rows."""
 
     def test_rbf_residual_trace_within_tolerance(self):
-        gram = self.rbf_gram(400)
-        factor = models._gram_factor(gram)
+        features = c10_rows(400).features
+        gram = gram_matrix(C10_KERNEL, features, features)
+        factor = models._gram_factor(C10_KERNEL, features)
         residual = gram - factor @ factor.T
         assert factor.shape[0] == 400
         assert factor.shape[1] < 400
@@ -780,24 +794,124 @@ class TestGramFactor:
 
     def test_linear_kernel_is_exact_at_its_rank(self):
         features = np.random.default_rng(3).normal(size=(150, 3))
-        gram = gram_matrix(KernelSpec(kind="linear"), features, features)
-        factor = models._gram_factor(gram)
+        kernel = KernelSpec(kind="linear")
+        factor = models._gram_factor(kernel, features)
         assert factor.shape == (150, 3)
-        np.testing.assert_allclose(factor @ factor.T, gram, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(factor @ factor.T, gram_matrix(kernel, features, features), rtol=0, atol=1e-10)
 
     def test_zero_gram_has_rank_zero(self):
-        assert models._gram_factor(np.zeros((5, 5))).shape == (5, 0)
+        assert models._gram_factor(KernelSpec(kind="linear"), np.zeros((5, 2))).shape == (5, 0)
 
     def test_allocates_no_square_array(self):
-        gram = self.rbf_gram(1500)
-        tracemalloc.start()
-        try:
-            factor = models._gram_factor(gram)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.5 * gram.nbytes
+        features = c10_rows(1500).features
+        factor, peak = traced_peak(lambda: models._gram_factor(C10_KERNEL, features))
+        assert peak < 0.5 * 1500 * 1500 * 8
         assert peak < 4 * factor.nbytes
+
+    def test_logs_rank_and_residual_trace_once(self, caplog):
+        features = np.random.default_rng(4).normal(size=(60, 6))
+        with caplog.at_level(logging.DEBUG, logger="fairclf.models"):
+            models._gram_factor(KernelSpec(kind="linear"), features)
+        records = [r.getMessage() for r in caplog.records if r.getMessage().startswith("q_factor")]
+        assert len(records) == 1
+        rank, trace = records[0].removeprefix("q_factor rank=").split(" residual trace=")
+        assert int(rank) == 6
+        assert 0 <= float(trace) <= models._GRAM_FACTOR_TOLERANCE * float(np.sum(features * features))
+
+
+class TestKernelProduct:
+    """K(a, b) @ m over row blocks of a, against the whole kernel at once."""
+
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1])
+    @pytest.mark.parametrize("kind", ["rbf", "linear"])
+    def test_matches_the_whole_kernel(self, kind, offset):
+        kernel = C10_KERNEL if kind == "rbf" else KernelSpec(kind="linear")
+        rng = np.random.default_rng(6)
+        b = rng.normal(size=(600, 3))
+        block = models._KERNEL_BLOCK_ENTRIES // b.shape[0]
+        rows = 1 if offset is None else block + offset
+        for n_rows in (0, rows):
+            a = rng.normal(size=(n_rows, 3))
+            for m in (rng.normal(size=600), rng.normal(size=(600, 2))):
+                got = models._kernel_product(kernel, a, b, m)
+                want = gram_matrix(kernel, a, b) @ m
+                assert got.shape == want.shape
+                scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+    def test_blocks_are_bounded_by_entries(self, monkeypatch):
+        entries = []
+        gram = models.gram_matrix
+
+        def counted(kernel, a, b):
+            entries.append(a.shape[0] * b.shape[0])
+            return gram(kernel, a, b)
+
+        monkeypatch.setattr(models, "gram_matrix", counted)
+        rng = np.random.default_rng(7)
+        models._kernel_product(C10_KERNEL, rng.normal(size=(5000, 3)), rng.normal(size=(2000, 3)), np.ones(2000))
+        assert len(entries) == -(-5000 // (models._KERNEL_BLOCK_ENTRIES // 2000))
+        assert max(entries) <= models._KERNEL_BLOCK_ENTRIES
+
+
+class TestKernelDualOracle:
+    """The kernel fit, posed on L L', against the exact dense dual of ``oracles.rbf_kernel_dual_reference``."""
+
+    TIGHT = SolverSettings(max_iterations=200, kkt_tolerance=1e-10, feasibility_tolerance=1e-12)
+
+    @staticmethod
+    def fit_and_problem(ds, spec, settings, monkeypatch):
+        solves = []
+        monkeypatch.setattr(models, "solve_qp", lambda p, s=None: solves.append((solve_qp(p, s), s)) or solves[-1][0])
+        model = fit_kernel_svm_fair(ds, spec, settings)
+        return model, *solves[0]
+
+    @pytest.mark.parametrize("n", [60, 200])
+    @pytest.mark.parametrize("c", [np.inf, 0.0])
+    def test_matches_the_exact_dual(self, n, c, monkeypatch):
+        ds = c10_rows(n)
+        cost = 10.0
+        if np.isfinite(c):
+            spec = FitSpec(mode="fairness_constrained", covariance_thresholds=c, svm_cost=cost, kernel=C10_KERNEL)
+        else:
+            spec = FitSpec(mode="unconstrained", svm_cost=cost, kernel=C10_KERNEL)
+        exact, reference = rbf_kernel_dual_reference(ds.features, ds.labels, ds.sensitive, 0.04, cost, c)
+        model, result, _ = self.fit_and_problem(ds, spec, self.TIGHT, monkeypatch)
+        np.testing.assert_allclose(result.point, reference.point, rtol=0, atol=1e-7)
+        assert abs(result.objective_value - reference.objective_value) <= 1e-9 * abs(reference.objective_value)
+        stored = model.training_meta["objective"] / n
+        assert abs(stored - reference.objective_value) <= 1e-9 * abs(reference.objective_value)
+        # at its own settings, a converged fit is a KKT point of the exact dual too
+        model, result, settings = self.fit_and_problem(ds, spec, None, monkeypatch)
+        assert result.status == "converged"
+        assert kkt_residuals(exact, result.point, result.multipliers).within(settings)
+
+
+class TestKernelMemory:
+    """Traced allocation peaks of the kernel path, far below one n x n or n x m kernel array."""
+
+    def test_c10_fit_and_scoring(self):
+        ds = c10_rows(2000)
+        spec = FitSpec(mode="fairness_constrained", covariance_thresholds=0.0, svm_cost=100.0, kernel=C10_KERNEL)
+        model, peak = traced_peak(lambda: fit_kernel_svm_fair(ds, spec))
+        assert model.training_meta["status"] == "converged"
+        assert peak < 20e6  # the Gram alone is 32 MB
+        assert 500 < model.alphas.size < 650
+        scoring = c10_rows(20_000, seed=5).features
+        values, peak = traced_peak(lambda: decision_values(model, scoring))
+        assert values.shape == (20_000,)
+        assert peak < 16e6  # the 20,000 x ~576 kernel alone is 92 MB
+
+    @pytest.mark.parametrize("c", [np.inf, 0.0, 0.05])
+    def test_exact_hinge_at_4000_rows(self, c):
+        ds = append_bias(gen_linear_synthetic(SynthConfig(n=4000, phi=np.pi / 4, seed=1)))
+        if np.isfinite(c):
+            spec = FitSpec(mode="fairness_constrained", covariance_thresholds=c, svm_cost=1.0, svm_hinge="exact")
+        else:
+            spec = FitSpec(mode="unconstrained", svm_cost=1.0, svm_hinge="exact")
+        model, peak = traced_peak(lambda: fit_linear_svm_fair(ds, spec))
+        assert model.training_meta["status"] == "converged"
+        assert peak < 8e6  # the dual's Q would be 128 MB
 
 
 class TestKernelSvm:

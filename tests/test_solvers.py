@@ -606,10 +606,10 @@ class TestSlackElimination:
         )
         fit_kernel_svm_fair(ds, spec)
         problem, settings = problems[0]
-        assert problem.q_factor is not None
+        assert problem.q_matrix is None and problem.q_factor is not None
         factored = solve_qp(problem, settings)
-        plain = solve_qp(dataclasses.replace(problem, q_factor=None), settings)
-        # Woodbury steps on a model of Q, certified on Q itself
+        plain = solve_qp(TestFactoredNewton.dense(problem), settings)
+        # Woodbury steps through the factor, and the plain Newton system on the same Q formed densely
         assert factored.status == plain.status == "converged"
         assert factored.iterations == plain.iterations
         np.testing.assert_allclose(factored.point, plain.point, rtol=0, atol=1e-9)
@@ -657,8 +657,15 @@ class TestFactoredNewton:
     """``solve_qp`` with a ``q_factor``: Newton steps by Woodbury through diag(delta) + V V'."""
 
     @staticmethod
+    def dense(problem: QuadraticProblem) -> QuadraticProblem:
+        """The same problem with Q = diag(delta) + V V' formed as a dense matrix."""
+        delta, v = problem.q_factor
+        q = np.diag(np.broadcast_to(np.asarray(delta, dtype=float), (v.shape[0],))) + v @ v.T
+        return dataclasses.replace(problem, q_matrix=q, q_factor=None)
+
+    @staticmethod
     def kernel_dual(seed: int, n: int = 60) -> QuadraticProblem:
-        """A kernel-SVM-dual-shaped QP carrying its exact factor.
+        """A kernel-SVM-dual-shaped QP given by its factor.
 
         Q = diag(1/(C n)) + V V' with V = diag(y) F / sqrt(n) for an n x 6
         feature map F, over the box [0, C]. sum(alpha y) = 0 and one c = 0
@@ -677,52 +684,58 @@ class TestFactoredNewton:
         cov = ((features @ features.T) @ centered / n).T * labels
         cov /= np.linalg.norm(cov, axis=1, keepdims=True)
         return QuadraticProblem(
-            q_matrix=np.diag(delta) + v @ v.T,
+            q_factor=(delta, v),
             q_vector=-np.ones(n) / n,
             box=(np.zeros(n), np.full(n, cost)),
             equality=(np.vstack([labels / np.sqrt(n), cov[0]]), np.zeros(2)),
             linear_constraints=(np.vstack([cov[1:], -cov[1:]]), np.full(4, 2e-4)),
-            q_factor=(delta, v),
         )
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_the_dense_solve(self, seed):
         problem = self.kernel_dual(seed)
         factored = solve_qp(problem, TIGHT)
-        dense = solve_qp(dataclasses.replace(problem, q_factor=None), TIGHT)
+        dense = solve_qp(self.dense(problem), TIGHT)
         assert factored.status == dense.status == "converged"
         assert factored.iterations == dense.iterations
         np.testing.assert_allclose(factored.point, dense.point, rtol=0, atol=1e-9)
         assert np.max(problem.linear_constraints[0] @ dense.point) > 2e-4 - 1e-9  # a c > 0 row binds
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_poor_factor_certifies_only_the_exact_problem(self, seed):
-        problem = self.kernel_dual(seed)
-        delta, v = problem.q_factor
-        settings = SolverSettings(max_iterations=200, kkt_tolerance=1e-7, feasibility_tolerance=1e-9)
-        result = solve_qp(dataclasses.replace(problem, q_factor=(delta, v[:, :1])), settings)
-        exact = kkt_residuals(dataclasses.replace(problem, q_factor=None), result.point, result.multipliers)
-        if result.status == "converged":
-            assert exact.within(settings)
-        else:
-            assert result.status == "max_iter"
-            assert not exact.within(settings)
-
     def test_rank_zero_factor_is_the_diagonal(self):
         problem = self.kernel_dual(2)
         delta = problem.q_factor[0]
-        diagonal = dataclasses.replace(problem, q_matrix=np.diag(delta), q_factor=(delta, np.zeros((delta.size, 0))))
+        diagonal = dataclasses.replace(problem, q_factor=(delta, np.zeros((delta.size, 0))))
         factored = solve_qp(diagonal, TIGHT)
-        dense = solve_qp(dataclasses.replace(diagonal, q_factor=None), TIGHT)
+        dense = solve_qp(dataclasses.replace(diagonal, q_matrix=np.diag(delta), q_factor=None), TIGHT)
         assert factored.status == dense.status == "converged"
         np.testing.assert_allclose(factored.point, dense.point, rtol=0, atol=1e-9)
 
-    def test_indefinite_q_rejected_despite_a_psd_factor(self):
+    def test_exactly_one_form_of_q(self):
         problem = self.kernel_dual(0)
-        q = problem.q_matrix.copy()
-        q[0, 0] = -1.0
-        with pytest.raises(ValueError, match="semidefinite"):
-            solve_qp(dataclasses.replace(problem, q_matrix=q))
+        with pytest.raises(ValueError, match="exactly one of q_matrix and q_factor"):
+            solve_qp(dataclasses.replace(self.dense(problem), q_factor=problem.q_factor))
+        with pytest.raises(ValueError, match="exactly one of q_matrix and q_factor"):
+            solve_qp(dataclasses.replace(problem, q_factor=None))
+        with pytest.raises(ValueError, match="exactly one of q_matrix and q_factor"):
+            kkt_residuals(dataclasses.replace(problem, q_factor=None), np.zeros(60), {"inequality": np.zeros(4)})
+
+    def test_objective_and_certificate_read_the_factor(self):
+        # the factored problem's objective and KKT residuals are those of Q formed densely
+        problem = self.kernel_dual(4)
+        result = solve_qp(problem, TIGHT)
+        dense = self.dense(problem)
+        x = result.point
+        value = 0.5 * x @ dense.q_matrix @ x + problem.q_vector @ x
+        np.testing.assert_allclose(result.objective_value, value, rtol=1e-12)
+        factored = kkt_residuals(problem, x, result.multipliers)
+        exact = kkt_residuals(dense, x, result.multipliers)
+        np.testing.assert_allclose(
+            [factored.stationarity_norm, factored.max_violation, factored.max_comp_slack],
+            [exact.stationarity_norm, exact.max_violation, exact.max_comp_slack],
+            rtol=1e-6,
+            atol=1e-14,
+        )
+        assert factored.within(TIGHT)
 
     @pytest.mark.parametrize(
         "factor",
@@ -745,21 +758,11 @@ class TestFactoredNewton:
         # Q = V V' exactly, every variable boxed: D is the box weights alone
         problem = self.kernel_dual(3)
         v = problem.q_factor[1]
-        exact = dataclasses.replace(problem, q_matrix=v @ v.T, q_factor=(0.0, v))
+        exact = dataclasses.replace(problem, q_factor=(0.0, v))
         factored = solve_qp(exact, TIGHT)
-        dense = solve_qp(dataclasses.replace(exact, q_factor=None), TIGHT)
+        dense = solve_qp(dataclasses.replace(exact, q_matrix=v @ v.T, q_factor=None), TIGHT)
         assert factored.status == dense.status == "converged"
         np.testing.assert_allclose(factored.point, dense.point, rtol=0, atol=1e-7)
-
-    def test_logs_rank_and_residual_trace_once(self, caplog):
-        problem = self.kernel_dual(1)
-        with caplog.at_level(logging.DEBUG, logger="fairclf.solvers"):
-            solve_qp(problem, TIGHT)
-        records = [r.getMessage() for r in caplog.records if r.getMessage().startswith("q_factor")]
-        assert len(records) == 1
-        rank, trace = records[0].removeprefix("q_factor rank=").split(" residual trace=")
-        assert int(rank) == 6
-        assert abs(float(trace)) < 1e-12
 
 
 class TestKktResiduals:
