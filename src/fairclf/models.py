@@ -45,10 +45,12 @@ from .solvers import (
     SmoothProblem,
     SolverResult,
     SolverSettings,
+    dot,
     matvec,
     minimize_smooth,
     rmatvec,
     solve_qp,
+    weighted_gram,
 )
 
 __all__ = [
@@ -223,6 +225,20 @@ def _gradient_at(theta, scores, features, labels, l2_penalty: float) -> np.ndarr
     return grad
 
 
+def _logistic_hessian_at(scores, features, l2_penalty: float, out: np.ndarray) -> np.ndarray:
+    """Logistic loss Hessian X' diag(s(1 - s)) X + 2 l2_penalty I from the scores X @ theta, s = expit(scores).
+
+    Written into the upper triangle of the Fortran-ordered ``out`` on
+    scipy's BLAS, which is returned. The weight is expit(m) expit(-m), which
+    keeps its digits where 1 - s would round to zero.
+    """
+    out.fill(0.0)
+    out = weighted_gram(features, expit(scores) * expit(-scores), out)
+    if l2_penalty:
+        out[np.diag_indices(out.shape[0])] += 2.0 * l2_penalty
+    return out
+
+
 def logistic_loss(theta: np.ndarray, features: np.ndarray, labels: np.ndarray, l2_penalty: float = 0.0) -> float:
     """Negative log-likelihood of ±1 labels, plus l2_penalty * ||theta||^2."""
     return _loss_at(theta, matvec(features, theta), labels, l2_penalty)
@@ -273,9 +289,16 @@ def gram_matrix(kernel: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a @ b.T
     if kernel.rbf_gamma is None:
         raise ValueError("rbf kernel needs a resolved rbf_gamma")
-    sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
+    return _rbf(kernel.rbf_gamma, a, b, np.sum(a * a, axis=1), np.sum(b * b, axis=1))
+
+
+def _rbf(gamma: float, a: np.ndarray, b: np.ndarray, a_sq: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
+    """exp(-gamma ||a_i - b_j||^2) from the squared row norms, in one array updated in place."""
+    sq = a_sq[:, None] + b_sq[None, :]
+    sq -= 2.0 * (a @ b.T)
     np.maximum(sq, 0.0, out=sq)
-    return np.exp(-kernel.rbf_gamma * sq)
+    sq *= -gamma
+    return np.exp(sq, out=sq)
 
 
 # entries of the kernel block that one step of :func:`_kernel_product` forms:
@@ -312,10 +335,11 @@ def _gram_factor(kernel: KernelSpec, features: np.ndarray) -> np.ndarray:
     (Fine & Scheinberg 2001.) The residual diagonal, the diagonal of K - L L',
     starts from the kernel's diagonal: 1 for the RBF kernel, ||x||^2 for the
     linear one. Each step pivots on the row with the largest residual
-    diagonal and computes the new column from that row of K, one call of
-    :func:`gram_matrix`, and the earlier columns with
-    :func:`~fairclf.solvers.matvec`. It stops once the residual trace is at
-    most ``_GRAM_FACTOR_TOLERANCE`` of the Gram's trace, and logs the rank
+    diagonal and computes the new column from that row of K (for the RBF
+    kernel from the squared row norms, computed once for the whole factor;
+    the values are those of :func:`gram_matrix`), and the earlier columns
+    with :func:`~fairclf.solvers.matvec`. It stops once the residual trace
+    is at most ``_GRAM_FACTOR_TOLERANCE`` of the Gram's trace, and logs the rank
     and the residual trace at DEBUG level. The work is O(n r (r + d)), and
     columns are allocated ``_GRAM_FACTOR_BLOCK`` at a time, so the Gram is
     never formed and no n x n array is made.
@@ -324,6 +348,7 @@ def _gram_factor(kernel: KernelSpec, features: np.ndarray) -> np.ndarray:
     if kernel.kind == "linear":
         residual = np.einsum("ij,ij->i", features, features)
     else:
+        sq = np.sum(features * features, axis=1)
         residual = np.ones(n)
     stop = _GRAM_FACTOR_TOLERANCE * residual.sum()
     blocks: list[np.ndarray] = []
@@ -332,7 +357,10 @@ def _gram_factor(kernel: KernelSpec, features: np.ndarray) -> np.ndarray:
         pivot = int(np.argmax(residual))
         if rank % _GRAM_FACTOR_BLOCK == 0:
             blocks.append(np.zeros((n, min(_GRAM_FACTOR_BLOCK, n - rank)), order="F"))
-        column = gram_matrix(kernel, features[pivot : pivot + 1], features)[0]
+        if kernel.kind == "linear":
+            column = gram_matrix(kernel, features[pivot : pivot + 1], features)[0]
+        else:
+            column = _rbf(kernel.rbf_gamma, features[pivot : pivot + 1], features, sq[pivot : pivot + 1], sq)[0]
         for block in blocks:  # the columns not yet filled are zeros
             column -= matvec(block, block[pivot])
         column /= math.sqrt(residual[pivot])
@@ -446,20 +474,31 @@ def _epigraph_rows(w: np.ndarray, n_extra: int = 0) -> tuple[np.ndarray, np.ndar
 # logistic regression fits
 
 
-def _mean_loss_problem(features, value_at, gradient_at, constraints=None, equality=None) -> SmoothProblem:
+def _mean_loss_problem(features, value_at, gradient_at, hessian_at, constraints=None, equality=None) -> SmoothProblem:
     """A loss of (theta, scores X @ theta) as a ``SmoothProblem`` divided by n, started at theta = 0.
 
-    ``value_at`` and ``gradient_at`` share one product X @ theta per point.
-    The mean scale makes the stationarity tolerance independent of the row
-    count; reported objectives are totals.
+    ``value_at``, ``gradient_at`` and ``hessian_at`` share one product
+    X @ theta per point. ``hessian_at(scores, out)`` returns the
+    loss Hessian, with at least its upper triangle written into ``out``, a
+    (d, d) Fortran-ordered buffer that every call reuses. The mean scale
+    makes the stationarity tolerance independent of the row count; reported
+    objectives are totals.
     """
     n, d = features.shape
     inv_n = 1.0 / n
     scores = _at_last_point(lambda theta: matvec(features, theta))
+    buffer = np.zeros((d, d), order="F")
+
+    def hessian(theta: np.ndarray) -> np.ndarray:
+        h = hessian_at(scores(theta), buffer)
+        h *= inv_n
+        return h
+
     return SmoothProblem(
         dimension=d,
         objective=lambda theta: value_at(theta, scores(theta)) * inv_n,
         gradient=lambda theta: gradient_at(theta, scores(theta)) * inv_n,
+        hessian=hessian,
         equality=equality,
         linear_constraints=constraints,
         initial_point=np.zeros(d),
@@ -471,6 +510,7 @@ def _fit_logreg_core(features, labels, l2_penalty, settings, constraints=None, e
         features,
         lambda theta, scores: _loss_at(theta, scores, labels, l2_penalty),
         lambda theta, scores: _gradient_at(theta, scores, features, labels, l2_penalty),
+        lambda scores, out: _logistic_hessian_at(scores, features, l2_penalty, out),
         constraints,
         equality,
     )
@@ -536,8 +576,10 @@ def fit_logreg_fair(train: Dataset, spec: FitSpec, settings: SolverSettings | No
     A c_k > 0 column gives the inequality rows w_k . theta <= c_k and
     -w_k . theta <= c_k; a c_k = 0 column gives the equality w_k . theta = 0,
     which the solver eliminates exactly, so such a covariance is zero to
-    rounding. With every c_k = 0 the fit is one quasi-Newton run on the null
-    space of W.
+    rounding. With every c_k = 0 the fit is one damped Newton run on the
+    null space of W, with the loss Hessian X' diag(s(1 - s)) X / n +
+    2 l2_penalty / n I projected onto it; otherwise each augmented-Lagrangian
+    subproblem adds rho A_S' A_S for the active covariance rows S.
     """
     if spec.mode != "fairness_constrained":
         raise ValueError("fit_logreg_fair requires mode 'fairness_constrained'")
@@ -567,6 +609,8 @@ def _covariance_objective_problem(
 ) -> SmoothProblem:
     """Epigraph problem: minimize sum_k t_k over (theta, t) with |cov_k| <= t_k.
 
+    The objective is linear, so its Hessian is zero.
+
     ``rows`` are the linear rows (A, b), starting with :func:`_epigraph_rows`
     of W. Warm-started at the supplied theta (the unconstrained optimum,
     which is feasible for the loss budgets) with the epigraph variables
@@ -575,11 +619,13 @@ def _covariance_objective_problem(
     d = theta_start.size
     n_k = w.shape[0]
     grad_obj = np.concatenate([np.zeros(d), np.ones(n_k)])
+    zero = np.zeros((d + n_k, d + n_k))
     start = np.concatenate([theta_start, np.abs(w @ theta_start) + 1e-6])
     return SmoothProblem(
         dimension=d + n_k,
-        objective=lambda v: float(grad_obj @ v),
+        objective=lambda v: dot(grad_obj, v),
         gradient=lambda v: grad_obj,
+        hessian=lambda v: zero,
         linear_constraints=rows,
         convex_constraints=blocks,
         initial_point=start,
@@ -642,18 +688,30 @@ def fit_logreg_fairness_max(train: Dataset, spec: FitSpec, settings: SolverSetti
         return closed_form(np.asarray(base.theta), loss_star, base.training_meta["status"], residuals)
 
     d = features.shape[1]
-    scores = _at_last_point(lambda v: matvec(features, v[:d]))
+    # keyed on theta alone: a line-search trial that moves only the epigraph
+    # variables reuses both
+    scores = _at_last_point(lambda theta: matvec(features, theta))
+    loss = _at_last_point(lambda theta: _loss_at(theta, scores(theta), labels, ridge))
 
     def loss_block(v: np.ndarray) -> np.ndarray:
         # normalized so the feasibility tolerance bounds the relative
         # exceedance of the loss budget
-        return np.array([_loss_at(v[:d], scores(v), labels, ridge) / budget - 1.0])
+        return np.array([loss(v[:d]) / budget - 1.0])
 
     def loss_jac(v: np.ndarray) -> np.ndarray:
-        g = _gradient_at(v[:d], scores(v), features, labels, ridge) / budget
+        g = _gradient_at(v[:d], scores(v[:d]), features, labels, ridge) / budget
         return np.concatenate([g, np.zeros(v.size - d)])[None, :]
 
-    block = ConstraintBlock(value=loss_block, jacobian=loss_jac, size=1)
+    curvature = np.zeros((d, d), order="F")
+
+    def loss_hessian(v: np.ndarray, t: np.ndarray) -> np.ndarray:
+        # t times the Hessian of L / budget, which is zero in the epigraph variables
+        out = np.zeros((v.size, v.size))
+        out[:d, :d] = _logistic_hessian_at(scores(v[:d]), features, ridge, curvature)
+        out[:d, :d] *= t[0] / budget
+        return out
+
+    block = ConstraintBlock(value=loss_block, jacobian=loss_jac, size=1, hessian=loss_hessian)
     w = covariance_vectors(train)
     problem = _covariance_objective_problem(w, _epigraph_rows(w), [block], theta_start=np.asarray(base.theta))
     result = minimize_smooth(problem, settings)
@@ -788,6 +846,18 @@ def _squared_hinge_gradient_at(theta, scores, features, labels, svm_cost) -> np.
     return 2.0 * theta - 2.0 * svm_cost * rmatvec(features, labels * gap)
 
 
+def _squared_hinge_hessian_at(scores, features, labels, svm_cost, out: np.ndarray) -> np.ndarray:
+    """Generalized Hessian 2 I + 2 C X_A' X_A of the squared hinge, A the rows with y m < 1 (Keerthi & DeCoste 2005).
+
+    Written into the upper triangle of the Fortran-ordered ``out`` on
+    scipy's BLAS, which is returned.
+    """
+    out.fill(0.0)
+    out = weighted_gram(features, 2.0 * svm_cost, out, np.flatnonzero(labels * scores < 1.0))
+    out[np.diag_indices(out.shape[0])] += 2.0
+    return out
+
+
 def _svm_thresholds(train: Dataset, spec: FitSpec, op: str) -> np.ndarray:
     """Covariance thresholds of an SVM fit: the spec's c, or inf when unconstrained."""
     if spec.mode not in ("unconstrained", "fairness_constrained"):
@@ -858,6 +928,7 @@ def fit_linear_svm_fair(train: Dataset, spec: FitSpec, settings: SolverSettings 
             features,
             lambda t, scores: _squared_hinge_at(t, scores, labels, spec.svm_cost),
             lambda t, scores: _squared_hinge_gradient_at(t, scores, features, labels, spec.svm_cost),
+            lambda scores, out: _squared_hinge_hessian_at(scores, features, labels, spec.svm_cost, out),
             rows,
             (e, np.zeros(e.shape[0])),
         )

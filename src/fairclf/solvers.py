@@ -3,15 +3,19 @@
 Two entry points, each with its own method:
 
 * :func:`minimize_smooth` - smooth convex objective under linear equalities
-  E x = f, linear inequality constraints A x <= b and differentiable convex
-  inequality blocks g(x) <= 0, but not equalities and convex blocks
+  E x = f, linear inequality constraints A x <= b and twice-differentiable
+  convex inequality blocks g(x) <= 0, but not equalities and convex blocks
   together. The equalities are eliminated exactly: with x_p a point of
   E x = f and N an orthonormal basis of the null space of E, both from one
   SVD of E, the solve runs over phi in x = x_p + N phi. An
   augmented-Lagrangian loop then handles the inequalities, updating
-  multipliers and the penalty weight and handing each subproblem to a
-  limited-memory quasi-Newton solve (L-BFGS-B). Without inequalities that is
-  a single L-BFGS-B run.
+  multipliers and the penalty weight, and minimizes each subproblem by
+  damped semismooth Newton steps on the augmented-Lagrangian function,
+  whose generalized Hessian takes only the active rows (Li, Sun & Toh,
+  SIAM J. Optim. 28, 2018; Nocedal & Wright, Numerical Optimization,
+  ch. 17). The problem therefore supplies the Hessian of its objective and
+  of each convex block. Without inequalities the solve is one damped Newton
+  run.
 * :func:`solve_qp` - convex quadratic objective under a variable box, linear
   equalities E x = f and linear inequalities A x <= b. A primal-dual
   interior-point method (Mehrotra's predictor-corrector) solves one Newton
@@ -36,25 +40,25 @@ augmented-Lagrangian outer iteration and each interior-point iteration is
 logged at DEBUG level on this module's logger.
 
 numpy and scipy each link their own BLAS, each with its own thread pool, and
-L-BFGS-B and the Cholesky factorisations run on scipy's. Products with an
-n-row operand inside :func:`minimize_smooth`'s loop and throughout
-:func:`solve_qp` therefore go through :func:`matvec`, :func:`rmatvec` and
-:func:`dot`, which call scipy's BLAS, and the positive-semidefiniteness check
-factors a dense Q on scipy's LAPACK, so that a fit wakes one pool instead of
-two that fight over the cores.
+the Cholesky factorisations run on scipy's LAPACK. Products with an n-row
+operand inside both solvers' loops therefore go through :func:`matvec`,
+:func:`rmatvec`, :func:`dot` and :func:`weighted_gram`, which call scipy's
+BLAS, and the positive-semidefiniteness check factors a dense Q on scipy's
+LAPACK, so that a fit wakes one pool instead of two that fight over the
+cores.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Literal, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.blas import ddot, dgemm, dgemv, dsyrk
-from scipy.linalg.lapack import dpotrf
-from scipy.optimize import minimize as _scipy_minimize
+from scipy.linalg.blas import ddot, dgemm, dgemv, dsymm, dsyrk
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 __all__ = [
     "ConstraintBlock",
@@ -69,6 +73,7 @@ __all__ = [
     "minimize_smooth",
     "rmatvec",
     "solve_qp",
+    "weighted_gram",
 ]
 
 _log = logging.getLogger(__name__)
@@ -76,6 +81,17 @@ _log = logging.getLogger(__name__)
 _RHO_INIT = 10.0
 _RHO_GROWTH = 10.0
 _RHO_MAX = 1e12
+
+# Newton steps on the augmented Lagrangian: the Newton matrix gets
+# _REGULARIZATION * min(||gradient||, 1) on its diagonal, so that a step
+# exists where the active rows do not span; a step is halved until the
+# function falls by _ARMIJO of the first-order prediction, at most
+# _MAX_HALVINGS times; a change within _ROUNDING of the function's size is
+# taken as no change
+_REGULARIZATION = 1e-3
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 60
+_ROUNDING = 64 * np.finfo(float).eps
 
 _STEP_TO_BOUNDARY = 0.995
 _SYMMETRY_TILE = 128  # side of the tiles of Q compared with their mirror tiles
@@ -85,8 +101,9 @@ _SYMMETRY_TILE = 128  # side of the tiles of Q compared with their mirror tiles
 class SolverSettings:
     """Stopping controls; ``max_iterations`` caps total inner iterations.
 
-    An inner iteration is one L-BFGS-B iteration in :func:`minimize_smooth`
-    and one interior-point iteration (one factorisation) in :func:`solve_qp`.
+    An inner iteration is one Newton step (one factorisation, with the line
+    search that follows it) in :func:`minimize_smooth` and one
+    interior-point iteration (one factorisation) in :func:`solve_qp`.
     ``feasibility_tolerance`` bounds the worst constraint violation at a
     converged point separately from the stationarity/comp-slack tolerance; it
     defaults to ``kkt_tolerance`` and can be set much tighter for problems
@@ -139,15 +156,21 @@ class ConstraintBlock:
     """Vectorized convex inequality block g(x) <= 0 with m rows.
 
     The one form of a nonlinear constraint. ``value`` maps x to a length-m
-    vector, ``jacobian`` to the (m, n) Jacobian as an array. The solver only
-    ever forms ``jacobian(x).T @ lam``, with :func:`rmatvec`. Scalar
-    constraints are the m=1 case; grouping related constraints into one block
-    keeps the per-iteration cost at a few matrix products.
+    vector, ``jacobian`` to the (m, n) Jacobian as an array, and
+    ``hessian`` maps (x, t), t a non-negative length-m vector, to the
+    (n, n) matrix sum_i t_i Hessian(g_i)(x), of which only the upper
+    triangle is read. The solver forms ``jacobian(x).T @ t`` with
+    :func:`rmatvec` and J_S' J_S over the rows S with t_i > 0 with
+    :func:`weighted_gram`. Scalar constraints are the m=1 case; grouping
+    related constraints into one block keeps the per-iteration cost at a few
+    matrix products. :func:`minimize_smooth` needs ``hessian``;
+    :func:`kkt_residuals` does not read it.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
     size: int
+    hessian: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -161,11 +184,19 @@ class SmoothProblem:
     ``convex_constraints`` are :class:`ConstraintBlock` instances; a problem
     with equality rows may not have any. The objective is only evaluated on
     points that satisfy E x = f to rounding.
+
+    ``hessian`` maps x to the objective's (dimension, dimension) Hessian, or
+    a generalized Hessian where the gradient has kinks, of which only the
+    upper triangle is read. :func:`minimize_smooth` needs it;
+    :func:`kkt_residuals` does not read it. Value, gradient and Hessian are
+    asked for at the same point in turn, so an objective can share one
+    product between them.
     """
 
     dimension: int
     objective: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
+    hessian: Callable[[np.ndarray], np.ndarray] | None = None
     equality: tuple[np.ndarray, np.ndarray | float] | None = None
     linear_constraints: tuple[np.ndarray, np.ndarray] | None = None
     convex_constraints: Sequence[ConstraintBlock] = ()
@@ -248,6 +279,43 @@ def dot(u: np.ndarray, v: np.ndarray) -> float:
     return float(ddot(u, v)) if u.size else 0.0
 
 
+# entries of the scaled rows that one dsyrk call reads: on 2 CPUs the
+# 30,153 x 104 census Gram took 12-13 ms in blocks of 2**15 or 2**16
+# entries, against 16-18 ms in blocks of 2**17 and more or all at once
+_GRAM_BLOCK_ENTRIES = 2**16
+
+
+def weighted_gram(a: np.ndarray, weights, out: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """Add a[rows]' diag(weights) a[rows] to the upper triangle of ``out``, on scipy's BLAS.
+
+    ``weights`` is a non-negative scalar or one entry per selected row;
+    ``rows`` (all rows when None) are row indices. The rows are scaled by
+    the square roots of their weights into one buffer of at most
+    ``_GRAM_BLOCK_ENTRIES`` entries at a time, and each block goes to
+    dsyrk, so no copy of ``a`` is made. ``out`` must be a square float64
+    array; it is updated in place when Fortran-ordered. Returns the updated
+    matrix, whose strictly lower triangle is left as it was.
+    """
+    count = a.shape[0] if rows is None else rows.size
+    if count == 0:
+        return out
+    root = np.sqrt(weights)
+    step = max(1, _GRAM_BLOCK_ENTRIES // max(a.shape[1], 1))
+    buffer = np.empty((min(step, count), a.shape[1]))
+    for start in range(0, count, step):
+        stop = min(start + step, count)
+        block = buffer[: stop - start]
+        scale = root if np.ndim(root) == 0 else root[start:stop, None]
+        if rows is None:
+            np.multiply(a[start:stop], scale, out=block)
+        else:
+            np.take(a, rows[start:stop], axis=0, out=block)
+            block *= scale
+        # the transposed view of the C-ordered block is Fortran-ordered
+        out = dsyrk(1.0, block.T, beta=1.0, c=out, overwrite_c=1)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # problem compilation
 
@@ -263,38 +331,52 @@ def _linear_arrays(rows: tuple | None, n: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _linear_blocks(a: np.ndarray, b: np.ndarray) -> list[ConstraintBlock]:
-    if not b.size:
-        return []
-    return [ConstraintBlock(value=lambda x: matvec(a, x) - b, jacobian=lambda x: a, size=b.size)]
-
-
 @dataclass
 class _Compiled:
-    """A problem as the KKT residuals read it."""
+    """A problem as the KKT residuals and the solvers read it."""
 
     n: int
     objective: Callable
     gradient: Callable
-    blocks: list  # inequality ConstraintBlocks
+    hessian: Callable | None  # smooth problems only
+    rows: tuple[np.ndarray, np.ndarray]  # (A, b) of A x <= b, possibly with no rows
+    blocks: list  # convex ConstraintBlocks
     equality: tuple[np.ndarray, np.ndarray] | None  # (E, f); a QP's may have no rows, a smooth problem's has some
     lo: np.ndarray | None  # variable box, quadratic problems only
     hi: np.ndarray | None
     x0: np.ndarray | None  # smooth problems only
 
+    @property
+    def inequalities(self) -> list[ConstraintBlock]:
+        """Every inequality block in multiplier order: the rows of A, if any, then the convex blocks."""
+        a, b = self.rows
+        if not b.size:
+            return self.blocks
+        return [ConstraintBlock(value=lambda x: matvec(a, x) - b, jacobian=lambda x: a, size=b.size), *self.blocks]
+
 
 def _compile_smooth(problem: SmoothProblem) -> _Compiled:
     n = problem.dimension
-    blocks = _linear_blocks(*_linear_arrays(problem.linear_constraints, n))
     for block in problem.convex_constraints:
         if not isinstance(block, ConstraintBlock):
             raise TypeError("convex constraints must be ConstraintBlock instances")
-        blocks.append(block)
     x0 = np.zeros(n) if problem.initial_point is None else np.asarray(problem.initial_point, dtype=float).copy()
     if x0.shape != (n,):
         raise ValueError("initial_point dimension mismatch")
+    rows = _linear_arrays(problem.linear_constraints, n)
     e, f = _linear_arrays(problem.equality, n)
-    return _Compiled(n, problem.objective, problem.gradient, blocks, (e, f) if f.size else None, None, None, x0)
+    return _Compiled(
+        n,
+        problem.objective,
+        problem.gradient,
+        problem.hessian,
+        rows,
+        list(problem.convex_constraints),
+        (e, f) if f.size else None,
+        None,
+        None,
+        x0,
+    )
 
 
 def _validate_psd(q: np.ndarray) -> None:
@@ -388,15 +470,15 @@ def _compile_qp(problem: QuadraticProblem) -> _CompiledQP:
         return q_times(x) + c
 
     equality = _linear_arrays(problem.equality, n)
-    comp = _Compiled(n, objective, gradient, _linear_blocks(a, b), equality, lo, hi, None)
+    comp = _Compiled(n, objective, gradient, None, (a, b), [], equality, lo, hi, None)
     return _CompiledQP(comp, q, factor, c, a, b)
 
 
 def _inequality_gradient(comp: _Compiled, x: np.ndarray, lam: list) -> np.ndarray:
-    """The gradient of the objective plus J'lam summed over the inequality blocks."""
+    """The gradient of the objective plus J'lam summed over the inequality blocks (a zero lam adds nothing)."""
     grad = comp.gradient(x).astype(float)
-    for block, lam_b in zip(comp.blocks, lam):
-        if lam_b.size:
+    for block, lam_b in zip(comp.inequalities, lam):
+        if lam_b.any():
             grad = grad + rmatvec(block.jacobian(x), lam_b)
     return grad
 
@@ -405,7 +487,7 @@ def _residuals(comp: _Compiled, x: np.ndarray, lam: list, mu: np.ndarray | None)
     grad = _inequality_gradient(comp, x, lam)
     max_violation = 0.0
     max_comp = 0.0
-    for block, lam_b in zip(comp.blocks, lam):
+    for block, lam_b in zip(comp.inequalities, lam):
         g = block.value(x)
         if lam_b.size:
             max_comp = max(max_comp, float(np.max(np.abs(lam_b * g))))
@@ -424,10 +506,123 @@ def _residuals(comp: _Compiled, x: np.ndarray, lam: list, mu: np.ndarray | None)
 
 # ---------------------------------------------------------------------------
 # augmented-Lagrangian core (smooth problems)
+#
+# For multipliers lam >= 0 and a penalty weight rho, the augmented Lagrangian
+# of minimizing f(x) subject to g(x) <= 0 is
+#
+#     L(x) = f(x) + (||t(x)||^2 - ||lam||^2) / (2 rho),   t(x) = max(0, lam + rho g(x)),
+#
+# with gradient grad f + J't. The gradient has kinks where a row enters or
+# leaves the active set S = {i : t_i > 0}, and its generalized Hessian is
+#
+#     grad^2 f + rho J_S' J_S + sum_{i in S} t_i grad^2 g_i
+#
+# (Li, Sun & Toh, SIAM J. Optim. 28, 2018). Each subproblem is minimized by
+# Newton steps with that matrix plus _REGULARIZATION * min(||grad L||, 1) on
+# its diagonal, so that a step exists where the active rows do not span (an
+# epigraph LP has no curvature of its own), each followed by Armijo
+# backtracking on L. Only differences of L are formed, and the penalty's is
+# (t_new - t)'(t_new + t) / (2 rho), which does not cancel at large rho.
+# Near the optimum the decrease of L falls below the rounding of its value,
+# so a change within _ROUNDING of the function's size passes; a step that
+# passed only so and did not shrink the gradient ends the subproblem. The
+# rows' A x is formed once per point, and a line-search trial reads it as
+# A x + alpha A dx. Every product is on scipy's BLAS and LAPACK.
+
+
+def _regularized_solve(h: np.ndarray, rhs: np.ndarray, shift: float) -> np.ndarray:
+    """Solve (h + shift I) dx = rhs from the upper triangle of the Fortran-ordered ``h``.
+
+    The shift is raised until the matrix factors, as :func:`_cholesky`
+    raises its own; ``h`` keeps the last shift on its diagonal.
+    """
+    diagonal = np.diag_indices(h.shape[0])
+    scale = max(float(np.max(np.abs(h[diagonal]))), 1.0)
+    h[diagonal] += shift
+    for _ in range(8):
+        factor, info = dpotrf(h, lower=0, clean=0)
+        if info == 0:
+            return dpotrs(factor, rhs, lower=0)[0]
+        raised = max(100.0 * shift, 1e-12 * scale)
+        h[diagonal] += raised - shift
+        shift = raised
+    raise np.linalg.LinAlgError("augmented-Lagrangian Newton matrix is not positive semidefinite")
+
+
+def _newton_al(
+    comp: _Compiled, x: np.ndarray, lam_rows: np.ndarray, lam: list, rho: float, gtol: float, budget: int
+) -> tuple[np.ndarray, int, int]:
+    """Minimize L at fixed (lam, rho) from x, as the comment above describes: (x, Newton steps, halvings).
+
+    Stops once the largest entry of the gradient of L is at most ``gtol``,
+    after ``budget`` steps, or once no step lowers L beyond its rounding.
+    """
+    a, b = comp.rows
+    blocks = comp.blocks
+
+    def multipliers_at(x_new: np.ndarray, r_new: np.ndarray) -> tuple[np.ndarray, list]:
+        """t of the rows and of each block at a point where A x - b = r_new."""
+        t_blocks = [np.maximum(0.0, l + rho * block.value(x_new)) for block, l in zip(blocks, lam)]
+        return np.maximum(0.0, lam_rows + rho * r_new), t_blocks
+
+    r = matvec(a, x) - b
+    f = comp.objective(x)
+    t_rows, t = multipliers_at(x, r)
+    steps = halvings = 0
+    previous = np.inf
+    rounding_only = False
+    while True:
+        jacobians = [block.jacobian(x) if t_b.any() else None for block, t_b in zip(blocks, t)]
+        grad = np.array(comp.gradient(x), dtype=float)
+        if t_rows.any():
+            grad += rmatvec(a, t_rows)
+        for jac, t_b in zip(jacobians, t):
+            if jac is not None:
+                grad += rmatvec(jac, t_b)
+        size = float(np.max(np.abs(grad), initial=0.0))
+        # written so that a NaN gradient stops too
+        if not size > gtol or steps >= budget or (rounding_only and size >= previous):
+            return x, steps, halvings
+        previous = size
+
+        h = np.array(comp.hessian(x), dtype=float, order="F")
+        h = weighted_gram(a, rho, h, np.flatnonzero(t_rows))
+        for block, jac, t_b in zip(blocks, jacobians, t):
+            if jac is not None:
+                h += block.hessian(x, t_b)
+                h = weighted_gram(np.asarray(jac, dtype=float), rho, h, np.flatnonzero(t_b))
+        dx = _regularized_solve(h, -grad, _REGULARIZATION * min(math.sqrt(dot(grad, grad)), 1.0))
+        slope = dot(grad, dx)
+        if not slope < 0.0:  # rounding has taken over the step
+            return x, steps, halvings
+
+        a_dx = matvec(a, dx)
+        squares = dot(t_rows, t_rows) + sum(dot(t_b, t_b) for t_b in t)
+        tolerance = _ROUNDING * (abs(f) + squares / (2.0 * rho))
+        alpha = 1.0
+        for _ in range(_MAX_HALVINGS + 1):
+            x_new = x + alpha * dx
+            r_new = r + alpha * a_dx
+            f_new = comp.objective(x_new)
+            t_rows_new, t_new = multipliers_at(x_new, r_new)
+            penalty = dot(t_rows_new - t_rows, t_rows_new + t_rows)
+            penalty += sum(dot(u - v, u + v) for u, v in zip(t_new, t))
+            change = f_new - f + penalty / (2.0 * rho)
+            if change <= _ARMIJO * alpha * slope + tolerance:
+                break
+            alpha *= 0.5
+            halvings += 1
+        else:
+            return x, steps, halvings
+        steps += 1
+        rounding_only = change > _ARMIJO * alpha * slope
+        x, r, f, t_rows, t = x_new, r_new, f_new, t_rows_new, t_new
 
 
 def _solve_al(comp: _Compiled, settings: SolverSettings) -> SolverResult:
+    a, b = comp.rows
     x = comp.x0.copy()
+    lam_rows = np.zeros(b.size)
     lam = [np.zeros(block.size) for block in comp.blocks]
     rho = _RHO_INIT
     used = 0
@@ -435,63 +630,52 @@ def _solve_al(comp: _Compiled, settings: SolverSettings) -> SolverResult:
     gtol = min(1e-2 * scale0, 1.0)
     gtol_floor = max(settings.kkt_tolerance * 5e-2, 1e-12)
     prev_violation = np.inf
-    constrained = bool(comp.blocks)
+    constrained = bool(b.size or comp.blocks)
     if not constrained:
         gtol = gtol_floor
     stalled = 0
 
-    def al_value_grad(x: np.ndarray):
-        value = comp.objective(x)
-        grad = comp.gradient(x).astype(float)
-        for block, lam_b in zip(comp.blocks, lam):
-            g = block.value(x)
-            t = np.maximum(0.0, lam_b + rho * g)
-            value += (dot(t, t) - dot(lam_b, lam_b)) / (2.0 * rho)
-            if t.any():
-                grad = grad + rmatvec(block.jacobian(x), t)
-        return value, grad
+    def multipliers() -> list:
+        """One vector per inequality block, in the order of ``comp.inequalities``."""
+        return ([lam_rows] if b.size else []) + lam
+
+    def finish(status: str | None, kkt: KKTResiduals | None = None) -> SolverResult:
+        """The result at x, with its residuals when not given; a None status is read from them."""
+        if kkt is None:
+            kkt = _residuals(comp, x, multipliers(), None)
+        if status is None:
+            status = "converged" if kkt.within(settings) else "max_iter"
+        return SolverResult(x, comp.objective(x), status, kkt, used, _named_multipliers(multipliers()))
 
     for outer in range(200):
         budget = settings.max_iterations - used
         if budget <= 0:
             break
-        x_before = x.copy()
-        res = _scipy_minimize(
-            al_value_grad,
-            x,
-            jac=True,
-            method="L-BFGS-B",
-            options={
-                "maxiter": budget,
-                "maxfun": 20 * budget,
-                # relative-progress cutoff at the floating-point floor: the
-                # gradient test is the real stop
-                "ftol": 1e-16,
-                "gtol": max(gtol, gtol_floor),
-                "maxcor": 20,
-            },
-        )
-        x = res.x
-        used += max(int(res.nit), 1)
+        x_before = x
+        x, steps, halvings = _newton_al(comp, x, lam_rows, lam, rho, max(gtol, gtol_floor), budget)
+        used += max(steps, 1)
         if not constrained:
-            kkt = _residuals(comp, x, lam, None)
-            status = "converged" if kkt.within(settings) else "max_iter"
-            return SolverResult(x, comp.objective(x), status, kkt, used, _named_multipliers(lam))
+            _log.debug("newton steps=%d halvings=%d", steps, halvings)
+            return finish(None)
 
         violation = 0.0
+        if b.size:
+            r = matvec(a, x) - b
+            lam_rows = np.maximum(0.0, lam_rows + rho * r)
+            violation = max(violation, float(np.max(r)))
         for i, block in enumerate(comp.blocks):
             g = block.value(x)
             lam[i] = np.maximum(0.0, lam[i] + rho * g)
             if g.size:
-                violation = max(violation, float(np.max(np.maximum(g, 0.0))))
+                violation = max(violation, float(np.max(g)))
 
-        kkt = _residuals(comp, x, lam, None)
+        kkt = _residuals(comp, x, multipliers(), None)
         _log.debug(
-            "al outer=%d rho=%.1e viol=%.2e stat=%.2e comp=%.2e",
-            outer, rho, kkt.max_violation, kkt.stationarity_norm, kkt.max_comp_slack,
+            "al outer=%d rho=%.1e newton=%d halvings=%d viol=%.2e stat=%.2e comp=%.2e",
+            outer, rho, steps, halvings, kkt.max_violation, kkt.stationarity_norm, kkt.max_comp_slack,
         )
         if kkt.within(settings):
-            return SolverResult(x, comp.objective(x), "converged", kkt, used, _named_multipliers(lam))
+            return finish("converged", kkt)
         # multiplier updates alone contract the violation once rho is large
         # enough; grow rho only when that contraction stalls, since extreme
         # penalties make the multiplier estimates noise-dominated
@@ -503,9 +687,9 @@ def _solve_al(comp: _Compiled, settings: SolverSettings) -> SolverResult:
         # exhausted and the violation is macroscopic, not merely above the
         # (possibly very tight) feasibility tolerance
         if rho >= _RHO_MAX and kkt.max_violation > max(1e3 * settings.feas_tol, 1e-6):
-            return SolverResult(x, comp.objective(x), "infeasible", kkt, used, _named_multipliers(lam))
-        # quasi-Newton at its floating-point floor and multipliers stable:
-        # further outer iterations cannot improve the iterate
+            return finish("infeasible", kkt)
+        # Newton at the floating-point floor and multipliers stable: further
+        # outer iterations cannot improve the iterate
         if gtol <= gtol_floor and np.array_equal(x, x_before) and violation <= settings.feas_tol:
             stalled += 1
             if stalled >= 3:
@@ -513,9 +697,7 @@ def _solve_al(comp: _Compiled, settings: SolverSettings) -> SolverResult:
         else:
             stalled = 0
 
-    kkt = _residuals(comp, x, lam, None)
-    status = "converged" if kkt.within(settings) else "max_iter"
-    return SolverResult(x, comp.objective(x), status, kkt, used, _named_multipliers(lam))
+    return finish(None)
 
 
 def _named_multipliers(lam: list, mu: np.ndarray | None = None) -> dict:
@@ -533,7 +715,8 @@ def _named_multipliers(lam: list, mu: np.ndarray | None = None) -> dict:
 # least-norm solution and N = V[:, r:] is an orthonormal basis of null(E)
 # (Nocedal & Wright, Numerical Optimization, sec. 15.3). The augmented
 # Lagrangian runs on phi, with the objective f(x_p + N phi), its gradient
-# N' grad f and the linear rows (A N, b - A x_p). At the returned x the
+# N' grad f, its Hessian N' H N and the linear rows (A N, b - A x_p),
+# every product in the loop on scipy's BLAS. At the returned x the
 # equality multiplier is the least-squares one,
 # mu = -(E E')^+ E (grad f + J'lam) = -U_r S_r^-1 V_r' (...).
 # The full Lagrangian gradient is then N N' (grad f + J'lam), whose norm is
@@ -541,7 +724,7 @@ def _named_multipliers(lam: list, mu: np.ndarray | None = None) -> dict:
 # full problem certify the result.
 
 
-def _solve_eliminated(problem: SmoothProblem, comp: _Compiled, settings: SolverSettings) -> SolverResult:
+def _solve_eliminated(comp: _Compiled, settings: SolverSettings) -> SolverResult:
     e, f = comp.equality
     u, s, vt = np.linalg.svd(e)
     rank = int(np.count_nonzero(s > s[0] * max(e.shape) * np.finfo(float).eps))
@@ -550,20 +733,26 @@ def _solve_eliminated(problem: SmoothProblem, comp: _Compiled, settings: SolverS
     _log.debug("equality rows=%d rank=%d: solving over a %d-dimensional null space", f.size, rank, basis.shape[1])
     if float(np.max(np.abs(e @ x_p - f))) > settings.feas_tol:
         # x_p is the least-squares point: no point meets E x = f
-        lam = [np.zeros(block.size) for block in comp.blocks]
+        lam = [np.zeros(block.size) for block in comp.inequalities]
         mu = np.zeros(f.size)
         kkt = _residuals(comp, x_p, lam, mu)
         return SolverResult(x_p, comp.objective(x_p), "infeasible", kkt, 0, _named_multipliers(lam, mu))
 
     def lift(phi: np.ndarray) -> np.ndarray:
-        return x_p + basis @ phi
+        return x_p + matvec(basis, phi)
 
-    a, b = _linear_arrays(problem.linear_constraints, comp.n)
+    def reduced_hessian(phi: np.ndarray) -> np.ndarray:
+        # N' H N, with H read from its upper triangle
+        return dgemm(1.0, basis, dsymm(1.0, comp.hessian(lift(phi)), basis), trans_a=1)
+
+    a, b = comp.rows
     reduced = _Compiled(
         basis.shape[1],
         lambda phi: comp.objective(lift(phi)),
-        lambda phi: basis.T @ comp.gradient(lift(phi)),
-        _linear_blocks(a @ basis, b - a @ x_p),
+        lambda phi: rmatvec(basis, comp.gradient(lift(phi))),
+        reduced_hessian,
+        (a @ basis, b - a @ x_p),
+        [],
         None,
         None,
         None,
@@ -820,15 +1009,19 @@ def minimize_smooth(problem: SmoothProblem, settings: SolverSettings | None = No
     meets E x = f to the feasibility tolerance, or that the inequalities
     stayed violated at the largest penalty weight. A problem without equality
     rows goes to the augmented-Lagrangian loop as it is; a problem with
-    equality rows and convex constraint blocks raises ValueError.
+    equality rows and convex constraint blocks raises ValueError. The
+    problem must supply the Hessian of its objective and of each convex
+    block; one without them raises ValueError.
     """
     settings = settings or SolverSettings()
     comp = _compile_smooth(problem)
+    if comp.hessian is None or any(block.hessian is None for block in comp.blocks):
+        raise ValueError("minimize_smooth needs the Hessian of the objective and of every convex block")
     if comp.equality is None:
         return _solve_al(comp, settings)
-    if problem.convex_constraints:
+    if comp.blocks:
         raise ValueError("minimize_smooth does not take equality rows together with convex constraint blocks")
-    return _solve_eliminated(problem, comp, settings)
+    return _solve_eliminated(comp, settings)
 
 
 def solve_qp(problem: QuadraticProblem, settings: SolverSettings | None = None) -> SolverResult:
@@ -867,12 +1060,13 @@ def kkt_residuals(problem, point, multipliers) -> KKTResiduals:
     flat = np.concatenate(parts) if parts else np.zeros(0)
     if np.any(flat < 0):
         raise ValueError("inequality multipliers must be non-negative")
-    total = sum(block.size for block in comp.blocks)
+    blocks = comp.inequalities
+    total = sum(block.size for block in blocks)
     if flat.size != total:
         raise ValueError(f"expected {total} inequality multipliers, got {flat.size}")
     lam = []
     pos = 0
-    for block in comp.blocks:
+    for block in blocks:
         lam.append(flat[pos : pos + block.size])
         pos += block.size
     mu = None

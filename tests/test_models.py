@@ -134,6 +134,34 @@ class TestGradients:
             numeric_w = finite_difference_gradient(lambda t: float(w @ t), theta)
             np.testing.assert_allclose(w, numeric_w, rtol=1e-6, atol=1e-10)
 
+    def test_posed_hessians_match_finite_differences(self, monkeypatch):
+        # the Newton steps trust the Hessians the fits pose: the upper
+        # triangle of each must be the derivative of the gradient posed with it
+        ds, _ = random_instance(23, n=40)
+        problems = count_smooth_solves(monkeypatch)
+        fit_logreg(ds, FitSpec(mode="unconstrained", l2_penalty=0.01))
+        fit_linear_svm_fair(ds, FitSpec(mode="unconstrained", svm_cost=2.0))
+        fit_logreg_fairness_max(ds, FitSpec(mode="accuracy_constrained", gamma=0.1))
+        assert any(problem.convex_constraints for problem in problems)
+        rng = np.random.default_rng(5)
+
+        def derivative(fn, x, step=1e-6):
+            columns = []
+            for j in range(x.size):
+                e = np.zeros_like(x)
+                e[j] = step
+                columns.append((np.asarray(fn(x + e)) - np.asarray(fn(x - e))) / (2.0 * step))
+            return np.stack(columns, axis=-1)
+
+        for problem in problems:
+            x = rng.normal(size=problem.dimension)
+            hessian = np.array(problem.hessian(x))
+            np.testing.assert_allclose(np.triu(hessian), np.triu(derivative(problem.gradient, x)), rtol=1e-5, atol=1e-7)
+            for block in problem.convex_constraints:
+                t = rng.random(block.size)
+                numeric = np.tensordot(t, derivative(block.jacobian, x), axes=1)
+                np.testing.assert_allclose(np.triu(block.hessian(x, t)), np.triu(numeric), rtol=1e-5, atol=1e-7)
+
     def test_per_point_losses_sum_to_total(self):
         ds, _ = random_instance(3, n=15)
         theta = np.array([0.4, -0.2])
@@ -494,6 +522,22 @@ class TestPointLossBlock:
         assert model.training_meta["status"] == "converged"
         assert peak < 2.0 * ds.features.nbytes
 
+    @pytest.mark.parametrize("n", [4000, 5000])
+    def test_wide_fit_certifies_at_gamma_one(self, n):
+        # the summed covariance cannot reach zero within these budgets, so
+        # many budget rows bind at the optimum: the fit certifies only when
+        # each subproblem is solved past the rounding of its value
+        ds = wide_dataset(n, 60, seed=12)
+        base = fit_logreg(ds, FitSpec(mode="unconstrained"))
+        spec = FitSpec(
+            mode="fine_grained",
+            per_point_gammas=np.full(ds.n, 1.0),
+            protected_index_set=protected_rows(base, ds, group=1),
+        )
+        meta = fit_logreg_fine_grained(ds, spec).training_meta
+        assert meta["status"] == "converged"
+        assert meta["iterations"] < 500
+
 
 class TestLinearSvm:
     def test_two_point_max_margin(self):
@@ -798,6 +842,13 @@ class TestGramFactor:
         factor = models._gram_factor(kernel, features)
         assert factor.shape == (150, 3)
         np.testing.assert_allclose(factor @ factor.T, gram_matrix(kernel, features, features), rtol=0, atol=1e-10)
+
+    def test_columns_come_from_the_kernel_rows(self):
+        # the first pivot of an RBF Gram is row 0, whose kernel row is the
+        # first column as it is: the same values as gram_matrix gives
+        features = c10_rows(300).features
+        factor = models._gram_factor(C10_KERNEL, features)
+        assert np.array_equal(factor[:, 0], gram_matrix(C10_KERNEL, features[:1], features)[0])
 
     def test_zero_gram_has_rank_zero(self):
         assert models._gram_factor(KernelSpec(kind="linear"), np.zeros((5, 2))).shape == (5, 0)

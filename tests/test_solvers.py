@@ -31,11 +31,23 @@ TIGHT = SolverSettings(kkt_tolerance=1e-7, feasibility_tolerance=1e-9)
 
 
 def quadratic_bowl(center):
+    """Value, gradient and Hessian of ||x - center||^2."""
     center = np.asarray(center, dtype=float)
     return (
         lambda x: float((x - center) @ (x - center)),
         lambda x: 2.0 * (x - center),
+        lambda x: 2.0 * np.eye(center.size),
     )
+
+
+def logistic_hessian(features, l2, scale=1.0):
+    """Hessian of ``scale`` times logistic_objective(theta, features, labels, l2), whatever the labels."""
+
+    def hessian(theta):
+        p = 1.0 / (1.0 + np.exp(-(features @ theta)))
+        return scale * ((features.T * (p * (1.0 - p))) @ features + 2.0 * l2 * np.eye(features.shape[1]))
+
+    return hessian
 
 
 class TestSolverSettings:
@@ -57,9 +69,9 @@ class TestSolverSettings:
 
 class TestMinimizeSmooth:
     def test_unconstrained_identity(self):
-        f, g = quadratic_bowl([0.0, 0.0])
+        f, g, h = quadratic_bowl([0.0, 0.0])
         result = minimize_smooth(
-            SmoothProblem(dimension=2, objective=f, gradient=g, initial_point=np.array([3.0, -4.0])),
+            SmoothProblem(dimension=2, objective=f, gradient=g, hessian=h, initial_point=np.array([3.0, -4.0])),
             TIGHT,
         )
         assert result.status == "converged"
@@ -67,11 +79,12 @@ class TestMinimizeSmooth:
         assert result.objective_value == pytest.approx(0.0, abs=1e-12)
 
     def test_projection_onto_halfspace(self):
-        f, g = quadratic_bowl([2.0, 0.0])
+        f, g, h = quadratic_bowl([2.0, 0.0])
         problem = SmoothProblem(
             dimension=2,
             objective=f,
             gradient=g,
+            hessian=h,
             linear_constraints=(np.array([[1.0, 0.0]]), np.array([1.0])),
         )
         result = minimize_smooth(problem, TIGHT)
@@ -98,6 +111,7 @@ class TestMinimizeSmooth:
             dimension=2,
             objective=objective,
             gradient=gradient,
+            hessian=logistic_hessian(ds.features, l2, 1.0 / ds.n),
             linear_constraints=(np.array([w, -w]) / norm, np.full(2, c / norm)),
         )
         result = minimize_smooth(problem, SolverSettings(kkt_tolerance=1e-8, feasibility_tolerance=1e-10))
@@ -107,22 +121,24 @@ class TestMinimizeSmooth:
         assert solver_total == pytest.approx(oracle, abs=1e-4)
 
     def test_infeasible_detected(self):
-        f, g = quadratic_bowl([0.0])
+        f, g, h = quadratic_bowl([0.0])
         problem = SmoothProblem(
             dimension=1,
             objective=f,
             gradient=g,
+            hessian=h,
             linear_constraints=(np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0])),
         )
         result = minimize_smooth(problem, SolverSettings(kkt_tolerance=1e-6))
         assert result.status == "infeasible"
 
     def test_max_iteration_budget(self):
-        f, g = quadratic_bowl([2.0, 0.0])
+        f, g, h = quadratic_bowl([2.0, 0.0])
         problem = SmoothProblem(
             dimension=2,
             objective=f,
             gradient=g,
+            hessian=h,
             linear_constraints=(np.array([[1.0, 0.0]]), np.array([1.0])),
         )
         result = minimize_smooth(problem, SolverSettings(max_iterations=2, kkt_tolerance=1e-10))
@@ -130,17 +146,23 @@ class TestMinimizeSmooth:
         assert result.iterations <= 4
 
     def test_logs_outer_iterations(self, caplog):
-        f, g = quadratic_bowl([2.0, 0.0])
+        f, g, h = quadratic_bowl([2.0, 0.0])
         problem = SmoothProblem(
             dimension=2,
             objective=f,
             gradient=g,
+            hessian=h,
             linear_constraints=(np.array([[1.0, 0.0]]), np.array([1.0])),
         )
         with caplog.at_level(logging.DEBUG, logger="fairclf.solvers"):
-            minimize_smooth(problem, TIGHT)
+            result = minimize_smooth(problem, TIGHT)
         assert caplog.records
         assert all("rho=" in r.getMessage() and "viol=" in r.getMessage() for r in caplog.records)
+        # each record counts its subproblem's Newton steps and line-search
+        # halvings, and the steps add up to the inner iterations
+        steps = [int(r.getMessage().split("newton=")[1].split()[0]) for r in caplog.records]
+        assert all("halvings=" in r.getMessage() for r in caplog.records)
+        assert sum(max(s, 1) for s in steps) == result.iterations
 
     def test_deterministic_bitwise(self):
         ds, w = random_instance(5, n=30)
@@ -157,6 +179,7 @@ class TestMinimizeSmooth:
             dimension=2,
             objective=objective,
             gradient=gradient,
+            hessian=logistic_hessian(ds.features, 1e-3),
             linear_constraints=(w, 0.05),
         )
         first = minimize_smooth(problem, TIGHT)
@@ -183,6 +206,7 @@ class TestMinimizeSmooth:
             dimension=2,
             objective=objective,
             gradient=gradient,
+            hessian=logistic_hessian(ds.features, l2),
             linear_constraints=(np.array([w, -w]), np.array([c, c])),
         )
         result = minimize_smooth(problem, TIGHT)
@@ -195,15 +219,24 @@ class TestMinimizeSmooth:
                 found += 1
                 assert objective(candidate) >= result.objective_value - 1e-9
 
+    def test_requires_hessians(self):
+        f, g, h = quadratic_bowl([2.0, 0.0])
+        with pytest.raises(ValueError, match="Hessian"):
+            minimize_smooth(SmoothProblem(dimension=2, objective=f, gradient=g))
+        block = ConstraintBlock(value=lambda x: x[:1] - 1.0, jacobian=lambda x: np.array([[1.0, 0.0]]), size=1)
+        with pytest.raises(ValueError, match="Hessian"):
+            minimize_smooth(SmoothProblem(dimension=2, objective=f, gradient=g, hessian=h, convex_constraints=[block]))
+
     def test_vector_block_constraints(self):
         # same halfspace expressed through a ConstraintBlock
-        f, g = quadratic_bowl([2.0, 0.0])
+        f, g, h = quadratic_bowl([2.0, 0.0])
         block = ConstraintBlock(
             value=lambda x: np.array([x[0] - 1.0]),
             jacobian=lambda x: np.array([[1.0, 0.0]]),
             size=1,
+            hessian=lambda x, t: np.zeros((2, 2)),
         )
-        problem = SmoothProblem(dimension=2, objective=f, gradient=g, convex_constraints=[block])
+        problem = SmoothProblem(dimension=2, objective=f, gradient=g, hessian=h, convex_constraints=[block])
         result = minimize_smooth(problem, TIGHT)
         np.testing.assert_allclose(result.point, [1.0, 0.0], atol=1e-6)
 
@@ -222,12 +255,14 @@ class TestArrayJacobian:
             value=lambda x: np.sum((x - centers) ** 2, axis=1) - radii**2,
             jacobian=lambda x: 2.0 * (x - centers),
             size=6,
+            hessian=lambda x, t: 2.0 * t.sum() * np.eye(3),
         )
-        f, g = quadratic_bowl([4.0, -3.0, 2.0])
+        f, g, h = quadratic_bowl([4.0, -3.0, 2.0])
         return SmoothProblem(
             dimension=3,
             objective=f,
             gradient=g,
+            hessian=h,
             linear_constraints=(np.array([[1.0, 1.0, 1.0]]), np.array([0.5])),
             convex_constraints=[block],
         )
@@ -299,13 +334,13 @@ class TestEqualityRows:
         m = rng.normal(size=(n, n))
         q = m @ m.T + n * np.eye(n)
         c = rng.normal(size=n)
-        return q, c, (lambda x: float(0.5 * x @ q @ x + c @ x)), (lambda x: q @ x + c)
+        return q, c, (lambda x: float(0.5 * x @ q @ x + c @ x)), (lambda x: q @ x + c), (lambda x: q)
 
     def test_quadratic_matches_reference(self):
-        q, c, f, g = self.quadratic(4, seed=31)
+        q, c, f, g, h = self.quadratic(4, seed=31)
         e = np.random.default_rng(32).normal(size=(2, 4))
         rhs = np.array([0.7, -1.2])
-        problem = SmoothProblem(dimension=4, objective=f, gradient=g, equality=(e, rhs))
+        problem = SmoothProblem(dimension=4, objective=f, gradient=g, hessian=h, equality=(e, rhs))
         result = minimize_smooth(problem, TIGHT)
         assert result.status == "converged"
         with np.errstate(all="ignore"):  # the reference also tries the infinite bounds
@@ -318,11 +353,12 @@ class TestEqualityRows:
         assert np.max(np.abs(e @ result.point - rhs)) <= 1e-14
 
     def test_kkt_residuals_round_trip(self):
-        _, _, f, g = self.quadratic(3, seed=33)
+        _, _, f, g, h = self.quadratic(3, seed=33)
         problem = SmoothProblem(
             dimension=3,
             objective=f,
             gradient=g,
+            hessian=h,
             equality=(np.array([1.0, 1.0, 1.0]), 1.0),
             linear_constraints=(np.array([[1.0, 0.0, 0.0]]), np.array([-0.5])),
         )
@@ -338,13 +374,13 @@ class TestEqualityRows:
             kkt_residuals(problem, result.point, {**result.multipliers, "equality": np.zeros(2)})
 
     def test_duplicate_rows_reduce_by_rank(self, caplog):
-        q, c, f, g = self.quadratic(4, seed=34)
+        q, c, f, g, h = self.quadratic(4, seed=34)
         e = np.array([[1.0, 2.0, 0.0, -1.0], [0.0, 1.0, 1.0, 0.0]])
         rhs = np.array([0.5, -0.25])
         repeated = (np.vstack([e, e[0], 3.0 * e[1]]), np.concatenate([rhs, [rhs[0], 3.0 * rhs[1]]]))
-        plain = minimize_smooth(SmoothProblem(dimension=4, objective=f, gradient=g, equality=(e, rhs)), TIGHT)
+        plain = minimize_smooth(SmoothProblem(dimension=4, objective=f, gradient=g, hessian=h, equality=(e, rhs)), TIGHT)
         with caplog.at_level(logging.DEBUG, logger="fairclf.solvers"):
-            result = minimize_smooth(SmoothProblem(dimension=4, objective=f, gradient=g, equality=repeated), TIGHT)
+            result = minimize_smooth(SmoothProblem(dimension=4, objective=f, gradient=g, hessian=h, equality=repeated), TIGHT)
         assert "equality rows=4 rank=2" in caplog.text
         assert result.status == "converged"
         np.testing.assert_allclose(result.point, plain.point, atol=1e-9)
@@ -357,24 +393,24 @@ class TestEqualityRows:
         np.testing.assert_allclose([mu[2], mu[3]], [mu[0], 3.0 * mu[1]], rtol=1e-9)
 
     def test_fully_determined(self):
-        _, _, f, g = self.quadratic(2, seed=35)
-        problem = SmoothProblem(dimension=2, objective=f, gradient=g, equality=(np.eye(2), np.array([1.0, -2.0])))
+        _, _, f, g, h = self.quadratic(2, seed=35)
+        problem = SmoothProblem(dimension=2, objective=f, gradient=g, hessian=h, equality=(np.eye(2), np.array([1.0, -2.0])))
         result = minimize_smooth(problem, TIGHT)
         assert result.status == "converged"
         np.testing.assert_allclose(result.point, [1.0, -2.0], atol=1e-15)
 
     def test_inconsistent_rows_are_infeasible(self):
-        _, _, f, g = self.quadratic(3, seed=36)
+        _, _, f, g, h = self.quadratic(3, seed=36)
         e = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
-        problem = SmoothProblem(dimension=3, objective=f, gradient=g, equality=(e, np.array([1.0, 1.0])))
+        problem = SmoothProblem(dimension=3, objective=f, gradient=g, hessian=h, equality=(e, np.array([1.0, 1.0])))
         result = minimize_smooth(problem, TIGHT)
         assert result.status == "infeasible"
         assert result.kkt.max_violation > 0.1
 
     def test_no_rows_is_no_equality(self):
-        f, g = quadratic_bowl([2.0, 1.0, -1.0])
+        f, g, h = quadratic_bowl([2.0, 1.0, -1.0])
         rows = (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]), np.array([1.0, 0.5]))
-        base = dict(dimension=3, objective=f, gradient=g, linear_constraints=rows)
+        base = dict(dimension=3, objective=f, gradient=g, hessian=h, linear_constraints=rows)
         none = minimize_smooth(SmoothProblem(**base), TIGHT)
         empty = minimize_smooth(SmoothProblem(**base, equality=(np.zeros((0, 3)), np.zeros(0))), TIGHT)
         assert np.array_equal(none.point, empty.point)
@@ -470,16 +506,16 @@ class TestSolveQp:
             solve_qp(
                 QuadraticProblem(q_matrix=np.eye(2), q_vector=np.zeros(2), equality=(np.ones((2, 2)), np.zeros(3)))
             )
-        f, g = quadratic_bowl([0.0, 0.0])
+        f, g, h = quadratic_bowl([0.0, 0.0])
         with pytest.raises(ValueError, match="shapes"):
             minimize_smooth(
-                SmoothProblem(dimension=2, objective=f, gradient=g, linear_constraints=(np.ones((1, 3)), np.ones(1)))
+                SmoothProblem(dimension=2, objective=f, gradient=g, hessian=h, linear_constraints=(np.ones((1, 3)), np.ones(1)))
             )
 
     def test_rejects_constraint_that_is_not_a_block(self):
-        f, g = quadratic_bowl([0.0, 0.0])
+        f, g, h = quadratic_bowl([0.0, 0.0])
         problem = SmoothProblem(
-            dimension=2, objective=f, gradient=g, convex_constraints=[(lambda x: x[0], lambda x: np.array([1.0, 0.0]))]
+            dimension=2, objective=f, gradient=g, hessian=h, convex_constraints=[(lambda x: x[0], lambda x: np.array([1.0, 0.0]))]
         )
         with pytest.raises(TypeError, match="ConstraintBlock"):
             minimize_smooth(problem)
@@ -767,19 +803,20 @@ class TestFactoredNewton:
 
 class TestKktResiduals:
     def test_unconstrained_optimum(self):
-        f, g = quadratic_bowl([1.0, -1.0])
-        problem = SmoothProblem(dimension=2, objective=f, gradient=g)
+        f, g, h = quadratic_bowl([1.0, -1.0])
+        problem = SmoothProblem(dimension=2, objective=f, gradient=g, hessian=h)
         res = kkt_residuals(problem, np.array([1.0, -1.0]), {"inequality": []})
         assert res.stationarity_norm == pytest.approx(0.0, abs=1e-12)
         assert res.max_violation == 0.0
         assert res.max_comp_slack == 0.0
 
     def test_projection_kkt_point(self):
-        f, g = quadratic_bowl([2.0, 0.0])
+        f, g, h = quadratic_bowl([2.0, 0.0])
         problem = SmoothProblem(
             dimension=2,
             objective=f,
             gradient=g,
+            hessian=h,
             linear_constraints=(np.array([[1.0, 0.0]]), np.array([1.0])),
         )
         res = kkt_residuals(problem, np.array([1.0, 0.0]), {"inequality": [2.0]})
@@ -788,20 +825,21 @@ class TestKktResiduals:
         assert res.max_comp_slack == pytest.approx(0.0, abs=1e-12)
 
     def test_non_optimal_point_has_residual(self):
-        f, g = quadratic_bowl([2.0, 0.0])
+        f, g, h = quadratic_bowl([2.0, 0.0])
         problem = SmoothProblem(
             dimension=2,
             objective=f,
             gradient=g,
+            hessian=h,
             linear_constraints=(np.array([[1.0, 0.0]]), np.array([1.0])),
         )
         res = kkt_residuals(problem, np.array([0.2, 0.5]), {"inequality": [0.3]})
         assert res.stationarity_norm > 0.1
 
     def test_negative_multiplier_rejected(self):
-        f, g = quadratic_bowl([0.0, 0.0])
+        f, g, h = quadratic_bowl([0.0, 0.0])
         problem = SmoothProblem(
-            dimension=2, objective=f, gradient=g, linear_constraints=(np.array([[1.0, 0.0]]), np.array([1.0]))
+            dimension=2, objective=f, gradient=g, hessian=h, linear_constraints=(np.array([[1.0, 0.0]]), np.array([1.0]))
         )
         with pytest.raises(ValueError, match="non-negative"):
             kkt_residuals(problem, np.zeros(2), {"inequality": [-0.5]})

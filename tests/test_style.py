@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +52,13 @@ def test_private_helpers_are_used():
                 used.add(node.name)
     unused = [name for name in defined if name.split(":")[1] not in used]
     assert not unused, f"defined but never referenced: {unused}"
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # the solvers run on scipy's BLAS and LAPACK alone; importing
+    # scipy.optimize would add its import time to every command-line start
+    src = str(SOURCES[0].parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, fairclf.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"
