@@ -35,7 +35,7 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--kernel-n", type=int, default=2000, help="sample count for the RBF sweep")
-    parser.add_argument("--skip-kernel", action="store_true", help="skip the slow RBF sweep")
+    parser.add_argument("--skip-kernel", action="store_true", help="skip the RBF kernel-SVM sweep")
     args = parser.parse_args()
     out = Path(args.out)
     split = SplitPlan(train_fraction=0.7, repeats=args.repeats, seed=args.seed)

@@ -35,7 +35,6 @@ from typing import Literal, Sequence
 
 import numpy as np
 from scipy.linalg import null_space
-from scipy.special import expit
 
 from .data import Dataset
 from .solvers import (
@@ -203,6 +202,15 @@ class KernelModel:
 # loss pieces
 
 
+def _expit(t: np.ndarray) -> np.ndarray:
+    """The logistic function 1 / (1 + e^-t) without overflow.
+
+    With e = e^-|t|, it is 1 / (1 + e) for t >= 0 and e / (1 + e) below.
+    """
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
+
+
 def _log1pexp(t: np.ndarray) -> np.ndarray:
     """log(1 + e^t) without overflow: max(t, 0) + log1p(e^-|t|), in one pass with no masks."""
     return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
@@ -218,7 +226,7 @@ def _loss_at(theta, scores, labels, l2_penalty: float) -> float:
 
 def _gradient_at(theta, scores, features, labels, l2_penalty: float) -> np.ndarray:
     """Logistic loss gradient from the scores X @ theta."""
-    s = expit(-labels * scores)
+    s = _expit(-labels * scores)
     grad = -rmatvec(features, labels * s)
     if l2_penalty:
         grad = grad + 2.0 * l2_penalty * theta
@@ -233,7 +241,7 @@ def _logistic_hessian_at(scores, features, l2_penalty: float, out: np.ndarray) -
     keeps its digits where 1 - s would round to zero.
     """
     out.fill(0.0)
-    out = weighted_gram(features, expit(scores) * expit(-scores), out)
+    out = weighted_gram(features, _expit(scores) * _expit(-scores), out)
     if l2_penalty:
         out[np.diag_indices(out.shape[0])] += 2.0 * l2_penalty
     return out

@@ -17,16 +17,15 @@ Two entry points, each with its own method:
   of each convex block. Without inequalities the solve is one damped Newton
   run.
 * :func:`solve_qp` - convex quadratic objective under a variable box, linear
-  equalities E x = f and linear inequalities A x <= b. A primal-dual
-  interior-point method (Mehrotra's predictor-corrector) solves one Newton
-  system per iteration. Q is given either as a dense matrix, and the Newton
-  system is then factored by a dense Cholesky, or only by its factor
-  Q = diag(delta) + V V' (a kernel dual's low-rank Gram, or the exact-hinge
-  SVM dual, whose Q is V V'). The Newton matrix is then diagonal plus low
-  rank and is solved by Sherman-Morrison-Woodbury through one small Cholesky
-  (Fine & Scheinberg 2001; Ferris & Munson 2002), and every product with Q,
-  in the objective, the residuals and the certificate, is
-  delta * x + V (V' x), in O(n r). No n x n matrix is formed.
+  equalities E x = f and linear inequalities A x <= b, with Q given only by
+  its factor Q = diag(delta) + V V' (a kernel dual's low-rank Gram, or the
+  exact-hinge SVM dual, whose Q is V V'). A primal-dual interior-point
+  method (Mehrotra's predictor-corrector) solves one Newton system per
+  iteration. The Newton matrix is diagonal plus low rank and is solved by
+  Sherman-Morrison-Woodbury through one small Cholesky (Fine & Scheinberg
+  2001; Ferris & Munson 2002), and every product with Q, in the objective,
+  the residuals and the certificate, is delta * x + V (V' x), in O(n r). No
+  n x n matrix is formed.
 
 Linear constraints are handed over as matrices, one row per constraint. The
 caller decides which bounds are equalities and puts their rows in E; the
@@ -37,15 +36,15 @@ Both check their iterates with the same residual routine: stationarity,
 worst primal violation and worst complementary-slackness product. A run only
 claims convergence when all three are inside tolerance. Each
 augmented-Lagrangian outer iteration and each interior-point iteration is
-logged at DEBUG level on this module's logger.
+logged at DEBUG level on this module's logger. Both factor their Newton
+matrices by one Cholesky routine, which raises a diagonal shift until the
+matrix factors.
 
 numpy and scipy each link their own BLAS, each with its own thread pool, and
 the Cholesky factorisations run on scipy's LAPACK. Products with an n-row
 operand inside both solvers' loops therefore go through :func:`matvec`,
 :func:`rmatvec`, :func:`dot` and :func:`weighted_gram`, which call scipy's
-BLAS, and the positive-semidefiniteness check factors a dense Q on scipy's
-LAPACK, so that a fit wakes one pool instead of two that fight over the
-cores.
+BLAS, so that a fit wakes one pool instead of two that fight over the cores.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Literal, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import ddot, dgemm, dgemv, dsymm, dsyrk
 from scipy.linalg.lapack import dpotrf, dpotrs
 
@@ -94,7 +92,6 @@ _MAX_HALVINGS = 60
 _ROUNDING = 64 * np.finfo(float).eps
 
 _STEP_TO_BOUNDARY = 0.995
-_SYMMETRY_TILE = 128  # side of the tiles of Q compared with their mirror tiles
 
 
 @dataclass(frozen=True)
@@ -207,20 +204,17 @@ class SmoothProblem:
 class QuadraticProblem:
     """Convex QP: minimize 0.5 x'Qx + q.x over a box with optional equalities.
 
-    Q is given as exactly one of two things; giving both, or neither, raises
-    ValueError.
-
-    * ``q_matrix``, a dense (dimension, dimension) matrix. It must be
-      symmetric positive semidefinite, validated up to numerical noise, and
-      each Newton system is factored by a dense Cholesky.
-    * ``q_factor``, a (delta, V) pair that *is* Q = diag(delta) + V V', with
-      delta non-negative and finite (a vector, or a scalar for every
-      variable) and V a finite array of shape (dimension, r). Q is then PSD
-      by construction and is never formed: the objective, the residuals and
-      the convergence certificate read it through delta * x + V (V' x), and
-      each Newton system is solved through the diagonal-plus-rank-r form by
-      Woodbury. delta may be zero only on a variable with a finite bound; a
-      zero delta anywhere else raises ValueError.
+    Q is given only by ``q_factor``, a (delta, V) pair that *is*
+    Q = diag(delta) + V V', with delta non-negative and finite (a vector, or
+    a scalar for every variable) and V a finite array of shape
+    (dimension, r); r may be 0. Q is PSD by construction and is never
+    formed: the objective, the residuals and the convergence certificate
+    read it through delta * x + V (V' x), and each Newton system is solved
+    through the diagonal-plus-rank-r form by Woodbury. delta may be zero
+    only on a variable with a finite bound; a zero delta anywhere else
+    raises ValueError. A dense PSD Q is posed by the factor of its
+    eigendecomposition, with delta > 0 on every variable that can end
+    strictly inside its box (see :func:`_q_factor`).
 
     ``box`` is a (lower, upper) pair of per-variable bounds, either of which
     may be None for unbounded; ``equality`` is an (E, f) pair meaning
@@ -230,15 +224,14 @@ class QuadraticProblem:
     """
 
     q_vector: np.ndarray
-    q_matrix: np.ndarray | None = None
-    q_factor: tuple[np.ndarray | float, np.ndarray] | None = None
+    q_factor: tuple[np.ndarray | float, np.ndarray]
     box: tuple[np.ndarray | None, np.ndarray | None] = (None, None)
     equality: tuple[np.ndarray, np.ndarray | float] | None = None
     linear_constraints: tuple[np.ndarray, np.ndarray] | None = None
 
 
 # ---------------------------------------------------------------------------
-# products on scipy's BLAS
+# products on scipy's BLAS, and the shifted Cholesky on its LAPACK
 
 
 def _blas_layout(a: np.ndarray) -> tuple[np.ndarray, int] | None:
@@ -316,6 +309,36 @@ def weighted_gram(a: np.ndarray, weights, out: np.ndarray, rows: np.ndarray | No
     return out
 
 
+def _cholesky(matrix: np.ndarray, lower: bool, shift: float = 0.0) -> Callable[[np.ndarray], np.ndarray]:
+    """Solve (matrix + s I) x = rhs from a Cholesky factor of the triangle of ``matrix`` that ``lower`` names.
+
+    The shift s starts at ``shift`` and, while the matrix does not factor,
+    rises to max(100 s, 1e-12 scale), with scale the largest diagonal entry
+    and at least 1, for at most 8 tries; then np.linalg.LinAlgError is
+    raised. ``matrix`` keeps the last shift on its diagonal. The factor and
+    its solves are scipy's LAPACK. Returns the solve, rhs -> x, which raises
+    np.linalg.LinAlgError on a right-hand side that is not finite.
+    """
+    diagonal = np.diag_indices(matrix.shape[0])
+    base = matrix[diagonal].copy()
+    scale = max(float(np.max(np.abs(base), initial=0.0)), 1.0)
+    for _ in range(8):
+        matrix[diagonal] = base + shift
+        factor, info = dpotrf(matrix, lower=lower, clean=0)
+        if info == 0:
+            break
+        shift = max(100.0 * shift, 1e-12 * scale)
+    else:
+        raise np.linalg.LinAlgError("Newton matrix is not positive semidefinite")
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        if not np.isfinite(rhs).all():
+            raise np.linalg.LinAlgError("Newton system with a right-hand side that is not finite")
+        return dpotrs(factor, rhs, lower=lower)[0] if rhs.size else rhs  # LAPACK takes no empty system
+
+    return solve
+
+
 # ---------------------------------------------------------------------------
 # problem compilation
 
@@ -379,34 +402,13 @@ def _compile_smooth(problem: SmoothProblem) -> _Compiled:
     )
 
 
-def _validate_psd(q: np.ndarray) -> None:
-    """Reject a Q that is not symmetric or not PSD up to a relative jitter of 1e-10.
-
-    Symmetry is compared one square tile against its mirror tile at a time,
-    so no temporary is larger than a tile and the transposed reads stay in
-    cache; positive semidefiniteness by a Cholesky of Q + jitter I on
-    scipy's LAPACK, in place on one copy.
-    """
-    scale = max(float(q.max(initial=0.0)), -float(q.min(initial=0.0)), 1.0)
-    jitter = 1e-10 * scale
-    tiles = range(0, q.shape[0], _SYMMETRY_TILE)
-    for i in tiles:
-        for j in tiles:
-            mirror = q[j : j + _SYMMETRY_TILE, i : i + _SYMMETRY_TILE].T
-            if not np.allclose(q[i : i + _SYMMETRY_TILE, j : j + _SYMMETRY_TILE], mirror, atol=jitter):
-                raise ValueError("Q must be symmetric")
-    shifted = q.copy()
-    shifted[np.diag_indices(q.shape[0])] += jitter
-    # the transposed view is Fortran-ordered, so dpotrf factors it in place
-    if q.size and dpotrf(shifted.T, lower=1, clean=0, overwrite_a=1)[1] != 0:
-        raise ValueError("Q must be positive semidefinite")
-
-
 def _q_factor(problem: QuadraticProblem, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The problem's (delta, V) as arrays of shapes (n,) and (n, r).
 
     delta may be zero on a variable with a finite bound: the Newton matrix's
-    diagonal there is the bound's weight z/s, which stays positive.
+    diagonal there is the bound's weight z/s, positive at every iterate. That
+    weight tends to zero on a variable that ends strictly inside its box,
+    and with delta = 0 there the Woodbury solve can overflow.
     """
     n = lo.size
     delta = np.broadcast_to(np.asarray(problem.q_factor[0], dtype=float), (n,))
@@ -425,43 +427,28 @@ def _q_factor(problem: QuadraticProblem, lo: np.ndarray, hi: np.ndarray) -> tupl
 class _CompiledQP:
     """A QP as arrays: box lo <= x <= hi and rows a x <= b, with E x = f in ``comp.equality``.
 
-    Q is the dense ``q`` when ``factor`` is None and diag(delta) + V V' for
-    ``factor = (delta, V)`` otherwise; ``comp.gradient`` is x -> Q x + c
-    either way.
+    Q is diag(delta) + V V' for ``factor = (delta, V)``, and
+    ``comp.gradient`` is x -> Q x + c.
     """
 
     comp: _Compiled
-    q: np.ndarray | None
-    factor: tuple[np.ndarray, np.ndarray] | None
+    factor: tuple[np.ndarray, np.ndarray]
     c: np.ndarray
     a: np.ndarray
     b: np.ndarray
 
 
 def _compile_qp(problem: QuadraticProblem) -> _CompiledQP:
-    if (problem.q_matrix is None) == (problem.q_factor is None):
-        raise ValueError("a QuadraticProblem takes exactly one of q_matrix and q_factor")
     c = np.asarray(problem.q_vector, dtype=float)
     n = c.size
     lo, hi = problem.box
     lo = np.full(n, -np.inf) if lo is None else np.broadcast_to(np.asarray(lo, dtype=float), (n,))
     hi = np.full(n, np.inf) if hi is None else np.broadcast_to(np.asarray(hi, dtype=float), (n,))
     a, b = _linear_arrays(problem.linear_constraints, n)
-    q, factor = None, None
-    if problem.q_matrix is not None:
-        q = np.asarray(problem.q_matrix, dtype=float)
-        if q.shape != (n, n):
-            raise ValueError("Q and q dimensions disagree")
-        _validate_psd(q)
+    delta, v = factor = _q_factor(problem, lo, hi)
 
-        def q_times(x: np.ndarray) -> np.ndarray:
-            return matvec(q, x)
-
-    else:
-        delta, v = factor = _q_factor(problem, lo, hi)
-
-        def q_times(x: np.ndarray) -> np.ndarray:
-            return delta * x + matvec(v, rmatvec(v, x))
+    def q_times(x: np.ndarray) -> np.ndarray:
+        return delta * x + matvec(v, rmatvec(v, x))
 
     def objective(x: np.ndarray) -> float:
         return 0.5 * dot(x, q_times(x)) + dot(c, x)
@@ -471,7 +458,7 @@ def _compile_qp(problem: QuadraticProblem) -> _CompiledQP:
 
     equality = _linear_arrays(problem.equality, n)
     comp = _Compiled(n, objective, gradient, None, (a, b), [], equality, lo, hi, None)
-    return _CompiledQP(comp, q, factor, c, a, b)
+    return _CompiledQP(comp, factor, c, a, b)
 
 
 def _inequality_gradient(comp: _Compiled, x: np.ndarray, lam: list) -> np.ndarray:
@@ -530,25 +517,6 @@ def _residuals(comp: _Compiled, x: np.ndarray, lam: list, mu: np.ndarray | None)
 # A x + alpha A dx. Every product is on scipy's BLAS and LAPACK.
 
 
-def _regularized_solve(h: np.ndarray, rhs: np.ndarray, shift: float) -> np.ndarray:
-    """Solve (h + shift I) dx = rhs from the upper triangle of the Fortran-ordered ``h``.
-
-    The shift is raised until the matrix factors, as :func:`_cholesky`
-    raises its own; ``h`` keeps the last shift on its diagonal.
-    """
-    diagonal = np.diag_indices(h.shape[0])
-    scale = max(float(np.max(np.abs(h[diagonal]))), 1.0)
-    h[diagonal] += shift
-    for _ in range(8):
-        factor, info = dpotrf(h, lower=0, clean=0)
-        if info == 0:
-            return dpotrs(factor, rhs, lower=0)[0]
-        raised = max(100.0 * shift, 1e-12 * scale)
-        h[diagonal] += raised - shift
-        shift = raised
-    raise np.linalg.LinAlgError("augmented-Lagrangian Newton matrix is not positive semidefinite")
-
-
 def _newton_al(
     comp: _Compiled, x: np.ndarray, lam_rows: np.ndarray, lam: list, rho: float, gtol: float, budget: int
 ) -> tuple[np.ndarray, int, int]:
@@ -591,7 +559,7 @@ def _newton_al(
             if jac is not None:
                 h += block.hessian(x, t_b)
                 h = weighted_gram(np.asarray(jac, dtype=float), rho, h, np.flatnonzero(t_b))
-        dx = _regularized_solve(h, -grad, _REGULARIZATION * min(math.sqrt(dot(grad, grad)), 1.0))
+        dx = _cholesky(h, lower=False, shift=_REGULARIZATION * min(math.sqrt(dot(grad, grad)), 1.0))(-grad)
         slope = dot(grad, dx)
         if not slope < 0.0:  # rounding has taken over the step
             return x, steps, halvings
@@ -781,11 +749,8 @@ def _solve_eliminated(comp: _Compiled, settings: SolverSettings) -> SolverResult
 #     E dx              = -r_e        Z ds + S dz = -r_c
 #
 # by eliminating ds and dz, which leaves H = Q + G'(Z/S)G with the few
-# equality rows E handled through the Schur complement E H^-1 E'. With a
-# dense Q, H is formed and factored by a dense Cholesky.
-#
-# With Q given by its factor, Q = diag(delta) + V V' (r columns), the Newton
-# matrix is read as
+# equality rows E handled through the Schur complement. With
+# Q = diag(delta) + V V' (r columns), the Newton matrix is read as
 #
 #     H = B + A' diag(w) A,   B = D + V V',   D = diag(delta + box weights).
 #
@@ -794,7 +759,8 @@ def _solve_eliminated(comp: _Compiled, settings: SolverSettings) -> SolverResult
 #     B^-1 = D^-1/2 (I - S (I + S'S)^-1 S') D^-1/2,
 #
 # through the r x r core I + S'S, formed with dsyrk. D is positive, because
-# a variable with delta = 0 has a finite bound and so a positive weight z/s,
+# a variable with delta = 0 has a finite bound and so a positive weight z/s
+# (which tends to zero if the variable ends inside its box; see _q_factor),
 # and the core's eigenvalues are at least 1. The m rows of A and
 # the rows of E enter together, as the rows C = [A; E] of one bordered
 # system whose Schur complement is C B^-1 C' + diag(1/w, 0). Each iteration
@@ -809,18 +775,6 @@ def _solve_eliminated(comp: _Compiled, settings: SolverSettings) -> SolverResult
 # through delta * x + V (V' x).
 
 
-def _cholesky(matrix: np.ndarray):
-    """Cholesky factor of a symmetric PSD matrix, with a small diagonal shift if singular."""
-    scale = max(float(np.max(np.abs(np.diag(matrix)), initial=0.0)), 1.0)
-    shift = 0.0
-    for _ in range(8):
-        try:
-            return cho_factor(matrix + shift * np.eye(matrix.shape[0]) if shift else matrix, lower=True)
-        except np.linalg.LinAlgError:
-            shift = 100.0 * shift if shift else 1e-12 * scale
-    raise np.linalg.LinAlgError("interior-point system is not positive semidefinite")
-
-
 class _Inequalities:
     """The map x -> G x and its transpose for the box rows and the rows of A, with the QP's arrays."""
 
@@ -830,7 +784,7 @@ class _Inequalities:
         self.a = qp.a
         self.h = np.concatenate([-qp.comp.lo[self.lower], qp.comp.hi[self.upper], qp.b])
         self.split = (self.lower.size, self.lower.size + self.upper.size)
-        self.q, self.e, self.factor = qp.q, qp.comp.equality[0], qp.factor  # dense Q or its (delta, V)
+        self.e, self.factor = qp.comp.equality[0], qp.factor
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return np.concatenate([-x[self.lower], x[self.upper], matvec(self.a, x)])
@@ -844,32 +798,7 @@ class _Inequalities:
 
 
 class _NewtonSystem:
-    """One factorisation of [H E'; E 0], H = Q + G' diag(d) G, solved for several right-hand sides."""
-
-    def __init__(self, g: _Inequalities, d: np.ndarray):
-        d_lo, d_hi, d_a = np.split(d, g.split)
-        weighted = (g.a.T * d_a) @ g.a
-        # lower then upper weights, one at a time: a two-sided column gets both
-        weighted[g.lower, g.lower] += d_lo
-        weighted[g.upper, g.upper] += d_hi
-        self.factor = _cholesky(g.q + weighted)
-        self.e = g.e
-        if self.e.shape[0]:
-            self.h_inv_et = cho_solve(self.factor, self.e.T)
-            self.schur = _cholesky(dgemm(1.0, self.e.T, self.h_inv_et, trans_a=1))  # E H^-1 E'
-
-    def solve(self, rhs: np.ndarray, r_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(dx, dy) with H dx + E'dy = rhs and E dx = -r_e."""
-        dx = cho_solve(self.factor, rhs)
-        dy = np.zeros(0)
-        if self.e.shape[0]:
-            dy = cho_solve(self.schur, matvec(self.e, dx) + r_e)
-            dx = dx - matvec(self.h_inv_et, dy)
-        return dx, dy
-
-
-class _FactoredNewtonSystem:
-    """The Newton system of a QP that carries a factor of Q, as the comment above describes.
+    """The Newton system of a QP, as the comment above describes.
 
     B = D + V V' is solved by Woodbury through the r x r core, and the rows
     of A and E together through one Schur complement C B^-1 C' + diag(1/w, 0)
@@ -887,18 +816,18 @@ class _FactoredNewtonSystem:
         self.scaled = np.multiply(self.v, self.root[:, None], out=np.empty(self.v.shape, order="F"))  # S
         core = dsyrk(1.0, self.scaled, trans=1, lower=1) if self.v.shape[1] else np.zeros((0, 0))
         core[np.diag_indices(core.shape[0])] += 1.0
-        self.core = _cholesky(core)
+        self.core = _cholesky(core, lower=True)
         self.rows = np.vstack([self.a, self.e])  # C
         if self.rows.shape[0]:
             self.b_inv_ct = np.column_stack([self._solve_b(row) for row in self.rows])
             schur = dgemm(1.0, self.rows.T, self.b_inv_ct, trans_a=1)
             schur[np.diag_indices(self.w.size)] += 1.0 / self.w
-            self.schur = _cholesky(schur)
+            self.schur = _cholesky(schur, lower=True)
 
     def _solve_b(self, b: np.ndarray) -> np.ndarray:
         """B^-1 b = D^-1/2 (I - S (I + S'S)^-1 S') D^-1/2 b."""
         t = self.root * b
-        return self.root * (t - matvec(self.scaled, cho_solve(self.core, rmatvec(self.scaled, t))))
+        return self.root * (t - matvec(self.scaled, self.core(rmatvec(self.scaled, t))))
 
     def _solve_once(self, rhs: np.ndarray, r_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u = self._solve_b(rhs)
@@ -906,7 +835,7 @@ class _FactoredNewtonSystem:
             return u, np.zeros(0)
         shift = matvec(self.rows, u)
         shift[self.w.size :] += r_e
-        multipliers = cho_solve(self.schur, shift)  # (W A dx, dy)
+        multipliers = self.schur(shift)  # (W A dx, dy)
         return u - matvec(self.b_inv_ct, multipliers), multipliers[self.w.size :]
 
     def solve(self, rhs: np.ndarray, r_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -940,8 +869,7 @@ def _solve_ipm(qp: _CompiledQP, settings: SolverSettings) -> SolverResult:
     # start: the least-squares point of CVXOPT's coneqp, i.e. the Newton
     # system with unit slack weights, then slacks and multipliers shifted
     # to be strictly positive
-    newton_system = _NewtonSystem if qp.factor is None else _FactoredNewtonSystem
-    x, y = newton_system(g, np.ones(n_ineq)).solve(-qp.c + g.transpose(g.h), -f)
+    x, y = _NewtonSystem(g, np.ones(n_ineq)).solve(-qp.c + g.transpose(g.h), -f)
     s = _shift_positive(g.h - g.apply(x))
     z = _shift_positive(g.apply(x) - g.h)
     start_size = 1.0 + max(float(np.max(z, initial=0.0)), float(np.max(np.abs(y), initial=0.0)))
@@ -977,7 +905,7 @@ def _solve_ipm(qp: _CompiledQP, settings: SolverSettings) -> SolverResult:
             break
         iteration += 1
 
-        system = newton_system(g, z / s)
+        system = _NewtonSystem(g, z / s)
 
         def direction(r_c: np.ndarray):
             dx, dy = system.solve(-r_d + g.transpose((r_c - z * r_p) / s), r_e)

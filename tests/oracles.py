@@ -1,16 +1,20 @@
 """Independent reference implementations used to check the library.
 
-Everything here is deliberately brute-force and shares no code with the
-solver paths under test: central finite differences for gradients, dense
-grid enumeration (in exact-feasible coordinates) for the constrained logistic
-fits, and exhaustive active-set enumeration for the small hinge-loss SVM
-programs. The feasible grid's minimum is found line by line through the
-convexity of the sampled losses; its every-point enumeration is kept and the
-two are checked against each other. The two exceptions go through
-``solve_qp``'s dense Newton path: the exact-hinge primal in (theta, xi), and
-the RBF kernel dual with its exact Q built from the full Gram. The library
-fits both SVMs through duals given only by a factor of Q, so each pair shares
-the interior-point loop but neither the Q nor the Newton solve.
+Most of them are deliberately brute-force and share no code with the solver
+paths under test: central finite differences for gradients, dense grid
+enumeration (in exact-feasible coordinates) for the constrained logistic
+fits, exhaustive active-set enumeration for the small hinge-loss SVM
+programs and box QPs, and a plain-numpy KKT certificate of a QP on its dense
+Q. The feasible grid's minimum is found line by line through the convexity
+of the sampled losses; its every-point enumeration is kept and the two are
+checked against each other. Two references run the library's solvers on
+another formulation than the fits do. The exact-hinge primal in
+(theta, xi) goes through ``minimize_smooth``, while the fit solves its dual
+with ``solve_qp``, so the two share neither the iteration nor the Newton
+solve. The RBF kernel dual goes through ``solve_qp`` on a full-rank factor
+of its exact Q from an eigendecomposition of the full Gram, where the fit
+poses a pivoted incomplete Cholesky, so the two share the interior-point
+loop but not the Q.
 """
 
 from __future__ import annotations
@@ -219,16 +223,19 @@ def active_set_svm(features, labels, svm_cost, w=None, c=np.inf) -> tuple[float,
 
 
 def exact_hinge_primal(features, labels, sensitive, svm_cost, c) -> np.ndarray:
-    """theta of the exact-hinge program in (theta, xi), solved by ``solve_qp`` without a factor.
+    """theta of the exact-hinge program in (theta, xi), solved by ``minimize_smooth``.
 
     minimize (||theta||^2 + C sum xi) / n over xi >= 0 and
     y_i x_i . theta >= 1 - xi_i, with |w_k . theta| <= c_k for w_k the
     boundary-covariance vector of sensitive column k: an infinite c_k gives
     no row, c_k > 0 two inequality rows and c_k = 0 one equality row (a row
-    of zeros is left out). The Newton matrix is (d + n) x (d + n), so this is
-    for small n only.
+    of zeros is left out). The hinge and xi >= 0 are linear rows of the
+    augmented-Lagrangian solve, whose Newton matrix is (d + n) x (d + n), so
+    this is for small n only. The library fits the exact hinge through its
+    dual on ``solve_qp``, so the two share neither the iteration nor the
+    Newton solve.
     """
-    from fairclf.solvers import QuadraticProblem, SolverSettings, solve_qp
+    from fairclf.solvers import SmoothProblem, SolverSettings, minimize_smooth
 
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
@@ -236,30 +243,31 @@ def exact_hinge_primal(features, labels, sensitive, svm_cost, c) -> np.ndarray:
     centered = sensitive - sensitive.mean(axis=0)
     w = centered.T @ features / n
     c = np.broadcast_to(np.asarray(c, dtype=float), (w.shape[0],))
-    q_matrix = np.zeros((d + n, d + n))
-    q_matrix[:d, :d] = 2.0 * np.eye(d) / n
-    rows = [np.hstack([-labels[:, None] * features, -np.eye(n)])]
-    bounds = [np.full(n, -1.0)]
+    cost = np.full(n, svm_cost / n)
+    curvature = np.diag(np.concatenate([np.full(d, 2.0 / n), np.zeros(n)]))
+    rows = [np.hstack([-labels[:, None] * features, -np.eye(n)]), np.hstack([np.zeros((n, d)), -np.eye(n)])]
+    bounds = [np.full(n, -1.0), np.zeros(n)]
     for k in np.flatnonzero((c > 0) & np.isfinite(c)):
         rows.append(np.concatenate([w[k], np.zeros(n)]) * np.array([[1.0], [-1.0]]))
         bounds.append(np.full(2, c[k]))
     zero = np.flatnonzero((c == 0) & np.any(w != 0, axis=1))
-    result = solve_qp(
-        QuadraticProblem(
-            q_matrix=q_matrix,
-            q_vector=np.concatenate([np.zeros(d), np.full(n, svm_cost / n)]),
-            box=(np.concatenate([np.full(d, -np.inf), np.zeros(n)]), None),
+    result = minimize_smooth(
+        SmoothProblem(
+            dimension=d + n,
+            objective=lambda v: float(v[:d] @ v[:d] / n + cost @ v[d:]),
+            gradient=lambda v: np.concatenate([2.0 * v[:d] / n, cost]),
+            hessian=lambda v: curvature,
             equality=(np.hstack([w[zero], np.zeros((zero.size, n))]), np.zeros(zero.size)),
             linear_constraints=(np.vstack(rows), np.concatenate(bounds)),
         ),
-        SolverSettings(max_iterations=200, kkt_tolerance=1e-10, feasibility_tolerance=1e-12),
+        SolverSettings(max_iterations=2000, kkt_tolerance=1e-8, feasibility_tolerance=1e-12),
     )
     assert result.status == "converged", result.status
     return result.point[:d]
 
 
 def rbf_kernel_dual_reference(features, labels, sensitive, rbf_gamma, svm_cost, c):
-    """The RBF kernel-SVM dual with its exact dense Q, and its ``solve_qp`` result on the dense path.
+    """The RBF kernel-SVM dual with its exact Q, and its ``solve_qp`` result through a full-rank factor.
 
     Q = yy' * (K + I/C) / n with K the full Gram exp(-gamma ||x_i - x_j||^2),
     over 0 <= alpha <= C. The equality rows are sum(alpha y) / sqrt(n) = 0
@@ -267,7 +275,11 @@ def rbf_kernel_dual_reference(features, labels, sensitive, rbf_gamma, svm_cost, 
     cov_k = y * (K (z_k - mean z_k)) / n divided by its norm; a c_k > 0 gives
     the rows +cov_k and -cov_k, each divided by its norm, with the bound c_k
     divided by the same norm. These are the rows of ``fit_kernel_svm_fair``
-    in its order, so its multipliers apply. Returns (problem, result).
+    in its order, so its multipliers apply. The problem is posed on the
+    factor delta = 1/(C n), V = diag(y) U sqrt(max(L, 0)) / sqrt(n) of the
+    eigendecomposition K = U diag(L) U', which is Q to rounding, where the
+    fit uses a pivoted incomplete Cholesky of K. Returns (Q, problem,
+    result), Q as a dense matrix.
     """
     from fairclf.solvers import QuadraticProblem, SolverSettings, solve_qp
 
@@ -275,7 +287,9 @@ def rbf_kernel_dual_reference(features, labels, sensitive, rbf_gamma, svm_cost, 
     labels = np.asarray(labels, dtype=float)
     n = labels.size
     gram = np.exp(-rbf_gamma * ((features[:, None, :] - features[None, :, :]) ** 2).sum(axis=2))
-    q_matrix = np.outer(labels, labels) * (gram + np.eye(n) / svm_cost) / n
+    q_dense = np.outer(labels, labels) * (gram + np.eye(n) / svm_cost) / n
+    eigenvalues, eigenvectors = np.linalg.eigh(gram)
+    v = labels[:, None] * eigenvectors * np.sqrt(np.maximum(eigenvalues, 0.0) / n)
     centered = sensitive - sensitive.mean(axis=0)
     cov = (gram @ centered / n).T * labels
     c = np.broadcast_to(np.asarray(c, dtype=float), (cov.shape[0],))
@@ -289,7 +303,7 @@ def rbf_kernel_dual_reference(features, labels, sensitive, rbf_gamma, svm_cost, 
             rows += [cov[k] / norm, -cov[k] / norm]
             bounds += [c[k] / norm] * 2
     problem = QuadraticProblem(
-        q_matrix=q_matrix,
+        q_factor=(1.0 / (svm_cost * n), v),
         q_vector=-np.ones(n) / n,
         box=(np.zeros(n), np.full(n, float(svm_cost))),
         equality=(np.array(equality), np.zeros(len(equality))),
@@ -297,7 +311,7 @@ def rbf_kernel_dual_reference(features, labels, sensitive, rbf_gamma, svm_cost, 
     )
     result = solve_qp(problem, SolverSettings(max_iterations=200, kkt_tolerance=1e-10, feasibility_tolerance=1e-12))
     assert result.status == "converged", result.status
-    return problem, result
+    return q_dense, problem, result
 
 
 def qp_box_equality_reference(q_matrix, q_vector, lower, upper, equality=None, with_multipliers=False):
@@ -355,6 +369,44 @@ def qp_box_equality_reference(q_matrix, q_vector, lower, upper, equality=None, w
         if value < best[0]:
             best = (value, x, mu)
     return best if with_multipliers else best[:2]
+
+
+def qp_kkt_reference(q_dense, q_vector, box, equality, rows, point, multipliers) -> tuple[float, float, float]:
+    """KKT residuals of a QP at (point, multipliers), from its dense Q in plain numpy.
+
+    The QP is minimize 0.5 x'Qx + c.x over lower <= x <= upper (``box``, a
+    (lower, upper) pair, either side None for none), E x = f (``equality``,
+    an (E, f) pair or None) and A x <= b (``rows``, an (A, b) pair or None).
+    ``multipliers`` is laid out as ``SolverResult.multipliers``: under
+    "inequality" a list with the multipliers lam of the rows of A, if any,
+    and under "equality" the multipliers mu of the rows of E. Returns
+    (stationarity, violation, comp_slack): the largest entry of
+    x - clip(x - g, lower, upper) with g = Q x + c + A'lam + E'mu, the worst
+    violation of the box, the rows and the equalities, and the largest
+    |lam_i (A x - b)_i|.
+    """
+    x = np.asarray(point, dtype=float)
+    n = x.size
+    lower = np.full(n, -np.inf) if box[0] is None else np.broadcast_to(np.asarray(box[0], dtype=float), (n,))
+    upper = np.full(n, np.inf) if box[1] is None else np.broadcast_to(np.asarray(box[1], dtype=float), (n,))
+    grad = np.asarray(q_dense, dtype=float) @ x + q_vector
+    violation = max(float(np.max(lower - x)), float(np.max(x - upper)), 0.0)
+    comp_slack = 0.0
+    if rows is not None:
+        a, b = np.atleast_2d(rows[0]), np.atleast_1d(rows[1])
+        parts = [np.ravel(part) for part in multipliers["inequality"]]
+        lam = np.concatenate(parts) if parts else np.zeros(0)
+        assert lam.shape == b.shape and np.all(lam >= 0)
+        grad = grad + a.T @ lam
+        slack = a @ x - b
+        violation = max(violation, float(np.max(slack, initial=0.0)))
+        comp_slack = float(np.max(np.abs(lam * slack), initial=0.0))
+    if equality is not None:
+        e, f = np.atleast_2d(equality[0]), np.atleast_1d(equality[1])
+        grad = grad + e.T @ multipliers["equality"]
+        violation = max(violation, float(np.max(np.abs(e @ x - f), initial=0.0)))
+    stationarity = float(np.max(np.abs(x - np.clip(x - grad, lower, upper))))
+    return stationarity, violation, comp_slack
 
 
 def unit_rows_reference(rows) -> tuple[np.ndarray, np.ndarray]:

@@ -36,7 +36,7 @@ from fairclf.models import (
     predict,
     protected_rows,
 )
-from fairclf.solvers import SolverSettings, kkt_residuals, solve_qp
+from fairclf.solvers import SolverSettings, solve_qp
 from fairclf.synth import SynthConfig, gen_linear_synthetic, gen_nonlinear_synthetic
 
 from conftest import count_smooth_solves, random_instance
@@ -47,6 +47,7 @@ from oracles import (
     grid_logistic_fair,
     hinge_objective,
     logistic_objective,
+    qp_kkt_reference,
     rbf_kernel_dual_reference,
     unit_rows_reference,
 )
@@ -590,7 +591,9 @@ class TestLinearSvm:
 
         sizes = []
         cholesky = fairclf.solvers._cholesky
-        monkeypatch.setattr(fairclf.solvers, "_cholesky", lambda m: sizes.append(m.shape[0]) or cholesky(m))
+        monkeypatch.setattr(
+            fairclf.solvers, "_cholesky", lambda m, *args, **kwargs: sizes.append(m.shape[0]) or cholesky(m, *args, **kwargs)
+        )
         ds = append_bias(gen_linear_synthetic(SynthConfig(n=400, phi=np.pi / 4, seed=1)))
         for spec in (
             FitSpec(mode="unconstrained", svm_cost=1.0, svm_hinge="exact"),
@@ -906,7 +909,7 @@ class TestKernelProduct:
 
 
 class TestKernelDualOracle:
-    """The kernel fit, posed on L L', against the exact dense dual of ``oracles.rbf_kernel_dual_reference``."""
+    """The kernel fit, posed on L L', against the exact dual of ``oracles.rbf_kernel_dual_reference``."""
 
     TIGHT = SolverSettings(max_iterations=200, kkt_tolerance=1e-10, feasibility_tolerance=1e-12)
 
@@ -926,7 +929,7 @@ class TestKernelDualOracle:
             spec = FitSpec(mode="fairness_constrained", covariance_thresholds=c, svm_cost=cost, kernel=C10_KERNEL)
         else:
             spec = FitSpec(mode="unconstrained", svm_cost=cost, kernel=C10_KERNEL)
-        exact, reference = rbf_kernel_dual_reference(ds.features, ds.labels, ds.sensitive, 0.04, cost, c)
+        q_exact, exact, reference = rbf_kernel_dual_reference(ds.features, ds.labels, ds.sensitive, 0.04, cost, c)
         model, result, _ = self.fit_and_problem(ds, spec, self.TIGHT, monkeypatch)
         np.testing.assert_allclose(result.point, reference.point, rtol=0, atol=1e-7)
         assert abs(result.objective_value - reference.objective_value) <= 1e-9 * abs(reference.objective_value)
@@ -935,7 +938,12 @@ class TestKernelDualOracle:
         # at its own settings, a converged fit is a KKT point of the exact dual too
         model, result, settings = self.fit_and_problem(ds, spec, None, monkeypatch)
         assert result.status == "converged"
-        assert kkt_residuals(exact, result.point, result.multipliers).within(settings)
+        stationarity, violation, comp_slack = qp_kkt_reference(
+            q_exact, exact.q_vector, exact.box, exact.equality, exact.linear_constraints, result.point, result.multipliers
+        )
+        assert stationarity <= settings.kkt_tolerance
+        assert violation <= settings.feas_tol
+        assert comp_slack <= settings.kkt_tolerance
 
 
 class TestKernelMemory:

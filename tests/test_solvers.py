@@ -25,6 +25,7 @@ from oracles import (
     grid_logistic_fair,
     logistic_objective,
     qp_box_equality_reference,
+    qp_kkt_reference,
 )
 
 TIGHT = SolverSettings(kkt_tolerance=1e-7, feasibility_tolerance=1e-9)
@@ -425,10 +426,15 @@ class TestEqualityRows:
             minimize_smooth(problem, TIGHT)
 
 
+def identity(n: int) -> tuple[float, np.ndarray]:
+    """The factor (1, V with no columns) of Q = I."""
+    return 1.0, np.zeros((n, 0))
+
+
 class TestSolveQp:
     def test_separable_box(self):
         problem = QuadraticProblem(
-            q_matrix=np.eye(4),
+            q_factor=identity(4),
             q_vector=-np.ones(4),
             box=(np.zeros(4), np.full(4, 10.0)),
         )
@@ -438,7 +444,7 @@ class TestSolveQp:
 
     def test_symmetric_pair_with_equality(self):
         problem = QuadraticProblem(
-            q_matrix=np.eye(2),
+            q_factor=identity(2),
             q_vector=-np.ones(2),
             box=(np.zeros(2), np.full(2, 10.0)),
             equality=(np.array([1.0, -1.0]), 0.0),
@@ -454,7 +460,7 @@ class TestSolveQp:
         svm_cost = 5.0
         q = (y[:, None] * y[None, :]) * (x @ x.T + np.eye(6) / svm_cost)
         problem = QuadraticProblem(
-            q_matrix=q,
+            q_factor=(1.0 / svm_cost, y[:, None] * x),
             q_vector=-np.ones(6),
             box=(np.zeros(6), np.full(6, svm_cost)),
             equality=(y, 0.0),
@@ -477,7 +483,7 @@ class TestSolveQp:
         a = rng.normal(size=4)
         a /= np.linalg.norm(a)
         e, f = np.array([np.ones(4), a]), np.array([1.5, 0.0])
-        problem = QuadraticProblem(q_matrix=q, q_vector=c, box=(np.zeros(4), np.full(4, 2.0)), equality=(e, f))
+        problem = QuadraticProblem(q_factor=(0.1, m), q_vector=c, box=(np.zeros(4), np.full(4, 2.0)), equality=(e, f))
         result = solve_qp(problem, SolverSettings(kkt_tolerance=1e-8, feasibility_tolerance=1e-10))
         assert result.status == "converged"
         ref_value, ref_x, ref_mu = qp_box_equality_reference(
@@ -491,11 +497,12 @@ class TestSolveQp:
         assert result.multipliers["inequality"] == []
 
     def test_one_dimensional_equality_is_one_row(self):
-        q, c = np.eye(3), -np.array([3.0, 1.0, -2.0])
+        c = -np.array([3.0, 1.0, -2.0])
         box = (np.zeros(3), np.ones(3))
-        vector = solve_qp(QuadraticProblem(q_matrix=q, q_vector=c, box=box, equality=(np.ones(3), 1.5)), TIGHT)
+        vector = solve_qp(QuadraticProblem(q_factor=identity(3), q_vector=c, box=box, equality=(np.ones(3), 1.5)), TIGHT)
         matrix = solve_qp(
-            QuadraticProblem(q_matrix=q, q_vector=c, box=box, equality=(np.ones((1, 3)), np.array([1.5]))), TIGHT
+            QuadraticProblem(q_factor=identity(3), q_vector=c, box=box, equality=(np.ones((1, 3)), np.array([1.5]))),
+            TIGHT,
         )
         assert vector.status == matrix.status == "converged"
         assert np.array_equal(vector.point, matrix.point)
@@ -504,7 +511,7 @@ class TestSolveQp:
     def test_rejects_mismatched_constraint_shapes(self):
         with pytest.raises(ValueError, match="shapes"):
             solve_qp(
-                QuadraticProblem(q_matrix=np.eye(2), q_vector=np.zeros(2), equality=(np.ones((2, 2)), np.zeros(3)))
+                QuadraticProblem(q_factor=identity(2), q_vector=np.zeros(2), equality=(np.ones((2, 2)), np.zeros(3)))
             )
         f, g, h = quadratic_bowl([0.0, 0.0])
         with pytest.raises(ValueError, match="shapes"):
@@ -523,7 +530,7 @@ class TestSolveQp:
     def test_infeasible_rows_detected(self):
         # the box [0, 1]^2 and the row x1 + x2 <= -1 have no common point
         problem = QuadraticProblem(
-            q_matrix=np.eye(2),
+            q_factor=identity(2),
             q_vector=-np.ones(2),
             box=(np.zeros(2), np.ones(2)),
             linear_constraints=(np.array([[1.0, 1.0]]), np.array([-1.0])),
@@ -534,7 +541,7 @@ class TestSolveQp:
 
     def test_max_iteration_budget(self):
         problem = QuadraticProblem(
-            q_matrix=np.eye(3),
+            q_factor=identity(3),
             q_vector=-np.array([3.0, 1.0, -2.0]),
             box=(np.zeros(3), np.ones(3)),
             equality=(np.ones(3), 1.5),
@@ -544,10 +551,11 @@ class TestSolveQp:
         assert result.iterations <= 1
 
     def test_multipliers_reproduce_certificate(self):
+        # Q = m m' by its factor (0, m); every x ends inside [-1, 1]
         rng = np.random.default_rng(8)
         m = rng.normal(size=(5, 5))
         problem = QuadraticProblem(
-            q_matrix=m @ m.T,
+            q_factor=(0.0, m),
             q_vector=rng.normal(size=5),
             box=(np.full(5, -1.0), np.ones(5)),
             equality=(np.ones(5), 0.5),
@@ -556,10 +564,11 @@ class TestSolveQp:
         result = solve_qp(problem, TIGHT)
         assert result.status == "converged"
         assert kkt_residuals(problem, result.point, result.multipliers) == result.kkt
+        TestFactoredNewton.assert_certified(problem, result)
 
     def test_logs_one_record_per_iteration(self, caplog):
         problem = QuadraticProblem(
-            q_matrix=np.eye(4),
+            q_factor=identity(4),
             q_vector=-np.ones(4),
             box=(np.zeros(4), np.full(4, 0.5)),
         )
@@ -569,20 +578,11 @@ class TestSolveQp:
         assert len(caplog.records) == result.iterations + 1
         assert all("mu=" in r.getMessage() and "stat=" in r.getMessage() for r in caplog.records)
 
-    def test_rejects_non_psd(self):
-        with pytest.raises(ValueError, match="semidefinite"):
-            solve_qp(QuadraticProblem(q_matrix=np.array([[1.0, 0.0], [0.0, -1.0]]), q_vector=np.zeros(2)))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            solve_qp(QuadraticProblem(q_matrix=np.array([[1.0, 0.5], [0.0, 1.0]]), q_vector=np.zeros(2)))
-
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         m = rng.normal(size=(5, 5))
-        q = m @ m.T + np.eye(5)
         problem = QuadraticProblem(
-            q_matrix=q,
+            q_factor=(1.0, m),
             q_vector=rng.normal(size=5),
             box=(np.zeros(5), np.full(5, 2.0)),
             equality=(np.ones(5), 1.0),
@@ -592,68 +592,10 @@ class TestSolveQp:
         assert np.array_equal(a.point, b.point)
         assert a.iterations == b.iterations
 
-
-class TestSlackElimination:
-    """QPs shaped like slack-column programs, solved by the plain Newton system."""
-
-    @staticmethod
-    def slack_problem(seed: int) -> QuadraticProblem:
-        """A QP on 4 coupled columns and 7 slack-shaped ones.
-
-        Slack-shaped columns 4..9 each own one row of A, and column 10 shares
-        column 9's row. The box is two-sided, one-sided or absent per column,
-        E has two rows over the coupled columns and A two more rows over
-        them; x = 0 is strictly feasible.
-        """
-        rng = np.random.default_rng(seed)
-        kept, shaped = 4, 7
-        n = kept + shaped
-        m = rng.normal(size=(kept, kept))
-        q = np.zeros((n, n))
-        q[:kept, :kept] = m @ m.T + 0.1 * np.eye(kept)
-        q[kept:, kept:] = np.diag(np.where(rng.random(shaped) < 0.5, 0.0, rng.random(shaped)))
-        a = np.zeros((shaped + 1, n))
-        a[:, :kept] = rng.normal(size=(shaped + 1, kept))
-        own = np.arange(shaped - 1)
-        a[own, kept + own] = rng.choice([-1.0, 1.0], own.size) * rng.uniform(0.5, 2.0, own.size)
-        a[shaped - 2, n - 1] = 0.7  # column 10 in column 9's row
-        lower = np.where(rng.random(n) < 0.7, -rng.random(n) - 0.5, -np.inf)
-        upper = np.where(rng.random(n) < 0.5, rng.random(n) + 0.5, np.inf)
-        e = np.zeros((2, n))
-        e[:, :kept] = rng.normal(size=(2, kept))
-        return QuadraticProblem(
-            q_matrix=q,
-            q_vector=rng.normal(size=n),
-            box=(lower, upper),
-            equality=(e, np.zeros(2)),
-            linear_constraints=(a, rng.uniform(0.1, 1.0, shaped + 1)),
-        )
-
-    @pytest.mark.parametrize("thresholds", [0.0, 0.05])
-    def test_kernel_dual_keeps_the_plain_iterates(self, monkeypatch, thresholds):
-        import fairclf.models
-        from fairclf.models import FitSpec, KernelSpec, fit_kernel_svm_fair
-
-        problems = []
-        monkeypatch.setattr(fairclf.models, "solve_qp", lambda p, s=None: problems.append((p, s)) or solve_qp(p, s))
-        ds, _ = random_instance(21, n=30)
-        spec = FitSpec(
-            mode="fairness_constrained", covariance_thresholds=thresholds, svm_cost=3.0, kernel=KernelSpec(kind="rbf")
-        )
-        fit_kernel_svm_fair(ds, spec)
-        problem, settings = problems[0]
-        assert problem.q_matrix is None and problem.q_factor is not None
-        factored = solve_qp(problem, settings)
-        plain = solve_qp(TestFactoredNewton.dense(problem), settings)
-        # Woodbury steps through the factor, and the plain Newton system on the same Q formed densely
-        assert factored.status == plain.status == "converged"
-        assert factored.iterations == plain.iterations
-        np.testing.assert_allclose(factored.point, plain.point, rtol=0, atol=1e-9)
-
-    def test_every_column_a_slack_column(self):
+    def test_each_row_bounds_one_variable(self):
         # minimize |x|^2 / 2 - 2 sum(x) over x >= 0 and x <= b
         problem = QuadraticProblem(
-            q_matrix=np.eye(3),
+            q_factor=identity(3),
             q_vector=np.full(3, -2.0),
             box=(np.zeros(3), None),
             linear_constraints=(np.eye(3), np.array([0.5, 1.0, 3.0])),
@@ -662,42 +604,60 @@ class TestSlackElimination:
         assert result.status == "converged"
         np.testing.assert_allclose(result.point, [0.5, 1.0, 2.0], atol=1e-7)
 
-    def test_psd_check_reads_both_blocks(self):
-        problem = self.slack_problem(3)
-        q = problem.q_matrix.copy()
-        q[6, 6] = -1e-3  # a slack-shaped column's diagonal entry
-        with pytest.raises(ValueError, match="semidefinite"):
-            solve_qp(dataclasses.replace(problem, q_matrix=q))
-        q = problem.q_matrix.copy()
-        q[0, 0] = -10.0  # the coupled block
-        with pytest.raises(ValueError, match="semidefinite"):
-            solve_qp(dataclasses.replace(problem, q_matrix=q))
-        q = problem.q_matrix.copy()
-        q[0, 1] += 1e-3
-        with pytest.raises(ValueError, match="symmetric"):
-            solve_qp(dataclasses.replace(problem, q_matrix=q))
 
-    def test_symmetry_checked_past_the_first_tile(self):
-        # the check compares 128 x 128 tiles; these asymmetries lie in later ones
-        n = 600
-        m = np.random.default_rng(5).normal(size=(n, 3))
-        q = m @ m.T
-        for i, j in ((300, 2), (599, 598), (10, 520)):
-            asymmetric = q.copy()
-            asymmetric[i, j] += 1e-3
-            with pytest.raises(ValueError, match="symmetric"):
-                solve_qp(QuadraticProblem(q_matrix=asymmetric, q_vector=np.zeros(n)))
+class TestCholesky:
+    """The shifted Cholesky that both solvers factor their Newton matrices with."""
+
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_singular_matrix_factors_after_a_raised_shift(self, lower):
+        # singular PSD: the unshifted factorisation fails and 1e-12 suffices
+        matrix = np.ones((3, 3), order="F")
+        x = solvers._cholesky(matrix, lower=lower)(np.full(3, 3.0))
+        shift = matrix[0, 0] - 1.0  # the diagonal keeps the shift that factored
+        assert 0.0 < shift <= 2e-12
+        np.testing.assert_array_equal(np.diag(matrix), 1.0 + shift)
+        np.testing.assert_allclose((np.ones((3, 3)) + shift * np.eye(3)) @ x, 3.0, rtol=0, atol=1e-12)
+
+    def test_indefinite_matrix_raises(self):
+        # eigenvalues 4 and -2: the eighth and last shift tried, 1e-12 * 100^6
+        # = 1, leaves one at -1
+        with pytest.raises(np.linalg.LinAlgError, match="not positive semidefinite"):
+            solvers._cholesky(np.array([[1.0, 3.0], [3.0, 1.0]]), lower=True)
+
+    def test_non_finite_right_hand_side_raises(self):
+        solve = solvers._cholesky(np.eye(2), lower=True)
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+            solve(np.array([1.0, np.inf]))
 
 
 class TestFactoredNewton:
-    """``solve_qp`` with a ``q_factor``: Newton steps by Woodbury through diag(delta) + V V'."""
+    """``solve_qp``'s Newton steps by Woodbury through diag(delta) + V V'."""
 
     @staticmethod
-    def dense(problem: QuadraticProblem) -> QuadraticProblem:
-        """The same problem with Q = diag(delta) + V V' formed as a dense matrix."""
+    def dense(problem: QuadraticProblem) -> np.ndarray:
+        """Q = diag(delta) + V V' formed as a dense matrix."""
         delta, v = problem.q_factor
-        q = np.diag(np.broadcast_to(np.asarray(delta, dtype=float), (v.shape[0],))) + v @ v.T
-        return dataclasses.replace(problem, q_matrix=q, q_factor=None)
+        return np.diag(np.broadcast_to(np.asarray(delta, dtype=float), (v.shape[0],))) + v @ v.T
+
+    @classmethod
+    def certificate(cls, problem: QuadraticProblem, result) -> tuple[float, float, float]:
+        """The plain-numpy KKT residuals of the result on the problem with Q formed densely."""
+        return qp_kkt_reference(
+            cls.dense(problem),
+            problem.q_vector,
+            problem.box,
+            problem.equality,
+            problem.linear_constraints,
+            result.point,
+            result.multipliers,
+        )
+
+    @staticmethod
+    def rotated(problem: QuadraticProblem) -> QuadraticProblem:
+        """The same Q through a second factor, (delta, V R) for an orthogonal R."""
+        delta, v = problem.q_factor
+        r, _ = np.linalg.qr(np.random.default_rng(40).normal(size=(v.shape[1], v.shape[1])))
+        return dataclasses.replace(problem, q_factor=(delta, v @ r))
 
     @staticmethod
     def kernel_dual(seed: int, n: int = 60) -> QuadraticProblem:
@@ -727,47 +687,69 @@ class TestFactoredNewton:
             linear_constraints=(np.vstack([cov[1:], -cov[1:]]), np.full(4, 2e-4)),
         )
 
+    @classmethod
+    def assert_certified(cls, problem: QuadraticProblem, result, settings: SolverSettings = TIGHT):
+        stationarity, violation, comp_slack = cls.certificate(problem, result)
+        assert stationarity <= settings.kkt_tolerance
+        assert violation <= settings.feas_tol
+        assert comp_slack <= settings.kkt_tolerance
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_the_dense_solve(self, seed):
+        # the dense problem's solution is the point its plain-numpy KKT
+        # certificate accepts, and a second factor of Q takes the same steps
         problem = self.kernel_dual(seed)
         factored = solve_qp(problem, TIGHT)
-        dense = solve_qp(self.dense(problem), TIGHT)
-        assert factored.status == dense.status == "converged"
-        assert factored.iterations == dense.iterations
-        np.testing.assert_allclose(factored.point, dense.point, rtol=0, atol=1e-9)
-        assert np.max(problem.linear_constraints[0] @ dense.point) > 2e-4 - 1e-9  # a c > 0 row binds
+        rotated = solve_qp(self.rotated(problem), TIGHT)
+        assert factored.status == rotated.status == "converged"
+        self.assert_certified(problem, factored)
+        assert factored.iterations == rotated.iterations
+        np.testing.assert_allclose(factored.point, rotated.point, rtol=0, atol=1e-9)
+        assert np.max(problem.linear_constraints[0] @ factored.point) > 2e-4 - 1e-9  # a c > 0 row binds
+
+    @pytest.mark.parametrize("thresholds", [0.0, 0.05])
+    def test_kernel_dual_keeps_the_plain_iterates(self, monkeypatch, thresholds):
+        import fairclf.models
+        from fairclf.models import FitSpec, KernelSpec, fit_kernel_svm_fair
+
+        problems = []
+        monkeypatch.setattr(fairclf.models, "solve_qp", lambda p, s=None: problems.append((p, s)) or solve_qp(p, s))
+        ds, _ = random_instance(21, n=30)
+        spec = FitSpec(
+            mode="fairness_constrained", covariance_thresholds=thresholds, svm_cost=3.0, kernel=KernelSpec(kind="rbf")
+        )
+        fit_kernel_svm_fair(ds, spec)
+        problem, settings = problems[0]
+        factored = solve_qp(problem, settings)
+        rotated = solve_qp(self.rotated(problem), settings)
+        # the fit's factor and a second factor of the same Q take the same steps
+        assert factored.status == rotated.status == "converged"
+        assert factored.iterations == rotated.iterations
+        np.testing.assert_allclose(factored.point, rotated.point, rtol=0, atol=1e-9)
+        self.assert_certified(problem, factored, settings)
 
     def test_rank_zero_factor_is_the_diagonal(self):
         problem = self.kernel_dual(2)
         delta = problem.q_factor[0]
         diagonal = dataclasses.replace(problem, q_factor=(delta, np.zeros((delta.size, 0))))
         factored = solve_qp(diagonal, TIGHT)
-        dense = solve_qp(dataclasses.replace(diagonal, q_matrix=np.diag(delta), q_factor=None), TIGHT)
-        assert factored.status == dense.status == "converged"
-        np.testing.assert_allclose(factored.point, dense.point, rtol=0, atol=1e-9)
-
-    def test_exactly_one_form_of_q(self):
-        problem = self.kernel_dual(0)
-        with pytest.raises(ValueError, match="exactly one of q_matrix and q_factor"):
-            solve_qp(dataclasses.replace(self.dense(problem), q_factor=problem.q_factor))
-        with pytest.raises(ValueError, match="exactly one of q_matrix and q_factor"):
-            solve_qp(dataclasses.replace(problem, q_factor=None))
-        with pytest.raises(ValueError, match="exactly one of q_matrix and q_factor"):
-            kkt_residuals(dataclasses.replace(problem, q_factor=None), np.zeros(60), {"inequality": np.zeros(4)})
+        # the same diagonal Q, half of it through a full-rank V
+        full = solve_qp(dataclasses.replace(diagonal, q_factor=(delta / 2, np.diag(np.sqrt(delta / 2)))), TIGHT)
+        assert factored.status == full.status == "converged"
+        self.assert_certified(diagonal, factored)
+        np.testing.assert_allclose(factored.point, full.point, rtol=0, atol=1e-9)
 
     def test_objective_and_certificate_read_the_factor(self):
         # the factored problem's objective and KKT residuals are those of Q formed densely
         problem = self.kernel_dual(4)
         result = solve_qp(problem, TIGHT)
-        dense = self.dense(problem)
         x = result.point
-        value = 0.5 * x @ dense.q_matrix @ x + problem.q_vector @ x
+        value = 0.5 * x @ self.dense(problem) @ x + problem.q_vector @ x
         np.testing.assert_allclose(result.objective_value, value, rtol=1e-12)
         factored = kkt_residuals(problem, x, result.multipliers)
-        exact = kkt_residuals(dense, x, result.multipliers)
         np.testing.assert_allclose(
             [factored.stationarity_norm, factored.max_violation, factored.max_comp_slack],
-            [exact.stationarity_norm, exact.max_violation, exact.max_comp_slack],
+            self.certificate(problem, result),
             rtol=1e-6,
             atol=1e-14,
         )
@@ -793,12 +775,12 @@ class TestFactoredNewton:
     def test_zero_delta_on_bounded_variables(self):
         # Q = V V' exactly, every variable boxed: D is the box weights alone
         problem = self.kernel_dual(3)
-        v = problem.q_factor[1]
-        exact = dataclasses.replace(problem, q_factor=(0.0, v))
+        exact = dataclasses.replace(problem, q_factor=(0.0, problem.q_factor[1]))
         factored = solve_qp(exact, TIGHT)
-        dense = solve_qp(dataclasses.replace(exact, q_matrix=v @ v.T, q_factor=None), TIGHT)
-        assert factored.status == dense.status == "converged"
-        np.testing.assert_allclose(factored.point, dense.point, rtol=0, atol=1e-7)
+        rotated = solve_qp(self.rotated(exact), TIGHT)
+        assert factored.status == rotated.status == "converged"
+        self.assert_certified(exact, factored)
+        np.testing.assert_allclose(factored.point, rotated.point, rtol=0, atol=1e-7)
 
 
 class TestKktResiduals:
@@ -847,7 +829,7 @@ class TestKktResiduals:
     def test_equality_multipliers_are_a_vector(self):
         # min 0.5|x|^2 - x1 subject to x1 + x2 = 1 and x1 - x2 = 0: x = (1/2, 1/2)
         problem = QuadraticProblem(
-            q_matrix=np.eye(2),
+            q_factor=identity(2),
             q_vector=np.array([-1.0, 0.0]),
             equality=(np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([1.0, 0.0])),
         )

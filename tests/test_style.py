@@ -54,11 +54,13 @@ def test_private_helpers_are_used():
     assert not unused, f"defined but never referenced: {unused}"
 
 
-def test_cli_import_leaves_out_scipy_optimize():
-    # the solvers run on scipy's BLAS and LAPACK alone; importing
-    # scipy.optimize would add its import time to every command-line start
+@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.special"])
+def test_cli_import_leaves_out_scipy_module(module):
+    # the solvers run on scipy's BLAS and LAPACK alone and the logistic
+    # function is numpy's; importing either module would add its import time
+    # to every command-line start
     src = str(SOURCES[0].parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, fairclf.cli; print('scipy.optimize' in sys.modules)"
+    code = f"import sys, fairclf.cli; print({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.strip() == "False"
