@@ -273,6 +273,8 @@ def read_dataset_csv(path) -> Dataset:
             raise ValueError(f"{path}: no 'label' column")
         label_pos = header.index("label")
         rows = [r for r in reader if r]
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     feature_names = tuple(header[:label_pos])
     sensitive_names = tuple(header[label_pos + 1 :])
     data = np.array(rows, dtype=float)

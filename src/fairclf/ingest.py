@@ -199,7 +199,10 @@ def load_bank(path) -> tuple[Dataset, IngestReport]:
     """
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh, delimiter=";", quotechar='"')
-        header = [h.strip().strip('"') for h in next(reader)]
+        try:
+            header = [h.strip().strip('"') for h in next(reader)]
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
         for column in (BANK_LABEL, "age"):
             if column not in header:
                 raise ValueError(f"{path}: no '{column}' column in header")

@@ -127,6 +127,8 @@ class FitSpec:
             raise ValueError("l2_penalty must be finite and >= 0")
         if self.svm_cost is not None and not 0 < self.svm_cost < math.inf:
             raise ValueError("svm_cost must be positive and finite")
+        if self.svm_hinge not in ("squared", "exact"):
+            raise ValueError("svm_hinge must be 'squared' or 'exact'")
         need = {
             "fairness_constrained": ("covariance_thresholds",),
             "accuracy_constrained": ("gamma",),
@@ -792,7 +794,9 @@ def fit_logreg_fine_grained(train: Dataset, spec: FitSpec, settings: SolverSetti
     The loss log(1 + e^-m) of a row with margin m = y_i x_i . theta is
     strictly decreasing in m and equals b at m(b), so the margin row holds
     exactly when loss_i(theta) <= b_i: the rows are the loss budgets, and a
-    ``converged`` status certifies them.
+    ``converged`` status certifies them. ``training_meta`` holds the summed
+    |covariance| as ``objective`` and the logistic loss at theta, with the
+    baseline's ``l2_penalty``, as ``loss``.
     """
     if spec.mode != "fine_grained":
         raise ValueError("fit_logreg_fine_grained requires mode 'fine_grained'")
@@ -822,11 +826,13 @@ def fit_logreg_fine_grained(train: Dataset, spec: FitSpec, settings: SolverSetti
     problem = _covariance_objective_problem(w, constraints, [], theta_start=np.asarray(base.theta))
     result = minimize_smooth(problem, settings)
     theta = result.point[: train.n_features]
+    ridge = base.training_meta["l2_penalty"]
     meta = _meta(
         "fine_grained",
         result,
         n_protected=int(protected.size),
-        l2_penalty=base.training_meta["l2_penalty"],
+        l2_penalty=ridge,
+        loss=logistic_loss(theta, features, labels, ridge),
         covariance=(w @ theta).tolist(),
         objective=float(np.sum(np.abs(w @ theta))),
     )

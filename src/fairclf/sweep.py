@@ -209,17 +209,22 @@ def _score(model, *splits: Dataset) -> list:
     return scores
 
 
-def _record(mode, cell_index, params, outcome: _Outcome, train, test, baseline: dict) -> CellResult:
-    """The result row of one cell of ``baseline``'s repeat; a fit or audit that raised leaves nan fields."""
+def _record(cell_index, params, outcome: _Outcome, train, test, baseline: dict) -> CellResult:
+    """The result row of one cell of ``baseline``'s repeat; a fit or audit that raised leaves nan fields.
+
+    ``train_loss`` is the fit's ``loss`` where its meta has one (the logistic
+    loss of the two gamma modes, whose objective is the summed |covariance|)
+    and its ``objective`` otherwise.
+    """
     start = time.perf_counter()
     error = outcome.error
     if error is None:
         try:
             meta = outcome.model.training_meta
             (train_accuracy, train_report), (test_accuracy, test_report) = _score(outcome.model, train, test)
-            train_loss = float(meta["loss" if mode == "accuracy_constrained" else "objective"])
+            train_loss = float(meta.get("loss", meta["objective"]))
             loss_star, loss_zero = baseline["loss_star"], baseline["loss_zero"]
-            if mode != "fairness_constrained" or loss_zero is None:
+            if loss_zero is None:  # not a fairness sweep, or its c=0 fit failed
                 relative = float("nan")
             elif loss_zero > loss_star + 1e-12:
                 relative = (train_loss - loss_star) / (loss_zero - loss_star)
@@ -294,7 +299,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
             else:
                 value = np.asarray(params["c"], dtype=float) if "c" in params else params["a"] * c_star
             outcome = _fit_or_reuse(config, train, config.mode, value, protected, zero)
-            cells.append(_record(config.mode, cell_index, params, outcome, train, test, baselines[-1]))
+            cells.append(_record(cell_index, params, outcome, train, test, baselines[-1]))
     return SweepResult(config=config, sensitive_names=dataset.sensitive_names, cells=cells, baselines=baselines)
 
 

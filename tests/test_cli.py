@@ -79,6 +79,12 @@ class TestIngestCommand:
         assert str(path) in err
         assert "'age'" in err
 
+    def test_empty_bank_file_names_it(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        assert cli_main(["ingest", "--bank", str(path)]) == 1
+        assert capsys.readouterr().err.strip() == f"error: {path}: empty file"
+
     def test_missing_file(self, capsys):
         code = cli_main(["ingest", "--adult", "/nonexistent/adult.all"])
         assert code == 1

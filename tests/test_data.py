@@ -304,6 +304,12 @@ class TestCsvRoundTrip:
         assert back.sensitive_names == ds.sensitive_names
         assert back.has_bias_column
 
+    def test_header_only_file_names_it(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("x1,label,z\n")
+        with pytest.raises(ValueError, match=f"{path}: no data rows"):
+            read_dataset_csv(path)
+
     def test_byte_identical_rewrites(self, tmp_path):
         ds = make_dataset(n=9, seed=8)
         first = tmp_path / "a.csv"

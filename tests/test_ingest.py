@@ -172,6 +172,12 @@ class TestLoadBank:
         with pytest.raises(ValueError, match="expected 6 fields"):
             load_bank(path)
 
+    def test_empty_file_names_it(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match=f"{path}: empty file"):
+            load_bank(path)
+
     def test_report_json(self, bank_file):
         import json
 

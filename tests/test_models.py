@@ -77,6 +77,10 @@ class TestFitSpecValidation:
         with pytest.raises(ValueError, match="not used"):
             FitSpec(mode="accuracy_constrained", gamma=0.1, covariance_thresholds=0.0)
 
+    def test_unknown_hinge_rejected(self):
+        with pytest.raises(ValueError, match="svm_hinge"):
+            FitSpec(mode="unconstrained", svm_cost=1.0, svm_hinge="exakt")
+
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError):
             FitSpec(mode="accuracy_constrained", gamma=-0.1)

@@ -207,6 +207,23 @@ class TestRunSweep:
         assert result.cells[0].status in ("converged", "max_iter")
         assert result.cells[0].train_report is not None
 
+    def test_fine_grained_train_loss_is_the_logistic_loss(self):
+        # the fit's objective is the summed |covariance|; train_loss is the
+        # loss, which no budget lets fall below the baseline's and which
+        # gamma = 0 pins to it
+        config = fairness_config(
+            dataset=dict(SYNTH, n=400),
+            mode="fine_grained",
+            a_factors=None,
+            gammas=(0.0, 0.5, 2.0),
+            split=SplitPlan(train_fraction=0.7, repeats=1, seed=3),
+        )
+        result = run_sweep(config)
+        loss_star = result.baselines[0]["loss_star"]
+        for cell in result.cells:
+            assert cell.train_loss >= loss_star * (1 - 1e-9)
+        assert result.cells[0].train_loss == pytest.approx(loss_star, rel=1e-6)
+
 
 class TestEmitResults:
     def test_files_written(self, result, tmp_path):
@@ -249,7 +266,7 @@ class TestEmitResults:
 
 
 def test_fine_grained_sweep_certifies_every_gamma():
-    # the synthetic script's fine-grained sweep at its default seed. At
+    # experiments/synthetic/fine_grained_lr.json with 2 repeats. At
     # gamma=0 the budgets admit only the unconstrained optimum, a feasible
     # set with no strict interior, and the gamma=2 cell of the second repeat
     # reaches rho ~ 1e6: each certifies only when every subproblem is solved
