@@ -261,7 +261,11 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
 
 
 def read_dataset_csv(path) -> Dataset:
-    """Read a dataset written by :func:`write_dataset_csv`."""
+    """Read a dataset written by :func:`write_dataset_csv`.
+
+    A row whose field count differs from the header's, or with a field that
+    is not a number, raises ValueError naming ``path:line``.
+    """
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -272,12 +276,29 @@ def read_dataset_csv(path) -> Dataset:
         if "label" not in header:
             raise ValueError(f"{path}: no 'label' column")
         label_pos = header.index("label")
-        rows = [r for r in reader if r]
+        rows, line_numbers = [], []
+        for fields in reader:
+            if not fields:
+                continue
+            if len(fields) != len(header):
+                raise ValueError(f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(fields)}")
+            rows.append(fields)
+            line_numbers.append(reader.line_num)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     feature_names = tuple(header[:label_pos])
     sensitive_names = tuple(header[label_pos + 1 :])
-    data = np.array(rows, dtype=float)
+    try:
+        data = np.array(rows, dtype=float)
+    except ValueError:
+        # find the first field that does not parse, to name its line
+        for fields, line_number in zip(rows, line_numbers):
+            for name, value in zip(header, fields):
+                try:
+                    float(value)
+                except ValueError:
+                    raise ValueError(f"{path}:{line_number}: non-numeric {name!r} field {value!r}") from None
+        raise
     features = data[:, :label_pos]
     labels = data[:, label_pos]
     sensitive = data[:, label_pos + 1 :]

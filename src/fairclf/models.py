@@ -34,7 +34,6 @@ from dataclasses import dataclass, field, replace
 from typing import Literal, Sequence
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .data import Dataset
 from .solvers import (
@@ -44,6 +43,7 @@ from .solvers import (
     SmoothProblem,
     SolverResult,
     SolverSettings,
+    _null_space_svd,
     dot,
     matvec,
     minimize_smooth,
@@ -488,7 +488,9 @@ def _mean_loss_problem(features, value_at, gradient_at, hessian_at, constraints=
     """A loss of (theta, scores X @ theta) as a ``SmoothProblem`` divided by n, started at theta = 0.
 
     ``value_at``, ``gradient_at`` and ``hessian_at`` share one product
-    X @ theta per point. ``hessian_at(scores, out)`` returns the
+    X @ theta per point, and the value is kept for its point too: a
+    constraint row built on the loss is asked for it up to three times at
+    one point. ``hessian_at(scores, out)`` returns the
     loss Hessian, with at least its upper triangle written into ``out``, a
     (d, d) Fortran-ordered buffer that every call reuses. The mean scale
     makes the stationarity tolerance independent of the row count; reported
@@ -497,6 +499,7 @@ def _mean_loss_problem(features, value_at, gradient_at, hessian_at, constraints=
     n, d = features.shape
     inv_n = 1.0 / n
     scores = _at_last_point(lambda theta: matvec(features, theta))
+    value = _at_last_point(lambda theta: value_at(theta, scores(theta)) * inv_n)
     buffer = np.zeros((d, d), order="F")
 
     def hessian(theta: np.ndarray) -> np.ndarray:
@@ -506,7 +509,7 @@ def _mean_loss_problem(features, value_at, gradient_at, hessian_at, constraints=
 
     return SmoothProblem(
         dimension=d,
-        objective=lambda theta: value_at(theta, scores(theta)) * inv_n,
+        objective=value,
         gradient=lambda theta: gradient_at(theta, scores(theta)) * inv_n,
         hessian=hessian,
         equality=equality,
@@ -515,8 +518,9 @@ def _mean_loss_problem(features, value_at, gradient_at, hessian_at, constraints=
     )
 
 
-def _fit_logreg_core(features, labels, l2_penalty, settings, constraints=None, equality=None) -> SolverResult:
-    problem = _mean_loss_problem(
+def _logistic_problem(features, labels, l2_penalty, constraints=None, equality=None) -> SmoothProblem:
+    """The logistic loss with l2_penalty as a :func:`_mean_loss_problem`, the one place it is bound to X."""
+    return _mean_loss_problem(
         features,
         lambda theta, scores: _loss_at(theta, scores, labels, l2_penalty),
         lambda theta, scores: _gradient_at(theta, scores, features, labels, l2_penalty),
@@ -524,7 +528,6 @@ def _fit_logreg_core(features, labels, l2_penalty, settings, constraints=None, e
         constraints,
         equality,
     )
-    return minimize_smooth(problem, settings)
 
 
 # the last unconstrained fit: (weak reference to its training set, spec, settings, model)
@@ -562,11 +565,11 @@ def fit_logreg(train: Dataset, spec: FitSpec, settings: SolverSettings | None = 
             _log.debug("fit_logreg: reusing the optimum fitted last on this training set")
             return _handed_out(model)
     ridge = spec.l2_penalty
-    result = _fit_logreg_core(train.features, train.labels, ridge, settings)
+    result = minimize_smooth(_logistic_problem(train.features, train.labels, ridge), settings)
     auto_ridge = False
     if spec.l2_penalty == 0.0 and result.objective_value < _SEPARABLE_LOSS:
         ridge = _AUTO_RIDGE
-        result = _fit_logreg_core(train.features, train.labels, ridge, settings)
+        result = minimize_smooth(_logistic_problem(train.features, train.labels, ridge), settings)
         auto_ridge = True
     meta = _meta(
         "unconstrained",
@@ -599,7 +602,7 @@ def fit_logreg_fair(train: Dataset, spec: FitSpec, settings: SolverSettings | No
     w = covariance_vectors(train)
     rows, e = _covariance_split(w, c)
     equality = (e, np.zeros(e.shape[0]))
-    result = _fit_logreg_core(train.features, train.labels, spec.l2_penalty, settings, rows, equality)
+    result = minimize_smooth(_logistic_problem(train.features, train.labels, spec.l2_penalty, rows, equality), settings)
     meta = _meta(
         "fairness_constrained",
         result,
@@ -642,6 +645,39 @@ def _covariance_objective_problem(
     )
 
 
+def _loss_budget_baseline(train: Dataset, spec: FitSpec) -> tuple[LinearModel, float]:
+    """theta* of a loss-budget fit, from :func:`fit_logreg`'s memo when it holds it, and its ridge (auto-ridge included)."""
+    base = fit_logreg(train, FitSpec(mode="unconstrained", l2_penalty=spec.l2_penalty), _default_settings())
+    return base, base.training_meta["l2_penalty"]
+
+
+def _loss_budget_model(train: Dataset, w: np.ndarray, theta: np.ndarray, ridge: float) -> dict:
+    """The report of a loss-budget fit at theta: ``l2_penalty``, ``loss``, ``covariance`` W theta and ``objective`` sum |W theta|."""
+    covariance = w @ theta
+    return {
+        "l2_penalty": ridge,
+        "loss": logistic_loss(theta, train.features, train.labels, ridge),
+        "covariance": covariance.tolist(),
+        "objective": float(np.sum(np.abs(covariance))),
+    }
+
+
+def _budget_row(loss: SmoothProblem, scale: float, n_epigraph: int) -> ConstraintBlock:
+    """The row scale * loss(theta) - 1 <= 0 over (theta, t), from the oracle ``loss`` of theta.
+
+    Its value, gradient and Hessian are the oracle's times ``scale``, and
+    zero in the ``n_epigraph`` variables t. The oracle is read at theta
+    alone, so a line-search trial that moves only t reuses its X theta.
+    """
+    d, zeros, pad = loss.dimension, np.zeros(n_epigraph), ((0, n_epigraph), (0, n_epigraph))
+    return ConstraintBlock(
+        value=lambda v: np.array([loss.objective(v[:d]) * scale - 1.0]),
+        jacobian=lambda v: np.concatenate([loss.gradient(v[:d]) * scale, zeros])[None, :],
+        size=1,
+        hessian=lambda v, t: np.pad(loss.hessian(v[:d]) * (t[0] * scale), pad),
+    )
+
+
 def fit_logreg_fairness_max(train: Dataset, spec: FitSpec, settings: SolverSettings | None = None) -> LinearModel:
     """Minimize summed |covariance| under a total-loss budget (mode ``accuracy_constrained``).
 
@@ -649,7 +685,10 @@ def fit_logreg_fairness_max(train: Dataset, spec: FitSpec, settings: SolverSetti
     :func:`fit_logreg`'s memo); the budget is L(theta) <= (1 + gamma) L*
     with L* = L(theta*), with no headroom, so a converged fit certifies that
     budget. The absolute values are handled by an epigraph reformulation,
-    keeping the problem smooth.
+    keeping the problem smooth. The budget row L(theta) / B - 1 <= 0, with
+    B = (1 + gamma) L*, reads the logistic oracle that :func:`fit_logreg`
+    minimizes (:func:`_logistic_problem`): its value, gradient and Hessian
+    scaled by n / B, and zero in the epigraph variables.
 
     At gamma = 0 the result is theta* itself, without a solve, marked
     ``closed_form``. This is exact: the feasible points are the minimizers
@@ -662,80 +701,40 @@ def fit_logreg_fairness_max(train: Dataset, spec: FitSpec, settings: SolverSetti
         raise ValueError("fit_logreg_fairness_max requires mode 'accuracy_constrained'")
     _require_bias(train, "fit_logreg_fairness_max")
     settings = settings or _default_settings(feasibility_tolerance=3e-9)
-    base = fit_logreg(train, FitSpec(mode="unconstrained", l2_penalty=spec.l2_penalty), _default_settings())
-    ridge = base.training_meta["l2_penalty"]
+    base, ridge = _loss_budget_baseline(train, spec)
     loss_star = base.training_meta["objective"]
     budget = max((1.0 + spec.gamma) * loss_star, 1e-12)
     features, labels = train.features, train.labels
-
-    def closed_form(theta: np.ndarray, loss: float, status: str, kkt: KKTResiduals) -> LinearModel:
-        w = covariance_vectors(train)
-        objective = float(np.sum(np.abs(w @ theta)))
-        exact = SolverResult(point=theta, objective_value=objective, status=status, kkt=kkt, iterations=0)
-        meta = _meta(
-            "accuracy_constrained",
-            exact,
-            gamma=spec.gamma,
-            l2_penalty=ridge,
-            loss_star=loss_star,
-            loss=loss,
-            covariance=(w @ theta).tolist(),
-            closed_form=True,
-        )
-        return LinearModel(theta=theta, training_meta=meta)
+    w = covariance_vectors(train)
+    d = train.n_features
 
     # once the budget admits the all-zero boundary, that boundary is an exact
     # optimum (its covariance is identically zero in every column), so the
     # numerical solve is skipped; every row then sits on the positive side of
     # the tie and both groups share the same positive rate
-    zero_theta = np.zeros(train.n_features)
-    zero_loss = logistic_loss(zero_theta, features, labels, ridge)
-    if zero_loss <= budget:
-        return closed_form(zero_theta, zero_loss, "converged", KKTResiduals(0.0, 0.0, 0.0))
-    if spec.gamma == 0.0:
-        kkt = base.training_meta["kkt"]
-        residuals = KKTResiduals(kkt["stationarity_norm"], kkt["max_violation"], kkt["max_comp_slack"])
-        return closed_form(np.asarray(base.theta), loss_star, base.training_meta["status"], residuals)
-
-    d = features.shape[1]
-    # keyed on theta alone: a line-search trial that moves only the epigraph
-    # variables reuses both
-    scores = _at_last_point(lambda theta: matvec(features, theta))
-    loss = _at_last_point(lambda theta: _loss_at(theta, scores(theta), labels, ridge))
-
-    def loss_block(v: np.ndarray) -> np.ndarray:
-        # normalized so the feasibility tolerance bounds the relative
-        # exceedance of the loss budget
-        return np.array([loss(v[:d]) / budget - 1.0])
-
-    def loss_jac(v: np.ndarray) -> np.ndarray:
-        g = _gradient_at(v[:d], scores(v[:d]), features, labels, ridge) / budget
-        return np.concatenate([g, np.zeros(v.size - d)])[None, :]
-
-    curvature = np.zeros((d, d), order="F")
-
-    def loss_hessian(v: np.ndarray, t: np.ndarray) -> np.ndarray:
-        # t times the Hessian of L / budget, which is zero in the epigraph variables
-        out = np.zeros((v.size, v.size))
-        out[:d, :d] = _logistic_hessian_at(scores(v[:d]), features, ridge, curvature)
-        out[:d, :d] *= t[0] / budget
-        return out
-
-    block = ConstraintBlock(value=loss_block, jacobian=loss_jac, size=1, hessian=loss_hessian)
-    w = covariance_vectors(train)
-    problem = _covariance_objective_problem(w, _epigraph_rows(w), [block], theta_start=np.asarray(base.theta))
-    result = minimize_smooth(problem, settings)
-    theta = result.point[:d]
+    zero_fits = logistic_loss(np.zeros(d), features, labels, ridge) <= budget
+    closed_form = zero_fits or spec.gamma == 0.0
+    if zero_fits:
+        theta = np.zeros(d)
+        result = SolverResult(theta, 0.0, "converged", KKTResiduals(0.0, 0.0, 0.0), 0)
+    elif spec.gamma == 0.0:
+        theta = np.asarray(base.theta)
+        result = SolverResult(theta, 0.0, base.training_meta["status"], KKTResiduals(**base.training_meta["kkt"]), 0)
+    else:
+        # the row is L / B - 1, so the feasibility tolerance bounds the
+        # relative exceedance of the budget
+        block = _budget_row(_logistic_problem(features, labels, ridge), train.n / budget, w.shape[0])
+        problem = _covariance_objective_problem(w, _epigraph_rows(w), [block], theta_start=np.asarray(base.theta))
+        result = minimize_smooth(problem, settings)
+        theta = result.point[:d]
+    # the report's objective, sum |W theta|, replaces the result's
     meta = _meta(
         "accuracy_constrained",
         result,
         gamma=spec.gamma,
-        l2_penalty=ridge,
         loss_star=loss_star,
-        loss=logistic_loss(theta, features, labels, ridge),
-        covariance=(w @ theta).tolist(),
-        objective=float(np.sum(np.abs(w @ theta))),
-        closed_form=False,
+        closed_form=closed_form,
+        **_loss_budget_model(train, w, theta, ridge),
     )
     return LinearModel(theta=theta, training_meta=meta)
 
@@ -810,7 +809,7 @@ def fit_logreg_fine_grained(train: Dataset, spec: FitSpec, settings: SolverSetti
     if protected.size and (protected.min() < 0 or protected.max() >= train.n):
         raise ValueError("protected_index_set out of range")
 
-    base = fit_logreg(train, FitSpec(mode="unconstrained", l2_penalty=spec.l2_penalty), _default_settings())
+    base, ridge = _loss_budget_baseline(train, spec)
     features, labels = train.features, train.labels
     loss_star_i = per_point_logistic_loss(base.theta, features, labels)
 
@@ -826,16 +825,7 @@ def fit_logreg_fine_grained(train: Dataset, spec: FitSpec, settings: SolverSetti
     problem = _covariance_objective_problem(w, constraints, [], theta_start=np.asarray(base.theta))
     result = minimize_smooth(problem, settings)
     theta = result.point[: train.n_features]
-    ridge = base.training_meta["l2_penalty"]
-    meta = _meta(
-        "fine_grained",
-        result,
-        n_protected=int(protected.size),
-        l2_penalty=ridge,
-        loss=logistic_loss(theta, features, labels, ridge),
-        covariance=(w @ theta).tolist(),
-        objective=float(np.sum(np.abs(w @ theta))),
-    )
+    meta = _meta("fine_grained", result, n_protected=int(protected.size), **_loss_budget_model(train, w, theta, ridge))
     return LinearModel(theta=theta, training_meta=meta)
 
 
@@ -900,9 +890,9 @@ def _exact_hinge(features, labels, w, c, svm_cost, settings) -> tuple[np.ndarray
     ``q_factor=(0, V)``: the (n + m) x (n + m) matrix V V' is never formed,
     and every Newton step is a Woodbury solve through an r x r core, r <= d.
     """
-    n, d = features.shape
+    n = features.shape[0]
     (cov_a, cov_b), cov_e = _covariance_split(w, c)
-    basis = null_space(cov_e) if cov_e.shape[0] else np.eye(d)
+    *_, basis = _null_space_svd(cov_e)
     scale = math.sqrt(n / 2.0)
     v = (np.vstack([labels[:, None] * features, -cov_a]) @ basis) * scale
     m = cov_b.size
@@ -996,7 +986,7 @@ def fit_kernel_svm_fair(train: Dataset, spec: FitSpec, settings: SolverSettings 
     coefficients, the objective on the factor.
     """
     c = _svm_thresholds(train, spec, "fit_kernel_svm_fair")
-    settings = settings or _default_settings(max_iterations=50_000, feasibility_tolerance=1e-10)
+    settings = settings or _default_settings(feasibility_tolerance=1e-10)
     features, labels = train.features, train.labels
     n = train.n
     kernel = resolve_kernel(spec.kernel, features)

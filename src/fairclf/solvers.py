@@ -626,18 +626,13 @@ def _solve_al(comp: _Compiled, settings: SolverSettings) -> SolverResult:
             _log.debug("newton steps=%d halvings=%d", steps, halvings)
             return finish(None)
 
-        violation = 0.0
         if b.size:
-            r = matvec(a, x) - b
-            lam_rows = np.maximum(0.0, lam_rows + rho * r)
-            violation = max(violation, float(np.max(r)))
+            lam_rows = np.maximum(0.0, lam_rows + rho * (matvec(a, x) - b))
         for i, block in enumerate(comp.blocks):
-            g = block.value(x)
-            lam[i] = np.maximum(0.0, lam[i] + rho * g)
-            if g.size:
-                violation = max(violation, float(np.max(g)))
+            lam[i] = np.maximum(0.0, lam[i] + rho * block.value(x))
 
         kkt = _residuals(comp, x, multipliers(), None)
+        violation = kkt.max_violation
         _log.debug(
             "al outer=%d rho=%.1e newton=%d halvings=%d viol=%.2e stat=%.2e comp=%.2e",
             outer, rho, steps, halvings, kkt.max_violation, kkt.stationarity_norm, kkt.max_comp_slack,
@@ -692,13 +687,23 @@ def _named_multipliers(lam: list, mu: np.ndarray | None = None) -> dict:
 # full problem certify the result.
 
 
+def _null_space_svd(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(U_r, s_r, V_r, N) from one SVD E = U S V': the leading r singular triples and N = V[:, r:].
+
+    r is the numerical rank of E, the number of singular values above
+    s_0 max(shape) eps, with s_0 the largest; N is then an orthonormal basis
+    of the null space of E. An E with no rows has r = 0 and N = I.
+    """
+    u, s, vt = np.linalg.svd(e)
+    rank = int(np.count_nonzero(s > np.max(s, initial=0.0) * max(e.shape) * np.finfo(float).eps))
+    return u[:, :rank], s[:rank], vt[:rank].T, vt[rank:].T
+
+
 def _solve_eliminated(comp: _Compiled, settings: SolverSettings) -> SolverResult:
     e, f = comp.equality
-    u, s, vt = np.linalg.svd(e)
-    rank = int(np.count_nonzero(s > s[0] * max(e.shape) * np.finfo(float).eps))
-    u_r, s_r, v_r, basis = u[:, :rank], s[:rank], vt[:rank].T, vt[rank:].T
+    u_r, s_r, v_r, basis = _null_space_svd(e)
     x_p = v_r @ ((u_r.T @ f) / s_r)
-    _log.debug("equality rows=%d rank=%d: solving over a %d-dimensional null space", f.size, rank, basis.shape[1])
+    _log.debug("equality rows=%d rank=%d: solving over a %d-dimensional null space", f.size, s_r.size, basis.shape[1])
     if float(np.max(np.abs(e @ x_p - f))) > settings.feas_tol:
         # x_p is the least-squares point: no point meets E x = f
         lam = [np.zeros(block.size) for block in comp.inequalities]

@@ -115,6 +115,14 @@ class TestTrainAndAudit:
         audit_payload = json.loads(capsys.readouterr().out)
         assert audit_payload["p_percent"]["z"] >= train_payload["train_audit"]["p_percent"]["z"] - 1e-9
 
+    def test_audit_of_a_ragged_file_names_file_and_line(self, tmp_path, capsys):
+        data = tmp_path / "ragged.csv"
+        data.write_text("x1,label,z\n0.5,1,0\n1.5,-1\n")
+        distances = tmp_path / "d.txt"
+        distances.write_text("0.1\n-0.2\n")
+        assert cli_main(["audit", "--data", str(data), "--distances", str(distances)]) == 1
+        assert capsys.readouterr().err.strip() == f"error: {data}:3: expected 3 fields, got 2"
+
     def test_audit_distances_file(self, synth_csv, tmp_path, capsys):
         distances = tmp_path / "d.txt"
         distances.write_text("\n".join(["1.0"] * 40 + ["-1.0"] * 40) + "\n")

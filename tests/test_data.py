@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -308,6 +309,18 @@ class TestCsvRoundTrip:
         path = tmp_path / "header.csv"
         path.write_text("x1,label,z\n")
         with pytest.raises(ValueError, match=f"{path}: no data rows"):
+            read_dataset_csv(path)
+
+    def test_short_row_names_file_and_line(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("x1,label,z\n0.5,1,0\n\n1.5,-1\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4: expected 3 fields, got 2")):
+            read_dataset_csv(path)
+
+    def test_non_numeric_field_names_file_and_line(self, tmp_path):
+        path = tmp_path / "label.csv"
+        path.write_text("x1,label,z\n0.5,1,0\n1.5,yes,1\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: non-numeric 'label' field 'yes'")):
             read_dataset_csv(path)
 
     def test_byte_identical_rewrites(self, tmp_path):

@@ -1,4 +1,5 @@
 import logging
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -395,6 +396,48 @@ class TestFairnessMax:
         model = fit_logreg_fairness_max(ds, FitSpec(mode="accuracy_constrained", gamma=0.1))
         assert model.training_meta["loss"] <= (1.1) * base.training_meta["objective"] * (1 + 1e-8)
         assert abs(float(w @ model.theta)) <= cov_star
+
+
+class TestLossBudgetReport:
+    @staticmethod
+    def zero_boundary_gamma(ds):
+        # (1 + gamma) L* = L* + n log 2 admits theta = 0, whose loss is n log 2
+        base = fit_logreg(ds, FitSpec(mode="unconstrained"))
+        return ds.n * math.log(2.0) / base.training_meta["objective"]
+
+    def test_zero_boundary_is_closed_form(self, monkeypatch):
+        ds, _ = random_instance(10, n=80)
+        gamma = self.zero_boundary_gamma(ds)
+        calls = count_smooth_solves(monkeypatch)
+        model = fit_logreg_fairness_max(ds, FitSpec(mode="accuracy_constrained", gamma=gamma))
+        assert not calls
+        meta = model.training_meta
+        np.testing.assert_array_equal(model.theta, np.zeros(ds.n_features))
+        assert meta["closed_form"] and meta["converged"]
+        assert meta["iterations"] == 0
+        assert meta["objective"] == 0.0
+        assert meta["loss"] == pytest.approx(ds.n * math.log(2.0), rel=1e-14)
+
+    def test_every_outcome_reports_the_same_fields(self):
+        ds = append_bias(gen_linear_synthetic(SynthConfig(n=400, phi=np.pi / 4, seed=3)))
+        w = covariance_vectors(ds)
+        outcomes = [
+            fit_logreg_fairness_max(ds, FitSpec(mode="accuracy_constrained", gamma=gamma))
+            for gamma in (0.0, 0.2, self.zero_boundary_gamma(ds))
+        ]
+        assert [model.training_meta["closed_form"] for model in outcomes] == [True, False, True]
+        assert not outcomes[2].theta.any()
+        assert len({frozenset(model.training_meta) for model in outcomes}) == 1
+        fine = fit_logreg_fine_grained(
+            ds, FitSpec(mode="fine_grained", per_point_gammas=np.ones(ds.n), protected_index_set=[])
+        )
+        for model in outcomes + [fine]:
+            meta = model.training_meta
+            assert meta["converged"]
+            covariance = w @ model.theta
+            assert meta["covariance"] == covariance.tolist()
+            assert meta["objective"] == float(np.sum(np.abs(covariance)))
+            assert meta["loss"] == logistic_loss(model.theta, ds.features, ds.labels, meta["l2_penalty"])
 
 
 class TestFineGrained:

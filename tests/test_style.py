@@ -54,6 +54,23 @@ def test_private_helpers_are_used():
     assert not unused, f"defined but never referenced: {unused}"
 
 
+def test_only_the_solvers_import_scipy():
+    # scipy's BLAS and LAPACK sit behind the solvers' products and
+    # factorisations; every other module reaches them through fairclf.solvers
+    importers = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name == "scipy" or name.startswith("scipy.") for name in names):
+                importers.append(f"{path.name}:{node.lineno}")
+    assert importers and all(entry.startswith("solvers.py:") for entry in importers), importers
+
+
 @pytest.mark.parametrize("module", ["scipy.optimize", "scipy.special"])
 def test_cli_import_leaves_out_scipy_module(module):
     # the solvers run on scipy's BLAS and LAPACK alone and the logistic
