@@ -185,7 +185,13 @@ def encode_sensitive(
     ``"name=value"`` so the mapping is recorded. A constant column is
     rejected: its covariance with anything is identically zero.
     """
-    codes, distinct = category_codes([str(v) for v in raw])
+    return _encode_codes(*category_codes([str(v) for v in raw]), name, positive_value)
+
+
+def _encode_codes(
+    codes: np.ndarray, distinct: list, name: str, positive_value=None
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """:func:`encode_sensitive` of a column already coded by :func:`category_codes`."""
     if len(distinct) < 2:
         raise ValueError(f"sensitive column {name!r} is constant; encoding would be vacuous")
     if len(distinct) == 2:

@@ -15,13 +15,28 @@ solve. The RBF kernel dual goes through ``solve_qp`` on a full-rank factor
 of its exact Q from an eigendecomposition of the full Gram, where the fit
 poses a pivoted incomplete Cholesky, so the two share the interior-point
 loop but not the Q.
+
+The UCI loaders are checked against their per-line form: each file read in
+text mode, one Python string per field, and each categorical column compared
+with each of its values.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 
 import numpy as np
+
+from fairclf.data import Dataset, append_bias
+from fairclf.ingest import (
+    ADULT_COLUMNS,
+    ADULT_NUMERIC,
+    BANK_AGE_NAME,
+    BANK_LABEL,
+    BANK_NUMERIC,
+    IngestReport,
+)
 
 
 def finite_difference_gradient(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -417,3 +432,190 @@ def unit_rows_reference(rows) -> tuple[np.ndarray, np.ndarray]:
         r = r if r > 0 else 1.0
         scaled.append((a / r, b / r))
     return np.array([a for a, _ in scaled]), np.array([b for _, b in scaled])
+
+
+# ---------------------------------------------------------------------------
+# the UCI loaders, line by line
+
+
+def loop_encode_sensitive(raw, name, positive_value=None):
+    """``encode_sensitive`` as one pass over the rows per distinct value."""
+    values = [str(v) for v in raw]
+    distinct = sorted(set(values))
+    if len(distinct) < 2:
+        raise ValueError(f"sensitive column {name!r} is constant; encoding would be vacuous")
+    if len(distinct) == 2:
+        if positive_value is not None:
+            pos = str(positive_value)
+            if pos not in distinct:
+                raise ValueError(f"positive_value {pos!r} not among values {distinct}")
+        else:
+            pos = distinct[1]
+        column = np.array([1.0 if v == pos else 0.0 for v in values])
+        return column.reshape(-1, 1), (f"{name}={pos}",)
+    if positive_value is not None:
+        raise ValueError("positive_value only applies to binary attributes")
+    columns = np.zeros((len(values), len(distinct)))
+    for j, val in enumerate(distinct):
+        columns[:, j] = [1.0 if v == val else 0.0 for v in values]
+    return columns, tuple(f"{name}={val}" for val in distinct)
+
+
+def loop_labels(path, column, tokens, line_numbers, positive, negative):
+    labels = np.empty(len(tokens))
+    for i, (token, line) in enumerate(zip(tokens, line_numbers)):
+        if token == positive:
+            labels[i] = 1.0
+        elif token == negative:
+            labels[i] = -1.0
+        else:
+            raise ValueError(f"{path}:{line}: unknown label token in the {column} column: {token!r}")
+    return labels
+
+
+def loop_floats(path, column, values, line_numbers):
+    numbers = []
+    for value, line in zip(values, line_numbers):
+        try:
+            numbers.append(float(value))
+        except ValueError:
+            raise ValueError(f"{path}:{line}: non-numeric {column} field {value!r}") from None
+    return numbers
+
+
+def loop_group_stats(groups, labels):
+    stats = {}
+    for column, values in groups.items():
+        for value in sorted(set(values)):
+            mask = np.array([v == value for v in values])
+            positive = int(np.sum(labels[mask] == 1))
+            stats[f"{column}={value}"] = {
+                "total": int(mask.sum()),
+                "positive": positive,
+                "negative": int(mask.sum()) - positive,
+            }
+    return stats
+
+
+def per_value_features(numeric, categorical):
+    """The one-hot assembly as one comparison of the whole column per distinct value."""
+    blocks, names = [], []
+    for column, values in numeric.items():
+        arr = np.asarray(values, dtype=float)
+        sd = arr.std()
+        blocks.append(((arr - arr.mean()) / (sd if sd > 0 else 1.0)).reshape(-1, 1))
+        names.append(column)
+    for column, values in categorical.items():
+        # compared as Python strings: a numpy string array would drop a
+        # value's trailing NUL characters
+        distinct = sorted(set(values))
+        onehot = np.zeros((len(values), len(distinct)))
+        for j, val in enumerate(distinct):
+            onehot[:, j] = [v == val for v in values]
+        blocks.append(onehot)
+        names.extend(f"{column}={val}" for val in distinct)
+    return np.hstack(blocks), tuple(names), tuple(range(len(numeric)))
+
+
+def reference_dataset(path, columns, numeric, line_numbers, labels, sensitive, sensitive_names, groups, rows_dropped):
+    """The loaders' shared pipeline as stacked blocks, a ``Dataset`` without bias, then ``append_bias``."""
+    numbers = {c: loop_floats(path, c, columns[c], line_numbers) for c in numeric}
+    categorical = {c: values for c, values in columns.items() if c not in numeric}
+    features, names, scale_columns = per_value_features(numbers, categorical)
+    dataset = Dataset(
+        features=features,
+        labels=labels,
+        sensitive=sensitive,
+        sensitive_names=sensitive_names,
+        feature_names=names,
+        scale_columns=scale_columns,
+    )
+    report = IngestReport(
+        rows_read=len(labels) + rows_dropped,
+        rows_dropped_missing=rows_dropped,
+        rows_kept=len(labels),
+        label_positive=int(np.sum(labels == 1)),
+        label_negative=int(np.sum(labels == -1)),
+        group_stats=loop_group_stats(groups, labels),
+    )
+    return append_bias(dataset), report
+
+
+def reference_load_adult(path, sensitive_choice="gender"):
+    """``load_adult`` as a text-mode loop over the lines: each stripped, split at commas, each field stripped."""
+    rows, line_numbers = [], []
+    dropped = 0
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("|"):
+                continue
+            fields = [f.strip() for f in line.split(",")]
+            if len(fields) != len(ADULT_COLUMNS):
+                raise ValueError(f"{path}:{lineno}: expected {len(ADULT_COLUMNS)} fields, got {len(fields)}")
+            if "?" in fields:
+                dropped += 1
+                continue
+            rows.append(fields)
+            line_numbers.append(lineno)
+    if not rows:
+        raise ValueError(f"{path}: no usable rows")
+    columns = dict(zip(ADULT_COLUMNS, zip(*rows)))
+    del rows
+
+    tokens = [token.rstrip(".") for token in columns.pop("income")]
+    labels = loop_labels(path, "income", tokens, line_numbers, ">50K", "<=50K")
+    groups = {"sex": columns["sex"], "race": columns["race"]}
+    sources = {"gender": ["sex"], "race": ["race"], "gender+race": ["sex", "race"]}[sensitive_choice]
+    blocks = [loop_encode_sensitive(columns.pop(source), source) for source in sources]
+    return reference_dataset(
+        path,
+        columns,
+        ADULT_NUMERIC,
+        line_numbers,
+        labels,
+        np.hstack([block for block, _ in blocks]),
+        sum((names for _, names in blocks), ()),
+        groups,
+        dropped,
+    )
+
+
+def reference_load_bank(path):
+    """``load_bank`` with its ``csv`` parse, each column kept as strings."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh, delimiter=";", quotechar='"')
+        try:
+            header = [h.strip().strip('"') for h in next(reader)]
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        for column in (BANK_LABEL, "age"):
+            if column not in header:
+                raise ValueError(f"{path}: no '{column}' column in header")
+        rows, line_numbers = [], []
+        for lineno, fields in enumerate(reader, start=2):
+            if not fields:
+                continue
+            if len(fields) != len(header):
+                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}")
+            rows.append([f.strip().strip('"') for f in fields])
+            line_numbers.append(lineno)
+    if not rows:
+        raise ValueError(f"{path}: no usable rows")
+    columns = dict(zip(header, zip(*rows)))
+    del rows
+
+    labels = loop_labels(path, BANK_LABEL, columns.pop(BANK_LABEL), line_numbers, "yes", "no")
+    ages = np.array(loop_floats(path, "age", columns.pop("age"), line_numbers))
+    in_group = (ages >= 25) & (ages <= 60)
+    return reference_dataset(
+        path,
+        columns,
+        [c for c in BANK_NUMERIC if c in columns],
+        line_numbers,
+        labels,
+        in_group.astype(float).reshape(-1, 1),
+        (BANK_AGE_NAME,),
+        {"age": ["25-60" if g else "other" for g in in_group]},
+        0,
+    )

@@ -22,7 +22,7 @@ from fairclf.models import (
     predict,
 )
 
-from test_ingest import BANK_HEADER, BANK_ROWS, adult_rows, write_adult_fixture
+from test_ingest import BANK_HEADER, BANK_ROWS, adult_rows, row, write_adult_fixture
 
 
 @pytest.fixture
@@ -84,6 +84,12 @@ class TestIngestCommand:
         path.write_text("")
         assert cli_main(["ingest", "--bank", str(path)]) == 1
         assert capsys.readouterr().err.strip() == f"error: {path}: empty file"
+
+    def test_adult_bad_value_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "adult.all"
+        write_adult_fixture(path, adult_rows() + [row(age="x12")])
+        assert cli_main(["ingest", "--adult", str(path)]) == 1
+        assert capsys.readouterr().err.strip() == f"error: {path}:11: non-numeric age field 'x12'"
 
     def test_missing_file(self, capsys):
         code = cli_main(["ingest", "--adult", "/nonexistent/adult.all"])

@@ -17,7 +17,7 @@ from fairclf.data import (
     write_dataset_csv,
 )
 
-from test_ingest import loop_encode_sensitive
+from oracles import loop_encode_sensitive
 
 
 def make_dataset(n=6, d=2, seed=0, **kwargs):

@@ -7,19 +7,30 @@ fields. Count assertions against the published full-file statistics live in
 the acceptance suite and run when the real files are present.
 """
 
+import json
+import os
+import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from fairclf import ingest
-from fairclf.data import Dataset, append_bias
-from fairclf.ingest import IngestReport, load_adult, load_bank
+from fairclf.ingest import load_adult, load_bank
+
+from oracles import reference_load_adult, reference_load_bank
 
 ADULT_ROW = (
     "{age}, {work}, 77516, Bachelors, 13, Never-married, Adm-clerical,"
     " Not-in-family, {race}, {sex}, 2174, 0, {hours}, United-States, {label}"
 )
+
+
+def row(label="<=50K", **fields) -> str:
+    spec = {"age": 30, "work": "Private", "race": "White", "sex": "Male", "hours": 40, "label": label, **fields}
+    return ADULT_ROW.format(**spec)
 
 
 def write_adult_fixture(path, rows):
@@ -133,6 +144,38 @@ class TestLoadAdult:
         with pytest.raises(ValueError, match="sensitive_choice"):
             load_adult(adult_file, "age")
 
+    def test_non_numeric_field_names_line_column_and_value(self, tmp_path):
+        path = tmp_path / "bad.all"
+        write_adult_fixture(path, adult_rows() + [row(age="x12")])
+        # two header lines, then the eight fixture rows
+        with pytest.raises(ValueError, match=re.escape(f"{path}:11: non-numeric age field 'x12'")):
+            load_adult(path, "gender")
+
+    def test_unknown_label_names_line(self, tmp_path):
+        path = tmp_path / "bad.all"
+        write_adult_fixture(path, adult_rows() + [row(label="50K-ish.")])
+        with pytest.raises(ValueError, match=re.escape(f"{path}:11: unknown label token in the income column: '50K-ish'")):
+            load_adult(path, "gender")
+
+    def test_reads_a_pipe(self, tmp_path):
+        # a pipe's size is unknown until it is read to the end
+        path = tmp_path / "adult.fifo"
+        os.mkfifo(path)
+        writer = threading.Thread(target=write_adult_fixture, args=(path, adult_rows()))
+        writer.start()
+        try:
+            _, report = load_adult(path, "gender")
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert report.rows_kept == 6
+
+    def test_undecodable_byte_names_file_and_line(self, tmp_path):
+        path = tmp_path / "latin1.all"
+        path.write_bytes("\n".join(adult_rows() + [row(work="Cura\xe7ao")]).encode("latin-1"))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:9: not UTF-8")):
+            load_adult(path, "gender")
+
 
 class TestLoadBank:
     def test_age_discretization_inclusive(self, bank_file):
@@ -166,6 +209,30 @@ class TestLoadBank:
         with pytest.raises(ValueError, match="non-numeric age"):
             load_bank(path)
 
+    def test_non_numeric_age_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([BANK_HEADER] + BANK_ROWS + ['"old";"adm";"single";1;1;"no"']) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:7: non-numeric age field 'old'")):
+            load_bank(path)
+
+    def test_non_numeric_duration_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([BANK_HEADER, BANK_ROWS[0], "", '30;"adm";"single";"x12";1;"no"']) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4: non-numeric duration field 'x12'")):
+            load_bank(path)
+
+    def test_unknown_label_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([BANK_HEADER] + BANK_ROWS + ['30;"adm";"single";1;1;"maybe"']) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:7: unknown label token in the y column: 'maybe'")):
+            load_bank(path)
+
+    def test_undecodable_byte_names_file_and_line(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("\n".join([BANK_HEADER, BANK_ROWS[0], '30;"m\xe9canicien";"single";1;1;"no"']).encode("latin-1"))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: not UTF-8")):
+            load_bank(path)
+
     def test_malformed_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(BANK_HEADER + "\n" + '24;"technician";"single";100;1\n')
@@ -187,101 +254,21 @@ class TestLoadBank:
 
 
 # ---------------------------------------------------------------------------
-# an independent reference for the loaders' shared pipeline: every categorical
-# column compared with each of its values, blocks stacked, then append_bias
+# the loaders against their line-by-line form in ``oracles``
 
 
-def loop_encode_sensitive(raw, name, positive_value=None):
-    """``encode_sensitive`` as one pass over the rows per distinct value."""
-    values = [str(v) for v in raw]
-    distinct = sorted(set(values))
-    if len(distinct) < 2:
-        raise ValueError(f"sensitive column {name!r} is constant; encoding would be vacuous")
-    if len(distinct) == 2:
-        if positive_value is not None:
-            pos = str(positive_value)
-            if pos not in distinct:
-                raise ValueError(f"positive_value {pos!r} not among values {distinct}")
-        else:
-            pos = distinct[1]
-        column = np.array([1.0 if v == pos else 0.0 for v in values])
-        return column.reshape(-1, 1), (f"{name}={pos}",)
-    if positive_value is not None:
-        raise ValueError("positive_value only applies to binary attributes")
-    columns = np.zeros((len(values), len(distinct)))
-    for j, val in enumerate(distinct):
-        columns[:, j] = [1.0 if v == val else 0.0 for v in values]
-    return columns, tuple(f"{name}={val}" for val in distinct)
-
-
-def loop_labels(path, tokens, positive, negative):
-    labels = np.empty(len(tokens))
-    for i, token in enumerate(tokens):
-        if token == positive:
-            labels[i] = 1.0
-        elif token == negative:
-            labels[i] = -1.0
-        else:
-            raise ValueError(f"{path}: unknown label token {token!r}")
-    return labels
-
-
-def loop_group_stats(groups, labels):
-    stats = {}
-    for column, values in groups.items():
-        arr = np.asarray(values)
-        for value in sorted(set(values)):
-            mask = arr == value
-            positive = int(np.sum(labels[mask] == 1))
-            stats[f"{column}={value}"] = {
-                "total": int(mask.sum()),
-                "positive": positive,
-                "negative": int(mask.sum()) - positive,
-            }
-    return stats
-
-
-def per_value_features(numeric, categorical):
-    """The one-hot assembly as one comparison of the whole column per distinct value."""
-    blocks, names = [], []
-    for column, values in numeric.items():
-        arr = np.asarray(values, dtype=float)
-        sd = arr.std()
-        blocks.append(((arr - arr.mean()) / (sd if sd > 0 else 1.0)).reshape(-1, 1))
-        names.append(column)
-    for column, values in categorical.items():
-        distinct = sorted(set(values))
-        arr = np.asarray(values)
-        onehot = np.zeros((len(values), len(distinct)))
-        for j, val in enumerate(distinct):
-            onehot[:, j] = arr == val
-        blocks.append(onehot)
-        names.extend(f"{column}={val}" for val in distinct)
-    return np.hstack(blocks), tuple(names), tuple(range(len(numeric)))
-
-
-def reference_dataset(columns, numeric, labels, sensitive, sensitive_names, groups, rows_dropped):
-    """``ingest._dataset`` as stacked blocks, a ``Dataset`` without bias, then ``append_bias``."""
-    numbers = {c: [float(v) for v in columns[c]] for c in numeric}
-    categorical = {c: values for c, values in columns.items() if c not in numeric}
-    features, names, scale_columns = per_value_features(numbers, categorical)
-    dataset = Dataset(
-        features=features,
-        labels=labels,
-        sensitive=sensitive,
-        sensitive_names=sensitive_names,
-        feature_names=names,
-        scale_columns=scale_columns,
-    )
-    report = IngestReport(
-        rows_read=len(labels) + rows_dropped,
-        rows_dropped_missing=rows_dropped,
-        rows_kept=len(labels),
-        label_positive=int(np.sum(labels == 1)),
-        label_negative=int(np.sum(labels == -1)),
-        group_stats=loop_group_stats(groups, labels),
-    )
-    return append_bias(dataset), report
+def assert_same_load(ours, reference):
+    """Two (Dataset, IngestReport) pairs equal byte for byte."""
+    fast, fast_report = ours
+    slow, slow_report = reference
+    for name in ("features", "labels", "sensitive"):
+        a, b = getattr(fast, name), getattr(slow, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.flags.c_contiguous == b.flags.c_contiguous, name
+        assert a.tobytes() == b.tobytes(), name
+    for name in ("feature_names", "sensitive_names", "scale_columns", "has_bias_column"):
+        assert getattr(fast, name) == getattr(slow, name), name
+    assert json.dumps(fast_report.to_json_dict()) == json.dumps(slow_report.to_json_dict())
 
 
 def random_adult_file(path, rows: int, seed: int):
@@ -306,31 +293,14 @@ def random_adult_file(path, rows: int, seed: int):
 class TestOneHotAssembly:
     """The loaders' output equals the stacked per-value reference byte for byte."""
 
-    @staticmethod
-    def assert_same_as_reference(monkeypatch, load):
-        fast, fast_report = load()
-        monkeypatch.setattr(ingest, "_dataset", reference_dataset)
-        monkeypatch.setattr(ingest, "_labels", loop_labels)
-        monkeypatch.setattr(ingest, "encode_sensitive", loop_encode_sensitive)
-        slow, slow_report = load()
-        monkeypatch.undo()
-        for name in ("features", "labels", "sensitive"):
-            a, b = getattr(fast, name), getattr(slow, name)
-            assert a.dtype == b.dtype and a.shape == b.shape, name
-            assert a.flags.c_contiguous == b.flags.c_contiguous, name
-            assert a.tobytes() == b.tobytes(), name
-        for name in ("feature_names", "sensitive_names", "scale_columns", "has_bias_column"):
-            assert getattr(fast, name) == getattr(slow, name), name
-        assert fast_report.to_json_dict() == slow_report.to_json_dict()
-
-    def test_adult(self, tmp_path, monkeypatch):
+    def test_adult(self, tmp_path):
         path = tmp_path / "adult.all"
         random_adult_file(path, 300, seed=5)
         for choice in ("gender", "race", "gender+race"):
-            self.assert_same_as_reference(monkeypatch, lambda: load_adult(path, choice))
+            assert_same_load(load_adult(path, choice), reference_load_adult(path, choice))
 
-    def test_bank(self, bank_file, tmp_path, monkeypatch):
-        self.assert_same_as_reference(monkeypatch, lambda: load_bank(bank_file))
+    def test_bank(self, bank_file, tmp_path):
+        assert_same_load(load_bank(bank_file), reference_load_bank(bank_file))
         rng = np.random.default_rng(6)
         jobs = ["technician", "Services", "admin.", "b", "B", "10", "9"]
         rows = [
@@ -341,7 +311,7 @@ class TestOneHotAssembly:
         ]
         path = tmp_path / "bank.csv"
         path.write_text("\n".join([BANK_HEADER] + rows) + "\n")
-        self.assert_same_as_reference(monkeypatch, lambda: load_bank(path))
+        assert_same_load(load_bank(path), reference_load_bank(path))
 
 
 # the census file's category lists (UCI Adult), for a fixture of its shape
@@ -377,23 +347,125 @@ COUNTRY = [
 ]
 
 
-def test_adult_ingest_peak_memory(tmp_path):
-    # every category present gives the census file's d = 104 with sex
-    # sensitive; the matrix is built once, so the loader's traced peak stays
-    # within a small multiple of the matrix it returns
-    rng = np.random.default_rng(7)
+def census_lines(rows: int, seed: int, missing_every: int = 0) -> list[str]:
+    """Rows of the census file's shape, every category present; with
+    ``missing_every``, each such row's occupation is ``?``."""
+    rng = np.random.default_rng(seed)
     lines = []
-    for i in range(4000):
+    for i in range(rows):
         edu = int(rng.integers(len(EDUCATION)))
+        occupation = "?" if missing_every and i % missing_every == 1 else rng.choice(OCCUPATION)
         lines.append(
             f"{rng.integers(17, 91)}, {rng.choice(WORKCLASS)}, {rng.integers(10_000, 900_000)}, "
-            f"{EDUCATION[edu]}, {edu + 1}, {rng.choice(MARITAL)}, {rng.choice(OCCUPATION)}, "
+            f"{EDUCATION[edu]}, {edu + 1}, {rng.choice(MARITAL)}, {occupation}, "
             f"{rng.choice(RELATIONSHIP)}, {rng.choice(RACE)}, {rng.choice(['Male', 'Female'])}, "
             f"{rng.integers(0, 5000)}, {rng.integers(0, 2000)}, {rng.integers(1, 100)}, "
             f"{COUNTRY[i % len(COUNTRY)]}, {rng.choice(['>50K', '<=50K.'])}"
         )
+    return lines
+
+
+def write_census_file(path, rows: int = 2000):
+    write_adult_fixture(path, census_lines(rows, seed=8, missing_every=13))
+
+
+# what the line-by-line parse does with line ends, whitespace, missing
+# markers, labels, non-ASCII text and number syntax, in one file
+EDGE_ADULT = (
+    "  |1x3 Cross validator, with, commas\r\n"
+    "39, State-gov, 77516, Bachelors, 13, Never-married, Adm-clerical, Not-in-family,"
+    " White, Male, 2174, 0, 40, United-States, <=50K\r\n"
+    " \t  \r\n"
+    "50,\tSelf-emp-not-inc ,  83311,Bachelors,13,Married-civ-spouse,Exec-managerial,"
+    "Husband,White,Male,0,0,13,Cura\u00e7ao,>50K...\r"
+    "\u3000\u2028\x0b\x1f\r"
+    "38, a?b, 1_000, HS-grad, +5, Divorced, ??, Not-in-family, Black, Female, 1e3, 0, 40,"
+    " \u00a0United-States\u00a0, <=50K.\n"
+    "53,  ? , 234721, 11th, 7, Married-civ-spouse, Handlers-cleaners, Husband, Black, Male,"
+    " 0, 0, 40, United-States, <=50K\n"
+    "\t| a bar line after a tab\n"
+    "28,\u2003Private\u2003,338409,Bachelors,13,Married-civ-spouse,Sales\x00,Wife,"
+    "Asian-Pac-Islander,Female,0,0,40,Cuba,<=50K\n"
+    "37, Private, 284582, Masters, 14, Married-civ-spouse, Sales, Wife, White, Female,"
+    " 0, 0, 40, Outlying-US(Guam-USVI-etc), >50K\n"
+    "\n"
+    "49, \x85Private, 160187, 9th, 5, Married-spouse-absent, Other-service, Not-in-family,"
+    " Black, Female, 0, 0, 16, Jamaica, <=50K\n"
+    "31, Private, 45781, Masters, 14, Never-married, Prof-specialty, Not-in-family, White,"
+    " Female, 14084, 0, 50, United-States, >50K..\r\n"
+    "42, ?, 159449, Bachelors, 13, Married-civ-spouse, ?, Husband, White, Male, 5178, 0, 40,"
+    " ?, >50K\n"
+    "52, Self-emp-not-inc, 209642, HS-grad, 9, Married-civ-spouse, Exec-managerial, Husband,"
+    " White, Male, 0, 0, 45, Cuba, >50K."
+)
+
+
+def write_edge_file(path):
+    path.write_bytes(EDGE_ADULT.encode("utf-8"))
+
+
+# files that each loader must reject with the line-by-line parse's message
+BAD_ADULT = {
+    "wrong_count_after_cr_lines": row() + "\r\n" + row(sex="Female") + "\r" + row() + "\n1, 2, 3\n",
+    "every_row_missing": row(work="?") + "\n" + row(race=" ? ") + "\n",
+    "empty": "",
+    "only_blank_and_bar_lines": "  \n|x, y\n\r\n\u00a0\n",
+    "unknown_label": row() + "\n" + row(sex="Female", label="50K-ish") + "\n",
+    "space_before_label_periods": row() + "\n" + row(sex="Female", label=">50K .") + "\n",
+    "non_numeric_age": row() + "\n\n" + row(sex="Female", age="x12") + "\n",
+    "empty_age": row(sex="Female") + "\n" + row(age="") + "\n",
+    "age_reported_before_fnlwgt": row().replace("77516", "7x") + "\n" + row(sex="Female", age="3o") + "\n",
+    "label_reported_before_number": row(age="x") + "\n" + row(sex="Female", label="yes") + "\n",
+    "first_of_two_bad_rows": row(age="z9") + "\n" + row(sex="Female", age="a1") + "\n",
+    "constant_sex": row() + "\n" + row(race="Black") + "\n",
+}
+
+
+class TestAdultLineByLineReference:
+    """``load_adult`` against ``oracles.reference_load_adult``, byte for byte."""
+
+    @pytest.mark.parametrize("choice", ["gender", "race", "gender+race"])
+    @pytest.mark.parametrize("write", [write_census_file, write_edge_file], ids=["census", "edge"])
+    def test_equals_reference(self, tmp_path, write, choice):
+        path = tmp_path / "adult.all"
+        write(path)
+        assert_same_load(load_adult(path, choice), reference_load_adult(path, choice))
+
+    @pytest.mark.parametrize("pass_bytes", [1, 3, 16, 100])
+    def test_pass_boundaries(self, tmp_path, monkeypatch, pass_bytes):
+        # lines cut at every few bytes: CRLF pairs, multi-byte characters
+        # and lines longer than a pass all straddle the cuts
+        monkeypatch.setattr(ingest, "_PASS_BYTES", pass_bytes)
+        for name, write in (("edge", write_edge_file), ("census", lambda p: write_census_file(p, 200))):
+            path = tmp_path / name
+            write(path)
+            assert_same_load(load_adult(path, "gender"), reference_load_adult(path, "gender"))
+
+    @pytest.mark.parametrize("pass_bytes", [5, ingest._PASS_BYTES])
+    @pytest.mark.parametrize("name", sorted(BAD_ADULT))
+    def test_errors_equal_reference(self, tmp_path, monkeypatch, name, pass_bytes):
+        monkeypatch.setattr(ingest, "_PASS_BYTES", pass_bytes)
+        path = tmp_path / "adult.all"
+        path.write_bytes(BAD_ADULT[name].encode("utf-8"))
+        with pytest.raises(ValueError) as reference:
+            reference_load_adult(path, "gender")
+        with pytest.raises(ValueError) as ours:
+            load_adult(path, "gender")
+        assert str(ours.value) == str(reference.value)
+
+
+def test_whitespace_is_what_str_strip_removes():
+    spaces = [c for c in range(sys.maxunicode + 1) if not chr(c).strip()]
+    assert np.flatnonzero(ingest._ASCII_SPACE).tolist() == [c for c in spaces if c < 128]
+    assert [ord(c) for c in ingest._UNICODE_SPACE] == [c for c in spaces if c >= 128]
+
+
+def test_adult_ingest_peak_memory(tmp_path):
+    # every category present gives the census file's d = 104 with sex
+    # sensitive; the matrix is built once, so the loader's traced peak stays
+    # within a small multiple of the matrix it returns
     path = tmp_path / "adult.all"
-    write_adult_fixture(path, lines)
+    write_adult_fixture(path, census_lines(4000, seed=7))
     tracemalloc.start()
     try:
         dataset, _ = load_adult(path, "gender")
