@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # noqa: F401  (argparse's gettext imports it when the first parser is built)
 import sys
 from dataclasses import replace
 from pathlib import Path

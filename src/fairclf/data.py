@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.random import default_rng  # loaded at import, not inside the first split
 
 __all__ = [
     "Dataset",
@@ -217,7 +218,7 @@ def split(dataset: Dataset, plan: SplitPlan, repeat_index: int) -> tuple[Dataset
     """
     if not 0 <= repeat_index < plan.repeats:
         raise ValueError(f"repeat_index {repeat_index} out of range [0, {plan.repeats})")
-    rng = np.random.default_rng([plan.seed, repeat_index])
+    rng = default_rng([plan.seed, repeat_index])
     perm = rng.permutation(dataset.n)
     n_train = int(round(plan.train_fraction * dataset.n))
     n_train = min(max(n_train, 1), dataset.n - 1)

@@ -428,13 +428,13 @@ def load_bank(path) -> tuple[Dataset, IngestReport]:
         if column not in header:
             raise ValueError(f"{path}: no '{column}' column in header")
     rows, lines = [], []
-    for lineno, fields in enumerate(reader, start=2):
+    for fields in reader:
         if not fields:
             continue
         if len(fields) != len(header):
-            raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}")
+            raise ValueError(f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(fields)}")
         rows.append([f.strip().strip('"') for f in fields])
-        lines.append(lineno)
+        lines.append(reader.line_num)
     if not rows:
         raise ValueError(f"{path}: no usable rows")
     columns = {name: category_codes(values) for name, values in zip(header, zip(*rows))}

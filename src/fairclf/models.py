@@ -805,16 +805,21 @@ def fit_logreg_fine_grained(train: Dataset, spec: FitSpec, settings: SolverSetti
     if gammas.shape != (train.n,):
         raise ValueError("per_point_gammas must have one entry per training row")
     index = spec.protected_index_set
-    protected = np.unique(np.asarray(list(index) if isinstance(index, (set, frozenset)) else index).astype(int))
-    if protected.size and (protected.min() < 0 or protected.max() >= train.n):
+    index = np.asarray(list(index) if isinstance(index, (set, frozenset)) else index).astype(int)
+    if index.size and (index.min() < 0 or index.max() >= train.n):
         raise ValueError("protected_index_set out of range")
+    # a row mask, not np.unique/np.setdiff1d, which import numpy.ma on
+    # their first call; the rows come out sorted
+    is_protected = np.zeros(train.n, dtype=bool)
+    is_protected[index] = True
+    protected = np.flatnonzero(is_protected)
 
     base, ridge = _loss_budget_baseline(train, spec)
     features, labels = train.features, train.labels
     loss_star_i = per_point_logistic_loss(base.theta, features, labels)
 
     # the protected rows, then the budgeted rows, each as s_i x_i . theta >= m_i
-    budgeted = np.setdiff1d(np.flatnonzero(np.isfinite(gammas)), protected)
+    budgeted = np.flatnonzero(np.isfinite(gammas) & ~is_protected)
     rows = np.concatenate([protected, budgeted])
     signs = np.concatenate([np.ones(protected.size), labels[budgeted]])
     bounds = (1.0 + gammas[budgeted]) * loss_star_i[budgeted]

@@ -49,14 +49,16 @@ BLAS, so that a fit wakes one pool instead of two that fight over the cores.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Literal, Sequence
 
 import numpy as np
-from scipy.linalg.blas import ddot, dgemm, dgemv, dsymm, dsyrk
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 __all__ = [
     "ConstraintBlock",
@@ -232,6 +234,37 @@ class QuadraticProblem:
 
 # ---------------------------------------------------------------------------
 # products on scipy's BLAS, and the shifted Cholesky on its LAPACK
+
+
+def _linalg_extension(name: str):
+    """scipy's compiled module ``scipy.linalg.<name>``, without running scipy.linalg's package import.
+
+    That import clones the numpy namespace and so loads numpy.f2py,
+    numpy.testing and numpy.ma, most of a cold start; the extension needs
+    none of it. The module is registered under its real name, so
+    scipy.linalg.blas and .lapack, imported before or after, share it.
+    """
+    full_name = f"scipy.linalg.{name}"
+    if full_name in sys.modules:
+        return sys.modules[full_name]
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("fairclf.solvers needs scipy, which is not installed")
+    directory = Path(scipy_spec.origin).parent / "linalg"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = directory / (name + suffix)
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(full_name, path)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[full_name] = module
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"{full_name}: no compiled module {name}.* in {directory}")
+
+
+_fblas, _flapack = _linalg_extension("_fblas"), _linalg_extension("_flapack")
+ddot, dgemm, dgemv, dsymm, dsyrk = _fblas.ddot, _fblas.dgemm, _fblas.dgemv, _fblas.dsymm, _fblas.dsyrk
+dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 
 def _blas_layout(a: np.ndarray) -> tuple[np.ndarray, int] | None:

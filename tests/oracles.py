@@ -593,13 +593,13 @@ def reference_load_bank(path):
             if column not in header:
                 raise ValueError(f"{path}: no '{column}' column in header")
         rows, line_numbers = [], []
-        for lineno, fields in enumerate(reader, start=2):
+        for fields in reader:
             if not fields:
                 continue
             if len(fields) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}")
+                raise ValueError(f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(fields)}")
             rows.append([f.strip().strip('"') for f in fields])
-            line_numbers.append(lineno)
+            line_numbers.append(reader.line_num)
     if not rows:
         raise ValueError(f"{path}: no usable rows")
     columns = dict(zip(header, zip(*rows)))

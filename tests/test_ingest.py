@@ -151,6 +151,15 @@ class TestLoadAdult:
         with pytest.raises(ValueError, match=re.escape(f"{path}:11: non-numeric age field 'x12'")):
             load_adult(path, "gender")
 
+    def test_line_numbers_count_a_quoted_line_break(self, tmp_path):
+        # the second record spans lines 2-3, so the bad duration sits on line 4
+        path = tmp_path / "bad.csv"
+        spanning = '24;"tech\nnician";"single";100;1;"no"'
+        path.write_text("\n".join([BANK_HEADER, spanning, '30;"adm";"single";"x";1;"no"']) + "\n")
+        for load in (load_bank, reference_load_bank):
+            with pytest.raises(ValueError, match=re.escape(f"{path}:4: non-numeric duration field 'x'")):
+                load(path)
+
     def test_unknown_label_names_line(self, tmp_path):
         path = tmp_path / "bad.all"
         write_adult_fixture(path, adult_rows() + [row(label="50K-ish.")])
@@ -220,6 +229,15 @@ class TestLoadBank:
         path.write_text("\n".join([BANK_HEADER, BANK_ROWS[0], "", '30;"adm";"single";"x12";1;"no"']) + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:4: non-numeric duration field 'x12'")):
             load_bank(path)
+
+    def test_line_numbers_count_a_quoted_line_break(self, tmp_path):
+        # the second record spans lines 2-3, so the bad duration sits on line 4
+        path = tmp_path / "bad.csv"
+        spanning = '24;"tech\nnician";"single";100;1;"no"'
+        path.write_text("\n".join([BANK_HEADER, spanning, '30;"adm";"single";"x";1;"no"']) + "\n")
+        for load in (load_bank, reference_load_bank):
+            with pytest.raises(ValueError, match=re.escape(f"{path}:4: non-numeric duration field 'x'")):
+                load(path)
 
     def test_unknown_label_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -506,7 +506,8 @@ class TestFineGrained:
                 ds,
                 FitSpec(mode="fine_grained", per_point_gammas=np.zeros(3), protected_index_set=[]),
             )
-        for bad in ([ds.n + 3], [2, -1], np.array([ds.n])):
+        # a negative index is refused, not wrapped round to a row from the end
+        for bad in ([ds.n + 3], [2, -1], [-1], np.array([ds.n]), np.array([-ds.n]), {0, ds.n}):
             with pytest.raises(ValueError, match="out of range"):
                 fit_logreg_fine_grained(
                     ds,
@@ -514,8 +515,9 @@ class TestFineGrained:
                 )
 
     def test_protected_set_forms_agree(self):
-        # a sorted array, an unsorted list with repeats and a Python set are
-        # the same protected rows; an empty list and an empty array are none
+        # a sorted array, an unsorted list or array with repeats and a Python
+        # set are the same protected rows; an empty list and an empty array
+        # are none
         ds = append_bias(gen_linear_synthetic(SynthConfig(n=400, phi=np.pi / 4, seed=9)))
         base = fit_logreg(ds, FitSpec(mode="unconstrained"))
         rows = protected_rows(base, ds, group=1)[::3]
@@ -529,6 +531,7 @@ class TestFineGrained:
         want = fitted(rows)
         assert want[1] == rows.size
         assert fitted(shuffled) == want
+        assert fitted(np.array(shuffled)) == want
         assert fitted({int(i) for i in rows}) == want
         assert fitted([]) == fitted(np.array([], dtype=int))
         assert fitted([])[1] == 0
