@@ -117,7 +117,9 @@ class FitSpec:
     svm_cost: float | None = None
     l2_penalty: float = 0.0
     kernel: KernelSpec | None = None
-    svm_hinge: Literal["squared", "exact"] = "squared"
+    # the linear SVM fits the exact hinge only; the field is kept so that
+    # callers passing svm_hinge="exact" keep working
+    svm_hinge: Literal["exact"] = "exact"
 
     def __post_init__(self):
         if self.mode not in ("unconstrained", "fairness_constrained", "accuracy_constrained", "fine_grained"):
@@ -127,8 +129,8 @@ class FitSpec:
             raise ValueError("l2_penalty must be finite and >= 0")
         if self.svm_cost is not None and not 0 < self.svm_cost < math.inf:
             raise ValueError("svm_cost must be positive and finite")
-        if self.svm_hinge not in ("squared", "exact"):
-            raise ValueError("svm_hinge must be 'squared' or 'exact'")
+        if self.svm_hinge != "exact":
+            raise ValueError(f"svm_hinge must be 'exact', not {self.svm_hinge!r}: the squared-hinge surrogate was removed")
         need = {
             "fairness_constrained": ("covariance_thresholds",),
             "accuracy_constrained": ("gamma",),
@@ -484,49 +486,36 @@ def _epigraph_rows(w: np.ndarray, n_extra: int = 0) -> tuple[np.ndarray, np.ndar
 # logistic regression fits
 
 
-def _mean_loss_problem(features, value_at, gradient_at, hessian_at, constraints=None, equality=None) -> SmoothProblem:
-    """A loss of (theta, scores X @ theta) as a ``SmoothProblem`` divided by n, started at theta = 0.
+def _logistic_problem(features, labels, l2_penalty, constraints=None, equality=None) -> SmoothProblem:
+    """The logistic loss with l2_penalty as a ``SmoothProblem`` divided by n, started at theta = 0.
 
-    ``value_at``, ``gradient_at`` and ``hessian_at`` share one product
-    X @ theta per point, and the value is kept for its point too: a
-    constraint row built on the loss is asked for it up to three times at
-    one point. ``hessian_at(scores, out)`` returns the
-    loss Hessian, with at least its upper triangle written into ``out``, a
-    (d, d) Fortran-ordered buffer that every call reuses. The mean scale
-    makes the stationarity tolerance independent of the row count; reported
+    The one place the loss is bound to X. Value, gradient and Hessian share
+    one product X @ theta per point, and the value is kept for its point
+    too: a constraint row built on the loss is asked for it up to three
+    times at one point. The Hessian is written into one (d, d)
+    Fortran-ordered buffer that every call reuses. The mean scale makes the
+    stationarity tolerance independent of the row count; reported
     objectives are totals.
     """
     n, d = features.shape
     inv_n = 1.0 / n
     scores = _at_last_point(lambda theta: matvec(features, theta))
-    value = _at_last_point(lambda theta: value_at(theta, scores(theta)) * inv_n)
+    value = _at_last_point(lambda theta: _loss_at(theta, scores(theta), labels, l2_penalty) * inv_n)
     buffer = np.zeros((d, d), order="F")
 
     def hessian(theta: np.ndarray) -> np.ndarray:
-        h = hessian_at(scores(theta), buffer)
+        h = _logistic_hessian_at(scores(theta), features, l2_penalty, buffer)
         h *= inv_n
         return h
 
     return SmoothProblem(
         dimension=d,
         objective=value,
-        gradient=lambda theta: gradient_at(theta, scores(theta)) * inv_n,
+        gradient=lambda theta: _gradient_at(theta, scores(theta), features, labels, l2_penalty) * inv_n,
         hessian=hessian,
         equality=equality,
         linear_constraints=constraints,
         initial_point=np.zeros(d),
-    )
-
-
-def _logistic_problem(features, labels, l2_penalty, constraints=None, equality=None) -> SmoothProblem:
-    """The logistic loss with l2_penalty as a :func:`_mean_loss_problem`, the one place it is bound to X."""
-    return _mean_loss_problem(
-        features,
-        lambda theta, scores: _loss_at(theta, scores, labels, l2_penalty),
-        lambda theta, scores: _gradient_at(theta, scores, features, labels, l2_penalty),
-        lambda scores, out: _logistic_hessian_at(scores, features, l2_penalty, out),
-        constraints,
-        equality,
     )
 
 
@@ -838,35 +827,6 @@ def fit_logreg_fine_grained(train: Dataset, spec: FitSpec, settings: SolverSetti
 # SVM fits
 
 
-def hinge_objective(theta, features, labels, svm_cost) -> float:
-    """Exact soft-margin objective ||theta||^2 + C * sum max(0, 1 - y m)."""
-    slack = np.maximum(0.0, 1.0 - labels * (features @ theta))
-    return float(theta @ theta + svm_cost * slack.sum())
-
-
-def _squared_hinge_at(theta, scores, labels, svm_cost) -> float:
-    """Squared-hinge objective ||theta||^2 + C * sum max(0, 1 - y m)^2 from the scores m = X @ theta."""
-    gap = np.maximum(0.0, 1.0 - labels * scores)
-    return float(theta @ theta + svm_cost * (gap @ gap))
-
-
-def _squared_hinge_gradient_at(theta, scores, features, labels, svm_cost) -> np.ndarray:
-    gap = np.maximum(0.0, 1.0 - labels * scores)
-    return 2.0 * theta - 2.0 * svm_cost * rmatvec(features, labels * gap)
-
-
-def _squared_hinge_hessian_at(scores, features, labels, svm_cost, out: np.ndarray) -> np.ndarray:
-    """Generalized Hessian 2 I + 2 C X_A' X_A of the squared hinge, A the rows with y m < 1 (Keerthi & DeCoste 2005).
-
-    Written into the upper triangle of the Fortran-ordered ``out`` on
-    scipy's BLAS, which is returned.
-    """
-    out.fill(0.0)
-    out = weighted_gram(features, 2.0 * svm_cost, out, np.flatnonzero(labels * scores < 1.0))
-    out[np.diag_indices(out.shape[0])] += 2.0
-    return out
-
-
 def _svm_thresholds(train: Dataset, spec: FitSpec, op: str) -> np.ndarray:
     """Covariance thresholds of an SVM fit: the spec's c, or inf when unconstrained."""
     if spec.mode not in ("unconstrained", "fairness_constrained"):
@@ -911,57 +871,31 @@ def _exact_hinge(features, labels, w, c, svm_cost, settings) -> tuple[np.ndarray
 
 
 def fit_linear_svm_fair(train: Dataset, spec: FitSpec, settings: SolverSettings | None = None) -> LinearModel:
-    """Linear soft-margin SVM under covariance bounds.
+    """Linear soft-margin SVM on the hinge loss under covariance bounds.
 
-    The default route minimizes the smooth squared-hinge surrogate
-    ||theta||^2 + C * sum max(0, 1 - y m)^2 with the covariance bounds as
-    linear rows: a c_k > 0 column as two inequalities, a c_k = 0 column as
-    an equality that the solver eliminates. ``svm_hinge="exact"`` instead
-    solves the exact-hinge program ||theta||^2 + C * sum xi under the margin
-    rows y_i x_i . theta >= 1 - xi_i, xi >= 0, and the same covariance
-    bounds, through its Lagrangian dual (see :func:`_exact_hinge`). In both
-    cases ``objective`` in ``training_meta`` is the primal value at theta
-    and the reported slack values are max(0, 1 - y m) at the solution; for
-    the exact hinge, ``status``, ``iterations`` and ``kkt`` are those of
-    the dual.
+    Solves ||theta||^2 + C * sum xi under the margin rows
+    y_i x_i . theta >= 1 - xi_i, xi >= 0, and the covariance bounds (a
+    c_k > 0 column as two inequalities, a c_k = 0 column as an equality),
+    through its Lagrangian dual (see :func:`_exact_hinge`). ``status``,
+    ``iterations`` and ``kkt`` in ``training_meta`` are those of the dual;
+    ``objective`` is the hinge objective at theta, and ``total_slack`` the
+    sum of max(0, 1 - y m) there.
     """
     c = _svm_thresholds(train, spec, "fit_linear_svm_fair")
     _require_bias(train, "fit_linear_svm_fair")
     settings = settings or _default_settings()
     features, labels = train.features, train.labels
     w = covariance_vectors(train)
-
-    if spec.svm_hinge == "squared":
-        rows, e = _covariance_split(w, c)
-        problem = _mean_loss_problem(
-            features,
-            lambda t, scores: _squared_hinge_at(t, scores, labels, spec.svm_cost),
-            lambda t, scores: _squared_hinge_gradient_at(t, scores, features, labels, spec.svm_cost),
-            lambda scores, out: _squared_hinge_hessian_at(scores, features, labels, spec.svm_cost, out),
-            rows,
-            (e, np.zeros(e.shape[0])),
-        )
-        result = minimize_smooth(problem, settings)
-        theta = result.point
-    else:
-        theta, result = _exact_hinge(features, labels, w, c, spec.svm_cost, settings)
-
+    theta, result = _exact_hinge(features, labels, w, c, spec.svm_cost, settings)
     slack = np.maximum(0.0, 1.0 - labels * (features @ theta))
-    primal = (
-        _squared_hinge_at(theta, matvec(features, theta), labels, spec.svm_cost)
-        if spec.svm_hinge == "squared"
-        else hinge_objective(theta, features, labels, spec.svm_cost)
-    )
     meta = _meta(
         spec.mode,
         result,
         classifier="linear_svm",
-        svm_hinge=spec.svm_hinge,
         svm_cost=spec.svm_cost,
         covariance_thresholds=[v if math.isfinite(v) else None for v in c],
         covariance=(w @ theta).tolist(),
-        objective=primal,
-        hinge_objective=hinge_objective(theta, features, labels, spec.svm_cost),
+        objective=float(theta @ theta + spec.svm_cost * slack.sum()),
         total_slack=float(slack.sum()),
     )
     return LinearModel(theta=theta, training_meta=meta)

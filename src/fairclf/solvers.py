@@ -92,6 +92,15 @@ _REGULARIZATION = 1e-3
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
 _ROUNDING = 64 * np.finfo(float).eps
+# interior-point Newton steps solve B = D + V V' with _PROXIMAL added to D,
+# a fixed primal proximal term (Altman & Gondzio, Optim. Methods Softw. 11,
+# 1999; Friedlander & Orban, Math. Prog. Comp. 4, 2012). Where delta = 0, a
+# variable that ends strictly inside its box has a weight z/s, and so a D,
+# that tends to zero; the Woodbury solve divides by sqrt(D) and its steps
+# lose every digit. The term keeps them, the refinement step against the
+# true H corrects the perturbed solve, and the residuals and the certificate
+# read the true Q, so the term changes the path, not the problem certified
+_PROXIMAL = 1e-10
 
 _STEP_TO_BOUNDARY = 0.995
 
@@ -215,8 +224,7 @@ class QuadraticProblem:
     through the diagonal-plus-rank-r form by Woodbury. delta may be zero
     only on a variable with a finite bound; a zero delta anywhere else
     raises ValueError. A dense PSD Q is posed by the factor of its
-    eigendecomposition, with delta > 0 on every variable that can end
-    strictly inside its box (see :func:`_q_factor`).
+    eigendecomposition.
 
     ``box`` is a (lower, upper) pair of per-variable bounds, either of which
     may be None for unbounded; ``equality`` is an (E, f) pair meaning
@@ -439,9 +447,7 @@ def _q_factor(problem: QuadraticProblem, lo: np.ndarray, hi: np.ndarray) -> tupl
     """The problem's (delta, V) as arrays of shapes (n,) and (n, r).
 
     delta may be zero on a variable with a finite bound: the Newton matrix's
-    diagonal there is the bound's weight z/s, positive at every iterate. That
-    weight tends to zero on a variable that ends strictly inside its box,
-    and with delta = 0 there the Woodbury solve can overflow.
+    diagonal there is the bound's weight z/s, positive at every iterate.
     """
     n = lo.size
     delta = np.broadcast_to(np.asarray(problem.q_factor[0], dtype=float), (n,))
@@ -796,9 +802,8 @@ def _solve_eliminated(comp: _Compiled, settings: SolverSettings) -> SolverResult
 #
 #     B^-1 = D^-1/2 (I - S (I + S'S)^-1 S') D^-1/2,
 #
-# through the r x r core I + S'S, formed with dsyrk. D is positive, because
-# a variable with delta = 0 has a finite bound and so a positive weight z/s
-# (which tends to zero if the variable ends inside its box; see _q_factor),
+# through the r x r core I + S'S, formed with dsyrk. The solve reads D plus
+# _PROXIMAL, so a weight z/s that tends to zero leaves the solve accurate,
 # and the core's eigenvalues are at least 1. The m rows of A and
 # the rows of E enter together, as the rows C = [A; E] of one bordered
 # system whose Schur complement is C B^-1 C' + diag(1/w, 0). Each iteration
@@ -838,10 +843,11 @@ class _Inequalities:
 class _NewtonSystem:
     """The Newton system of a QP, as the comment above describes.
 
-    B = D + V V' is solved by Woodbury through the r x r core, and the rows
-    of A and E together through one Schur complement C B^-1 C' + diag(1/w, 0)
-    with C = [A; E]. Each solve takes one step of iterative refinement on
-    the model system.
+    B = D + V V' is solved by Woodbury through the r x r core, with
+    ``_PROXIMAL`` added to D, and the rows of A and E together through one
+    Schur complement C B^-1 C' + diag(1/w, 0) with C = [A; E]. Each solve
+    takes one step of iterative refinement on the model system with the
+    true D.
     """
 
     def __init__(self, g: _Inequalities, d: np.ndarray):
@@ -850,7 +856,7 @@ class _NewtonSystem:
         self.diagonal[g.lower] += d_lo
         self.diagonal[g.upper] += d_hi
         self.v, self.a, self.e = g.factor[1], g.a, g.e
-        self.root = 1.0 / np.sqrt(self.diagonal)  # D^-1/2
+        self.root = 1.0 / np.sqrt(self.diagonal + _PROXIMAL)  # (D + _PROXIMAL)^-1/2
         self.scaled = np.multiply(self.v, self.root[:, None], out=np.empty(self.v.shape, order="F"))  # S
         core = dsyrk(1.0, self.scaled, trans=1, lower=1) if self.v.shape[1] else np.zeros((0, 0))
         core[np.diag_indices(core.shape[0])] += 1.0
@@ -863,7 +869,7 @@ class _NewtonSystem:
             self.schur = _cholesky(schur, lower=True)
 
     def _solve_b(self, b: np.ndarray) -> np.ndarray:
-        """B^-1 b = D^-1/2 (I - S (I + S'S)^-1 S') D^-1/2 b."""
+        """B^-1 b = D^-1/2 (I - S (I + S'S)^-1 S') D^-1/2 b, with D + _PROXIMAL for D."""
         t = self.root * b
         return self.root * (t - matvec(self.scaled, self.core(rmatvec(self.scaled, t))))
 

@@ -218,16 +218,14 @@ class TestC03ConstraintFeasibility:
             assert abs(float(w @ model.theta)) <= c + 1e-5
             checked.append(f"logreg c={c}")
 
-        for hinge in ("squared", "exact"):
-            small = append_bias(gen_linear_synthetic(SynthConfig(n=200, phi=np.pi / 4, seed=4)))
-            w_small = covariance_vectors(small)[0]
-            model = fit_linear_svm_fair(
-                small,
-                FitSpec(mode="fairness_constrained", covariance_thresholds=0.0, svm_cost=1.0, svm_hinge=hinge),
-            )
-            assert model.training_meta["converged"]
-            assert abs(float(w_small @ model.theta)) <= 1e-5
-            checked.append(f"linear_svm[{hinge}] c=0")
+        small = append_bias(gen_linear_synthetic(SynthConfig(n=200, phi=np.pi / 4, seed=4)))
+        w_small = covariance_vectors(small)[0]
+        model = fit_linear_svm_fair(
+            small, FitSpec(mode="fairness_constrained", covariance_thresholds=0.0, svm_cost=1.0)
+        )
+        assert model.training_meta["converged"]
+        assert abs(float(w_small @ model.theta)) <= 1e-5
+        checked.append("linear_svm c=0")
 
         kernel_ds = append_bias(gen_nonlinear_synthetic(SynthConfig(n=200, phi=np.pi / 4, seed=5, variant="nonlinear")))
         model = fit_kernel_svm_fair(
@@ -280,23 +278,16 @@ class TestC04UnconstrainedRecovery:
         results.append(f"logreg rel={rel:.1e}")
 
         small = append_bias(gen_linear_synthetic(SynthConfig(n=200, phi=np.pi / 4, seed=7)))
-        for hinge in ("squared", "exact"):
-            base = fit_linear_svm_fair(small, FitSpec(mode="unconstrained", svm_cost=1.0, svm_hinge=hinge))
-            c_star = np.abs(covariance_vectors(small) @ base.theta)
-            fair = fit_linear_svm_fair(
-                small,
-                FitSpec(
-                    mode="fairness_constrained",
-                    covariance_thresholds=1.01 * c_star,
-                    svm_cost=1.0,
-                    svm_hinge=hinge,
-                ),
-            )
-            rel = abs(fair.training_meta["objective"] - base.training_meta["objective"]) / abs(
-                base.training_meta["objective"]
-            )
-            assert rel <= 1e-6
-            results.append(f"linear_svm[{hinge}] rel={rel:.1e}")
+        base = fit_linear_svm_fair(small, FitSpec(mode="unconstrained", svm_cost=1.0))
+        c_star = np.abs(covariance_vectors(small) @ base.theta)
+        fair = fit_linear_svm_fair(
+            small, FitSpec(mode="fairness_constrained", covariance_thresholds=1.01 * c_star, svm_cost=1.0)
+        )
+        rel = abs(fair.training_meta["objective"] - base.training_meta["objective"]) / abs(
+            base.training_meta["objective"]
+        )
+        assert rel <= 1e-6
+        results.append(f"linear_svm rel={rel:.1e}")
 
         kernel_ds = append_bias(
             gen_nonlinear_synthetic(SynthConfig(n=200, phi=np.pi / 4, seed=8, variant="nonlinear"))
@@ -454,7 +445,6 @@ class TestC07OracleEquivalence:
                     mode="fairness_constrained" if np.isfinite(c) else "unconstrained",
                     covariance_thresholds=c if np.isfinite(c) else None,
                     svm_cost=1.0,
-                    svm_hinge="exact",
                 )
                 model = fit_linear_svm_fair(ds, spec)
                 oracle_value, _ = active_set_svm(ds.features, ds.labels, 1.0, w=w, c=c)

@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 import tracemalloc
@@ -79,8 +80,11 @@ class TestFitSpecValidation:
             FitSpec(mode="accuracy_constrained", gamma=0.1, covariance_thresholds=0.0)
 
     def test_unknown_hinge_rejected(self):
-        with pytest.raises(ValueError, match="svm_hinge"):
-            FitSpec(mode="unconstrained", svm_cost=1.0, svm_hinge="exakt")
+        # the exact hinge is the only linear SVM; the squared-hinge surrogate is gone
+        for hinge in ("exakt", "squared"):
+            with pytest.raises(ValueError, match="svm_hinge"):
+                FitSpec(mode="unconstrained", svm_cost=1.0, svm_hinge=hinge)
+        assert FitSpec(mode="unconstrained", svm_cost=1.0, svm_hinge="exact") == FitSpec(mode="unconstrained", svm_cost=1.0)
 
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError):
@@ -594,7 +598,7 @@ class TestLinearSvm:
     def test_two_point_max_margin(self):
         ds = two_point_dataset()
         model = fit_linear_svm_fair(
-            ds, FitSpec(mode="unconstrained", svm_cost=1e9, svm_hinge="exact")
+            ds, FitSpec(mode="unconstrained", svm_cost=1e9)
         )
         margins = ds.labels * (ds.features @ model.theta)
         np.testing.assert_allclose(margins, 1.0, atol=1e-5)
@@ -602,22 +606,13 @@ class TestLinearSvm:
 
     def test_infinite_threshold_matches_unconstrained(self):
         ds, _ = random_instance(16, n=30)
-        for hinge in ("squared", "exact"):
-            unconstrained = fit_linear_svm_fair(
-                ds, FitSpec(mode="unconstrained", svm_cost=2.0, svm_hinge=hinge)
-            )
-            fair = fit_linear_svm_fair(
-                ds,
-                FitSpec(
-                    mode="fairness_constrained",
-                    covariance_thresholds=np.inf,
-                    svm_cost=2.0,
-                    svm_hinge=hinge,
-                ),
-            )
-            assert fair.training_meta["objective"] == pytest.approx(
-                unconstrained.training_meta["objective"], rel=1e-5, abs=1e-5
-            )
+        unconstrained = fit_linear_svm_fair(ds, FitSpec(mode="unconstrained", svm_cost=2.0))
+        fair = fit_linear_svm_fair(
+            ds, FitSpec(mode="fairness_constrained", covariance_thresholds=np.inf, svm_cost=2.0)
+        )
+        assert fair.training_meta["objective"] == pytest.approx(
+            unconstrained.training_meta["objective"], rel=1e-5, abs=1e-5
+        )
 
     def test_exact_hinge_against_active_set_oracle(self):
         ds, w = random_instance(17, n=8, min_w=0.2)
@@ -628,7 +623,6 @@ class TestLinearSvm:
                     mode="fairness_constrained" if np.isfinite(c) else "unconstrained",
                     covariance_thresholds=c if np.isfinite(c) else None,
                     svm_cost=1.0,
-                    svm_hinge="exact",
                 ),
             )
             oracle_value, _ = active_set_svm(ds.features, ds.labels, 1.0, w=w, c=c)
@@ -646,8 +640,8 @@ class TestLinearSvm:
         )
         ds = append_bias(gen_linear_synthetic(SynthConfig(n=400, phi=np.pi / 4, seed=1)))
         for spec in (
-            FitSpec(mode="unconstrained", svm_cost=1.0, svm_hinge="exact"),
-            FitSpec(mode="fairness_constrained", covariance_thresholds=0.0, svm_cost=1.0, svm_hinge="exact"),
+            FitSpec(mode="unconstrained", svm_cost=1.0),
+            FitSpec(mode="fairness_constrained", covariance_thresholds=0.0, svm_cost=1.0),
         ):
             sizes.clear()
             model = fit_linear_svm_fair(ds, spec)
@@ -656,7 +650,7 @@ class TestLinearSvm:
 
         small, w = random_instance(17, n=8, min_w=0.2)
         sizes.clear()
-        spec = FitSpec(mode="fairness_constrained", covariance_thresholds=0.05, svm_cost=1.0, svm_hinge="exact")
+        spec = FitSpec(mode="fairness_constrained", covariance_thresholds=0.05, svm_cost=1.0)
         model = fit_linear_svm_fair(small, spec)
         assert max(sizes) <= small.features.shape[1]
         oracle_value, _ = active_set_svm(small.features, small.labels, 1.0, w=w, c=0.05)
@@ -689,22 +683,31 @@ class TestExactHingeDual:
         # the dual minimizes the negated dual function of the mean-scaled primal
         primal = model.training_meta["objective"] / ds.n
         assert abs(primal + duals[0].objective_value) <= 1e-6 * primal
+        return model
 
     @pytest.mark.parametrize("n", [60, 400])
     @pytest.mark.parametrize("c", [np.inf, 0.0, 0.05])
     def test_matches_the_primal(self, n, c, monkeypatch):
         ds = append_bias(gen_linear_synthetic(SynthConfig(n=n, phi=np.pi / 4, seed=1)))
         if np.isfinite(c):
-            spec = FitSpec(mode="fairness_constrained", covariance_thresholds=c, svm_cost=1.0, svm_hinge="exact")
+            spec = FitSpec(mode="fairness_constrained", covariance_thresholds=c, svm_cost=1.0)
         else:
-            spec = FitSpec(mode="unconstrained", svm_cost=1.0, svm_hinge="exact")
+            spec = FitSpec(mode="unconstrained", svm_cost=1.0)
         self.check(ds, spec, c, monkeypatch)
+
+    def test_large_cost_with_a_binding_row(self, monkeypatch):
+        # the nu of the binding c > 0 row ends inside its box, so its Newton
+        # weight tends to zero; without the proximal term in the Woodbury
+        # solve this fit took 6,983 iterations
+        ds = append_bias(gen_linear_synthetic(SynthConfig(n=400, phi=np.pi / 4, seed=1)))
+        spec = FitSpec(mode="fairness_constrained", covariance_thresholds=0.05, svm_cost=1000.0)
+        assert self.check(ds, spec, 0.05, monkeypatch).training_meta["iterations"] <= 100
 
     def test_two_columns(self, monkeypatch):
         two, _ = two_column_datasets()
-        free = fit_linear_svm_fair(two, FitSpec(mode="unconstrained", svm_cost=1.0, svm_hinge="exact"))
+        free = fit_linear_svm_fair(two, FitSpec(mode="unconstrained", svm_cost=1.0))
         c = [0.0, 0.5 * abs(free.training_meta["covariance"][1])]
-        spec = FitSpec(mode="fairness_constrained", covariance_thresholds=c, svm_cost=1.0, svm_hinge="exact")
+        spec = FitSpec(mode="fairness_constrained", covariance_thresholds=c, svm_cost=1.0)
         self.check(two, spec, c, monkeypatch)
 
 
@@ -791,9 +794,12 @@ def two_column_datasets() -> tuple[Dataset, Dataset]:
     return with_columns(z2, "z2"), with_columns(np.ones(base.n), "one")
 
 
+# fit, its options, and the bound on a c_k = 0 covariance: the linear SVM
+# eliminates that row exactly, the kernel dual keeps it as an equality row
+# of its interior-point solve
 SVM_FITS = {
-    "exact_hinge": (fit_linear_svm_fair, {"svm_cost": 1.0, "svm_hinge": "exact"}),
-    "rbf_kernel": (fit_kernel_svm_fair, {"svm_cost": 10.0, "kernel": KernelSpec(kind="rbf", rbf_gamma=0.5)}),
+    "exact_hinge": (fit_linear_svm_fair, {"svm_cost": 1.0}, 1e-12),
+    "rbf_kernel": (fit_kernel_svm_fair, {"svm_cost": 10.0, "kernel": KernelSpec(kind="rbf", rbf_gamma=0.5)}, 1e-8),
 }
 
 
@@ -808,13 +814,17 @@ class TestTwoColumnThresholds:
 
     @pytest.mark.parametrize("name", sorted(SVM_FITS))
     def test_zero_and_binding_thresholds(self, name):
-        fit_fn, options = SVM_FITS[name]
+        fit_fn, options, zero_tolerance = SVM_FITS[name]
         two, _ = two_column_datasets()
         free = fit_fn(two, FitSpec(mode="unconstrained", **options))
         c = [0.0, 0.5 * abs(free.training_meta["covariance"][1])]
         model = fit_fn(two, FitSpec(mode="fairness_constrained", covariance_thresholds=c, **options))
         self.check(model, c)
-        assert abs(model.training_meta["covariance"][1]) == pytest.approx(c[1], rel=1e-6)  # the c_1 row binds
+        cov = model.training_meta["covariance"]
+        assert abs(cov[0]) <= zero_tolerance
+        # the c_1 row binds
+        assert abs(cov[1]) == pytest.approx(c[1], rel=1e-6)
+        assert abs(cov[1]) == pytest.approx(c[1], abs=1e-8)
 
     @pytest.mark.parametrize("c1, binds", [(0.1, False), (0.002, True)])
     def test_logistic_equality_with_inequalities(self, c1, binds):
@@ -830,30 +840,14 @@ class TestTwoColumnThresholds:
         else:
             assert abs(cov[1]) < 0.5 * c1
 
-    def test_squared_hinge(self):
-        # the smooth SVM route: c_0 = 0 is eliminated exactly, and the c_1
-        # rows bind to the augmented Lagrangian's feasibility tolerance
-        two, constant = two_column_datasets()
-        free = fit_linear_svm_fair(two, FitSpec(mode="unconstrained", svm_cost=1.0))
-        c = [0.0, 0.5 * abs(free.training_meta["covariance"][1])]
-        model = fit_linear_svm_fair(two, FitSpec(mode="fairness_constrained", covariance_thresholds=c, svm_cost=1.0))
-        self.check(model, c)
-        cov = model.training_meta["covariance"]
-        assert abs(cov[0]) <= 1e-12
-        assert abs(cov[1]) == pytest.approx(c[1], abs=1e-8)
-        model = fit_linear_svm_fair(
-            constant, FitSpec(mode="fairness_constrained", covariance_thresholds=[0.0, 0.0], svm_cost=1.0)
-        )
-        self.check(model, [0.0, 0.0])
-        assert abs(model.training_meta["covariance"][0]) <= 1e-12
-
     @pytest.mark.parametrize("name", sorted(SVM_FITS))
     def test_constant_column_at_zero(self, name):
         # the constant column's covariance row is all zeros and holds everywhere
-        fit_fn, options = SVM_FITS[name]
+        fit_fn, options, zero_tolerance = SVM_FITS[name]
         _, constant = two_column_datasets()
         model = fit_fn(constant, FitSpec(mode="fairness_constrained", covariance_thresholds=[0.0, 0.0], **options))
         self.check(model, [0.0, 0.0])
+        assert abs(model.training_meta["covariance"][0]) <= zero_tolerance
 
 
 C10_KERNEL = KernelSpec(kind="rbf", rbf_gamma=0.04)
@@ -1015,9 +1009,9 @@ class TestKernelMemory:
     def test_exact_hinge_at_4000_rows(self, c):
         ds = append_bias(gen_linear_synthetic(SynthConfig(n=4000, phi=np.pi / 4, seed=1)))
         if np.isfinite(c):
-            spec = FitSpec(mode="fairness_constrained", covariance_thresholds=c, svm_cost=1.0, svm_hinge="exact")
+            spec = FitSpec(mode="fairness_constrained", covariance_thresholds=c, svm_cost=1.0)
         else:
-            spec = FitSpec(mode="unconstrained", svm_cost=1.0, svm_hinge="exact")
+            spec = FitSpec(mode="unconstrained", svm_cost=1.0)
         model, peak = traced_peak(lambda: fit_linear_svm_fair(ds, spec))
         assert model.training_meta["status"] == "converged"
         assert peak < 8e6  # the dual's Q would be 128 MB
@@ -1074,7 +1068,7 @@ class TestKernelSvm:
         dual = fit_kernel_svm_fair(
             ds, FitSpec(mode="unconstrained", svm_cost=10.0, kernel=KernelSpec(kind="linear"))
         )
-        primal = fit_linear_svm_fair(ds, FitSpec(mode="unconstrained", svm_cost=10.0, svm_hinge="exact"))
+        primal = fit_linear_svm_fair(ds, FitSpec(mode="unconstrained", svm_cost=10.0))
         np.testing.assert_array_equal(predict(dual, ds.features), predict(primal, ds.features))
 
     def test_dual_invariants(self):
@@ -1088,8 +1082,6 @@ class TestKernelSvm:
 
     def test_stores_only_support_vectors(self, monkeypatch):
         # the benchmark's C10 shape at 600 rows: about a quarter of the rows have alpha > 0
-        import json
-
         import fairclf.models
 
         results = []
@@ -1203,6 +1195,22 @@ class TestSerialization:
         back = model_from_dict(model_to_dict(model))
         np.testing.assert_allclose(back.theta, model.theta)
         assert back.training_meta["mode"] == "unconstrained"
+
+    def test_linear_svm_saved_with_the_squared_hinge_loads(self):
+        # the meta is free-form, so a model written while the squared-hinge
+        # surrogate existed still loads and predicts
+        saved = json.dumps(
+            {
+                "kind": "linear",
+                "theta": [1.0, -2.0, 0.5],
+                "training_meta": {"mode": "unconstrained", "classifier": "linear_svm", "svm_hinge": "squared"},
+            }
+        )
+        model = model_from_dict(json.loads(saved))
+        assert model.training_meta["svm_hinge"] == "squared"
+        features = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        np.testing.assert_array_equal(decision_values(model, features), [1.5, -1.5])
+        np.testing.assert_array_equal(predict(model, features), [1, -1])
 
     def test_kernel_round_trip(self):
         ds, _ = random_instance(22, n=15)

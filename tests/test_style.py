@@ -156,7 +156,7 @@ fit_logreg_fairness_max(ds, FitSpec(mode="accuracy_constrained", gamma=0.5))
 protected = protected_rows(base, ds, group=1)
 fit_logreg_fine_grained(ds, FitSpec(mode="fine_grained", per_point_gammas=np.full(ds.n, 0.5), protected_index_set=protected))
 fair = {"mode": "fairness_constrained", "covariance_thresholds": 0.1, "svm_cost": 1.0}
-fit_linear_svm_fair(ds, FitSpec(svm_hinge="exact", **fair))
+fit_linear_svm_fair(ds, FitSpec(**fair))
 fit_kernel_svm_fair(ds, FitSpec(kernel=KernelSpec(kind="rbf"), **fair))
 
 config, out = Path(sys.argv[1]), Path(sys.argv[2])
