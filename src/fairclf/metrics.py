@@ -37,15 +37,24 @@ def boundary_covariance(z, distances) -> float:
     return float(np.mean((z - z.mean()) * d))
 
 
-def _group_rates(predictions: np.ndarray, z: np.ndarray) -> tuple[float, float]:
-    """(positive rate in z==1, positive rate in z==0); both groups must be non-empty."""
+def _group_rates(predictions: np.ndarray, z: np.ndarray) -> tuple[float, float, int]:
+    """(positive rate in z==1, positive rate in z==0, size of z==1); both groups must be non-empty."""
     pos = predictions == 1
     in1 = z == 1
     n1 = int(in1.sum())
     n0 = int(z.size - n1)
     if n1 == 0 or n0 == 0:
         raise ValueError("both sensitive groups must be non-empty")
-    return float(pos[in1].mean()), float(pos[~in1].mean())
+    return float(pos[in1].mean()), float(pos[~in1].mean()), n1
+
+
+def _p_percent(r1: float, r0: float) -> float:
+    """The p%-rule of the group positive rates r1 and r0 (see :func:`p_percent_rule`)."""
+    if r1 == 0.0 and r0 == 0.0:
+        return 100.0
+    if r1 == 0.0 or r0 == 0.0:
+        return 0.0
+    return 100.0 * min(r1 / r0, r0 / r1)
 
 
 def p_percent_rule(predictions, z) -> float:
@@ -54,21 +63,13 @@ def p_percent_rule(predictions, z) -> float:
     If exactly one group has rate zero the rule is 0; if both are zero the
     groups are treated alike and the rule is 100.
     """
-    predictions = np.asarray(predictions)
-    z = np.asarray(z)
-    r1, r0 = _group_rates(predictions, z)
-    if r1 == 0.0 and r0 == 0.0:
-        return 100.0
-    if r1 == 0.0 or r0 == 0.0:
-        return 0.0
-    return 100.0 * min(r1 / r0, r0 / r1)
+    r1, r0, _ = _group_rates(np.asarray(predictions), np.asarray(z))
+    return _p_percent(r1, r0)
 
 
 def cv_score(predictions, z) -> float:
     """Absolute difference of group positive rates, in [0, 1]."""
-    predictions = np.asarray(predictions)
-    z = np.asarray(z)
-    r1, r0 = _group_rates(predictions, z)
+    r1, r0, _ = _group_rates(np.asarray(predictions), np.asarray(z))
     return abs(r0 - r1)
 
 
@@ -117,11 +118,10 @@ def audit(model_distances, dataset) -> FairnessReport:
     for k, name in enumerate(dataset.sensitive_names):
         z = dataset.sensitive[:, k]
         cov[name] = boundary_covariance(z, d)
-        r1, r0 = _group_rates(predictions, z)
-        p_pct[name] = p_percent_rule(predictions, z)
-        cv[name] = cv_score(predictions, z)
+        r1, r0, n1 = _group_rates(predictions, z)
+        p_pct[name] = _p_percent(r1, r0)
+        cv[name] = abs(r0 - r1)
         rates[name] = (r1, r0)
-        n1 = int((z == 1).sum())
         counts[name] = (n1, dataset.n - n1)
     return FairnessReport(
         covariance_per_column=cov,

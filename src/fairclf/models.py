@@ -107,6 +107,8 @@ class FitSpec:
     Fields irrelevant to the chosen mode must be left at their defaults;
     passing, say, a gamma to a fairness-constrained fit is rejected so a
     misconfigured sweep fails loudly instead of silently ignoring inputs.
+    So are another classifier's fields: ``l2_penalty`` is logistic
+    regression's, ``svm_cost`` the SVMs' and ``kernel`` the kernel SVM's.
     """
 
     mode: Mode
@@ -402,9 +404,19 @@ def resolve_kernel(kernel: KernelSpec | None, features: np.ndarray) -> KernelSpe
 # shared fit plumbing
 
 
-def _require_bias(train: Dataset, op: str) -> None:
-    if not train.has_bias_column:
+# the FitSpec fields that only some classifiers read, and those classifiers
+_CLASSIFIER_FIELDS = {"l2_penalty": ("logreg",), "svm_cost": ("linear_svm", "kernel_svm"), "kernel": ("kernel_svm",)}
+
+
+def _check_inputs(train: Dataset, spec: FitSpec, op: str, classifier: str, mode: str | None = None) -> None:
+    """Raise ValueError for a mode other than ``mode``, another classifier's field, or a linear fit without bias."""
+    if mode is not None and spec.mode != mode:
+        raise ValueError(f"{op} requires mode {mode!r}")
+    if classifier != "kernel_svm" and not train.has_bias_column:
         raise ValueError(f"{op} expects a dataset with the bias column appended")
+    for name, readers in _CLASSIFIER_FIELDS.items():  # FitSpec keeps each default as a class attribute
+        if classifier not in readers and getattr(spec, name) != getattr(FitSpec, name):
+            raise ValueError(f"{name} is not used by {classifier}")
 
 
 def _default_settings(**overrides) -> SolverSettings:
@@ -544,9 +556,7 @@ def fit_logreg(train: Dataset, spec: FitSpec, settings: SolverSettings | None = 
     the baseline that a sweep or a caller has just fitted.
     """
     global _last_fit
-    if spec.mode != "unconstrained":
-        raise ValueError("fit_logreg requires mode 'unconstrained'")
-    _require_bias(train, "fit_logreg")
+    _check_inputs(train, spec, "fit_logreg", "logreg", "unconstrained")
     settings = settings or _default_settings()
     if _last_fit is not None:
         train_ref, last_spec, last_settings, model = _last_fit
@@ -583,9 +593,7 @@ def fit_logreg_fair(train: Dataset, spec: FitSpec, settings: SolverSettings | No
     2 l2_penalty / n I projected onto it; otherwise each augmented-Lagrangian
     subproblem adds rho A_S' A_S for the active covariance rows S.
     """
-    if spec.mode != "fairness_constrained":
-        raise ValueError("fit_logreg_fair requires mode 'fairness_constrained'")
-    _require_bias(train, "fit_logreg_fair")
+    _check_inputs(train, spec, "fit_logreg_fair", "logreg", "fairness_constrained")
     settings = settings or _default_settings()
     c = spec.thresholds_for(train.n_sensitive)
     w = covariance_vectors(train)
@@ -686,9 +694,7 @@ def fit_logreg_fairness_max(train: Dataset, spec: FitSpec, settings: SolverSetti
     only through X theta. Every feasible point has the same objective, so
     theta* is optimal, and its status is that of the unconstrained fit.
     """
-    if spec.mode != "accuracy_constrained":
-        raise ValueError("fit_logreg_fairness_max requires mode 'accuracy_constrained'")
-    _require_bias(train, "fit_logreg_fairness_max")
+    _check_inputs(train, spec, "fit_logreg_fairness_max", "logreg", "accuracy_constrained")
     settings = settings or _default_settings(feasibility_tolerance=3e-9)
     base, ridge = _loss_budget_baseline(train, spec)
     loss_star = base.training_meta["objective"]
@@ -786,9 +792,7 @@ def fit_logreg_fine_grained(train: Dataset, spec: FitSpec, settings: SolverSetti
     |covariance| as ``objective`` and the logistic loss at theta, with the
     baseline's ``l2_penalty``, as ``loss``.
     """
-    if spec.mode != "fine_grained":
-        raise ValueError("fit_logreg_fine_grained requires mode 'fine_grained'")
-    _require_bias(train, "fit_logreg_fine_grained")
+    _check_inputs(train, spec, "fit_logreg_fine_grained", "logreg", "fine_grained")
     settings = settings or _default_settings(feasibility_tolerance=1e-10)
     gammas = np.asarray(spec.per_point_gammas, dtype=float)
     if gammas.shape != (train.n,):
@@ -882,7 +886,7 @@ def fit_linear_svm_fair(train: Dataset, spec: FitSpec, settings: SolverSettings 
     sum of max(0, 1 - y m) there.
     """
     c = _svm_thresholds(train, spec, "fit_linear_svm_fair")
-    _require_bias(train, "fit_linear_svm_fair")
+    _check_inputs(train, spec, "fit_linear_svm_fair", "linear_svm")
     settings = settings or _default_settings()
     features, labels = train.features, train.labels
     w = covariance_vectors(train)
@@ -908,7 +912,10 @@ def fit_kernel_svm_fair(train: Dataset, spec: FitSpec, settings: SolverSettings 
     sum(a * y) = 0, plus per-column bounds |cov(z_k, g(x_i))| <= c_k where g
     is the kernel expansion of the signed distance over the training rows.
     The 1/n puts the objective on mean scale, so the stationarity tolerance
-    does not depend on the training size.
+    does not depend on the training size. With a_k = cov_k / ||cov_k|| and
+    b_k = c_k / ||cov_k||, a c_k = 0 bound is the equality a_k . a = 0 and a
+    c_k > 0 bound the equality a_k . a - s_k = 0 on a slack variable s_k in
+    [-b_k, b_k] with no curvature, which only a c_k > 0 fit has.
 
     Q is posed on a low-rank factor of the Gram, never on the Gram itself:
     Q = diag(1 / (C n)) + V V' with V = diag(y) L / sqrt(n), where L L' is a
@@ -925,6 +932,7 @@ def fit_kernel_svm_fair(train: Dataset, spec: FitSpec, settings: SolverSettings 
     coefficients, the objective on the factor.
     """
     c = _svm_thresholds(train, spec, "fit_kernel_svm_fair")
+    _check_inputs(train, spec, "fit_kernel_svm_fair", "kernel_svm")
     settings = settings or _default_settings(feasibility_tolerance=1e-10)
     features, labels = train.features, train.labels
     n = train.n
@@ -938,17 +946,25 @@ def fit_kernel_svm_fair(train: Dataset, spec: FitSpec, settings: SolverSettings 
     # row k: cov_k = row . alpha
     cov_rows = (_kernel_product(kernel, features, features, centered) / n).T * labels[None, :]
 
-    # sum(alpha * y) = 0 and the c_k = 0 bounds are the equalities
+    # sum(alpha * y) = 0 and the c_k = 0 bounds are equalities; a c_k > 0
+    # bound keeps the +a_k row of its pair, as a_k . alpha - s_k = 0 on a
+    # slack s_k in [-b_k, b_k]. Without slacks V goes unpadded: a padded
+    # copy changes its memory layout, and the iterates' last bits with it
     (cov_a, cov_b), cov_e = _covariance_split(cov_rows, c)
+    a, b, m = cov_a[::2], cov_b[::2], cov_b.size // 2
+    equality = np.vstack([labels / math.sqrt(n), cov_e])
+    q_factor = (delta, v)
+    if m:
+        equality = np.block([[equality, np.zeros((equality.shape[0], m))], [a, -np.eye(m)]])
+        q_factor = (np.concatenate([np.full(n, delta), np.zeros(m)]), np.vstack([v, np.zeros((m, v.shape[1]))]))
     problem = QuadraticProblem(
-        q_factor=(delta, v),
-        q_vector=q_vector,
-        box=(np.zeros(n), np.full(n, float(spec.svm_cost))),
-        equality=(np.vstack([labels / math.sqrt(n), cov_e]), np.zeros(1 + cov_e.shape[0])),
-        linear_constraints=(cov_a, cov_b),
+        q_factor=q_factor,
+        q_vector=np.concatenate([q_vector, np.zeros(m)]),
+        box=(np.concatenate([np.zeros(n), -b]), np.concatenate([np.full(n, float(spec.svm_cost)), b])),
+        equality=(equality, np.zeros(equality.shape[0])),
     )
     result = solve_qp(problem, settings)
-    alphas = np.clip(result.point, 0.0, spec.svm_cost)
+    alphas = np.clip(result.point[:n], 0.0, spec.svm_cost)
     # keep the support vectors. The interior-point method leaves a
     # coefficient at its lower bound at about mu / z, not at zero; the cut
     # at 1e-8 C falls in the gap between those and the support vectors in

@@ -16,21 +16,24 @@ Two entry points, each with its own method:
   ch. 17). The problem therefore supplies the Hessian of its objective and
   of each convex block. Without inequalities the solve is one damped Newton
   run.
-* :func:`solve_qp` - convex quadratic objective under a variable box, linear
-  equalities E x = f and linear inequalities A x <= b, with Q given only by
-  its factor Q = diag(delta) + V V' (a kernel dual's low-rank Gram, or the
-  exact-hinge SVM dual, whose Q is V V'). A primal-dual interior-point
-  method (Mehrotra's predictor-corrector) solves one Newton system per
-  iteration. The Newton matrix is diagonal plus low rank and is solved by
+* :func:`solve_qp` - convex quadratic objective under a variable box and
+  linear equalities E x = f, with Q given only by its factor
+  Q = diag(delta) + V V' (a kernel dual's low-rank Gram, or the exact-hinge
+  SVM dual, whose Q is V V'). A primal-dual interior-point method
+  (Mehrotra's predictor-corrector) solves one Newton system per iteration.
+  The Newton matrix is diagonal plus low rank and is solved by
   Sherman-Morrison-Woodbury through one small Cholesky (Fine & Scheinberg
   2001; Ferris & Munson 2002), and every product with Q, in the objective,
   the residuals and the certificate, is delta * x + V (V' x), in O(n r). No
   n x n matrix is formed.
 
 Linear constraints are handed over as matrices, one row per constraint. The
-caller decides which bounds are equalities and puts their rows in E; the
-solvers take every row of A as an inequality. E may repeat a row or have
-rows that depend on others: both solvers reduce it by its numerical rank.
+caller decides which bounds are equalities and puts their rows in E, and
+:func:`minimize_smooth` takes every row of A as an inequality.
+:func:`solve_qp` takes the box and E only (the standard form of Wright,
+Primal-Dual Interior-Point Methods, 1997): a row a . x <= b is posed as
+a . x - s = 0 on a slack variable s <= b. E may repeat a row or have rows
+that depend on others: both solvers reduce it by its numerical rank.
 
 Both check their iterates with the same residual routine: stationarity,
 worst primal violation and worst complementary-slackness product. A run only
@@ -213,7 +216,7 @@ class SmoothProblem:
 
 @dataclass(frozen=True, kw_only=True)
 class QuadraticProblem:
-    """Convex QP: minimize 0.5 x'Qx + q.x over a box with optional equalities.
+    """Convex QP: minimize 0.5 x'Qx + q.x over a box and linear equalities.
 
     Q is given only by ``q_factor``, a (delta, V) pair that *is*
     Q = diag(delta) + V V', with delta non-negative and finite (a vector, or
@@ -228,16 +231,16 @@ class QuadraticProblem:
 
     ``box`` is a (lower, upper) pair of per-variable bounds, either of which
     may be None for unbounded; ``equality`` is an (E, f) pair meaning
-    E x = f, with any number of rows (a 1-D E and a scalar f are one row);
-    ``linear_constraints`` is an (A, b) pair meaning A x <= b. Either may be
-    None.
+    E x = f, with any number of rows (a 1-D E and a scalar f are one row), or
+    None. These are the only constraints: a linear inequality a . x <= b is
+    posed as the equality row a . x - s = 0 on a slack variable s with the
+    upper bound b and delta = 0.
     """
 
     q_vector: np.ndarray
     q_factor: tuple[np.ndarray | float, np.ndarray]
     box: tuple[np.ndarray | None, np.ndarray | None] = (None, None)
     equality: tuple[np.ndarray, np.ndarray | float] | None = None
-    linear_constraints: tuple[np.ndarray, np.ndarray] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -397,18 +400,16 @@ def _linear_arrays(rows: tuple | None, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class _Compiled:
-    """A problem as the KKT residuals and the solvers read it."""
+    """A smooth problem as the KKT residuals and the augmented-Lagrangian loop read it."""
 
     n: int
     objective: Callable
     gradient: Callable
-    hessian: Callable | None  # smooth problems only
+    hessian: Callable
     rows: tuple[np.ndarray, np.ndarray]  # (A, b) of A x <= b, possibly with no rows
     blocks: list  # convex ConstraintBlocks
-    equality: tuple[np.ndarray, np.ndarray] | None  # (E, f); a QP's may have no rows, a smooth problem's has some
-    lo: np.ndarray | None  # variable box, quadratic problems only
-    hi: np.ndarray | None
-    x0: np.ndarray | None  # smooth problems only
+    equality: tuple[np.ndarray, np.ndarray] | None  # (E, f) with at least one row
+    x0: np.ndarray
 
     @property
     def inequalities(self) -> list[ConstraintBlock]:
@@ -437,8 +438,6 @@ def _compile_smooth(problem: SmoothProblem) -> _Compiled:
         rows,
         list(problem.convex_constraints),
         (e, f) if f.size else None,
-        None,
-        None,
         x0,
     )
 
@@ -464,17 +463,50 @@ def _q_factor(problem: QuadraticProblem, lo: np.ndarray, hi: np.ndarray) -> tupl
 
 @dataclass
 class _CompiledQP:
-    """A QP as arrays: box lo <= x <= hi and rows a x <= b, with E x = f in ``comp.equality``.
+    """A QP as arrays: minimize 0.5 x'Qx + c.x over lo <= x <= hi and E x = f.
 
-    Q is diag(delta) + V V' for ``factor = (delta, V)``, and
-    ``comp.gradient`` is x -> Q x + c.
+    Q is diag(delta) + V V' and is read only through that factor. E may have
+    no rows.
     """
 
-    comp: _Compiled
-    factor: tuple[np.ndarray, np.ndarray]
     c: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
+    delta: np.ndarray
+    v: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    e: np.ndarray
+    f: np.ndarray
+
+    def __post_init__(self):
+        # the finite bounds as G x <= h, as the interior-point comment writes
+        # them; bounds(x) is G x and bounds_transpose(v) is G'v
+        self.lower = np.flatnonzero(np.isfinite(self.lo))
+        self.upper = np.flatnonzero(np.isfinite(self.hi))
+        self.h = np.concatenate([-self.lo[self.lower], self.hi[self.upper]])
+
+    def bounds(self, x: np.ndarray) -> np.ndarray:
+        return np.concatenate([-x[self.lower], x[self.upper]])
+
+    def bounds_transpose(self, v: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.c.size)
+        out[self.lower] -= v[: self.lower.size]
+        out[self.upper] += v[self.lower.size :]
+        return out
+
+    def q_times(self, x: np.ndarray) -> np.ndarray:
+        return self.delta * x + matvec(self.v, rmatvec(self.v, x))
+
+    def objective(self, x: np.ndarray) -> float:
+        return 0.5 * dot(x, self.q_times(x)) + dot(self.c, x)
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return self.q_times(x) + self.c
+
+    def residuals(self, x: np.ndarray, y: np.ndarray) -> KKTResiduals:
+        """Box-projected stationarity of Q x + c + E'y and the worst |E x - f|; there is no comp-slack."""
+        grad = self.gradient(x) + rmatvec(self.e, y)
+        stationarity = float(np.max(np.abs(x - np.clip(x - grad, self.lo, self.hi)))) if x.size else 0.0
+        return KKTResiduals(stationarity, float(np.max(np.abs(matvec(self.e, x) - self.f), initial=0.0)), 0.0)
 
 
 def _compile_qp(problem: QuadraticProblem) -> _CompiledQP:
@@ -483,21 +515,7 @@ def _compile_qp(problem: QuadraticProblem) -> _CompiledQP:
     lo, hi = problem.box
     lo = np.full(n, -np.inf) if lo is None else np.broadcast_to(np.asarray(lo, dtype=float), (n,))
     hi = np.full(n, np.inf) if hi is None else np.broadcast_to(np.asarray(hi, dtype=float), (n,))
-    a, b = _linear_arrays(problem.linear_constraints, n)
-    delta, v = factor = _q_factor(problem, lo, hi)
-
-    def q_times(x: np.ndarray) -> np.ndarray:
-        return delta * x + matvec(v, rmatvec(v, x))
-
-    def objective(x: np.ndarray) -> float:
-        return 0.5 * dot(x, q_times(x)) + dot(c, x)
-
-    def gradient(x: np.ndarray) -> np.ndarray:
-        return q_times(x) + c
-
-    equality = _linear_arrays(problem.equality, n)
-    comp = _Compiled(n, objective, gradient, None, (a, b), [], equality, lo, hi, None)
-    return _CompiledQP(comp, factor, c, a, b)
+    return _CompiledQP(c, *_q_factor(problem, lo, hi), lo, hi, *_linear_arrays(problem.equality, n))
 
 
 def _inequality_gradient(comp: _Compiled, x: np.ndarray, lam: list) -> np.ndarray:
@@ -523,11 +541,7 @@ def _residuals(comp: _Compiled, x: np.ndarray, lam: list, mu: np.ndarray | None)
         e, f = comp.equality
         grad = grad + rmatvec(e, mu)
         max_violation = max(max_violation, float(np.max(np.abs(matvec(e, x) - f), initial=0.0)))
-    if comp.lo is not None:
-        stationarity = float(np.max(np.abs(x - np.clip(x - grad, comp.lo, comp.hi)))) if x.size else 0.0
-    else:
-        stationarity = float(np.linalg.norm(grad))
-    return KKTResiduals(stationarity, max_violation, max_comp)
+    return KKTResiduals(float(np.linalg.norm(grad)), max_violation, max_comp)
 
 
 # ---------------------------------------------------------------------------
@@ -766,8 +780,6 @@ def _solve_eliminated(comp: _Compiled, settings: SolverSettings) -> SolverResult
         (a @ basis, b - a @ x_p),
         [],
         None,
-        None,
-        None,
         basis.T @ (comp.x0 - x_p),
     )
     result = _solve_al(reduced, settings)
@@ -784,111 +796,77 @@ def _solve_eliminated(comp: _Compiled, settings: SolverSettings) -> SolverResult
 # ---------------------------------------------------------------------------
 # primal-dual interior-point core (quadratic problems)
 #
-# All inequalities are written as G x + s = h with slacks s >= 0 and
-# multipliers z >= 0: the rows of G are -I on the finite lower bounds, +I on
-# the finite upper bounds and the rows of A, in that order. Each iteration
-# solves the Newton system of the perturbed KKT conditions
+# The finite bounds of the box are written as G x + s = h with slacks s >= 0
+# and multipliers z >= 0: the rows of G are -I on the finite lower bounds
+# and +I on the finite upper bounds. Each iteration solves the Newton system
+# of the perturbed KKT conditions
 #
 #     Q dx + G'dz + E'dy = -r_d        G dx + ds = -r_p
 #     E dx              = -r_e        Z ds + S dz = -r_c
 #
-# by eliminating ds and dz, which leaves H = Q + G'(Z/S)G with the few
-# equality rows E handled through the Schur complement. With
-# Q = diag(delta) + V V' (r columns), the Newton matrix is read as
+# by eliminating ds and dz. G'(Z/S)G is diagonal, so with
+# Q = diag(delta) + V V' (r columns) that leaves the Newton matrix
 #
-#     H = B + A' diag(w) A,   B = D + V V',   D = diag(delta + box weights).
+#     H = D + V V',   D = diag(delta + box weights),
 #
-# With S = D^-1/2 V, B is solved by Sherman-Morrison-Woodbury,
+# bordered by the few rows of E. With S = D^-1/2 V, H is solved by
+# Sherman-Morrison-Woodbury,
 #
-#     B^-1 = D^-1/2 (I - S (I + S'S)^-1 S') D^-1/2,
+#     H^-1 = D^-1/2 (I - S (I + S'S)^-1 S') D^-1/2,
 #
-# through the r x r core I + S'S, formed with dsyrk. The solve reads D plus
-# _PROXIMAL, so a weight z/s that tends to zero leaves the solve accurate,
-# and the core's eigenvalues are at least 1. The m rows of A and
-# the rows of E enter together, as the rows C = [A; E] of one bordered
-# system whose Schur complement is C B^-1 C' + diag(1/w, 0). Each iteration
-# then costs O(n r^2) instead of a dense O(n^3) Cholesky (Fine & Scheinberg,
-# JMLR 2, 2001; Ferris & Munson, SIAM J. Optim. 13, 2002). Putting the rows
-# of A into the low-rank part instead, next to V, is the same matrix, but
-# once a row binds its weight w reaches 1e10 and more and the steps lose
-# their accuracy; the bordered form keeps such a row like an equality row.
-# Even so, the range-space solve above loses digits as the weights spread,
-# so every solve takes one step of iterative refinement against H. The
-# factor is Q itself, so r_d, the residuals and the certificate read it too,
-# through delta * x + V (V' x).
-
-
-class _Inequalities:
-    """The map x -> G x and its transpose for the box rows and the rows of A, with the QP's arrays."""
-
-    def __init__(self, qp: _CompiledQP):
-        self.lower = np.flatnonzero(np.isfinite(qp.comp.lo))
-        self.upper = np.flatnonzero(np.isfinite(qp.comp.hi))
-        self.a = qp.a
-        self.h = np.concatenate([-qp.comp.lo[self.lower], qp.comp.hi[self.upper], qp.b])
-        self.split = (self.lower.size, self.lower.size + self.upper.size)
-        self.e, self.factor = qp.comp.equality[0], qp.factor
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return np.concatenate([-x[self.lower], x[self.upper], matvec(self.a, x)])
-
-    def transpose(self, v: np.ndarray) -> np.ndarray:
-        v_lo, v_hi, v_a = np.split(v, self.split)
-        out = rmatvec(self.a, v_a)
-        out[self.lower] -= v_lo
-        out[self.upper] += v_hi
-        return out
+# through the r x r core I + S'S, formed with dsyrk, and the rows of E
+# through the Schur complement E H^-1 E'. The solve reads D plus _PROXIMAL,
+# so a weight z/s that tends to zero leaves the solve accurate, and the
+# core's eigenvalues are at least 1. Each iteration costs O(n r^2) instead
+# of a dense O(n^3) Cholesky (Fine & Scheinberg, JMLR 2, 2001; Ferris &
+# Munson, SIAM J. Optim. 13, 2002). The range-space solve loses digits as
+# the box weights spread, so every solve takes one step of iterative
+# refinement against H with the true D. The factor is Q itself, so r_d, the
+# residuals and the certificate read it too, through delta * x + V (V' x).
 
 
 class _NewtonSystem:
     """The Newton system of a QP, as the comment above describes.
 
-    B = D + V V' is solved by Woodbury through the r x r core, with
-    ``_PROXIMAL`` added to D, and the rows of A and E together through one
-    Schur complement C B^-1 C' + diag(1/w, 0) with C = [A; E]. Each solve
-    takes one step of iterative refinement on the model system with the
-    true D.
+    H = D + V V' is solved by Woodbury through the r x r core, with
+    ``_PROXIMAL`` added to D, and the rows of E through the Schur complement
+    E H^-1 E'. Each solve takes one step of iterative refinement on the
+    model system with the true D.
     """
 
-    def __init__(self, g: _Inequalities, d: np.ndarray):
-        d_lo, d_hi, self.w = np.split(d, g.split)
-        self.diagonal = g.factor[0].copy()  # D
-        self.diagonal[g.lower] += d_lo
-        self.diagonal[g.upper] += d_hi
-        self.v, self.a, self.e = g.factor[1], g.a, g.e
+    def __init__(self, qp: _CompiledQP, weights: np.ndarray):
+        self.diagonal = qp.delta.copy()  # D
+        self.diagonal[qp.lower] += weights[: qp.lower.size]
+        self.diagonal[qp.upper] += weights[qp.lower.size :]
+        self.v, self.e = qp.v, qp.e
         self.root = 1.0 / np.sqrt(self.diagonal + _PROXIMAL)  # (D + _PROXIMAL)^-1/2
         self.scaled = np.multiply(self.v, self.root[:, None], out=np.empty(self.v.shape, order="F"))  # S
         core = dsyrk(1.0, self.scaled, trans=1, lower=1) if self.v.shape[1] else np.zeros((0, 0))
         core[np.diag_indices(core.shape[0])] += 1.0
         self.core = _cholesky(core, lower=True)
-        self.rows = np.vstack([self.a, self.e])  # C
-        if self.rows.shape[0]:
-            self.b_inv_ct = np.column_stack([self._solve_b(row) for row in self.rows])
-            schur = dgemm(1.0, self.rows.T, self.b_inv_ct, trans_a=1)
-            schur[np.diag_indices(self.w.size)] += 1.0 / self.w
-            self.schur = _cholesky(schur, lower=True)
+        if self.e.shape[0]:
+            self.h_inv_et = np.column_stack([self._solve_h(row) for row in self.e])
+            self.schur = _cholesky(dgemm(1.0, self.e.T, self.h_inv_et, trans_a=1), lower=True)
 
-    def _solve_b(self, b: np.ndarray) -> np.ndarray:
-        """B^-1 b = D^-1/2 (I - S (I + S'S)^-1 S') D^-1/2 b, with D + _PROXIMAL for D."""
+    def _solve_h(self, b: np.ndarray) -> np.ndarray:
+        """H^-1 b = D^-1/2 (I - S (I + S'S)^-1 S') D^-1/2 b, with D + _PROXIMAL for D."""
         t = self.root * b
         return self.root * (t - matvec(self.scaled, self.core(rmatvec(self.scaled, t))))
 
     def _solve_once(self, rhs: np.ndarray, r_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        u = self._solve_b(rhs)
-        if not self.rows.shape[0]:
+        u = self._solve_h(rhs)
+        if not self.e.shape[0]:
             return u, np.zeros(0)
-        shift = matvec(self.rows, u)
-        shift[self.w.size :] += r_e
-        multipliers = self.schur(shift)  # (W A dx, dy)
-        return u - matvec(self.b_inv_ct, multipliers), multipliers[self.w.size :]
+        dy = self.schur(matvec(self.e, u) + r_e)
+        return u - matvec(self.h_inv_et, dy), dy
 
     def solve(self, rhs: np.ndarray, r_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(dx, dy) with H dx + E'dy = rhs and E dx = -r_e, H = B + A' diag(w) A."""
+        """(dx, dy) with H dx + E'dy = rhs and E dx = -r_e."""
         dx, dy = self._solve_once(rhs, r_e)
-        # refinement: a row whose weight w has grown large leaves the
-        # range-space solve above inaccurate, and one correction by the
-        # residual of the model system restores the step
-        h_dx = self.diagonal * dx + matvec(self.v, rmatvec(self.v, dx)) + rmatvec(self.a, self.w * matvec(self.a, dx))
+        # refinement: box weights that have spread over many orders of
+        # magnitude leave the range-space solve above inaccurate, and one
+        # correction by the residual of the model system restores the step
+        h_dx = self.diagonal * dx + matvec(self.v, rmatvec(self.v, dx))
         ddx, ddy = self._solve_once(rhs - h_dx - rmatvec(self.e, dy), r_e + matvec(self.e, dx))
         return dx + ddx, dy + ddy
 
@@ -905,31 +883,28 @@ def _shift_positive(v: np.ndarray) -> np.ndarray:
 
 
 def _solve_ipm(qp: _CompiledQP, settings: SolverSettings) -> SolverResult:
-    comp = qp.comp
-    g = _Inequalities(qp)
-    e, f = comp.equality
-    n_ineq = g.h.size
+    e, f, h = qp.e, qp.f, qp.h
+    n_ineq = h.size
 
     # start: the least-squares point of CVXOPT's coneqp, i.e. the Newton
     # system with unit slack weights, then slacks and multipliers shifted
     # to be strictly positive
-    x, y = _NewtonSystem(g, np.ones(n_ineq)).solve(-qp.c + g.transpose(g.h), -f)
-    s = _shift_positive(g.h - g.apply(x))
-    z = _shift_positive(g.apply(x) - g.h)
+    x, y = _NewtonSystem(qp, np.ones(n_ineq)).solve(-qp.c + qp.bounds_transpose(h), -f)
+    s = _shift_positive(h - qp.bounds(x))
+    z = _shift_positive(qp.bounds(x) - h)
     start_size = 1.0 + max(float(np.max(z, initial=0.0)), float(np.max(np.abs(y), initial=0.0)))
 
     status = "max_iter"
     previous_primal = np.inf
     iteration = 0
     while True:
-        r_d = comp.gradient(x) + g.transpose(z) + rmatvec(e, y)
-        r_p = g.apply(x) + s - g.h
+        r_d = qp.gradient(x) + qp.bounds_transpose(z) + rmatvec(e, y)
+        r_p = qp.bounds(x) + s - h
         r_e = matvec(e, x) - f
         mu_gap = dot(s, z) / n_ineq if n_ineq else 0.0
 
-        point = np.clip(x, comp.lo, comp.hi)
-        lam = [z[z.size - qp.b.size :]] if qp.b.size else []
-        kkt = _residuals(comp, point, lam, y)
+        point = np.clip(x, qp.lo, qp.hi)
+        kkt = qp.residuals(point, y)
         _log.debug(
             "ipm iter=%d mu=%.2e viol=%.2e stat=%.2e comp=%.2e",
             iteration, mu_gap, kkt.max_violation, kkt.stationarity_norm, kkt.max_comp_slack,
@@ -949,11 +924,11 @@ def _solve_ipm(qp: _CompiledQP, settings: SolverSettings) -> SolverResult:
             break
         iteration += 1
 
-        system = _NewtonSystem(g, z / s)
+        system = _NewtonSystem(qp, z / s)
 
         def direction(r_c: np.ndarray):
-            dx, dy = system.solve(-r_d + g.transpose((r_c - z * r_p) / s), r_e)
-            ds = -r_p - g.apply(dx)
+            dx, dy = system.solve(-r_d + qp.bounds_transpose((r_c - z * r_p) / s), r_e)
+            ds = -r_p - qp.bounds(dx)
             return dx, ds, (-r_c - z * ds) / s, dy
 
         # predictor: the pure Newton (affine-scaling) step
@@ -965,7 +940,7 @@ def _solve_ipm(qp: _CompiledQP, settings: SolverSettings) -> SolverResult:
         step = min(1.0, _STEP_TO_BOUNDARY * min(_max_step(s, ds), _max_step(z, dz)))
         x, s, z, y = x + step * dx, s + step * ds, z + step * dz, y + step * dy
 
-    return SolverResult(point, comp.objective(point), status, kkt, iteration, _named_multipliers(lam, y))
+    return SolverResult(point, qp.objective(point), status, kkt, iteration, _named_multipliers([], y))
 
 
 # ---------------------------------------------------------------------------
@@ -997,38 +972,49 @@ def minimize_smooth(problem: SmoothProblem, settings: SolverSettings | None = No
 
 
 def solve_qp(problem: QuadraticProblem, settings: SolverSettings | None = None) -> SolverResult:
-    """KKT-certified solve of a convex box/equality/inequality QP.
+    """KKT-certified solve of a convex QP over a box and linear equalities.
 
     Deterministic given identical inputs. The returned point lies in the box;
     ``status`` is ``"converged"`` when the KKT residuals are inside the
     configured tolerances, ``"infeasible"`` when the primal residual stalls
     while the multipliers diverge, and ``"max_iter"`` when the iteration
-    budget ran out first.
+    budget ran out first. Its ``multipliers`` are those of the rows of E.
     """
     settings = settings or SolverSettings()
     return _solve_ipm(_compile_qp(problem), settings)
 
 
+def _equality_multipliers(multipliers: dict, rows: int) -> np.ndarray:
+    """The "equality" entry of ``multipliers`` as a vector of ``rows`` entries (zeros when absent)."""
+    mu = np.atleast_1d(np.asarray(multipliers.get("equality", np.zeros(rows)), dtype=float))
+    if mu.shape != (rows,):
+        raise ValueError(f"expected {rows} equality multipliers, got {mu.size}")
+    return mu
+
+
 def kkt_residuals(problem, point, multipliers) -> KKTResiduals:
     """Evaluate KKT residuals of (point, multipliers) for a given problem.
 
-    ``multipliers`` maps "inequality" to the multipliers ordered as the rows
-    of A first, then the convex constraint blocks, either as one flat vector
-    or as one vector per block (the layout of ``SolverResult.multipliers``),
-    and "equality" to a vector with one entry per row of E (zeros when
-    absent). Inequality multipliers must be non-negative.
-    Stationarity is the norm of the Lagrangian gradient (projected onto the
-    box for quadratic problems); the violation and complementary-slackness
-    entries are worst-case over all constraints.
+    ``multipliers`` maps "equality" to one entry per row of E (zeros when
+    absent) and "inequality" to the multipliers of a ``SmoothProblem``'s rows
+    of A, then of its convex blocks, as one flat vector or one vector per
+    block (the layout of ``SolverResult.multipliers``); they must be
+    non-negative. A ``QuadraticProblem`` has only its box, so a non-empty
+    "inequality" entry raises ValueError. Stationarity is the norm of the
+    Lagrangian gradient (projected onto the box for quadratic problems); the
+    violation and complementary-slackness entries are worst-case over all
+    constraints.
     """
-    if isinstance(problem, SmoothProblem):
-        comp = _compile_smooth(problem)
-    elif isinstance(problem, QuadraticProblem):
-        comp = _compile_qp(problem).comp
-    else:
-        raise TypeError("problem must be SmoothProblem or QuadraticProblem")
     x = np.asarray(point, dtype=float)
     parts = [np.ravel(np.asarray(p, dtype=float)) for p in multipliers.get("inequality", [])]
+    if isinstance(problem, QuadraticProblem):
+        if parts:
+            raise ValueError("a QuadraticProblem takes no inequality multipliers: its only bounds are the box")
+        qp = _compile_qp(problem)
+        return qp.residuals(x, _equality_multipliers(multipliers, qp.f.size))
+    if not isinstance(problem, SmoothProblem):
+        raise TypeError("problem must be SmoothProblem or QuadraticProblem")
+    comp = _compile_smooth(problem)
     flat = np.concatenate(parts) if parts else np.zeros(0)
     if np.any(flat < 0):
         raise ValueError("inequality multipliers must be non-negative")
@@ -1041,10 +1027,5 @@ def kkt_residuals(problem, point, multipliers) -> KKTResiduals:
     for block in blocks:
         lam.append(flat[pos : pos + block.size])
         pos += block.size
-    mu = None
-    if comp.equality is not None:
-        rows = comp.equality[1].size
-        mu = np.atleast_1d(np.asarray(multipliers.get("equality", np.zeros(rows)), dtype=float))
-        if mu.shape != (rows,):
-            raise ValueError(f"expected {rows} equality multipliers, got {mu.size}")
+    mu = None if comp.equality is None else _equality_multipliers(multipliers, comp.equality[1].size)
     return _residuals(comp, x, lam, mu)

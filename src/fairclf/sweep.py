@@ -166,9 +166,11 @@ def grid_spec(classifier, mode, value=None, *, l2_penalty, svm_cost, kernel, pro
     fairness-constrained fit and the loss-budget factor gamma of the two
     gamma modes; a fine-grained fit gives every one of its ``n_rows`` rows
     that gamma and keeps the ``protected`` rows positive. A logreg fit takes
-    ``l2_penalty``, an SVM ``svm_cost`` and ``kernel``.
+    ``l2_penalty``, an SVM ``svm_cost``, and the kernel SVM also ``kernel``.
     """
-    spec = {"l2_penalty": l2_penalty} if classifier == "logreg" else {"svm_cost": svm_cost, "kernel": kernel}
+    spec = {"l2_penalty": l2_penalty} if classifier == "logreg" else {"svm_cost": svm_cost}
+    if classifier == "kernel_svm":
+        spec["kernel"] = kernel
     if mode == "fairness_constrained":
         spec["covariance_thresholds"] = value
     elif mode == "accuracy_constrained":

@@ -14,7 +14,9 @@ with ``solve_qp``, so the two share neither the iteration nor the Newton
 solve. The RBF kernel dual goes through ``solve_qp`` on a full-rank factor
 of its exact Q from an eigendecomposition of the full Gram, where the fit
 poses a pivoted incomplete Cholesky, so the two share the interior-point
-loop but not the Q.
+loop but not the Q. Its covariance bounds are posed as the fit poses them,
+on slack variables; ``qp_kkt_reference`` certifies a fit on the same bounds
+as inequality rows over alpha alone.
 
 The UCI loaders are checked against their per-line form: each file read in
 text mode, one Python string per field, and each categorical column compared
@@ -287,14 +289,19 @@ def rbf_kernel_dual_reference(features, labels, sensitive, rbf_gamma, svm_cost, 
     Q = yy' * (K + I/C) / n with K the full Gram exp(-gamma ||x_i - x_j||^2),
     over 0 <= alpha <= C. The equality rows are sum(alpha y) / sqrt(n) = 0
     and then, for each c_k = 0, the covariance row cov_k . alpha = 0 with
-    cov_k = y * (K (z_k - mean z_k)) / n divided by its norm; a c_k > 0 gives
-    the rows +cov_k and -cov_k, each divided by its norm, with the bound c_k
-    divided by the same norm. These are the rows of ``fit_kernel_svm_fair``
-    in its order, so its multipliers apply. The problem is posed on the
-    factor delta = 1/(C n), V = diag(y) U sqrt(max(L, 0)) / sqrt(n) of the
-    eigendecomposition K = U diag(L) U', which is Q to rounding, where the
-    fit uses a pivoted incomplete Cholesky of K. Returns (Q, problem,
-    result), Q as a dense matrix.
+    cov_k = y * (K (z_k - mean z_k)) / n divided by its norm. A c_k > 0 bounds
+    |a_k . alpha| <= b_k, with a_k = cov_k / ||cov_k|| and b_k =
+    c_k / ||cov_k||: the problem poses it as the equality row
+    a_k . alpha - s_k = 0 on a slack variable s_k in [-b_k, b_k] with no
+    curvature, after the c_k = 0 rows. These are the variables and rows of
+    ``fit_kernel_svm_fair`` in its order, so its multipliers apply. The
+    problem is posed on the factor delta = 1/(C n),
+    V = diag(y) U sqrt(max(L, 0)) / sqrt(n) of the eigendecomposition
+    K = U diag(L) U', which is Q to rounding, where the fit uses a pivoted
+    incomplete Cholesky of K. Returns (Q, problem, rows, result): Q as a
+    dense n x n matrix, and rows the (A, b) pair of the same bounds as
+    inequalities over alpha alone, the rows +a_k and -a_k, each bounded by
+    b_k.
     """
     from fairclf.solvers import QuadraticProblem, SolverSettings, solve_qp
 
@@ -317,16 +324,19 @@ def rbf_kernel_dual_reference(features, labels, sensitive, rbf_gamma, svm_cost, 
         elif 0 < c[k] < np.inf:
             rows += [cov[k] / norm, -cov[k] / norm]
             bounds += [c[k] / norm] * 2
+    a, b = np.array(rows).reshape(-1, n), np.array(bounds)
+    slack_rows, slack_bounds = a[::2], b[::2]
+    m = slack_bounds.size
+    e = np.vstack([np.hstack([np.array(equality), np.zeros((len(equality), m))]), np.hstack([slack_rows, -np.eye(m)])])
     problem = QuadraticProblem(
-        q_factor=(1.0 / (svm_cost * n), v),
-        q_vector=-np.ones(n) / n,
-        box=(np.zeros(n), np.full(n, float(svm_cost))),
-        equality=(np.array(equality), np.zeros(len(equality))),
-        linear_constraints=(np.array(rows).reshape(-1, n), np.array(bounds)),
+        q_factor=(np.concatenate([np.full(n, 1.0 / (svm_cost * n)), np.zeros(m)]), np.vstack([v, np.zeros((m, n))])),
+        q_vector=np.concatenate([-np.ones(n) / n, np.zeros(m)]),
+        box=(np.concatenate([np.zeros(n), -slack_bounds]), np.concatenate([np.full(n, float(svm_cost)), slack_bounds])),
+        equality=(e, np.zeros(e.shape[0])),
     )
     result = solve_qp(problem, SolverSettings(max_iterations=200, kkt_tolerance=1e-10, feasibility_tolerance=1e-12))
     assert result.status == "converged", result.status
-    return q_dense, problem, result
+    return q_dense, problem, (a, b), result
 
 
 def qp_box_equality_reference(q_matrix, q_vector, lower, upper, equality=None, with_multipliers=False):

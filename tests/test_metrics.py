@@ -145,6 +145,30 @@ class TestAudit:
         report = audit(np.array([0.0, -0.1]), ds)
         assert report.group_positive_rates["z"] == (0.0, 1.0)
 
+    def test_one_rate_pass_per_column_agrees_with_the_public_metrics(self, monkeypatch):
+        from fairclf import metrics
+
+        rng = np.random.default_rng(6)
+        z = (rng.random((50, 3)) < 0.4).astype(float)
+        ds = Dataset(
+            features=rng.normal(size=(50, 2)),
+            labels=np.where(rng.random(50) < 0.5, 1.0, -1.0),
+            sensitive=z,
+            sensitive_names=("a", "b", "c"),
+            feature_names=("x1", "x2"),
+        )
+        d = rng.normal(size=50)
+        calls = []
+        rates = metrics._group_rates
+        monkeypatch.setattr(metrics, "_group_rates", lambda p, col: calls.append(1) or rates(p, col))
+        report = audit(d, ds)
+        assert len(calls) == 3
+        predictions = np.where(d >= 0, 1, -1)
+        for k, name in enumerate(ds.sensitive_names):
+            assert report.p_percent[name] == p_percent_rule(predictions, z[:, k])
+            assert report.cv_score[name] == cv_score(predictions, z[:, k])
+            assert report.n_per_group[name] == (int(z[:, k].sum()), 50 - int(z[:, k].sum()))
+
     def test_json_round_trip(self):
         import json
 

@@ -120,6 +120,37 @@ class TestFitSpecValidation:
         with pytest.raises(ValueError):
             FitSpec(mode="fairness_constrained", covariance_thresholds=float("nan")).thresholds_for(1)
 
+    @pytest.mark.parametrize(
+        "fit_name, field",
+        [
+            (fit_name, field)
+            for fit_name, fields in (
+                ("fit_logreg", ("svm_cost", "kernel")),
+                ("fit_logreg_fair", ("svm_cost", "kernel")),
+                ("fit_logreg_fairness_max", ("svm_cost", "kernel")),
+                ("fit_logreg_fine_grained", ("svm_cost", "kernel")),
+                ("fit_linear_svm_fair", ("l2_penalty", "kernel")),
+                ("fit_kernel_svm_fair", ("l2_penalty",)),
+            )
+            for field in fields
+        ],
+    )
+    def test_another_classifiers_field_rejected(self, fit_name, field):
+        # each public fit refuses the fields it does not read, also when
+        # called directly rather than through models.fit
+        ds, _ = random_instance(3, n=20)
+        own = {
+            "fit_logreg": {"mode": "unconstrained"},
+            "fit_logreg_fair": {"mode": "fairness_constrained", "covariance_thresholds": 0.1},
+            "fit_logreg_fairness_max": {"mode": "accuracy_constrained", "gamma": 0.1},
+            "fit_logreg_fine_grained": {"mode": "fine_grained", "per_point_gammas": [0.5] * ds.n, "protected_index_set": []},
+            "fit_linear_svm_fair": {"mode": "unconstrained", "svm_cost": 1.0},
+            "fit_kernel_svm_fair": {"mode": "unconstrained", "svm_cost": 1.0},
+        }[fit_name]
+        foreign = {"svm_cost": 5.0, "kernel": KernelSpec(), "l2_penalty": 3.0}[field]
+        with pytest.raises(ValueError, match=f"{field} is not used by"):
+            getattr(models, fit_name)(ds, FitSpec(**own, **{field: foreign}))
+
     def test_kernel_spec_validation(self):
         with pytest.raises(ValueError):
             KernelSpec(kind="poly")
@@ -965,25 +996,45 @@ class TestKernelDualOracle:
         return model, *solves[0]
 
     @pytest.mark.parametrize("n", [60, 200])
-    @pytest.mark.parametrize("c", [np.inf, 0.0])
+    @pytest.mark.parametrize("c", [np.inf, 0.0, "half"])
     def test_matches_the_exact_dual(self, n, c, monkeypatch):
         ds = c10_rows(n)
         cost = 10.0
+        binding = c == "half"
+        if binding:
+            # half the unconstrained fit's |covariance|, so that the row binds
+            unconstrained = fit_kernel_svm_fair(ds, FitSpec(mode="unconstrained", svm_cost=cost, kernel=C10_KERNEL))
+            c = 0.5 * abs(unconstrained.training_meta["covariance"][0])
         if np.isfinite(c):
             spec = FitSpec(mode="fairness_constrained", covariance_thresholds=c, svm_cost=cost, kernel=C10_KERNEL)
         else:
             spec = FitSpec(mode="unconstrained", svm_cost=cost, kernel=C10_KERNEL)
-        q_exact, exact, reference = rbf_kernel_dual_reference(ds.features, ds.labels, ds.sensitive, 0.04, cost, c)
+        q_exact, exact, rows, reference = rbf_kernel_dual_reference(ds.features, ds.labels, ds.sensitive, 0.04, cost, c)
         model, result, _ = self.fit_and_problem(ds, spec, self.TIGHT, monkeypatch)
         np.testing.assert_allclose(result.point, reference.point, rtol=0, atol=1e-7)
         assert abs(result.objective_value - reference.objective_value) <= 1e-9 * abs(reference.objective_value)
         stored = model.training_meta["objective"] / n
         assert abs(stored - reference.objective_value) <= 1e-9 * abs(reference.objective_value)
-        # at its own settings, a converged fit is a KKT point of the exact dual too
+        if binding:
+            assert abs(model.training_meta["covariance"][0]) == pytest.approx(c, rel=1e-6)
+        # at its own settings, a converged fit is a KKT point of the exact
+        # dual too, posed with its c > 0 bounds as inequality rows over alpha:
+        # slack row k's multiplier y_k is max(y_k, 0) on the row +a_k and
+        # max(-y_k, 0) on the row -a_k
         model, result, settings = self.fit_and_problem(ds, spec, None, monkeypatch)
         assert result.status == "converged"
+        m = rows[1].size // 2
+        e, f = exact.equality
+        y = result.multipliers["equality"]
+        slack_y = y[y.size - m :]
         stationarity, violation, comp_slack = qp_kkt_reference(
-            q_exact, exact.q_vector, exact.box, exact.equality, exact.linear_constraints, result.point, result.multipliers
+            q_exact,
+            exact.q_vector[:n],
+            (exact.box[0][:n], exact.box[1][:n]),
+            (e[: f.size - m, :n], f[: f.size - m]),
+            rows,
+            result.point[:n],
+            {"inequality": [np.column_stack([slack_y, -slack_y]).clip(0.0).ravel()], "equality": y[: y.size - m]},
         )
         assert stationarity <= settings.kkt_tolerance
         assert violation <= settings.feas_tol

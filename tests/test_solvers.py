@@ -528,12 +528,13 @@ class TestSolveQp:
             minimize_smooth(problem)
 
     def test_infeasible_rows_detected(self):
-        # the box [0, 1]^2 and the row x1 + x2 <= -1 have no common point
+        # the box [0, 1]^2 and the row x1 + x2 <= -1, posed as x1 + x2 - s = 0
+        # on a slack s <= -1, have no common point
         problem = QuadraticProblem(
-            q_factor=identity(2),
-            q_vector=-np.ones(2),
-            box=(np.zeros(2), np.ones(2)),
-            linear_constraints=(np.array([[1.0, 1.0]]), np.array([-1.0])),
+            q_factor=(np.array([1.0, 1.0, 0.0]), np.zeros((3, 0))),
+            q_vector=np.array([-1.0, -1.0, 0.0]),
+            box=(np.array([0.0, 0.0, -np.inf]), np.array([1.0, 1.0, -1.0])),
+            equality=(np.array([1.0, 1.0, -1.0]), 0.0),
         )
         result = solve_qp(problem, TIGHT)
         assert result.status == "infeasible"
@@ -551,15 +552,21 @@ class TestSolveQp:
         assert result.iterations <= 1
 
     def test_multipliers_reproduce_certificate(self):
-        # Q = m m' by its factor (0, m); every x ends inside [-1, 1]
+        # Q = m m' by its factor (0, m); every x ends inside [-1, 1]. The
+        # one-sided rows r_i . x <= b_i are r_i . x - s_i = 0 on slacks s_i
+        # with the upper bound b_i only
         rng = np.random.default_rng(8)
         m = rng.normal(size=(5, 5))
+        q_vector = rng.normal(size=5)
+        rows = np.array([rng.normal(size=5), rng.normal(size=5)])
         problem = QuadraticProblem(
-            q_factor=(0.0, m),
-            q_vector=rng.normal(size=5),
-            box=(np.full(5, -1.0), np.ones(5)),
-            equality=(np.ones(5), 0.5),
-            linear_constraints=(np.array([rng.normal(size=5), rng.normal(size=5)]), np.array([0.2, 0.1])),
+            q_factor=(0.0, np.vstack([m, np.zeros((2, 5))])),
+            q_vector=np.concatenate([q_vector, np.zeros(2)]),
+            box=(np.concatenate([np.full(5, -1.0), np.full(2, -np.inf)]), np.concatenate([np.ones(5), [0.2, 0.1]])),
+            equality=(
+                np.vstack([np.concatenate([np.ones(5), np.zeros(2)]), np.hstack([rows, -np.eye(2)])]),
+                np.array([0.5, 0.0, 0.0]),
+            ),
         )
         result = solve_qp(problem, TIGHT)
         assert result.status == "converged"
@@ -593,12 +600,12 @@ class TestSolveQp:
         assert a.iterations == b.iterations
 
     def test_each_row_bounds_one_variable(self):
-        # minimize |x|^2 / 2 - 2 sum(x) over x >= 0 and x <= b
+        # minimize |x|^2 / 2 - 2 sum(x) over x >= 0 and x <= b: rows that each
+        # bound one variable are the box's upper bounds
         problem = QuadraticProblem(
             q_factor=identity(3),
             q_vector=np.full(3, -2.0),
-            box=(np.zeros(3), None),
-            linear_constraints=(np.eye(3), np.array([0.5, 1.0, 3.0])),
+            box=(np.zeros(3), np.array([0.5, 1.0, 3.0])),
         )
         result = solve_qp(problem, TIGHT)
         assert result.status == "converged"
@@ -647,7 +654,7 @@ class TestFactoredNewton:
             problem.q_vector,
             problem.box,
             problem.equality,
-            problem.linear_constraints,
+            None,
             result.point,
             result.multipliers,
         )
@@ -666,7 +673,9 @@ class TestFactoredNewton:
         Q = diag(1/(C n)) + V V' with V = diag(y) F / sqrt(n) for an n x 6
         feature map F, over the box [0, C]. sum(alpha y) = 0 and one c = 0
         covariance row are equalities; two covariance rows bounded by
-        c = 2e-4 on both sides are inequalities. alpha = 0 is feasible.
+        c = 2e-4 on both sides are the rows cov_k . alpha - s_k = 0 on two
+        slack variables s_k in [-c, c], the last two variables, with
+        delta = 0 and zero rows in V. alpha = 0 is feasible.
         """
         rng = np.random.default_rng(seed)
         cost = 2.0
@@ -679,12 +688,12 @@ class TestFactoredNewton:
         centered -= centered.mean(axis=0)
         cov = ((features @ features.T) @ centered / n).T * labels
         cov /= np.linalg.norm(cov, axis=1, keepdims=True)
+        equality = np.block([[np.vstack([labels / np.sqrt(n), cov[0]]), np.zeros((2, 2))], [cov[1:], -np.eye(2)]])
         return QuadraticProblem(
-            q_factor=(delta, v),
-            q_vector=-np.ones(n) / n,
-            box=(np.zeros(n), np.full(n, cost)),
-            equality=(np.vstack([labels / np.sqrt(n), cov[0]]), np.zeros(2)),
-            linear_constraints=(np.vstack([cov[1:], -cov[1:]]), np.full(4, 2e-4)),
+            q_factor=(np.concatenate([delta, np.zeros(2)]), np.vstack([v, np.zeros((2, 6))])),
+            q_vector=np.concatenate([-np.ones(n) / n, np.zeros(2)]),
+            box=(np.concatenate([np.zeros(n), np.full(2, -2e-4)]), np.concatenate([np.full(n, cost), np.full(2, 2e-4)])),
+            equality=(equality, np.zeros(4)),
         )
 
     @classmethod
@@ -705,7 +714,7 @@ class TestFactoredNewton:
         self.assert_certified(problem, factored)
         assert factored.iterations == rotated.iterations
         np.testing.assert_allclose(factored.point, rotated.point, rtol=0, atol=1e-9)
-        assert np.max(problem.linear_constraints[0] @ factored.point) > 2e-4 - 1e-9  # a c > 0 row binds
+        assert np.max(np.abs(factored.point[-2:])) > 2e-4 - 1e-9  # a c > 0 row binds: its slack is at its bound
 
     @pytest.mark.parametrize("thresholds", [0.0, 0.05])
     def test_kernel_dual_keeps_the_plain_iterates(self, monkeypatch, thresholds):
@@ -825,6 +834,14 @@ class TestKktResiduals:
         )
         with pytest.raises(ValueError, match="non-negative"):
             kkt_residuals(problem, np.zeros(2), {"inequality": [-0.5]})
+
+    def test_quadratic_problem_takes_no_inequality_multipliers(self):
+        # a QP's only inequalities are its box, whose multipliers are not inputs
+        problem = QuadraticProblem(q_factor=identity(2), q_vector=np.array([-1.0, 0.0]), box=(np.zeros(2), np.ones(2)))
+        point = np.array([1.0, 0.0])
+        assert kkt_residuals(problem, point, {"inequality": []}) == kkt_residuals(problem, point, {})
+        with pytest.raises(ValueError, match="no inequality multipliers"):
+            kkt_residuals(problem, point, {"inequality": [np.array([0.5])]})
 
     def test_equality_multipliers_are_a_vector(self):
         # min 0.5|x|^2 - x1 subject to x1 + x2 = 1 and x1 - x2 = 0: x = (1/2, 1/2)
