@@ -44,7 +44,6 @@ from .solvers import (
     SolverResult,
     SolverSettings,
     _null_space_svd,
-    dot,
     matvec,
     minimize_smooth,
     rmatvec,
@@ -233,7 +232,7 @@ def _loss_at(theta, scores, labels, l2_penalty: float) -> float:
 def _gradient_at(theta, scores, features, labels, l2_penalty: float) -> np.ndarray:
     """Logistic loss gradient from the scores X @ theta."""
     s = _expit(-labels * scores)
-    grad = -rmatvec(features, labels * s)
+    grad = -(features.T @ (labels * s))
     if l2_penalty:
         grad = grad + 2.0 * l2_penalty * theta
     return grad
@@ -242,9 +241,9 @@ def _gradient_at(theta, scores, features, labels, l2_penalty: float) -> np.ndarr
 def _logistic_hessian_at(scores, features, l2_penalty: float, out: np.ndarray) -> np.ndarray:
     """Logistic loss Hessian X' diag(s(1 - s)) X + 2 l2_penalty I from the scores X @ theta, s = expit(scores).
 
-    Written into the upper triangle of the Fortran-ordered ``out`` on
-    scipy's BLAS, which is returned. The weight is expit(m) expit(-m), which
-    keeps its digits where 1 - s would round to zero.
+    Written into ``out``, which is returned. The weight is
+    expit(m) expit(-m), which keeps its digits where 1 - s would round to
+    zero.
     """
     out.fill(0.0)
     out = weighted_gram(features, _expit(scores) * _expit(-scores), out)
@@ -255,16 +254,16 @@ def _logistic_hessian_at(scores, features, l2_penalty: float, out: np.ndarray) -
 
 def logistic_loss(theta: np.ndarray, features: np.ndarray, labels: np.ndarray, l2_penalty: float = 0.0) -> float:
     """Negative log-likelihood of ±1 labels, plus l2_penalty * ||theta||^2."""
-    return _loss_at(theta, matvec(features, theta), labels, l2_penalty)
+    return _loss_at(theta, features @ theta, labels, l2_penalty)
 
 
 def logistic_loss_gradient(theta, features, labels, l2_penalty: float = 0.0) -> np.ndarray:
-    return _gradient_at(theta, matvec(features, theta), features, labels, l2_penalty)
+    return _gradient_at(theta, features @ theta, features, labels, l2_penalty)
 
 
 def per_point_logistic_loss(theta, features, labels) -> np.ndarray:
     """Vector of per-row negative log-likelihoods."""
-    return _log1pexp(-(labels * matvec(features, theta)))
+    return _log1pexp(-(labels * (features @ theta)))
 
 
 def _at_last_point(fn):
@@ -352,11 +351,13 @@ def _gram_factor(kernel: KernelSpec, features: np.ndarray) -> np.ndarray:
     diagonal and computes the new column from that row of K (for the RBF
     kernel from the squared row norms, computed once for the whole factor;
     the values are those of :func:`gram_matrix`), and the earlier columns
-    with :func:`~fairclf.solvers.matvec`. It stops once the residual trace
-    is at most ``_GRAM_FACTOR_TOLERANCE`` of the Gram's trace, and logs the rank
-    and the residual trace at DEBUG level. The work is O(n r (r + d)), and
-    columns are allocated ``_GRAM_FACTOR_BLOCK`` at a time, so the Gram is
-    never formed and no n x n array is made.
+    with :func:`~fairclf.solvers.matvec`, on scipy's BLAS pool, the one that
+    :func:`~fairclf.solvers.solve_qp` runs on with the factor next. It stops
+    once the residual trace is at most ``_GRAM_FACTOR_TOLERANCE`` of the
+    Gram's trace, and logs the rank and the residual trace at DEBUG level.
+    The work is O(n r (r + d)), and columns are allocated
+    ``_GRAM_FACTOR_BLOCK`` at a time, so the Gram is never formed and no
+    n x n array is made.
     """
     n = features.shape[0]
     if kernel.kind == "linear":
@@ -504,16 +505,17 @@ def _logistic_problem(features, labels, l2_penalty, constraints=None, equality=N
     The one place the loss is bound to X. Value, gradient and Hessian share
     one product X @ theta per point, and the value is kept for its point
     too: a constraint row built on the loss is asked for it up to three
-    times at one point. The Hessian is written into one (d, d)
-    Fortran-ordered buffer that every call reuses. The mean scale makes the
+    times at one point. The Hessian is written into one (d, d) buffer that
+    every call reuses. Every product is numpy's, the BLAS pool that
+    :func:`~fairclf.solvers.minimize_smooth` runs on. The mean scale makes the
     stationarity tolerance independent of the row count; reported
     objectives are totals.
     """
     n, d = features.shape
     inv_n = 1.0 / n
-    scores = _at_last_point(lambda theta: matvec(features, theta))
+    scores = _at_last_point(lambda theta: features @ theta)
     value = _at_last_point(lambda theta: _loss_at(theta, scores(theta), labels, l2_penalty) * inv_n)
-    buffer = np.zeros((d, d), order="F")
+    buffer = np.zeros((d, d))
 
     def hessian(theta: np.ndarray) -> np.ndarray:
         h = _logistic_hessian_at(scores(theta), features, l2_penalty, buffer)
@@ -633,7 +635,7 @@ def _covariance_objective_problem(
     start = np.concatenate([theta_start, np.abs(w @ theta_start) + 1e-6])
     return SmoothProblem(
         dimension=d + n_k,
-        objective=lambda v: dot(grad_obj, v),
+        objective=lambda v: float(grad_obj @ v),
         gradient=lambda v: grad_obj,
         hessian=lambda v: zero,
         linear_constraints=rows,

@@ -43,11 +43,16 @@ logged at DEBUG level on this module's logger. Both factor their Newton
 matrices by one Cholesky routine, which raises a diagonal shift until the
 matrix factors.
 
-numpy and scipy each link their own BLAS, each with its own thread pool, and
-the Cholesky factorisations run on scipy's LAPACK. Products with an n-row
-operand inside both solvers' loops therefore go through :func:`matvec`,
-:func:`rmatvec`, :func:`dot` and :func:`weighted_gram`, which call scipy's
-BLAS, so that a fit wakes one pool instead of two that fight over the cores.
+numpy and scipy each link their own BLAS, each with its own thread pool
+whose threads spin for a while after each call, so a loop that alternates
+between the two pools makes them fight over the cores. Each solver keeps its
+products with n-row operands on one pool. :func:`minimize_smooth` forms them
+with numpy, the pool that the callers' own products (covariances, decision
+values, scoring) use too; only its d x d Newton factor is scipy's LAPACK.
+:func:`solve_qp` needs LAPACK's Cholesky and triangular solves for its
+Woodbury core at every iteration, which numpy does not have, so its
+products go through :func:`matvec`, :func:`rmatvec` and :func:`dot` on
+scipy's BLAS.
 """
 
 from __future__ import annotations
@@ -169,10 +174,9 @@ class ConstraintBlock:
     The one form of a nonlinear constraint. ``value`` maps x to a length-m
     vector, ``jacobian`` to the (m, n) Jacobian as an array, and
     ``hessian`` maps (x, t), t a non-negative length-m vector, to the
-    (n, n) matrix sum_i t_i Hessian(g_i)(x), of which only the upper
-    triangle is read. The solver forms ``jacobian(x).T @ t`` with
-    :func:`rmatvec` and J_S' J_S over the rows S with t_i > 0 with
-    :func:`weighted_gram`. Scalar constraints are the m=1 case; grouping
+    symmetric (n, n) matrix sum_i t_i Hessian(g_i)(x). The solver forms
+    ``jacobian(x).T @ t`` and, with :func:`weighted_gram`, J_S' J_S over
+    the rows S with t_i > 0. Scalar constraints are the m=1 case; grouping
     related constraints into one block keeps the per-iteration cost at a few
     matrix products. :func:`minimize_smooth` needs ``hessian``;
     :func:`kkt_residuals` does not read it.
@@ -196,9 +200,9 @@ class SmoothProblem:
     with equality rows may not have any. The objective is only evaluated on
     points that satisfy E x = f to rounding.
 
-    ``hessian`` maps x to the objective's (dimension, dimension) Hessian, or
-    a generalized Hessian where the gradient has kinks, of which only the
-    upper triangle is read. :func:`minimize_smooth` needs it;
+    ``hessian`` maps x to the objective's symmetric (dimension, dimension)
+    Hessian, or a generalized Hessian where the gradient has kinks.
+    :func:`minimize_smooth` needs it;
     :func:`kkt_residuals` does not read it. Value, gradient and Hessian are
     asked for at the same point in turn, so an objective can share one
     product between them.
@@ -244,7 +248,8 @@ class QuadraticProblem:
 
 
 # ---------------------------------------------------------------------------
-# products on scipy's BLAS, and the shifted Cholesky on its LAPACK
+# solve_qp's products on scipy's BLAS, the smooth path's Gram on numpy's, and
+# the shifted Cholesky on scipy's LAPACK
 
 
 def _linalg_extension(name: str):
@@ -274,7 +279,7 @@ def _linalg_extension(name: str):
 
 
 _fblas, _flapack = _linalg_extension("_fblas"), _linalg_extension("_flapack")
-ddot, dgemm, dgemv, dsymm, dsyrk = _fblas.ddot, _fblas.dgemm, _fblas.dgemv, _fblas.dsymm, _fblas.dsyrk
+ddot, dgemm, dgemv, dsyrk = _fblas.ddot, _fblas.dgemm, _fblas.dgemv, _fblas.dsyrk
 dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 
@@ -316,22 +321,22 @@ def dot(u: np.ndarray, v: np.ndarray) -> float:
     return float(ddot(u, v)) if u.size else 0.0
 
 
-# entries of the scaled rows that one dsyrk call reads: on 2 CPUs the
-# 30,153 x 104 census Gram took 12-13 ms in blocks of 2**15 or 2**16
-# entries, against 16-18 ms in blocks of 2**17 and more or all at once
+# entries of the scaled rows in one product: on 2 CPUs the 30,153 x 104
+# census Gram took 14-15 ms at the fastest in blocks of 2**16 to 2**18
+# entries, 15-17 ms in blocks of 2**15 and with all rows at once, which
+# copies X
 _GRAM_BLOCK_ENTRIES = 2**16
 
 
 def weighted_gram(a: np.ndarray, weights, out: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-    """Add a[rows]' diag(weights) a[rows] to the upper triangle of ``out``, on scipy's BLAS.
+    """Add a[rows]' diag(weights) a[rows] to ``out`` in place, on numpy's BLAS, and return ``out``.
 
     ``weights`` is a non-negative scalar or one entry per selected row;
     ``rows`` (all rows when None) are row indices. The rows are scaled by
     the square roots of their weights into one buffer of at most
-    ``_GRAM_BLOCK_ENTRIES`` entries at a time, and each block goes to
-    dsyrk, so no copy of ``a`` is made. ``out`` must be a square float64
-    array; it is updated in place when Fortran-ordered. Returns the updated
-    matrix, whose strictly lower triangle is left as it was.
+    ``_GRAM_BLOCK_ENTRIES`` entries at a time, and numpy forms each block's
+    B'B (by syrk, mirrored into a symmetric matrix), so no copy of ``a`` is
+    made. ``out`` must be a square float64 array.
     """
     count = a.shape[0] if rows is None else rows.size
     if count == 0:
@@ -348,8 +353,7 @@ def weighted_gram(a: np.ndarray, weights, out: np.ndarray, rows: np.ndarray | No
         else:
             np.take(a, rows[start:stop], axis=0, out=block)
             block *= scale
-        # the transposed view of the C-ordered block is Fortran-ordered
-        out = dsyrk(1.0, block.T, beta=1.0, c=out, overwrite_c=1)
+        out += block.T @ block
     return out
 
 
@@ -417,7 +421,7 @@ class _Compiled:
         a, b = self.rows
         if not b.size:
             return self.blocks
-        return [ConstraintBlock(value=lambda x: matvec(a, x) - b, jacobian=lambda x: a, size=b.size), *self.blocks]
+        return [ConstraintBlock(value=lambda x: a @ x - b, jacobian=lambda x: a, size=b.size), *self.blocks]
 
 
 def _compile_smooth(problem: SmoothProblem) -> _Compiled:
@@ -503,10 +507,12 @@ class _CompiledQP:
         return self.q_times(x) + self.c
 
     def residuals(self, x: np.ndarray, y: np.ndarray) -> KKTResiduals:
-        """Box-projected stationarity of Q x + c + E'y and the worst |E x - f|; there is no comp-slack."""
+        """Box-projected stationarity of Q x + c + E'y, and the worst of |E x - f| and of the box's violation; there is no comp-slack."""
         grad = self.gradient(x) + rmatvec(self.e, y)
         stationarity = float(np.max(np.abs(x - np.clip(x - grad, self.lo, self.hi)))) if x.size else 0.0
-        return KKTResiduals(stationarity, float(np.max(np.abs(matvec(self.e, x) - self.f), initial=0.0)), 0.0)
+        equality = float(np.max(np.abs(matvec(self.e, x) - self.f), initial=0.0))
+        box = float(np.max(np.maximum(self.lo - x, x - self.hi), initial=0.0))
+        return KKTResiduals(stationarity, max(equality, box), 0.0)
 
 
 def _compile_qp(problem: QuadraticProblem) -> _CompiledQP:
@@ -523,7 +529,7 @@ def _inequality_gradient(comp: _Compiled, x: np.ndarray, lam: list) -> np.ndarra
     grad = comp.gradient(x).astype(float)
     for block, lam_b in zip(comp.inequalities, lam):
         if lam_b.any():
-            grad = grad + rmatvec(block.jacobian(x), lam_b)
+            grad = grad + block.jacobian(x).T @ lam_b
     return grad
 
 
@@ -539,8 +545,8 @@ def _residuals(comp: _Compiled, x: np.ndarray, lam: list, mu: np.ndarray | None)
             max_violation = max(max_violation, float(np.max(np.maximum(g, 0.0))))
     if comp.equality is not None:
         e, f = comp.equality
-        grad = grad + rmatvec(e, mu)
-        max_violation = max(max_violation, float(np.max(np.abs(matvec(e, x) - f), initial=0.0)))
+        grad = grad + e.T @ mu
+        max_violation = max(max_violation, float(np.max(np.abs(e @ x - f), initial=0.0)))
     return KKTResiduals(float(np.linalg.norm(grad)), max_violation, max_comp)
 
 
@@ -567,7 +573,8 @@ def _residuals(comp: _Compiled, x: np.ndarray, lam: list, mu: np.ndarray | None)
 # so a change within _ROUNDING of the function's size passes; a step that
 # passed only so and did not shrink the gradient ends the subproblem. The
 # rows' A x is formed once per point, and a line-search trial reads it as
-# A x + alpha A dx. Every product is on scipy's BLAS and LAPACK.
+# A x + alpha A dx. Every product is numpy's; the Newton matrix is factored
+# on scipy's LAPACK.
 
 
 def _newton_al(
@@ -586,7 +593,7 @@ def _newton_al(
         t_blocks = [np.maximum(0.0, l + rho * block.value(x_new)) for block, l in zip(blocks, lam)]
         return np.maximum(0.0, lam_rows + rho * r_new), t_blocks
 
-    r = matvec(a, x) - b
+    r = a @ x - b
     f = comp.objective(x)
     t_rows, t = multipliers_at(x, r)
     steps = halvings = 0
@@ -596,10 +603,10 @@ def _newton_al(
         jacobians = [block.jacobian(x) if t_b.any() else None for block, t_b in zip(blocks, t)]
         grad = np.array(comp.gradient(x), dtype=float)
         if t_rows.any():
-            grad += rmatvec(a, t_rows)
+            grad += a.T @ t_rows
         for jac, t_b in zip(jacobians, t):
             if jac is not None:
-                grad += rmatvec(jac, t_b)
+                grad += jac.T @ t_b
         size = float(np.max(np.abs(grad), initial=0.0))
         # written so that a NaN gradient stops too
         if not size > gtol or steps >= budget or (rounding_only and size >= previous):
@@ -612,13 +619,13 @@ def _newton_al(
             if jac is not None:
                 h += block.hessian(x, t_b)
                 h = weighted_gram(np.asarray(jac, dtype=float), rho, h, np.flatnonzero(t_b))
-        dx = _cholesky(h, lower=False, shift=_REGULARIZATION * min(math.sqrt(dot(grad, grad)), 1.0))(-grad)
-        slope = dot(grad, dx)
+        dx = _cholesky(h, lower=False, shift=_REGULARIZATION * min(math.sqrt(grad @ grad), 1.0))(-grad)
+        slope = float(grad @ dx)
         if not slope < 0.0:  # rounding has taken over the step
             return x, steps, halvings
 
-        a_dx = matvec(a, dx)
-        squares = dot(t_rows, t_rows) + sum(dot(t_b, t_b) for t_b in t)
+        a_dx = a @ dx
+        squares = float(t_rows @ t_rows) + sum(float(t_b @ t_b) for t_b in t)
         tolerance = _ROUNDING * (abs(f) + squares / (2.0 * rho))
         alpha = 1.0
         for _ in range(_MAX_HALVINGS + 1):
@@ -626,8 +633,8 @@ def _newton_al(
             r_new = r + alpha * a_dx
             f_new = comp.objective(x_new)
             t_rows_new, t_new = multipliers_at(x_new, r_new)
-            penalty = dot(t_rows_new - t_rows, t_rows_new + t_rows)
-            penalty += sum(dot(u - v, u + v) for u, v in zip(t_new, t))
+            penalty = float((t_rows_new - t_rows) @ (t_rows_new + t_rows))
+            penalty += sum(float((u - v) @ (u + v)) for u, v in zip(t_new, t))
             change = f_new - f + penalty / (2.0 * rho)
             if change <= _ARMIJO * alpha * slope + tolerance:
                 break
@@ -680,7 +687,7 @@ def _solve_al(comp: _Compiled, settings: SolverSettings) -> SolverResult:
             return finish(None)
 
         if b.size:
-            lam_rows = np.maximum(0.0, lam_rows + rho * (matvec(a, x) - b))
+            lam_rows = np.maximum(0.0, lam_rows + rho * (a @ x - b))
         for i, block in enumerate(comp.blocks):
             lam[i] = np.maximum(0.0, lam[i] + rho * block.value(x))
 
@@ -732,7 +739,7 @@ def _named_multipliers(lam: list, mu: np.ndarray | None = None) -> dict:
 # (Nocedal & Wright, Numerical Optimization, sec. 15.3). The augmented
 # Lagrangian runs on phi, with the objective f(x_p + N phi), its gradient
 # N' grad f, its Hessian N' H N and the linear rows (A N, b - A x_p),
-# every product in the loop on scipy's BLAS. At the returned x the
+# every product in the loop on numpy's BLAS. At the returned x the
 # equality multiplier is the least-squares one,
 # mu = -(E E')^+ E (grad f + J'lam) = -U_r S_r^-1 V_r' (...).
 # The full Lagrangian gradient is then N N' (grad f + J'lam), whose norm is
@@ -765,17 +772,16 @@ def _solve_eliminated(comp: _Compiled, settings: SolverSettings) -> SolverResult
         return SolverResult(x_p, comp.objective(x_p), "infeasible", kkt, 0, _named_multipliers(lam, mu))
 
     def lift(phi: np.ndarray) -> np.ndarray:
-        return x_p + matvec(basis, phi)
+        return x_p + basis @ phi
 
     def reduced_hessian(phi: np.ndarray) -> np.ndarray:
-        # N' H N, with H read from its upper triangle
-        return dgemm(1.0, basis, dsymm(1.0, comp.hessian(lift(phi)), basis), trans_a=1)
+        return basis.T @ (comp.hessian(lift(phi)) @ basis)
 
     a, b = comp.rows
     reduced = _Compiled(
         basis.shape[1],
         lambda phi: comp.objective(lift(phi)),
-        lambda phi: rmatvec(basis, comp.gradient(lift(phi))),
+        lambda phi: basis.T @ comp.gradient(lift(phi)),
         reduced_hessian,
         (a @ basis, b - a @ x_p),
         [],

@@ -6,6 +6,15 @@ import numpy as np
 import pytest
 
 from fairclf import solvers
+from fairclf.data import append_bias
+from fairclf.models import (
+    FitSpec,
+    fit_logreg,
+    fit_logreg_fair,
+    fit_logreg_fairness_max,
+    fit_logreg_fine_grained,
+    protected_rows,
+)
 from fairclf.solvers import (
     ConstraintBlock,
     QuadraticProblem,
@@ -18,6 +27,7 @@ from fairclf.solvers import (
     rmatvec,
     solve_qp,
 )
+from fairclf.synth import SynthConfig, gen_linear_synthetic
 
 from conftest import random_instance
 from oracles import (
@@ -302,6 +312,8 @@ def _layouts() -> dict:
 
 
 class TestBlasHelpers:
+    """matvec, rmatvec and dot: solve_qp's products on scipy's BLAS, and the kernel factor's."""
+
     @pytest.mark.parametrize("layout", ["C", "F", "row_subset", "zero_rows"])
     def test_match_numpy(self, layout):
         a = _layouts()[layout]
@@ -324,6 +336,59 @@ class TestBlasHelpers:
         finally:
             tracemalloc.stop()
         assert peak < a.nbytes / 4
+
+
+class TestSmoothPathOnNumpysPool:
+    """minimize_smooth and the logistic oracle never call scipy's BLAS; only the Newton factor is scipy's LAPACK.
+
+    numpy's and scipy's BLAS each keep a thread pool whose threads spin after
+    each call, so a fit that alternated between them would make the two
+    pools fight over the cores.
+    """
+
+    @pytest.fixture
+    def factorisations(self, monkeypatch) -> list:
+        def refuse(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"the smooth path called scipy's {name}")
+
+            return call
+
+        for name in ("ddot", "dgemv", "dgemm", "dsymm", "dsyrk"):
+            monkeypatch.setattr(solvers, name, refuse(name), raising=False)
+        calls = []
+        dpotrf = solvers.dpotrf
+        monkeypatch.setattr(solvers, "dpotrf", lambda *args, **kwargs: calls.append(1) or dpotrf(*args, **kwargs))
+        return calls
+
+    def test_logistic_fits(self, factorisations):
+        ds = append_bias(gen_linear_synthetic(SynthConfig(n=600, phi=np.pi / 4, seed=3)))
+        base = fit_logreg(ds, FitSpec(mode="unconstrained"))
+        protected = protected_rows(base, ds, group=1)
+        fits = [
+            base,
+            fit_logreg_fair(ds, FitSpec(mode="fairness_constrained", covariance_thresholds=0.0)),
+            fit_logreg_fair(ds, FitSpec(mode="fairness_constrained", covariance_thresholds=0.05)),
+            fit_logreg_fairness_max(ds, FitSpec(mode="accuracy_constrained", gamma=0.5)),
+            fit_logreg_fine_grained(
+                ds, FitSpec(mode="fine_grained", per_point_gammas=np.ones(ds.n), protected_index_set=protected)
+            ),
+        ]
+        assert [model.training_meta["status"] for model in fits] == ["converged"] * 5
+        assert factorisations
+
+    def test_equality_rows(self, factorisations):
+        *_, f, g, h = TestEqualityRows.quadratic(5, seed=35)
+        problem = SmoothProblem(
+            dimension=5,
+            objective=f,
+            gradient=g,
+            hessian=h,
+            equality=(np.random.default_rng(36).normal(size=(2, 5)), np.array([0.4, -0.3])),
+            linear_constraints=(np.ones((1, 5)), np.array([0.5])),
+        )
+        assert minimize_smooth(problem, TIGHT).status == "converged"
+        assert factorisations
 
 
 class TestEqualityRows:
@@ -842,6 +907,13 @@ class TestKktResiduals:
         assert kkt_residuals(problem, point, {"inequality": []}) == kkt_residuals(problem, point, {})
         with pytest.raises(ValueError, match="no inequality multipliers"):
             kkt_residuals(problem, point, {"inequality": [np.array([0.5])]})
+
+    def test_quadratic_point_outside_its_box_is_a_violation(self):
+        # the box is a constraint of the problem: (3, 0) lies 2 above x1 <= 1
+        problem = QuadraticProblem(q_factor=identity(2), q_vector=np.array([-3.0, 0.0]), box=(np.zeros(2), np.ones(2)))
+        assert kkt_residuals(problem, np.array([3.0, 0.0]), {}).max_violation == 2.0
+        assert kkt_residuals(problem, np.array([0.5, -0.25]), {}).max_violation == 0.25
+        assert kkt_residuals(problem, np.array([1.0, 0.0]), {}).max_violation == 0.0
 
     def test_equality_multipliers_are_a_vector(self):
         # min 0.5|x|^2 - x1 subject to x1 + x2 = 1 and x1 - x2 = 0: x = (1/2, 1/2)
