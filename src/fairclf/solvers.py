@@ -15,7 +15,9 @@ Two entry points, each with its own method:
   SIAM J. Optim. 28, 2018; Nocedal & Wright, Numerical Optimization,
   ch. 17). The problem therefore supplies the Hessian of its objective and
   of each convex block. Without inequalities the solve is one damped Newton
-  run.
+  run. A step reuses its subproblem's factored Newton matrix while the
+  gradient keeps contracting, so the Hessians are asked for only where the
+  matrix is formed again.
 * :func:`solve_qp` - convex quadratic objective under a variable box and
   linear equalities E x = f, with Q given only by its factor
   Q = diag(delta) + V V' (a kernel dual's low-rank Gram, or the exact-hinge
@@ -95,9 +97,13 @@ _RHO_MAX = 1e12
 # exists where the active rows do not span; a step is halved until the
 # function falls by _ARMIJO of the first-order prediction, at most
 # _MAX_HALVINGS times; a change within _ROUNDING of the function's size is
-# taken as no change
+# taken as no change. A subproblem's factored Newton matrix serves its next
+# step too while each step shrinks the gradient's largest entry to
+# _CONTRACTION of its size or below: the census unconstrained and c=0 fits
+# take 9 steps on 3 factors at 0.25, 7 on 4 at 0.1 and 10 on 3 at 0.5
 _REGULARIZATION = 1e-3
 _ARMIJO = 1e-4
+_CONTRACTION = 0.25
 _MAX_HALVINGS = 60
 _ROUNDING = 64 * np.finfo(float).eps
 # interior-point Newton steps solve B = D + V V' with _PROXIMAL added to D,
@@ -117,9 +123,11 @@ _STEP_TO_BOUNDARY = 0.995
 class SolverSettings:
     """Stopping controls; ``max_iterations`` caps total inner iterations.
 
-    An inner iteration is one Newton step (one factorisation, with the line
-    search that follows it) in :func:`minimize_smooth` and one
-    interior-point iteration (one factorisation) in :func:`solve_qp`.
+    An inner iteration is one Newton step (one solve with the Newton matrix,
+    with the line search that follows it) in :func:`minimize_smooth` and one
+    interior-point iteration (one factorisation) in :func:`solve_qp`. A
+    Newton step may reuse the factor of an earlier step of its subproblem,
+    so the count is of steps, not of factorisations.
     ``feasibility_tolerance`` bounds the worst constraint violation at a
     converged point separately from the stationarity/comp-slack tolerance; it
     defaults to ``kkt_tolerance`` and can be set much tighter for problems
@@ -203,9 +211,11 @@ class SmoothProblem:
     ``hessian`` maps x to the objective's symmetric (dimension, dimension)
     Hessian, or a generalized Hessian where the gradient has kinks.
     :func:`minimize_smooth` needs it;
-    :func:`kkt_residuals` does not read it. Value, gradient and Hessian are
-    asked for at the same point in turn, so an objective can share one
-    product between them.
+    :func:`kkt_residuals` does not read it. Value and gradient are asked for
+    at the same point in turn, and the Hessian, when asked for, at the point
+    of the gradient just read, so an objective can share one product between
+    them. The Hessian is asked for only where the Newton matrix is formed
+    again, not at every step.
     """
 
     dimension: int
@@ -575,15 +585,27 @@ def _residuals(comp: _Compiled, x: np.ndarray, lam: list, mu: np.ndarray | None)
 # rows' A x is formed once per point, and a line-search trial reads it as
 # A x + alpha A dx. Every product is numpy's; the Newton matrix is factored
 # on scipy's LAPACK.
+#
+# A step may reuse the factor of an earlier step of the same subproblem, a
+# chord step (Kelley, Solving Nonlinear Equations with Newton's Method,
+# SIAM 2003, ch. 1-2; Doikov, Chayti & Jaggi, ICML 2023). The matrix is
+# formed and factored again at the current point when the subproblem has no
+# factor yet, when the active rows or a block's active rows have changed,
+# when the last step was halved, when the last step shrank the gradient's
+# largest entry by less than _CONTRACTION, or when the reused factor gives
+# no descent direction. The factor dies with its subproblem, since the next
+# one changes lam or rho. The gradient, the line search and the residuals
+# read the true problem at every step, so only the path changes.
 
 
 def _newton_al(
     comp: _Compiled, x: np.ndarray, lam_rows: np.ndarray, lam: list, rho: float, gtol: float, budget: int
-) -> tuple[np.ndarray, int, int]:
-    """Minimize L at fixed (lam, rho) from x, as the comment above describes: (x, Newton steps, halvings).
+) -> tuple[np.ndarray, int, int, int]:
+    """Minimize L at fixed (lam, rho) from x, as the comment above describes: (x, Newton steps, halvings, factors).
 
     Stops once the largest entry of the gradient of L is at most ``gtol``,
     after ``budget`` steps, or once no step lowers L beyond its rounding.
+    ``factors`` counts the Newton matrices factored; the others were reused.
     """
     a, b = comp.rows
     blocks = comp.blocks
@@ -596,9 +618,10 @@ def _newton_al(
     r = a @ x - b
     f = comp.objective(x)
     t_rows, t = multipliers_at(x, r)
-    steps = halvings = 0
+    steps = halvings = factors = 0
     previous = np.inf
     rounding_only = False
+    solve = pattern = None  # the subproblem's factored Newton matrix and the active rows it was formed on
     while True:
         jacobians = [block.jacobian(x) if t_b.any() else None for block, t_b in zip(blocks, t)]
         grad = np.array(comp.gradient(x), dtype=float)
@@ -610,19 +633,34 @@ def _newton_al(
         size = float(np.max(np.abs(grad), initial=0.0))
         # written so that a NaN gradient stops too
         if not size > gtol or steps >= budget or (rounding_only and size >= previous):
-            return x, steps, halvings
-        previous = size
+            return x, steps, halvings, factors
 
-        h = np.array(comp.hessian(x), dtype=float, order="F")
-        h = weighted_gram(a, rho, h, np.flatnonzero(t_rows))
-        for block, jac, t_b in zip(blocks, jacobians, t):
-            if jac is not None:
-                h += block.hessian(x, t_b)
-                h = weighted_gram(np.asarray(jac, dtype=float), rho, h, np.flatnonzero(t_b))
-        dx = _cholesky(h, lower=False, shift=_REGULARIZATION * min(math.sqrt(grad @ grad), 1.0))(-grad)
-        slope = float(grad @ dx)
+        active = [t_rows > 0.0] + [t_b > 0.0 for t_b in t]
+        fresh = (
+            solve is None
+            or not all(np.array_equal(u, v) for u, v in zip(active, pattern))
+            or alpha < 1.0
+            or size > _CONTRACTION * previous
+        )
+        previous = size
+        if not fresh:
+            dx = solve(-grad)
+            slope = float(grad @ dx)
+            fresh = not slope < 0.0  # the reused factor no longer gives a descent direction
+        if fresh:
+            h = np.array(comp.hessian(x), dtype=float, order="F")
+            h = weighted_gram(a, rho, h, np.flatnonzero(t_rows))
+            for block, jac, t_b in zip(blocks, jacobians, t):
+                if jac is not None:
+                    h += block.hessian(x, t_b)
+                    h = weighted_gram(np.asarray(jac, dtype=float), rho, h, np.flatnonzero(t_b))
+            solve = _cholesky(h, lower=False, shift=_REGULARIZATION * min(math.sqrt(grad @ grad), 1.0))
+            pattern = active
+            factors += 1
+            dx = solve(-grad)
+            slope = float(grad @ dx)
         if not slope < 0.0:  # rounding has taken over the step
-            return x, steps, halvings
+            return x, steps, halvings, factors
 
         a_dx = a @ dx
         squares = float(t_rows @ t_rows) + sum(float(t_b @ t_b) for t_b in t)
@@ -641,7 +679,7 @@ def _newton_al(
             alpha *= 0.5
             halvings += 1
         else:
-            return x, steps, halvings
+            return x, steps, halvings, factors
         steps += 1
         rounding_only = change > _ARMIJO * alpha * slope
         x, r, f, t_rows, t = x_new, r_new, f_new, t_rows_new, t_new
@@ -680,10 +718,10 @@ def _solve_al(comp: _Compiled, settings: SolverSettings) -> SolverResult:
         if budget <= 0:
             break
         x_before = x
-        x, steps, halvings = _newton_al(comp, x, lam_rows, lam, rho, max(gtol, gtol_floor), budget)
+        x, steps, halvings, factors = _newton_al(comp, x, lam_rows, lam, rho, max(gtol, gtol_floor), budget)
         used += max(steps, 1)
         if not constrained:
-            _log.debug("newton steps=%d halvings=%d", steps, halvings)
+            _log.debug("newton steps=%d halvings=%d factors=%d", steps, halvings, factors)
             return finish(None)
 
         if b.size:
@@ -694,8 +732,8 @@ def _solve_al(comp: _Compiled, settings: SolverSettings) -> SolverResult:
         kkt = _residuals(comp, x, multipliers(), None)
         violation = kkt.max_violation
         _log.debug(
-            "al outer=%d rho=%.1e newton=%d halvings=%d viol=%.2e stat=%.2e comp=%.2e",
-            outer, rho, steps, halvings, kkt.max_violation, kkt.stationarity_norm, kkt.max_comp_slack,
+            "al outer=%d rho=%.1e newton=%d halvings=%d factors=%d viol=%.2e stat=%.2e comp=%.2e",
+            outer, rho, steps, halvings, factors, kkt.max_violation, kkt.stationarity_norm, kkt.max_comp_slack,
         )
         if kkt.within(settings):
             return finish("converged", kkt)

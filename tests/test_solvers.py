@@ -169,11 +169,15 @@ class TestMinimizeSmooth:
             result = minimize_smooth(problem, TIGHT)
         assert caplog.records
         assert all("rho=" in r.getMessage() and "viol=" in r.getMessage() for r in caplog.records)
-        # each record counts its subproblem's Newton steps and line-search
-        # halvings, and the steps add up to the inner iterations
+        # each record counts its subproblem's Newton steps, line-search
+        # halvings and factorisations; the steps add up to the inner
+        # iterations, and a subproblem factors at least once and at most once
+        # a step
         steps = [int(r.getMessage().split("newton=")[1].split()[0]) for r in caplog.records]
+        factors = [int(r.getMessage().split("factors=")[1].split()[0]) for r in caplog.records]
         assert all("halvings=" in r.getMessage() for r in caplog.records)
         assert sum(max(s, 1) for s in steps) == result.iterations
+        assert all(1 <= f <= max(s, 1) for s, f in zip(steps, factors))
 
     def test_deterministic_bitwise(self):
         ds, w = random_instance(5, n=30)
@@ -250,6 +254,129 @@ class TestMinimizeSmooth:
         problem = SmoothProblem(dimension=2, objective=f, gradient=g, hessian=h, convex_constraints=[block])
         result = minimize_smooth(problem, TIGHT)
         np.testing.assert_allclose(result.point, [1.0, 0.0], atol=1e-6)
+
+
+def random_logistic(rng: np.random.Generator, n: int, d: int, l2: float = 1e-3) -> tuple:
+    """Mean logistic loss plus l2 ||theta||^2 on Gaussian features drawn from ``rng``: (objective, gradient, Hessian)."""
+    features = rng.normal(size=(n, d))
+    truth = rng.normal(size=d) * 3.0
+    labels = np.where(rng.random(n) < 1.0 / (1.0 + np.exp(-(features @ truth))), 1.0, -1.0)
+
+    def objective(theta):
+        return logistic_objective(theta, features, labels, l2 * n) / n
+
+    def gradient(theta):
+        s = 1.0 / (1.0 + np.exp(labels * (features @ theta)))
+        return -(features.T @ (labels * s)) / n + 2.0 * l2 * theta
+
+    return objective, gradient, logistic_hessian(features, l2 * n, 1.0 / n)
+
+
+def recorded(problem: SmoothProblem) -> tuple[SmoothProblem, list]:
+    """``problem`` with each objective, gradient and Hessian call appended to a list as (kind, point)."""
+    events = []
+
+    def wrap(kind, fn):
+        return lambda x: events.append((kind, x.copy())) or fn(x)
+
+    replaced = dataclasses.replace(
+        problem,
+        objective=wrap("f", problem.objective),
+        gradient=wrap("g", problem.gradient),
+        hessian=wrap("h", problem.hessian),
+    )
+    return replaced, events
+
+
+def newton_steps(problem: SmoothProblem, lam_rows: np.ndarray, rho: float) -> list[dict]:
+    """One augmented-Lagrangian subproblem from the problem's initial point, one entry per gradient read.
+
+    Each entry has the point, whether the Newton matrix was factored there
+    (``fresh``) and the number of line-search trials that followed (0 where
+    the subproblem ended, 2 or more after a halving).
+    """
+    problem, events = recorded(problem)
+    comp = solvers._compile_smooth(problem)
+    solvers._newton_al(comp, comp.x0, lam_rows, [], rho, 1e-10, 100)
+    steps = []
+    for kind, x in events:
+        if kind == "g":
+            steps.append({"x": x, "fresh": False, "trials": 0})
+        elif steps:  # the value at the start comes before any gradient
+            steps[-1]["fresh"] |= kind == "h"
+            steps[-1]["trials"] += kind == "f"
+    return steps
+
+
+class TestChordSteps:
+    """A Newton step reuses its subproblem's factor unless the rule in _newton_al asks for a fresh one."""
+
+    def test_unconstrained_logistic_reuses_its_factor(self):
+        f, g, h = random_logistic(np.random.default_rng(40), n=400, d=24)
+        problem, events = recorded(SmoothProblem(dimension=24, objective=f, gradient=g, hessian=h))
+        result = minimize_smooth(problem, TIGHT)
+        assert result.status == "converged"
+        assert result.kkt.within(TIGHT)
+        hessians = sum(kind == "h" for kind, _ in events)
+        assert 1 <= hessians < result.iterations
+
+    def test_changed_active_rows_refactor(self):
+        # the first subproblem at lam = 0: row i is active where A x > b
+        rng = np.random.default_rng(5)
+        f, g, h = random_logistic(rng, n=300, d=6)
+        a, b = rng.normal(size=(3, 6)), np.full(3, 0.3)
+        problem = SmoothProblem(dimension=6, objective=f, gradient=g, hessian=h, linear_constraints=(a, b))
+        steps = newton_steps(problem, np.zeros(3), 10.0)
+        active = [tuple(a @ step["x"] > b) for step in steps]
+        changed = [k for k in range(1, len(steps)) if active[k] != active[k - 1] and steps[k]["trials"]]
+        assert changed
+        assert all(steps[k]["fresh"] for k in changed)
+        assert not all(step["fresh"] for step in steps if step["trials"])  # other steps reuse
+
+    def test_slow_contraction_refactors(self):
+        # a step that shrank the gradient's largest entry by less than 4x is
+        # followed by a fresh factor
+        f, g, h = random_logistic(np.random.default_rng(40), n=400, d=24)
+        steps = newton_steps(SmoothProblem(dimension=24, objective=f, gradient=g, hessian=h), np.zeros(0), 10.0)
+        sizes = [np.max(np.abs(g(step["x"]))) for step in steps]
+        slow = [k for k in range(1, len(steps)) if sizes[k] > 0.25 * sizes[k - 1] and steps[k]["trials"]]
+        assert slow
+        assert all(steps[k]["fresh"] for k in slow)
+        assert not all(step["fresh"] for step in steps if step["trials"])
+
+    def test_halved_step_refactors(self):
+        # sum sqrt(1 + x_i^2) from 1.05: the full Newton step overshoots to
+        # -1.15, one halving lands at -0.05, and the gradient has shrunk
+        # 14-fold, so only the halving asks for the fresh factor there
+        def objective(x):
+            return float(np.sum(np.sqrt(1.0 + x * x)))
+
+        problem = SmoothProblem(
+            dimension=2,
+            objective=objective,
+            gradient=lambda x: x / np.sqrt(1.0 + x * x),
+            hessian=lambda x: np.diag((1.0 + x * x) ** -1.5),
+            initial_point=np.array([1.05, -1.05]),
+        )
+        steps = newton_steps(problem, np.zeros(0), 10.0)
+        assert steps[0]["trials"] == 2
+        assert abs(steps[1]["x"][0]) < 0.1
+        assert steps[1]["trials"] and steps[1]["fresh"]
+        halved = [k + 1 for k in range(len(steps) - 1) if steps[k]["trials"] > 1 and steps[k + 1]["trials"]]
+        assert all(steps[k]["fresh"] for k in halved)
+        assert not all(step["fresh"] for step in steps if step["trials"])
+
+    def test_deterministic_bitwise_with_reuse(self):
+        f, g, h = random_logistic(np.random.default_rng(41), n=300, d=20)
+        runs = []
+        for _ in range(2):
+            problem, events = recorded(SmoothProblem(dimension=20, objective=f, gradient=g, hessian=h))
+            runs.append((minimize_smooth(problem, TIGHT), sum(kind == "h" for kind, _ in events)))
+        (first, first_hessians), (second, second_hessians) = runs
+        assert first_hessians < first.iterations  # the factor was reused
+        assert np.array_equal(first.point, second.point)
+        assert first.objective_value == second.objective_value
+        assert (first.iterations, first_hessians) == (second.iterations, second_hessians)
 
 
 class TestArrayJacobian:
