@@ -482,17 +482,14 @@ def _covariance_split(w: np.ndarray, c: np.ndarray) -> tuple[tuple, np.ndarray]:
     return _covariance_rows(w[c > 0], c[c > 0]), e
 
 
-def _epigraph_rows(w: np.ndarray, n_extra: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(A, b) encoding |W theta| <= t in stacked (theta, t) variables, then n_extra rows of zeros.
+def _epigraph_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A, b) encoding |W theta| <= t in stacked (theta, t) variables.
 
-    Column k gives the rows (w_k, -e_k) and (-w_k, -e_k), in that order. The
-    trailing rows are for the caller to fill in place, so a fit with more
-    rows allocates its constraint matrix once.
+    Column k gives the rows (w_k, -e_k) and (-w_k, -e_k), in that order.
     """
     minus_t = -np.eye(w.shape[0])
     a = _interleave(np.hstack([w, minus_t]), np.hstack([-w, minus_t]))
-    a, _ = _unit_rows(a, np.zeros(a.shape[0]))
-    return np.pad(a, ((0, n_extra), (0, 0))), np.zeros(a.shape[0] + n_extra)
+    return _unit_rows(a, np.zeros(a.shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +551,10 @@ def fit_logreg(train: Dataset, spec: FitSpec, settings: SolverSettings | None = 
     without solving again. A ``Dataset`` is frozen and its arrays are
     read-only, so the same object means the same rows. The training set is
     held by a weak reference and is not kept alive by the memo. This is how
-    the gamma-mode fits, which start from the unconstrained optimum, reuse
-    the baseline that a sweep or a caller has just fitted.
+    the three constrained logistic fits (``fairness_constrained``,
+    ``accuracy_constrained`` and ``fine_grained``), each of which starts from
+    the unconstrained optimum, reuse the baseline that a sweep or a caller
+    has just fitted.
     """
     global _last_fit
     _check_inputs(train, spec, "fit_logreg", "logreg", "unconstrained")
@@ -594,6 +593,13 @@ def fit_logreg_fair(train: Dataset, spec: FitSpec, settings: SolverSettings | No
     null space of W, with the loss Hessian X' diag(s(1 - s)) X / n +
     2 l2_penalty / n I projected onto it; otherwise each augmented-Lagrangian
     subproblem adds rho A_S' A_S for the active covariance rows S.
+
+    The solve starts at the unconstrained optimum theta*, taken from
+    :func:`fit_logreg`'s memo when it holds it and otherwise fitted first, at
+    the cost of one unconstrained fit. theta* is fitted with the default
+    settings whether or not the memo is warm, so the result depends only on
+    (train, spec, settings). Where theta* meets every row it is the optimum,
+    and the fit certifies it without a step.
     """
     _check_inputs(train, spec, "fit_logreg_fair", "logreg", "fairness_constrained")
     settings = settings or _default_settings()
@@ -601,7 +607,9 @@ def fit_logreg_fair(train: Dataset, spec: FitSpec, settings: SolverSettings | No
     w = covariance_vectors(train)
     rows, e = _covariance_split(w, c)
     equality = (e, np.zeros(e.shape[0]))
-    result = minimize_smooth(_logistic_problem(train.features, train.labels, spec.l2_penalty, rows, equality), settings)
+    problem = _logistic_problem(train.features, train.labels, spec.l2_penalty, rows, equality)
+    problem = replace(problem, initial_point=np.asarray(_theta_star(train, spec)[0].theta))
+    result = minimize_smooth(problem, settings)
     meta = _meta(
         "fairness_constrained",
         result,
@@ -644,8 +652,8 @@ def _covariance_objective_problem(
     )
 
 
-def _loss_budget_baseline(train: Dataset, spec: FitSpec) -> tuple[LinearModel, float]:
-    """theta* of a loss-budget fit, from :func:`fit_logreg`'s memo when it holds it, and its ridge (auto-ridge included)."""
+def _theta_star(train: Dataset, spec: FitSpec) -> tuple[LinearModel, float]:
+    """theta*, the start of a constrained logistic fit, from :func:`fit_logreg`'s memo when it holds it, and its ridge (auto-ridge included)."""
     base = fit_logreg(train, FitSpec(mode="unconstrained", l2_penalty=spec.l2_penalty), _default_settings())
     return base, base.training_meta["l2_penalty"]
 
@@ -698,7 +706,7 @@ def fit_logreg_fairness_max(train: Dataset, spec: FitSpec, settings: SolverSetti
     """
     _check_inputs(train, spec, "fit_logreg_fairness_max", "logreg", "accuracy_constrained")
     settings = settings or _default_settings(feasibility_tolerance=3e-9)
-    base, ridge = _loss_budget_baseline(train, spec)
+    base, ridge = _theta_star(train, spec)
     loss_star = base.training_meta["objective"]
     budget = max((1.0 + spec.gamma) * loss_star, 1e-12)
     features, labels = train.features, train.labels
@@ -747,8 +755,8 @@ def _margin_bound(budget: np.ndarray) -> np.ndarray:
     return -budget - np.log(-np.expm1(-budget))
 
 
-# rows filled per chunk of the fine-grained constraint matrix: the chunk's
-# gathered features are the only temporary copy of X
+# rows gathered per chunk of the fine-grained constraint matrix: the chunk's
+# buffer is the only temporary copy of X
 _ROW_CHUNK = 1024
 
 
@@ -756,20 +764,25 @@ def _margin_rows(w, features, rows, signs, margins) -> tuple[np.ndarray, np.ndar
     """(A, b): the epigraph rows of W, then s_i x_i . theta >= m_i for each listed row i.
 
     Each margin row is -s_i x_i / ||x_i|| . theta <= -m_i / ||x_i||, divided
-    by the norm as :func:`_unit_rows` divides. The matrix is allocated once
-    and its feature block filled and scaled in place, a chunk of rows at a
-    time.
+    by the norm as :func:`_unit_rows` divides (up to the last bit, as x_i
+    is multiplied by -s_i / ||x_i||). The matrix is allocated once; a chunk
+    of rows at a time is gathered into one contiguous buffer, scaled there
+    and copied into its feature block.
     """
-    a, b = _epigraph_rows(w, n_extra=rows.size)
-    top = b.size - rows.size
+    epigraph, _ = _epigraph_rows(w)
+    top = epigraph.shape[0]
     d = features.shape[1]
+    a = np.zeros((top + rows.size, epigraph.shape[1]))
+    b = np.zeros(top + rows.size)
+    a[:top] = epigraph
+    buffer = np.empty((min(_ROW_CHUNK, rows.size), d))
     for start in range(0, rows.size, _ROW_CHUNK):
         stop = min(start + _ROW_CHUNK, rows.size)
-        block = a[top + start : top + stop, :d]
-        block[...] = features[rows[start:stop]]
+        block = buffer[: stop - start]
+        np.take(features, rows[start:stop], axis=0, out=block)
         norms = np.sqrt(np.einsum("ij,ij->i", block, block))
-        block /= norms[:, None]
-        block *= -signs[start:stop, None]
+        block *= (-signs[start:stop] / norms)[:, None]
+        a[top + start : top + stop, :d] = block
         b[top + start : top + stop] = -margins[start:stop] / norms
     return a, b
 
@@ -809,7 +822,7 @@ def fit_logreg_fine_grained(train: Dataset, spec: FitSpec, settings: SolverSetti
     is_protected[index] = True
     protected = np.flatnonzero(is_protected)
 
-    base, ridge = _loss_budget_baseline(train, spec)
+    base, ridge = _theta_star(train, spec)
     features, labels = train.features, train.labels
     loss_star_i = per_point_logistic_loss(base.theta, features, labels)
 

@@ -183,8 +183,8 @@ class ConstraintBlock:
     vector, ``jacobian`` to the (m, n) Jacobian as an array, and
     ``hessian`` maps (x, t), t a non-negative length-m vector, to the
     symmetric (n, n) matrix sum_i t_i Hessian(g_i)(x). The solver forms
-    ``jacobian(x).T @ t`` and, with :func:`weighted_gram`, J_S' J_S over
-    the rows S with t_i > 0. Scalar constraints are the m=1 case; grouping
+    J_S' t_S and, with :func:`weighted_gram`, J_S' J_S over the rows S with
+    t_i > 0 only. Scalar constraints are the m=1 case; grouping
     related constraints into one block keeps the per-iteration cost at a few
     matrix products. :func:`minimize_smooth` needs ``hessian``;
     :func:`kkt_residuals` does not read it.
@@ -535,11 +535,12 @@ def _compile_qp(problem: QuadraticProblem) -> _CompiledQP:
 
 
 def _inequality_gradient(comp: _Compiled, x: np.ndarray, lam: list) -> np.ndarray:
-    """The gradient of the objective plus J'lam summed over the inequality blocks (a zero lam adds nothing)."""
+    """The gradient of the objective plus J'lam summed over the inequality blocks, read on the rows with lam != 0."""
     grad = comp.gradient(x).astype(float)
     for block, lam_b in zip(comp.inequalities, lam):
-        if lam_b.any():
-            grad = grad + block.jacobian(x).T @ lam_b
+        active = np.flatnonzero(lam_b)
+        if active.size:
+            grad = grad + lam_b[active] @ np.asarray(block.jacobian(x))[active]
     return grad
 
 
@@ -583,7 +584,11 @@ def _residuals(comp: _Compiled, x: np.ndarray, lam: list, mu: np.ndarray | None)
 # so a change within _ROUNDING of the function's size passes; a step that
 # passed only so and did not shrink the gradient ends the subproblem. The
 # rows' A x is formed once per point, and a line-search trial reads it as
-# A x + alpha A dx. Every product is numpy's; the Newton matrix is factored
+# A x + alpha A dx. J't and rho J_S'J_S are formed from the active rows S
+# alone, gathered by index: a row with t_i = 0 adds nothing to either, and a
+# fine-grained fit has one margin row per training point, of which a few
+# hundred at most are active. A dx, the line search and the residuals still
+# read every row. Every product is numpy's; the Newton matrix is factored
 # on scipy's LAPACK.
 #
 # A step may reuse the factor of an earlier step of the same subproblem, a
@@ -623,19 +628,20 @@ def _newton_al(
     rounding_only = False
     solve = pattern = None  # the subproblem's factored Newton matrix and the active rows it was formed on
     while True:
-        jacobians = [block.jacobian(x) if t_b.any() else None for block, t_b in zip(blocks, t)]
+        # the rows with t > 0, of A and of each block: J't and rho J_S'J_S read only these
+        active = [np.flatnonzero(t_rows)] + [np.flatnonzero(t_b) for t_b in t]
+        jacobians = [
+            np.asarray(block.jacobian(x), dtype=float) if s.size else None for block, s in zip(blocks, active[1:])
+        ]
         grad = np.array(comp.gradient(x), dtype=float)
-        if t_rows.any():
-            grad += a.T @ t_rows
-        for jac, t_b in zip(jacobians, t):
-            if jac is not None:
-                grad += jac.T @ t_b
+        for jac, t_b, s in zip([a, *jacobians], [t_rows, *t], active):
+            if s.size:
+                grad += t_b[s] @ jac[s]
         size = float(np.max(np.abs(grad), initial=0.0))
         # written so that a NaN gradient stops too
         if not size > gtol or steps >= budget or (rounding_only and size >= previous):
             return x, steps, halvings, factors
 
-        active = [t_rows > 0.0] + [t_b > 0.0 for t_b in t]
         fresh = (
             solve is None
             or not all(np.array_equal(u, v) for u, v in zip(active, pattern))
@@ -649,11 +655,11 @@ def _newton_al(
             fresh = not slope < 0.0  # the reused factor no longer gives a descent direction
         if fresh:
             h = np.array(comp.hessian(x), dtype=float, order="F")
-            h = weighted_gram(a, rho, h, np.flatnonzero(t_rows))
-            for block, jac, t_b in zip(blocks, jacobians, t):
+            h = weighted_gram(a, rho, h, active[0])
+            for block, jac, t_b, s in zip(blocks, jacobians, t, active[1:]):
                 if jac is not None:
                     h += block.hessian(x, t_b)
-                    h = weighted_gram(np.asarray(jac, dtype=float), rho, h, np.flatnonzero(t_b))
+                    h = weighted_gram(jac, rho, h, s)
             solve = _cholesky(h, lower=False, shift=_REGULARIZATION * min(math.sqrt(grad @ grad), 1.0))
             pattern = active
             factors += 1

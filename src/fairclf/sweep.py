@@ -8,6 +8,9 @@ rows, constraint satisfaction and the fairness audit on the training rows as
 well, and the relative loss of a fairness sweep is normalized between the
 baseline loss and the loss of the fully constrained (c = 0) fit. That fit is
 made once per repeat; a grid cell whose thresholds are all zero reuses it.
+Every constrained logistic fit starts at the unconstrained optimum theta*,
+and the repeat's logistic baseline is that theta*: ``fit_logreg``'s memo
+hands it to the c = 0 fit and to each cell without solving again.
 """
 
 from __future__ import annotations

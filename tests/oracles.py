@@ -444,6 +444,27 @@ def unit_rows_reference(rows) -> tuple[np.ndarray, np.ndarray]:
     return np.array([a for a, _ in scaled]), np.array([b for _, b in scaled])
 
 
+def margin_rows_reference(w, features, rows, signs, margins) -> tuple[np.ndarray, np.ndarray]:
+    """The fine-grained (A, b): the epigraph rows of W, then -s_i x_i / ||x_i|| . theta <= -m_i / ||x_i||.
+
+    The arithmetic of the first in-place builder: each margin row divided by
+    its norm, then multiplied by -s_i.
+    """
+    k = w.shape[0]
+    epigraph = []
+    for j in range(k):
+        t = np.zeros(k)
+        t[j] = 1.0
+        epigraph += [(np.concatenate([w[j], -t]), 0.0), (np.concatenate([-w[j], -t]), 0.0)]
+    top_a, top_b = unit_rows_reference(epigraph)
+    block = features[rows]
+    norms = np.sqrt(np.einsum("ij,ij->i", block, block))
+    block = block / norms[:, None]
+    block *= -signs[:, None]
+    a = np.vstack([top_a, np.hstack([block, np.zeros((rows.size, k))])])
+    return a, np.concatenate([top_b, -margins / norms])
+
+
 # ---------------------------------------------------------------------------
 # the UCI loaders, line by line
 

@@ -288,7 +288,7 @@ class TestSweepCommand:
 
         monkeypatch.setattr(fairclf.models, "fit_logreg_fair", forced)
         payload = self.config_payload(tmp_path)
-        payload["a_factors"] = [1.0, 1e-6, 0.0]
+        payload["a_factors"] = [0.5, 1e-6, 0.0]  # theta* breaks the a=0.5 rows, so one step cannot certify
         config = tmp_path / "config.json"
         config.write_text(json.dumps(payload))
         assert cli_main(["sweep", "--config", str(config)]) == 0

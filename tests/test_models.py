@@ -17,6 +17,7 @@ from fairclf.models import (
     _epigraph_rows,
     _log1pexp,
     _margin_bound,
+    _margin_rows,
     KernelModel,
     KernelSpec,
     LinearModel,
@@ -49,6 +50,7 @@ from oracles import (
     grid_logistic_fair,
     hinge_objective,
     logistic_objective,
+    margin_rows_reference,
     qp_kkt_reference,
     rbf_kernel_dual_reference,
     unit_rows_reference,
@@ -373,6 +375,35 @@ class TestFitLogregFair:
             oracle = grid_logistic_fair(ds.features, ds.labels, l2, w, c)
             total = logistic_objective(np.asarray(fair.theta), ds.features, ds.labels, l2)
             assert total == pytest.approx(oracle, abs=1e-4)
+
+    def test_starts_at_theta_star_with_or_without_the_memo(self, monkeypatch):
+        ds, w = random_instance(12, n=80)
+        base_spec = FitSpec(mode="unconstrained", l2_penalty=1e-3)
+        c_star = abs(float(w @ fit_logreg(ds, base_spec).theta))
+        calls = count_smooth_solves(monkeypatch)
+        for c in (0.0, 0.3 * c_star):
+            spec = FitSpec(mode="fairness_constrained", covariance_thresholds=c, l2_penalty=1e-3)
+            monkeypatch.setattr(models, "_last_fit", None)
+            before = len(calls)
+            cold = fit_logreg_fair(ds, spec)
+            assert len(calls) == before + 2  # theta*, then the constrained fit from it
+            theta_star = fit_logreg(ds, base_spec).theta
+            np.testing.assert_array_equal(calls[-1].initial_point, theta_star)
+            before = len(calls)
+            warm = fit_logreg_fair(ds, spec)
+            assert len(calls) == before + 1
+            assert warm.theta.tobytes() == cold.theta.tobytes()
+            assert warm.training_meta == cold.training_meta
+
+    def test_feasible_theta_star_is_the_fit(self):
+        ds, w = random_instance(13, n=80)
+        base = fit_logreg(ds, FitSpec(mode="unconstrained", l2_penalty=1e-3))
+        c_star = abs(float(w @ base.theta))
+        for c in (c_star, 2.0 * c_star, np.inf):
+            fair = fit_logreg_fair(ds, FitSpec(mode="fairness_constrained", covariance_thresholds=c, l2_penalty=1e-3))
+            assert fair.training_meta["status"] == "converged"
+            assert fair.training_meta["iterations"] <= 1
+            np.testing.assert_array_equal(fair.theta, base.theta)
 
     def test_pareto_loss_path(self):
         ds, w = random_instance(9, n=60)
@@ -775,6 +806,19 @@ class TestConstraintRows:
         want_a, want_b = unit_rows_reference(rows)
         got_a, got_b = _epigraph_rows(w)
         assert got_a.tobytes() == want_a.tobytes() and got_b.tobytes() == want_b.tobytes()
+
+    def test_margin_rows(self):
+        # more rows than one chunk of the builder, in no particular order;
+        # the builder scales once by -s_i / ||x_i||, so entries may differ in the last bit
+        rng = np.random.default_rng(14)
+        w, features = rng.normal(size=(2, 9)), rng.normal(size=(3000, 9))
+        rows = rng.permutation(3000)[:2500]
+        signs, margins = np.where(rng.random(2500) < 0.5, 1.0, -1.0), rng.normal(size=2500)
+        want_a, want_b = margin_rows_reference(w, features, rows, signs, margins)
+        got_a, got_b = _margin_rows(w, features, rows, signs, margins)
+        assert got_a.shape == want_a.shape and got_b.shape == want_b.shape
+        np.testing.assert_allclose(got_a, want_a, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(got_b, want_b, rtol=0, atol=1e-15)
 
 
 def race_dataset(n: int = 1500, seed: int = 3) -> Dataset:

@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import math
 import tracemalloc
 
 import numpy as np
@@ -241,6 +242,33 @@ class TestMinimizeSmooth:
         block = ConstraintBlock(value=lambda x: x[:1] - 1.0, jacobian=lambda x: np.array([[1.0, 0.0]]), size=1)
         with pytest.raises(ValueError, match="Hessian"):
             minimize_smooth(SmoothProblem(dimension=2, objective=f, gradient=g, hessian=h, convex_constraints=[block]))
+
+    def test_many_inactive_rows_change_nothing(self):
+        # a box |x_j| <= 1 and 40 rows a.x <= 0.8 near the optimum, mixed in
+        # among 4,950 rows with a slack of at least 1 on the whole box
+        rng = np.random.default_rng(41)
+        d = 8
+        f, g, h = random_logistic(rng, n=500, d=d)
+        near = np.vstack([np.eye(d), -np.eye(d), rng.normal(size=(40, d))])
+        far = rng.normal(size=(4_950, d))
+        a = np.vstack([near, far])
+        a /= np.linalg.norm(a, axis=1)[:, None]
+        b = np.concatenate([np.ones(2 * d), np.full(40, 0.8), math.sqrt(d) + 1.0 + rng.random(4_950)])
+        order = rng.permutation(b.size)
+        a, b = a[order], b[order]
+        kept = np.flatnonzero(order < near.shape[0])
+        results = [
+            minimize_smooth(SmoothProblem(dimension=d, objective=f, gradient=g, hessian=h, linear_constraints=rows), TIGHT)
+            for rows in ((a, b), (a[kept], b[kept]))
+        ]
+        for result in results:
+            assert result.status == "converged"
+        full, reduced = results
+        lam = full.multipliers["inequality"][0]
+        assert 0 < np.count_nonzero(lam) < 0.05 * b.size
+        assert not lam[order >= near.shape[0]].any()
+        np.testing.assert_allclose(full.point, reduced.point, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(lam[kept], reduced.multipliers["inequality"][0], rtol=0, atol=1e-8)
 
     def test_vector_block_constraints(self):
         # same halfspace expressed through a ConstraintBlock
