@@ -80,6 +80,9 @@ class Dataset:
         n = features.shape[0]
         if n < 1:
             raise ValueError("dataset needs at least one row")
+        # min and max propagate NaN, and neither makes an n x d temporary
+        if features.size and not (np.isfinite(features.min()) and np.isfinite(features.max())):
+            raise ValueError("features must be finite (no NaN or inf)")
         if labels.shape != (n,):
             raise ValueError("labels must be a length-N vector")
         if not np.all(np.isin(labels, (-1.0, 1.0))):

@@ -104,11 +104,14 @@ def audit(model_distances, dataset) -> FairnessReport:
     """Full fairness report of the given signed distances against a dataset.
 
     Predictions follow the sign rule (distance >= 0 maps to +1). Raises if the
-    distances are not aligned with the dataset rows or some group is empty.
+    distances are not aligned with the dataset rows, are not all finite (a
+    NaN has no sign) or some group is empty.
     """
     d = np.asarray(model_distances, dtype=float)
     if d.shape != (dataset.n,):
         raise ValueError("model_distances must align with dataset rows")
+    if not np.all(np.isfinite(d)):
+        raise ValueError("model_distances must be finite (no NaN or inf)")
     predictions = np.where(d >= 0, 1, -1)
     cov: dict[str, float] = {}
     p_pct: dict[str, float] = {}

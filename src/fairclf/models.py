@@ -26,7 +26,6 @@ attributes never participate in decisions.
 
 from __future__ import annotations
 
-import copy
 import logging
 import math
 import weakref
@@ -192,12 +191,24 @@ class KernelModel:
 
     def __post_init__(self):
         alphas = np.asarray(self.alphas, dtype=float)
+        points = np.asarray(self.support_points, dtype=float)
         y = np.asarray(self.support_labels, dtype=float)
+        # each test is written so that NaN fails it; a model may come from JSON
+        if not 0 < self.svm_cost < math.inf:
+            raise ValueError("svm_cost must be positive and finite")
+        if alphas.ndim != 1 or points.ndim != 2 or y.shape != alphas.shape or points.shape[0] != alphas.size:
+            raise ValueError("alphas and support_labels must be vectors with one entry per row of support_points")
+        if not np.all(np.isfinite(alphas)):
+            raise ValueError("alphas must be finite")
+        if not np.all(np.isfinite(points)):
+            raise ValueError("support_points must be finite")
+        if not np.all(np.isin(y, (-1.0, 1.0))):
+            raise ValueError("support_labels must take values in {-1, +1}")
         if np.any(alphas < -1e-12) or np.any(alphas > self.svm_cost + 1e-12):
             raise ValueError("dual coefficients must lie in [0, C]")
         if abs(float(alphas @ y)) > 1e-8:
             raise ValueError("dual coefficients must satisfy sum(alpha * y) = 0")
-        for name, arr in (("alphas", alphas), ("support_points", np.asarray(self.support_points, dtype=float)), ("support_labels", y)):
+        for name, arr in (("alphas", alphas), ("support_points", points), ("support_labels", y)):
             frozen = arr.copy()
             frozen.setflags(write=False)
             object.__setattr__(self, name, frozen)
@@ -530,13 +541,26 @@ def _logistic_problem(features, labels, l2_penalty, constraints=None, equality=N
     )
 
 
-# the last unconstrained fit: (weak reference to its training set, spec, settings, model)
-_last_fit: tuple | None = None
+@dataclass(frozen=True)
+class _ThetaStar:
+    """The unconstrained optimum theta* of one training set and ``l2_penalty``.
+
+    ``ridge`` is the penalty theta* minimizes, auto-ridge included, ``loss``
+    is L* = L(theta*) at that ridge and ``result`` the solve that found it.
+    ``train`` is a weak reference, so the record keeps no dataset alive.
+    """
+
+    train: weakref.ref
+    l2_penalty: float
+    theta: np.ndarray
+    ridge: float
+    loss: float
+    result: SolverResult
 
 
-def _handed_out(model: LinearModel) -> LinearModel:
-    """A copy of ``model`` whose ``training_meta`` a caller may change freely."""
-    return replace(model, training_meta=copy.deepcopy(model.training_meta))
+# the theta* of the last fit_logreg with the default settings; only
+# _theta_star reads it
+_theta_star_record: _ThetaStar | None = None
 
 
 def fit_logreg(train: Dataset, spec: FitSpec, settings: SolverSettings | None = None) -> LinearModel:
@@ -546,24 +570,18 @@ def fit_logreg(train: Dataset, spec: FitSpec, settings: SolverSettings | None = 
     case is detected by the optimum collapsing to (numerically) zero loss and
     resolved by refitting with a tiny ridge, recorded in ``training_meta``.
 
-    The last fit is remembered: a call on the same ``Dataset`` object with an
-    equal spec and equal settings (after defaulting) returns its optimum
-    without solving again. A ``Dataset`` is frozen and its arrays are
-    read-only, so the same object means the same rows. The training set is
-    held by a weak reference and is not kept alive by the memo. This is how
-    the three constrained logistic fits (``fairness_constrained``,
-    ``accuracy_constrained`` and ``fine_grained``), each of which starts from
-    the unconstrained optimum, reuse the baseline that a sweep or a caller
-    has just fitted.
+    Every call solves. A fit with the default settings (``settings`` None)
+    also replaces the one theta* record: the training set, by weak
+    reference, ``l2_penalty``, theta*, its ridge, L* and the solve's result.
+    The three constrained logistic fits read theta* from that record when it
+    is of their ``Dataset`` object and ``l2_penalty``, and otherwise call
+    this function first. A ``Dataset`` is frozen and its arrays are
+    read-only, so the same object means the same rows.
     """
-    global _last_fit
+    global _theta_star_record
     _check_inputs(train, spec, "fit_logreg", "logreg", "unconstrained")
+    writes_record = settings is None
     settings = settings or _default_settings()
-    if _last_fit is not None:
-        train_ref, last_spec, last_settings, model = _last_fit
-        if train_ref() is train and last_spec == spec and last_settings == settings:
-            _log.debug("fit_logreg: reusing the optimum fitted last on this training set")
-            return _handed_out(model)
     ridge = spec.l2_penalty
     result = minimize_smooth(_logistic_problem(train.features, train.labels, ridge), settings)
     auto_ridge = False
@@ -571,16 +589,12 @@ def fit_logreg(train: Dataset, spec: FitSpec, settings: SolverSettings | None = 
         ridge = _AUTO_RIDGE
         result = minimize_smooth(_logistic_problem(train.features, train.labels, ridge), settings)
         auto_ridge = True
-    meta = _meta(
-        "unconstrained",
-        result,
-        l2_penalty=ridge,
-        auto_ridge=auto_ridge,
-        objective=logistic_loss(result.point, train.features, train.labels, ridge),
-    )
-    model = LinearModel(theta=result.point, training_meta=meta)
-    _last_fit = (weakref.ref(train), spec, settings, model)
-    return _handed_out(model)
+    loss = logistic_loss(result.point, train.features, train.labels, ridge)
+    model = LinearModel(result.point, _meta("unconstrained", result, l2_penalty=ridge, auto_ridge=auto_ridge, objective=loss))
+    if writes_record:
+        # the result's point is the model's read-only theta, so no array in the record can be written
+        _theta_star_record = _ThetaStar(weakref.ref(train), spec.l2_penalty, model.theta, ridge, loss, replace(result, point=model.theta))
+    return model
 
 
 def fit_logreg_fair(train: Dataset, spec: FitSpec, settings: SolverSettings | None = None) -> LinearModel:
@@ -594,12 +608,13 @@ def fit_logreg_fair(train: Dataset, spec: FitSpec, settings: SolverSettings | No
     2 l2_penalty / n I projected onto it; otherwise each augmented-Lagrangian
     subproblem adds rho A_S' A_S for the active covariance rows S.
 
-    The solve starts at the unconstrained optimum theta*, taken from
-    :func:`fit_logreg`'s memo when it holds it and otherwise fitted first, at
-    the cost of one unconstrained fit. theta* is fitted with the default
-    settings whether or not the memo is warm, so the result depends only on
-    (train, spec, settings). Where theta* meets every row it is the optimum,
-    and the fit certifies it without a step.
+    The solve starts at the unconstrained optimum theta*, read from the
+    theta* record that :func:`fit_logreg` writes. If the record is of
+    another training set or ``l2_penalty``, theta* is fitted first, at the
+    cost of one unconstrained fit. theta* always comes from a fit with the
+    default settings, so the result depends only on (train, spec, settings).
+    Where theta* meets every row it is the optimum, and the fit certifies it
+    without a step.
     """
     _check_inputs(train, spec, "fit_logreg_fair", "logreg", "fairness_constrained")
     settings = settings or _default_settings()
@@ -608,7 +623,7 @@ def fit_logreg_fair(train: Dataset, spec: FitSpec, settings: SolverSettings | No
     rows, e = _covariance_split(w, c)
     equality = (e, np.zeros(e.shape[0]))
     problem = _logistic_problem(train.features, train.labels, spec.l2_penalty, rows, equality)
-    problem = replace(problem, initial_point=np.asarray(_theta_star(train, spec)[0].theta))
+    problem = replace(problem, initial_point=_theta_star(train, spec.l2_penalty).theta)
     result = minimize_smooth(problem, settings)
     meta = _meta(
         "fairness_constrained",
@@ -652,10 +667,12 @@ def _covariance_objective_problem(
     )
 
 
-def _theta_star(train: Dataset, spec: FitSpec) -> tuple[LinearModel, float]:
-    """theta*, the start of a constrained logistic fit, from :func:`fit_logreg`'s memo when it holds it, and its ridge (auto-ridge included)."""
-    base = fit_logreg(train, FitSpec(mode="unconstrained", l2_penalty=spec.l2_penalty), _default_settings())
-    return base, base.training_meta["l2_penalty"]
+def _theta_star(train: Dataset, l2_penalty: float) -> _ThetaStar:
+    """The theta* record of ``train`` and ``l2_penalty``; on a miss, :func:`fit_logreg` writes it first."""
+    record = _theta_star_record
+    if record is None or record.train() is not train or record.l2_penalty != l2_penalty:
+        fit_logreg(train, FitSpec(mode="unconstrained", l2_penalty=l2_penalty))
+    return _theta_star_record
 
 
 def _loss_budget_model(train: Dataset, w: np.ndarray, theta: np.ndarray, ridge: float) -> dict:
@@ -688,11 +705,11 @@ def _budget_row(loss: SmoothProblem, scale: float, n_epigraph: int) -> Constrain
 def fit_logreg_fairness_max(train: Dataset, spec: FitSpec, settings: SolverSettings | None = None) -> LinearModel:
     """Minimize summed |covariance| under a total-loss budget (mode ``accuracy_constrained``).
 
-    The unconstrained optimum theta* is fitted first (or taken from
-    :func:`fit_logreg`'s memo); the budget is L(theta) <= (1 + gamma) L*
-    with L* = L(theta*), with no headroom, so a converged fit certifies that
-    budget. The absolute values are handled by an epigraph reformulation,
-    keeping the problem smooth. The budget row L(theta) / B - 1 <= 0, with
+    theta*, its ridge and L* = L(theta*) are read from :func:`fit_logreg`'s
+    theta* record, which is fitted first when it is of another training set
+    or ``l2_penalty``. The budget is L(theta) <= (1 + gamma) L*, with no
+    headroom, so a converged fit certifies that budget. The absolute values
+    are handled by an epigraph reformulation, keeping the problem smooth. The budget row L(theta) / B - 1 <= 0, with
     B = (1 + gamma) L*, reads the logistic oracle that :func:`fit_logreg`
     minimizes (:func:`_logistic_problem`): its value, gradient and Hessian
     scaled by n / B, and zero in the epigraph variables.
@@ -702,13 +719,13 @@ def fit_logreg_fairness_max(train: Dataset, spec: FitSpec, settings: SolverSetti
     of L. The log-loss is strictly convex in the scores X theta, so all
     minimizers share X theta, and the covariances W theta depend on theta
     only through X theta. Every feasible point has the same objective, so
-    theta* is optimal, and its status is that of the unconstrained fit.
+    theta* is optimal. The status, KKT residuals and iterations are the
+    record's, those of the unconstrained fit.
     """
     _check_inputs(train, spec, "fit_logreg_fairness_max", "logreg", "accuracy_constrained")
     settings = settings or _default_settings(feasibility_tolerance=3e-9)
-    base, ridge = _theta_star(train, spec)
-    loss_star = base.training_meta["objective"]
-    budget = max((1.0 + spec.gamma) * loss_star, 1e-12)
+    star = _theta_star(train, spec.l2_penalty)
+    budget = max((1.0 + spec.gamma) * star.loss, 1e-12)
     features, labels = train.features, train.labels
     w = covariance_vectors(train)
     d = train.n_features
@@ -717,19 +734,18 @@ def fit_logreg_fairness_max(train: Dataset, spec: FitSpec, settings: SolverSetti
     # optimum (its covariance is identically zero in every column), so the
     # numerical solve is skipped; every row then sits on the positive side of
     # the tie and both groups share the same positive rate
-    zero_fits = logistic_loss(np.zeros(d), features, labels, ridge) <= budget
+    zero_fits = logistic_loss(np.zeros(d), features, labels, star.ridge) <= budget
     closed_form = zero_fits or spec.gamma == 0.0
     if zero_fits:
         theta = np.zeros(d)
         result = SolverResult(theta, 0.0, "converged", KKTResiduals(0.0, 0.0, 0.0), 0)
     elif spec.gamma == 0.0:
-        theta = np.asarray(base.theta)
-        result = SolverResult(theta, 0.0, base.training_meta["status"], KKTResiduals(**base.training_meta["kkt"]), 0)
+        theta, result = star.theta, star.result
     else:
         # the row is L / B - 1, so the feasibility tolerance bounds the
         # relative exceedance of the budget
-        block = _budget_row(_logistic_problem(features, labels, ridge), train.n / budget, w.shape[0])
-        problem = _covariance_objective_problem(w, _epigraph_rows(w), [block], theta_start=np.asarray(base.theta))
+        block = _budget_row(_logistic_problem(features, labels, star.ridge), train.n / budget, w.shape[0])
+        problem = _covariance_objective_problem(w, _epigraph_rows(w), [block], theta_start=star.theta)
         result = minimize_smooth(problem, settings)
         theta = result.point[:d]
     # the report's objective, sum |W theta|, replaces the result's
@@ -737,9 +753,9 @@ def fit_logreg_fairness_max(train: Dataset, spec: FitSpec, settings: SolverSetti
         "accuracy_constrained",
         result,
         gamma=spec.gamma,
-        loss_star=loss_star,
+        loss_star=star.loss,
         closed_form=closed_form,
-        **_loss_budget_model(train, w, theta, ridge),
+        **_loss_budget_model(train, w, theta, star.ridge),
     )
     return LinearModel(theta=theta, training_meta=meta)
 
@@ -806,6 +822,10 @@ def fit_logreg_fine_grained(train: Dataset, spec: FitSpec, settings: SolverSetti
     ``converged`` status certifies them. ``training_meta`` holds the summed
     |covariance| as ``objective`` and the logistic loss at theta, with the
     baseline's ``l2_penalty``, as ``loss``.
+
+    theta*, which gives the per-row budgets and the start, is read from
+    :func:`fit_logreg`'s theta* record, and fitted first when the record is
+    of another training set or ``l2_penalty``.
     """
     _check_inputs(train, spec, "fit_logreg_fine_grained", "logreg", "fine_grained")
     settings = settings or _default_settings(feasibility_tolerance=1e-10)
@@ -813,18 +833,22 @@ def fit_logreg_fine_grained(train: Dataset, spec: FitSpec, settings: SolverSetti
     if gammas.shape != (train.n,):
         raise ValueError("per_point_gammas must have one entry per training row")
     index = spec.protected_index_set
-    index = np.asarray(list(index) if isinstance(index, (set, frozenset)) else index).astype(int)
+    index = np.asarray(list(index) if isinstance(index, (set, frozenset)) else index)
+    # a boolean mask or a fractional index would be misread by a cast to int
+    if index.dtype.kind not in "iuf" or np.any(index != np.floor(index)):
+        raise ValueError("protected_index_set must list integer row indices, not a boolean mask")
     if index.size and (index.min() < 0 or index.max() >= train.n):
         raise ValueError("protected_index_set out of range")
+    index = index.astype(int)
     # a row mask, not np.unique/np.setdiff1d, which import numpy.ma on
     # their first call; the rows come out sorted
     is_protected = np.zeros(train.n, dtype=bool)
     is_protected[index] = True
     protected = np.flatnonzero(is_protected)
 
-    base, ridge = _theta_star(train, spec)
+    star = _theta_star(train, spec.l2_penalty)
     features, labels = train.features, train.labels
-    loss_star_i = per_point_logistic_loss(base.theta, features, labels)
+    loss_star_i = per_point_logistic_loss(star.theta, features, labels)
 
     # the protected rows, then the budgeted rows, each as s_i x_i . theta >= m_i
     budgeted = np.flatnonzero(np.isfinite(gammas) & ~is_protected)
@@ -835,10 +859,10 @@ def fit_logreg_fine_grained(train: Dataset, spec: FitSpec, settings: SolverSetti
 
     w = covariance_vectors(train)
     constraints = _margin_rows(w, features, rows, signs, margins)
-    problem = _covariance_objective_problem(w, constraints, [], theta_start=np.asarray(base.theta))
+    problem = _covariance_objective_problem(w, constraints, [], theta_start=star.theta)
     result = minimize_smooth(problem, settings)
     theta = result.point[: train.n_features]
-    meta = _meta("fine_grained", result, n_protected=int(protected.size), **_loss_budget_model(train, w, theta, ridge))
+    meta = _meta("fine_grained", result, n_protected=int(protected.size), **_loss_budget_model(train, w, theta, star.ridge))
     return LinearModel(theta=theta, training_meta=meta)
 
 

@@ -9,8 +9,9 @@ well, and the relative loss of a fairness sweep is normalized between the
 baseline loss and the loss of the fully constrained (c = 0) fit. That fit is
 made once per repeat; a grid cell whose thresholds are all zero reuses it.
 Every constrained logistic fit starts at the unconstrained optimum theta*,
-and the repeat's logistic baseline is that theta*: ``fit_logreg``'s memo
-hands it to the c = 0 fit and to each cell without solving again.
+and the repeat's logistic baseline is that theta*: ``fit_logreg`` writes it
+to its theta* record, which the c = 0 fit and each cell read without
+solving again.
 """
 
 from __future__ import annotations

@@ -129,6 +129,23 @@ class TestTrainAndAudit:
         assert cli_main(["audit", "--data", str(data), "--distances", str(distances)]) == 1
         assert capsys.readouterr().err.strip() == f"error: {data}:3: expected 3 fields, got 2"
 
+    def test_train_on_a_nan_feature_exits_1(self, synth_csv, tmp_path, capsys):
+        lines = synth_csv.read_text().splitlines()
+        fields = lines[5].split(",")
+        lines[5] = ",".join(["nan"] + fields[1:])
+        data = tmp_path / "nan.csv"
+        data.write_text("\n".join(lines) + "\n")
+        model_path = tmp_path / "model.json"
+        assert cli_main(["train", "--data", str(data), "--mode", "unconstrained", "--out", str(model_path)]) == 1
+        assert "features must be finite" in capsys.readouterr().err
+        assert not model_path.exists()
+
+    def test_audit_of_a_nan_distance_exits_1(self, synth_csv, tmp_path, capsys):
+        distances = tmp_path / "d.txt"
+        distances.write_text("\n".join(["1.0"] * 40 + ["nan"] + ["-1.0"] * 39) + "\n")
+        assert cli_main(["audit", "--data", str(synth_csv), "--distances", str(distances)]) == 1
+        assert "model_distances must be finite" in capsys.readouterr().err
+
     def test_audit_distances_file(self, synth_csv, tmp_path, capsys):
         distances = tmp_path / "d.txt"
         distances.write_text("\n".join(["1.0"] * 40 + ["-1.0"] * 40) + "\n")

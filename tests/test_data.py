@@ -77,6 +77,14 @@ class TestDatasetValidation:
                 has_bias_column=True,
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_features(self, bad):
+        good = make_dataset()
+        features = np.array(good.features)
+        features[3, 1] = bad
+        with pytest.raises(ValueError, match="features must be finite"):
+            Dataset(features, good.labels, good.sensitive, good.sensitive_names, good.feature_names)
+
     def test_arrays_are_readonly(self):
         ds = make_dataset()
         with pytest.raises(ValueError):

@@ -140,6 +140,13 @@ class TestAudit:
         with pytest.raises(ValueError, match="align"):
             audit(np.ones(3), ds)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_distances(self, bad):
+        # a NaN has no sign: the sign rule read it as a negative decision
+        ds = self.make_dataset([0, 0, 1, 1])
+        with pytest.raises(ValueError, match="finite"):
+            audit(np.array([bad, 1.0, bad, 1.0]), ds)
+
     def test_boundary_tie_counts_positive(self):
         ds = self.make_dataset([0, 1])
         report = audit(np.array([0.0, -0.1]), ds)

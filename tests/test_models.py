@@ -250,34 +250,47 @@ class TestBaselineMemo:
 
     def test_other_inputs_refit(self, monkeypatch):
         ds, _ = random_instance(10, n=80)
-        spec = FitSpec(mode="unconstrained")
-        first = fit_logreg(ds, spec)
+        spec = FitSpec(mode="unconstrained", l2_penalty=1e-3)
+        fair = FitSpec(mode="fairness_constrained", covariance_thresholds=0.0, l2_penalty=1e-3)
         calls = count_smooth_solves(monkeypatch)
+        first = fit_logreg(ds, spec)
+        assert np.array_equal(fit_logreg(ds, spec).theta, first.theta)
+        assert len(calls) == 2  # fit_logreg solves on every call
+        before = len(calls)
+        expected = fit_logreg_fair(ds, fair)
+        assert len(calls) == before + 1  # theta* is read from the record
         copy = replace(ds)  # equal rows, another object
         for train, other_spec, settings in (
             (copy, spec, None),
-            (ds, FitSpec(mode="unconstrained", l2_penalty=1e-3), None),
+            (ds, FitSpec(mode="unconstrained", l2_penalty=1e-2), None),
             (ds, spec, SolverSettings(kkt_tolerance=1e-7, feasibility_tolerance=1e-8)),
         ):
-            fit_logreg(ds, spec)  # the memo holds (ds, spec) again
-            before = len(calls)
+            monkeypatch.setattr(models, "_theta_star_record", None)
             fit_logreg(train, other_spec, settings)
-            assert len(calls) == before + 1
+            before = len(calls)
+            got = fit_logreg_fair(ds, fair)
+            assert len(calls) == before + 2  # theta* of (ds, 1e-3) first, then the constrained fit
+            assert got.theta.tobytes() == expected.theta.tobytes()
         np.testing.assert_array_equal(fit_logreg(copy, spec).theta, first.theta)
 
     def test_hit_is_not_changed_by_caller_edits(self, monkeypatch):
+        # the constrained fits read theta*, L*, status and KKT from the
+        # record, not from the meta of the model fit_logreg returned
         ds, _ = random_instance(11, n=60)
         spec = FitSpec(mode="unconstrained")
+        gammas = (0.0, 0.5)
+        expected = [fit_logreg_fairness_max(ds, FitSpec(mode="accuracy_constrained", gamma=g)) for g in gammas]
         first = fit_logreg(ds, spec)
-        expected = {**first.training_meta, "kkt": dict(first.training_meta["kkt"])}
-        first.training_meta["objective"] = -1.0
-        first.training_meta["kkt"]["stationarity_norm"] = -1.0
+        meta = first.training_meta
+        meta.update(objective=-1.0, status="edited", l2_penalty=1.0)
+        meta["kkt"]["stationarity_norm"] = -1.0
         calls = count_smooth_solves(monkeypatch)
-        second = fit_logreg(ds, spec)
-        assert not calls
-        assert second.training_meta == expected
-        second.training_meta["status"] = "edited"
-        assert fit_logreg(ds, spec).training_meta == expected
+        for g, want in zip(gammas, expected):
+            got = fit_logreg_fairness_max(ds, FitSpec(mode="accuracy_constrained", gamma=g))
+            assert got.theta.tobytes() == want.theta.tobytes()
+            assert got.training_meta == want.training_meta
+        assert len(calls) == 1  # the gamma = 0.5 fit; gamma = 0 is theta* itself
+        assert fit_logreg(ds, spec).training_meta["status"] != "edited"
 
     def test_gamma_zero_is_the_baseline(self, monkeypatch):
         ds, _ = random_instance(10, n=80)
@@ -290,6 +303,8 @@ class TestBaselineMemo:
         assert meta["closed_form"]
         assert meta["loss"] == meta["loss_star"] == base.training_meta["objective"]
         assert meta["status"] == base.training_meta["status"]
+        assert meta["iterations"] == base.training_meta["iterations"]
+        assert meta["kkt"] == base.training_meta["kkt"]
         assert meta["objective"] == float(np.sum(np.abs(covariance_vectors(ds) @ base.theta)))
 
 
@@ -377,21 +392,24 @@ class TestFitLogregFair:
             assert total == pytest.approx(oracle, abs=1e-4)
 
     def test_starts_at_theta_star_with_or_without_the_memo(self, monkeypatch):
+        # "the memo" is the theta* record that fit_logreg writes
         ds, w = random_instance(12, n=80)
         base_spec = FitSpec(mode="unconstrained", l2_penalty=1e-3)
-        c_star = abs(float(w @ fit_logreg(ds, base_spec).theta))
+        theta_star = fit_logreg(ds, base_spec).theta
+        c_star = abs(float(w @ theta_star))
         calls = count_smooth_solves(monkeypatch)
         for c in (0.0, 0.3 * c_star):
             spec = FitSpec(mode="fairness_constrained", covariance_thresholds=c, l2_penalty=1e-3)
-            monkeypatch.setattr(models, "_last_fit", None)
+            monkeypatch.setattr(models, "_theta_star_record", None)
             before = len(calls)
             cold = fit_logreg_fair(ds, spec)
             assert len(calls) == before + 2  # theta*, then the constrained fit from it
-            theta_star = fit_logreg(ds, base_spec).theta
             np.testing.assert_array_equal(calls[-1].initial_point, theta_star)
+            fit_logreg(ds, base_spec)
             before = len(calls)
             warm = fit_logreg_fair(ds, spec)
             assert len(calls) == before + 1
+            np.testing.assert_array_equal(calls[-1].initial_point, theta_star)
             assert warm.theta.tobytes() == cold.theta.tobytes()
             assert warm.training_meta == cold.training_meta
 
@@ -601,6 +619,18 @@ class TestFineGrained:
         assert fitted({int(i) for i in rows}) == want
         assert fitted([]) == fitted(np.array([], dtype=int))
         assert fitted([])[1] == 0
+        assert fitted(rows.astype(float)) == want  # integral floats are row numbers
+
+    @pytest.mark.parametrize("index", ["mask", [2.7], [np.nan]], ids=["mask", "fraction", "nan"])
+    def test_rejects_an_index_that_is_not_row_numbers(self, index):
+        # a cast to int read the mask of rows 5, 7 and 9 as rows 0 and 1, and 2.7 as row 2
+        ds = append_bias(gen_linear_synthetic(SynthConfig(n=200, phi=np.pi / 4, seed=9)))
+        if index == "mask":
+            index = np.zeros(ds.n, dtype=bool)
+            index[[5, 7, 9]] = True
+        spec = FitSpec(mode="fine_grained", per_point_gammas=np.full(ds.n, 1.0), protected_index_set=index)
+        with pytest.raises(ValueError, match="integer row indices"):
+            fit_logreg_fine_grained(ds, spec)
 
 
 def wide_dataset(n: int, d: int, seed: int) -> Dataset:
@@ -1212,6 +1242,34 @@ class TestKernelSvm:
                 kernel=KernelSpec(kind="linear"),
                 svm_cost=2.0,
             )
+
+
+class TestKernelModelInput:
+    GOOD = {
+        "kind": "kernel",
+        "alphas": [0.5, 0.5],
+        "support_points": [[0.0, 1.0], [1.0, 0.0]],
+        "support_labels": [1.0, -1.0],
+        "kernel": {"kind": "rbf", "rbf_gamma": 0.5},
+        "svm_cost": 1.0,
+    }
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("alphas", [float("nan"), 0.5]),
+            ("support_points", [[0.0, float("inf")], [1.0, 0.0]]),
+            ("support_labels", [3.0, -3.0]),
+            ("support_labels", [1.0, -1.0, 1.0]),
+            ("alphas", [0.5, 0.5, 0.0]),
+            ("support_points", [[0.0, 1.0]]),
+            ("svm_cost", float("nan")),
+        ],
+    )
+    def test_load_rejects_and_names_the_field(self, field, value):
+        assert decision_values(model_from_dict(self.GOOD), np.eye(2)).shape == (2,)
+        with pytest.raises(ValueError, match=field):
+            model_from_dict({**self.GOOD, field: value})
 
 
 class TestFitDispatch:

@@ -54,6 +54,18 @@ def test_private_helpers_are_used():
     assert not unused, f"defined but never referenced: {unused}"
 
 
+def test_one_module_global_the_theta_star_record():
+    # a module-level memo makes a call's cost depend on the call before it;
+    # the library keeps one, the theta* record that fit_logreg writes
+    found = [
+        f"{path.name}:{node.lineno}:{','.join(node.names)}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Global)
+    ]
+    assert len(found) == 1 and found[0].startswith("models.py:") and found[0].endswith(":_theta_star_record"), found
+
+
 def test_only_the_solvers_import_scipy():
     # scipy's BLAS and LAPACK sit behind the solvers' products and
     # factorisations; every other module reaches them through fairclf.solvers.
