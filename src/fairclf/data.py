@@ -31,8 +31,16 @@ BIAS_NAME = "bias"
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    """``a`` itself if it owns its data and is read-only, else a read-only copy."""
-    if a.flags.owndata and not a.flags.writeable:
+    """``a`` itself if it is read-only and so is the ndarray that owns its data, else a read-only copy.
+
+    The owner is the end of ``a``'s chain of bases: ``a`` itself, or the
+    array that ``a`` is a view of. A view of a writable array, or of a
+    buffer that is not an ndarray, is copied.
+    """
+    owner = a
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    if not a.flags.writeable and owner.flags.owndata and not owner.flags.writeable:
         return a
     out = np.array(a)
     out.setflags(write=False)
@@ -54,11 +62,15 @@ class Dataset:
     datasets); it is empty for synthetic data, whose raw coordinates are
     meaningful as-is.
 
-    The arrays are read-only and owned by the dataset. An array handed in
-    that owns its data and is already read-only is kept as it is, without a
-    copy; any other array, such as a caller's writable one or a view, is
+    The arrays are read-only, and so is the memory behind them. An array
+    handed in that is read-only and owns its data, or is a read-only view of
+    a read-only array that owns its data, is kept as it is, without a copy;
+    any other array, such as a caller's writable one or a view of it, is
     copied, so later writes to the caller's array do not reach the dataset.
-    The library's own constructors (:meth:`rows`, :func:`append_bias`,
+    :meth:`rows` of a contiguous run of rows makes no new matrix: it keeps
+    views of this dataset's arrays, which pin this dataset's whole buffers
+    for as long as the subset lives. The library's other constructors
+    (:meth:`rows` of any other index, :func:`append_bias`,
     :func:`standardize_columns`, the loaders) hand over fresh arrays marked
     read-only, so each of them makes one new matrix.
     """
@@ -123,7 +135,25 @@ class Dataset:
         return self.sensitive.shape[1]
 
     def rows(self, index: np.ndarray) -> "Dataset":
-        """Dataset restricted to the given row indices, metadata preserved."""
+        """Dataset restricted to the given row indices, metadata preserved.
+
+        ``index`` is an integer index, each entry in [0, n), or a boolean
+        mask of length n; an integer entry outside [0, n) raises ValueError.
+        A 1-D ascending run ``arange(start, stop)`` gives read-only views of
+        this dataset's arrays, with no copy; they keep this dataset's whole
+        buffers alive. Any other index (a permutation, a stride, repeats, a
+        mask) gathers one fresh copy of the rows.
+        """
+        index = np.asarray(index)
+        if index.dtype.kind in "iu" and index.size:
+            # min and max make no temporary; numpy alone would read -1 as the last row
+            if index.min() < 0 or index.max() >= self.n:
+                raise ValueError(f"row index out of range [0, {self.n})")
+            start, stop = int(index.flat[0]), int(index.flat[-1]) + 1
+            # strictly ascending with stop - start entries: arange(start, stop)
+            if index.ndim == 1 and stop - start == index.size and np.all(index[1:] > index[:-1]):
+                run = slice(start, stop)
+                return replace(self, features=self.features[run], labels=self.labels[run], sensitive=self.sensitive[run])
         return replace(
             self,
             features=_handed_over(self.features[index]),

@@ -614,7 +614,9 @@ def fit_logreg_fair(train: Dataset, spec: FitSpec, settings: SolverSettings | No
     cost of one unconstrained fit. theta* always comes from a fit with the
     default settings, so the result depends only on (train, spec, settings).
     Where theta* meets every row it is the optimum, and the fit certifies it
-    without a step.
+    without a step. On separable data theta* is the auto-ridge refit's, far
+    from every constrained optimum; when its ridge is not ``l2_penalty``,
+    the solve starts at theta = 0 instead.
     """
     _check_inputs(train, spec, "fit_logreg_fair", "logreg", "fairness_constrained")
     settings = settings or _default_settings()
@@ -623,7 +625,9 @@ def fit_logreg_fair(train: Dataset, spec: FitSpec, settings: SolverSettings | No
     rows, e = _covariance_split(w, c)
     equality = (e, np.zeros(e.shape[0]))
     problem = _logistic_problem(train.features, train.labels, spec.l2_penalty, rows, equality)
-    problem = replace(problem, initial_point=_theta_star(train, spec.l2_penalty).theta)
+    star = _theta_star(train, spec.l2_penalty)
+    if star.ridge == spec.l2_penalty:
+        problem = replace(problem, initial_point=star.theta)
     result = minimize_smooth(problem, settings)
     meta = _meta(
         "fairness_constrained",

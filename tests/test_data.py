@@ -90,9 +90,16 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             ds.features[0, 0] = 99.0
 
+    @pytest.mark.parametrize("index", [[-1], [6], [0, 9, 2], [-6, -5]])
+    def test_rows_rejects_index_out_of_range(self, index):
+        ds = make_dataset(n=6)
+        with pytest.raises(ValueError, match=r"row index out of range \[0, 6\)"):
+            ds.rows(np.array(index))
+
 
 class TestOwnedArrays:
-    """A Dataset holds read-only arrays of its own; the library's constructors make one copy each."""
+    """A Dataset holds read-only arrays whose memory is read-only too; the library's
+    constructors make one copy each, except ``rows`` of a contiguous run, which makes none."""
 
     @staticmethod
     def arrays(n=6):
@@ -111,11 +118,25 @@ class TestOwnedArrays:
             sensitive[0, 0] = 1.0 - sensitive[0, 0]
             for got, want in zip((ds.features, ds.labels, ds.sensitive), kept):
                 np.testing.assert_array_equal(got, want)
+        # a read-only array over a buffer that is not an ndarray
+        buffer = bytearray(features.tobytes())
+        flat = np.frombuffer(buffer)
+        flat.setflags(write=False)
+        over_buffer = flat.reshape(features.shape)
+        ds = Dataset(over_buffer, labels, sensitive, ("z",), ("x0", "x1"))
+        kept = ds.features.copy()
+        buffer[:8] = np.float64(99.0).tobytes()
+        np.testing.assert_array_equal(ds.features, kept)
 
     def test_owned_readonly_array_is_kept(self):
         features, labels, sensitive = self.arrays()
         features.setflags(write=False)
         assert Dataset(features, labels, sensitive, ("z",), ("x0", "x1")).features is features
+        # so is a read-only view of a read-only owner, and a view of that view
+        view = features[1:5]
+        for given in (view, view[1:]):
+            rows = slice(1, 1 + given.shape[0])
+            assert Dataset(given, labels[rows], sensitive[rows], ("z",), ("x0", "x1")).features is given
 
     def test_rows_and_standardize_return_fresh_readonly_arrays(self):
         ds = make_dataset(n=4000, d=50, seed=4, scale_columns=(0, 1))
@@ -136,6 +157,54 @@ class TestOwnedArrays:
         # one new matrix each, not a second copy of it
         assert rows_peak < 1.5 * sub.features.nbytes
         assert scaled_peak < 1.5 * sub.features.nbytes
+
+    def test_contiguous_rows_are_readonly_views(self):
+        ds = make_dataset(n=4000, d=50, seed=4)
+        index = np.arange(1000, 3000)
+        tracemalloc.start()
+        try:
+            sub = ds.rows(index)
+            rows_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for got, source in [(sub.features, ds.features), (sub.labels, ds.labels), (sub.sensitive, ds.sensitive)]:
+            assert not got.flags.writeable
+            assert np.shares_memory(got, source)
+            np.testing.assert_array_equal(got, source[1000:3000])
+        assert rows_peak < 0.01 * ds.features.nbytes
+        # a run of a run is a view of the same buffer
+        assert np.shares_memory(sub.rows(np.arange(5, 10)).features, ds.features)
+
+    @pytest.mark.parametrize(
+        "index", [np.array([0, 2, 1, 3]), np.arange(9, -1, -1), np.array([2, 3, 3, 4]), np.arange(10) < 5]
+    )
+    def test_other_indices_gather_fresh_arrays(self, index):
+        ds = make_dataset(n=10)
+        sub = ds.rows(index)
+        for got, source in [(sub.features, ds.features), (sub.labels, ds.labels), (sub.sensitive, ds.sensitive)]:
+            assert not got.flags.writeable
+            assert not np.shares_memory(got, source)
+            np.testing.assert_array_equal(got, source[index])
+
+    def test_fits_on_views_equal_fits_on_copies(self):
+        from fairclf.models import FitSpec, fit_logreg, fit_logreg_fair
+
+        # 24-byte rows from row 1: the view does not start where a fresh
+        # array would be aligned
+        ds = append_bias(make_dataset(n=301, d=2, seed=7))
+        view = ds.rows(np.arange(1, 301))
+        assert np.shares_memory(view.features, ds.features)
+        copied = Dataset(
+            np.array(view.features), np.array(view.labels), np.array(view.sensitive),
+            view.sensitive_names, view.feature_names, has_bias_column=True,
+        )
+        for spec, fit in (
+            (FitSpec(mode="unconstrained"), fit_logreg),
+            (FitSpec(mode="fairness_constrained", covariance_thresholds=0.0), fit_logreg_fair),
+        ):
+            on_view, on_copy = fit(view, spec), fit(copied, spec)
+            assert on_view.training_meta["status"] == "converged"
+            assert on_view.theta.tobytes() == on_copy.theta.tobytes()
 
 
 class TestAppendBias:

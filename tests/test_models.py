@@ -423,6 +423,28 @@ class TestFitLogregFair:
             assert fair.training_meta["iterations"] <= 1
             np.testing.assert_array_equal(fair.theta, base.theta)
 
+    def test_auto_ridge_theta_star_is_not_the_start(self, monkeypatch):
+        # separable: theta* comes from the auto-ridge refit, ||theta*|| ~ 645,
+        # far from every constrained optimum; from it the fits took 14, 14, 16
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(60, 2))
+        labels = np.where(x[:, 0] + 0.3 * x[:, 1] > 0, 1.0, -1.0)
+        z = (x[:, 1] + rng.normal(size=60) > 0).astype(float)
+        ds = Dataset(np.column_stack([x, np.ones(60)]), labels, z.reshape(-1, 1), ("z",), ("x0", "x1", "bias"), has_bias_column=True)
+        base = fit_logreg(ds, FitSpec(mode="unconstrained"))
+        assert base.training_meta["auto_ridge"]
+        solve = models.minimize_smooth
+        calls = count_smooth_solves(monkeypatch)
+        for c, most in ((0.0, 11), (0.05, 12), (0.5, 14)):
+            fair = fit_logreg_fair(ds, FitSpec(mode="fairness_constrained", covariance_thresholds=c))
+            assert fair.training_meta["status"] == "converged"
+            assert fair.training_meta["iterations"] <= most
+            np.testing.assert_array_equal(calls[-1].initial_point, np.zeros(3))
+            from_star = solve(replace(calls[-1], initial_point=base.theta), models._default_settings())
+            assert from_star.status == "converged"
+            loss = logistic_loss(from_star.point, ds.features, ds.labels, 0.0)
+            assert fair.training_meta["objective"] == pytest.approx(loss, rel=1e-8)
+
     def test_pareto_loss_path(self):
         ds, w = random_instance(9, n=60)
         c_star = None
