@@ -218,58 +218,44 @@ class KernelModel:
 # loss pieces
 
 
-def _expit(t: np.ndarray) -> np.ndarray:
-    """The logistic function 1 / (1 + e^-t) without overflow.
-
-    With e = e^-|t|, it is 1 / (1 + e) for t >= 0 and e / (1 + e) below.
-    """
-    e = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0, e) / (1.0 + e)
-
-
 def _log1pexp(t: np.ndarray) -> np.ndarray:
     """log(1 + e^t) without overflow: max(t, 0) + log1p(e^-|t|), in one pass with no masks."""
     return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
 
-def _loss_at(theta, scores, labels, l2_penalty: float) -> float:
-    """Logistic loss from the scores X @ theta."""
-    value = float(np.sum(_log1pexp(-(labels * scores))))
+def _margins(theta, features, labels) -> tuple[np.ndarray, np.ndarray]:
+    """The margins m = y * (X @ theta) and e = e^-|m|, the one exp per point that the loss and its derivatives read."""
+    margins = labels * (features @ theta)
+    return margins, np.exp(-np.abs(margins))
+
+
+def _loss_from(theta, margins, e, l2_penalty: float) -> float:
+    """Logistic loss from the margins and e = e^-|m|: log(1 + e^-m) = max(-m, 0) + log1p(e) per point."""
+    value = float(np.sum(np.maximum(-margins, 0.0) + np.log1p(e)))
     if l2_penalty:
         value += l2_penalty * float(theta @ theta)
     return value
 
 
-def _gradient_at(theta, scores, features, labels, l2_penalty: float) -> np.ndarray:
-    """Logistic loss gradient from the scores X @ theta."""
-    s = _expit(-labels * scores)
-    grad = -(features.T @ (labels * s))
+def _gradient_from(theta, margins, e, features, labels, l2_penalty: float) -> np.ndarray:
+    """Logistic loss gradient -X'(y sigma(-m)) + 2 l2_penalty theta from the margins and e = e^-|m|.
+
+    sigma(-m) = 1 / (1 + e^m) is where(m <= 0, 1, e) / (1 + e), which
+    never overflows.
+    """
+    grad = -(features.T @ (labels * (np.where(margins <= 0, 1.0, e) / (1.0 + e))))
     if l2_penalty:
         grad = grad + 2.0 * l2_penalty * theta
     return grad
 
 
-def _logistic_hessian_at(scores, features, l2_penalty: float, out: np.ndarray) -> np.ndarray:
-    """Logistic loss Hessian X' diag(s(1 - s)) X + 2 l2_penalty I from the scores X @ theta, s = expit(scores).
-
-    Written into ``out``, which is returned. The weight is
-    expit(m) expit(-m), which keeps its digits where 1 - s would round to
-    zero.
-    """
-    out.fill(0.0)
-    out = weighted_gram(features, _expit(scores) * _expit(-scores), out)
-    if l2_penalty:
-        out[np.diag_indices(out.shape[0])] += 2.0 * l2_penalty
-    return out
-
-
 def logistic_loss(theta: np.ndarray, features: np.ndarray, labels: np.ndarray, l2_penalty: float = 0.0) -> float:
     """Negative log-likelihood of ±1 labels, plus l2_penalty * ||theta||^2."""
-    return _loss_at(theta, features @ theta, labels, l2_penalty)
+    return _loss_from(theta, *_margins(theta, features, labels), l2_penalty)
 
 
 def logistic_loss_gradient(theta, features, labels, l2_penalty: float = 0.0) -> np.ndarray:
-    return _gradient_at(theta, features @ theta, features, labels, l2_penalty)
+    return _gradient_from(theta, *_margins(theta, features, labels), features, labels, l2_penalty)
 
 
 def per_point_logistic_loss(theta, features, labels) -> np.ndarray:
@@ -510,30 +496,48 @@ def _epigraph_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _logistic_problem(features, labels, l2_penalty, constraints=None, equality=None) -> SmoothProblem:
     """The logistic loss with l2_penalty as a ``SmoothProblem`` divided by n, started at theta = 0.
 
-    The one place the loss is bound to X. Value, gradient and Hessian share
-    one product X @ theta per point, and the value is kept for its point
-    too: a constraint row built on the loss is asked for it up to three
-    times at one point. The Hessian is written into one (d, d) buffer that
-    every call reuses. Every product is numpy's, the BLAS pool that
-    :func:`~fairclf.solvers.minimize_smooth` runs on. The mean scale makes the
-    stationarity tolerance independent of the row count; reported
+    The one place the loss is bound to X. Each new point costs one product
+    X @ theta and one exp per row: the margins m = y * (X @ theta) and
+    e = e^-|m| are kept for the point, with the value, which a constraint
+    row built on the loss asks for up to three times at one point. From
+    them the gradient weight is sigma(-m) = where(m <= 0, 1, e) / (1 + e),
+    and the Hessian weight sigma(m) sigma(-m) = e / (1 + e)^2, which keeps
+    its digits where 1 - sigma would round to zero. The value and gradient
+    are :func:`logistic_loss` and :func:`logistic_loss_gradient` times
+    1 / n, bit for bit. The Hessian X' diag(e / (1 + e)^2) X / n +
+    2 l2_penalty / n I is written into one (d, d) buffer that every call
+    reuses. Every product is numpy's, the BLAS pool that
+    :func:`~fairclf.solvers.minimize_smooth` runs on. The mean scale makes
+    the stationarity tolerance independent of the row count; reported
     objectives are totals.
     """
     n, d = features.shape
     inv_n = 1.0 / n
-    scores = _at_last_point(lambda theta: features @ theta)
-    value = _at_last_point(lambda theta: _loss_at(theta, scores(theta), labels, l2_penalty) * inv_n)
+
+    @_at_last_point
+    def point(theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        margins, e = _margins(theta, features, labels)
+        return _loss_from(theta, margins, e, l2_penalty) * inv_n, margins, e
+
     buffer = np.zeros((d, d))
 
+    def gradient(theta: np.ndarray) -> np.ndarray:
+        _, margins, e = point(theta)
+        return _gradient_from(theta, margins, e, features, labels, l2_penalty) * inv_n
+
     def hessian(theta: np.ndarray) -> np.ndarray:
-        h = _logistic_hessian_at(scores(theta), features, l2_penalty, buffer)
+        _, _, e = point(theta)
+        buffer.fill(0.0)
+        h = weighted_gram(features, e / ((1.0 + e) * (1.0 + e)), buffer)
+        if l2_penalty:
+            h[np.diag_indices(d)] += 2.0 * l2_penalty
         h *= inv_n
         return h
 
     return SmoothProblem(
         dimension=d,
-        objective=value,
-        gradient=lambda theta: _gradient_at(theta, scores(theta), features, labels, l2_penalty) * inv_n,
+        objective=lambda theta: point(theta)[0],
+        gradient=gradient,
         hessian=hessian,
         equality=equality,
         linear_constraints=constraints,

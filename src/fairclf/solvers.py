@@ -17,7 +17,8 @@ Two entry points, each with its own method:
   of each convex block. Without inequalities the solve is one damped Newton
   run. A step reuses its subproblem's factored Newton matrix while the
   gradient keeps contracting, so the Hessians are asked for only where the
-  matrix is formed again.
+  matrix is formed again; where the objective is the whole subproblem, the
+  reused factor's steps are corrected by BFGS pairs.
 * :func:`solve_qp` - convex quadratic objective under a variable box and
   linear equalities E x = f, with Q given only by its factor
   Q = diag(delta) + V V' (a kernel dual's low-rank Gram, or the exact-hinge
@@ -99,8 +100,9 @@ _RHO_MAX = 1e12
 # _MAX_HALVINGS times; a change within _ROUNDING of the function's size is
 # taken as no change. A subproblem's factored Newton matrix serves its next
 # step too while each step shrinks the gradient's largest entry to
-# _CONTRACTION of its size or below: the census unconstrained and c=0 fits
-# take 9 steps on 3 factors at 0.25, 7 on 4 at 0.1 and 10 on 3 at 0.5
+# _CONTRACTION of its size or below: with BFGS corrections, the census
+# unconstrained and c=0 fits take 7 + 5 steps on 3 + 1 factors at 0.25,
+# 6 + 4 on 4 + 2 at 0.1 and 9 + 5 on 2 + 1 at 0.5
 _REGULARIZATION = 1e-3
 _ARMIJO = 1e-4
 _CONTRACTION = 0.25
@@ -544,12 +546,16 @@ def _inequality_gradient(comp: _Compiled, x: np.ndarray, lam: list) -> np.ndarra
     return grad
 
 
-def _residuals(comp: _Compiled, x: np.ndarray, lam: list, mu: np.ndarray | None) -> KKTResiduals:
+def _residuals(
+    comp: _Compiled, x: np.ndarray, lam: list, mu: np.ndarray | None, r: np.ndarray | None = None
+) -> KKTResiduals:
+    """The KKT residuals at (x, lam, mu); ``r`` is A x - b at x when the caller has it, else it is formed here."""
     grad = _inequality_gradient(comp, x, lam)
     max_violation = 0.0
     max_comp = 0.0
-    for block, lam_b in zip(comp.inequalities, lam):
-        g = block.value(x)
+    a, b = comp.rows
+    values = ([a @ x - b if r is None else r] if b.size else []) + [block.value(x) for block in comp.blocks]
+    for g, lam_b in zip(values, lam):
         if lam_b.size:
             max_comp = max(max_comp, float(np.max(np.abs(lam_b * g))))
         if g.size:
@@ -583,13 +589,15 @@ def _residuals(comp: _Compiled, x: np.ndarray, lam: list, mu: np.ndarray | None)
 # Near the optimum the decrease of L falls below the rounding of its value,
 # so a change within _ROUNDING of the function's size passes; a step that
 # passed only so and did not shrink the gradient ends the subproblem. The
-# rows' A x is formed once per point, and a line-search trial reads it as
-# A x + alpha A dx. J't and rho J_S'J_S are formed from the active rows S
-# alone, gathered by index: a row with t_i = 0 adds nothing to either, and a
-# fine-grained fit has one margin row per training point, of which a few
-# hundred at most are active. A dx, the line search and the residuals still
-# read every row. Every product is numpy's; the Newton matrix is factored
-# on scipy's LAPACK.
+# rows' A x - b is formed once per outer iteration, at the subproblem's end
+# point, and serves the multiplier update, the residuals and the next
+# subproblem's start; within a subproblem a line-search trial reads it as
+# r + alpha A dx, so each step costs one product with every row, A dx. J't
+# and rho J_S'J_S are formed from the active rows S alone, gathered by
+# index: a row with t_i = 0 adds nothing to either, and a fine-grained fit
+# has one margin row per training point, of which a few hundred at most are
+# active. Every product is numpy's; the Newton matrix is factored on
+# scipy's LAPACK.
 #
 # A step may reuse the factor of an earlier step of the same subproblem, a
 # chord step (Kelley, Solving Nonlinear Equations with Newton's Method,
@@ -601,32 +609,76 @@ def _residuals(comp: _Compiled, x: np.ndarray, lam: list, mu: np.ndarray | None)
 # no descent direction. The factor dies with its subproblem, since the next
 # one changes lam or rho. The gradient, the line search and the residuals
 # read the true problem at every step, so only the path changes.
+#
+# Where L is the objective alone (no linear rows and no convex blocks: an
+# unconstrained fit, or a c=0 fit after equality elimination), a reused
+# factor's direction is corrected by the BFGS pairs (s, y) of the steps
+# taken since that factor was formed, s the step and y the change of the
+# gradient along it, applied by the two-loop recursion around the factor's
+# solve (Nocedal & Wright, ch. 6-7). The factored matrix is the initial
+# Hessian of the recursion, so the first step after a factor is the Newton
+# step and each later one a BFGS step from it: the chord steps converge
+# superlinearly instead of linearly, which keeps the contraction above
+# _CONTRACTION for longer and so needs fewer factors. A pair enters only
+# when s'y > 0, which keeps the corrected matrix positive definite, and the
+# pairs are dropped with their factor. With rows the active set moves the
+# gradient's kinks between steps and a pair would mix two matrices, so
+# those subproblems take plain chord steps.
+
+
+def _bfgs_direction(solve: Callable[[np.ndarray], np.ndarray], pairs: list, q: np.ndarray) -> np.ndarray:
+    """H q for the inverse of the factored matrix updated by the BFGS ``pairs``, by the two-loop recursion.
+
+    ``solve`` applies the inverse of the factored matrix, the recursion's
+    initial matrix, to one vector; ``pairs`` are (s, y, 1 / s'y), oldest
+    first. With no pairs this is ``solve(q)``.
+    """
+    scales = []
+    for s, y, inverse in reversed(pairs):
+        scales.append(inverse * float(s @ q))
+        q = q - scales[-1] * y
+    h_q = solve(q)
+    for (s, y, inverse), scale in zip(pairs, reversed(scales)):
+        h_q = h_q + (scale - inverse * float(y @ h_q)) * s
+    return h_q
 
 
 def _newton_al(
-    comp: _Compiled, x: np.ndarray, lam_rows: np.ndarray, lam: list, rho: float, gtol: float, budget: int
-) -> tuple[np.ndarray, int, int, int]:
-    """Minimize L at fixed (lam, rho) from x, as the comment above describes: (x, Newton steps, halvings, factors).
+    comp: _Compiled,
+    x: np.ndarray,
+    lam_rows: np.ndarray,
+    lam: list,
+    rho: float,
+    gtol: float,
+    budget: int,
+    r: np.ndarray | None = None,
+) -> tuple[np.ndarray, int, int, int, int]:
+    """Minimize L at fixed (lam, rho) from x, as the comment above describes: (x, steps, halvings, factors, corrected).
 
-    Stops once the largest entry of the gradient of L is at most ``gtol``,
-    after ``budget`` steps, or once no step lowers L beyond its rounding.
-    ``factors`` counts the Newton matrices factored; the others were reused.
+    ``r`` is A x - b at x, formed here when not given. Stops once the
+    largest entry of the gradient of L is at most ``gtol``, after
+    ``budget`` steps, or once no step lowers L beyond its rounding.
+    ``factors`` counts the Newton matrices factored; the other steps reused
+    one, and ``corrected`` of them corrected its direction by BFGS pairs.
     """
     a, b = comp.rows
     blocks = comp.blocks
+    quasi_newton = not b.size and not blocks  # L is the objective alone
 
     def multipliers_at(x_new: np.ndarray, r_new: np.ndarray) -> tuple[np.ndarray, list]:
         """t of the rows and of each block at a point where A x - b = r_new."""
         t_blocks = [np.maximum(0.0, l + rho * block.value(x_new)) for block, l in zip(blocks, lam)]
         return np.maximum(0.0, lam_rows + rho * r_new), t_blocks
 
-    r = a @ x - b
+    if r is None:
+        r = a @ x - b
     f = comp.objective(x)
     t_rows, t = multipliers_at(x, r)
-    steps = halvings = factors = 0
+    steps = halvings = factors = corrected = 0
     previous = np.inf
     rounding_only = False
     solve = pattern = None  # the subproblem's factored Newton matrix and the active rows it was formed on
+    pairs = []  # the BFGS pairs (s, y, 1 / s'y) of the steps taken since the factor was formed
     while True:
         # the rows with t > 0, of A and of each block: J't and rho J_S'J_S read only these
         active = [np.flatnonzero(t_rows)] + [np.flatnonzero(t_b) for t_b in t]
@@ -640,7 +692,7 @@ def _newton_al(
         size = float(np.max(np.abs(grad), initial=0.0))
         # written so that a NaN gradient stops too
         if not size > gtol or steps >= budget or (rounding_only and size >= previous):
-            return x, steps, halvings, factors
+            return x, steps, halvings, factors, corrected
 
         fresh = (
             solve is None
@@ -650,7 +702,12 @@ def _newton_al(
         )
         previous = size
         if not fresh:
-            dx = solve(-grad)
+            if quasi_newton:
+                y = grad - grad_before
+                sy = float(step @ y)
+                if sy > 0.0:
+                    pairs.append((step, y, 1.0 / sy))
+            dx = _bfgs_direction(solve, pairs, -grad)
             slope = float(grad @ dx)
             fresh = not slope < 0.0  # the reused factor no longer gives a descent direction
         if fresh:
@@ -662,11 +719,12 @@ def _newton_al(
                     h = weighted_gram(jac, rho, h, s)
             solve = _cholesky(h, lower=False, shift=_REGULARIZATION * min(math.sqrt(grad @ grad), 1.0))
             pattern = active
+            pairs = []
             factors += 1
             dx = solve(-grad)
             slope = float(grad @ dx)
         if not slope < 0.0:  # rounding has taken over the step
-            return x, steps, halvings, factors
+            return x, steps, halvings, factors, corrected
 
         a_dx = a @ dx
         squares = float(t_rows @ t_rows) + sum(float(t_b @ t_b) for t_b in t)
@@ -685,15 +743,18 @@ def _newton_al(
             alpha *= 0.5
             halvings += 1
         else:
-            return x, steps, halvings, factors
+            return x, steps, halvings, factors, corrected
         steps += 1
+        corrected += bool(pairs)  # a fresh factor dropped them, so they served this step
         rounding_only = change > _ARMIJO * alpha * slope
+        step, grad_before = x_new - x, grad
         x, r, f, t_rows, t = x_new, r_new, f_new, t_rows_new, t_new
 
 
 def _solve_al(comp: _Compiled, settings: SolverSettings) -> SolverResult:
     a, b = comp.rows
     x = comp.x0.copy()
+    r = a @ x - b  # formed again once per outer iteration, at the subproblem's end point
     lam_rows = np.zeros(b.size)
     lam = [np.zeros(block.size) for block in comp.blocks]
     rho = _RHO_INIT
@@ -714,7 +775,7 @@ def _solve_al(comp: _Compiled, settings: SolverSettings) -> SolverResult:
     def finish(status: str | None, kkt: KKTResiduals | None = None) -> SolverResult:
         """The result at x, with its residuals when not given; a None status is read from them."""
         if kkt is None:
-            kkt = _residuals(comp, x, multipliers(), None)
+            kkt = _residuals(comp, x, multipliers(), None, r)
         if status is None:
             status = "converged" if kkt.within(settings) else "max_iter"
         return SolverResult(x, comp.objective(x), status, kkt, used, _named_multipliers(multipliers()))
@@ -724,22 +785,26 @@ def _solve_al(comp: _Compiled, settings: SolverSettings) -> SolverResult:
         if budget <= 0:
             break
         x_before = x
-        x, steps, halvings, factors = _newton_al(comp, x, lam_rows, lam, rho, max(gtol, gtol_floor), budget)
+        x, steps, halvings, factors, corrected = _newton_al(
+            comp, x, lam_rows, lam, rho, max(gtol, gtol_floor), budget, r
+        )
         used += max(steps, 1)
         if not constrained:
-            _log.debug("newton steps=%d halvings=%d factors=%d", steps, halvings, factors)
+            _log.debug("newton steps=%d halvings=%d factors=%d corrected=%d", steps, halvings, factors, corrected)
             return finish(None)
 
+        r = a @ x - b
         if b.size:
-            lam_rows = np.maximum(0.0, lam_rows + rho * (a @ x - b))
+            lam_rows = np.maximum(0.0, lam_rows + rho * r)
         for i, block in enumerate(comp.blocks):
             lam[i] = np.maximum(0.0, lam[i] + rho * block.value(x))
 
-        kkt = _residuals(comp, x, multipliers(), None)
+        kkt = _residuals(comp, x, multipliers(), None, r)
         violation = kkt.max_violation
         _log.debug(
-            "al outer=%d rho=%.1e newton=%d halvings=%d factors=%d viol=%.2e stat=%.2e comp=%.2e",
-            outer, rho, steps, halvings, factors, kkt.max_violation, kkt.stationarity_norm, kkt.max_comp_slack,
+            "al outer=%d rho=%.1e newton=%d halvings=%d factors=%d corrected=%d viol=%.2e stat=%.2e comp=%.2e",
+            outer, rho, steps, halvings, factors, corrected,
+            kkt.max_violation, kkt.stationarity_norm, kkt.max_comp_slack,
         )
         if kkt.within(settings):
             return finish("converged", kkt)

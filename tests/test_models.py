@@ -213,6 +213,60 @@ class TestGradients:
         assert per_point.sum() == pytest.approx(total)
 
 
+class TestLogisticOracle:
+    """_logistic_problem reads one product X @ theta and one exp per row at each point."""
+
+    @staticmethod
+    def wide_margins(seed: int, n: int = 400, d: int = 6) -> tuple:
+        # |X @ theta| spread from 1e-3 to 4,000, both signs, so that e^-|m|
+        # underflows to zero on the largest margins
+        rng = np.random.default_rng(seed)
+        features = rng.normal(size=(n, d))
+        theta = rng.normal(size=d)
+        features *= (rng.permutation(np.geomspace(1e-3, 4e3, n)) / np.abs(features @ theta))[:, None]
+        labels = rng.choice([-1.0, 1.0], size=n)
+        return features, labels, theta
+
+    @pytest.mark.parametrize("l2_penalty", [0.0, 0.3])
+    def test_value_and_gradient_are_the_loss_over_n_bit_for_bit(self, l2_penalty):
+        features, labels, theta = self.wide_margins(31)
+        assert np.max(np.abs(features @ theta)) == pytest.approx(4e3)
+        problem = models._logistic_problem(features, labels, l2_penalty)
+        inv_n = 1.0 / labels.size
+        for point in (theta, -0.5 * theta, np.zeros_like(theta)):
+            gradient = problem.gradient(point)  # a new point read by its gradient first
+            assert problem.objective(point) == logistic_loss(point, features, labels, l2_penalty) * inv_n
+            want = logistic_loss_gradient(point, features, labels, l2_penalty) * inv_n
+            np.testing.assert_array_equal(gradient.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("l2_penalty", [0.0, 0.3])
+    def test_hessian_is_the_sigmoid_weighted_gram(self, l2_penalty):
+        features, labels, theta = self.wide_margins(32)
+        n, d = features.shape
+        problem = models._logistic_problem(features, labels, l2_penalty)
+        for point in (theta, 0.25 * theta):
+            m = features @ point
+            with np.errstate(over="ignore"):
+                weight = 1.0 / (1.0 + np.exp(-m)) / (1.0 + np.exp(m))
+            want = (features.T * weight) @ features / n + 2.0 * l2_penalty / n * np.eye(d)
+            problem.objective(point)
+            got = np.array(problem.hessian(point))
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_one_exp_per_point(self, monkeypatch):
+        features, labels, theta = self.wide_margins(33)
+        problem = models._logistic_problem(features, labels, 0.3)
+        sizes = []
+        exp = np.exp
+        monkeypatch.setattr(np, "exp", lambda x, *args, **kwargs: sizes.append(np.size(x)) or exp(x, *args, **kwargs))
+        for point in (theta, 0.5 * theta):
+            problem.objective(point)
+            problem.gradient(point)
+            problem.hessian(point)
+            problem.objective(point)
+        assert sizes == [labels.size, labels.size]
+
+
 class TestLog1pExp:
     def test_bitwise_equal_to_two_branch_formula(self):
         def two_branch(t):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fairclf import solvers
+from fairclf import models, solvers
 from fairclf.data import append_bias
 from fairclf.models import (
     FitSpec,
@@ -407,6 +407,155 @@ class TestChordSteps:
         assert (first.iterations, first_hessians) == (second.iterations, second_hessians)
 
 
+def record_directions(monkeypatch) -> list:
+    """Each Newton factor as "factor" and each reused factor's direction as (pairs, slope), in the order made."""
+    events = []
+    cholesky, bfgs_direction = solvers._cholesky, solvers._bfgs_direction
+
+    def factor(*args, **kwargs):
+        events.append("factor")
+        return cholesky(*args, **kwargs)
+
+    def direction(solve, pairs, q):
+        dx = bfgs_direction(solve, pairs, q)
+        events.append((len(pairs), -float(q @ dx)))  # q is -gradient
+        return dx
+
+    monkeypatch.setattr(solvers, "_cholesky", factor)
+    monkeypatch.setattr(solvers, "_bfgs_direction", direction)
+    return events
+
+
+def logged_counts(records, key: str) -> list[int]:
+    return [int(r.getMessage().split(f"{key}=")[1].split()[0]) for r in records]
+
+
+class TestQuasiNewtonCorrections:
+    """Where L is the objective alone, a reused factor's direction is corrected by the BFGS pairs since that factor."""
+
+    @staticmethod
+    def logistic(with_equality: bool) -> SmoothProblem:
+        f, g, h = random_logistic(np.random.default_rng(40), n=400, d=24)
+        equality = (np.random.default_rng(42).normal(size=(2, 24)), np.zeros(2)) if with_equality else None
+        return SmoothProblem(dimension=24, objective=f, gradient=g, hessian=h, equality=equality)
+
+    @pytest.mark.parametrize("with_equality", [False, True])
+    def test_corrected_directions_descend(self, monkeypatch, caplog, with_equality):
+        events = record_directions(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="fairclf.solvers"):
+            result = minimize_smooth(self.logistic(with_equality), TIGHT)
+        assert result.status == "converged"
+        corrected = [slope for pairs, slope in (event for event in events if event != "factor") if pairs]
+        assert corrected
+        assert all(slope < 0.0 for slope in corrected)
+        # the record counts the corrected steps after the factors
+        (record,) = [r for r in caplog.records if r.getMessage().startswith("newton steps=")]
+        assert record.getMessage().index("factors=") < record.getMessage().index("corrected=")
+        assert logged_counts([record], "corrected") == [len(corrected)]
+
+    def test_pairs_are_dropped_at_each_fresh_factor(self, monkeypatch):
+        # the loss is strictly convex, so every step's pair has s'y > 0 and
+        # enters: the k-th direction after a factor reads k pairs
+        events = record_directions(monkeypatch)
+        minimize_smooth(self.logistic(False), TIGHT)
+        assert events.count("factor") >= 2
+        since_factor = 0
+        for event in events:
+            if event == "factor":
+                since_factor = 0
+            else:
+                since_factor += 1
+                assert event[0] == since_factor
+
+    def test_ends_at_the_tightly_solved_optimum(self):
+        problem = self.logistic(False)
+        reference = np.zeros(24)
+        for _ in range(40):  # plain Newton steps, each on its own Hessian
+            reference -= np.linalg.solve(problem.hessian(reference), problem.gradient(reference))
+        assert np.max(np.abs(problem.gradient(reference))) < 1e-15
+        result = minimize_smooth(problem, SolverSettings(kkt_tolerance=1e-12))
+        assert result.status == "converged"
+        np.testing.assert_allclose(result.point, reference, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("constraint", ["row", "block"])
+    def test_rows_or_blocks_take_plain_chord_steps(self, monkeypatch, constraint):
+        # one subproblem at lam = 0, rho = 10 under a row or a ball that cuts
+        # the unconstrained optimum's norm in half
+        f, g, h = random_logistic(np.random.default_rng(40), n=400, d=24)
+        optimum = minimize_smooth(SmoothProblem(dimension=24, objective=f, gradient=g, hessian=h), TIGHT).point
+        radius = 0.5 * np.linalg.norm(optimum)
+        if constraint == "row":
+            extra = {"linear_constraints": (optimum[None, :] / np.linalg.norm(optimum), np.array([radius]))}
+            lam_rows, lam = np.zeros(1), []
+        else:
+            block = ConstraintBlock(
+                value=lambda x: np.array([x @ x - radius**2]),
+                jacobian=lambda x: 2.0 * x[None, :],
+                size=1,
+                hessian=lambda x, t: 2.0 * t[0] * np.eye(24),
+            )
+            extra = {"convex_constraints": [block]}
+            lam_rows, lam = np.zeros(0), [np.zeros(1)]
+        comp = solvers._compile_smooth(SmoothProblem(dimension=24, objective=f, gradient=g, hessian=h, **extra))
+        events = record_directions(monkeypatch)
+        x, *_, corrected = solvers._newton_al(comp, comp.x0, lam_rows, lam, 10.0, 1e-10, 100)
+        assert np.linalg.norm(x) > radius  # the penalty is active at the end
+        reused = [event for event in events if event != "factor"]
+        assert reused  # chord steps were taken
+        assert all(pairs == 0 for pairs, _ in reused)
+        assert corrected == 0
+
+
+class CountedRows(np.ndarray):
+    """A constraint matrix A that counts its products A @ v with every row; a gathered subset of rows is not counted."""
+
+    rows = 0
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and isinstance(inputs[0], CountedRows) and inputs[0].shape[0] == CountedRows.rows:
+            CountedRows.products += 1
+        inputs = [x.view(np.ndarray) if isinstance(x, CountedRows) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+class TestOneRowProductPerOuterIteration:
+    def test_fine_grained_fit(self, monkeypatch, caplog):
+        # A x - b is formed once at the start and once per outer iteration,
+        # and A dx once per Newton step; nothing else reads every row
+        ds = append_bias(gen_linear_synthetic(SynthConfig(n=600, phi=np.pi / 4, seed=3)))
+        base = fit_logreg(ds, FitSpec(mode="unconstrained"))
+        spec = FitSpec(mode="fine_grained", per_point_gammas=np.ones(ds.n), protected_index_set=protected_rows(base, ds, 1))
+        linear_arrays, minimize = solvers._linear_arrays, models.minimize_smooth
+
+        def counted(rows, n):
+            a, b = linear_arrays(rows, n)
+            if not b.size:  # the fit has no equality rows
+                return a, b
+            CountedRows.rows = a.shape[0]
+            return a.view(CountedRows), b
+
+        solves = []
+
+        def recorded_minimize(problem, settings):
+            solves.append((problem, minimize(problem, settings)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(solvers, "_linear_arrays", counted)
+        monkeypatch.setattr(models, "minimize_smooth", recorded_minimize)
+        CountedRows.products = 0
+        with caplog.at_level(logging.DEBUG, logger="fairclf.solvers"):
+            fit_logreg_fine_grained(ds, spec)
+        monkeypatch.undo()
+        (problem, result), = solves
+        assert result.status == "converged"
+        assert problem.linear_constraints[0].shape[0] > ds.n  # a margin row per point, and the epigraph rows
+        records = [r for r in caplog.records if r.getMessage().startswith("al outer=")]
+        assert CountedRows.products == sum(logged_counts(records, "newton")) + len(records) + 1
+        # the residuals read the rows' values of the multiplier update; recomputed from the problem they agree
+        assert kkt_residuals(problem, result.point, result.multipliers) == result.kkt
+
+
 class TestArrayJacobian:
     """A convex block whose (m, n) Jacobian array binds at the optimum."""
 
@@ -494,7 +643,7 @@ class TestBlasHelpers:
 
 
 class TestSmoothPathOnNumpysPool:
-    """minimize_smooth and the logistic oracle never call scipy's BLAS; only the Newton factor is scipy's LAPACK.
+    """minimize_smooth and the logistic oracle never call scipy's BLAS; only the Newton factor and its one-vector solves are scipy's LAPACK.
 
     numpy's and scipy's BLAS each keep a thread pool whose threads spin after
     each call, so a fit that alternated between them would make the two
@@ -512,8 +661,16 @@ class TestSmoothPathOnNumpysPool:
         for name in ("ddot", "dgemv", "dgemm", "dsymm", "dsyrk"):
             monkeypatch.setattr(solvers, name, refuse(name), raising=False)
         calls = []
-        dpotrf = solvers.dpotrf
+        dpotrf, dpotrs = solvers.dpotrf, solvers.dpotrs
         monkeypatch.setattr(solvers, "dpotrf", lambda *args, **kwargs: calls.append(1) or dpotrf(*args, **kwargs))
+
+        def solve_one_vector(factor, rhs, **kwargs):
+            # a matrix right-hand side (the inverse by solve(np.eye(d)), say)
+            # runs a multi-column solve on scipy's BLAS pool
+            assert np.ndim(rhs) == 1, f"the smooth path solved for {np.shape(rhs)} right-hand sides"
+            return dpotrs(factor, rhs, **kwargs)
+
+        monkeypatch.setattr(solvers, "dpotrs", solve_one_vector)
         return calls
 
     def test_logistic_fits(self, factorisations):
