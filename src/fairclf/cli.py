@@ -29,9 +29,9 @@ import numpy as np
 
 from .data import append_bias, read_dataset_csv, write_dataset_csv
 from .ingest import load_adult, load_bank
-from .metrics import audit as run_audit
-from .models import KernelSpec, decision_values, fit, model_from_dict, model_to_dict, protected_rows
-from .sweep import config_from_json, emit_results, grid_spec, run_sweep
+from .metrics import audit as run_audit, score
+from .models import CLASSIFIERS, MODES, KernelSpec, decision_values, fit, fit_spec, model_from_dict, model_to_dict, protected_rows
+from .sweep import config_from_json, emit_results, run_sweep
 from .synth import SynthConfig, generate
 
 __all__ = ["cli_main", "main"]
@@ -56,12 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train", help="fit one model and write it as JSON")
     train.add_argument("--data", required=True, help="dataset CSV (gen format)")
-    train.add_argument("--classifier", choices=["logreg", "linear_svm", "kernel_svm"], default="logreg")
-    train.add_argument(
-        "--mode",
-        choices=["unconstrained", "fairness_constrained", "accuracy_constrained", "fine_grained"],
-        default="unconstrained",
-    )
+    train.add_argument("--classifier", choices=list(CLASSIFIERS), default="logreg")
+    train.add_argument("--mode", choices=MODES, default="unconstrained")
     train.add_argument("--c", type=float, nargs="+", help="covariance threshold(s)")
     train.add_argument("--gamma", type=float, help="loss budget factor")
     train.add_argument("--protect-group", type=int, choices=[0, 1], default=1)
@@ -110,22 +106,20 @@ def _cmd_train(args) -> int:
         raise SystemExit("--c is required for fairness_constrained")
     if mode in ("accuracy_constrained", "fine_grained") and args.gamma is None:
         raise SystemExit(f"--gamma is required for {mode}")
-    if args.classifier != "logreg" and mode not in ("unconstrained", "fairness_constrained"):
-        raise SystemExit(f"{args.classifier} supports unconstrained and fairness_constrained modes")
+    if mode not in CLASSIFIERS[args.classifier].fits:
+        raise SystemExit(f"{args.classifier} supports {' and '.join(CLASSIFIERS[args.classifier].fits)} modes")
 
     settings = {"l2_penalty": args.l2, "svm_cost": args.svm_cost, "kernel": kernel}
     value = args.gamma
     if mode == "fairness_constrained":
         value = args.c if len(args.c) > 1 else args.c[0]
     elif mode == "fine_grained":
-        baseline = fit(dataset, args.classifier, grid_spec(args.classifier, "unconstrained", **settings))
+        baseline = fit(dataset, args.classifier, fit_spec(args.classifier, "unconstrained", **settings))
         settings.update(protected=protected_rows(baseline, dataset, args.protect_group), n_rows=dataset.n)
-    model = fit(dataset, args.classifier, grid_spec(args.classifier, mode, value, **settings))
+    model = fit(dataset, args.classifier, fit_spec(args.classifier, mode, value, **settings))
 
     Path(args.out).write_text(json.dumps(model_to_dict(model), indent=2) + "\n")
-    distances = decision_values(model, dataset.features)
-    report = run_audit(distances, dataset)
-    accuracy = float(np.mean(np.where(distances >= 0, 1, -1) == dataset.labels))  # the sign rule of predict
+    accuracy, report = score(decision_values(model, dataset.features), dataset)
     print(
         json.dumps(
             {"model": args.out, "train_accuracy": accuracy, "train_audit": report.to_json_dict()},

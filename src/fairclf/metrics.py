@@ -3,8 +3,10 @@
 All metrics are computed from the signed distances of the rows to the
 boundary. ``boundary_covariance`` is the convex surrogate used by the
 constrained trainers; the p%-rule and the absolute rate gap (CV score) are the
-audit-facing measures derived from the sign of the distances, with a tie at
-the boundary counted as a positive decision.
+audit-facing measures derived from the sign of the distances. The sign rule
+that turns a distance into a decision, with a tie at the boundary counted as
+positive, is :func:`sign_rule`, and every decision in the package is made by
+it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ __all__ = [
     "boundary_covariance",
     "cv_score",
     "p_percent_rule",
+    "score",
+    "sign_rule",
 ]
+
+
+def sign_rule(distances) -> np.ndarray:
+    """The ±1 decisions of signed distances: a distance >= 0, the boundary included, maps to +1."""
+    return np.where(np.asarray(distances) >= 0, 1, -1)
 
 
 def boundary_covariance(z, distances) -> float:
@@ -112,7 +121,7 @@ def audit(model_distances, dataset) -> FairnessReport:
         raise ValueError("model_distances must align with dataset rows")
     if not np.all(np.isfinite(d)):
         raise ValueError("model_distances must be finite (no NaN or inf)")
-    predictions = np.where(d >= 0, 1, -1)
+    predictions = sign_rule(d)
     cov: dict[str, float] = {}
     p_pct: dict[str, float] = {}
     cv: dict[str, float] = {}
@@ -133,3 +142,9 @@ def audit(model_distances, dataset) -> FairnessReport:
         group_positive_rates=rates,
         n_per_group=counts,
     )
+
+
+def score(distances, dataset) -> tuple[float, FairnessReport]:
+    """(accuracy of the sign-rule decisions against the dataset's labels, :func:`audit` of the distances)."""
+    report = audit(distances, dataset)
+    return float(np.mean(sign_rule(distances) == dataset.labels)), report

@@ -1,7 +1,7 @@
 """Margin-based classifiers trained under boundary-covariance fairness constraints.
 
-Four training modes are supported for logistic regression, linear SVM and
-kernel SVM:
+Four training modes; the table :data:`CLASSIFIERS` gives all four to
+logistic regression and the first two to the linear and the kernel SVM:
 
 * ``unconstrained`` - plain loss minimization.
 * ``fairness_constrained`` - loss minimization subject to a per-sensitive-
@@ -20,8 +20,9 @@ kernel SVM:
   unconstrained loss of its row.
 
 Models expose signed distances through :func:`decision_values` and ±1 labels
-through :func:`predict`; neither reads the sensitive block, so the sensitive
-attributes never participate in decisions.
+through :func:`predict`, by the sign rule of :mod:`fairclf.metrics`; neither
+reads the sensitive block, so the sensitive attributes never participate in
+decisions.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .data import Dataset
+from .metrics import sign_rule
 from .solvers import (
     ConstraintBlock,
     KKTResiduals,
@@ -43,14 +45,14 @@ from .solvers import (
     SolverResult,
     SolverSettings,
     _null_space_svd,
-    matvec,
     minimize_smooth,
-    rmatvec,
     solve_qp,
     weighted_gram,
 )
 
 __all__ = [
+    "CLASSIFIERS",
+    "MODES",
     "FitSpec",
     "KernelModel",
     "KernelSpec",
@@ -63,6 +65,7 @@ __all__ = [
     "fit_logreg_fair",
     "fit_logreg_fairness_max",
     "fit_logreg_fine_grained",
+    "fit_spec",
     "model_from_dict",
     "model_to_dict",
     "predict",
@@ -72,6 +75,15 @@ __all__ = [
 _log = logging.getLogger(__name__)
 
 Mode = Literal["unconstrained", "fairness_constrained", "accuracy_constrained", "fine_grained"]
+
+# the FitSpec fields that each mode requires and every other mode leaves unset
+_MODE_FIELDS = {
+    "unconstrained": (),
+    "fairness_constrained": ("covariance_thresholds",),
+    "accuracy_constrained": ("gamma",),
+    "fine_grained": ("per_point_gammas", "protected_index_set"),
+}
+MODES = tuple(_MODE_FIELDS)
 
 # margin used for the hard non-flip constraints: keeping the constrained rows
 # strictly on the positive side (rather than at exactly zero) guarantees a
@@ -105,8 +117,7 @@ class FitSpec:
     Fields irrelevant to the chosen mode must be left at their defaults;
     passing, say, a gamma to a fairness-constrained fit is rejected so a
     misconfigured sweep fails loudly instead of silently ignoring inputs.
-    So are another classifier's fields: ``l2_penalty`` is logistic
-    regression's, ``svm_cost`` the SVMs' and ``kernel`` the kernel SVM's.
+    So are another classifier's fields, as :data:`CLASSIFIERS` assigns them.
     """
 
     mode: Mode
@@ -122,7 +133,7 @@ class FitSpec:
     svm_hinge: Literal["exact"] = "exact"
 
     def __post_init__(self):
-        if self.mode not in ("unconstrained", "fairness_constrained", "accuracy_constrained", "fine_grained"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         # each range test is written so that NaN fails it
         if not 0 <= self.l2_penalty < math.inf:
@@ -131,14 +142,8 @@ class FitSpec:
             raise ValueError("svm_cost must be positive and finite")
         if self.svm_hinge != "exact":
             raise ValueError(f"svm_hinge must be 'exact', not {self.svm_hinge!r}: the squared-hinge surrogate was removed")
-        need = {
-            "fairness_constrained": ("covariance_thresholds",),
-            "accuracy_constrained": ("gamma",),
-            "fine_grained": ("per_point_gammas", "protected_index_set"),
-            "unconstrained": (),
-        }[self.mode]
-        mode_fields = ("covariance_thresholds", "gamma", "per_point_gammas", "protected_index_set")
-        for name in mode_fields:
+        need = _MODE_FIELDS[self.mode]
+        for name in sum(_MODE_FIELDS.values(), ()):
             value = getattr(self, name)
             if name in need and value is None:
                 raise ValueError(f"mode {self.mode!r} requires {name}")
@@ -151,7 +156,9 @@ class FitSpec:
             raise ValueError("per_point_gammas must be >= 0 (or inf), not NaN")
 
     def thresholds_for(self, n_sensitive: int) -> np.ndarray:
-        c = np.broadcast_to(np.asarray(self.covariance_thresholds, dtype=float), (n_sensitive,)).copy()
+        """The bound c_k of each of ``n_sensitive`` columns: the spec's thresholds, or inf (no bound) without them."""
+        given = np.inf if self.covariance_thresholds is None else self.covariance_thresholds
+        c = np.broadcast_to(np.asarray(given, dtype=float), (n_sensitive,)).copy()
         if np.any(np.isnan(c)) or np.any(c < 0):
             raise ValueError("covariance thresholds must be >= 0")
         return c
@@ -218,20 +225,20 @@ class KernelModel:
 # loss pieces
 
 
-def _log1pexp(t: np.ndarray) -> np.ndarray:
-    """log(1 + e^t) without overflow: max(t, 0) + log1p(e^-|t|), in one pass with no masks."""
-    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
-
-
 def _margins(theta, features, labels) -> tuple[np.ndarray, np.ndarray]:
     """The margins m = y * (X @ theta) and e = e^-|m|, the one exp per point that the loss and its derivatives read."""
     margins = labels * (features @ theta)
     return margins, np.exp(-np.abs(margins))
 
 
+def _point_losses(margins, e) -> np.ndarray:
+    """The per-point logistic loss log(1 + e^-m) from the margins and e = e^-|m|: max(-m, 0) + log1p(e), with no masks."""
+    return np.maximum(-margins, 0.0) + np.log1p(e)
+
+
 def _loss_from(theta, margins, e, l2_penalty: float) -> float:
-    """Logistic loss from the margins and e = e^-|m|: log(1 + e^-m) = max(-m, 0) + log1p(e) per point."""
-    value = float(np.sum(np.maximum(-margins, 0.0) + np.log1p(e)))
+    """Logistic loss from the margins and e = e^-|m|: the sum of :func:`_point_losses`, plus the penalty."""
+    value = float(np.sum(_point_losses(margins, e)))
     if l2_penalty:
         value += l2_penalty * float(theta @ theta)
     return value
@@ -260,7 +267,7 @@ def logistic_loss_gradient(theta, features, labels, l2_penalty: float = 0.0) -> 
 
 def per_point_logistic_loss(theta, features, labels) -> np.ndarray:
     """Vector of per-row negative log-likelihoods."""
-    return _log1pexp(-(labels * (features @ theta)))
+    return _point_losses(*_margins(theta, features, labels))
 
 
 def _at_last_point(fn):
@@ -348,9 +355,8 @@ def _gram_factor(kernel: KernelSpec, features: np.ndarray) -> np.ndarray:
     diagonal and computes the new column from that row of K (for the RBF
     kernel from the squared row norms, computed once for the whole factor;
     the values are those of :func:`gram_matrix`), and the earlier columns
-    with :func:`~fairclf.solvers.matvec`, on scipy's BLAS pool, the one that
-    :func:`~fairclf.solvers.solve_qp` runs on with the factor next. It stops
-    once the residual trace is at most ``_GRAM_FACTOR_TOLERANCE`` of the
+    with numpy's ``@``, like every product in this module. It stops once the
+    residual trace is at most ``_GRAM_FACTOR_TOLERANCE`` of the
     Gram's trace, and logs the rank and the residual trace at DEBUG level.
     The work is O(n r (r + d)), and columns are allocated
     ``_GRAM_FACTOR_BLOCK`` at a time, so the Gram is never formed and no
@@ -374,7 +380,7 @@ def _gram_factor(kernel: KernelSpec, features: np.ndarray) -> np.ndarray:
         else:
             column = _rbf(kernel.rbf_gamma, features[pivot : pivot + 1], features, sq[pivot : pivot + 1], sq)[0]
         for block in blocks:  # the columns not yet filled are zeros
-            column -= matvec(block, block[pivot])
+            column -= block @ block[pivot]
         column /= math.sqrt(residual[pivot])
         blocks[-1][:, rank % _GRAM_FACTOR_BLOCK] = column
         residual -= column * column
@@ -399,22 +405,69 @@ def resolve_kernel(kernel: KernelSpec | None, features: np.ndarray) -> KernelSpe
 
 
 # ---------------------------------------------------------------------------
-# shared fit plumbing
+# the classifier/mode table and shared fit plumbing
 
 
-# the FitSpec fields that only some classifiers read, and those classifiers
-_CLASSIFIER_FIELDS = {"l2_penalty": ("logreg",), "svm_cost": ("linear_svm", "kernel_svm"), "kernel": ("kernel_svm",)}
+@dataclass(frozen=True)
+class _Classifier:
+    """One row of :data:`CLASSIFIERS`: the fit function's name by mode, and the FitSpec fields only this classifier reads."""
+
+    fits: dict
+    fields: tuple
 
 
-def _check_inputs(train: Dataset, spec: FitSpec, op: str, classifier: str, mode: str | None = None) -> None:
-    """Raise ValueError for a mode other than ``mode``, another classifier's field, or a linear fit without bias."""
-    if mode is not None and spec.mode != mode:
-        raise ValueError(f"{op} requires mode {mode!r}")
+# which classifier fits which mode, by which public function, with which
+# FitSpec fields; fit, the fits' input checks, fit_spec, the sweep's config
+# and the command line all read this table
+CLASSIFIERS = {
+    "logreg": _Classifier(
+        dict(zip(MODES, ("fit_logreg", "fit_logreg_fair", "fit_logreg_fairness_max", "fit_logreg_fine_grained"))), ("l2_penalty",)
+    ),
+    "linear_svm": _Classifier(dict.fromkeys(MODES[:2], "fit_linear_svm_fair"), ("svm_cost",)),
+    "kernel_svm": _Classifier(dict.fromkeys(MODES[:2], "fit_kernel_svm_fair"), ("svm_cost", "kernel")),
+}
+
+
+def _unsupported(who: str, modes) -> ValueError:
+    return ValueError(f"{who} supports the {' and '.join(modes)} mode" + "s" * (len(modes) > 1))
+
+
+def fit_spec(classifier, mode, value=None, *, l2_penalty, svm_cost, kernel, protected=None, n_rows=0) -> FitSpec:
+    """The FitSpec of one fit of ``classifier``: ``mode`` at the value ``value``.
+
+    ``value`` is the covariance threshold (or vector of thresholds) of a
+    fairness-constrained fit and the loss-budget factor gamma of the two
+    gamma modes; a fine-grained fit gives every one of its ``n_rows`` rows
+    that gamma and keeps the ``protected`` rows positive. Of ``l2_penalty``,
+    ``svm_cost`` and ``kernel`` the spec takes the fields that
+    :data:`CLASSIFIERS` gives the classifier, and of the mode's fields those
+    that ``_MODE_FIELDS`` gives the mode.
+    """
+    given = {"l2_penalty": l2_penalty, "svm_cost": svm_cost, "kernel": kernel}
+    spec = {name: given[name] for name in CLASSIFIERS[classifier].fields}
+    values = (np.full(n_rows, value), protected) if mode == "fine_grained" else (value,)
+    spec.update(zip(_MODE_FIELDS[mode], values))
+    return FitSpec(mode=mode, **spec)
+
+
+def _check_inputs(train: Dataset, spec: FitSpec, op: str) -> None:
+    """Raise ValueError unless :data:`CLASSIFIERS` gives ``spec.mode`` to the fit ``op``.
+
+    Also for another classifier's field, an SVM without ``svm_cost``, and a
+    linear fit without the bias column.
+    """
+    classifier, own = next((name, entry) for name, entry in CLASSIFIERS.items() if op in entry.fits.values())
+    modes = [mode for mode, name in own.fits.items() if name == op]
+    if spec.mode not in modes:
+        raise _unsupported(op, modes)
+    if "svm_cost" in own.fields and spec.svm_cost is None:
+        raise ValueError(f"{op} requires svm_cost")
     if classifier != "kernel_svm" and not train.has_bias_column:
         raise ValueError(f"{op} expects a dataset with the bias column appended")
-    for name, readers in _CLASSIFIER_FIELDS.items():  # FitSpec keeps each default as a class attribute
-        if classifier not in readers and getattr(spec, name) != getattr(FitSpec, name):
-            raise ValueError(f"{name} is not used by {classifier}")
+    for entry in CLASSIFIERS.values():  # FitSpec keeps each default as a class attribute
+        for name in entry.fields:
+            if name not in own.fields and getattr(spec, name) != getattr(FitSpec, name):
+                raise ValueError(f"{name} is not used by {classifier}")
 
 
 def _default_settings(**overrides) -> SolverSettings:
@@ -457,26 +510,19 @@ def _interleave(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return np.stack([first, second], axis=1).reshape(-1, first.shape[1])
 
 
-def _covariance_rows(w: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(A, b) encoding |W theta| <= c for the finite c_k.
-
-    Column k gives the rows +w_k and -w_k, in that order.
-    """
-    finite = np.isfinite(c)
-    a = w[finite]
-    return _unit_rows(_interleave(a, -a), np.repeat(c[finite], 2))
-
-
 def _covariance_split(w: np.ndarray, c: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """|W theta| <= c as ((A, b), E): c_k > 0 rows in A x <= b, c_k = 0 rows in E x = 0.
+    """|W theta| <= c as ((A, b), E) in unit rows: A x <= b for the finite c_k > 0, E x = 0 for the c_k = 0.
 
-    A row of zeros holds at every point (a constant sensitive column gives
-    one), so a c_k = 0 row of zeros is left out; in E it would make the
-    equality system singular.
+    A holds the one side w_k . theta <= c_k of each bound; a fit that poses
+    both sides takes the pairs ``_interleave(A, -A)`` and ``np.repeat(b, 2)``,
+    bitwise the pairs divided by their own norms. A row of zeros holds at
+    every point (a constant sensitive column gives one), so a c_k = 0 row of
+    zeros is left out; in E it would make the equality system singular.
     """
     zero = (c == 0) & np.any(w != 0, axis=1)
     e, _ = _unit_rows(w[zero], np.zeros(np.count_nonzero(zero)))
-    return _covariance_rows(w[c > 0], c[c > 0]), e
+    bounded = (c > 0) & np.isfinite(c)
+    return _unit_rows(w[bounded], c[bounded]), e
 
 
 def _epigraph_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -583,7 +629,7 @@ def fit_logreg(train: Dataset, spec: FitSpec, settings: SolverSettings | None = 
     read-only, so the same object means the same rows.
     """
     global _theta_star_record
-    _check_inputs(train, spec, "fit_logreg", "logreg", "unconstrained")
+    _check_inputs(train, spec, "fit_logreg")
     writes_record = settings is None
     settings = settings or _default_settings()
     ridge = spec.l2_penalty
@@ -622,12 +668,12 @@ def fit_logreg_fair(train: Dataset, spec: FitSpec, settings: SolverSettings | No
     from every constrained optimum; when its ridge is not ``l2_penalty``,
     the solve starts at theta = 0 instead.
     """
-    _check_inputs(train, spec, "fit_logreg_fair", "logreg", "fairness_constrained")
+    _check_inputs(train, spec, "fit_logreg_fair")
     settings = settings or _default_settings()
     c = spec.thresholds_for(train.n_sensitive)
     w = covariance_vectors(train)
-    rows, e = _covariance_split(w, c)
-    equality = (e, np.zeros(e.shape[0]))
+    (a, b), e = _covariance_split(w, c)
+    rows, equality = (_interleave(a, -a), np.repeat(b, 2)), (e, np.zeros(e.shape[0]))
     problem = _logistic_problem(train.features, train.labels, spec.l2_penalty, rows, equality)
     star = _theta_star(train, spec.l2_penalty)
     if star.ridge == spec.l2_penalty:
@@ -730,7 +776,7 @@ def fit_logreg_fairness_max(train: Dataset, spec: FitSpec, settings: SolverSetti
     theta* is optimal. The status, KKT residuals and iterations are the
     record's, those of the unconstrained fit.
     """
-    _check_inputs(train, spec, "fit_logreg_fairness_max", "logreg", "accuracy_constrained")
+    _check_inputs(train, spec, "fit_logreg_fairness_max")
     settings = settings or _default_settings(feasibility_tolerance=3e-9)
     star = _theta_star(train, spec.l2_penalty)
     budget = max((1.0 + spec.gamma) * star.loss, 1e-12)
@@ -835,7 +881,7 @@ def fit_logreg_fine_grained(train: Dataset, spec: FitSpec, settings: SolverSetti
     :func:`fit_logreg`'s theta* record, and fitted first when the record is
     of another training set or ``l2_penalty``.
     """
-    _check_inputs(train, spec, "fit_logreg_fine_grained", "logreg", "fine_grained")
+    _check_inputs(train, spec, "fit_logreg_fine_grained")
     settings = settings or _default_settings(feasibility_tolerance=1e-10)
     gammas = np.asarray(spec.per_point_gammas, dtype=float)
     if gammas.shape != (train.n,):
@@ -878,17 +924,6 @@ def fit_logreg_fine_grained(train: Dataset, spec: FitSpec, settings: SolverSetti
 # SVM fits
 
 
-def _svm_thresholds(train: Dataset, spec: FitSpec, op: str) -> np.ndarray:
-    """Covariance thresholds of an SVM fit: the spec's c, or inf when unconstrained."""
-    if spec.mode not in ("unconstrained", "fairness_constrained"):
-        raise ValueError(f"{op} supports the unconstrained and fairness_constrained modes")
-    if spec.svm_cost is None:
-        raise ValueError(f"{op} requires svm_cost")
-    if spec.mode == "unconstrained":
-        return np.full(train.n_sensitive, np.inf)
-    return spec.thresholds_for(train.n_sensitive)
-
-
 def _exact_hinge(features, labels, w, c, svm_cost, settings) -> tuple[np.ndarray, SolverResult]:
     """theta of the exact-hinge program with its covariance bounds, solved as its Lagrangian dual.
 
@@ -908,6 +943,7 @@ def _exact_hinge(features, labels, w, c, svm_cost, settings) -> tuple[np.ndarray
     """
     n = features.shape[0]
     (cov_a, cov_b), cov_e = _covariance_split(w, c)
+    cov_a, cov_b = _interleave(cov_a, -cov_a), np.repeat(cov_b, 2)
     *_, basis = _null_space_svd(cov_e)
     scale = math.sqrt(n / 2.0)
     v = (np.vstack([labels[:, None] * features, -cov_a]) @ basis) * scale
@@ -918,7 +954,7 @@ def _exact_hinge(features, labels, w, c, svm_cost, settings) -> tuple[np.ndarray
         box=(np.zeros(n + m), np.concatenate([np.full(n, svm_cost / n), np.full(m, np.inf)])),
     )
     result = solve_qp(problem, settings)
-    return scale * (basis @ rmatvec(v, result.point)), result
+    return scale * (basis @ (v.T @ result.point)), result
 
 
 def fit_linear_svm_fair(train: Dataset, spec: FitSpec, settings: SolverSettings | None = None) -> LinearModel:
@@ -932,8 +968,8 @@ def fit_linear_svm_fair(train: Dataset, spec: FitSpec, settings: SolverSettings 
     ``objective`` is the hinge objective at theta, and ``total_slack`` the
     sum of max(0, 1 - y m) there.
     """
-    c = _svm_thresholds(train, spec, "fit_linear_svm_fair")
-    _check_inputs(train, spec, "fit_linear_svm_fair", "linear_svm")
+    _check_inputs(train, spec, "fit_linear_svm_fair")
+    c = spec.thresholds_for(train.n_sensitive)
     settings = settings or _default_settings()
     features, labels = train.features, train.labels
     w = covariance_vectors(train)
@@ -978,8 +1014,8 @@ def fit_kernel_svm_fair(train: Dataset, spec: FitSpec, settings: SolverSettings 
     ``objective`` in its ``training_meta`` are those of the stored
     coefficients, the objective on the factor.
     """
-    c = _svm_thresholds(train, spec, "fit_kernel_svm_fair")
-    _check_inputs(train, spec, "fit_kernel_svm_fair", "kernel_svm")
+    _check_inputs(train, spec, "fit_kernel_svm_fair")
+    c = spec.thresholds_for(train.n_sensitive)
     settings = settings or _default_settings(feasibility_tolerance=1e-10)
     features, labels = train.features, train.labels
     n = train.n
@@ -994,11 +1030,11 @@ def fit_kernel_svm_fair(train: Dataset, spec: FitSpec, settings: SolverSettings 
     cov_rows = (_kernel_product(kernel, features, features, centered) / n).T * labels[None, :]
 
     # sum(alpha * y) = 0 and the c_k = 0 bounds are equalities; a c_k > 0
-    # bound keeps the +a_k row of its pair, as a_k . alpha - s_k = 0 on a
-    # slack s_k in [-b_k, b_k]. Without slacks V goes unpadded: a padded
-    # copy changes its memory layout, and the iterates' last bits with it
-    (cov_a, cov_b), cov_e = _covariance_split(cov_rows, c)
-    a, b, m = cov_a[::2], cov_b[::2], cov_b.size // 2
+    # bound is a_k . alpha - s_k = 0 on a slack s_k in [-b_k, b_k]. Without
+    # slacks V goes unpadded: a padded copy changes its memory layout, and
+    # the iterates' last bits with it
+    (a, b), cov_e = _covariance_split(cov_rows, c)
+    m = b.size
     equality = np.vstack([labels / math.sqrt(n), cov_e])
     q_factor = (delta, v)
     if m:
@@ -1051,33 +1087,25 @@ def fit_kernel_svm_fair(train: Dataset, spec: FitSpec, settings: SolverSettings 
 # ---------------------------------------------------------------------------
 # dispatch
 
-# logistic fit per mode, by name
-_LOGREG_FITS = {
-    "unconstrained": "fit_logreg",
-    "fairness_constrained": "fit_logreg_fair",
-    "accuracy_constrained": "fit_logreg_fairness_max",
-    "fine_grained": "fit_logreg_fine_grained",
-}
-
 
 def fit(train: Dataset, classifier: str, spec: FitSpec, settings: SolverSettings | None = None):
     """Fit ``classifier`` (logreg, linear_svm or kernel_svm) in ``spec.mode``.
 
-    Calls the public fit function of the pair, looked up by name at call time
-    so that a rebinding of that name is the one called.
+    Calls the public fit function that :data:`CLASSIFIERS` names for the
+    pair, looked up by name at call time so that a rebinding of that name is
+    the one called.
     """
-    if classifier == "logreg":
-        name = _LOGREG_FITS[spec.mode]
-    elif classifier in ("linear_svm", "kernel_svm"):
-        name = f"fit_{classifier}_fair"
-    else:
+    if classifier not in CLASSIFIERS:
         raise ValueError(f"unknown classifier {classifier!r}")
-    return globals()[name](train, spec, settings)
+    fits = CLASSIFIERS[classifier].fits
+    if spec.mode not in fits:
+        raise _unsupported(classifier, fits)
+    return globals()[fits[spec.mode]](train, spec, settings)
 
 
 def protected_rows(baseline: LinearModel | KernelModel, train: Dataset, group: int) -> np.ndarray:
     """Rows of ``group`` (first sensitive column) that ``baseline`` classifies as positive."""
-    positive = decision_values(baseline, train.features) >= 0
+    positive = sign_rule(decision_values(baseline, train.features)) == 1
     return np.flatnonzero(positive & (train.sensitive[:, 0] == group))
 
 
@@ -1100,8 +1128,8 @@ def decision_values(model: LinearModel | KernelModel, features: np.ndarray) -> n
 
 
 def predict(model: LinearModel | KernelModel, features: np.ndarray) -> np.ndarray:
-    """±1 predictions; a distance of exactly zero maps to +1."""
-    return np.where(decision_values(model, features) >= 0, 1, -1)
+    """±1 predictions by :func:`~fairclf.metrics.sign_rule`; a distance of exactly zero maps to +1."""
+    return sign_rule(decision_values(model, features))
 
 
 # ---------------------------------------------------------------------------

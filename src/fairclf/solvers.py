@@ -54,8 +54,9 @@ with numpy, the pool that the callers' own products (covariances, decision
 values, scoring) use too; only its d x d Newton factor is scipy's LAPACK.
 :func:`solve_qp` needs LAPACK's Cholesky and triangular solves for its
 Woodbury core at every iteration, which numpy does not have, so its
-products go through :func:`matvec`, :func:`rmatvec` and :func:`dot` on
-scipy's BLAS.
+products go through its private helpers :func:`_matvec`, :func:`_rmatvec`
+and :func:`_dot` on scipy's BLAS. No other module names them or a BLAS
+routine: the rest of the package, the fits' set-up included, uses numpy's.
 """
 
 from __future__ import annotations
@@ -78,11 +79,8 @@ __all__ = [
     "SmoothProblem",
     "SolverResult",
     "SolverSettings",
-    "dot",
     "kkt_residuals",
-    "matvec",
     "minimize_smooth",
-    "rmatvec",
     "solve_qp",
     "weighted_gram",
 ]
@@ -310,7 +308,7 @@ def _blas_layout(a: np.ndarray) -> tuple[np.ndarray, int] | None:
     return None
 
 
-def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``a @ x`` on scipy's BLAS (on numpy's for a layout dgemv would copy)."""
     layout = _blas_layout(a)
     if layout is None:
@@ -319,7 +317,7 @@ def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return dgemv(1.0, f, x, trans=trans)
 
 
-def rmatvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _rmatvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``a.T @ v`` on scipy's BLAS (on numpy's for a layout dgemv would copy)."""
     layout = _blas_layout(a)
     if layout is None:
@@ -328,7 +326,7 @@ def rmatvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return dgemv(1.0, f, v, trans=1 - trans)
 
 
-def dot(u: np.ndarray, v: np.ndarray) -> float:
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
     """``u @ v`` of two float vectors on scipy's BLAS."""
     return float(ddot(u, v)) if u.size else 0.0
 
@@ -510,19 +508,19 @@ class _CompiledQP:
         return out
 
     def q_times(self, x: np.ndarray) -> np.ndarray:
-        return self.delta * x + matvec(self.v, rmatvec(self.v, x))
+        return self.delta * x + _matvec(self.v, _rmatvec(self.v, x))
 
     def objective(self, x: np.ndarray) -> float:
-        return 0.5 * dot(x, self.q_times(x)) + dot(self.c, x)
+        return 0.5 * _dot(x, self.q_times(x)) + _dot(self.c, x)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self.q_times(x) + self.c
 
     def residuals(self, x: np.ndarray, y: np.ndarray) -> KKTResiduals:
         """Box-projected stationarity of Q x + c + E'y, and the worst of |E x - f| and of the box's violation; there is no comp-slack."""
-        grad = self.gradient(x) + rmatvec(self.e, y)
+        grad = self.gradient(x) + _rmatvec(self.e, y)
         stationarity = float(np.max(np.abs(x - np.clip(x - grad, self.lo, self.hi)))) if x.size else 0.0
-        equality = float(np.max(np.abs(matvec(self.e, x) - self.f), initial=0.0))
+        equality = float(np.max(np.abs(_matvec(self.e, x) - self.f), initial=0.0))
         box = float(np.max(np.maximum(self.lo - x, x - self.hi), initial=0.0))
         return KKTResiduals(stationarity, max(equality, box), 0.0)
 
@@ -966,14 +964,14 @@ class _NewtonSystem:
     def _solve_h(self, b: np.ndarray) -> np.ndarray:
         """H^-1 b = D^-1/2 (I - S (I + S'S)^-1 S') D^-1/2 b, with D + _PROXIMAL for D."""
         t = self.root * b
-        return self.root * (t - matvec(self.scaled, self.core(rmatvec(self.scaled, t))))
+        return self.root * (t - _matvec(self.scaled, self.core(_rmatvec(self.scaled, t))))
 
     def _solve_once(self, rhs: np.ndarray, r_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u = self._solve_h(rhs)
         if not self.e.shape[0]:
             return u, np.zeros(0)
-        dy = self.schur(matvec(self.e, u) + r_e)
-        return u - matvec(self.h_inv_et, dy), dy
+        dy = self.schur(_matvec(self.e, u) + r_e)
+        return u - _matvec(self.h_inv_et, dy), dy
 
     def solve(self, rhs: np.ndarray, r_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(dx, dy) with H dx + E'dy = rhs and E dx = -r_e."""
@@ -981,8 +979,8 @@ class _NewtonSystem:
         # refinement: box weights that have spread over many orders of
         # magnitude leave the range-space solve above inaccurate, and one
         # correction by the residual of the model system restores the step
-        h_dx = self.diagonal * dx + matvec(self.v, rmatvec(self.v, dx))
-        ddx, ddy = self._solve_once(rhs - h_dx - rmatvec(self.e, dy), r_e + matvec(self.e, dx))
+        h_dx = self.diagonal * dx + _matvec(self.v, _rmatvec(self.v, dx))
+        ddx, ddy = self._solve_once(rhs - h_dx - _rmatvec(self.e, dy), r_e + _matvec(self.e, dx))
         return dx + ddx, dy + ddy
 
 
@@ -1013,10 +1011,10 @@ def _solve_ipm(qp: _CompiledQP, settings: SolverSettings) -> SolverResult:
     previous_primal = np.inf
     iteration = 0
     while True:
-        r_d = qp.gradient(x) + qp.bounds_transpose(z) + rmatvec(e, y)
+        r_d = qp.gradient(x) + qp.bounds_transpose(z) + _rmatvec(e, y)
         r_p = qp.bounds(x) + s - h
-        r_e = matvec(e, x) - f
-        mu_gap = dot(s, z) / n_ineq if n_ineq else 0.0
+        r_e = _matvec(e, x) - f
+        mu_gap = _dot(s, z) / n_ineq if n_ineq else 0.0
 
         point = np.clip(x, qp.lo, qp.hi)
         kkt = qp.residuals(point, y)
@@ -1049,7 +1047,7 @@ def _solve_ipm(qp: _CompiledQP, settings: SolverSettings) -> SolverResult:
         # predictor: the pure Newton (affine-scaling) step
         _, ds_aff, dz_aff, _ = direction(s * z)
         step = min(1.0, _max_step(s, ds_aff), _max_step(z, dz_aff))
-        sigma = (dot(s + step * ds_aff, z + step * dz_aff) / n_ineq / mu_gap) ** 3 if n_ineq else 0.0
+        sigma = (_dot(s + step * ds_aff, z + step * dz_aff) / n_ineq / mu_gap) ** 3 if n_ineq else 0.0
         # corrector: centring plus the second-order term of the predictor
         dx, ds, dz, dy = direction(s * z + ds_aff * dz_aff - sigma * mu_gap)
         step = min(1.0, _STEP_TO_BOUNDARY * min(_max_step(s, ds), _max_step(z, dz)))

@@ -27,10 +27,10 @@ import numpy as np
 
 from .data import Dataset, SplitPlan, append_bias, read_dataset_csv, split, standardize_columns
 from .ingest import load_adult, load_bank
-from .metrics import FairnessReport, audit
-from .models import FitSpec, KernelModel, KernelSpec, LinearModel, decision_values, fit, protected_rows
+from .metrics import FairnessReport, score
+from .models import CLASSIFIERS, MODES, KernelModel, KernelSpec, LinearModel, decision_values, fit, fit_spec, protected_rows
 
-__all__ = ["CellResult", "ExperimentConfig", "SweepResult", "config_from_json", "emit_results", "grid_spec", "run_sweep"]
+__all__ = ["CellResult", "ExperimentConfig", "SweepResult", "config_from_json", "emit_results", "run_sweep"]
 
 log = logging.getLogger(__name__)
 
@@ -47,7 +47,8 @@ class ExperimentConfig:
     mode. ``protect_group`` selects which sensitive value (of the first
     sensitive column) receives the hard non-flip constraints in fine-grained
     sweeps; the protected rows are those of that group that the baseline
-    classifies as positive.
+    classifies as positive. The classifier must have a fit for the mode in
+    :data:`~fairclf.models.CLASSIFIERS`.
     """
 
     dataset: dict
@@ -69,11 +70,13 @@ class ExperimentConfig:
             raise ValueError("exactly one non-empty grid (a_factors, c_values or gammas) is required")
         if self.mode == "fairness_constrained" and self.gammas:
             raise ValueError("fairness_constrained sweeps take a_factors or c_values, not gammas")
-        if self.mode in ("accuracy_constrained", "fine_grained"):
-            if not self.gammas:
-                raise ValueError(f"{self.mode} sweeps take a gammas grid")
-            if self.classifier != "logreg":
-                raise ValueError(f"{self.mode} sweeps are defined for the logreg classifier")
+        if self.mode in ("accuracy_constrained", "fine_grained") and not self.gammas:
+            raise ValueError(f"{self.mode} sweeps take a gammas grid")
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}")
+        readers = [name for name, entry in CLASSIFIERS.items() if self.mode in entry.fits]
+        if self.classifier not in readers:
+            raise ValueError(f"{self.mode} sweeps are defined for the {' or '.join(readers)} classifier, not {self.classifier!r}")
         if self.protect_group not in (0, 1):
             raise ValueError("protect_group must be 0 or 1")
 
@@ -163,27 +166,6 @@ def config_from_json(payload: dict) -> ExperimentConfig:
     return ExperimentConfig(**document)
 
 
-def grid_spec(classifier, mode, value=None, *, l2_penalty, svm_cost, kernel, protected=None, n_rows=0) -> FitSpec:
-    """The FitSpec of one fit: ``mode`` at the grid value ``value``.
-
-    ``value`` is the covariance threshold (or vector of thresholds) of a
-    fairness-constrained fit and the loss-budget factor gamma of the two
-    gamma modes; a fine-grained fit gives every one of its ``n_rows`` rows
-    that gamma and keeps the ``protected`` rows positive. A logreg fit takes
-    ``l2_penalty``, an SVM ``svm_cost``, and the kernel SVM also ``kernel``.
-    """
-    spec = {"l2_penalty": l2_penalty} if classifier == "logreg" else {"svm_cost": svm_cost}
-    if classifier == "kernel_svm":
-        spec["kernel"] = kernel
-    if mode == "fairness_constrained":
-        spec["covariance_thresholds"] = value
-    elif mode == "accuracy_constrained":
-        spec["gamma"] = value
-    elif mode == "fine_grained":
-        spec.update(per_point_gammas=np.full(n_rows, value), protected_index_set=protected)
-    return FitSpec(mode=mode, **spec)
-
-
 @dataclass(frozen=True)
 class _Outcome:
     """One fit attempt: the model, or the exception that stopped it, and the seconds it took."""
@@ -198,7 +180,7 @@ def _fit_or_reuse(config: ExperimentConfig, train: Dataset, mode, value=None, pr
     start = time.perf_counter()
     try:
         settings = {"l2_penalty": config.l2_penalty, "svm_cost": config.svm_cost, "kernel": config.kernel}
-        spec = grid_spec(config.classifier, mode, value, protected=protected, n_rows=train.n, **settings)
+        spec = fit_spec(config.classifier, mode, value, protected=protected, n_rows=train.n, **settings)
         if zero is not None and not np.any(spec.thresholds_for(train.n_sensitive)):
             return zero
         return _Outcome(fit(train, config.classifier, spec), None, time.perf_counter() - start)
@@ -207,12 +189,8 @@ def _fit_or_reuse(config: ExperimentConfig, train: Dataset, mode, value=None, pr
 
 
 def _score(model, *splits: Dataset) -> list:
-    """(sign-rule accuracy, fairness audit) of each split, from one decision_values call per split."""
-    scores = []
-    for rows in splits:
-        distances = decision_values(model, rows.features)
-        scores.append((float(np.mean(np.where(distances >= 0, 1, -1) == rows.labels)), audit(distances, rows)))
-    return scores
+    """:func:`~fairclf.metrics.score` of each split, from one decision_values call per split."""
+    return [score(decision_values(model, rows.features), rows) for rows in splits]
 
 
 def _record(cell_index, params, outcome: _Outcome, train, test, baseline: dict) -> CellResult:

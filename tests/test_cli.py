@@ -351,6 +351,19 @@ class TestSweepCommand:
         assert capsys.readouterr().err.strip() == "error: unknown sweep config key(s): 'l2'"
         assert not (tmp_path / "results").exists()
 
+    def test_seed_flag_edits_dataset_and_split_seeds(self, tmp_path):
+        # --seed N runs the config whose dataset.seed and split.seed read N
+        payload = self.config_payload(tmp_path)
+        edited = dict(payload, dataset=dict(payload["dataset"], seed=7), split=dict(payload["split"], seed=7))
+        runs = {}
+        for name, document, flags in (("flag", payload, ["--seed", "7"]), ("hand", edited, []), ("parent", payload, [])):
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps(document))
+            assert cli_main(["sweep", "--config", str(config), "--out", str(tmp_path / name)] + flags) == 0
+            runs[name] = (tmp_path / name / "results.csv").read_bytes()
+        assert runs["flag"] == runs["hand"]
+        assert runs["flag"] != runs["parent"]
+
     def test_flag_overrides_output(self, tmp_path):
         config = tmp_path / "config.json"
         payload = self.config_payload(tmp_path)

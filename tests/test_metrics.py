@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairclf.data import Dataset
-from fairclf.metrics import audit, boundary_covariance, cv_score, p_percent_rule
+from fairclf.metrics import audit, boundary_covariance, cv_score, p_percent_rule, score, sign_rule
 
 
 class TestBoundaryCovariance:
@@ -151,6 +151,15 @@ class TestAudit:
         ds = self.make_dataset([0, 1])
         report = audit(np.array([0.0, -0.1]), ds)
         assert report.group_positive_rates["z"] == (0.0, 1.0)
+
+    def test_score_is_sign_rule_accuracy_and_audit(self):
+        # labels +1, -1, +1, -1; a distance of exactly zero decides +1
+        ds = self.make_dataset([0, 1, 0, 1])
+        d = np.array([0.0, -0.0, -2.0, 3.0])
+        np.testing.assert_array_equal(sign_rule(d), [1, 1, -1, 1])
+        accuracy, report = score(d, ds)
+        assert accuracy == 0.25
+        assert report == audit(d, ds)
 
     def test_one_rate_pass_per_column_agrees_with_the_public_metrics(self, monkeypatch):
         from fairclf import metrics

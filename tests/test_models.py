@@ -12,10 +12,9 @@ from fairclf.data import Dataset, append_bias
 from fairclf.metrics import audit
 from fairclf.models import (
     FitSpec,
-    _covariance_rows,
     _covariance_split,
     _epigraph_rows,
-    _log1pexp,
+    _interleave,
     _margin_bound,
     _margin_rows,
     KernelModel,
@@ -268,6 +267,8 @@ class TestLogisticOracle:
 
 
 class TestLog1pExp:
+    """The per-point loss log(1 + e^t), at t = -m, of :func:`per_point_logistic_loss`."""
+
     def test_bitwise_equal_to_two_branch_formula(self):
         def two_branch(t):
             out = np.empty_like(t)
@@ -280,7 +281,9 @@ class TestLog1pExp:
         edges = np.concatenate([edges, -edges, [np.inf, -np.inf]])
         draw = np.random.default_rng(0).normal(scale=30.0, size=100_000)
         for t in (edges, draw):
-            np.testing.assert_array_equal(_log1pexp(t).view(np.int64), two_branch(t).view(np.int64))
+            # one feature of value t with theta = 1 and label -1: the margin is exactly -t
+            losses = per_point_logistic_loss(np.ones(1), t[:, None], -np.ones(t.size))
+            np.testing.assert_array_equal(losses.view(np.int64), two_branch(t).view(np.int64))
 
 
 class TestMarginBound:
@@ -289,7 +292,8 @@ class TestMarginBound:
         # is -inf past b ~ 710
         budget = np.logspace(-12, 3, 2001)
         margin = _margin_bound(budget)
-        np.testing.assert_allclose(_log1pexp(-margin), budget, rtol=1e-12, atol=0.0)
+        losses = per_point_logistic_loss(np.ones(1), margin[:, None], np.ones(margin.size))
+        np.testing.assert_allclose(losses, budget, rtol=1e-12, atol=0.0)
         assert np.all(np.diff(margin) < 0)
 
 
@@ -895,12 +899,13 @@ class TestConstraintRows:
         for k in (0, 1, 3):
             rows += [(w[k], c[k]), (-w[k], c[k])]
         want_a, want_b = unit_rows_reference(rows)
-        got_a, got_b = _covariance_rows(w, c)
-        assert got_a.tobytes() == want_a.tobytes() and got_b.tobytes() == want_b.tobytes()
-        # c > 0 rows stay inequalities; the c = 0 row of zeros is left out of E
+        # c > 0 rows stay inequalities, one side each; the c = 0 row of zeros is left out of E
         (ineq_a, ineq_b), e = _covariance_split(w, c)
-        assert ineq_a.tobytes() == want_a[2:4].tobytes() and ineq_b.tobytes() == want_b[2:4].tobytes()
+        assert ineq_a.tobytes() == want_a[2:3].tobytes() and ineq_b.tobytes() == want_b[2:3].tobytes()
         assert e.tobytes() == want_a[:1].tobytes()
+        # the +/- pairs the fits pose are the pairs divided by their own norms, bit for bit
+        pairs_a, pairs_b = _interleave(ineq_a, -ineq_a), np.repeat(ineq_b, 2)
+        assert pairs_a.tobytes() == want_a[2:4].tobytes() and pairs_b.tobytes() == want_b[2:4].tobytes()
 
     def test_epigraph_rows(self):
         w = np.random.default_rng(13).normal(size=(3, 9))

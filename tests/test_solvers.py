@@ -21,11 +21,11 @@ from fairclf.solvers import (
     QuadraticProblem,
     SmoothProblem,
     SolverSettings,
-    dot,
+    _dot,
+    _matvec,
+    _rmatvec,
     kkt_residuals,
-    matvec,
     minimize_smooth,
-    rmatvec,
     solve_qp,
 )
 from fairclf.synth import SynthConfig, gen_linear_synthetic
@@ -616,17 +616,17 @@ def _layouts() -> dict:
 
 
 class TestBlasHelpers:
-    """matvec, rmatvec and dot: solve_qp's products on scipy's BLAS, and the kernel factor's."""
+    """_matvec, _rmatvec and _dot: solve_qp's products on scipy's BLAS."""
 
     @pytest.mark.parametrize("layout", ["C", "F", "row_subset", "zero_rows"])
     def test_match_numpy(self, layout):
         a = _layouts()[layout]
         rng = np.random.default_rng(4)
         theta, v = rng.random(a.shape[1]), rng.random(a.shape[0])
-        for got, want in ((matvec(a, theta), a @ theta), (rmatvec(a, v), a.T @ v)):
+        for got, want in ((_matvec(a, theta), a @ theta), (_rmatvec(a, v), a.T @ v)):
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-        assert dot(v, v) == pytest.approx(float(v @ v), rel=1e-12, abs=0)
+        assert _dot(v, v) == pytest.approx(float(v @ v), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("layout", ["C", "F", "row_subset"])
     def test_no_copy_of_the_matrix(self, layout):
@@ -634,8 +634,8 @@ class TestBlasHelpers:
         theta, v = np.ones(a.shape[1]), np.ones(a.shape[0])
         tracemalloc.start()
         try:
-            matvec(a, theta)
-            rmatvec(a, v)
+            _matvec(a, theta)
+            _rmatvec(a, v)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -87,6 +87,30 @@ def test_only_the_solvers_import_scipy():
     assert importers and all(entry.startswith("solvers.py:") for entry in importers), importers
 
 
+# solve_qp's products on scipy's BLAS, its private helpers and the routines under them
+BLAS_NAMES = {"matvec", "rmatvec", "dot", "_matvec", "_rmatvec", "_dot", "ddot", "dgemv", "dgemm", "dsyrk"}
+
+
+def test_only_the_solvers_name_the_blas():
+    # only solve_qp runs on scipy's BLAS pool; every other module multiplies
+    # with numpy's @, so no fit hands a product to the pool that solve_qp
+    # alone needs
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, (ast.alias, ast.FunctionDef)):
+                name = node.name
+            else:
+                continue
+            if name in BLAS_NAMES:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}:{name}")
+    assert found and all(entry.startswith("solvers.py:") for entry in found), found
+
+
 def _python(code: str, *args: str) -> str:
     """Run ``code`` with ``args`` in a fresh interpreter that imports fairclf from this tree; its stripped stdout."""
     src = str(SOURCES[0].parent.parent)

@@ -1,14 +1,18 @@
+import csv
 import json
 import logging
+import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fairclf.data import SplitPlan, append_bias, split, standardize_columns
+from fairclf.cli import cli_main
+from fairclf.data import SplitPlan, append_bias, read_dataset_csv, split, standardize_columns, write_dataset_csv
 from fairclf.metrics import audit
-from fairclf.models import FitSpec, decision_values, fit_logreg_fair
-from fairclf.sweep import ExperimentConfig, SweepResult, emit_results, run_sweep
+from fairclf.models import FitSpec, decision_values, fit_logreg, fit_logreg_fair
+from fairclf.sweep import ExperimentConfig, SweepResult, emit_results, load_dataset, run_sweep
 
 from conftest import count_smooth_solves
 
@@ -45,6 +49,12 @@ class TestConfigValidation:
             fairness_config(
                 mode="accuracy_constrained", a_factors=None, gammas=(0.1,), classifier="linear_svm"
             )
+
+    def test_unknown_mode_and_classifier_are_named(self):
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            fairness_config(mode="bogus")
+        with pytest.raises(ValueError, match="not 'forest'"):
+            fairness_config(classifier="forest")
 
 
 @pytest.fixture(scope="module")
@@ -283,3 +293,120 @@ def test_fine_grained_sweep_certifies_every_gamma():
     assert len(cells) == 7 * 2
     uncertified = [(c.repeat, c.params) for c in cells if c.status != "converged"]
     assert not uncertified
+
+
+def _gen_csv(path, n=300):
+    """The CSV that ``fairclf gen`` writes: features, label and z, no bias column."""
+    assert cli_main(["gen", "--variant", "linear", "--phi", "0.7853981634", "--n", str(n), "--seed", "4", "--out", str(path)]) == 0
+    return path
+
+
+def _csv_rows(path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+class TestCsvSource:
+    def test_gen_csv_gets_its_bias_column(self, tmp_path):
+        path = _gen_csv(tmp_path / "data.csv")
+        plain = read_dataset_csv(path)
+        assert not plain.has_bias_column
+        dataset = load_dataset({"kind": "csv", "path": str(path)})
+        assert dataset.has_bias_column and dataset.feature_names == plain.feature_names + ("bias",)
+        np.testing.assert_array_equal(dataset.features, append_bias(plain).features)
+
+    def test_csv_with_a_bias_column_keeps_it(self, tmp_path):
+        path = tmp_path / "biased.csv"
+        write_dataset_csv(append_bias(read_dataset_csv(_gen_csv(tmp_path / "data.csv"))), path)
+        dataset = load_dataset({"kind": "csv", "path": str(path)})
+        assert dataset.has_bias_column and dataset.feature_names == ("x1", "x2", "bias")
+        np.testing.assert_array_equal(dataset.features, read_dataset_csv(path).features)
+
+    def test_unknown_kind_is_named(self):
+        with pytest.raises(ValueError, match="unknown dataset kind 'parquet'"):
+            load_dataset({"kind": "parquet", "path": "data.parquet"})
+
+
+def test_c_values_sweep_emits_one_column_per_threshold(tmp_path):
+    # two sensitive columns, so each explicit threshold vector has two entries
+    dataset = read_dataset_csv(_gen_csv(tmp_path / "data.csv"))
+    w = np.random.default_rng(5).integers(0, 2, dataset.n).astype(float)
+    two = replace(dataset, sensitive=np.column_stack([dataset.sensitive[:, 0], w]), sensitive_names=("z", "w"))
+    write_dataset_csv(two, tmp_path / "two.csv")
+    config = fairness_config(
+        dataset={"kind": "csv", "path": str(tmp_path / "two.csv")},
+        split=SplitPlan(train_fraction=0.7, repeats=1, seed=3),
+        a_factors=None,
+        c_values=((0.05, 0.3), 0.02, (0.0, 0.0)),
+    )
+    emit_results(run_sweep(config), tmp_path / "out")
+    rows = _csv_rows(tmp_path / "out" / "results.csv")
+    assert [(row["c_z"], row["c_w"]) for row in rows] == [("0.05", "0.3"), ("0.02", "0.02"), ("0", "0")]
+    assert not {"a", "c", "gamma"} & set(rows[0])
+    assert all(row["status"] == "converged" for row in rows)
+    figures = sorted((tmp_path / "out").glob("fig_*.csv"))
+    assert len(figures) == 4
+    for figure in figures:
+        series = _csv_rows(figure)
+        assert [entry["c"] for entry in series] == ["0.05", "0.02", "0"], figure.name
+
+
+class TestFailurePaths:
+    config = dict(split=SplitPlan(train_fraction=0.7, repeats=1, seed=3), a_factors=(1.0, 0.5, 0.0))
+
+    def test_failed_baseline_stops_the_sweep(self, monkeypatch):
+        import fairclf.models
+
+        def refuse(train, spec, settings=None):
+            raise RuntimeError("no baseline")
+
+        monkeypatch.setattr(fairclf.models, "fit_logreg", refuse)
+        with pytest.raises(RuntimeError, match="no baseline"):
+            run_sweep(fairness_config(**self.config))
+
+    def test_cell_whose_audit_raises_is_recorded(self, monkeypatch):
+        # the audit refuses the repeat's c=0 model, which only the a=0 cell scores
+        import fairclf.metrics
+        import fairclf.models
+
+        zero, original_fit, original_audit = [], fairclf.models.fit_logreg_fair, fairclf.metrics.audit
+
+        def fit_and_keep_zero(train, spec, settings=None):
+            model = original_fit(train, spec, settings)
+            if not np.any(spec.thresholds_for(train.n_sensitive)):
+                zero.append(model)
+            return model
+
+        def refuse_zero(distances, dataset):
+            if zero and np.array_equal(distances, decision_values(zero[0], dataset.features)):
+                raise ValueError("forced audit failure")
+            return original_audit(distances, dataset)
+
+        monkeypatch.setattr(fairclf.models, "fit_logreg_fair", fit_and_keep_zero)
+        monkeypatch.setattr(fairclf.metrics, "audit", refuse_zero)
+        result = run_sweep(fairness_config(**self.config))
+        assert [cell.status for cell in result.cells] == ["converged", "converged", "error: forced audit failure"]
+        failed = result.cells[-1]
+        assert failed.train_report is None and failed.test_report is None
+        fields = (failed.train_accuracy, failed.test_accuracy, failed.train_loss, failed.relative_loss)
+        assert all(math.isnan(value) for value in fields)
+        assert (result.cells_failed, result.cells_uncertified) == (1, 0)
+        assert result.baselines[0]["loss_zero"] is not None  # the c=0 fit itself succeeded
+
+    def test_relative_loss_is_zero_without_a_conflict(self, monkeypatch):
+        # a c=0 fit whose loss does not exceed L* leaves nothing to normalise by
+        import fairclf.models
+
+        original = fairclf.models.fit_logreg_fair
+
+        def unconstrained_at_zero(train, spec, settings=None):
+            if np.any(spec.thresholds_for(train.n_sensitive)):
+                return original(train, spec, settings)
+            return fit_logreg(train, FitSpec(mode="unconstrained"))
+
+        monkeypatch.setattr(fairclf.models, "fit_logreg_fair", unconstrained_at_zero)
+        result = run_sweep(fairness_config(**self.config))
+        baseline = result.baselines[0]
+        assert baseline["loss_zero"] == baseline["loss_star"]
+        assert [cell.relative_loss for cell in result.cells] == [0.0, 0.0, 0.0]
+        assert all(cell.status == "converged" for cell in result.cells)
