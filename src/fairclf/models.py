@@ -45,6 +45,7 @@ from .solvers import (
     SolverResult,
     SolverSettings,
     _null_space_svd,
+    kkt_residuals,
     minimize_smooth,
     solve_qp,
     weighted_gram,
@@ -156,9 +157,18 @@ class FitSpec:
             raise ValueError("per_point_gammas must be >= 0 (or inf), not NaN")
 
     def thresholds_for(self, n_sensitive: int) -> np.ndarray:
-        """The bound c_k of each of ``n_sensitive`` columns: the spec's thresholds, or inf (no bound) without them."""
-        given = np.inf if self.covariance_thresholds is None else self.covariance_thresholds
-        c = np.broadcast_to(np.asarray(given, dtype=float), (n_sensitive,)).copy()
+        """The bound c_k of each of ``n_sensitive`` columns: the spec's thresholds, or inf (no bound) without them.
+
+        One value serves every column; otherwise there must be one per
+        column, in a flat list.
+        """
+        given = np.asarray(np.inf if self.covariance_thresholds is None else self.covariance_thresholds, dtype=float)
+        if given.ndim > 1 or given.size not in (1, n_sensitive):
+            raise ValueError(
+                f"{given.size} covariance thresholds given (shape {given.shape}) for {n_sensitive} sensitive columns: "
+                "give one value, or a flat list of one per column"
+            )
+        c = np.broadcast_to(given, (n_sensitive,)).copy()
         if np.any(np.isnan(c)) or np.any(c < 0):
             raise ValueError("covariance thresholds must be >= 0")
         return c
@@ -510,19 +520,33 @@ def _interleave(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return np.stack([first, second], axis=1).reshape(-1, first.shape[1])
 
 
-def _covariance_split(w: np.ndarray, c: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """|W theta| <= c as ((A, b), E) in unit rows: A x <= b for the finite c_k > 0, E x = 0 for the c_k = 0.
+def _bounded(c: np.ndarray) -> np.ndarray:
+    """The columns whose bound |w_k . theta| <= c_k is an inequality: finite c_k > 0."""
+    return (c > 0) & np.isfinite(c)
+
+
+def _covariance_split(w: np.ndarray, c: np.ndarray, sides: np.ndarray | None = None) -> tuple[tuple, tuple]:
+    """|W theta| <= c as ((A, b), (E, f)) in unit rows: A x <= b for the finite c_k > 0, E x = f for the c_k = 0.
 
     A holds the one side w_k . theta <= c_k of each bound; a fit that poses
     both sides takes the pairs ``_interleave(A, -A)`` and ``np.repeat(b, 2)``,
     bitwise the pairs divided by their own norms. A row of zeros holds at
     every point (a constant sensitive column gives one), so a c_k = 0 row of
     zeros is left out; in E it would make the equality system singular.
+
+    ``sides``, one entry per column, pins each bounded column k with
+    sides[k] = s_k = +-1 to the face s_k w_k . theta = c_k: its unit row,
+    times s_k, leaves A and follows the c_k = 0 rows in E, in column order,
+    with c_k over the norm in f. Without pins f is zero.
     """
     zero = (c == 0) & np.any(w != 0, axis=1)
-    e, _ = _unit_rows(w[zero], np.zeros(np.count_nonzero(zero)))
-    bounded = (c > 0) & np.isfinite(c)
-    return _unit_rows(w[bounded], c[bounded]), e
+    e, f = _unit_rows(w[zero], np.zeros(np.count_nonzero(zero)))
+    pinned = np.zeros(c.shape, dtype=bool) if sides is None else sides != 0
+    free = _bounded(c) & ~pinned
+    if pinned.any():
+        face, bound = _unit_rows(w[pinned], c[pinned])
+        e, f = np.vstack([e, face * sides[pinned, None]]), np.concatenate([f, bound])
+    return _unit_rows(w[free], c[free]), (e, f)
 
 
 def _epigraph_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -650,13 +674,12 @@ def fit_logreg(train: Dataset, spec: FitSpec, settings: SolverSettings | None = 
 def fit_logreg_fair(train: Dataset, spec: FitSpec, settings: SolverSettings | None = None) -> LinearModel:
     """Logistic regression under |covariance_k| <= c_k (mode ``fairness_constrained``).
 
-    A c_k > 0 column gives the inequality rows w_k . theta <= c_k and
-    -w_k . theta <= c_k; a c_k = 0 column gives the equality w_k . theta = 0,
-    which the solver eliminates exactly, so such a covariance is zero to
-    rounding. With every c_k = 0 the fit is one damped Newton run on the
-    null space of W, with the loss Hessian X' diag(s(1 - s)) X / n +
-    2 l2_penalty / n I projected onto it; otherwise each augmented-Lagrangian
-    subproblem adds rho A_S' A_S for the active covariance rows S.
+    The problem stated, solved and certified: minimize the logistic loss
+    with ``l2_penalty`` subject to the inequality rows w_k . theta <= c_k
+    and -w_k . theta <= c_k for each finite c_k > 0, and the equality
+    w_k . theta = 0 for each c_k = 0, which the solver eliminates exactly,
+    so such a covariance is zero to rounding. The rows are unit rows
+    (:func:`_covariance_split`).
 
     The solve starts at the unconstrained optimum theta*, read from the
     theta* record that :func:`fit_logreg` writes. If the record is of
@@ -667,27 +690,103 @@ def fit_logreg_fair(train: Dataset, spec: FitSpec, settings: SolverSettings | No
     without a step. On separable data theta* is the auto-ridge refit's, far
     from every constrained optimum; when its ridge is not ``l2_penalty``,
     the solve starts at theta = 0 instead.
+
+    A bound that theta* breaks, on its unit row by more than the
+    feasibility tolerance, is pinned to the face it breaks: s_k w_k . theta
+    = c_k with s_k the sign of w_k . theta*, an equality that the solver
+    eliminates like the c_k = 0 rows (Nocedal & Wright, Numerical
+    Optimization, sec. 15.3 and ch. 16). With one bound, the optimum of a
+    convex problem lies on the face its unconstrained optimum breaks. Every
+    other finite bound stays a +/- row pair. Without such rows the solve is
+    one damped Newton run on the null space of the equalities, with the
+    loss Hessian X' diag(s(1 - s)) X / n + 2 l2_penalty / n I projected
+    onto it; otherwise each augmented-Lagrangian subproblem adds
+    rho A_S' A_S for the active covariance rows S. A pinned face is right
+    when its equality multiplier mu_k, in the convention grad L + E' mu = 0,
+    is >= 0. A column whose mu_k < 0 leaves the pinned set, as does every
+    column after a pinned solve that ends ``infeasible``, and the fit solves
+    again, so there are at most K + 1 solves, the last possible one with no
+    pins. ``max_iterations`` bounds all of them together, and
+    ``iterations`` sums them.
+
+    When the last solve pinned a face, its ``status`` and ``kkt`` are those
+    of :func:`~fairclf.solvers.kkt_residuals` on the problem stated above,
+    with the multiplier mu_k on the pinned side's row and zero on the
+    other, so ``converged`` certifies the stated problem. One DEBUG record
+    on this module's logger names the pinned columns with their sides, the
+    number of solves and the columns unpinned.
     """
     _check_inputs(train, spec, "fit_logreg_fair")
     settings = settings or _default_settings()
     c = spec.thresholds_for(train.n_sensitive)
     w = covariance_vectors(train)
-    (a, b), e = _covariance_split(w, c)
-    rows, equality = (_interleave(a, -a), np.repeat(b, 2)), (e, np.zeros(e.shape[0]))
-    problem = _logistic_problem(train.features, train.labels, spec.l2_penalty, rows, equality)
     star = _theta_star(train, spec.l2_penalty)
-    if star.ridge == spec.l2_penalty:
-        problem = replace(problem, initial_point=star.theta)
-    result = minimize_smooth(problem, settings)
+    stated = _covariance_split(w, c)
+    # the faces theta* breaks, read on the unit rows the solver is given
+    (a, b), _ = stated
+    cov_star = a @ star.theta
+    sides = np.zeros(c.size)
+    sides[_bounded(c)] = np.where(np.abs(cov_star) - b > settings.feas_tol, np.sign(cov_star), 0.0)
+    pinned_first = sides.copy()
+
+    def problem(rows):
+        (a, b), equality = rows
+        posed = _logistic_problem(train.features, train.labels, spec.l2_penalty, (_interleave(a, -a), np.repeat(b, 2)), equality)
+        return replace(posed, initial_point=star.theta) if star.ridge == spec.l2_penalty else posed
+
+    used = solves = 0
+    while True:
+        rows = _covariance_split(w, c, sides) if sides.any() else stated
+        result = minimize_smooth(problem(rows), replace(settings, max_iterations=settings.max_iterations - used))
+        used += result.iterations
+        solves += 1
+        faces = np.flatnonzero(sides)
+        if not faces.size:
+            break
+        mu = result.multipliers["equality"][-faces.size :]
+        leaving = faces if result.status == "infeasible" else faces[mu < 0]
+        if not leaving.size or used >= settings.max_iterations:
+            break
+        sides[leaving] = 0.0
+    if faces.size:
+        result = _certified_on_pairs(problem(stated), result, c, sides, settings)
+    names = train.sensitive_names
+    _log.debug(
+        "fairness fit pinned=[%s] solves=%d unpinned=[%s]",
+        ", ".join(f"{names[k]}:{int(pinned_first[k]):+d}" for k in np.flatnonzero(pinned_first)),
+        solves,
+        ", ".join(names[k] for k in np.flatnonzero(pinned_first != sides)),
+    )
     meta = _meta(
         "fairness_constrained",
-        result,
+        replace(result, iterations=used),
         l2_penalty=spec.l2_penalty,
         covariance_thresholds=c.tolist(),
         covariance=(w @ result.point).tolist(),
         objective=logistic_loss(result.point, train.features, train.labels, spec.l2_penalty),
     )
     return LinearModel(theta=result.point, training_meta=meta)
+
+
+def _certified_on_pairs(
+    stated: SmoothProblem, result: SolverResult, c: np.ndarray, sides: np.ndarray, settings: SolverSettings
+) -> SolverResult:
+    """``result`` of a solve with the faces ``sides`` pinned, with the status and residuals of the ``stated`` +/- pair problem.
+
+    Each pinned face's multiplier mu_k goes to the row of its side, and zero
+    to the other; a negative mu_k is cut to zero, so it shows in the
+    stationarity. The c_k = 0 rows keep theirs, and the free pairs theirs.
+    """
+    mu = result.multipliers["equality"]
+    zero_rows = mu.size - np.count_nonzero(sides)
+    faces = np.flatnonzero(sides)
+    pairs = np.zeros((c.size, 2))
+    free = _bounded(c) & (sides == 0)
+    if free.any():
+        pairs[free] = result.multipliers["inequality"][0].reshape(-1, 2)
+    pairs[faces, (sides[faces] < 0).astype(int)] = np.maximum(mu[zero_rows:], 0.0)
+    kkt = kkt_residuals(stated, result.point, {"inequality": [pairs[_bounded(c)].ravel()], "equality": mu[:zero_rows]})
+    return replace(result, status="converged" if kkt.within(settings) else "max_iter", kkt=kkt)
 
 
 def _covariance_objective_problem(
@@ -942,7 +1041,7 @@ def _exact_hinge(features, labels, w, c, svm_cost, settings) -> tuple[np.ndarray
     and every Newton step is a Woodbury solve through an r x r core, r <= d.
     """
     n = features.shape[0]
-    (cov_a, cov_b), cov_e = _covariance_split(w, c)
+    (cov_a, cov_b), (cov_e, _) = _covariance_split(w, c)
     cov_a, cov_b = _interleave(cov_a, -cov_a), np.repeat(cov_b, 2)
     *_, basis = _null_space_svd(cov_e)
     scale = math.sqrt(n / 2.0)
@@ -1033,7 +1132,7 @@ def fit_kernel_svm_fair(train: Dataset, spec: FitSpec, settings: SolverSettings 
     # bound is a_k . alpha - s_k = 0 on a slack s_k in [-b_k, b_k]. Without
     # slacks V goes unpadded: a padded copy changes its memory layout, and
     # the iterates' last bits with it
-    (a, b), cov_e = _covariance_split(cov_rows, c)
+    (a, b), (cov_e, _) = _covariance_split(cov_rows, c)
     m = b.size
     equality = np.vstack([labels / math.sqrt(n), cov_e])
     q_factor = (delta, v)

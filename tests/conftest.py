@@ -67,3 +67,18 @@ def count_smooth_solves(monkeypatch) -> list:
 
     monkeypatch.setattr(fairclf.models, "minimize_smooth", counting)
     return calls
+
+
+def recording_solves(monkeypatch) -> list:
+    """Record each (problem, result) of the minimize_smooth calls that fairclf.models makes from now on."""
+    import fairclf.models
+
+    calls = []
+    original = fairclf.models.minimize_smooth
+
+    def recording(problem, settings=None):
+        calls.append((problem, original(problem, settings)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(fairclf.models, "minimize_smooth", recording)
+    return calls

@@ -38,10 +38,10 @@ from fairclf.models import (
     predict,
     protected_rows,
 )
-from fairclf.solvers import SolverSettings, solve_qp
+from fairclf.solvers import SolverSettings, kkt_residuals, solve_qp
 from fairclf.synth import SynthConfig, gen_linear_synthetic, gen_nonlinear_synthetic
 
-from conftest import count_smooth_solves, random_instance
+from conftest import count_smooth_solves, random_instance, recording_solves
 from oracles import (
     active_set_svm,
     exact_hinge_primal,
@@ -120,6 +120,22 @@ class TestFitSpecValidation:
         assert np.isinf(spec.thresholds_for(2)[1])
         with pytest.raises(ValueError):
             FitSpec(mode="fairness_constrained", covariance_thresholds=float("nan")).thresholds_for(1)
+
+    @pytest.mark.parametrize(
+        "given, message",
+        [
+            ([0.1, 0.2, 0.3], r"3 covariance thresholds given \(shape \(3,\)\) for 2 sensitive columns"),
+            ([[0.1, 0.2]], r"2 covariance thresholds given \(shape \(1, 2\)\) for 2 sensitive columns"),
+        ],
+    )
+    def test_thresholds_of_the_wrong_shape_are_named(self, given, message):
+        with pytest.raises(ValueError, match=message):
+            FitSpec(mode="fairness_constrained", covariance_thresholds=given).thresholds_for(2)
+
+    def test_one_threshold_serves_every_column(self):
+        for given in (0.1, [0.1]):
+            c = FitSpec(mode="fairness_constrained", covariance_thresholds=given).thresholds_for(3)
+            np.testing.assert_array_equal(c, [0.1, 0.1, 0.1])
 
     @pytest.mark.parametrize(
         "fit_name, field",
@@ -483,7 +499,7 @@ class TestFitLogregFair:
 
     def test_auto_ridge_theta_star_is_not_the_start(self, monkeypatch):
         # separable: theta* comes from the auto-ridge refit, ||theta*|| ~ 645,
-        # far from every constrained optimum; from it the fits took 14, 14, 16
+        # far from every constrained optimum; from it the fits take 14, 13, 15
         rng = np.random.default_rng(3)
         x = rng.normal(size=(60, 2))
         labels = np.where(x[:, 0] + 0.3 * x[:, 1] > 0, 1.0, -1.0)
@@ -517,6 +533,157 @@ class TestFitLogregFair:
             losses.append(fair.training_meta["objective"])
         for tighter, looser in zip(losses[1:], losses[:-1]):
             assert tighter >= looser * (1.0 - 1e-8)
+
+
+def mirrored_two_column_instance(m: int = 30, seed: int = 0) -> Dataset:
+    """Two features plus bias, two correlated sensitive columns, and every row mirrored.
+
+    Row (x, y, z) comes with (-x, -y, 1 - z), so the loss is even in the
+    bias and the covariances do not read it: every fit has bias 0, and its
+    optimum is that of the bias-free problem on (x1, x2), which
+    ``oracles.grid_logistic_fair`` searches.
+    """
+    rng = np.random.default_rng(seed)
+    y = np.where(rng.random(m) < 0.5, 1.0, -1.0)
+    x = rng.normal(size=(m, 2)) + 1.2 * y[:, None] * np.array([1.0, 0.5])
+    s = x @ np.array([1.0, 0.3])
+    z = np.column_stack([s + rng.normal(size=m) > 0, s + 0.6 * x[:, 1] + rng.normal(size=m) > 0]).astype(float)
+    features = np.column_stack([np.vstack([x, -x]), np.ones(2 * m)])
+    return Dataset(features, np.concatenate([y, -y]), np.vstack([z, 1.0 - z]), ("z1", "z2"), ("x1", "x2", "bias"), has_bias_column=True)
+
+
+class TestPinnedFaces:
+    """A bound that theta* breaks is solved as an equality on the side it breaks, and certified by its multiplier's sign."""
+
+    L2 = 1e-3
+
+    def two_column_fit(self, monkeypatch, settings=None):
+        ds = mirrored_two_column_instance()
+        w = covariance_vectors(ds)
+        cov_star = w @ fit_logreg(ds, FitSpec(mode="unconstrained", l2_penalty=self.L2)).theta
+        c = np.abs(cov_star) * np.array([0.3, 0.6])
+        calls = recording_solves(monkeypatch)
+        spec = FitSpec(mode="fairness_constrained", covariance_thresholds=c.tolist(), l2_penalty=self.L2)
+        return ds, w, cov_star, c, fit_logreg_fair(ds, spec, settings), calls
+
+    def test_a_face_with_a_negative_multiplier_is_unpinned(self, monkeypatch):
+        ds, w, cov_star, c, fair, calls = self.two_column_fit(monkeypatch)
+        assert np.all(np.abs(cov_star) > c)  # theta* breaks both bounds, on the + side
+        assert np.all(cov_star > 0)
+        both, one = calls
+        # first both faces, then z1's alone with z2 a +/- pair: pinning z2 drew its multiplier below zero
+        assert both[0].equality[0].shape == (2, 3) and both[0].linear_constraints[0].shape == (0, 3)
+        assert both[1].multipliers["equality"][1] < 0
+        assert one[0].equality[0].shape == (1, 3) and one[0].linear_constraints[0].shape == (2, 3)
+        np.testing.assert_allclose(one[0].equality[0][0], w[0] / np.linalg.norm(w[0]), rtol=0, atol=1e-15)
+        assert one[1].multipliers["equality"][0] >= 0
+        meta = fair.training_meta
+        assert meta["status"] == "converged"
+        assert meta["iterations"] == both[1].iterations + one[1].iterations
+        cov = w @ fair.theta
+        assert cov[0] == pytest.approx(c[0], rel=1e-9)
+        assert abs(cov[1]) < 0.9 * c[1]  # the unpinned bound is slack at the optimum
+        assert abs(fair.theta[2]) <= 1e-12  # the mirrored rows give bias 0
+        # the bias-free slab of z1 relaxes the two-bound problem and its optimum is feasible for both bounds
+        oracle = grid_logistic_fair(ds.features[:, :2], ds.labels, self.L2, w[0, :2], c[0])
+        total = logistic_objective(np.asarray(fair.theta), ds.features, ds.labels, self.L2)
+        assert total == pytest.approx(oracle, abs=1e-4)
+
+    def test_negative_covariance_is_pinned_on_the_minus_side(self, monkeypatch):
+        ds, w = random_instance(8, n=40)
+        ds = replace(ds, sensitive=1.0 - ds.sensitive)  # z -> 1 - z negates w
+        w = -w
+        cov_star = float(w @ fit_logreg(ds, FitSpec(mode="unconstrained", l2_penalty=self.L2)).theta)
+        assert cov_star < 0
+        c = 0.4 * abs(cov_star)
+        calls = recording_solves(monkeypatch)
+        fair = fit_logreg_fair(ds, FitSpec(mode="fairness_constrained", covariance_thresholds=c, l2_penalty=self.L2))
+        ((problem, result),) = calls  # one solve: the face -w . theta = c, no rows
+        assert problem.linear_constraints[0].shape == (0, 2)
+        e, f = problem.equality
+        np.testing.assert_allclose(e, [-w / np.linalg.norm(w)], rtol=0, atol=1e-15)
+        assert f[0] == c / np.linalg.norm(w)
+        assert result.multipliers["equality"][0] >= 0
+        assert fair.training_meta["status"] == "converged"
+        assert float(w @ fair.theta) == pytest.approx(-c, rel=1e-9)
+        oracle = grid_logistic_fair(ds.features, ds.labels, self.L2, w, c)
+        total = logistic_objective(np.asarray(fair.theta), ds.features, ds.labels, self.L2)
+        assert total == pytest.approx(oracle, abs=1e-4)
+
+    def test_faces_that_no_point_meets_are_all_unpinned(self, monkeypatch):
+        # one sensitive column twice, with two bounds theta* breaks: the two
+        # faces are parallel planes, so the pinned solve is infeasible
+        ds, w = random_instance(8, n=40)
+        ds = replace(ds, sensitive=np.repeat(ds.sensitive, 2, axis=1), sensitive_names=("z", "z_copy"))
+        cov_star = float(w @ fit_logreg(ds, FitSpec(mode="unconstrained", l2_penalty=self.L2)).theta)
+        c = [0.3 * abs(cov_star), 0.6 * abs(cov_star)]
+        calls = recording_solves(monkeypatch)
+        fair = fit_logreg_fair(ds, FitSpec(mode="fairness_constrained", covariance_thresholds=c, l2_penalty=self.L2))
+        pinned, loop = calls
+        assert pinned[0].equality[0].shape == (2, 2) and pinned[1].status == "infeasible"
+        assert loop[0].equality[0].shape == (0, 2) and loop[0].linear_constraints[0].shape == (4, 2)
+        meta = fair.training_meta
+        assert meta["status"] == "converged" and meta["iterations"] == pinned[1].iterations + loop[1].iterations
+        assert abs(float(w @ fair.theta)) == pytest.approx(c[0], rel=1e-6)
+        oracle = grid_logistic_fair(ds.features, ds.labels, self.L2, w, c[0])
+        assert logistic_objective(np.asarray(fair.theta), ds.features, ds.labels, self.L2) == pytest.approx(oracle, abs=1e-4)
+
+    def test_certificate_reads_the_pair_problem(self, monkeypatch):
+        # the status and residuals are those of the +/- rows at theta, with
+        # each face's multiplier on its side's row and zero on the other
+        for instance in ("one column", "two columns"):
+            if instance == "one column":
+                ds, w = random_instance(6, n=50)
+                w = w[None, :]
+                c = np.array([0.5 * abs(float(w[0] @ fit_logreg(ds, FitSpec(mode="unconstrained", l2_penalty=self.L2)).theta))])
+                calls = recording_solves(monkeypatch)
+                fair = fit_logreg_fair(ds, FitSpec(mode="fairness_constrained", covariance_thresholds=c.tolist(), l2_penalty=self.L2))
+                free_pairs = np.zeros((0, 2))
+            else:
+                ds, w, _, c, fair, calls = self.two_column_fit(monkeypatch)
+                free_pairs = calls[-1][1].multipliers["inequality"][0].reshape(-1, 2)
+            problem, result = calls[-1]
+            mu = result.multipliers["equality"]
+            rows = [pair for k in range(c.size) for pair in ((w[k], c[k]), (-w[k], c[k]))]
+            a, b = unit_rows_reference(rows)
+            stated = replace(problem, linear_constraints=(a, b), equality=None)
+            lam = np.zeros((c.size, 2))
+            lam[0, 0] = mu[0]  # the first column's face, on the + side
+            lam[1:] = free_pairs
+            want = kkt_residuals(stated, fair.theta, {"inequality": [lam.ravel()]})
+            assert fair.training_meta["kkt"] == {
+                "stationarity_norm": want.stationarity_norm,
+                "max_violation": want.max_violation,
+                "max_comp_slack": want.max_comp_slack,
+            }
+            assert fair.training_meta["converged"]
+
+    def test_a_cut_budget_never_certifies(self, monkeypatch):
+        ds, w = random_instance(6, n=50)
+        c = 0.5 * abs(float(w @ fit_logreg(ds, FitSpec(mode="unconstrained", l2_penalty=self.L2)).theta))
+        spec = FitSpec(mode="fairness_constrained", covariance_thresholds=c, l2_penalty=self.L2)
+        one = fit_logreg_fair(ds, spec, SolverSettings(max_iterations=1, kkt_tolerance=1e-6, feasibility_tolerance=1e-8))
+        assert one.training_meta["status"] == "max_iter" and not one.training_meta["converged"]
+        assert one.training_meta["iterations"] == 1
+        # on the two-column instance, every budget short of the full run stops
+        # before the pins are settled or the last solve ends, and says so
+        *_, full, _ = self.two_column_fit(monkeypatch)
+        for budget in range(1, full.training_meta["iterations"]):
+            settings = SolverSettings(max_iterations=budget, kkt_tolerance=1e-6, feasibility_tolerance=1e-8)
+            *_, cut, _ = self.two_column_fit(monkeypatch, settings)
+            assert cut.training_meta["status"] == "max_iter", budget
+            assert cut.training_meta["iterations"] <= budget
+
+    def test_one_debug_record_per_fit(self, monkeypatch, caplog):
+        with caplog.at_level(logging.DEBUG, logger="fairclf.models"):
+            self.two_column_fit(monkeypatch)
+            ds, _ = random_instance(6, n=50)
+            fit_logreg_fair(ds, FitSpec(mode="fairness_constrained", covariance_thresholds=0.0))
+        records = [r.getMessage() for r in caplog.records if r.name == "fairclf.models" and r.getMessage().startswith("fairness fit")]
+        assert records == [
+            "fairness fit pinned=[z1:+1, z2:+1] solves=2 unpinned=[z2]",
+            "fairness fit pinned=[] solves=1 unpinned=[]",
+        ]
 
 
 class TestFairnessMax:
@@ -900,12 +1067,16 @@ class TestConstraintRows:
             rows += [(w[k], c[k]), (-w[k], c[k])]
         want_a, want_b = unit_rows_reference(rows)
         # c > 0 rows stay inequalities, one side each; the c = 0 row of zeros is left out of E
-        (ineq_a, ineq_b), e = _covariance_split(w, c)
+        (ineq_a, ineq_b), (e, f) = _covariance_split(w, c)
         assert ineq_a.tobytes() == want_a[2:3].tobytes() and ineq_b.tobytes() == want_b[2:3].tobytes()
-        assert e.tobytes() == want_a[:1].tobytes()
+        assert e.tobytes() == want_a[:1].tobytes() and f.tobytes() == np.zeros(1).tobytes()
         # the +/- pairs the fits pose are the pairs divided by their own norms, bit for bit
         pairs_a, pairs_b = _interleave(ineq_a, -ineq_a), np.repeat(ineq_b, 2)
         assert pairs_a.tobytes() == want_a[2:4].tobytes() and pairs_b.tobytes() == want_b[2:4].tobytes()
+        # a pinned column leaves A for E, after the c = 0 rows: its side's unit row, with c_k over the norm in f
+        (ineq_a, ineq_b), (e, f) = _covariance_split(w, c, np.array([0.0, -1.0, 0.0, 0.0]))
+        assert ineq_a.shape == (0, 37) and ineq_b.shape == (0,)
+        assert e.tobytes() == want_a[[0, 3]].tobytes() and f.tobytes() == np.array([0.0, want_b[3]]).tobytes()
 
     def test_epigraph_rows(self):
         w = np.random.default_rng(13).normal(size=(3, 9))
