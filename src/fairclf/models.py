@@ -38,7 +38,6 @@ import numpy as np
 from .data import Dataset
 from .metrics import sign_rule
 from .solvers import (
-    ConstraintBlock,
     KKTResiduals,
     QuadraticProblem,
     SmoothProblem,
@@ -789,12 +788,7 @@ def _certified_on_pairs(
     return replace(result, status="converged" if kkt.within(settings) else "max_iter", kkt=kkt)
 
 
-def _covariance_objective_problem(
-    w: np.ndarray,
-    rows: tuple[np.ndarray, np.ndarray],
-    blocks: list,
-    theta_start: np.ndarray,
-) -> SmoothProblem:
+def _covariance_objective_problem(w: np.ndarray, rows: tuple[np.ndarray, np.ndarray], theta_start: np.ndarray) -> SmoothProblem:
     """Epigraph problem: minimize sum_k t_k over (theta, t) with |cov_k| <= t_k.
 
     The objective is linear, so its Hessian is zero.
@@ -815,7 +809,6 @@ def _covariance_objective_problem(
         gradient=lambda v: grad_obj,
         hessian=lambda v: zero,
         linear_constraints=rows,
-        convex_constraints=blocks,
         initial_point=start,
     )
 
@@ -839,75 +832,183 @@ def _loss_budget_model(train: Dataset, w: np.ndarray, theta: np.ndarray, ridge: 
     }
 
 
-def _budget_row(loss: SmoothProblem, scale: float, n_epigraph: int) -> ConstraintBlock:
-    """The row scale * loss(theta) - 1 <= 0 over (theta, t), from the oracle ``loss`` of theta.
+def _budget_face(loss: SmoothProblem, w, sides, unpinned, c: float, theta) -> tuple[SmoothProblem, float]:
+    """The least ``loss`` on the face sum_P s_k w_k . theta + sum_U t_k = c, and the norm of the face's row.
 
-    Its value, gradient and Hessian are the oracle's times ``scale``, and
-    zero in the ``n_epigraph`` variables t. The oracle is read at theta
-    alone, so a line-search trial that moves only t reuses its X theta.
+    P are the columns with sides[k] = s_k != 0. Each column k in U
+    (``unpinned``) has its own t_k, which the loss does not read (its
+    Hessian is padded with zeros), with the +/- rows |w_k . theta| <= t_k
+    of :func:`_epigraph_rows`. The face is posed as one unit row, and the
+    solve starts at theta with t = |W_U theta|.
     """
-    d, zeros, pad = loss.dimension, np.zeros(n_epigraph), ((0, n_epigraph), (0, n_epigraph))
-    return ConstraintBlock(
-        value=lambda v: np.array([loss.objective(v[:d]) * scale - 1.0]),
-        jacobian=lambda v: np.concatenate([loss.gradient(v[:d]) * scale, zeros])[None, :],
-        size=1,
-        hessian=lambda v, t: np.pad(loss.hessian(v[:d]) * (t[0] * scale), pad),
+    d, k = loss.dimension, np.count_nonzero(unpinned)
+    row = np.concatenate([sides @ w, np.ones(k)])
+    norm = float(np.linalg.norm(row))
+    face = SmoothProblem(
+        dimension=d + k,
+        objective=lambda v: loss.objective(v[:d]),
+        gradient=lambda v: np.concatenate([loss.gradient(v[:d]), np.zeros(k)]),
+        hessian=lambda v: np.pad(loss.hessian(v[:d]), ((0, k), (0, k))),
+        equality=(row / norm, c / norm),
+        linear_constraints=_epigraph_rows(w[unpinned]),
+        initial_point=np.concatenate([theta, np.abs(w[unpinned] @ theta)]),
     )
+    return face, norm
+
+
+def _certified_on_budget(train: Dataset, w, theta, ridge: float, budget: float, pairs, nu: float, settings) -> tuple[str, KKTResiduals]:
+    """Status and residuals of (theta, |W theta|) on the stated problem: min sum t s.t. |W theta| <= t, L(theta) / B - 1 <= 0.
+
+    The rows are the unit rows of :func:`_epigraph_rows` and the budget row
+    L / B - 1, so the feasibility tolerance bounds the relative budget
+    excess. At theta the budget row has the value and gradient of its
+    linearization (grad L / B) . (x - theta) + L / B - 1, a linear row,
+    so :func:`~fairclf.solvers.kkt_residuals` reads the residuals. ``pairs``
+    are the (K, 2) multipliers of each column's two epigraph rows, and
+    ``nu`` is the budget row's.
+    """
+    d, k = theta.size, w.shape[0]
+    row = np.concatenate([logistic_loss_gradient(theta, train.features, train.labels, ridge) / budget, np.zeros(k)])
+    value = logistic_loss(theta, train.features, train.labels, ridge) / budget - 1.0
+    rows = (np.vstack([_epigraph_rows(w)[0], row]), np.append(np.zeros(2 * k), row[:d] @ theta - value))
+    point = np.concatenate([theta, np.abs(w @ theta)])
+    kkt = kkt_residuals(_covariance_objective_problem(w, rows, theta), point, {"inequality": [np.append(pairs.ravel(), nu)]})
+    return ("converged" if kkt.within(settings) else "max_iter"), kkt
 
 
 def fit_logreg_fairness_max(train: Dataset, spec: FitSpec, settings: SolverSettings | None = None) -> LinearModel:
     """Minimize summed |covariance| under a total-loss budget (mode ``accuracy_constrained``).
 
-    theta*, its ridge and L* = L(theta*) are read from :func:`fit_logreg`'s
-    theta* record, which is fitted first when it is of another training set
-    or ``l2_penalty``. The budget is L(theta) <= (1 + gamma) L*, with no
-    headroom, so a converged fit certifies that budget. The absolute values
-    are handled by an epigraph reformulation, keeping the problem smooth. The budget row L(theta) / B - 1 <= 0, with
-    B = (1 + gamma) L*, reads the logistic oracle that :func:`fit_logreg`
-    minimizes (:func:`_logistic_problem`): its value, gradient and Hessian
-    scaled by n / B, and zero in the epigraph variables.
+    The problem stated and certified: minimize sum_k |w_k . theta| subject
+    to L(theta) <= B, with B = (1 + gamma) L* and L the logistic loss at
+    theta*'s ridge. theta*, its ridge and L* = L(theta*) are read from
+    :func:`fit_logreg`'s theta* record, which is fitted first when it is of
+    another training set or ``l2_penalty``. There is no headroom, so a
+    converged fit certifies the budget.
 
-    At gamma = 0 the result is theta* itself, without a solve, marked
-    ``closed_form``. This is exact: the feasible points are the minimizers
-    of L. The log-loss is strictly convex in the scores X theta, so all
-    minimizers share X theta, and the covariances W theta depend on theta
-    only through X theta. Every feasible point has the same objective, so
-    theta* is optimal. The status, KKT residuals and iterations are the
-    record's, those of the unconstrained fit.
+    Two closed forms come first. At gamma = 0 the result is theta* itself,
+    without a solve: the feasible points are the minimizers of L, which
+    all share X theta (the log-loss is strictly convex in the scores), and
+    so W theta. Where the budget admits theta = 0, whose covariance is zero
+    in every column, the result is theta = 0. Both are marked
+    ``closed_form``; gamma = 0 reports the unconstrained fit's status,
+    residuals and iterations.
+
+    Otherwise the fit has two stages. Stage one is the c = 0 fit, the least
+    loss with W theta = 0, posed as :func:`fit_logreg_fair` poses it at
+    c = 0, at theta*'s ridge and from theta*. If its loss is within the
+    budget, the budget admits zero covariance, and every zero-covariance
+    point inside it is optimal; the tie goes to the least loss, the c = 0
+    fit itself, marked ``tied``, with the c = 0 solve's status and
+    residuals.
+
+    Stage two, where the budget binds: phi(c), the least loss at summed
+    covariance c, is convex and decreasing up to theta*'s, and the optimum
+    is at the root of phi(c) = B, whose slope is minus the budget's
+    multiplier (Boyd & Vandenberghe, Convex Optimization, sec. 5.6). Newton
+    runs from c = 0, c <- c + (phi(c) - B) / |phi'(c)|, so it stays left of
+    the root and every iterate is over budget until the last. At c = 0 the
+    slope is -max_k |mu_k| / ||w_k||, from the c = 0 fit's unit-row
+    multipliers in the convention grad L + E' mu = 0. Each later phi(c) is
+    one solve on the signed face sum_P s_k w_k . theta + sum_U t_k = c,
+    warm-started at the last point, with s_k the sign of w_k . theta* and
+    |w_k . theta| <= t_k for the columns in U; its slope is minus the face
+    multiplier over the row's norm. With one column the face is one
+    eliminated equality. The face is a relaxation, exact once no pinned
+    sign is contradicted, so a column in P whose s_k w_k . theta falls below
+    minus the feasibility tolerance (on its unit row) moves to U and the
+    same c is solved again; with K columns at most K move (the path is
+    piecewise by sign pattern; Rosset & Zhu, Ann. Statist. 35, 2007).
+    Newton stops once |phi(c) - B| <= B feasibility_tolerance / 32.
+    ``max_iterations`` bounds all the solves together and ``iterations``
+    sums them, as in :func:`fit_logreg_fair`.
+
+    The status and ``kkt`` of stage two are those of the stated problem at
+    theta, with t = |W theta|, in the epigraph form with unit rows and the
+    budget row L / B - 1 (:func:`_certified_on_budget`), so the
+    feasibility tolerance bounds the relative budget excess. Its
+    multipliers come from the last face solve's: the budget's is
+    B ||row|| / (n mu), each pinned column's subgradient is s_k, and the
+    columns in U keep their row multipliers. One DEBUG record on this
+    module's logger names the stage, the number of solves, the Newton steps
+    in c, the pinned columns with their signs and the columns unpinned.
     """
     _check_inputs(train, spec, "fit_logreg_fairness_max")
     settings = settings or _default_settings(feasibility_tolerance=3e-9)
     star = _theta_star(train, spec.l2_penalty)
     budget = max((1.0 + spec.gamma) * star.loss, 1e-12)
-    features, labels = train.features, train.labels
+    features, labels, n, d = train.features, train.labels, train.n, train.n_features
     w = covariance_vectors(train)
-    d = train.n_features
+    sides = pinned_first = np.zeros(w.shape[0])
+    solves = steps = 0
 
-    # once the budget admits the all-zero boundary, that boundary is an exact
-    # optimum (its covariance is identically zero in every column), so the
-    # numerical solve is skipped; every row then sits on the positive side of
-    # the tie and both groups share the same positive rate
-    zero_fits = logistic_loss(np.zeros(d), features, labels, star.ridge) <= budget
-    closed_form = zero_fits or spec.gamma == 0.0
-    if zero_fits:
-        theta = np.zeros(d)
+    if logistic_loss(np.zeros(d), features, labels, star.ridge) <= budget:
+        stage, theta = "zero", np.zeros(d)
         result = SolverResult(theta, 0.0, "converged", KKTResiduals(0.0, 0.0, 0.0), 0)
     elif spec.gamma == 0.0:
-        theta, result = star.theta, star.result
+        stage, theta, result = "theta_star", star.theta, star.result
     else:
-        # the row is L / B - 1, so the feasibility tolerance bounds the
-        # relative exceedance of the budget
-        block = _budget_row(_logistic_problem(features, labels, star.ridge), train.n / budget, w.shape[0])
-        problem = _covariance_objective_problem(w, _epigraph_rows(w), [block], theta_start=star.theta)
-        result = minimize_smooth(problem, settings)
-        theta = result.point[:d]
+        loss = _logistic_problem(features, labels, star.ridge)
+        _, zero_rows = _covariance_split(w, np.zeros(w.shape[0]))
+        result = minimize_smooth(replace(loss, equality=zero_rows, initial_point=star.theta), settings)
+        theta, used, solves = result.point, result.iterations, 1
+        stage = "tied" if logistic_loss(theta, features, labels, star.ridge) <= budget else "binding"
+    if stage == "binding":
+        nonzero = np.any(w != 0, axis=1)
+        sides = np.sign(w @ star.theta)
+        pinned_first = sides.copy()
+        norms = np.array([np.linalg.norm(row) for row in w])
+        # phi on the mean scale of the solves
+        target = budget / n
+        c, phi = 0.0, result.objective_value
+        slope = float(np.max(np.abs(result.multipliers["equality"]) / norms[nonzero]))
+        while slope > 0.0 and used < settings.max_iterations:
+            step = (phi - target) / slope
+            if c + step == c:
+                break
+            c += step
+            steps += 1
+            while True:
+                # a column of U is one unpinned since theta*, or one with w_k . theta* = 0
+                face, norm = _budget_face(loss, w, sides, nonzero & (sides == 0), c, theta)
+                result = minimize_smooth(face, replace(settings, max_iterations=settings.max_iterations - used))
+                used, solves, theta = used + result.iterations, solves + 1, result.point[:d]
+                contradicted = sides * (w @ theta) < -settings.feas_tol * norms
+                if not contradicted.any() or result.status == "infeasible" or used >= settings.max_iterations:
+                    break
+                sides[contradicted] = 0.0
+            mu = float(result.multipliers["equality"][0])
+            phi, slope = result.objective_value, mu / norm
+            if abs(phi - target) <= settings.feas_tol * target / 32.0 or result.status == "infeasible":
+                break
+        if steps and mu > 0.0:
+            # the stated problem's multipliers from the face's: its stationarity
+            # times ||row|| / mu is sum_k u_k w_k + nu grad L / B, with u_k = s_k
+            # on the faces (0 on a column of zeros) and, on the rows of U, their
+            # multipliers times ||row|| / mu; rho_k (1 +- u_k) / 2 on the unit
+            # epigraph rows, of norms rho_k, gives each column's t_k its 1
+            pairs = 0.5 * np.hypot(norms, 1.0)[:, None] * (1.0 + np.outer(sides, [1.0, -1.0]))
+            unpinned = nonzero & (sides == 0)
+            if unpinned.any():
+                pairs[unpinned] = result.multipliers["inequality"][0].reshape(-1, 2) * (norm / mu)
+            nu = budget * norm / (n * mu)
+            status, kkt = _certified_on_budget(train, w, theta, star.ridge, budget, pairs, nu, settings)
+            result = SolverResult(theta, result.objective_value, status, kkt, used)
+        else:  # no step, or a face without slope: theta is not the stated problem's optimum
+            result = replace(result, status="max_iter")
+
+    names = train.sensitive_names
+    pinned = ", ".join(f"{names[k]}:{int(pinned_first[k]):+d}" for k in np.flatnonzero(pinned_first))
+    left = ", ".join(names[k] for k in np.flatnonzero(pinned_first != sides))
+    _log.debug("gamma fit stage=%s solves=%d steps=%d pinned=[%s] unpinned=[%s]", stage, solves, steps, pinned, left)
     # the report's objective, sum |W theta|, replaces the result's
     meta = _meta(
         "accuracy_constrained",
         result,
         gamma=spec.gamma,
         loss_star=star.loss,
-        closed_form=closed_form,
+        closed_form=stage in ("zero", "theta_star"),
+        tied=stage == "tied",
         **_loss_budget_model(train, w, theta, star.ridge),
     )
     return LinearModel(theta=theta, training_meta=meta)
@@ -1012,7 +1113,7 @@ def fit_logreg_fine_grained(train: Dataset, spec: FitSpec, settings: SolverSetti
 
     w = covariance_vectors(train)
     constraints = _margin_rows(w, features, rows, signs, margins)
-    problem = _covariance_objective_problem(w, constraints, [], theta_start=star.theta)
+    problem = _covariance_objective_problem(w, constraints, theta_start=star.theta)
     result = minimize_smooth(problem, settings)
     theta = result.point[: train.n_features]
     meta = _meta("fine_grained", result, n_protected=int(protected.size), **_loss_budget_model(train, w, theta, star.ridge))

@@ -3,9 +3,8 @@
 Two entry points, each with its own method:
 
 * :func:`minimize_smooth` - smooth convex objective under linear equalities
-  E x = f, linear inequality constraints A x <= b and twice-differentiable
-  convex inequality blocks g(x) <= 0, but not equalities and convex blocks
-  together. The equalities are eliminated exactly: with x_p a point of
+  E x = f and linear inequality constraints A x <= b, the one constraint
+  form. The equalities are eliminated exactly: with x_p a point of
   E x = f and N an orthonormal basis of the null space of E, both from one
   SVD of E, the solve runs over phi in x = x_p + N phi. An
   augmented-Lagrangian loop then handles the inequalities, updating
@@ -13,12 +12,12 @@ Two entry points, each with its own method:
   damped semismooth Newton steps on the augmented-Lagrangian function,
   whose generalized Hessian takes only the active rows (Li, Sun & Toh,
   SIAM J. Optim. 28, 2018; Nocedal & Wright, Numerical Optimization,
-  ch. 17). The problem therefore supplies the Hessian of its objective and
-  of each convex block. Without inequalities the solve is one damped Newton
-  run. A step reuses its subproblem's factored Newton matrix while the
-  gradient keeps contracting, so the Hessians are asked for only where the
-  matrix is formed again; where the objective is the whole subproblem, the
-  reused factor's steps are corrected by BFGS pairs.
+  ch. 17). The problem therefore supplies the Hessian of its objective.
+  Without inequalities the solve is one damped Newton run. A step reuses
+  its subproblem's factored Newton matrix while the gradient keeps
+  contracting, so the Hessians are asked for only where the matrix is
+  formed again; where the objective is the whole subproblem, the reused
+  factor's steps are corrected by BFGS pairs.
 * :func:`solve_qp` - convex quadratic objective under a variable box and
   linear equalities E x = f, with Q given only by its factor
   Q = diag(delta) + V V' (a kernel dual's low-rank Gram, or the exact-hinge
@@ -177,36 +176,27 @@ class SolverResult:
 
 @dataclass(frozen=True)
 class ConstraintBlock:
-    """Vectorized convex inequality block g(x) <= 0 with m rows.
+    """A convex inequality block g(x) <= 0 with m rows: a name that no solver takes.
 
-    The one form of a nonlinear constraint. ``value`` maps x to a length-m
-    vector, ``jacobian`` to the (m, n) Jacobian as an array, and
-    ``hessian`` maps (x, t), t a non-negative length-m vector, to the
-    symmetric (n, n) matrix sum_i t_i Hessian(g_i)(x). The solver forms
-    J_S' t_S and, with :func:`weighted_gram`, J_S' J_S over the rows S with
-    t_i > 0 only. Scalar constraints are the m=1 case; grouping
-    related constraints into one block keeps the per-iteration cost at a few
-    matrix products. :func:`minimize_smooth` needs ``hessian``;
-    :func:`kkt_residuals` does not read it.
+    The solvers take linear rows only, and a :class:`SmoothProblem` with a
+    non-empty ``convex_constraints`` raises ValueError. The name and the
+    field are kept because the benchmark's instrumentation
+    (``bench/instrument.py``) imports the one and replaces the other; they
+    go with its block branches.
     """
-
-    value: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
-    size: int
-    hessian: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
 class SmoothProblem:
-    """Differentiable convex objective with linear equalities and linear and convex inequalities.
+    """Differentiable convex objective with linear equalities and linear inequalities.
 
     ``equality`` is an (E, f) pair meaning E x = f, with any number of rows (a
     1-D E and a scalar f are one row), or None; an E with no rows is the same
     as None. ``linear_constraints`` is an (A, b) pair meaning A x <= b, with A
     of shape (m, dimension) and b of length m (a 1-D A is one row), or None.
-    ``convex_constraints`` are :class:`ConstraintBlock` instances; a problem
-    with equality rows may not have any. The objective is only evaluated on
-    points that satisfy E x = f to rounding.
+    ``convex_constraints`` must stay empty: the solvers raise ValueError on
+    any entry (see :class:`ConstraintBlock`). The objective is only
+    evaluated on points that satisfy E x = f to rounding.
 
     ``hessian`` maps x to the objective's symmetric (dimension, dimension)
     Hessian, or a generalized Hessian where the gradient has kinks.
@@ -421,24 +411,14 @@ class _Compiled:
     gradient: Callable
     hessian: Callable
     rows: tuple[np.ndarray, np.ndarray]  # (A, b) of A x <= b, possibly with no rows
-    blocks: list  # convex ConstraintBlocks
     equality: tuple[np.ndarray, np.ndarray] | None  # (E, f) with at least one row
     x0: np.ndarray
-
-    @property
-    def inequalities(self) -> list[ConstraintBlock]:
-        """Every inequality block in multiplier order: the rows of A, if any, then the convex blocks."""
-        a, b = self.rows
-        if not b.size:
-            return self.blocks
-        return [ConstraintBlock(value=lambda x: a @ x - b, jacobian=lambda x: a, size=b.size), *self.blocks]
 
 
 def _compile_smooth(problem: SmoothProblem) -> _Compiled:
     n = problem.dimension
-    for block in problem.convex_constraints:
-        if not isinstance(block, ConstraintBlock):
-            raise TypeError("convex constraints must be ConstraintBlock instances")
+    if len(problem.convex_constraints):
+        raise ValueError("the solvers take linear constraint rows only, not convex_constraints")
     x0 = np.zeros(n) if problem.initial_point is None else np.asarray(problem.initial_point, dtype=float).copy()
     if x0.shape != (n,):
         raise ValueError("initial_point dimension mismatch")
@@ -450,7 +430,6 @@ def _compile_smooth(problem: SmoothProblem) -> _Compiled:
         problem.gradient,
         problem.hessian,
         rows,
-        list(problem.convex_constraints),
         (e, f) if f.size else None,
         x0,
     )
@@ -534,30 +513,25 @@ def _compile_qp(problem: QuadraticProblem) -> _CompiledQP:
     return _CompiledQP(c, *_q_factor(problem, lo, hi), lo, hi, *_linear_arrays(problem.equality, n))
 
 
-def _inequality_gradient(comp: _Compiled, x: np.ndarray, lam: list) -> np.ndarray:
-    """The gradient of the objective plus J'lam summed over the inequality blocks, read on the rows with lam != 0."""
+def _inequality_gradient(comp: _Compiled, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The gradient of the objective plus A'lam, read on the rows with lam != 0."""
     grad = comp.gradient(x).astype(float)
-    for block, lam_b in zip(comp.inequalities, lam):
-        active = np.flatnonzero(lam_b)
-        if active.size:
-            grad = grad + lam_b[active] @ np.asarray(block.jacobian(x))[active]
+    active = np.flatnonzero(lam)
+    if active.size:
+        grad = grad + lam[active] @ comp.rows[0][active]
     return grad
 
 
 def _residuals(
-    comp: _Compiled, x: np.ndarray, lam: list, mu: np.ndarray | None, r: np.ndarray | None = None
+    comp: _Compiled, x: np.ndarray, lam: np.ndarray, mu: np.ndarray | None, r: np.ndarray | None = None
 ) -> KKTResiduals:
     """The KKT residuals at (x, lam, mu); ``r`` is A x - b at x when the caller has it, else it is formed here."""
     grad = _inequality_gradient(comp, x, lam)
-    max_violation = 0.0
-    max_comp = 0.0
     a, b = comp.rows
-    values = ([a @ x - b if r is None else r] if b.size else []) + [block.value(x) for block in comp.blocks]
-    for g, lam_b in zip(values, lam):
-        if lam_b.size:
-            max_comp = max(max_comp, float(np.max(np.abs(lam_b * g))))
-        if g.size:
-            max_violation = max(max_violation, float(np.max(np.maximum(g, 0.0))))
+    if r is None:
+        r = a @ x - b
+    max_violation = float(np.max(r, initial=0.0))
+    max_comp = float(np.max(np.abs(lam * r), initial=0.0))
     if comp.equality is not None:
         e, f = comp.equality
         grad = grad + e.T @ mu
@@ -569,14 +543,14 @@ def _residuals(
 # augmented-Lagrangian core (smooth problems)
 #
 # For multipliers lam >= 0 and a penalty weight rho, the augmented Lagrangian
-# of minimizing f(x) subject to g(x) <= 0 is
+# of minimizing f(x) subject to A x - b <= 0 is
 #
-#     L(x) = f(x) + (||t(x)||^2 - ||lam||^2) / (2 rho),   t(x) = max(0, lam + rho g(x)),
+#     L(x) = f(x) + (||t(x)||^2 - ||lam||^2) / (2 rho),   t(x) = max(0, lam + rho (A x - b)),
 #
-# with gradient grad f + J't. The gradient has kinks where a row enters or
+# with gradient grad f + A't. The gradient has kinks where a row enters or
 # leaves the active set S = {i : t_i > 0}, and its generalized Hessian is
 #
-#     grad^2 f + rho J_S' J_S + sum_{i in S} t_i grad^2 g_i
+#     grad^2 f + rho A_S' A_S
 #
 # (Li, Sun & Toh, SIAM J. Optim. 28, 2018). Each subproblem is minimized by
 # Newton steps with that matrix plus _REGULARIZATION * min(||grad L||, 1) on
@@ -590,8 +564,8 @@ def _residuals(
 # rows' A x - b is formed once per outer iteration, at the subproblem's end
 # point, and serves the multiplier update, the residuals and the next
 # subproblem's start; within a subproblem a line-search trial reads it as
-# r + alpha A dx, so each step costs one product with every row, A dx. J't
-# and rho J_S'J_S are formed from the active rows S alone, gathered by
+# r + alpha A dx, so each step costs one product with every row, A dx. A't
+# and rho A_S'A_S are formed from the active rows S alone, gathered by
 # index: a row with t_i = 0 adds nothing to either, and a fine-grained fit
 # has one margin row per training point, of which a few hundred at most are
 # active. Every product is numpy's; the Newton matrix is factored on
@@ -601,15 +575,15 @@ def _residuals(
 # chord step (Kelley, Solving Nonlinear Equations with Newton's Method,
 # SIAM 2003, ch. 1-2; Doikov, Chayti & Jaggi, ICML 2023). The matrix is
 # formed and factored again at the current point when the subproblem has no
-# factor yet, when the active rows or a block's active rows have changed,
+# factor yet, when the active rows have changed,
 # when the last step was halved, when the last step shrank the gradient's
 # largest entry by less than _CONTRACTION, or when the reused factor gives
 # no descent direction. The factor dies with its subproblem, since the next
 # one changes lam or rho. The gradient, the line search and the residuals
 # read the true problem at every step, so only the path changes.
 #
-# Where L is the objective alone (no linear rows and no convex blocks: an
-# unconstrained fit, or a c=0 fit after equality elimination), a reused
+# Where L is the objective alone (no linear rows: an unconstrained fit, or a
+# fit on pinned faces after equality elimination), a reused
 # factor's direction is corrected by the BFGS pairs (s, y) of the steps
 # taken since that factor was formed, s the step and y the change of the
 # gradient along it, applied by the two-loop recursion around the factor's
@@ -644,8 +618,7 @@ def _bfgs_direction(solve: Callable[[np.ndarray], np.ndarray], pairs: list, q: n
 def _newton_al(
     comp: _Compiled,
     x: np.ndarray,
-    lam_rows: np.ndarray,
-    lam: list,
+    lam: np.ndarray,
     rho: float,
     gtol: float,
     budget: int,
@@ -660,33 +633,22 @@ def _newton_al(
     one, and ``corrected`` of them corrected its direction by BFGS pairs.
     """
     a, b = comp.rows
-    blocks = comp.blocks
-    quasi_newton = not b.size and not blocks  # L is the objective alone
-
-    def multipliers_at(x_new: np.ndarray, r_new: np.ndarray) -> tuple[np.ndarray, list]:
-        """t of the rows and of each block at a point where A x - b = r_new."""
-        t_blocks = [np.maximum(0.0, l + rho * block.value(x_new)) for block, l in zip(blocks, lam)]
-        return np.maximum(0.0, lam_rows + rho * r_new), t_blocks
-
+    quasi_newton = not b.size  # L is the objective alone
     if r is None:
         r = a @ x - b
     f = comp.objective(x)
-    t_rows, t = multipliers_at(x, r)
+    t = np.maximum(0.0, lam + rho * r)
     steps = halvings = factors = corrected = 0
     previous = np.inf
     rounding_only = False
     solve = pattern = None  # the subproblem's factored Newton matrix and the active rows it was formed on
     pairs = []  # the BFGS pairs (s, y, 1 / s'y) of the steps taken since the factor was formed
     while True:
-        # the rows with t > 0, of A and of each block: J't and rho J_S'J_S read only these
-        active = [np.flatnonzero(t_rows)] + [np.flatnonzero(t_b) for t_b in t]
-        jacobians = [
-            np.asarray(block.jacobian(x), dtype=float) if s.size else None for block, s in zip(blocks, active[1:])
-        ]
+        # the rows with t > 0: A't and rho A_S'A_S read only these
+        active = np.flatnonzero(t)
         grad = np.array(comp.gradient(x), dtype=float)
-        for jac, t_b, s in zip([a, *jacobians], [t_rows, *t], active):
-            if s.size:
-                grad += t_b[s] @ jac[s]
+        if active.size:
+            grad += t[active] @ a[active]
         size = float(np.max(np.abs(grad), initial=0.0))
         # written so that a NaN gradient stops too
         if not size > gtol or steps >= budget or (rounding_only and size >= previous):
@@ -694,7 +656,7 @@ def _newton_al(
 
         fresh = (
             solve is None
-            or not all(np.array_equal(u, v) for u, v in zip(active, pattern))
+            or not np.array_equal(active, pattern)
             or alpha < 1.0
             or size > _CONTRACTION * previous
         )
@@ -710,11 +672,7 @@ def _newton_al(
             fresh = not slope < 0.0  # the reused factor no longer gives a descent direction
         if fresh:
             h = np.array(comp.hessian(x), dtype=float, order="F")
-            h = weighted_gram(a, rho, h, active[0])
-            for block, jac, t_b, s in zip(blocks, jacobians, t, active[1:]):
-                if jac is not None:
-                    h += block.hessian(x, t_b)
-                    h = weighted_gram(jac, rho, h, s)
+            h = weighted_gram(a, rho, h, active)
             solve = _cholesky(h, lower=False, shift=_REGULARIZATION * min(math.sqrt(grad @ grad), 1.0))
             pattern = active
             pairs = []
@@ -725,16 +683,14 @@ def _newton_al(
             return x, steps, halvings, factors, corrected
 
         a_dx = a @ dx
-        squares = float(t_rows @ t_rows) + sum(float(t_b @ t_b) for t_b in t)
-        tolerance = _ROUNDING * (abs(f) + squares / (2.0 * rho))
+        tolerance = _ROUNDING * (abs(f) + float(t @ t) / (2.0 * rho))
         alpha = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             x_new = x + alpha * dx
             r_new = r + alpha * a_dx
             f_new = comp.objective(x_new)
-            t_rows_new, t_new = multipliers_at(x_new, r_new)
-            penalty = float((t_rows_new - t_rows) @ (t_rows_new + t_rows))
-            penalty += sum(float((u - v) @ (u + v)) for u, v in zip(t_new, t))
+            t_new = np.maximum(0.0, lam + rho * r_new)
+            penalty = float((t_new - t) @ (t_new + t))
             change = f_new - f + penalty / (2.0 * rho)
             if change <= _ARMIJO * alpha * slope + tolerance:
                 break
@@ -746,58 +702,47 @@ def _newton_al(
         corrected += bool(pairs)  # a fresh factor dropped them, so they served this step
         rounding_only = change > _ARMIJO * alpha * slope
         step, grad_before = x_new - x, grad
-        x, r, f, t_rows, t = x_new, r_new, f_new, t_rows_new, t_new
+        x, r, f, t = x_new, r_new, f_new, t_new
 
 
 def _solve_al(comp: _Compiled, settings: SolverSettings) -> SolverResult:
     a, b = comp.rows
     x = comp.x0.copy()
     r = a @ x - b  # formed again once per outer iteration, at the subproblem's end point
-    lam_rows = np.zeros(b.size)
-    lam = [np.zeros(block.size) for block in comp.blocks]
+    lam = np.zeros(b.size)
     rho = _RHO_INIT
     used = 0
     scale0 = float(np.linalg.norm(comp.gradient(x))) + 1.0
     gtol = min(1e-2 * scale0, 1.0)
     gtol_floor = max(settings.kkt_tolerance * 5e-2, 1e-12)
     prev_violation = np.inf
-    constrained = bool(b.size or comp.blocks)
+    constrained = bool(b.size)
     if not constrained:
         gtol = gtol_floor
     stalled = 0
 
-    def multipliers() -> list:
-        """One vector per inequality block, in the order of ``comp.inequalities``."""
-        return ([lam_rows] if b.size else []) + lam
-
     def finish(status: str | None, kkt: KKTResiduals | None = None) -> SolverResult:
         """The result at x, with its residuals when not given; a None status is read from them."""
         if kkt is None:
-            kkt = _residuals(comp, x, multipliers(), None, r)
+            kkt = _residuals(comp, x, lam, None, r)
         if status is None:
             status = "converged" if kkt.within(settings) else "max_iter"
-        return SolverResult(x, comp.objective(x), status, kkt, used, _named_multipliers(multipliers()))
+        return SolverResult(x, comp.objective(x), status, kkt, used, _named_multipliers(lam))
 
     for outer in range(200):
         budget = settings.max_iterations - used
         if budget <= 0:
             break
         x_before = x
-        x, steps, halvings, factors, corrected = _newton_al(
-            comp, x, lam_rows, lam, rho, max(gtol, gtol_floor), budget, r
-        )
+        x, steps, halvings, factors, corrected = _newton_al(comp, x, lam, rho, max(gtol, gtol_floor), budget, r)
         used += max(steps, 1)
         if not constrained:
             _log.debug("newton steps=%d halvings=%d factors=%d corrected=%d", steps, halvings, factors, corrected)
             return finish(None)
 
         r = a @ x - b
-        if b.size:
-            lam_rows = np.maximum(0.0, lam_rows + rho * r)
-        for i, block in enumerate(comp.blocks):
-            lam[i] = np.maximum(0.0, lam[i] + rho * block.value(x))
-
-        kkt = _residuals(comp, x, multipliers(), None, r)
+        lam = np.maximum(0.0, lam + rho * r)
+        kkt = _residuals(comp, x, lam, None, r)
         violation = kkt.max_violation
         _log.debug(
             "al outer=%d rho=%.1e newton=%d halvings=%d factors=%d corrected=%d viol=%.2e stat=%.2e comp=%.2e",
@@ -830,8 +775,9 @@ def _solve_al(comp: _Compiled, settings: SolverSettings) -> SolverResult:
     return finish(None)
 
 
-def _named_multipliers(lam: list, mu: np.ndarray | None = None) -> dict:
-    out = {"inequality": [l.copy() for l in lam]}
+def _named_multipliers(lam: np.ndarray, mu: np.ndarray | None = None) -> dict:
+    """The ``SolverResult.multipliers`` layout: "inequality" a list with the rows' vector, or empty without rows."""
+    out = {"inequality": [lam.copy()] if lam.size else []}
     if mu is not None:
         out["equality"] = mu.copy()
     return out
@@ -848,8 +794,8 @@ def _named_multipliers(lam: list, mu: np.ndarray | None = None) -> dict:
 # N' grad f, its Hessian N' H N and the linear rows (A N, b - A x_p),
 # every product in the loop on numpy's BLAS. At the returned x the
 # equality multiplier is the least-squares one,
-# mu = -(E E')^+ E (grad f + J'lam) = -U_r S_r^-1 V_r' (...).
-# The full Lagrangian gradient is then N N' (grad f + J'lam), whose norm is
+# mu = -(E E')^+ E (grad f + A'lam) = -U_r S_r^-1 V_r' (...).
+# The full Lagrangian gradient is then N N' (grad f + A'lam), whose norm is
 # the reduced stationarity because N is orthonormal, so the residuals of the
 # full problem certify the result.
 
@@ -873,7 +819,7 @@ def _solve_eliminated(comp: _Compiled, settings: SolverSettings) -> SolverResult
     _log.debug("equality rows=%d rank=%d: solving over a %d-dimensional null space", f.size, s_r.size, basis.shape[1])
     if float(np.max(np.abs(e @ x_p - f))) > settings.feas_tol:
         # x_p is the least-squares point: no point meets E x = f
-        lam = [np.zeros(block.size) for block in comp.inequalities]
+        lam = np.zeros(comp.rows[1].size)
         mu = np.zeros(f.size)
         kkt = _residuals(comp, x_p, lam, mu)
         return SolverResult(x_p, comp.objective(x_p), "infeasible", kkt, 0, _named_multipliers(lam, mu))
@@ -891,13 +837,12 @@ def _solve_eliminated(comp: _Compiled, settings: SolverSettings) -> SolverResult
         lambda phi: basis.T @ comp.gradient(lift(phi)),
         reduced_hessian,
         (a @ basis, b - a @ x_p),
-        [],
         None,
         basis.T @ (comp.x0 - x_p),
     )
     result = _solve_al(reduced, settings)
     x = lift(result.point)
-    lam = result.multipliers["inequality"]
+    lam = result.multipliers["inequality"][0] if b.size else np.zeros(0)
     mu = -(u_r @ ((v_r.T @ _inequality_gradient(comp, x, lam)) / s_r))
     kkt = _residuals(comp, x, lam, mu)
     status = result.status
@@ -1053,7 +998,7 @@ def _solve_ipm(qp: _CompiledQP, settings: SolverSettings) -> SolverResult:
         step = min(1.0, _STEP_TO_BOUNDARY * min(_max_step(s, ds), _max_step(z, dz)))
         x, s, z, y = x + step * dx, s + step * ds, z + step * dz, y + step * dy
 
-    return SolverResult(point, qp.objective(point), status, kkt, iteration, _named_multipliers([], y))
+    return SolverResult(point, qp.objective(point), status, kkt, iteration, _named_multipliers(np.zeros(0), y))
 
 
 # ---------------------------------------------------------------------------
@@ -1068,19 +1013,16 @@ def minimize_smooth(problem: SmoothProblem, settings: SolverSettings | None = No
     inside the configured tolerances. ``"infeasible"`` means that no point
     meets E x = f to the feasibility tolerance, or that the inequalities
     stayed violated at the largest penalty weight. A problem without equality
-    rows goes to the augmented-Lagrangian loop as it is; a problem with
-    equality rows and convex constraint blocks raises ValueError. The
-    problem must supply the Hessian of its objective and of each convex
-    block; one without them raises ValueError.
+    rows goes to the augmented-Lagrangian loop as it is. The problem must
+    supply the Hessian of its objective; one without it, or with a
+    non-empty ``convex_constraints``, raises ValueError.
     """
     settings = settings or SolverSettings()
     comp = _compile_smooth(problem)
-    if comp.hessian is None or any(block.hessian is None for block in comp.blocks):
-        raise ValueError("minimize_smooth needs the Hessian of the objective and of every convex block")
+    if comp.hessian is None:
+        raise ValueError("minimize_smooth needs the Hessian of the objective")
     if comp.equality is None:
         return _solve_al(comp, settings)
-    if comp.blocks:
-        raise ValueError("minimize_smooth does not take equality rows together with convex constraint blocks")
     return _solve_eliminated(comp, settings)
 
 
@@ -1110,10 +1052,12 @@ def kkt_residuals(problem, point, multipliers) -> KKTResiduals:
 
     ``multipliers`` maps "equality" to one entry per row of E (zeros when
     absent) and "inequality" to the multipliers of a ``SmoothProblem``'s rows
-    of A, then of its convex blocks, as one flat vector or one vector per
-    block (the layout of ``SolverResult.multipliers``); they must be
-    non-negative. A ``QuadraticProblem`` has only its box, so a non-empty
-    "inequality" entry raises ValueError. Stationarity is the norm of the
+    of A, as one flat vector or a list of vectors that concatenate to it
+    (``SolverResult.multipliers`` holds a list of one); they must be
+    non-negative. A ``SmoothProblem`` with a non-empty
+    ``convex_constraints`` raises ValueError. A ``QuadraticProblem`` has
+    only its box, so a non-empty "inequality" entry raises ValueError.
+    Stationarity is the norm of the
     Lagrangian gradient (projected onto the box for quadratic problems); the
     violation and complementary-slackness entries are worst-case over all
     constraints.
@@ -1131,14 +1075,7 @@ def kkt_residuals(problem, point, multipliers) -> KKTResiduals:
     flat = np.concatenate(parts) if parts else np.zeros(0)
     if np.any(flat < 0):
         raise ValueError("inequality multipliers must be non-negative")
-    blocks = comp.inequalities
-    total = sum(block.size for block in blocks)
-    if flat.size != total:
-        raise ValueError(f"expected {total} inequality multipliers, got {flat.size}")
-    lam = []
-    pos = 0
-    for block in blocks:
-        lam.append(flat[pos : pos + block.size])
-        pos += block.size
+    if flat.size != comp.rows[1].size:
+        raise ValueError(f"expected {comp.rows[1].size} inequality multipliers, got {flat.size}")
     mu = None if comp.equality is None else _equality_multipliers(multipliers, comp.equality[1].size)
-    return _residuals(comp, x, lam, mu)
+    return _residuals(comp, x, flat, mu)

@@ -82,3 +82,39 @@ def recording_solves(monkeypatch) -> list:
 
     monkeypatch.setattr(fairclf.models, "minimize_smooth", recording)
     return calls
+
+
+def count_theta_star_fits(monkeypatch) -> list:
+    """Record each fit_logreg call that fairclf.models makes from now on, each one a theta* record written."""
+    import fairclf.models
+
+    calls = []
+    original = fairclf.models.fit_logreg
+    monkeypatch.setattr(fairclf.models, "fit_logreg", lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def crossing_instance(seed: int = 3, n: int = 2000):
+    """A two-column linear synthetic instance (phi = pi/4) whose second column's covariance the loss-budget fit drives through zero.
+
+    z1 is the generator's sensitive column. z2 copies it on about 3% of
+    the rows and is a fair coin on the rest, so its covariance at theta* is
+    small and of the sign of z1's; at gamma = 0.7 (seed 3) the optimum
+    holds it at zero.
+    """
+    from fairclf.synth import SynthConfig, gen_linear_synthetic
+
+    base = gen_linear_synthetic(SynthConfig(n=n, phi=np.pi / 4, seed=seed))
+    rng = np.random.default_rng(seed + 100)
+    z = base.sensitive[:, 0]
+    coin = rng.integers(0, 2, n).astype(float)
+    z2 = np.where(rng.random(n) < 0.03, z, coin)
+    return append_bias(
+        Dataset(
+            features=base.features,
+            labels=base.labels,
+            sensitive=np.column_stack([z, z2]),
+            sensitive_names=("z1", "z2"),
+            feature_names=base.feature_names,
+        )
+    )

@@ -18,6 +18,12 @@ loop but not the Q. Its covariance bounds are posed as the fit poses them,
 on slack variables; ``qp_kkt_reference`` certifies a fit on the same bounds
 as inequality rows over alpha alone.
 
+The two loss-budget modes are checked against scipy's general solvers on
+their dense forms, built from the problem statement: the total-loss budget
+by SLSQP on the epigraph (theta, t), whose KKT residuals are computed here
+from non-negative least-squares multipliers rather than read from its
+``success`` flag, and the per-point budgets by the HiGHS linear program.
+
 The UCI loaders are checked against their per-line form: each file read in
 text mode, one Python string per field, and each categorical column compared
 with each of its values.
@@ -29,6 +35,7 @@ import csv
 import itertools
 
 import numpy as np
+from scipy.optimize import linprog, minimize, nnls
 
 from fairclf.data import Dataset, append_bias
 from fairclf.ingest import (
@@ -463,6 +470,108 @@ def margin_rows_reference(w, features, rows, signs, margins) -> tuple[np.ndarray
     block *= -signs[:, None]
     a = np.vstack([top_a, np.hstack([block, np.zeros((rows.size, k))])])
     return a, np.concatenate([top_b, -margins / norms])
+
+
+# ---------------------------------------------------------------------------
+# the loss-budget modes on scipy's general solvers
+
+
+def _total_loss(theta, features, labels, l2) -> tuple[float, np.ndarray]:
+    """The logistic loss sum log(1 + e^-y x.theta) + l2 ||theta||^2 and its gradient, by logaddexp."""
+    margins = labels * (features @ theta)
+    weights = np.exp(-np.logaddexp(0.0, margins))  # sigma(-m)
+    return float(np.logaddexp(0.0, -margins).sum() + l2 * theta @ theta), -(features.T @ (labels * weights)) + 2.0 * l2 * theta
+
+
+def zero_covariance_reference(features, labels, w, l2) -> tuple[np.ndarray, float]:
+    """(theta, loss) of the least logistic loss with W theta = 0, by BFGS over a null-space basis of W from numpy's SVD."""
+    _, s, vt = np.linalg.svd(np.atleast_2d(w))
+    basis = vt[int(np.count_nonzero(s > 1e-12 * s.max())) :].T
+
+    def loss(phi):
+        value, gradient = _total_loss(basis @ phi, features, labels, l2)
+        return value, basis.T @ gradient
+
+    found = minimize(loss, np.zeros(basis.shape[1]), jac=True, method="BFGS", options={"gtol": 1e-10, "maxiter": 10_000})
+    theta = basis @ found.x
+    return theta, _total_loss(theta, features, labels, l2)[0]
+
+
+def loss_budget_reference(features, labels, w, l2, budget) -> tuple[np.ndarray, dict]:
+    """theta of min sum_k |w_k . theta| s.t. L(theta) <= budget, by SLSQP on the dense epigraph form, and its KKT residuals.
+
+    The variables are (theta, t) with the constraints t - W theta >= 0,
+    t + W theta >= 0 and 1 - L(theta) / budget >= 0, from the unconstrained
+    optimum (by BFGS) with t = |W theta|. SLSQP's ``success`` flag is not
+    read. The residuals are computed at its point: multipliers >= 0 on the
+    constraints within 1e-7 of active, by non-negative least squares on
+    the stationarity grad sum t = J_A' lambda, whose residual norm is
+    ``stationarity``; ``violation`` is the worst constraint value below
+    zero and ``comp_slack`` the worst lambda_i g_i.
+    """
+    w = np.atleast_2d(np.asarray(w, dtype=float))
+    k, d = w.shape
+    start = minimize(lambda theta: _total_loss(theta, features, labels, l2), np.zeros(d), jac=True, method="BFGS", options={"gtol": 1e-10}).x
+    objective = np.concatenate([np.zeros(d), np.ones(k)])
+
+    def values(x):
+        theta, t = x[:d], x[d:]
+        return np.concatenate([t - w @ theta, t + w @ theta, [1.0 - _total_loss(theta, features, labels, l2)[0] / budget]])
+
+    def jacobian(x):
+        eye = np.eye(k)
+        budget_row = np.concatenate([-_total_loss(x[:d], features, labels, l2)[1] / budget, np.zeros(k)])
+        return np.vstack([np.hstack([-w, eye]), np.hstack([w, eye]), budget_row])
+
+    found = minimize(
+        lambda x: float(objective @ x),
+        np.concatenate([start, np.abs(w @ start)]),
+        jac=lambda x: objective,
+        method="SLSQP",
+        constraints=[{"type": "ineq", "fun": values, "jac": jacobian}],
+        options={"ftol": 1e-15, "maxiter": 1_000},
+    )
+    g, jac = values(found.x), jacobian(found.x)
+    active = np.flatnonzero(g <= 1e-7)
+    lam, stationarity = nnls(jac[active].T, objective)
+    residuals = {
+        "stationarity": float(stationarity),
+        "violation": float(max(0.0, -g.min())),
+        "comp_slack": float(np.max(np.abs(lam * g[active]), initial=0.0)),
+    }
+    return found.x[:d], residuals
+
+
+def fine_grained_reference(features, labels, w, protected, bounds) -> np.ndarray:
+    """theta of the fine-grained linear program, by HiGHS on rows built from its statement.
+
+    Minimize sum_k t_k over (theta, t) subject to -t_k <= w_k . theta <= t_k,
+    x_i . theta >= 1e-8 for each ``protected`` row i, and, for every other
+    row i with a finite ``bounds[i]``, the loss budget log(1 + e^-m) <= b_i
+    as its margin y_i x_i . theta >= -log(e^b_i - 1). Each row is passed as
+    written, without scaling.
+    """
+    w = np.atleast_2d(np.asarray(w, dtype=float))
+    k, d = w.shape
+    n = features.shape[0]
+    is_protected = np.zeros(n, dtype=bool)
+    is_protected[protected] = True
+    budgeted = np.flatnonzero(~is_protected & np.isfinite(bounds))
+    rows = [np.hstack([w, -np.eye(k)]), np.hstack([-w, -np.eye(k)])]
+    rhs = [np.zeros(k), np.zeros(k)]
+    rows.append(np.hstack([-features[is_protected], np.zeros((int(is_protected.sum()), k))]))
+    rhs.append(np.full(int(is_protected.sum()), -1e-8))
+    rows.append(np.hstack([-(labels[budgeted, None] * features[budgeted]), np.zeros((budgeted.size, k))]))
+    rhs.append(np.log(np.expm1(bounds[budgeted])))
+    found = linprog(
+        np.concatenate([np.zeros(d), np.ones(k)]),
+        A_ub=np.vstack(rows),
+        b_ub=np.concatenate(rhs),
+        bounds=[(None, None)] * d + [(0, None)] * k,
+        method="highs",
+    )
+    assert found.status == 0, found.message
+    return found.x[:d]
 
 
 # ---------------------------------------------------------------------------

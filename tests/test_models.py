@@ -41,18 +41,21 @@ from fairclf.models import (
 from fairclf.solvers import SolverSettings, kkt_residuals, solve_qp
 from fairclf.synth import SynthConfig, gen_linear_synthetic, gen_nonlinear_synthetic
 
-from conftest import count_smooth_solves, random_instance, recording_solves
+from conftest import count_smooth_solves, count_theta_star_fits, crossing_instance, random_instance, recording_solves
 from oracles import (
     active_set_svm,
     exact_hinge_primal,
+    fine_grained_reference,
     finite_difference_gradient,
     grid_logistic_fair,
     hinge_objective,
     logistic_objective,
+    loss_budget_reference,
     margin_rows_reference,
     qp_kkt_reference,
     rbf_kernel_dual_reference,
     unit_rows_reference,
+    zero_covariance_reference,
 )
 
 
@@ -194,13 +197,15 @@ class TestGradients:
 
     def test_posed_hessians_match_finite_differences(self, monkeypatch):
         # the Newton steps trust the Hessians the fits pose: the upper
-        # triangle of each must be the derivative of the gradient posed with it
+        # triangle of each must be the derivative of the gradient posed with
+        # it, the padded (theta, t) loss of a gamma fit that unpins a column too
         ds, _ = random_instance(23, n=40)
+        crossing = crossing_instance()
         problems = count_smooth_solves(monkeypatch)
         fit_logreg(ds, FitSpec(mode="unconstrained", l2_penalty=0.01))
         fit_linear_svm_fair(ds, FitSpec(mode="unconstrained", svm_cost=2.0))
-        fit_logreg_fairness_max(ds, FitSpec(mode="accuracy_constrained", gamma=0.1))
-        assert any(problem.convex_constraints for problem in problems)
+        fit_logreg_fairness_max(crossing, FitSpec(mode="accuracy_constrained", gamma=0.7))
+        assert any(problem.dimension > crossing.n_features for problem in problems)
         rng = np.random.default_rng(5)
 
         def derivative(fn, x, step=1e-6):
@@ -215,10 +220,6 @@ class TestGradients:
             x = rng.normal(size=problem.dimension)
             hessian = np.array(problem.hessian(x))
             np.testing.assert_allclose(np.triu(hessian), np.triu(derivative(problem.gradient, x)), rtol=1e-5, atol=1e-7)
-            for block in problem.convex_constraints:
-                t = rng.random(block.size)
-                numeric = np.tensordot(t, derivative(block.jacobian, x), axes=1)
-                np.testing.assert_allclose(np.triu(block.hessian(x, t)), np.triu(numeric), rtol=1e-5, atol=1e-7)
 
     def test_per_point_losses_sum_to_total(self):
         ds, _ = random_instance(3, n=15)
@@ -317,9 +318,9 @@ class TestBaselineMemo:
     def test_gamma_fit_reuses_the_baseline(self, monkeypatch):
         ds, _ = random_instance(10, n=80)
         fit_logreg(ds, FitSpec(mode="unconstrained"))
-        calls = count_smooth_solves(monkeypatch)
+        refits = count_theta_star_fits(monkeypatch)
         model = fit_logreg_fairness_max(ds, FitSpec(mode="accuracy_constrained", gamma=0.5))
-        assert len(calls) == 1
+        assert not refits
         assert not model.training_meta["closed_form"]
 
     def test_other_inputs_refit(self, monkeypatch):
@@ -358,12 +359,12 @@ class TestBaselineMemo:
         meta = first.training_meta
         meta.update(objective=-1.0, status="edited", l2_penalty=1.0)
         meta["kkt"]["stationarity_norm"] = -1.0
-        calls = count_smooth_solves(monkeypatch)
+        refits = count_theta_star_fits(monkeypatch)
         for g, want in zip(gammas, expected):
             got = fit_logreg_fairness_max(ds, FitSpec(mode="accuracy_constrained", gamma=g))
             assert got.theta.tobytes() == want.theta.tobytes()
             assert got.training_meta == want.training_meta
-        assert len(calls) == 1  # the gamma = 0.5 fit; gamma = 0 is theta* itself
+        assert not refits  # theta* is read from the record; gamma = 0 is theta* itself
         assert fit_logreg(ds, spec).training_meta["status"] != "edited"
 
     def test_gamma_zero_is_the_baseline(self, monkeypatch):
@@ -769,6 +770,90 @@ class TestLossBudgetReport:
             assert meta["covariance"] == covariance.tolist()
             assert meta["objective"] == float(np.sum(np.abs(covariance)))
             assert meta["loss"] == logistic_loss(model.theta, ds.features, ds.labels, meta["l2_penalty"])
+
+
+class TestLossBudgetOracles:
+    """The loss-budget fits against scipy on their dense forms: SLSQP for the total budget, HiGHS for the per-point budgets."""
+
+    @staticmethod
+    def synthetic(n: int, seed: int):
+        return append_bias(gen_linear_synthetic(SynthConfig(n=n, phi=np.pi / 4, seed=seed)))
+
+    @staticmethod
+    def fit_and_reference(ds, gamma):
+        """The gamma fit and the oracle's sum |W theta| at the same budget, after checking the oracle's own KKT residuals."""
+        budget = (1.0 + gamma) * fit_logreg(ds, FitSpec(mode="unconstrained")).training_meta["objective"]
+        model = fit_logreg_fairness_max(ds, FitSpec(mode="accuracy_constrained", gamma=gamma))
+        w = covariance_vectors(ds)
+        theta, residuals = loss_budget_reference(ds.features, ds.labels, w, 0.0, budget)
+        assert residuals["stationarity"] <= 1e-7, residuals
+        assert residuals["violation"] <= 1e-10 and residuals["comp_slack"] <= 1e-9, residuals
+        return model, budget, float(np.sum(np.abs(w @ theta)))
+
+    @pytest.mark.parametrize("gamma", [0.25, 1.0])
+    def test_binding_cells(self, gamma):
+        model, budget, want = self.fit_and_reference(self.synthetic(400, seed=0), gamma)
+        meta = model.training_meta
+        assert meta["converged"] and not meta["tied"] and not meta["closed_form"]
+        assert meta["objective"] == pytest.approx(want, rel=1e-6)
+        assert abs(meta["loss"] - budget) <= 3e-9 * budget
+
+    def test_tie_boundary(self):
+        # just below the least loss at zero covariance the budget binds;
+        # just above, the fit is the c = 0 fit, whose loss is that least loss
+        ds = self.synthetic(400, seed=0)
+        w = covariance_vectors(ds)
+        loss_star = fit_logreg(ds, FitSpec(mode="unconstrained")).training_meta["objective"]
+        _, loss_zero = zero_covariance_reference(ds.features, ds.labels, w, 0.0)
+        assert 1.002 * loss_zero < ds.n * math.log(2.0)  # theta = 0 is outside both budgets
+        below, budget, want = self.fit_and_reference(ds, 0.998 * loss_zero / loss_star - 1.0)
+        meta = below.training_meta
+        assert meta["converged"] and not meta["tied"]
+        assert meta["objective"] == pytest.approx(want, rel=1e-6)
+        assert abs(meta["loss"] - budget) <= 3e-9 * budget
+        above = fit_logreg_fairness_max(ds, FitSpec(mode="accuracy_constrained", gamma=1.002 * loss_zero / loss_star - 1.0))
+        meta = above.training_meta
+        assert meta["converged"] and meta["tied"] and not meta["closed_form"]
+        assert meta["loss"] == pytest.approx(loss_zero, rel=1e-10)
+        assert meta["objective"] <= 1e-12
+
+    def test_crossing_column(self, caplog):
+        # the second column's covariance goes through zero on the way: its
+        # face is unpinned, and the optimum holds it at zero
+        with caplog.at_level(logging.DEBUG, logger="fairclf.models"):
+            model, budget, want = self.fit_and_reference(crossing_instance(), 0.7)
+        assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("gamma fit")][-1].endswith("unpinned=[z2]")
+        meta = model.training_meta
+        assert meta["converged"]
+        assert meta["objective"] == pytest.approx(want, rel=1e-6)
+        assert abs(meta["covariance"][1]) <= 1e-8
+        assert abs(meta["loss"] - budget) <= 3e-9 * budget
+
+    def test_one_debug_record_per_fit(self, caplog):
+        ds = self.synthetic(400, seed=0)
+        with caplog.at_level(logging.DEBUG, logger="fairclf.models"):
+            stages = [fit_logreg_fairness_max(ds, FitSpec(mode="accuracy_constrained", gamma=g)).training_meta for g in (0.0, 0.25, 1.3, 2.0)]
+        records = [r.getMessage() for r in caplog.records if r.name == "fairclf.models" and r.getMessage().startswith("gamma fit")]
+        assert [(meta["closed_form"], meta["tied"]) for meta in stages] == [(True, False), (False, False), (False, True), (True, False)]
+        assert records == [
+            "gamma fit stage=theta_star solves=0 steps=0 pinned=[] unpinned=[]",
+            "gamma fit stage=binding solves=7 steps=6 pinned=[z:+1] unpinned=[]",
+            "gamma fit stage=tied solves=1 steps=0 pinned=[] unpinned=[]",
+            "gamma fit stage=zero solves=0 steps=0 pinned=[] unpinned=[]",
+        ]
+
+    @pytest.mark.parametrize("n", [400, 1000])
+    def test_fine_grained_matches_the_linear_program(self, n):
+        ds = self.synthetic(n, seed=3)
+        base = fit_logreg(ds, FitSpec(mode="unconstrained"))
+        protected = protected_rows(base, ds, 1)
+        model = fit_logreg_fine_grained(ds, FitSpec(mode="fine_grained", per_point_gammas=np.ones(n), protected_index_set=protected))
+        # each row's budget, (1 + gamma) times its loss at theta*
+        bounds = 2.0 * np.logaddexp(0.0, -ds.labels * (ds.features @ base.theta))
+        w = covariance_vectors(ds)
+        theta = fine_grained_reference(ds.features, ds.labels, w, protected, bounds)
+        assert model.training_meta["converged"]
+        assert model.training_meta["objective"] == pytest.approx(float(np.sum(np.abs(w @ theta))), rel=1e-8)
 
 
 class TestFineGrained:

@@ -17,7 +17,6 @@ from fairclf.models import (
     protected_rows,
 )
 from fairclf.solvers import (
-    ConstraintBlock,
     QuadraticProblem,
     SmoothProblem,
     SolverSettings,
@@ -239,9 +238,17 @@ class TestMinimizeSmooth:
         f, g, h = quadratic_bowl([2.0, 0.0])
         with pytest.raises(ValueError, match="Hessian"):
             minimize_smooth(SmoothProblem(dimension=2, objective=f, gradient=g))
-        block = ConstraintBlock(value=lambda x: x[:1] - 1.0, jacobian=lambda x: np.array([[1.0, 0.0]]), size=1)
-        with pytest.raises(ValueError, match="Hessian"):
-            minimize_smooth(SmoothProblem(dimension=2, objective=f, gradient=g, hessian=h, convex_constraints=[block]))
+
+    def test_convex_constraints_are_rejected(self):
+        # the solvers take linear rows only; the field is kept as an inert name
+        f, g, h = quadratic_bowl([2.0, 0.0])
+        for entry in (solvers.ConstraintBlock(), (lambda x: x[0], lambda x: np.array([1.0, 0.0]))):
+            for extra in ({}, {"equality": (np.array([1.0, -1.0]), 0.0)}):
+                problem = SmoothProblem(dimension=2, objective=f, gradient=g, hessian=h, convex_constraints=[entry], **extra)
+                with pytest.raises(ValueError, match="convex_constraints"):
+                    minimize_smooth(problem, TIGHT)
+                with pytest.raises(ValueError, match="convex_constraints"):
+                    kkt_residuals(problem, np.zeros(2), {})
 
     def test_many_inactive_rows_change_nothing(self):
         # a box |x_j| <= 1 and 40 rows a.x <= 0.8 near the optimum, mixed in
@@ -269,19 +276,6 @@ class TestMinimizeSmooth:
         assert not lam[order >= near.shape[0]].any()
         np.testing.assert_allclose(full.point, reduced.point, rtol=0, atol=1e-8)
         np.testing.assert_allclose(lam[kept], reduced.multipliers["inequality"][0], rtol=0, atol=1e-8)
-
-    def test_vector_block_constraints(self):
-        # same halfspace expressed through a ConstraintBlock
-        f, g, h = quadratic_bowl([2.0, 0.0])
-        block = ConstraintBlock(
-            value=lambda x: np.array([x[0] - 1.0]),
-            jacobian=lambda x: np.array([[1.0, 0.0]]),
-            size=1,
-            hessian=lambda x, t: np.zeros((2, 2)),
-        )
-        problem = SmoothProblem(dimension=2, objective=f, gradient=g, hessian=h, convex_constraints=[block])
-        result = minimize_smooth(problem, TIGHT)
-        np.testing.assert_allclose(result.point, [1.0, 0.0], atol=1e-6)
 
 
 def random_logistic(rng: np.random.Generator, n: int, d: int, l2: float = 1e-3) -> tuple:
@@ -325,7 +319,7 @@ def newton_steps(problem: SmoothProblem, lam_rows: np.ndarray, rho: float) -> li
     """
     problem, events = recorded(problem)
     comp = solvers._compile_smooth(problem)
-    solvers._newton_al(comp, comp.x0, lam_rows, [], rho, 1e-10, 100)
+    solvers._newton_al(comp, comp.x0, lam_rows, rho, 1e-10, 100)
     steps = []
     for kind, x in events:
         if kind == "g":
@@ -477,28 +471,17 @@ class TestQuasiNewtonCorrections:
         assert result.status == "converged"
         np.testing.assert_allclose(result.point, reference, rtol=0, atol=1e-10)
 
-    @pytest.mark.parametrize("constraint", ["row", "block"])
+    @pytest.mark.parametrize("constraint", ["row"])
     def test_rows_or_blocks_take_plain_chord_steps(self, monkeypatch, constraint):
-        # one subproblem at lam = 0, rho = 10 under a row or a ball that cuts
-        # the unconstrained optimum's norm in half
+        # one subproblem at lam = 0, rho = 10 under a row that cuts the
+        # unconstrained optimum's norm in half
         f, g, h = random_logistic(np.random.default_rng(40), n=400, d=24)
         optimum = minimize_smooth(SmoothProblem(dimension=24, objective=f, gradient=g, hessian=h), TIGHT).point
         radius = 0.5 * np.linalg.norm(optimum)
-        if constraint == "row":
-            extra = {"linear_constraints": (optimum[None, :] / np.linalg.norm(optimum), np.array([radius]))}
-            lam_rows, lam = np.zeros(1), []
-        else:
-            block = ConstraintBlock(
-                value=lambda x: np.array([x @ x - radius**2]),
-                jacobian=lambda x: 2.0 * x[None, :],
-                size=1,
-                hessian=lambda x, t: 2.0 * t[0] * np.eye(24),
-            )
-            extra = {"convex_constraints": [block]}
-            lam_rows, lam = np.zeros(0), [np.zeros(1)]
-        comp = solvers._compile_smooth(SmoothProblem(dimension=24, objective=f, gradient=g, hessian=h, **extra))
+        rows = (optimum[None, :] / np.linalg.norm(optimum), np.array([radius]))
+        comp = solvers._compile_smooth(SmoothProblem(dimension=24, objective=f, gradient=g, hessian=h, linear_constraints=rows))
         events = record_directions(monkeypatch)
-        x, *_, corrected = solvers._newton_al(comp, comp.x0, lam_rows, lam, 10.0, 1e-10, 100)
+        x, *_, corrected = solvers._newton_al(comp, comp.x0, np.zeros(1), 10.0, 1e-10, 100)
         assert np.linalg.norm(x) > radius  # the penalty is active at the end
         reused = [event for event in events if event != "factor"]
         assert reused  # chord steps were taken
@@ -554,51 +537,6 @@ class TestOneRowProductPerOuterIteration:
         assert CountedRows.products == sum(logged_counts(records, "newton")) + len(records) + 1
         # the residuals read the rows' values of the multiplier update; recomputed from the problem they agree
         assert kkt_residuals(problem, result.point, result.multipliers) == result.kkt
-
-
-class TestArrayJacobian:
-    """A convex block whose (m, n) Jacobian array binds at the optimum."""
-
-    @staticmethod
-    def ball_problem() -> SmoothProblem:
-        # six balls that all contain the origin, a halfspace, and a bowl
-        # centred outside their intersection, so the constraints bind
-        rng = np.random.default_rng(21)
-        centers = rng.normal(size=(6, 3))
-        radii = np.linalg.norm(centers, axis=1) + 0.5
-        block = ConstraintBlock(
-            value=lambda x: np.sum((x - centers) ** 2, axis=1) - radii**2,
-            jacobian=lambda x: 2.0 * (x - centers),
-            size=6,
-            hessian=lambda x, t: 2.0 * t.sum() * np.eye(3),
-        )
-        f, g, h = quadratic_bowl([4.0, -3.0, 2.0])
-        return SmoothProblem(
-            dimension=3,
-            objective=f,
-            gradient=g,
-            hessian=h,
-            linear_constraints=(np.array([[1.0, 1.0, 1.0]]), np.array([0.5])),
-            convex_constraints=[block],
-        )
-
-    def test_minimize_smooth_converges(self):
-        result = minimize_smooth(self.ball_problem(), TIGHT)
-        assert result.status == "converged"
-        assert np.max(result.multipliers["inequality"][1]) > 1e-3  # the block binds
-
-    def test_kkt_residuals_agree(self):
-        # the residuals recomputed from the problem equal the solver's own
-        problem = self.ball_problem()
-        result = minimize_smooth(problem, TIGHT)
-        residuals = kkt_residuals(problem, result.point, result.multipliers)
-        assert residuals.within(TIGHT)
-        np.testing.assert_allclose(
-            [residuals.stationarity_norm, residuals.max_violation, residuals.max_comp_slack],
-            [result.kkt.stationarity_norm, result.kkt.max_violation, result.kkt.max_comp_slack],
-            rtol=1e-8,
-            atol=1e-14,
-        )
 
 
 def _layouts() -> dict:
@@ -714,6 +652,21 @@ class TestEqualityRows:
         c = rng.normal(size=n)
         return q, c, (lambda x: float(0.5 * x @ q @ x + c @ x)), (lambda x: q @ x + c), (lambda x: q)
 
+    def test_convex_block_with_equality_rows_is_rejected(self):
+        # a convex block posed together with equality rows meets the same
+        # refusal as any other non-empty convex_constraints
+        f, g, h = quadratic_bowl([2.0, 0.0])
+        problem = SmoothProblem(
+            dimension=2,
+            objective=f,
+            gradient=g,
+            hessian=h,
+            convex_constraints=[solvers.ConstraintBlock()],
+            equality=(np.array([1.0, -1.0]), 0.0),
+        )
+        with pytest.raises(ValueError, match="convex_constraints"):
+            minimize_smooth(problem, TIGHT)
+
     def test_quadratic_matches_reference(self):
         q, c, f, g, h = self.quadratic(4, seed=31)
         e = np.random.default_rng(32).normal(size=(2, 4))
@@ -794,13 +747,6 @@ class TestEqualityRows:
         assert np.array_equal(none.point, empty.point)
         assert none.status == empty.status and none.iterations == empty.iterations
         assert "equality" not in empty.multipliers
-
-    def test_convex_block_with_equality_rows_is_rejected(self):
-        # the ball problem restricted to the plane x0 = x1: no fit poses a
-        # convex block together with equality rows, and the solver refuses it
-        problem = dataclasses.replace(TestArrayJacobian.ball_problem(), equality=(np.array([1.0, -1.0, 0.0]), 0.0))
-        with pytest.raises(ValueError, match="equality rows together with convex constraint blocks"):
-            minimize_smooth(problem, TIGHT)
 
 
 def identity(n: int) -> tuple[float, np.ndarray]:
@@ -901,7 +847,7 @@ class TestSolveQp:
         problem = SmoothProblem(
             dimension=2, objective=f, gradient=g, hessian=h, convex_constraints=[(lambda x: x[0], lambda x: np.array([1.0, 0.0]))]
         )
-        with pytest.raises(TypeError, match="ConstraintBlock"):
+        with pytest.raises(ValueError, match="convex_constraints"):
             minimize_smooth(problem)
 
     def test_infeasible_rows_detected(self):

@@ -87,6 +87,21 @@ def test_only_the_solvers_import_scipy():
     assert importers and all(entry.startswith("solvers.py:") for entry in importers), importers
 
 
+def test_no_module_poses_a_convex_block():
+    # the solvers take linear rows only: ConstraintBlock and
+    # SmoothProblem.convex_constraints are names they refuse, kept for the
+    # benchmark's instrumentation, and no fit may build the one or pass the other
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "ConstraintBlock" or any(keyword.arg == "convex_constraints" for keyword in node.keywords):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 # solve_qp's products on scipy's BLAS, its private helpers and the routines under them
 BLAS_NAMES = {"matvec", "rmatvec", "dot", "_matvec", "_rmatvec", "_dot", "ddot", "dgemv", "dgemm", "dsyrk"}
 

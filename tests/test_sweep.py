@@ -14,7 +14,7 @@ from fairclf.metrics import audit
 from fairclf.models import FitSpec, decision_values, fit_logreg, fit_logreg_fair
 from fairclf.sweep import ExperimentConfig, SweepResult, emit_results, load_dataset, run_sweep
 
-from conftest import count_smooth_solves
+from conftest import count_smooth_solves, count_theta_star_fits
 
 SYNTH = {"kind": "synthetic", "variant": "linear", "phi": float(np.pi / 4), "n": 600, "seed": 4}
 
@@ -193,7 +193,7 @@ class TestRunSweep:
         assert zero_cell.train_loss <= baseline["loss_star"] * (1 + 1e-6)
 
     def test_gamma_sweep_fits_the_baseline_once(self, monkeypatch):
-        calls = count_smooth_solves(monkeypatch)
+        baselines = count_theta_star_fits(monkeypatch)
         config = fairness_config(
             mode="accuracy_constrained",
             a_factors=None,
@@ -201,7 +201,7 @@ class TestRunSweep:
             split=SplitPlan(train_fraction=0.7, repeats=1, seed=3),
         )
         result = run_sweep(config)
-        assert len(calls) == 2  # the baseline and gamma = 0.5; gamma = 0 is the baseline
+        assert len(baselines) == 1  # the gamma fits read theta* from the record; gamma = 0 is the baseline
         zero_cell = next(c for c in result.cells if c.cell_index == 0)
         assert zero_cell.train_loss == result.baselines[0]["loss_star"]
 
