@@ -27,6 +27,7 @@ decisions.
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
 import weakref
@@ -616,11 +617,15 @@ def _logistic_problem(features, labels, l2_penalty, constraints=None, equality=N
 
 @dataclass(frozen=True)
 class _ThetaStar:
-    """The unconstrained optimum theta* of one training set and ``l2_penalty``.
+    """The unconstrained optimum theta* of one training set and ``l2_penalty``, and its c = 0 fit.
 
     ``ridge`` is the penalty theta* minimizes, auto-ridge included, ``loss``
     is L* = L(theta*) at that ridge and ``result`` the solve that found it.
     ``train`` is a weak reference, so the record keeps no dataset alive.
+    ``zero_fit`` is None, or the pair (key, result) of the last
+    :func:`_zero_covariance_fit` solved from this theta*: key is the
+    solve's (kkt_tolerance, max_iterations), and result has a read-only
+    point and its own multipliers.
     """
 
     train: weakref.ref
@@ -629,11 +634,19 @@ class _ThetaStar:
     ridge: float
     loss: float
     result: SolverResult
+    zero_fit: tuple | None = None
 
 
-# the theta* of the last fit_logreg with the default settings; only
-# _theta_star reads it
+# the theta* of the last fit_logreg with the default settings, with the c = 0
+# fit solved from it; only _theta_star and _zero_covariance_fit read it, and
+# only _keep writes it
 _theta_star_record: _ThetaStar | None = None
+
+
+def _keep(record: _ThetaStar) -> None:
+    """Make ``record`` the theta* record."""
+    global _theta_star_record
+    _theta_star_record = record
 
 
 def fit_logreg(train: Dataset, spec: FitSpec, settings: SolverSettings | None = None) -> LinearModel:
@@ -646,12 +659,13 @@ def fit_logreg(train: Dataset, spec: FitSpec, settings: SolverSettings | None = 
     Every call solves. A fit with the default settings (``settings`` None)
     also replaces the one theta* record: the training set, by weak
     reference, ``l2_penalty``, theta*, its ridge, L* and the solve's result.
-    The three constrained logistic fits read theta* from that record when it
-    is of their ``Dataset`` object and ``l2_penalty``, and otherwise call
-    this function first. A ``Dataset`` is frozen and its arrays are
-    read-only, so the same object means the same rows.
+    The new record holds no c = 0 fit; the first constrained fit that needs
+    one adds it (:func:`fit_logreg_fair`). The three constrained logistic
+    fits read theta* from that record when it is of their ``Dataset`` object
+    and ``l2_penalty``, and otherwise call this function first. A
+    ``Dataset`` is frozen and its arrays are read-only, so the same object
+    means the same rows.
     """
-    global _theta_star_record
     _check_inputs(train, spec, "fit_logreg")
     writes_record = settings is None
     settings = settings or _default_settings()
@@ -666,7 +680,7 @@ def fit_logreg(train: Dataset, spec: FitSpec, settings: SolverSettings | None = 
     model = LinearModel(result.point, _meta("unconstrained", result, l2_penalty=ridge, auto_ridge=auto_ridge, objective=loss))
     if writes_record:
         # the result's point is the model's read-only theta, so no array in the record can be written
-        _theta_star_record = _ThetaStar(weakref.ref(train), spec.l2_penalty, model.theta, ridge, loss, replace(result, point=model.theta))
+        _keep(_ThetaStar(weakref.ref(train), spec.l2_penalty, model.theta, ridge, loss, replace(result, point=model.theta)))
     return model
 
 
@@ -689,6 +703,12 @@ def fit_logreg_fair(train: Dataset, spec: FitSpec, settings: SolverSettings | No
     without a step. On separable data theta* is the auto-ridge refit's, far
     from every constrained optimum; when its ridge is not ``l2_penalty``,
     the solve starts at theta = 0 instead.
+
+    With every threshold 0 and theta*'s ridge ``l2_penalty``, the fit is
+    the c = 0 fit that :func:`fit_logreg_fairness_max` also opens with, and
+    :func:`_zero_covariance_fit` poses and solves it once per theta* record
+    and solver settings; a later call reads the solve from the record, and
+    returns the same theta and ``training_meta``.
 
     A bound that theta* breaks, on its unit row by more than the
     feasibility tolerance, is pinned to the face it breaks: s_k w_k . theta
@@ -727,16 +747,20 @@ def fit_logreg_fair(train: Dataset, spec: FitSpec, settings: SolverSettings | No
     sides = np.zeros(c.size)
     sides[_bounded(c)] = np.where(np.abs(cov_star) - b > settings.feas_tol, np.sign(cov_star), 0.0)
     pinned_first = sides.copy()
+    from_star = star.ridge == spec.l2_penalty
 
     def problem(rows):
         (a, b), equality = rows
         posed = _logistic_problem(train.features, train.labels, spec.l2_penalty, (_interleave(a, -a), np.repeat(b, 2)), equality)
-        return replace(posed, initial_point=star.theta) if star.ridge == spec.l2_penalty else posed
+        return replace(posed, initial_point=star.theta) if from_star else posed
 
     used = solves = 0
     while True:
-        rows = _covariance_split(w, c, sides) if sides.any() else stated
-        result = minimize_smooth(problem(rows), replace(settings, max_iterations=settings.max_iterations - used))
+        if from_star and not c.any():  # nothing to pin: the c = 0 fit
+            result = _zero_covariance_fit(train, w, star, settings)
+        else:
+            rows = _covariance_split(w, c, sides) if sides.any() else stated
+            result = minimize_smooth(problem(rows), replace(settings, max_iterations=settings.max_iterations - used))
         used += result.iterations
         solves += 1
         faces = np.flatnonzero(sides)
@@ -821,6 +845,33 @@ def _theta_star(train: Dataset, l2_penalty: float) -> _ThetaStar:
     return _theta_star_record
 
 
+def _zero_covariance_fit(train: Dataset, w: np.ndarray, star: _ThetaStar, settings: SolverSettings) -> SolverResult:
+    """The c = 0 fit of ``train``: the least loss at theta*'s ridge with W theta = 0, started at theta*.
+
+    ``star`` is the current theta* record of ``train``. The rows W theta = 0
+    are the unit equality rows of :func:`_covariance_split` at c = 0, which
+    the solver eliminates. The first solve is kept in the record, keyed on
+    the settings its path reads, ``kkt_tolerance`` and ``max_iterations``;
+    a call with the same key reads it instead of solving, and logs one
+    DEBUG record with its iterations. The feasibility tolerance decides
+    only the status: the rows have f = 0, so the solver's particular point
+    is 0 and never infeasible, and it sets the status from the residuals.
+    A read sets it the same way with its own settings, so fits with
+    another feasibility tolerance share the solve and match a fresh one.
+    """
+    key = (settings.kkt_tolerance, settings.max_iterations)
+    if star.zero_fit is not None and star.zero_fit[0] == key:
+        kept = star.zero_fit[1]
+        _log.debug("c=0 fit read from the theta* record: iterations=%d", kept.iterations)
+        return replace(kept, status="converged" if kept.kkt.within(settings) else "max_iter")
+    _, rows = _covariance_split(w, np.zeros(w.shape[0]))
+    result = minimize_smooth(replace(_logistic_problem(train.features, train.labels, star.ridge), equality=rows, initial_point=star.theta), settings)
+    point = result.point.copy()
+    point.setflags(write=False)
+    _keep(replace(star, zero_fit=(key, replace(result, point=point, multipliers=copy.deepcopy(result.multipliers)))))
+    return result
+
+
 def _loss_budget_model(train: Dataset, w: np.ndarray, theta: np.ndarray, ridge: float) -> dict:
     """The report of a loss-budget fit at theta: ``l2_penalty``, ``loss``, ``covariance`` W theta and ``objective`` sum |W theta|."""
     covariance = w @ theta
@@ -895,9 +946,12 @@ def fit_logreg_fairness_max(train: Dataset, spec: FitSpec, settings: SolverSetti
     residuals and iterations.
 
     Otherwise the fit has two stages. Stage one is the c = 0 fit, the least
-    loss with W theta = 0, posed as :func:`fit_logreg_fair` poses it at
-    c = 0, at theta*'s ridge and from theta*. If its loss is within the
-    budget, the budget admits zero covariance, and every zero-covariance
+    loss with W theta = 0 at theta*'s ridge and from theta*
+    (:func:`_zero_covariance_fit`), the fit :func:`fit_logreg_fair` makes at
+    c = 0. It is read from the theta* record when an earlier fit of the
+    record, of either mode, solved it with the same ``kkt_tolerance`` and
+    ``max_iterations``; it still counts as one solve. If its loss is within
+    the budget, the budget admits zero covariance, and every zero-covariance
     point inside it is optimal; the tie goes to the least loss, the c = 0
     fit itself, marked ``tied``, with the c = 0 solve's status and
     residuals.
@@ -948,12 +1002,11 @@ def fit_logreg_fairness_max(train: Dataset, spec: FitSpec, settings: SolverSetti
     elif spec.gamma == 0.0:
         stage, theta, result = "theta_star", star.theta, star.result
     else:
-        loss = _logistic_problem(features, labels, star.ridge)
-        _, zero_rows = _covariance_split(w, np.zeros(w.shape[0]))
-        result = minimize_smooth(replace(loss, equality=zero_rows, initial_point=star.theta), settings)
+        result = _zero_covariance_fit(train, w, star, settings)
         theta, used, solves = result.point, result.iterations, 1
         stage = "tied" if logistic_loss(theta, features, labels, star.ridge) <= budget else "binding"
     if stage == "binding":
+        loss = _logistic_problem(features, labels, star.ridge)
         nonzero = np.any(w != 0, axis=1)
         sides = np.sign(w @ star.theta)
         pinned_first = sides.copy()

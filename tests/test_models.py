@@ -382,6 +382,142 @@ class TestBaselineMemo:
         assert meta["kkt"] == base.training_meta["kkt"]
         assert meta["objective"] == float(np.sum(np.abs(covariance_vectors(ds) @ base.theta)))
 
+    # the c = 0 fit kept in the theta* record: gamma = 0.25 binds and
+    # gamma = 1.3 is tied on this instance (TestLossBudgetOracles)
+    ZERO = FitSpec(mode="fairness_constrained", covariance_thresholds=0.0)
+    GAMMAS = (0.25, 1.3)
+
+    @staticmethod
+    def synthetic():
+        return append_bias(gen_linear_synthetic(SynthConfig(n=400, phi=np.pi / 4, seed=0)))
+
+    @staticmethod
+    def fresh(monkeypatch, fit, ds, spec, settings=None):
+        """``fit`` from an empty theta* record, so that theta* and any c = 0 fit are solved afresh."""
+        monkeypatch.setattr(models, "_theta_star_record", None)
+        return fit(ds, spec, settings)
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.theta.tobytes() == want.theta.tobytes()
+        assert got.training_meta == want.training_meta
+
+    @staticmethod
+    def zero_solves(calls, ds) -> int:
+        """The c = 0 solves among the recorded problems: d variables, the zero equality rows, started at theta*."""
+        star = models._theta_star_record.theta
+        return sum(
+            p.dimension == ds.n_features and p.equality is not None and not np.any(p.equality[1]) and np.array_equal(p.initial_point, star)
+            for p in calls
+        )
+
+    def test_gamma_fits_read_the_c0_fit_bitwise(self, monkeypatch):
+        ds = self.synthetic()
+        calls = count_smooth_solves(monkeypatch)
+        for g in self.GAMMAS:
+            spec = FitSpec(mode="accuracy_constrained", gamma=g)
+            want = self.fresh(monkeypatch, fit_logreg_fairness_max, ds, spec)
+            assert want.training_meta["tied"] == (g == 1.3)
+            for writer in (lambda: fit_logreg_fair(ds, self.ZERO), lambda: fit_logreg_fairness_max(ds, FitSpec(mode="accuracy_constrained", gamma=0.5))):
+                fit_logreg(ds, FitSpec(mode="unconstrained"))
+                writer()
+                assert models._theta_star_record.zero_fit is not None
+                before = len(calls)
+                self.assert_same(fit_logreg_fairness_max(ds, spec), want)
+                assert self.zero_solves(calls[before:], ds) == 0
+                if want.training_meta["tied"]:
+                    assert len(calls) == before
+
+    def test_fairness_fit_at_zero_reads_the_gamma_fits_c0_fit(self, monkeypatch):
+        ds = self.synthetic()
+        want = self.fresh(monkeypatch, fit_logreg_fair, ds, self.ZERO)
+        calls = count_smooth_solves(monkeypatch)
+        for g in self.GAMMAS:
+            fit_logreg(ds, FitSpec(mode="unconstrained"))
+            fit_logreg_fairness_max(ds, FitSpec(mode="accuracy_constrained", gamma=g))
+            before = len(calls)
+            self.assert_same(fit_logreg_fair(ds, self.ZERO), want)
+            assert len(calls) == before
+
+    def test_each_miss_solves_afresh(self, monkeypatch):
+        ds = self.synthetic()
+        calls = count_smooth_solves(monkeypatch)
+        for settings in (
+            SolverSettings(kkt_tolerance=1e-7, feasibility_tolerance=1e-8),
+            SolverSettings(max_iterations=5_000, kkt_tolerance=1e-6, feasibility_tolerance=1e-8),
+        ):
+            want = self.fresh(monkeypatch, fit_logreg_fair, ds, self.ZERO, settings)
+            fit_logreg_fair(ds, self.ZERO)  # the record now keeps the default settings' c = 0 fit
+            before = len(calls)
+            self.assert_same(fit_logreg_fair(ds, self.ZERO, settings), want)
+            assert self.zero_solves(calls[before:], ds) == 1
+        # another l2_penalty and another Dataset object: theta* first, then the c = 0 fit
+        ridged = FitSpec(mode="fairness_constrained", covariance_thresholds=0.0, l2_penalty=1e-3)
+        copy = replace(ds)
+        for train, spec in ((ds, ridged), (copy, self.ZERO)):
+            want = self.fresh(monkeypatch, fit_logreg_fair, train, spec)
+            fit_logreg_fair(ds, self.ZERO)
+            before = len(calls)
+            self.assert_same(fit_logreg_fair(train, spec), want)
+            assert len(calls) == before + 2 and self.zero_solves(calls[before:], train) == 1
+
+    def test_auto_ridge_theta_star_keeps_the_fairness_fit_apart(self, monkeypatch):
+        # the instance of test_auto_ridge_theta_star_is_not_the_start: the
+        # gamma fit's c = 0 fit is at the auto-ridge from theta*, the fairness
+        # fit's at l2_penalty = 0 from theta = 0
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(60, 2))
+        labels = np.where(x[:, 0] + 0.3 * x[:, 1] > 0, 1.0, -1.0)
+        z = (x[:, 1] + rng.normal(size=60) > 0).astype(float)
+        ds = Dataset(np.column_stack([x, np.ones(60)]), labels, z.reshape(-1, 1), ("z",), ("x0", "x1", "bias"), has_bias_column=True)
+        gamma = FitSpec(mode="accuracy_constrained", gamma=0.5)
+        want_fair = self.fresh(monkeypatch, fit_logreg_fair, ds, self.ZERO)
+        want_gamma = self.fresh(monkeypatch, fit_logreg_fairness_max, ds, gamma)
+        assert models._theta_star_record.ridge > 0.0 and models._theta_star_record.zero_fit is not None
+        calls = count_smooth_solves(monkeypatch)
+        self.assert_same(fit_logreg_fair(ds, self.ZERO), want_fair)
+        assert len(calls) == 1 and not calls[0].initial_point.any()
+        fit_logreg(ds, FitSpec(mode="unconstrained"))
+        fit_logreg_fair(ds, self.ZERO)
+        assert models._theta_star_record.zero_fit is None  # nothing was kept
+        before = len(calls)
+        self.assert_same(fit_logreg_fairness_max(ds, gamma), want_gamma)
+        assert self.zero_solves(calls[before:], ds) == 1
+
+    def test_a_new_baseline_drops_the_c0_fit(self, monkeypatch):
+        ds = self.synthetic()
+        fit_logreg(ds, FitSpec(mode="unconstrained"))
+        fit_logreg_fair(ds, self.ZERO)
+        assert models._theta_star_record.zero_fit is not None
+        fit_logreg(ds, FitSpec(mode="unconstrained"))
+        assert models._theta_star_record.zero_fit is None
+        calls = count_smooth_solves(monkeypatch)
+        fit_logreg_fair(ds, self.ZERO)
+        assert self.zero_solves(calls, ds) == 1
+
+    def test_caller_edits_do_not_reach_the_c0_fit(self, monkeypatch):
+        ds = self.synthetic()
+        want_fair = self.fresh(monkeypatch, fit_logreg_fair, ds, self.ZERO)
+        want_gamma = [self.fresh(monkeypatch, fit_logreg_fairness_max, ds, FitSpec(mode="accuracy_constrained", gamma=g)) for g in self.GAMMAS]
+        fit_logreg(ds, FitSpec(mode="unconstrained"))
+        meta = fit_logreg_fair(ds, self.ZERO).training_meta
+        meta.update(objective=-1.0, status="edited", iterations=-1, covariance=[9.0])
+        meta["kkt"]["stationarity_norm"] = -1.0
+        kept = models._theta_star_record.zero_fit[1]
+        assert not kept.point.flags.writeable
+        for g, want in zip(self.GAMMAS, want_gamma):
+            self.assert_same(fit_logreg_fairness_max(ds, FitSpec(mode="accuracy_constrained", gamma=g)), want)
+        self.assert_same(fit_logreg_fair(ds, self.ZERO), want_fair)
+
+    def test_a_read_logs_its_iterations(self, monkeypatch, caplog):
+        ds = self.synthetic()
+        fit_logreg(ds, FitSpec(mode="unconstrained"))
+        with caplog.at_level(logging.DEBUG, logger="fairclf.models"):
+            solved = fit_logreg_fair(ds, self.ZERO).training_meta["iterations"]
+            fit_logreg_fairness_max(ds, FitSpec(mode="accuracy_constrained", gamma=1.3))
+        reads = [r.getMessage() for r in caplog.records if r.name == "fairclf.models" and r.getMessage().startswith("c=0 fit")]
+        assert reads == [f"c=0 fit read from the theta* record: iterations={solved}"]
+
 
 class TestFitLogreg:
     def test_two_point_example(self):

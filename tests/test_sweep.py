@@ -205,6 +205,28 @@ class TestRunSweep:
         zero_cell = next(c for c in result.cells if c.cell_index == 0)
         assert zero_cell.train_loss == result.baselines[0]["loss_star"]
 
+    def test_gamma_sweep_solves_c0_once_per_repeat(self, monkeypatch):
+        import fairclf.models
+        import fairclf.sweep
+
+        fitted = []
+        original = fairclf.sweep.fit
+        monkeypatch.setattr(fairclf.sweep, "fit", lambda *args: fitted.append((*args, original(*args))) or fitted[-1][-1])
+        calls = count_smooth_solves(monkeypatch)
+        config = fairness_config(mode="accuracy_constrained", a_factors=None, gammas=(0.25, 0.5, 1.0))
+        run_sweep(config)
+        # the c = 0 solves are the only ones on zero equality rows: the
+        # baseline has none, and each face of a binding gamma fit a budget c > 0
+        zero = [p for p in calls if p.equality is not None and not np.any(p.equality[1])]
+        assert len(zero) == config.split.repeats
+        cells = [entry for entry in fitted if entry[2].mode == "accuracy_constrained"]
+        assert sum(not model.training_meta["closed_form"] for *_, model in cells) >= 2 * config.split.repeats
+        for train, classifier, spec, model in cells:
+            monkeypatch.setattr(fairclf.models, "_theta_star_record", None)
+            alone = fairclf.models.fit(train, classifier, spec)
+            assert alone.theta.tobytes() == model.theta.tobytes()
+            assert alone.training_meta == model.training_meta
+
     def test_fine_grained_sweep(self):
         config = fairness_config(
             mode="fine_grained",
