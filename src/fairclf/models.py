@@ -1304,8 +1304,9 @@ def fit_kernel_svm_fair(train: Dataset, spec: FitSpec, settings: SolverSettings 
     # keep the support vectors. The interior-point method leaves a
     # coefficient at its lower bound at about mu / z, not at zero; the cut
     # at 1e-8 C falls in the gap between those and the support vectors in
-    # the C10-shaped fits (at 600 rows below 1e-11 C and above 5e-4 C, at
-    # 2000 rows below 4.6e-9 C and above 1.09e-8 C)
+    # the C10-shaped fits at C = 100 (at 600 rows the dropped ones are below
+    # 1.7e-10 C and the kept ones above 5e-4 C; at 2000 rows below 4.7e-9 C
+    # and above 2.8e-8 C)
     support = np.flatnonzero(alphas > 1e-8 * spec.svm_cost)
     alphas, sv_labels = alphas[support], labels[support]
     # the equality is enforced to ~1e-9; absorb any residual into the most

@@ -1717,6 +1717,39 @@ class TestKernelSvm:
             )
 
 
+class TestInteriorPointStart:
+    """Iteration counts of the benchmark's SVM fits, whose dual boxes set the interior-point start's scale."""
+
+    @staticmethod
+    def spec(c: float, **options) -> FitSpec:
+        if math.isfinite(c):
+            return FitSpec(mode="fairness_constrained", covariance_thresholds=c, **options)
+        return FitSpec(mode="unconstrained", **options)
+
+    @pytest.mark.parametrize("c", [np.inf, 0.0])
+    def test_c10_at_cost_100(self, c):
+        # alpha in [0, 100]: 20 and 23 iterations from a start on the unit scale
+        meta = fit_kernel_svm_fair(c10_rows(600), self.spec(c, svm_cost=100.0, kernel=C10_KERNEL)).training_meta
+        assert meta["status"] == "converged"
+        assert meta["iterations"] <= 15
+
+    @pytest.mark.parametrize(
+        ("classifier", "c", "iterations"),
+        [("kernel_svm", np.inf, 14), ("kernel_svm", 0.0, 14), ("linear_svm", np.inf, 11), ("linear_svm", 0.0, 10)],
+    )
+    def test_unit_boxes_keep_the_unit_start(self, classifier, c, iterations):
+        # the 600-row C10 fits at C = 1 and the benchmark's 400-row hinge
+        # fits at C = 1 box their duals in [0, 1] and [0, 1/400], so every
+        # sigma is 1 and these are the unit-scale start's counts
+        if classifier == "kernel_svm":
+            model = fit_kernel_svm_fair(c10_rows(600), self.spec(c, svm_cost=1.0, kernel=C10_KERNEL))
+        else:
+            train = append_bias(gen_linear_synthetic(SynthConfig(n=400, phi=np.pi / 4, seed=1)))
+            model = fit_linear_svm_fair(train, self.spec(c, svm_cost=1.0))
+        assert model.training_meta["status"] == "converged"
+        assert model.training_meta["iterations"] == iterations
+
+
 class TestKernelModelInput:
     GOOD = {
         "kind": "kernel",

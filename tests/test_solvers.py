@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import logging
 import math
@@ -908,6 +909,34 @@ class TestSolveQp:
         assert len(caplog.records) == result.iterations + 1
         assert all("mu=" in r.getMessage() and "stat=" in r.getMessage() for r in caplog.records)
 
+    def test_logs_the_start_scale_once(self, caplog):
+        # variables 0-2 boxed with widths 0.5, 50 and 5e4 (capped), variable 3 bounded on one side
+        problem = QuadraticProblem(
+            q_factor=identity(4),
+            q_vector=-np.ones(4),
+            box=(np.array([0.0, 0.0, 0.0, 0.0]), np.array([0.5, 50.0, 5e4, np.inf])),
+        )
+        with caplog.at_level(logging.DEBUG, logger="fairclf.solvers"):
+            result = solve_qp(problem, TIGHT)
+        assert result.status == "converged"
+        messages = [r.getMessage() for r in caplog.records]
+        assert [m for m in messages if "sigma_max=" in m] == messages[:1]
+        fields = dict(field.split("=") for field in messages[0].split()[1:])
+        assert fields["iter"] == "0" and fields["bound_rows"] == "7"
+        assert float(fields["sigma_max"]) == solvers._START_SCALE_CAP
+        assert float(fields["mu"]) > 0.0
+
+    def test_empty_problem_is_silent(self, capfd):
+        # a V without rows once reached dsyrk, whose OpenBLAS error handler
+        # printed "** On entry to DSYRK ..." through C stdio, which buffers
+        # it until flushed
+        problem = QuadraticProblem(q_factor=(0.0, np.zeros((0, 2))), q_vector=np.zeros(0), box=(np.zeros(0), np.ones(0)))
+        result = solve_qp(problem)
+        ctypes.CDLL(None).fflush(None)
+        assert result.status == "converged"
+        assert result.point.shape == (0,) and result.iterations == 0
+        assert capfd.readouterr() == ("", "")
+
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         m = rng.normal(size=(5, 5))
@@ -933,6 +962,43 @@ class TestSolveQp:
         result = solve_qp(problem, TIGHT)
         assert result.status == "converged"
         np.testing.assert_allclose(result.point, [0.5, 1.0, 2.0], atol=1e-7)
+
+
+class TestScaledStart:
+    """The interior-point start reads each variable on the scale of its box."""
+
+    @staticmethod
+    def unit_box(seed: int, n: int = 40) -> QuadraticProblem:
+        """A QP over [0, 1]^n with Q = I + V V' and one equality row."""
+        rng = np.random.default_rng(seed)
+        return QuadraticProblem(
+            q_factor=(1.0, rng.normal(size=(n, 5))),
+            q_vector=2.0 * rng.normal(size=n),
+            box=(np.zeros(n), np.ones(n)),
+            equality=(rng.normal(size=n), 0.0),
+        )
+
+    @staticmethod
+    def stretched(problem: QuadraticProblem, k: float) -> QuadraticProblem:
+        """The same QP in u = k x: box [0, k], Q / k^2 and c / k, E / k."""
+        delta, v = problem.q_factor
+        e, f = problem.equality
+        lower, upper = problem.box
+        return QuadraticProblem(
+            q_factor=(delta / k**2, v / k), q_vector=problem.q_vector / k, box=(lower * k, upper * k), equality=(e / k, f)
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_stretched_copy_takes_the_same_steps(self, seed):
+        # from a start on the unit scale the copy took 2-4 more iterations;
+        # only the stop test, which reads the gradient in u, still differs
+        problem = self.unit_box(seed)
+        unit = solve_qp(problem, TIGHT)
+        copy = solve_qp(self.stretched(problem, 100.0), TIGHT)
+        assert unit.status == copy.status == "converged"
+        assert copy.iterations <= unit.iterations + 1
+        # each point is within the stop tolerance of the optimum
+        np.testing.assert_allclose(copy.point / 100.0, unit.point, rtol=0, atol=2 * TIGHT.kkt_tolerance)
 
 
 class TestCholesky:
